@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .builders import alexander_exponents, staircase_from_steps
-from .errors import UnsupportedInputError
+from .errors import UnsupportedInputError, ValidationError
 from .expressions import KnotExpr, Mirror, Sum, TorusKnot
 from .complexes import BigradedComplex
 
@@ -34,11 +34,13 @@ class PLFunction:
     values: Tuple[Fraction, ...]
 
     def __post_init__(self):
-        assert self.breakpoints[0] == 0 and self.breakpoints[-1] == 2
-        assert all(
-            self.breakpoints[i] < self.breakpoints[i + 1]
-            for i in range(len(self.breakpoints) - 1)
-        )
+        xs = self.breakpoints
+        if len(xs) < 2 or xs[0] != 0 or xs[-1] != 2:
+            raise ValidationError(f"breakpoints must run from 0 to 2, got {xs}")
+        if any(xs[i] >= xs[i + 1] for i in range(len(xs) - 1)):
+            raise ValidationError(f"breakpoints must increase strictly, got {xs}")
+        if len(self.values) != len(xs):
+            raise ValidationError("breakpoints and values differ in length")
 
     def __call__(self, t) -> Fraction:
         t = Fraction(t)

@@ -4,7 +4,7 @@ Commands: `report` (invariant tables, bounds, certificates), `plotdata`
 (exact breakpoint tables for the concordance function), `validate`
 (structural checks of a complex file).
 
-Exit codes: 0 success, 2 expression syntax error, 3 validation or file
+Exit codes: 0 success, 2 expression syntax or usage error, 3 validation or file
 error, 4 internal-consistency failure, 5 plotdata on a non-torus-sum
 expression. Structured output is emitted only on success, all at once.
 """
@@ -13,9 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
@@ -92,6 +90,8 @@ def _tower_certificate(c) -> Optional[List[Dict]]:
 
 
 def _build_report(args) -> Dict:
+    if args.cap is not None and args.cap < 0:
+        raise argparse.ArgumentTypeError(f"--cap must be nonnegative, got {args.cap}")
     expr = parse_knot_expr(args.expr)
     complex_, iota = realize_with_iota(expr)
     complex_.require_valid()
@@ -113,58 +113,20 @@ def _build_report(args) -> Dict:
 
     v_idx = _parse_range(args.v)
     y_idx = _parse_range(args.y)
-    jobs = args.jobs
 
-    def job_table():
-        return compute_invariant_table(complex_, v_idx, y_idx, args.cap)
-
-    def job_mirror_table():
-        return compute_invariant_table(mirror, v_idx, y_idx, args.cap)
-
-    def job_involutive():
-        if not (want_involutive and iota is not None):
-            return None
-        return v0_bar_under(complex_, iota)
-
-    def job_mirror_involutive():
-        if not (want_involutive and mirror_io is not None):
-            return None
-        return v0_bar_under(mirror, mirror_io)
-
-    def job_upsilon():
-        if not is_torus_sum(expr):
-            return None
-        return upsilon_of_expr(expr)
-
-    def job_signature():
-        if not is_torus_sum(expr):
-            return None
-        return lt_signature_of_expr(expr)
-
-    workers = [
-        ("table", job_table),
-        ("mirror_table", job_mirror_table),
-        ("involutive", job_involutive),
-        ("mirror_involutive", job_mirror_involutive),
-        ("upsilon", job_upsilon),
-        ("signature", job_signature),
-    ]
-    results: Dict[str, object] = {}
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = {name: pool.submit(fn) for name, fn in workers}
-            for name, fut in futures.items():
-                results[name] = fut.result()
-    else:
-        for name, fn in workers:
-            results[name] = fn()
-
-    table = results["table"]
-    mtable = results["mirror_table"]
-    involutive = results["involutive"]
-    m_involutive = results["mirror_involutive"]
-    upsilon = results["upsilon"]
-    signature = results["signature"]
+    table = compute_invariant_table(complex_, v_idx, y_idx, args.cap)
+    mtable = compute_invariant_table(mirror, v_idx, y_idx, args.cap)
+    involutive = None
+    m_involutive = None
+    if want_involutive and iota is not None:
+        involutive = v0_bar_under(complex_, iota)
+    if want_involutive and mirror_io is not None:
+        m_involutive = v0_bar_under(mirror, mirror_io)
+    upsilon = None
+    signature = None
+    if is_torus_sum(expr):
+        upsilon = upsilon_of_expr(expr)
+        signature = lt_signature_of_expr(expr)
 
     # Cross-checks between independently computed quantities.
     problems: List[str] = []
@@ -372,12 +334,6 @@ def build_parser() -> argparse.ArgumentParser:
             choices=["human", "json", "json-like", "csv"],
             default="human",
         )
-        p.add_argument(
-            "--jobs",
-            type=int,
-            default=int(os.environ.get("KNOTFLOER_JOBS", "1")),
-            help="parallel workers (defaults to KNOTFLOER_JOBS or 1)",
-        )
         p.add_argument("--cap", type=int, default=None, help="iteration cap")
 
     rep = sub.add_parser("report", help="invariant tables and bound reports")
@@ -395,9 +351,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_expr_values(argv: List[str]) -> List[str]:
+    """Join `--expr VALUE` into `--expr=VALUE` when VALUE starts with '-'.
+
+    argparse reads a separate `-T(2,3)` as an unknown flag; a mirrored
+    summand is a value, not a flag.
+    """
+    out: List[str] = []
+    i = 0
+    while i < len(argv):
+        tok = argv[i]
+        nxt = argv[i + 1] if i + 1 < len(argv) else ""
+        if tok == "--expr" and nxt.startswith("-") and not nxt.startswith("--"):
+            out.append(f"--expr={nxt}")
+            i += 2
+        else:
+            out.append(tok)
+            i += 1
+    return out
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = parser.parse_args(_attach_expr_values(list(argv)))
     try:
         return args.func(args)
     except argparse.ArgumentTypeError as exc:

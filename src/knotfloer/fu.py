@@ -9,10 +9,9 @@ of row indices per column and all T-powers are implied.
 
 Two independent routes compute the homology towers:
 
-* `tower_reduce` - a column reduction along the grading filtration
-  (clearing included, optional pre-simplification by cancelling T^0
-  arrows). Unpaired basis elements are the free homology generators;
-  their gradings give the tower tops.
+* `tower_reduce` - a column reduction along the grading filtration,
+  with clearing. Unpaired basis elements are the free homology
+  generators; their gradings give the tower tops.
 * `oracle_rank_and_top` - Smith normal form over GF(2)[T]: kernel basis,
   image expressed in the kernel, invariant factors, and a rank test for
   the non-torsion homogeneous component. Small inputs only; this is the
@@ -113,96 +112,6 @@ class FUComplex:
         return cols
 
 
-# --- T^0-arrow cancellation (algebraic simplification) ---------------------
-
-
-def _morse_simplify(fu: FUComplex) -> FUComplex:
-    """Homotopy-equivalent complex with every T^0 arrow cancelled.
-
-    Cancelling an invertible arrow j0 -> i0 removes both basis elements
-    and corrects every other column through the pair; the implied-power
-    bookkeeping stays consistent because all corrections are scaled by
-    nonnegative powers (r_j' >= r_j0 whenever col j' hits row i0).
-    """
-    n = len(fu)
-    grad = fu.gradings
-    cols: Dict[int, set] = {j: set() for j in range(n)}
-    rows: Dict[int, set] = {i: set() for i in range(n)}
-    for j, col in enumerate(fu.cols):
-        rest = col
-        while rest:
-            low = rest & -rest
-            i = low.bit_length() - 1
-            rest ^= low
-            cols[j].add(i)
-            rows[i].add(j)
-    alive = set(range(n))
-
-    def unit_arrow_of(j: int) -> Optional[int]:
-        best = None
-        for i in cols[j]:
-            if grad[i] == grad[j] - 1:
-                if best is None or i < best:
-                    best = i
-        return best
-
-    work = sorted(j for j in range(n) if unit_arrow_of(j) is not None)
-    in_work = set(work)
-    while work:
-        j0 = work.pop()
-        in_work.discard(j0)
-        if j0 not in alive:
-            continue
-        i0 = unit_arrow_of(j0)
-        if i0 is None or i0 not in alive:
-            continue
-        col0 = cols[j0]
-        touched = []
-        for jp in list(rows[i0]):
-            if jp == j0 or jp not in alive:
-                continue
-            cj = cols[jp]
-            for m in col0:
-                if m in cj:
-                    cj.discard(m)
-                    rows[m].discard(jp)
-                else:
-                    cj.add(m)
-                    rows[m].add(jp)
-            touched.append(jp)
-        # Drop the pair: arrows out of i0, into j0, and the pair itself.
-        for m in cols[i0]:
-            rows[m].discard(i0)
-        cols[i0] = set()
-        for jp in list(rows[j0]):
-            cols[jp].discard(j0)
-        rows[j0] = set()
-        for m in col0:
-            rows[m].discard(j0)
-        cols[j0] = set()
-        rows[i0] = set()
-        alive.discard(i0)
-        alive.discard(j0)
-        for jp in touched:
-            if jp in alive and jp not in in_work and unit_arrow_of(jp) is not None:
-                work.append(jp)
-                in_work.add(jp)
-
-    keep = sorted(alive)
-    renum = {old: new for new, old in enumerate(keep)}
-    new_cols = []
-    for old in keep:
-        mask = 0
-        for i in cols[old]:
-            mask |= 1 << renum[i]
-        new_cols.append(mask)
-    return FUComplex(
-        tuple(fu.labels[i] for i in keep),
-        tuple(fu.gradings[i] for i in keep),
-        tuple(new_cols),
-    )
-
-
 # --- reduction along the grading filtration --------------------------------
 
 
@@ -228,9 +137,7 @@ class Reduction:
         return self.unpaired[0][1]
 
 
-def tower_reduce(fu: FUComplex, *, with_reps: bool = False, simplify: bool = True) -> Reduction:
-    if simplify and not with_reps and len(fu) > 64:
-        fu = _morse_simplify(fu)
+def tower_reduce(fu: FUComplex, *, with_reps: bool = False) -> Reduction:
     n = len(fu)
     order = sorted(range(n), key=lambda i: (-fu.gradings[i], fu.labels[i]))
     pos_of = {idx: p for p, idx in enumerate(order)}

@@ -176,23 +176,42 @@ def is_knotlike(c: BigradedComplex) -> bool:
 # --- correction terms -------------------------------------------------------
 
 
-def v_invariant(c: BigradedComplex, s: int) -> int:
-    """Correction term of the level-s subcomplex: -d/2."""
-    d = d_invariant(a_level_complex(c, s))
+def _correction_term(level: ALevel) -> int:
+    """-d/2 of a level complex; its tower grading must be even."""
+    d = d_invariant(level)
     if d % 2:
-        raise ConsistencyError(f"tower grading {d} at level {s} is odd")
+        raise ConsistencyError(f"tower grading {d} at level {level.level} is odd")
     return -d // 2
 
 
+def v_invariant(c: BigradedComplex, s: int) -> int:
+    """Correction term of the level-s subcomplex: -d/2 (memoized per complex)."""
+    memo = c.__dict__.setdefault("_v", {})
+    if s not in memo:
+        memo[s] = _correction_term(a_level_complex(c, s))
+    return memo[s]
+
+
 def y_invariant(c: BigradedComplex, n: int) -> int:
-    """V_0 of the tensor with the n-step dual staircase."""
+    """V_0 of the tensor with the n-step dual staircase (memoized per complex).
+
+    Knot-likeness is checked on the two factors only: a tensor product of
+    knot-like complexes is knot-like (Kunneth over the localized ring).
+    """
     from .builders import staircase_dual
 
     if n < 0:
         raise ValidationError("index must be nonnegative")
     if n == 0:
         return v_invariant(c, 0)
-    return v_invariant(c.tensor(staircase_dual(n)), 0)
+    memo = c.__dict__.setdefault("_y", {})
+    if n not in memo:
+        dual = staircase_dual(n)
+        if not (is_knotlike(c) and is_knotlike(dual)):
+            raise ValidationError("complex is not knot-like (localized tower rank != 1)")
+        level = a_level_complex(c.tensor(dual), 0, check=False)
+        memo[n] = _correction_term(level)
+    return memo[n]
 
 
 def _default_cap(c: BigradedComplex) -> int:
@@ -239,6 +258,13 @@ def tau_invariant(c: BigradedComplex) -> int:
     pure-V differential: below the tower the restricted kernels consist
     of boundaries, at the tower level a non-torsion cycle appears.
     """
+    cached = c.__dict__.get("_tau")
+    if cached is None:
+        cached = c.__dict__["_tau"] = _tau_scan(c)
+    return cached
+
+
+def _tau_scan(c: BigradedComplex) -> int:
     if not is_knotlike(c):
         raise ValidationError("tau undefined: complex is not knot-like")
     cols = _pure_v_columns(c)
@@ -376,14 +402,26 @@ class HatSlices:
 
 
 def nu_hat(c: BigradedComplex) -> int:
-    """Least level whose hat cycles hit the generator of the V = 1 quotient."""
+    """Least level whose hat cycles hit the generator of the V = 1 quotient.
+
+    nu is tau or tau + 1 (Hom-Wu), so only three levels are tested: tau - 1
+    must miss, and the first of tau, tau + 1 to hit is nu. Any other
+    outcome is a consistency failure, so the shortcut stays certified.
+    """
     if not is_knotlike(c):
         raise ValidationError("nu undefined: complex is not knot-like")
-    return _nu_hat_scan(c)
+    tau = tau_invariant(c)
+    hits = _v1_class_test(c)
+    if hits(tau - 1):
+        raise ConsistencyError(f"level {tau - 1} hits the V = 1 class below tau = {tau}")
+    for s in (tau, tau + 1):
+        if hits(s):
+            return s
+    raise ConsistencyError(f"nu outside {{tau, tau+1}}, tau={tau}")
 
 
-def _nu_hat_scan(c: BigradedComplex) -> int:
-    n = len(c.gens)
+def _v1_class_test(c: BigradedComplex):
+    """Predicate on s: does a level-s hat cycle map to the V = 1 generator?"""
     hat: HatComplex = reduce_complex(c, "UV0")
     d1 = reduce_complex(c, "U0V1")
     im1 = Echelon(d1.columns)
@@ -396,8 +434,9 @@ def _nu_hat_scan(c: BigradedComplex) -> int:
     if gen_class is None:
         raise ValidationError("V = 1 reduction has trivial homology")
     alex = [g.alexander for g in c.gens]
-    lo, hi = min(alex), max(alex)
-    for s in range(lo, hi + 2):
+    quotient = [im1.reduce(1 << j) for j in range(len(alex))]
+
+    def hits(s: int) -> bool:
         mins = [((a - s, 0) if a >= s else (0, s - a)) for a in alex]
         cols = []
         for j, g in enumerate(c.gens):
@@ -413,35 +452,20 @@ def _nu_hat_scan(c: BigradedComplex) -> int:
                         raise ConsistencyError("hat level differential mismatch")
                     mask ^= 1 << ti
             cols.append(mask)
-        system = LinearSystem()
-        z = list(system.new_vars(n))
-        for i in range(n):
-            mask = 0
-            for j in range(n):
-                if (cols[j] >> i) & 1:
-                    mask |= 1 << z[j]
-            if mask:
-                system.add_equation(mask, 0)
-        # image in the V = 1 quotient must represent the generator class
-        proj_reduced = [
-            im1.reduce(1 << j) if mins[j][0] == 0 else 0 for j in range(n)
-        ]
-        bits = gen_class
-        for p in proj_reduced:
-            bits |= p
-        b = bits
-        while b:
-            low = b & -b
-            bit = low.bit_length() - 1
-            b ^= low
-            mask = 0
-            for j in range(n):
-                if (proj_reduced[j] >> bit) & 1:
-                    mask |= 1 << z[j]
-            system.add_equation(mask, (gen_class >> bit) & 1)
-        if system.solve() is not None:
-            return s
-    raise ConsistencyError("nu scan exhausted the Alexander range")
+        # Only basis elements without a U-power survive in the V = 1 quotient.
+        proj = [quotient[j] if mins[j][0] == 0 else 0 for j in range(len(alex))]
+        images = Echelon()
+        for z in ColumnSolver(cols).kernel:
+            acc = 0
+            rest = z
+            while rest:
+                low = rest & -rest
+                acc ^= proj[low.bit_length() - 1]
+                rest ^= low
+            images.add(acc)
+        return images.contains(gen_class)
+
+    return hits
 
 
 def omega_hat(c: BigradedComplex) -> int:

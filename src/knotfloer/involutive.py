@@ -23,6 +23,7 @@ grading of the basis.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
@@ -284,8 +285,12 @@ def involutive_d_pair(cone: Cone) -> Tuple[int, int]:
     top = max(fu.gradings)
     bottom = min(fu.gradings)
 
+    @functools.cache
     def analyze(rho: int):
-        """dim data for the slice at grading rho; None when empty."""
+        """dim data for the slice at grading rho; None when empty.
+
+        Both scans below visit the same slices, so each is analyzed once.
+        """
         keys = fu.slice_basis(rho)
         if not keys:
             return None
@@ -294,7 +299,7 @@ def involutive_d_pair(cone: Cone) -> Tuple[int, int]:
         deep_slice = fu.slice_basis(deep)
         deep_pos = {pair: m for m, pair in enumerate(deep_slice)}
         im_only = Echelon(fu.boundary_columns(fu.slice_basis(deep + 1), deep_slice))
-        with_q = Echelon(im_only.pivots.values())
+        with_q = im_only.copy()
         for vec in _q_image_vectors(cone, deep, deep_slice):
             with_q.add(vec)
         below = fu.slice_basis(rho - 1)

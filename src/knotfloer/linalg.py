@@ -54,6 +54,13 @@ class Echelon:
         self.pivot_mask |= bit
         return True
 
+    def copy(self) -> "Echelon":
+        """Independent copy; cheaper than re-adding the reduced rows."""
+        out = Echelon()
+        out.pivots = dict(self.pivots)
+        out.pivot_mask = self.pivot_mask
+        return out
+
     def contains(self, v: int) -> bool:
         return self.reduce(v) == 0
 

@@ -178,9 +178,9 @@ def test_criterion_8_property_suites():
 
     rng2 = random.Random(987654321)
     rank_one = 0
-    for trial in range(1000):
+    for _ in range(1000):
         fu = random_fu_complex(rng2)
-        red = tower_reduce(fu, simplify=bool(trial % 2))
+        red = tower_reduce(fu)
         rank_o, top_o = oracle_rank_and_top(fu)
         assert red.rank == rank_o
         if rank_o == 1:

@@ -15,7 +15,7 @@ from knotfloer.bounds import (
     upsilon_staircase,
 )
 from knotfloer.builders import staircase, torus_knot_complex
-from knotfloer.errors import UnsupportedInputError
+from knotfloer.errors import UnsupportedInputError, ValidationError
 from knotfloer.expressions import parse_knot_expr
 from knotfloer.invariants import tau_invariant
 from knotfloer.expressions import realize_expr
@@ -40,6 +40,16 @@ def test_upsilon_unknot():
     ups = upsilon_staircase(staircase(0))
     assert all(v == 0 for v in ups.values)
     assert upsilon_ratio_bound(ups) == 0
+
+
+def test_pl_function_rejects_bad_breakpoints():
+    zero = Fraction(0)
+    with pytest.raises(ValidationError):
+        PLFunction((Fraction(1), zero), (zero, zero))
+    with pytest.raises(ValidationError):
+        PLFunction((zero, Fraction(1), Fraction(1), Fraction(2)), (zero,) * 4)
+    with pytest.raises(ValidationError):
+        PLFunction((zero, Fraction(2)), (zero,))
 
 
 def test_upsilon_family_knot():

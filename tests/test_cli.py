@@ -39,11 +39,12 @@ def test_report_json_deterministic(capsys):
     assert payload["bounds"]["clasp"]["max"] == 0
 
 
-def test_report_parallel_matches_serial(capsys):
-    base = ["report", "--expr", "T(2,3)#T(2,5)", "--format", "json"]
-    _, serial, _ = run_cli(base, capsys)
-    _, parallel, _ = run_cli(base + ["--jobs", "3"], capsys)
-    assert serial == parallel
+def test_expr_value_may_start_with_dash(capsys):
+    joined = run_cli(["report", "--expr=-T(2,3)", "--format", "json"], capsys)
+    split = run_cli(["report", "--expr", "-T(2,3)", "--format", "json"], capsys)
+    assert joined[0] == split[0] == 0
+    assert joined[1] == split[1]
+    assert json.loads(split[1])["invariants"]["tau"] == -1
 
 
 def test_report_json_like_alias(capsys):
@@ -148,6 +149,13 @@ def test_cap_overflow_is_internal_error(capsys):
     code, _, err = run_cli(["report", "--expr", "T(2,3)", "--cap", "0"], capsys)
     assert code == 4
     assert "internal consistency" in err
+
+
+def test_negative_cap_is_usage_error(capsys):
+    code, out, err = run_cli(["report", "--expr", "T(2,3)", "--cap", "-1"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "--cap" in err
 
 
 def test_file_iota_drives_involutive_report(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from knotfloer.builders import named_complex, staircase, staircase_dual, torus_knot_complex
@@ -16,6 +18,8 @@ from knotfloer.invariants import (
     v_invariant,
     y_invariant,
 )
+
+from oracle_nu import nu_hat_scan
 
 
 def corpus():
@@ -163,3 +167,66 @@ def test_v_vanishes_beyond_top_alexander():
     for name, c in corpus().items():
         top = c.max_alexander()
         assert v_invariant(c, max(top, 0)) == 0, name
+
+
+def _mixed_sums(seed, count):
+    """Seeded connected sums of 1-3 small torus knots and HW, mixed signs."""
+    rng = random.Random(seed)
+    terms = ["T(2,3)", "T(2,5)", "T(3,4)", "T(2,7)", "T(3,5)", "HW"]
+    out = []
+    for _ in range(count):
+        parts = [
+            rng.choice(("", "-")) + rng.choice(terms) for _ in range(rng.randint(1, 3))
+        ]
+        out.append("#".join(parts))
+    return out
+
+
+def test_nu_matches_full_scan_oracle():
+    exprs = [
+        "T(2,11)#T(4,7)#-T(5,6)",
+        "T(2,3)#T(4,7)#-T(5,6)",
+        "T(2,11)#-T(4,5)",
+        "HW",
+    ] + _mixed_sums(20260, 30)
+    for text in exprs:
+        c = realize_expr(parse_knot_expr(text))
+        for name, cc in ((text, c), ("-(" + text + ")", c.dual())):
+            assert nu_hat(cc) == nu_hat_scan(cc), name
+
+
+def test_staircase_tensors_are_knotlike():
+    # y_invariant checks only the factors; this is the Kunneth step it uses.
+    for text in ["T(2,3)#T(4,7)#-T(5,6)", "T(2,11)#-T(4,5)"]:
+        c = realize_expr(parse_knot_expr(text))
+        for cc in (c, c.dual()):
+            for n in range(1, omega_plus(cc) + 1):
+                assert is_knotlike(cc.tensor(staircase_dual(n))), (text, n)
+
+
+def test_report_tensors_each_staircase_once(monkeypatch, capsys):
+    import knotfloer.builders as builders
+    from knotfloer.cli import main
+
+    made = {}
+    counts = {}
+    real_dual = builders.staircase_dual
+    real_tensor = BigradedComplex.tensor
+
+    def counting_dual(n):
+        out = real_dual(n)
+        made[id(out)] = (out, n)
+        return out
+
+    def counting_tensor(self, other):
+        if id(other) in made:
+            key = (id(self), made[id(other)][1])
+            counts[key] = counts.get(key, 0) + 1
+        return real_tensor(self, other)
+
+    monkeypatch.setattr(builders, "staircase_dual", counting_dual)
+    monkeypatch.setattr(BigradedComplex, "tensor", counting_tensor)
+    assert main(["report", "--expr", "T(2,3)#T(4,7)#-T(5,6)", "--format", "json"]) == 0
+    capsys.readouterr()
+    assert len({key[0] for key in counts}) == 2  # the knot and its mirror
+    assert all(n == 1 for n in counts.values()), counts
