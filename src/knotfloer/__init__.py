@@ -15,7 +15,6 @@ from .complexes import (
     SkewMap,
     basepoint_maps,
     reduce_complex,
-    tensor_many,
     verify_chain_map,
 )
 from .expressions import expr_to_string, parse_knot_expr, realize_expr

@@ -98,16 +98,11 @@ def _upper_envelope(lines: Sequence[Tuple[Fraction, Fraction]]) -> PLFunction:
 
 def _is_staircase_shape(c: BigradedComplex) -> bool:
     """Zigzag test: even positions are cycles, odd ones hit both neighbours."""
-    count = len(c.gens)
-    if count % 2 == 0:
+    if len(c) % 2 == 0:
         return False
-    names = [g.name for g in c.gens]
-    for idx, g in enumerate(c.gens):
-        row = c.diff_row(g.name)
-        if idx % 2 == 0:
-            if row:
-                return False
-        elif set(row) != {names[idx - 1], names[idx + 1]}:
+    for idx, col in enumerate(c.cols):
+        want = 0 if idx % 2 == 0 else (1 << (idx - 1)) | (1 << (idx + 1))
+        if col != want:
             return False
     return True
 
@@ -123,8 +118,11 @@ def upsilon_staircase(c: BigradedComplex) -> PLFunction:
     """
     if not _is_staircase_shape(c):
         raise UnsupportedInputError("not a staircase-shaped complex")
-    cycles = [g for g in c.gens if not c.diff_row(g.name)]
-    lines = [(Fraction(g.grz - g.grw, 2), Fraction(g.grw)) for g in cycles]
+    lines = [
+        (Fraction(z - w, 2), Fraction(w))
+        for w, z, col in zip(c.grw, c.grz, c.cols)
+        if not col
+    ]
     return _upper_envelope(lines)
 
 

@@ -17,15 +17,10 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Dict, Tuple
 
-from .complexes import (
-    BigradedComplex,
-    ChainMap,
-    Generator,
-    require_chain_map,
-)
+from .complexes import BigradedComplex, ChainMap, require_chain_map
 from .errors import ConsistencyError, ValidationError
-from .linalg import LinearSystem
-from .rings import UVPoly, ipoly_divexact, uv_mono
+from .linalg import LinearSystem, iter_bits
+from .rings import ipoly_divexact
 
 
 @dataclass(frozen=True)
@@ -74,7 +69,11 @@ def alexander_exponents(p: int, q: int) -> StepSequence:
 
 
 def staircase_from_steps(steps: StepSequence, prefix: str = "g") -> BigradedComplex:
-    """Zigzag complex of an exponent sequence; top generator at grw = 0."""
+    """Zigzag complex of an exponent sequence; top generator at grw = 0.
+
+    Each odd generator hits its two neighbours, the earlier one by a pure
+    U-power and the later one by a pure V-power; the gradings fix both.
+    """
     s = steps.exponents
     count = len(s)
     grw = [0] * count
@@ -82,18 +81,15 @@ def staircase_from_steps(steps: StepSequence, prefix: str = "g") -> BigradedComp
         a = s[i - 1] - s[i]
         grw[i] = grw[i - 1] + 1 - 2 * a
         grw[i + 1] = grw[i] - 1
-    gens = [
-        Generator(f"{prefix}{i}", grw[i], grw[i] - 2 * s[i]) for i in range(count)
-    ]
-    diff: Dict[str, Dict[str, UVPoly]] = {}
+    cols = [0] * count
     for i in range(1, count, 2):
-        a = s[i - 1] - s[i]
-        b = s[i] - s[i + 1]
-        diff[f"{prefix}{i}"] = {
-            f"{prefix}{i - 1}": uv_mono(a, 0),
-            f"{prefix}{i + 1}": uv_mono(0, b),
-        }
-    return BigradedComplex(gens, diff).require_valid()
+        cols[i] = (1 << (i - 1)) | (1 << (i + 1))
+    return BigradedComplex(
+        [f"{prefix}{i}" for i in range(count)],
+        grw,
+        [grw[i] - 2 * s[i] for i in range(count)],
+        cols,
+    ).require_valid()
 
 
 def staircase(n: int) -> BigradedComplex:
@@ -105,7 +101,7 @@ def staircase(n: int) -> BigradedComplex:
     if n < 0:
         raise ValidationError("staircase index must be nonnegative")
     if n == 0:
-        return BigradedComplex([Generator("y0", 0, 0)], {}).require_valid()
+        return BigradedComplex(["y0"], [0], [0], [0]).require_valid()
     seq = StepSequence(tuple(range(n, -n - 1, -1)))
     c = staircase_from_steps(seq, prefix="tmp")
     renaming = {f"tmp{k}": f"y{k - n}" for k in range(2 * n + 1)}
@@ -113,22 +109,25 @@ def staircase(n: int) -> BigradedComplex:
 
 
 def staircase_dual(n: int) -> BigradedComplex:
-    """Dual staircase with generators x(-n)..x(n), x(i) at (n+i, n-i)."""
+    """Dual staircase with generators x(-n)..x(n), x(i) at (n+i, n-i).
+
+    x(i) with i - n even maps by d(x(i)) = U x(i+1) + V x(i-1).
+    """
     if n < 0:
         raise ValidationError("staircase index must be nonnegative")
-    gens = [Generator(f"x{i}", n + i, n - i) for i in range(-n, n + 1)]
-    diff: Dict[str, Dict[str, UVPoly]] = {}
-    for i in range(-n, n + 1):
-        if (i - n) % 2 != 0:
-            continue
-        row: Dict[str, UVPoly] = {}
-        if i + 1 <= n:
-            row[f"x{i + 1}"] = uv_mono(1, 0)
-        if i - 1 >= -n:
-            row[f"x{i - 1}"] = uv_mono(0, 1)
-        if row:
-            diff[f"x{i}"] = row
-    return BigradedComplex(gens, diff).require_valid()
+    count = 2 * n + 1
+    cols = [0] * count
+    for k in range(0, count, 2):  # index k holds x(k - n)
+        if k + 1 < count:
+            cols[k] |= 1 << (k + 1)
+        if k > 0:
+            cols[k] |= 1 << (k - 1)
+    return BigradedComplex(
+        [f"x{i}" for i in range(-n, n + 1)],
+        [n + i for i in range(-n, n + 1)],
+        [n - i for i in range(-n, n + 1)],
+        cols,
+    ).require_valid()
 
 
 def torus_knot_complex(p: int, q: int) -> BigradedComplex:
@@ -140,9 +139,9 @@ def torus_knot_complex(p: int, q: int) -> BigradedComplex:
 
 
 def _hedden_watson() -> BigradedComplex:
-    gens = [Generator("a", 0, -4), Generator("b", -3, -3), Generator("c", -4, 0)]
-    diff = {"b": {"a": uv_mono(2, 0), "c": uv_mono(0, 2)}}
-    return BigradedComplex(gens, diff).require_valid()
+    # d(b) = U^2 a + V^2 c
+    c = BigradedComplex(["a", "b", "c"], [0, -3, -4], [-4, -3, 0], [0, 0b101, 0])
+    return c.require_valid()
 
 
 NAMED_COMPLEXES = {
@@ -179,25 +178,24 @@ def _solve_local_map(
     dw, dz = bidegree
     system = LinearSystem()
     # One unknown per admissible matrix slot; homogeneity fixes the monomial.
-    slots: Dict[Tuple[str, str], Tuple[int, int, int]] = {}
-    by_source: Dict[str, list] = {}
-    for gs in source.gens:
-        for gt in target.gens:
-            ua = gt.grw - gs.grw - dw
-            vb = gt.grz - gs.grz - dz
+    slots: Dict[Tuple[int, int], int] = {}
+    by_source: Dict[int, list] = {}
+    for i, (sw, sz) in enumerate(zip(source.grw, source.grz)):
+        for j, (tw, tz) in enumerate(zip(target.grw, target.grz)):
+            ua, vb = tw - sw - dw, tz - sz - dz
             if ua < 0 or vb < 0 or ua % 2 or vb % 2:
                 continue
             var = system.new_vars(1)[0]
-            slots[(gs.name, gt.name)] = (var, ua // 2, vb // 2)
-            by_source.setdefault(gs.name, []).append((gt.name, var))
+            slots[(i, j)] = var
+            by_source.setdefault(i, []).append((j, var))
 
     # d f + f d = 0, one equation per (source gen, final gen) pair.
-    for gs in source.gens:
-        masks: Dict[str, int] = {}
-        for mid, var in by_source.get(gs.name, ()):
-            for tgt in target.diff_row(mid):
+    for i in range(len(source)):
+        masks: Dict[int, int] = {}
+        for mid, var in by_source.get(i, ()):
+            for tgt in iter_bits(target.cols[mid]):
                 masks[tgt] = masks.get(tgt, 0) ^ (1 << var)
-        for mid in source.diff_row(gs.name):
+        for mid in iter_bits(source.cols[i]):
             for tgt, var in by_source.get(mid, ()):
                 masks[tgt] = masks.get(tgt, 0) ^ (1 << var)
         for tgt in sorted(masks):
@@ -205,32 +203,25 @@ def _solve_local_map(
                 system.add_equation(masks[tgt], 0)
 
     # Locality: push the source tower cycle through the unknown map and
-    # pin its class to the non-torsion coset on the target side.
+    # pin its class to the non-torsion coset on the target side. A slot
+    # i -> j rewrites on the level complexes as a T-power fixed by the
+    # level gradings (the map preserves the Alexander grading).
     src_level = a_level_complex(source, 0)
     tgt_level = a_level_complex(target, 0)
     cycle = tower_cycle(src_level)
     want = slice_obstruction(tgt_level, cycle.grading + dw)
     pos = {pair: m for m, pair in enumerate(want.slice)}
-    src_index = {lbl: i for i, lbl in enumerate(src_level.fu.labels)}
-    tgt_index = {lbl: i for i, lbl in enumerate(tgt_level.fu.labels)}
     coeff_masks = [0] * len(want.slice)
-    for label, power in cycle.terms:
-        iu, jv = src_level.min_monomials[src_index[label]]
-        for tgt_name, var in by_source.get(label, ()):
-            _var, ua, vb = slots[(label, tgt_name)]
-            ti = tgt_index[tgt_name]
-            tu, tv = tgt_level.min_monomials[ti]
-            k = iu + ua - tu
-            if k != jv + vb - tv or k < 0:
+    for i, power in cycle.terms:
+        for j, var in by_source.get(i, ()):
+            k2 = tgt_level.fu.gradings[j] - src_level.fu.gradings[i] - dw
+            if k2 < 0 or k2 % 2:
                 raise ConsistencyError("transition-map image leaves the level complex")
-            coeff_masks[pos[(ti, k + power)]] ^= 1 << var
+            coeff_masks[pos[(j, k2 // 2 + power)]] ^= 1 << var
     for row_mask, rhs in want.rows:
         mask = 0
-        rest = row_mask
-        while rest:
-            low = rest & -rest
-            mask ^= coeff_masks[low.bit_length() - 1]
-            rest ^= low
+        for m in iter_bits(row_mask):
+            mask ^= coeff_masks[m]
         system.add_equation(mask, rhs)
 
     solution = system.solve()
@@ -238,11 +229,11 @@ def _solve_local_map(
         raise ConsistencyError(
             f"no local chain map of bidegree {bidegree} between the staircase duals"
         )
-    entries: Dict[str, Dict[str, UVPoly]] = {}
-    for (s, t), (var, ua, vb) in sorted(slots.items()):
+    cols = [0] * len(source)
+    for (i, j), var in slots.items():
         if (solution >> var) & 1:
-            entries.setdefault(s, {})[t] = uv_mono(ua, vb)
-    return require_chain_map(ChainMap(source, target, entries, bidegree=bidegree))
+            cols[i] |= 1 << j
+    return require_chain_map(ChainMap(source, target, cols, bidegree))
 
 
 def staircase_transition_maps(n: int) -> Tuple[ChainMap, ChainMap]:

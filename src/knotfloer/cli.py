@@ -77,15 +77,14 @@ def _table_payload(table) -> Dict:
 
 
 def _tower_certificate(c) -> Optional[List[Dict]]:
-    if len(c.gens) > CYCLE_CERTIFICATE_LIMIT:
+    if len(c) > CYCLE_CERTIFICATE_LIMIT:
         return None
     level = a_level_complex(c, 0)
-    cyc = tower_cycle(level)
-    idx = {lbl: i for i, lbl in enumerate(level.fu.labels)}
+    labels = level.fu.labels
     out = []
-    for label, power in cyc.terms:
-        iu, jv = level.min_monomials[idx[label]]
-        out.append({"gen": label, "u": iu + power, "v": jv + power})
+    for i, power in sorted(tower_cycle(level).terms, key=lambda t: (labels[t[0]], t[1])):
+        iu, jv = level.min_monomials[i]
+        out.append({"gen": labels[i], "u": iu + power, "v": jv + power})
     return out
 
 
@@ -187,7 +186,7 @@ def _build_report(args) -> Dict:
 
     return {
         "expression": expr_to_string(expr),
-        "generator_count": len(complex_.gens),
+        "generator_count": len(complex_),
         "invariants": _table_payload(table),
         "mirror_invariants": _table_payload(mtable),
         "involutive": None
@@ -310,7 +309,7 @@ def _cmd_validate(args) -> int:
         for p in problems:
             print(p, file=sys.stderr)
         return 3
-    print(f"ok: {len(complex_.gens)} generators"
+    print(f"ok: {len(complex_)} generators"
           + (", involution verified" if iota is not None else ""))
     return 0
 

@@ -1,38 +1,43 @@
 """Bigraded chain complexes over GF(2)[U, V] and maps between them.
 
 A complex is a finite list of generators carrying two integer gradings
-(grw, grz) together with a differential whose entries live in the
-two-variable ring. The structural rules enforced by `validate`:
+(grw, grz) together with a differential. U and V carry bidegrees (-2, 0)
+and (0, -2) and the differential drops both gradings by one, so
+homogeneity pins every entry to a single monomial: a term U^u V^v y of dx
+has
 
-* d^2 = 0;
-* homogeneity: a term U^a V^b y of dx satisfies
-  grw(y) = grw(x) - 1 + 2a and grz(y) = grz(x) - 1 + 2b
-  (the differential drops both gradings by one; U and V carry
-  bidegrees (-2, 0) and (0, -2));
+    2u = grw(y) - grw(x) + 1,    2v = grz(y) - grz(x) + 1.
+
+The differential is therefore stored as one GF(2) bitmask column per
+generator (bit j of cols[i] is set when y_j occurs in d(x_i)) and every
+exponent is implied by the gradings. Chain maps of a fixed bidegree
+(dw, dz) and skew maps (f(U x) = V f(x), which swap the gradings) are
+stored the same way.
+
+The structural rules enforced by `validate`:
+
+* every implied exponent is a nonnegative integer;
 * grw - grz is even for every generator, so the Alexander grading
-  A = (grw - grz) / 2 is an integer.
+  A = (grw - grz) / 2 is an integer;
+* d^2 = 0. The exponents along a path depend only on its end points, so
+  d^2 is the XOR of the columns d hits.
 
-Homogeneity makes the differential single-monomial per generator pair;
-the polynomial-valued interface is still used so that violations can be
-reported term by term.
+Monomial terms from outside (files, tests) enter through `from_terms`,
+which checks every term against the gradings.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .errors import ValidationError
-from .rings import (
-    UV_ONE,
-    UV_ZERO,
-    UVPoly,
-    uv_add,
-    uv_mul,
-    uv_mul_hat,
-    uv_str,
-    uv_swap,
-)
+from .fu import FUComplex
+from .linalg import gap_guard, iter_bits, transpose, value_masks
+
+# (source label, target label, u, v): one monomial term U^u V^v target.
+Term = Tuple[str, str, int, int]
 
 
 @dataclass(frozen=True)
@@ -45,67 +50,72 @@ class Generator:
     def alexander(self) -> int:
         return (self.grw - self.grz) // 2
 
-    @property
-    def delta(self):
-        return (self.grw + self.grz) / 2
-
-
-DiffMap = Dict[str, Dict[str, UVPoly]]
-
 
 class BigradedComplex:
     """Finitely generated free complex over GF(2)[U, V].
 
+    Labels, grw and grz tuples plus one bitmask column per generator.
     Immutable after construction; `validate` returns a list of violation
     strings (empty when the complex is well formed) and `require_valid`
     raises on the first dirty input.
     """
 
-    def __init__(self, gens: Sequence[Generator], diff: Mapping[str, Mapping[str, UVPoly]]):
-        self.gens: Tuple[Generator, ...] = tuple(gens)
-        names = [g.name for g in self.gens]
-        if len(set(names)) != len(names):
-            seen = set()
-            dup = next(n for n in names if n in seen or seen.add(n))
+    def __init__(self, labels: Sequence[str], grw: Sequence[int], grz: Sequence[int], cols: Sequence[int]):
+        self.labels: Tuple[str, ...] = tuple(labels)
+        self.grw: Tuple[int, ...] = tuple(grw)
+        self.grz: Tuple[int, ...] = tuple(grz)
+        self.cols: Tuple[int, ...] = tuple(cols)
+        if not len(self.labels) == len(self.grw) == len(self.grz) == len(self.cols):
+            raise ValidationError("grading and column lists differ in length")
+
+    @classmethod
+    def from_terms(cls, gens: Sequence[Generator], terms: Iterable[Term]) -> "BigradedComplex":
+        """Complex from generators and monomial terms of d.
+
+        Every term must carry the exponents its gradings imply; the
+        inhomogeneous ones are reported together.
+        """
+        c = cls([g.name for g in gens], [g.grw for g in gens], [g.grz for g in gens], [0] * len(gens))
+        dup = c.repeated_label()
+        if dup is not None:
             raise ValidationError(f"duplicate generator id {dup!r}")
-        self.index: Dict[str, int] = {g.name: i for i, g in enumerate(self.gens)}
-        clean: DiffMap = {}
-        for src, row in diff.items():
-            if src not in self.index:
-                raise ValidationError(f"differential source {src!r} is not a generator")
-            entries = {}
-            for tgt, poly in row.items():
-                if tgt not in self.index:
-                    raise ValidationError(f"differential target {tgt!r} is not a generator")
-                poly = frozenset(poly)
-                if poly:
-                    entries[tgt] = poly
-            if entries:
-                clean[src] = entries
-        self.diff: DiffMap = clean
+        c.cols = _columns_from_terms(c.d, terms)
+        return c
 
     # -- basic access --------------------------------------------------
 
+    @functools.cached_property
+    def gens(self) -> Tuple[Generator, ...]:
+        return tuple(map(Generator, self.labels, self.grw, self.grz))
+
+    @functools.cached_property
+    def index(self) -> dict:
+        return {name: i for i, name in enumerate(self.labels)}
+
+    @functools.cached_property
+    def alexander(self) -> Tuple[int, ...]:
+        return tuple((w - z) // 2 for w, z in zip(self.grw, self.grz))
+
+    @property
+    def d(self) -> "Differential":
+        return Differential(self)
+
     def __len__(self) -> int:
-        return len(self.gens)
+        return len(self.cols)
 
     def gen(self, name: str) -> Generator:
         return self.gens[self.index[name]]
 
-    def diff_entry(self, src: str, tgt: str) -> UVPoly:
-        return self.diff.get(src, {}).get(tgt, UV_ZERO)
+    def terms(self) -> List[Term]:
+        return self.d.terms()
 
-    def diff_row(self, src: str) -> Dict[str, UVPoly]:
-        return self.diff.get(src, {})
-
-    def alexander(self, name: str) -> int:
-        return self.gen(name).alexander
+    def repeated_label(self) -> Optional[str]:
+        """The first label that occurs twice, if any (tensor labels may collide)."""
+        seen = set()
+        return next((n for n in self.labels if n in seen or seen.add(n)), None)
 
     def max_alexander(self) -> int:
-        return max(g.alexander for g in self.gens)
-
-    def min_alexander(self) -> int:
-        return min(g.alexander for g in self.gens)
+        return max(self.alexander)
 
     # -- validation ----------------------------------------------------
 
@@ -117,30 +127,17 @@ class BigradedComplex:
                     f"generator {g.name!r}: grw-grz = {g.grw - g.grz} is odd, "
                     "Alexander grading is not an integer"
                 )
-        for src, row in self.diff.items():
-            gs = self.gen(src)
-            for tgt, poly in row.items():
-                gt = self.gen(tgt)
-                for a, b in sorted(poly):
-                    if gt.grw != gs.grw - 1 + 2 * a or gt.grz != gs.grz - 1 + 2 * b:
-                        out.append(
-                            f"inhomogeneous term U^{a}V^{b}*{tgt} in d({src}): "
-                            f"target grading ({gt.grw},{gt.grz}), "
-                            f"needs ({gs.grw - 1 + 2 * a},{gs.grz - 1 + 2 * b})"
-                        )
-        # d^2 = 0 over the full two-variable ring.
-        for src in self.diff:
-            acc: Dict[str, UVPoly] = {}
-            for mid, poly in self.diff[src].items():
-                for tgt, poly2 in self.diff_row(mid).items():
-                    prod = uv_mul(poly, poly2)
-                    cur = uv_add(acc.get(tgt, UV_ZERO), prod)
-                    if cur:
-                        acc[tgt] = cur
-                    else:
-                        acc.pop(tgt, None)
-            for tgt, poly in sorted(acc.items()):
-                out.append(f"d^2({src}) has term ({uv_str(poly)})*{tgt}")
+        d = self.d
+        out.extend(d.problem(i, j) for i, j in d.illegal_entries())
+        labels, cols = self.labels, self.cols
+        for i, col in enumerate(cols):
+            acc = 0
+            for j in iter_bits(col):
+                acc ^= cols[j]
+            for k in iter_bits(acc):
+                u = (self.grw[k] - self.grw[i] + 2) // 2
+                v = (self.grz[k] - self.grz[i] + 2) // 2
+                out.append(f"d^2({labels[i]}) has term U^{u}V^{v}*{labels[k]}")
         return out
 
     def require_valid(self) -> "BigradedComplex":
@@ -154,78 +151,55 @@ class BigradedComplex:
     def tensor(self, other: "BigradedComplex") -> "BigradedComplex":
         """Tensor product over GF(2)[U, V] with the Leibniz differential.
 
-        Generators are named "left|right"; bigradings add.
+        Generator (i, j) gets index i * len(other) and the label
+        "left|right"; bigradings add.
         """
-        gens = []
-        for g in self.gens:
-            for h in other.gens:
-                gens.append(Generator(f"{g.name}|{h.name}", g.grw + h.grw, g.grz + h.grz))
-        diff: DiffMap = {}
-        for g in self.gens:
-            grow = self.diff_row(g.name)
-            for h in other.gens:
-                row: Dict[str, UVPoly] = {}
-                for tgt, poly in grow.items():
-                    row[f"{tgt}|{h.name}"] = poly
-                for tgt, poly in other.diff_row(h.name).items():
-                    key = f"{g.name}|{tgt}"
-                    row[key] = uv_add(row.get(key, UV_ZERO), poly)
-                if row:
-                    diff[f"{g.name}|{h.name}"] = row
-        return BigradedComplex(gens, diff)
+        m = len(other)
+        cols = []
+        for i, col in enumerate(self.cols):
+            spread = 0
+            for k in iter_bits(col):
+                spread |= 1 << (k * m)
+            base = i * m
+            cols.extend((spread << j) ^ (ocol << base) for j, ocol in enumerate(other.cols))
+        return BigradedComplex(
+            [f"{a}|{b}" for a in self.labels for b in other.labels],
+            [w + x for w in self.grw for x in other.grw],
+            [z + y for z in self.grz for y in other.grz],
+            cols,
+        )
 
-    def dual(self, suffix: str = "*") -> "BigradedComplex":
+    def dual(self) -> "BigradedComplex":
         """Dual complex: gradings negate, differential transposes.
 
         Computes the mirror: the complex of the mirror knot is the dual of
         the complex of the knot.
         """
-        gens = [Generator(g.name + suffix, -g.grw, -g.grz) for g in self.gens]
-        diff: DiffMap = {}
-        for src, row in self.diff.items():
-            for tgt, poly in row.items():
-                diff.setdefault(tgt + suffix, {})[src + suffix] = poly
-        return BigradedComplex(gens, diff)
+        return BigradedComplex(
+            [name + "*" for name in self.labels],
+            [-w for w in self.grw],
+            [-z for z in self.grz],
+            transpose(self.cols, len(self)),
+        )
 
-    def relabel(self, mapping: Mapping[str, str]) -> "BigradedComplex":
-        gens = [Generator(mapping.get(g.name, g.name), g.grw, g.grz) for g in self.gens]
-        diff = {
-            mapping.get(s, s): {mapping.get(t, t): p for t, p in row.items()}
-            for s, row in self.diff.items()
-        }
-        return BigradedComplex(gens, diff)
+    def relabel(self, mapping) -> "BigradedComplex":
+        labels = [mapping.get(name, name) for name in self.labels]
+        return BigradedComplex(labels, self.grw, self.grz, self.cols)
 
 
-def tensor_many(factors: Sequence[BigradedComplex]) -> BigradedComplex:
-    if not factors:
-        raise ValueError("empty tensor product")
-    acc = factors[0]
-    for f in factors[1:]:
-        acc = acc.tensor(f)
-    return acc
-
-
-UNKNOT = BigradedComplex([Generator("o", 0, 0)], {})
+UNKNOT = BigradedComplex(("o",), (0,), (0,), (0,))
 
 
 # --- chain maps -------------------------------------------------------
 
 
-def _infer_bidegree(source: BigradedComplex, target: BigradedComplex, entries: DiffMap):
-    for src, row in entries.items():
-        gs = source.gen(src)
-        for tgt, poly in row.items():
-            gt = target.gen(tgt)
-            for a, b in poly:
-                return (gt.grw - 2 * a - gs.grw, gt.grz - 2 * b - gs.grz)
-    return None
-
-
 class ChainMap:
-    """GF(2)[U,V]-equivariant map of homogeneous bidegree.
+    """GF(2)[U,V]-equivariant map of bidegree (dw, dz).
 
-    The bidegree is inferred from the first nonzero entry unless given;
-    `verify_chain_map` checks homogeneity of every entry and df = fd.
+    Bit j of cols[i] is set when target generator j occurs in f(x_i); its
+    monomial U^u V^v has 2u = grw(y_j) - grw(x_i) - dw and
+    2v = grz(y_j) - grz(x_i) - dz. `verify_chain_map` checks that every
+    implied exponent is a nonnegative integer and that df = fd.
     """
 
     skew = False
@@ -234,194 +208,200 @@ class ChainMap:
         self,
         source: BigradedComplex,
         target: BigradedComplex,
-        entries: Mapping[str, Mapping[str, UVPoly]],
-        bidegree: Optional[Tuple[int, int]] = None,
+        cols: Sequence[int],
+        bidegree: Tuple[int, int],
     ):
         self.source = source
         self.target = target
-        clean: DiffMap = {}
-        for src, row in entries.items():
-            keep = {t: frozenset(p) for t, p in row.items() if p}
-            if keep:
-                clean[src] = keep
-        self.entries = clean
-        if bidegree is None:
-            bidegree = _infer_bidegree(source, target, clean)
-        self.bidegree = bidegree
+        self.cols: Tuple[int, ...] = tuple(cols)
+        self.bidegree = tuple(bidegree)
 
-    def entry(self, src: str, tgt: str) -> UVPoly:
-        return self.entries.get(src, {}).get(tgt, UV_ZERO)
+    @classmethod
+    def from_terms(cls, source, target, terms: Iterable[Term], bidegree) -> "ChainMap":
+        f = cls(source, target, (), bidegree)
+        f.cols = _columns_from_terms(f, terms)
+        return f
 
-    def row(self, src: str) -> Dict[str, UVPoly]:
-        return self.entries.get(src, {})
+    @functools.cached_property
+    def bases(self) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+        """Per source generator, the target (grw, grz) of an exponent-0 entry."""
+        dw, dz = self.bidegree
+        return (
+            tuple(w + dw for w in self.source.grw),
+            tuple(z + dz for z in self.source.grz),
+        )
+
+    def exponents(self, i: int, j: int) -> Tuple[int, int]:
+        """(u, v) of the entry from source i to target j."""
+        bw, bz = self.bases
+        return (self.target.grw[j] - bw[i]) // 2, (self.target.grz[j] - bz[i]) // 2
+
+    def terms(self) -> List[Term]:
+        """Every entry as (source label, target label, u, v), in index order."""
+        src, tgt = self.source.labels, self.target.labels
+        return [
+            (src[i], tgt[j], *self.exponents(i, j))
+            for i, col in enumerate(self.cols)
+            for j in iter_bits(col)
+        ]
 
     def is_zero(self) -> bool:
-        return not self.entries
+        return not any(self.cols)
 
-    def apply(self, element: Mapping[str, UVPoly]) -> Dict[str, UVPoly]:
-        """Image of a module element given as {generator: coefficient}."""
-        out: Dict[str, UVPoly] = {}
-        for src, coeff in element.items():
-            for tgt, poly in self.row(src).items():
-                term = uv_mul(coeff, poly)
-                cur = uv_add(out.get(tgt, UV_ZERO), term)
-                if cur:
-                    out[tgt] = cur
-                else:
-                    out.pop(tgt, None)
-        return out
+    def illegal_entries(self):
+        """(i, j) of every entry whose implied exponents are not nonnegative integers."""
+        bw, bz = self.bases
+        guard_w, guard_z = gap_guard(self.target.grw), gap_guard(self.target.grz)
+        for i, col in enumerate(self.cols):
+            for j in iter_bits(col & (guard_w(bw[i]) | guard_z(bz[i]))):
+                yield i, j
+
+    def _term(self, j: int, u: Optional[int], v: Optional[int]) -> str:
+        name = self.target.labels[j]
+        return name if u is None else f"U^{u}V^{v}*{name}"
+
+    def problem(self, i: int, j: int, u: Optional[int] = None, v: Optional[int] = None) -> str:
+        dw, dz = self.bidegree
+        return (
+            f"entry {self._term(j, u, v)} of image of {self.source.labels[i]} is not "
+            f"homogeneous of bidegree ({dw},{dz})"
+        )
+
+
+class Differential(ChainMap):
+    """The differential of a complex, as a map of bidegree (-1, -1)."""
+
+    def __init__(self, c: BigradedComplex):
+        super().__init__(c, c, c.cols, (-1, -1))
+
+    def problem(self, i, j, u=None, v=None) -> str:
+        c = self.source
+        out = (
+            f"inhomogeneous term {self._term(j, u, v)} in d({c.labels[i]}): "
+            f"target grading ({c.grw[j]},{c.grz[j]})"
+        )
+        if u is None:
+            return out + f" admits no monomial from ({c.grw[i]},{c.grz[i]})"
+        return out + f", needs ({c.grw[i] - 1 + 2 * u},{c.grz[i] - 1 + 2 * v})"
 
 
 class SkewMap(ChainMap):
     """Conjugation-skew-equivariant endomorphism: f(U x) = V f(x).
 
-    Entries are the images of the generators; the skew rule extends the
-    map to the whole module. A valid skew map swaps grw and grz.
+    Columns are the images of the generators; the skew rule extends the
+    map to the whole module. A valid skew map swaps grw and grz: an entry
+    U^u V^v y of f(x) has 2u = grw(y) - grz(x) and 2v = grz(y) - grw(x).
     """
 
     skew = True
 
-    def __init__(self, complex_: BigradedComplex, entries, provenance: str = "user"):
-        super().__init__(complex_, complex_, entries, bidegree=(0, 0))
+    def __init__(self, complex_: BigradedComplex, cols: Sequence[int], provenance: str = "user"):
+        super().__init__(complex_, complex_, cols, (0, 0))
         self.provenance = provenance
 
-    def apply(self, element: Mapping[str, UVPoly]) -> Dict[str, UVPoly]:
-        out: Dict[str, UVPoly] = {}
-        for src, coeff in element.items():
-            swapped = uv_swap(coeff)
-            for tgt, poly in self.row(src).items():
-                term = uv_mul(swapped, poly)
-                cur = uv_add(out.get(tgt, UV_ZERO), term)
-                if cur:
-                    out[tgt] = cur
-                else:
-                    out.pop(tgt, None)
-        return out
+    @classmethod
+    def from_terms(cls, complex_, terms: Iterable[Term], provenance: str = "user") -> "SkewMap":
+        f = cls(complex_, (), provenance)
+        f.cols = _columns_from_terms(f, terms)
+        return f
+
+    @functools.cached_property
+    def bases(self):
+        return self.source.grz, self.source.grw
+
+    def problem(self, i, j, u=None, v=None) -> str:
+        return (
+            f"skew map does not swap gradings on term {self._term(j, u, v)} "
+            f"of image of {self.source.labels[i]}"
+        )
+
+
+def _columns_from_terms(f: ChainMap, terms: Iterable[Term]) -> Tuple[int, ...]:
+    """Columns of f from monomial terms; raises on every inhomogeneous one."""
+    src_index, tgt_index = f.source.index, f.target.index
+    bw, bz = f.bases
+    cols = [0] * len(f.source)
+    bad = []
+    for src, tgt, u, v in terms:
+        try:
+            i, j = src_index[src], tgt_index[tgt]
+        except KeyError as missing:
+            raise ValidationError(f"term {src} -> {tgt}: {missing} is not a generator") from None
+        if (f.target.grw[j] - bw[i], f.target.grz[j] - bz[i]) != (2 * u, 2 * v):
+            bad.append(f.problem(i, j, u, v))
+        cols[i] ^= 1 << j
+    if bad:
+        raise ValidationError(bad)
+    return tuple(cols)
 
 
 def identity_map(c: BigradedComplex) -> ChainMap:
-    return ChainMap(c, c, {g.name: {g.name: UV_ONE} for g in c.gens}, bidegree=(0, 0))
+    return ChainMap(c, c, [1 << i for i in range(len(c))], (0, 0))
 
 
 def map_add(f: ChainMap, g: ChainMap) -> ChainMap:
-    if f.skew != g.skew:
-        raise ValueError("cannot add a skew map to an equivariant one")
-    entries: DiffMap = {}
-    for src in set(f.entries) | set(g.entries):
-        row: Dict[str, UVPoly] = {}
-        for tgt in set(f.row(src)) | set(g.row(src)):
-            p = uv_add(f.entry(src, tgt), g.entry(src, tgt))
-            if p:
-                row[tgt] = p
-        if row:
-            entries[src] = row
+    if f.skew != g.skew or f.bidegree != g.bidegree:
+        raise ValueError("cannot add maps of different kinds or bidegrees")
+    cols = [a ^ b for a, b in zip(f.cols, g.cols)]
     if f.skew:
-        return SkewMap(f.source, entries)
-    return ChainMap(f.source, f.target, entries, bidegree=f.bidegree)
+        return SkewMap(f.source, cols)
+    return ChainMap(f.source, f.target, cols, f.bidegree)
 
 
 def map_compose(outer: ChainMap, inner: ChainMap) -> ChainMap:
-    """outer after inner. The skew rule twists inner coefficients when the
-    outer map is skew; composing two skew maps yields an equivariant map."""
-    entries: DiffMap = {}
-    for src, row in inner.entries.items():
-        acc: Dict[str, UVPoly] = {}
-        for mid, p in row.items():
-            carried = uv_swap(p) if outer.skew else p
-            for tgt, q in outer.row(mid).items():
-                term = uv_mul(carried, q)
-                cur = uv_add(acc.get(tgt, UV_ZERO), term)
-                if cur:
-                    acc[tgt] = cur
-                else:
-                    acc.pop(tgt, None)
-        if acc:
-            entries[src] = acc
+    """outer after inner, by counting paths. The skew rule twists the inner
+    exponents when the outer map is skew; composing two skew maps yields an
+    equivariant map."""
+    cols = []
+    for col in inner.cols:
+        acc = 0
+        for k in iter_bits(col):
+            acc ^= outer.cols[k]
+        cols.append(acc)
     if outer.skew != inner.skew:
-        return SkewMap(inner.source, entries)
-    dw = (outer.bidegree[0] if outer.bidegree else 0) + (inner.bidegree[0] if inner.bidegree else 0)
-    dz = (outer.bidegree[1] if outer.bidegree else 0) + (inner.bidegree[1] if inner.bidegree else 0)
-    return ChainMap(inner.source, outer.target, entries, bidegree=(dw, dz))
+        plain = inner if outer.skew else outer
+        if plain.bidegree != (0, 0):
+            raise ValueError("a skew map composes only with maps of bidegree (0,0)")
+        return SkewMap(inner.source, cols)
+    dw = outer.bidegree[0] + inner.bidegree[0]
+    dz = outer.bidegree[1] + inner.bidegree[1]
+    return ChainMap(inner.source, outer.target, cols, (dw, dz))
 
 
 def tensor_map(f: ChainMap, g: ChainMap, source: BigradedComplex, target: BigradedComplex) -> ChainMap:
-    """f (x) g on already-built tensor complexes (generator names "a|b")."""
+    """f (x) g on already-built tensor complexes (generator (i, j) at i * m + j)."""
     if f.skew != g.skew:
         raise ValueError("tensor factors must be both skew or both equivariant")
-    entries: DiffMap = {}
-    for s1, row1 in f.entries.items():
-        for s2, row2 in g.entries.items():
-            src = f"{s1}|{s2}"
-            acc: Dict[str, UVPoly] = {}
-            for t1, p1 in row1.items():
-                for t2, p2 in row2.items():
-                    tgt = f"{t1}|{t2}"
-                    term = uv_mul(p1, p2)
-                    cur = uv_add(acc.get(tgt, UV_ZERO), term)
-                    if cur:
-                        acc[tgt] = cur
-                    else:
-                        acc.pop(tgt, None)
-            if acc:
-                entries[src] = acc
+    m = len(g.target)
+    cols = []
+    for fcol in f.cols:
+        shifts = [k * m for k in iter_bits(fcol)]
+        for gcol in g.cols:
+            acc = 0
+            for shift in shifts:
+                acc ^= gcol << shift
+            cols.append(acc)
     if f.skew:
-        return SkewMap(source, entries)
-    bd = None
-    if f.bidegree and g.bidegree:
-        bd = (f.bidegree[0] + g.bidegree[0], f.bidegree[1] + g.bidegree[1])
-    return ChainMap(source, target, entries, bidegree=bd)
+        return SkewMap(source, cols)
+    bd = (f.bidegree[0] + g.bidegree[0], f.bidegree[1] + g.bidegree[1])
+    return ChainMap(source, target, cols, bd)
 
 
 def verify_chain_map(f: ChainMap) -> Optional[str]:
     """None when f is a valid (skew) chain map, else the first violation."""
-    # Homogeneity of every entry at the declared bidegree / grading swap.
-    for src in sorted(f.entries):
-        gs = f.source.gen(src)
-        for tgt in sorted(f.entries[src]):
-            gt = f.target.gen(tgt)
-            for a, b in sorted(f.entry(src, tgt)):
-                if f.skew:
-                    ok = gt.grw - 2 * a == gs.grz and gt.grz - 2 * b == gs.grw
-                    if not ok:
-                        return (
-                            f"skew map does not swap gradings on term "
-                            f"U^{a}V^{b}*{tgt} of image of {src}"
-                        )
-                else:
-                    if f.bidegree is None:
-                        return "nonzero map with undetermined bidegree"
-                    dw, dz = f.bidegree
-                    if gt.grw - 2 * a != gs.grw + dw or gt.grz - 2 * b != gs.grz + dz:
-                        return (
-                            f"entry U^{a}V^{b}*{tgt} of image of {src} is not "
-                            f"homogeneous of bidegree ({dw},{dz})"
-                        )
-    # Chain condition d f = f d, with the skew rule on coefficients of f d.
-    for g in f.source.gens:
-        src = g.name
-        # d(f(src))
-        left: Dict[str, UVPoly] = {}
-        for mid, p in f.row(src).items():
-            for tgt, q in f.target.diff_row(mid).items():
-                term = uv_mul(p, q)
-                cur = uv_add(left.get(tgt, UV_ZERO), term)
-                if cur:
-                    left[tgt] = cur
-                else:
-                    left.pop(tgt, None)
-        # f(d(src))
-        right: Dict[str, UVPoly] = {}
-        for mid, p in f.source.diff_row(src).items():
-            carried = uv_swap(p) if f.skew else p
-            for tgt, q in f.row(mid).items():
-                term = uv_mul(carried, q)
-                cur = uv_add(right.get(tgt, UV_ZERO), term)
-                if cur:
-                    right[tgt] = cur
-                else:
-                    right.pop(tgt, None)
+    for i, j in f.illegal_entries():
+        return f.problem(i, j)
+    # Chain condition d f = f d; exponents along a path depend only on its
+    # end points (for skew maps too), so both sides are XORs of columns.
+    fcols, dsrc, dtgt = f.cols, f.source.cols, f.target.cols
+    for i in range(len(f.source)):
+        left = right = 0
+        for k in iter_bits(fcols[i]):
+            left ^= dtgt[k]
+        for k in iter_bits(dsrc[i]):
+            right ^= fcols[k]
         if left != right:
-            return f"d f != f d on generator {src!r}"
+            return f"d f != f d on generator {f.source.labels[i]!r}"
     return None
 
 
@@ -438,31 +418,19 @@ def require_chain_map(f: ChainMap) -> ChainMap:
 def basepoint_maps(c: BigradedComplex) -> Tuple[ChainMap, ChainMap]:
     """The two basepoint endomorphisms as formal partial derivatives.
 
-    The first differentiates the differential in U (a term U^a V^b y of dx
-    contributes a * U^(a-1) V^b y, coefficient mod 2), the second in V.
-    Their bidegrees are inferred, never hard-coded.
+    The first differentiates the differential in U (a term U^u V^v y of dx
+    contributes u * U^(u-1) V^v y, coefficient mod 2), the second in V.
+    So Phi keeps the entries of d with odd u and has bidegree (1, -1);
+    Psi keeps those with odd v and has bidegree (-1, 1). u is odd exactly
+    when grw(y) = grw(x) + 1 mod 4.
     """
-    phi_entries: DiffMap = {}
-    psi_entries: DiffMap = {}
-    for src, row in c.diff.items():
-        phi_row: Dict[str, UVPoly] = {}
-        psi_row: Dict[str, UVPoly] = {}
-        for tgt, poly in row.items():
-            dphi = frozenset((a - 1, b) for a, b in poly if a % 2 == 1)
-            dpsi = frozenset((a, b - 1) for a, b in poly if b % 2 == 1)
-            if dphi:
-                phi_row[tgt] = dphi
-            if dpsi:
-                psi_row[tgt] = dpsi
-        if phi_row:
-            phi_entries[src] = phi_row
-        if psi_row:
-            psi_entries[src] = psi_row
-    phi = ChainMap(c, c, phi_entries)
-    psi = ChainMap(c, c, psi_entries)
-    if phi.entries:
+    w4 = value_masks([w % 4 for w in c.grw])
+    z4 = value_masks([z % 4 for z in c.grz])
+    phi = ChainMap(c, c, [col & w4.get((w + 1) % 4, 0) for col, w in zip(c.cols, c.grw)], (1, -1))
+    psi = ChainMap(c, c, [col & z4.get((z + 1) % 4, 0) for col, z in zip(c.cols, c.grz)], (-1, 1))
+    if not phi.is_zero():
         require_chain_map(phi)
-    if psi.entries:
+    if not psi.is_zero():
         require_chain_map(psi)
     return phi, psi
 
@@ -470,104 +438,30 @@ def basepoint_maps(c: BigradedComplex) -> Tuple[ChainMap, ChainMap]:
 # --- quotient reductions ---------------------------------------------------
 
 
-class HatComplex:
-    """The GF(2)[U,V]/(UV) reduction of a bigraded complex.
-
-    Same generators; differential entries keep only pure monomials
-    (u = 0 or v = 0). Products are taken in the quotient ring.
-    """
-
-    def __init__(self, c: BigradedComplex):
-        self.gens = c.gens
-        self.index = c.index
-        self.diff: DiffMap = {}
-        for src, row in c.diff.items():
-            keep = {}
-            for tgt, poly in row.items():
-                pure = frozenset((a, b) for a, b in poly if a == 0 or b == 0)
-                if pure:
-                    keep[tgt] = pure
-            if keep:
-                self.diff[src] = keep
-
-    def gen(self, name: str):
-        return self.gens[self.index[name]]
-
-    def diff_row(self, src: str) -> Dict[str, UVPoly]:
-        return self.diff.get(src, {})
-
-    def d_squared_violations(self) -> List[str]:
-        out = []
-        for src in self.diff:
-            acc: Dict[str, UVPoly] = {}
-            for mid, poly in self.diff[src].items():
-                for tgt, poly2 in self.diff_row(mid).items():
-                    prod = uv_mul_hat(poly, poly2)
-                    cur = uv_add(acc.get(tgt, UV_ZERO), prod)
-                    if cur:
-                        acc[tgt] = cur
-                    else:
-                        acc.pop(tgt, None)
-            for tgt, poly in sorted(acc.items()):
-                out.append(f"hat d^2({src}) has term ({uv_str(poly)})*{tgt}")
-        return out
-
-
-@dataclass
-class GF2Complex:
-    """Finite-dimensional GF(2) complex (the U=0, V=1 reduction)."""
-
-    names: Tuple[str, ...]
-    columns: Tuple[int, ...]  # columns[j] = bitmask of targets of generator j
-
-    def d_squared_is_zero(self) -> bool:
-        for col in self.columns:
-            acc = 0
-            rest = col
-            while rest:
-                low = rest & -rest
-                acc ^= self.columns[low.bit_length() - 1]
-                rest ^= low
-            if acc:
-                return False
-        return True
+def _zero_exponent(cols: Sequence[int], gradings: Sequence[int]) -> Tuple[int, ...]:
+    """The entries whose exponent along `gradings` is 0: grading drops by one."""
+    at = value_masks(gradings)
+    return tuple(col & at.get(g - 1, 0) for col, g in zip(cols, gradings))
 
 
 def reduce_complex(c: BigradedComplex, mode: str):
-    """Quotient reductions of the coefficient ring.
+    """Quotient reductions of the coefficient ring, as filters of the columns.
 
-    mode "UV0" -> HatComplex over GF(2)[U,V]/(UV);
-    mode "U0"  -> free GF(2)[V]-complex (a FUComplex graded by grz);
-    mode "V0"  -> free GF(2)[U]-complex (graded by grw);
-    mode "U0V1"-> finite GF(2) complex with V specialised to 1.
+    mode "U0"  -> free GF(2)[V]-complex (a FUComplex graded by grz) on the
+                  entries without U;
+    mode "V0"  -> free GF(2)[U]-complex (graded by grw) on those without V;
+    mode "U0V1"-> columns of the finite GF(2) complex with V specialised
+                  to 1 (the same entries as U0);
+    mode "UV0" -> columns over GF(2)[U,V]/(UV): the pure-monomial entries.
     """
-    from .fu import FUComplex  # local import to avoid a cycle
-
-    if mode == "UV0":
-        return HatComplex(c)
-    if mode in ("U0", "V0"):
-        labels = tuple(g.name for g in c.gens)
-        gradings = tuple((g.grz if mode == "U0" else g.grw) for g in c.gens)
-        cols = []
-        for g in c.gens:
-            mask = 0
-            for tgt, poly in c.diff_row(g.name).items():
-                keep = any(
-                    (a == 0 if mode == "U0" else b == 0) for a, b in poly
-                )
-                if keep:
-                    mask |= 1 << c.index[tgt]
-            cols.append(mask)
-        return FUComplex(labels, gradings, tuple(cols))
+    if mode == "U0":
+        return FUComplex(c.labels, c.grz, _zero_exponent(c.cols, c.grw))
+    if mode == "V0":
+        return FUComplex(c.labels, c.grw, _zero_exponent(c.cols, c.grz))
     if mode == "U0V1":
-        names = tuple(g.name for g in c.gens)
-        cols = []
-        for g in c.gens:
-            mask = 0
-            for tgt, poly in c.diff_row(g.name).items():
-                parity = sum(1 for a, _b in poly if a == 0) % 2
-                if parity:
-                    mask |= 1 << c.index[tgt]
-            cols.append(mask)
-        return GF2Complex(names, tuple(cols))
+        return _zero_exponent(c.cols, c.grw)
+    if mode == "UV0":
+        no_u = _zero_exponent(c.cols, c.grw)
+        no_v = _zero_exponent(c.cols, c.grz)
+        return tuple(a | b for a, b in zip(no_u, no_v))
     raise ValueError(f"unknown reduction mode {mode!r}")

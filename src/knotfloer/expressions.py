@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Tuple, Union
 
-from .builders import named_complex, torus_knot_complex
 from .complexes import BigradedComplex
 from .errors import ParseError
 
@@ -158,30 +157,11 @@ def parse_knot_expr(text: str) -> KnotExpr:
     return _Parser(text).parse_expr()
 
 
-def realize_expr(e: KnotExpr, loader=None) -> BigradedComplex:
-    """Build the complex of an expression.
+def realize_expr(e: KnotExpr) -> BigradedComplex:
+    """Build the complex of an expression (see `involutive.realize_with_iota`)."""
+    from .involutive import realize_with_iota
 
-    `loader` maps a file path to a complex; required when the expression
-    contains '@path' atoms.
-    """
-    if isinstance(e, TorusKnot):
-        return torus_knot_complex(e.p, e.q)
-    if isinstance(e, Mirror):
-        return realize_expr(e.child, loader).dual()
-    if isinstance(e, Sum):
-        acc = realize_expr(e.children[0], loader)
-        for child in e.children[1:]:
-            acc = acc.tensor(realize_expr(child, loader))
-        return acc.require_valid()
-    if isinstance(e, Named):
-        return named_complex(e.name)
-    if isinstance(e, FileRef):
-        if loader is None:
-            from .fileio import load_complex
-
-            loader = lambda path: load_complex(path)[0]  # noqa: E731
-        return loader(e.path)
-    raise TypeError(f"not a knot expression: {e!r}")
+    return realize_with_iota(e)[0]
 
 
 def is_torus_sum(e: KnotExpr) -> bool:

@@ -24,8 +24,9 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import ConsistencyError, ValidationError
-from .snf import smith_normal_form, solve_in_column_span, t_mat_rank
+from .linalg import iter_bits
 from .rings import t_exps, t_mul
+from .snf import smith_normal_form, solve_in_column_span, t_mat_rank
 
 
 class FUComplex:
@@ -37,8 +38,6 @@ class FUComplex:
         self.cols: Tuple[int, ...] = tuple(cols)
         if not (len(self.labels) == len(self.gradings) == len(self.cols)):
             raise ValidationError("basis, grading, and column lists differ in length")
-        if len(set(self.labels)) != len(self.labels):
-            raise ValidationError("duplicate basis labels")
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -55,11 +54,7 @@ class FUComplex:
     def validate(self) -> List[str]:
         out: List[str] = []
         for j, col in enumerate(self.cols):
-            rest = col
-            while rest:
-                low = rest & -rest
-                i = low.bit_length() - 1
-                rest ^= low
+            for i in iter_bits(col):
                 k2 = self.gradings[i] - self.gradings[j] + 1
                 if k2 % 2 or k2 < 0:
                     out.append(
@@ -70,11 +65,8 @@ class FUComplex:
         # composite reduces to XOR of child columns.
         for j, col in enumerate(self.cols):
             acc = 0
-            rest = col
-            while rest:
-                low = rest & -rest
-                acc ^= self.cols[low.bit_length() - 1]
-                rest ^= low
+            for q in iter_bits(col):
+                acc ^= self.cols[q]
             if acc:
                 out.append(f"d^2 != 0 on basis element {self.labels[j]}")
         return out
@@ -102,11 +94,7 @@ class FUComplex:
         cols = []
         for i, k in src_slice:
             mask = 0
-            rest = self.cols[i]
-            while rest:
-                low = rest & -rest
-                m = low.bit_length() - 1
-                rest ^= low
+            for m in iter_bits(self.cols[i]):
                 mask |= 1 << pos[(m, k + self.power(m, i))]
             cols.append(mask)
         return cols
@@ -122,12 +110,13 @@ class Reduction:
     unpaired: (label, grading) of the free homology generators, sorted by
     descending grading; pairs: (birth grading, death grading) of the torsion
     summands; reps: for each unpaired generator, a homogeneous cycle in the
-    original basis as a list of (label, T-power) pairs (only when requested).
+    original basis as a list of (basis index, T-power) pairs (only when
+    requested).
     """
 
     unpaired: List[Tuple[str, int]]
     pairs: List[Tuple[int, int]]
-    reps: Optional[List[List[Tuple[str, int]]]] = None
+    reps: Optional[List[List[Tuple[int, int]]]] = None
 
     @property
     def rank(self) -> int:
@@ -144,11 +133,8 @@ def tower_reduce(fu: FUComplex, *, with_reps: bool = False) -> Reduction:
 
     def to_positions(mask: int) -> int:
         out = 0
-        rest = mask
-        while rest:
-            low = rest & -rest
-            out |= 1 << pos_of[low.bit_length() - 1]
-            rest ^= low
+        for q in iter_bits(mask):
+            out |= 1 << pos_of[q]
         return out
 
     cols = [to_positions(fu.cols[idx]) for idx in order]
@@ -192,14 +178,10 @@ def tower_reduce(fu: FUComplex, *, with_reps: bool = False) -> Reduction:
         unpaired.append((fu.labels[idx], fu.gradings[idx]))
         if reps is not None:
             rep = []
-            rest = combos[p]
-            while rest:
-                low = rest & -rest
-                q = low.bit_length() - 1
-                rest ^= low
+            for q in iter_bits(combos[p]):
                 src = order[q]
                 power = (fu.gradings[src] - fu.gradings[idx]) // 2
-                rep.append((fu.labels[src], power))
+                rep.append((src, power))
             rep.sort()
             reps.append((fu.gradings[idx], rep))
     unpaired_sorted = sorted(unpaired, key=lambda t: (-t[1], t[0]))
@@ -218,11 +200,7 @@ def _t_matrix(fu: FUComplex) -> List[List[int]]:
     n = len(fu)
     mat = [[0] * n for _ in range(n)]
     for j, col in enumerate(fu.cols):
-        rest = col
-        while rest:
-            low = rest & -rest
-            i = low.bit_length() - 1
-            rest ^= low
+        for i in iter_bits(col):
             mat[i][j] = 1 << fu.power(i, j)
     return mat
 

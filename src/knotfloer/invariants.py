@@ -20,10 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .complexes import BigradedComplex, HatComplex, reduce_complex
+from .complexes import BigradedComplex, reduce_complex
 from .errors import ConsistencyError, ValidationError
 from .fu import FUComplex, tower_reduce
-from .linalg import ColumnSolver, Echelon, LinearSystem
+from .linalg import ColumnSolver, Echelon, LinearSystem, gap_guard, iter_bits
 
 
 # --- level subcomplexes over GF(2)[T] --------------------------------------
@@ -42,37 +42,23 @@ def a_level_complex(c: BigradedComplex, s: int, *, check: bool = True) -> ALevel
     """Subcomplex of Alexander level s with nonnegative exponents.
 
     Basis element for generator x: U^(A-s) x when A(x) >= s, else
-    V^(s-A) x; grading is the grw of that monomial; the induced
-    differential rewrites mixed monomials as T-powers times basis
-    elements. Rejects complexes without rank-one localized towers.
+    V^(s-A) x; grading is the grw of that monomial. Every entry x -> y of
+    d rewrites as T^k times the basis element of y, with the T-power
+    k = (g(y) - g(x) + 1) / 2 implied by the level gradings g, so the
+    level complex shares the complex's own columns. Rejects complexes
+    without rank-one localized towers.
     """
     if check and not is_knotlike(c):
         raise ValidationError("complex is not knot-like (localized tower rank != 1)")
-    labels = tuple(g.name for g in c.gens)
-    mins: List[Tuple[int, int]] = []
-    gradings: List[int] = []
-    for g in c.gens:
-        a = g.alexander
-        iu, jv = (a - s, 0) if a >= s else (0, s - a)
-        mins.append((iu, jv))
-        gradings.append(g.grw - 2 * iu)
-    cols: List[int] = []
-    for g in c.gens:
-        iu, jv = mins[c.index[g.name]]
-        mask = 0
-        for tgt, poly in c.diff_row(g.name).items():
-            ti = c.index[tgt]
-            tu, tv = mins[ti]
-            for a, b in poly:
-                k = iu + a - tu
-                if k != jv + b - tv or k < 0:
-                    raise ConsistencyError(
-                        f"level-{s} rewrite failed on {g.name} -> {tgt}"
-                    )
-                mask ^= 1 << ti
-        cols.append(mask)
-    fu = FUComplex(labels, tuple(gradings), tuple(cols))
-    return ALevel(fu, tuple(mins), s)
+    mins = tuple((a - s, 0) if a >= s else (0, s - a) for a in c.alexander)
+    gradings = tuple(w - 2 * iu for w, (iu, _jv) in zip(c.grw, mins))
+    guard = gap_guard(gradings)
+    for i, col in enumerate(c.cols):
+        bad = col & guard(gradings[i] - 1)
+        if bad:
+            j = (bad & -bad).bit_length() - 1
+            raise ConsistencyError(f"level-{s} rewrite failed on {c.labels[i]} -> {c.labels[j]}")
+    return ALevel(FUComplex(c.labels, gradings, c.cols), mins, s)
 
 
 def d_invariant(level) -> int:
@@ -89,7 +75,7 @@ def d_invariant(level) -> int:
 @dataclass
 class TowerCycle:
     grading: int
-    terms: List[Tuple[str, int]]  # (label, T-power)
+    terms: List[Tuple[int, int]]  # (basis index, T-power)
 
 
 def tower_cycle(level: ALevel) -> TowerCycle:
@@ -131,11 +117,8 @@ def slice_obstruction(level: ALevel, grading: int) -> SliceObstruction:
     rep = None
     for z in cycles:
         acc = 0
-        rest = z
-        while rest:
-            low = rest & -rest
-            acc ^= phi[low.bit_length() - 1]
-            rest ^= low
+        for q in iter_bits(z):
+            acc ^= phi[q]
         if acc:
             rep = acc
             break
@@ -146,11 +129,7 @@ def slice_obstruction(level: ALevel, grading: int) -> SliceObstruction:
         bits |= p
     bits |= rep
     rows: List[Tuple[int, int]] = []
-    b = bits
-    while b:
-        low = b & -b
-        bit = low.bit_length() - 1
-        b ^= low
+    for bit in iter_bits(bits):
         mask = 0
         for m, p in enumerate(phi):
             if (p >> bit) & 1:
@@ -239,17 +218,6 @@ def omega_plus(c: BigradedComplex, cap: Optional[int] = None) -> int:
 # --- invariants of the UV = 0 reduction -------------------------------------
 
 
-def _pure_v_columns(c: BigradedComplex) -> List[int]:
-    cols = []
-    for g in c.gens:
-        mask = 0
-        for tgt, poly in c.diff_row(g.name).items():
-            if any(a == 0 for a, _b in poly):
-                mask |= 1 << c.index[tgt]
-        cols.append(mask)
-    return cols
-
-
 def tau_invariant(c: BigradedComplex) -> int:
     """Alexander grading of the tower generator of the U = 0 reduction.
 
@@ -267,23 +235,20 @@ def tau_invariant(c: BigradedComplex) -> int:
 def _tau_scan(c: BigradedComplex) -> int:
     if not is_knotlike(c):
         raise ValidationError("tau undefined: complex is not knot-like")
-    cols = _pure_v_columns(c)
+    cols = reduce_complex(c, "U0V1")
     full = Echelon(cols)
-    levels = sorted(set(g.alexander for g in c.gens))
+    levels = sorted(set(c.alexander))
     by_level: Dict[int, List[int]] = {}
-    for i, g in enumerate(c.gens):
-        by_level.setdefault(g.alexander, []).append(i)
+    for i, a in enumerate(c.alexander):
+        by_level.setdefault(a, []).append(i)
     chosen: List[int] = []
     for s in range(min(levels), max(levels) + 1):
         chosen.extend(by_level.get(s, ()))
         solver = ColumnSolver(cols[i] for i in chosen)
         for combo in solver.kernel:
             vec = 0
-            rest = combo
-            while rest:
-                low = rest & -rest
-                vec |= 1 << chosen[low.bit_length() - 1]
-                rest ^= low
+            for q in iter_bits(combo):
+                vec |= 1 << chosen[q]
             if not full.contains(vec):
                 return s
     raise ConsistencyError("no non-torsion class found in the U = 0 reduction")
@@ -298,36 +263,36 @@ class HatSlices:
     """
 
     def __init__(self, c: BigradedComplex):
-        self.hat: HatComplex = reduce_complex(c, "UV0")
-        self.gens = c.gens
-        self.index = c.index
+        self.grw, self.grz = c.grw, c.grz
+        self.no_u = reduce_complex(c, "U0V1")
+        self.no_v = reduce_complex(c, "V0").cols
         self._cache: Dict[Tuple[int, int], List[Tuple[int, int, int]]] = {}
 
     def slice(self, w: int, z: int) -> List[Tuple[int, int, int]]:
         key = (w, z)
         if key not in self._cache:
             out = []
-            for i, g in enumerate(self.gens):
-                if g.grz == z and g.grw >= w and (g.grw - w) % 2 == 0:
-                    out.append((i, (g.grw - w) // 2, 0))
-                if g.grw == w and g.grz > z and (g.grz - z) % 2 == 0:
-                    out.append((i, 0, (g.grz - z) // 2))
+            for i, (gw, gz) in enumerate(zip(self.grw, self.grz)):
+                if gz == z and gw >= w and (gw - w) % 2 == 0:
+                    out.append((i, (gw - w) // 2, 0))
+                if gw == w and gz > z and (gz - z) % 2 == 0:
+                    out.append((i, 0, (gz - z) // 2))
             self._cache[key] = sorted(out)
         return self._cache[key]
 
     def boundary_cols(self, keys, target_keys) -> List[int]:
         pos = {k: m for m, k in enumerate(target_keys)}
+        grw, grz = self.grw, self.grz
         cols = []
         for i, du, dv in keys:
+            # U^du V^dv times an entry stays pure only when the entry has no
+            # V (du > 0), no U (dv > 0), or is pure itself (du = dv = 0).
+            entries = self.no_v[i] if du else self.no_u[i] if dv else self.no_u[i] | self.no_v[i]
             mask = 0
-            name = self.gens[i].name
-            for tgt, poly in self.hat.diff_row(name).items():
-                ti = self.index[tgt]
-                for a, b in poly:
-                    nu, nv = du + a, dv + b
-                    if nu > 0 and nv > 0:
-                        continue
-                    mask ^= 1 << pos[(ti, nu, nv)]
+            for t in iter_bits(entries):
+                u = (grw[t] - grw[i] + 1) // 2
+                v = (grz[t] - grz[i] + 1) // 2
+                mask ^= 1 << pos[(t, du + u, dv + v)]
             cols.append(mask)
         return cols
 
@@ -346,9 +311,9 @@ class HatSlices:
     def saturation_cap(self, w: int, z: int, variable: str) -> int:
         """Power beyond which the shifted slices are all saturated."""
         if variable == "v":
-            floor = min(g.grz for g in self.gens)
+            floor = min(self.grz)
             return max(1, (z - floor) // 2 + 2)
-        floor = min(g.grw for g in self.gens)
+        floor = min(self.grw)
         return max(1, (w - floor) // 2 + 2)
 
     def nontorsion_rows(self, w: int, z: int, variable: str):
@@ -374,11 +339,8 @@ class HatSlices:
         rep = None
         for zvec in cycles:
             acc = 0
-            rest = zvec
-            while rest:
-                low = rest & -rest
-                acc ^= phi[low.bit_length() - 1]
-                rest ^= low
+            for q in iter_bits(zvec):
+                acc ^= phi[q]
             if acc:
                 rep = acc
                 break
@@ -388,11 +350,7 @@ class HatSlices:
         for p in phi:
             bits |= p
         rows = []
-        b = bits
-        while b:
-            low = b & -b
-            bit = low.bit_length() - 1
-            b ^= low
+        for bit in iter_bits(bits):
             mask = 0
             for m, p in enumerate(phi):
                 if (p >> bit) & 1:
@@ -422,46 +380,34 @@ def nu_hat(c: BigradedComplex) -> int:
 
 def _v1_class_test(c: BigradedComplex):
     """Predicate on s: does a level-s hat cycle map to the V = 1 generator?"""
-    hat: HatComplex = reduce_complex(c, "UV0")
-    d1 = reduce_complex(c, "U0V1")
-    im1 = Echelon(d1.columns)
+    no_u = reduce_complex(c, "U0V1")  # also the differential with V = 1
+    no_v = reduce_complex(c, "V0").cols
+    im1 = Echelon(no_u)
     gen_class = None
-    for combo in ColumnSolver(d1.columns).kernel:
+    for combo in ColumnSolver(no_u).kernel:
         reduced = im1.reduce(combo)
         if reduced:
             gen_class = reduced
             break
     if gen_class is None:
         raise ValidationError("V = 1 reduction has trivial homology")
-    alex = [g.alexander for g in c.gens]
+    alex = c.alexander
     quotient = [im1.reduce(1 << j) for j in range(len(alex))]
 
     def hits(s: int) -> bool:
-        mins = [((a - s, 0) if a >= s else (0, s - a)) for a in alex]
-        cols = []
-        for j, g in enumerate(c.gens):
-            iu, jv = mins[j]
-            mask = 0
-            for tgt, poly in hat.diff_row(g.name).items():
-                ti = c.index[tgt]
-                for a, b in poly:
-                    nu_, nv_ = iu + a, jv + b
-                    if nu_ > 0 and nv_ > 0:
-                        continue
-                    if (nu_, nv_) != mins[ti]:
-                        raise ConsistencyError("hat level differential mismatch")
-                    mask ^= 1 << ti
-            cols.append(mask)
+        # The basis element of x is U^(A-s) x above level s and V^(s-A) x
+        # below it; a hat entry survives when the product stays pure.
+        cols = [
+            no_v[j] if a > s else no_u[j] if a < s else no_u[j] | no_v[j]
+            for j, a in enumerate(alex)
+        ]
         # Only basis elements without a U-power survive in the V = 1 quotient.
-        proj = [quotient[j] if mins[j][0] == 0 else 0 for j in range(len(alex))]
+        proj = [quotient[j] if a <= s else 0 for j, a in enumerate(alex)]
         images = Echelon()
         for z in ColumnSolver(cols).kernel:
             acc = 0
-            rest = z
-            while rest:
-                low = rest & -rest
-                acc ^= proj[low.bit_length() - 1]
-                rest ^= low
+            for q in iter_bits(z):
+                acc ^= proj[q]
             images.add(acc)
         return images.contains(gen_class)
 
@@ -501,19 +447,13 @@ def _omega_feasible(slices: HatSlices, n: int) -> bool:
         return False
     for mask_pos, rhs in v_rows[1]:
         mask = 0
-        rest = mask_pos
-        while rest:
-            low = rest & -rest
-            mask |= 1 << zvars[n][low.bit_length() - 1]
-            rest ^= low
+        for q in iter_bits(mask_pos):
+            mask |= 1 << zvars[n][q]
         system.add_equation(mask, rhs)
     for mask_pos, rhs in u_rows[1]:
         mask = 0
-        rest = mask_pos
-        while rest:
-            low = rest & -rest
-            mask |= 1 << zvars[-n][low.bit_length() - 1]
-            rest ^= low
+        for q in iter_bits(mask_pos):
+            mask |= 1 << zvars[-n][q]
         system.add_equation(mask, rhs)
     # cycle conditions
     for i in range(-n, n + 1, 2):

@@ -4,9 +4,8 @@ The involution of a staircase-type complex is the index reflection, the
 unique grading-swapping skew chain isomorphism of a symmetric zigzag.
 Connected sums compose the factor involutions with a basepoint
 correction: with the product map t = iota1 (x) iota2 and the correction
-h = id + Phi1 (x) Psi2, both t.h and h.t are skew chain maps; the
-shipped default order is pinned by the doubled-trefoil correction-term
-value and the other order stays available for audit.
+h = id + Phi1 (x) Psi2, the involution of the sum is t after h, the
+order pinned by the doubled-trefoil correction-term value.
 
 The involutive corrections come from the cone of (1 + iota) on the
 level-0 subcomplex, with the cone variable Q of degree -1:
@@ -25,7 +24,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from .complexes import (
     BigradedComplex,
@@ -41,19 +40,13 @@ from .complexes import (
 from .errors import ConsistencyError, ValidationError
 from .fu import FUComplex, tower_reduce
 from .invariants import ALevel, a_level_complex, v_invariant
-from .linalg import ColumnSolver, Echelon
-
-DEFAULT_SUM_ORDER = "twist-first"
+from .linalg import ColumnSolver, Echelon, iter_bits, transpose
 
 
 def staircase_iota(c: BigradedComplex) -> SkewMap:
     """Index-reflection involution of a symmetric zigzag complex."""
-    count = len(c.gens)
-    entries = {
-        c.gens[k].name: {c.gens[count - 1 - k].name: frozenset({(0, 0)})}
-        for k in range(count)
-    }
-    iota = SkewMap(c, entries, provenance="staircase-reflection")
+    count = len(c)
+    iota = SkewMap(c, [1 << (count - 1 - k) for k in range(count)], provenance="staircase-reflection")
     violation = verify_chain_map(iota)
     if violation is not None:
         raise ValidationError(
@@ -62,15 +55,12 @@ def staircase_iota(c: BigradedComplex) -> SkewMap:
     return iota
 
 
-def mirror_iota(iota: SkewMap, dual_c: BigradedComplex, suffix: str = "*") -> SkewMap:
-    """Involution of the dual complex: transpose with swapped exponents."""
-    entries: Dict[str, Dict[str, frozenset]] = {}
-    for src, row in iota.entries.items():
-        for tgt, poly in row.items():
-            entries.setdefault(tgt + suffix, {})[src + suffix] = frozenset(
-                (b, a) for a, b in poly
-            )
-    out = SkewMap(dual_c, entries, provenance=iota.provenance + "-mirror")
+def mirror_iota(iota: SkewMap, dual_c: BigradedComplex) -> SkewMap:
+    """Involution of the dual complex: the transpose, still skew.
+
+    Its implied exponents are those of iota, swapped.
+    """
+    out = SkewMap(dual_c, transpose(iota.cols, len(dual_c)), provenance=iota.provenance + "-mirror")
     violation = verify_chain_map(out)
     if violation is not None:
         raise ValidationError(f"mirrored involution fails verification: {violation}")
@@ -83,34 +73,22 @@ def connected_sum_iota(
     iota2: SkewMap,
     phi1: ChainMap,
     psi2: ChainMap,
-    order: str = DEFAULT_SUM_ORDER,
 ) -> SkewMap:
-    """Involution of a tensor product from the factor involutions.
+    """Involution of a tensor product: (iota1 x iota2) after (id + phi1 x psi2).
 
-    order "twist-first": (iota1 x iota2) after (id + phi1 x psi2);
-    order "twist-last": the other composition. Both must be valid skew
-    chain maps; which one feeds the shipped invariants is pinned by the
-    acceptance data, and the alternative stays selectable for audit.
+    It must be a valid skew chain map.
     """
-    if order not in ("twist-first", "twist-last"):
-        raise ValueError(f"unknown composition order {order!r}")
     product = tensor_map(iota1, iota2, tensor_c, tensor_c)
     twist = map_add(identity_map(tensor_c), tensor_map(phi1, psi2, tensor_c, tensor_c))
-    if order == "twist-first":
-        out = map_compose(product, twist)
-    else:
-        out = map_compose(twist, product)
-    out = SkewMap(tensor_c, out.entries, provenance="connected-sum")
+    out = map_compose(product, twist)
+    out.provenance = "connected-sum"
     violation = verify_chain_map(out)
     if violation is not None:
-        raise ValidationError(
-            f"connected-sum involution (order {order}) fails verification: "
-            f"{violation}; the alternative order is available via `order=`"
-        )
+        raise ValidationError(f"connected-sum involution fails verification: {violation}")
     return out
 
 
-def realize_with_iota(expr, loader=None, order: str = DEFAULT_SUM_ORDER):
+def realize_with_iota(expr):
     """Build (complex, involution-or-None) for a knot expression.
 
     Torus knots get the reflection, mirrors the transposed involution,
@@ -124,20 +102,18 @@ def realize_with_iota(expr, loader=None, order: str = DEFAULT_SUM_ORDER):
         c = torus_knot_complex(expr.p, expr.q)
         return c, staircase_iota(c)
     if isinstance(expr, Mirror):
-        child, child_iota = realize_with_iota(expr.child, loader, order)
+        child, child_iota = realize_with_iota(expr.child)
         c = child.dual()
         return c, (mirror_iota(child_iota, c) if child_iota else None)
     if isinstance(expr, Sum):
-        acc, acc_iota = realize_with_iota(expr.children[0], loader, order)
+        acc, acc_iota = realize_with_iota(expr.children[0])
         for part in expr.children[1:]:
-            nxt, nxt_iota = realize_with_iota(part, loader, order)
+            nxt, nxt_iota = realize_with_iota(part)
             tensor_c = acc.tensor(nxt)
             if acc_iota is not None and nxt_iota is not None:
                 phi1 = basepoint_maps(acc)[0]
                 psi2 = basepoint_maps(nxt)[1]
-                acc_iota = connected_sum_iota(
-                    tensor_c, acc_iota, nxt_iota, phi1, psi2, order
-                )
+                acc_iota = connected_sum_iota(tensor_c, acc_iota, nxt_iota, phi1, psi2)
             else:
                 acc_iota = None
             acc = tensor_c
@@ -147,8 +123,6 @@ def realize_with_iota(expr, loader=None, order: str = DEFAULT_SUM_ORDER):
     if isinstance(expr, FileRef):
         from .fileio import load_complex
 
-        if loader is not None:
-            return loader(expr.path)
         return load_complex(expr.path)
     raise TypeError(f"not a knot expression: {expr!r}")
 
@@ -165,67 +139,23 @@ class Cone:
     one_plus_iota_cols: Tuple[int, ...]  # columns over the level basis
 
 
-def _iota_on_level(c: BigradedComplex, iota: SkewMap, level: ALevel) -> List[int]:
-    """Matrix of iota on the minimal-monomial basis (implied T-powers).
-
-    The skew rule sends U^i V^j x to U^j V^i iota(x); every resulting
-    monomial must rewrite as a T-power times a basis monomial, otherwise
-    the involution does not preserve the level and is rejected with a
-    witness.
-    """
-    n = len(level.fu.labels)
-    cols = [0] * n
-    for jx, label in enumerate(level.fu.labels):
-        iu, jv = level.min_monomials[jx]
-        for tgt, poly in iota.row(label).items():
-            ti = c.index[tgt]
-            tu, tv = level.min_monomials[ti]
-            for a, b in poly:
-                pu, pv = jv + a, iu + b
-                k = pu - tu
-                if k != pv - tv or k < 0:
-                    raise ValidationError(
-                        f"involution does not preserve the level-0 subcomplex: "
-                        f"image of U^{iu}V^{jv}{label} has term U^{pu}V^{pv}{tgt}"
-                    )
-                expected = (level.fu.gradings[ti] - level.fu.gradings[jx]) // 2
-                if k != expected:
-                    raise ValidationError(
-                        f"involution is not grading-preserving on the level: "
-                        f"{label} -> {tgt}"
-                    )
-                cols[jx] ^= 1 << ti
-    return cols
-
-
 def ai0_cone(c: BigradedComplex, iota: SkewMap) -> Cone:
+    """Cone of (1 + iota) on the level-0 subcomplex.
+
+    A verified skew map swaps the gradings, so on the level-0 basis it is
+    grading-preserving and its T-powers are implied like those of d: its
+    matrix there is its own columns.
+    """
     violation = verify_chain_map(iota)
     if violation is not None:
         raise ValidationError(f"involution fails verification: {violation}")
     level = a_level_complex(c, 0)
-    iota_cols = _iota_on_level(c, iota, level)
     n = len(level.fu.labels)
-    one_plus = tuple(iota_cols[j] ^ (1 << j) for j in range(n))
+    one_plus = tuple(col ^ (1 << j) for j, col in enumerate(iota.cols))
     labels = list(level.fu.labels) + ["Q|" + lbl for lbl in level.fu.labels]
     gradings = list(level.fu.gradings) + [r - 1 for r in level.fu.gradings]
-    cols: List[int] = []
-    for j in range(n):
-        mask = level.fu.cols[j]
-        shifted = 0
-        rest = one_plus[j]
-        while rest:
-            low = rest & -rest
-            shifted |= 1 << (n + low.bit_length() - 1)
-            rest ^= low
-        cols.append(mask | shifted)
-    for j in range(n):
-        rest = level.fu.cols[j]
-        shifted = 0
-        while rest:
-            low = rest & -rest
-            shifted |= 1 << (n + low.bit_length() - 1)
-            rest ^= low
-        cols.append(shifted)
+    cols = [col | (op << n) for col, op in zip(level.fu.cols, one_plus)]
+    cols += [col << n for col in level.fu.cols]
     fu = FUComplex(tuple(labels), tuple(gradings), tuple(cols)).require_valid()
     return Cone(fu, level, one_plus)
 
@@ -249,12 +179,8 @@ def _q_image_vectors(cone: Cone, gamma: int, deep_slice) -> List[int]:
     pos = {pair: m for m, pair in enumerate(a_slice)}
     stacked = []
     for m, (i, k) in enumerate(a_slice):
-        rest = cone.one_plus_iota_cols[i]
         acc = 0
-        while rest:
-            low = rest & -rest
-            ti = low.bit_length() - 1
-            rest ^= low
+        for ti in iter_bits(cone.one_plus_iota_cols[i]):
             kk = k + (level_fu.gradings[ti] - level_fu.gradings[i]) // 2
             acc |= 1 << pos[(ti, kk)]
         reduced = im_same.reduce(acc)
@@ -264,11 +190,8 @@ def _q_image_vectors(cone: Cone, gamma: int, deep_slice) -> List[int]:
     out = []
     for combo in cycles_with_bounding:
         vec = 0
-        rest = combo
-        while rest:
-            low = rest & -rest
-            i, k = a_slice[low.bit_length() - 1]
-            rest ^= low
+        for q in iter_bits(combo):
+            i, k = a_slice[q]
             vec ^= 1 << deep_pos[(n + i, k)]
         out.append(vec)
     return out
@@ -307,11 +230,8 @@ def involutive_d_pair(cone: Cone) -> Tuple[int, int]:
         shifted = []
         for z in cycles:
             vec = 0
-            rest = z
-            while rest:
-                low = rest & -rest
-                i, k = keys[low.bit_length() - 1]
-                rest ^= low
+            for q in iter_bits(z):
+                i, k = keys[q]
                 vec ^= 1 << deep_pos[(i, k + cap)]
             shifted.append(vec)
         return shifted, im_only, with_q
@@ -340,11 +260,8 @@ def involutive_d_pair(cone: Cone) -> Tuple[int, int]:
         vectors = []
         for combo in in_q:
             vec = 0
-            rest = combo
-            while rest:
-                low = rest & -rest
-                vec ^= shifted[low.bit_length() - 1]
-                rest ^= low
+            for q in iter_bits(combo):
+                vec ^= shifted[q]
             vectors.append(vec)
         torsion_inside = ColumnSolver(im_only.reduce(v) for v in vectors).kernel
         if len(vectors) > len(torsion_inside):

@@ -11,7 +11,64 @@ bitmask columns.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+
+
+def iter_bits(mask: int) -> Iterator[int]:
+    """Indices of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def transpose(cols: Sequence[int], nrows: int) -> List[int]:
+    """Columns of the transpose of an nrows x len(cols) bitmask matrix."""
+    out = [0] * nrows
+    for j, col in enumerate(cols):
+        bit = 1 << j
+        for i in iter_bits(col):
+            out[i] |= bit
+    return out
+
+
+def value_masks(values: Sequence[int]) -> Dict[int, int]:
+    """value -> bitmask of the indices holding it.
+
+    Built through byte buffers: OR-ing 1 << j into growing ints costs
+    time quadratic in len(values).
+    """
+    bufs: Dict[int, bytearray] = {}
+    size = (len(values) + 7) // 8
+    for j, val in enumerate(values):
+        buf = bufs.get(val)
+        if buf is None:
+            buf = bufs[val] = bytearray(size)
+        buf[j >> 3] |= 1 << (j & 7)
+    return {val: int.from_bytes(buf, "little") for val, buf in bufs.items()}
+
+
+def gap_guard(values: Sequence[int]) -> Callable[[int], int]:
+    """t -> bitmask of the indices j whose gap values[j] - t is negative or odd.
+
+    A homogeneous matrix entry has an implied exponent equal to half such
+    a gap, so one AND of a column with this mask finds every entry whose
+    exponent is not a nonnegative integer.
+    """
+    masks = value_masks(values)
+    memo: Dict[int, int] = {}
+
+    def guard(t: int) -> int:
+        out = memo.get(t)
+        if out is None:
+            out = 0
+            for val, mask in masks.items():
+                if val < t or (val - t) % 2:
+                    out |= mask
+            memo[t] = out
+        return out
+
+    return guard
 
 
 class Echelon:

@@ -1,83 +1,18 @@
 """Exact polynomial arithmetic for the coefficient rings of the engine.
 
-Three kinds of coefficients show up:
+Two kinds of polynomials show up:
 
-* the two-variable ring GF(2)[U, V]: a polynomial is a frozenset of
-  (u, v) exponent pairs, each pair standing for one monomial with
-  coefficient 1, so addition is symmetric difference;
 * the one-variable ring GF(2)[T]: a polynomial is an int bitmask whose
   bit k is the coefficient of T^k;
 * plain integer polynomials (dict exponent -> coefficient), used to
   expand torus-knot Alexander polynomials exactly.
+
+Entries over the two-variable ring GF(2)[U, V] need no arithmetic of
+their own: homogeneity pins each one to a single monomial whose
+exponents follow from the gradings (see `complexes`).
 """
 
 from __future__ import annotations
-
-from typing import FrozenSet, Tuple
-
-UVPoly = FrozenSet[Tuple[int, int]]
-
-UV_ZERO: UVPoly = frozenset()
-UV_ONE: UVPoly = frozenset({(0, 0)})
-
-
-def uv_mono(u: int, v: int) -> UVPoly:
-    if u < 0 or v < 0:
-        raise ValueError(f"negative exponent in monomial U^{u} V^{v}")
-    return frozenset({(u, v)})
-
-
-def uv_add(p: UVPoly, q: UVPoly) -> UVPoly:
-    """Sum in characteristic 2: XOR of the term sets."""
-    return p ^ q
-
-
-def uv_mul(p: UVPoly, q: UVPoly) -> UVPoly:
-    acc = set()
-    for a, b in p:
-        for c, d in q:
-            m = (a + c, b + d)
-            if m in acc:
-                acc.discard(m)
-            else:
-                acc.add(m)
-    return frozenset(acc)
-
-
-def uv_mul_hat(p: UVPoly, q: UVPoly) -> UVPoly:
-    """Product in GF(2)[U,V]/(UV): mixed monomials are dropped."""
-    acc = set()
-    for a, b in p:
-        for c, d in q:
-            u, v = a + c, b + d
-            if u > 0 and v > 0:
-                continue
-            m = (u, v)
-            if m in acc:
-                acc.discard(m)
-            else:
-                acc.add(m)
-    return frozenset(acc)
-
-
-def uv_swap(p: UVPoly) -> UVPoly:
-    """Exchange the two variables (conjugation on coefficients)."""
-    return frozenset((b, a) for a, b in p)
-
-
-def uv_str(p: UVPoly) -> str:
-    if not p:
-        return "0"
-    parts = []
-    for a, b in sorted(p):
-        if a == 0 and b == 0:
-            parts.append("1")
-            continue
-        us = "" if a == 0 else (f"U^{a}" if a > 1 else "U")
-        vs = "" if b == 0 else (f"V^{b}" if b > 1 else "V")
-        parts.append(us + vs)
-    return "+".join(parts)
-
 
 # --- GF(2)[T] as int bitmasks ---------------------------------------------
 

@@ -7,18 +7,27 @@ level-s subcomplex whose image in the V = 1 quotient is the generator
 class" with a `LinearSystem`. The first solvable level is nu.
 """
 
-from knotfloer.complexes import BigradedComplex, reduce_complex
+from knotfloer.complexes import BigradedComplex
 from knotfloer.errors import ConsistencyError, ValidationError
 from knotfloer.linalg import ColumnSolver, Echelon, LinearSystem
 
 
 def nu_hat_scan(c: BigradedComplex) -> int:
     n = len(c.gens)
-    hat = reduce_complex(c, "UV0")
-    d1 = reduce_complex(c, "U0V1")
-    im1 = Echelon(d1.columns)
+    # The monomials are written out (from `terms()`), not filtered by masks
+    # as the program does: the hat entries are the pure ones, and the V = 1
+    # differential keeps those without U.
+    hat = [[] for _ in range(n)]
+    d1 = [0] * n
+    for src, tgt, u, v in c.terms():
+        i, j = c.index[src], c.index[tgt]
+        if u == 0 or v == 0:
+            hat[i].append((j, u, v))
+        if u == 0:
+            d1[i] ^= 1 << j
+    im1 = Echelon(d1)
     gen_class = None
-    for combo in ColumnSolver(d1.columns).kernel:
+    for combo in ColumnSolver(d1).kernel:
         reduced = im1.reduce(combo)
         if reduced:
             gen_class = reduced
@@ -33,17 +42,15 @@ def nu_hat_scan(c: BigradedComplex) -> int:
         z = list(system.new_vars(n))
         # cycle condition: one equation per row of the level differential
         rows = [0] * n
-        for j, g in enumerate(c.gens):
+        for j in range(n):
             iu, jv = mins[j]
-            for tgt, poly in hat.diff_row(g.name).items():
-                ti = c.index[tgt]
-                for a, b in poly:
-                    nu_, nv_ = iu + a, jv + b
-                    if nu_ > 0 and nv_ > 0:
-                        continue
-                    if (nu_, nv_) != mins[ti]:
-                        raise ConsistencyError("hat level differential mismatch")
-                    rows[ti] ^= 1 << z[j]
+            for ti, a, b in hat[j]:
+                nu_, nv_ = iu + a, jv + b
+                if nu_ > 0 and nv_ > 0:
+                    continue
+                if (nu_, nv_) != mins[ti]:
+                    raise ConsistencyError("hat level differential mismatch")
+                rows[ti] ^= 1 << z[j]
         for mask in rows:
             if mask:
                 system.add_equation(mask, 0)

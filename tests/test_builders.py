@@ -12,7 +12,7 @@ from knotfloer.builders import (
 from knotfloer.complexes import map_compose, verify_chain_map
 from knotfloer.errors import ValidationError
 from knotfloer.invariants import a_level_complex, slice_obstruction, tower_cycle
-from knotfloer.rings import ipoly_divexact, ipoly_mul, uv_mono
+from knotfloer.rings import ipoly_divexact, ipoly_mul
 
 
 def expand_oracle(p, q):
@@ -88,7 +88,8 @@ def test_staircase_dual_gradings():
     s1 = staircase(1)
     via_dual = s1.dual()
     renaming = {"y-1*": "x-1", "y0*": "x0", "y1*": "x1"}
-    assert via_dual.relabel(renaming).diff == d1.diff
+    assert via_dual.relabel(renaming).terms() == d1.terms()
+    assert d1.terms() == [("x-1", "x0", 1, 0), ("x1", "x0", 0, 1)]
 
 
 def test_staircase_dual_alexander():
@@ -102,7 +103,8 @@ def test_torus_trefoil_is_staircase():
     s = staircase(1)
     assert [(g.grw, g.grz) for g in t.gens] == [(g.grw, g.grz) for g in s.gens]
     renaming = {"g0": "y-1", "g1": "y0", "g2": "y1"}
-    assert t.relabel(renaming).diff == s.diff
+    assert t.relabel(renaming).terms() == s.terms()
+    assert s.terms() == [("y0", "y-1", 1, 0), ("y0", "y1", 0, 1)]
 
 
 def test_torus_2_11_matches_staircase_5():
@@ -136,13 +138,11 @@ def test_transition_maps(n):
     assert verify_chain_map(up) is None
     # Alexander preservation: forced by the bidegrees, check a sample entry
     for f in (down, up):
-        for src, row in f.entries.items():
-            for tgt, poly in row.items():
-                for a, b in poly:
-                    assert (
-                        f.target.gen(tgt).alexander - a + b
-                        == f.source.gen(src).alexander
-                    )
+        for src, tgt, a, b in f.terms():
+            assert (
+                f.target.gen(tgt).alexander - a + b
+                == f.source.gen(src).alexander
+            )
     # locality: the image of the source tower cycle is again non-torsion
     for f in (down, up):
         level_src = a_level_complex(f.source, 0)
@@ -150,18 +150,17 @@ def test_transition_maps(n):
         cyc = tower_cycle(level_src)
         want = slice_obstruction(level_tgt, cyc.grading + f.bidegree[0])
         pos = {pair: m for m, pair in enumerate(want.slice)}
-        idx_src = {l: i for i, l in enumerate(level_src.fu.labels)}
-        idx_tgt = {l: i for i, l in enumerate(level_tgt.fu.labels)}
+        image = {}
+        for src, tgt, a, b in f.terms():
+            image.setdefault(f.source.index[src], []).append((f.target.index[tgt], a, b))
         vec = 0
-        for label, power in cyc.terms:
-            iu, jv = level_src.min_monomials[idx_src[label]]
-            for tgt, poly in f.row(label).items():
-                ti = idx_tgt[tgt]
+        for si, power in cyc.terms:
+            iu, jv = level_src.min_monomials[si]
+            for ti, a, b in image.get(si, ()):
                 tu, tv = level_tgt.min_monomials[ti]
-                for a, b in poly:
-                    k = iu + a - tu
-                    assert k == jv + b - tv and k >= 0
-                    vec ^= 1 << pos[(ti, k + power)]
+                k = iu + a - tu
+                assert k == jv + b - tv and k >= 0
+                vec ^= 1 << pos[(ti, k + power)]
         for mask, rhs in want.rows:
             assert bin(vec & mask).count("1") % 2 == rhs
     comp = map_compose(down, up)
@@ -173,7 +172,7 @@ def test_transition_map_n0_shape():
     down, up = staircase_transition_maps(0)
     # the inclusion sends the generator to a (0,0)-cycle; V x(-1) + U x(1)
     # is the canonical choice and any valid solution is a cycle
-    image = up.row("x0")
+    image = [(tgt, u, v) for src, tgt, u, v in up.terms() if src == "x0"]
     assert image
-    for tgt, poly in image.items():
-        assert tgt in ("x-1", "x1")
+    for tgt, u, v in image:
+        assert (tgt, u, v) in (("x-1", 0, 1), ("x1", 1, 0))

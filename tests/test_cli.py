@@ -205,3 +205,25 @@ def test_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "tau = 1" in proc.stdout
+
+
+def test_sum_of_files_with_colliding_labels(tmp_path, capsys):
+    # "a" x "b|c" and "a|b" x "c" are both labelled "a|b|c"; the tensor
+    # product indexes generators, so the sum is still a valid input.
+    def write(name, ids, arrow):
+        gens = [{"id": ids[0], "grw": 0, "grz": 0}, {"id": ids[1], "grw": 1, "grz": 1},
+                {"id": ids[2], "grw": 0, "grz": 0}]
+        path = tmp_path / name
+        path.write_text(json.dumps({
+            "generators": gens,
+            "differential": [{"from": arrow[0], "to": arrow[1], "u": 0, "v": 0}],
+        }))
+        return path
+
+    a = write("a.cfk", ["a", "a|b", "z"], ("a|b", "z"))
+    b = write("b.cfk", ["c", "b|c", "w"], ("b|c", "w"))
+    for path in (a, b):
+        assert run_cli(["report", "--expr", f"@{path}", "--format", "json"], capsys)[0] == 0
+    code, out, err = run_cli(["report", "--expr", f"@{a}#@{b}", "--format", "json"], capsys)
+    assert code == 0, err
+    assert json.loads(out)["generator_count"] == 9

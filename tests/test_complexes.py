@@ -14,8 +14,9 @@ from knotfloer.complexes import (
     verify_chain_map,
 )
 from knotfloer.errors import ValidationError
-from knotfloer.fu import FUComplex
-from knotfloer.rings import uv_mono
+from knotfloer.linalg import iter_bits
+
+import oracle_uv
 
 
 def test_staircase_validates():
@@ -35,23 +36,30 @@ def test_model_complex_validates():
 
 
 def test_homogeneity_violation_reported():
+    # A monomial term whose exponents disagree with the gradings is
+    # rejected where terms enter ...
     gens = [Generator("y-1", 0, -2), Generator("y0", -1, -1), Generator("y1", -2, 0)]
-    diff = {"y0": {"y-1": uv_mono(1, 0), "y1": uv_mono(1, 0)}}
-    bad = BigradedComplex(gens, diff)
+    terms = [("y0", "y-1", 1, 0), ("y0", "y1", 1, 0)]
+    with pytest.raises(ValidationError) as err:
+        BigradedComplex.from_terms(gens, terms)
+    violations = err.value.violations
+    assert len(violations) == 1
+    assert "inhomogeneous" in violations[0] and "y1" in violations[0]
+    # ... and a column whose gradings imply no monomial fails validation.
+    bad = BigradedComplex(["a", "b"], [0, 0], [0, 0], [0b10, 0])
     violations = bad.validate()
-    assert any("inhomogeneous" in v and "y1" in v for v in violations)
+    assert any("inhomogeneous" in v and "d(a)" in v for v in violations)
 
 
 def test_odd_grading_gap_rejected():
-    bad = BigradedComplex([Generator("a", 1, 0)], {})
+    bad = BigradedComplex.from_terms([Generator("a", 1, 0)], [])
     assert any("odd" in v for v in bad.validate())
 
 
 def test_d_squared_violation_reported():
     gens = [Generator("a", 2, 2), Generator("b", 1, 1), Generator("c", 0, 0)]
-    diff = {"a": {"b": uv_mono(0, 0)}, "b": {"c": uv_mono(0, 0)}}
-    bad = BigradedComplex(gens, diff)
-    assert any("d^2" in v for v in bad.validate())
+    bad = BigradedComplex.from_terms(gens, [("a", "b", 0, 0), ("b", "c", 0, 0)])
+    assert any("d^2(a)" in v and "*c" in v for v in bad.validate())
 
 
 def test_tensor_with_unknot_is_identity():
@@ -59,9 +67,9 @@ def test_tensor_with_unknot_is_identity():
     t = s1.tensor(UNKNOT)
     assert len(t.gens) == len(s1.gens)
     assert [(g.grw, g.grz) for g in t.gens] == [(g.grw, g.grz) for g in s1.gens]
-    for g in s1.gens:
-        row = {k.split("|")[0]: p for k, p in t.diff_row(f"{g.name}|o").items()}
-        assert row == s1.diff_row(g.name)
+    assert [g.name for g in t.gens] == [f"{g.name}|o" for g in s1.gens]
+    stripped = [(a.split("|")[0], b.split("|")[0], u, v) for a, b, u, v in t.terms()]
+    assert stripped == s1.terms()
 
 
 def test_tensor_square_staircase():
@@ -115,9 +123,9 @@ def test_dual_gradings_and_involution():
     assert sorted((g.grw, g.grz) for g in d.gens) == [(0, 2), (1, 1), (2, 0)]
     dd = d.dual()
     assert [(g.grw, g.grz) for g in dd.gens] == [(g.grw, g.grz) for g in s1.gens]
-    for g in s1.gens:
-        for h, p in s1.diff_row(g.name).items():
-            assert dd.diff_entry(g.name + "**", h + "**") == p
+    assert dd.terms() == [(a + "**", b + "**", u, v) for a, b, u, v in s1.terms()]
+    # the dual's exponents are those of the transposed entries
+    assert sorted(d.terms()) == sorted((b + "*", a + "*", u, v) for a, b, u, v in s1.terms())
     assert UNKNOT.dual().validate() == []
     hw = named_complex("HW")
     assert len(hw.dual().dual().gens) == len(hw.gens)
@@ -126,48 +134,49 @@ def test_dual_gradings_and_involution():
 def test_reduce_modes():
     hw = named_complex("HW")
     hat = reduce_complex(hw, "UV0")
-    assert hat.diff_row("b") == {"a": uv_mono(2, 0), "c": uv_mono(0, 2)}
+    # d(b) = U^2 a + V^2 c: both terms are pure monomials
+    assert hat == (0, 0b101, 0)
 
     s1 = staircase(1)
     g2 = reduce_complex(s1, "U0V1")
     # d(y0) = y1 after killing U and setting V = 1; homology is spanned by y-1
     j = s1.index["y0"]
-    assert g2.columns[j] == 1 << s1.index["y1"]
-    assert g2.d_squared_is_zero()
+    assert g2[j] == 1 << s1.index["y1"]
+    assert reduce_complex(s1, "U0").cols == g2
+    assert reduce_complex(s1, "U0").validate() == []  # d^2 = 0 on the columns
 
     square = staircase(1).tensor(staircase(1))
     hat2 = reduce_complex(square, "UV0")
-    for src, row in hat2.diff.items():
-        for tgt, poly in row.items():
-            assert all(a == 0 or b == 0 for a, b in poly)
+    kept = {(i, j) for i, col in enumerate(hat2) for j in iter_bits(col)}
+    pure = {
+        (square.index[a], square.index[b])
+        for a, b, u, v in square.terms()
+        if u == 0 or v == 0
+    }
+    assert kept == pure and pure
 
 
 def test_quotient_commutation():
     # U0 of the UV0 reduction equals the U0 reduction: matrix equality.
     c = staircase(1).tensor(staircase_dual(2))
     hat = reduce_complex(c, "UV0")
-    labels = tuple(g.name for g in c.gens)
-    gradings = tuple(g.grz for g in c.gens)
-    cols = []
-    for g in c.gens:
-        mask = 0
-        for tgt, poly in hat.diff_row(g.name).items():
-            if any(a == 0 for a, _ in poly):
-                mask |= 1 << c.index[tgt]
-        cols.append(mask)
-    via_hat = FUComplex(labels, gradings, tuple(cols))
+    cols = [0] * len(c)
+    for a, b, u, _v in c.terms():
+        i, j = c.index[a], c.index[b]
+        if (hat[i] >> j) & 1 and u == 0:
+            cols[i] |= 1 << j
     direct = reduce_complex(c, "U0")
-    assert via_hat.labels == direct.labels
-    assert via_hat.gradings == direct.gradings
-    assert via_hat.cols == direct.cols
+    assert direct.labels == c.labels
+    assert direct.gradings == c.grz
+    assert direct.cols == tuple(cols)
 
 
 def test_basepoint_maps_staircase():
     s1 = staircase(1)
     phi, psi = basepoint_maps(s1)
-    assert phi.entries == {"y0": {"y-1": uv_mono(0, 0)}}
-    assert psi.entries == {"y0": {"y1": uv_mono(0, 0)}}
-    # bidegrees are inferred, not hard-coded
+    # d(y0) = U y-1 + V y1 differentiates to Phi(y0) = y-1, Psi(y0) = y1
+    assert phi.terms() == [("y0", "y-1", 0, 0)]
+    assert psi.terms() == [("y0", "y1", 0, 0)]
     assert phi.bidegree == (1, -1)
     assert psi.bidegree == (-1, 1)
 
@@ -189,22 +198,61 @@ def test_basepoint_maps_are_chain_maps(rng):
 
 def test_verify_identity():
     s1 = staircase(1)
-    f = ChainMap(s1, s1, {g.name: {g.name: uv_mono(0, 0)} for g in s1.gens})
+    f = ChainMap.from_terms(s1, s1, [(g.name, g.name, 0, 0) for g in s1.gens], (0, 0))
     assert f.bidegree == (0, 0)
+    assert f.cols == (0b1, 0b10, 0b100)
     assert verify_chain_map(f) is None
 
 
 def test_verify_reflection_skew():
     s1 = staircase(1)
-    refl = SkewMap(
-        s1,
-        {"y-1": {"y1": uv_mono(0, 0)}, "y0": {"y0": uv_mono(0, 0)}, "y1": {"y-1": uv_mono(0, 0)}},
+    refl = SkewMap.from_terms(
+        s1, [("y-1", "y1", 0, 0), ("y0", "y0", 0, 0), ("y1", "y-1", 0, 0)]
     )
     assert verify_chain_map(refl) is None
 
 
 def test_verify_rejects_grading_mismatch():
     s1 = staircase(1)
-    f = ChainMap(s1, s1, {"y-1": {"y1": uv_mono(0, 0)}}, bidegree=(0, 0))
+    with pytest.raises(ValidationError) as err:
+        ChainMap.from_terms(s1, s1, [("y-1", "y1", 0, 0)], (0, 0))
+    assert "homogeneous" in str(err.value)
+    f = ChainMap(s1, s1, [1 << s1.index["y1"], 0, 0], (0, 0))
     violation = verify_chain_map(f)
     assert violation is not None and "homogeneous" in violation
+
+
+def test_columns_match_explicit_polynomials(rng):
+    # The oracle writes every monomial out; the program implies them from
+    # the gradings and counts paths. Both must agree.
+    for _ in range(30):
+        a = staircase(rng.randint(0, 3)) if rng.random() < 0.5 else staircase_dual(rng.randint(0, 3))
+        b = staircase(rng.randint(0, 2)).dual() if rng.random() < 0.5 else torus_knot_complex(2, 5)
+        t = a.tensor(b)
+        da, db, dt = (oracle_uv.matrix(x.terms()) for x in (a, b, t))
+        assert dt == oracle_uv.tensor_differential(da, a.labels, db, b.labels)
+        assert oracle_uv.compose(dt, dt) == {}  # d^2 = 0 over GF(2)[U,V]
+        dual = oracle_uv.matrix(t.dual().terms())
+        assert dual == oracle_uv.matrix((y + "*", x + "*", u, v) for x, y, u, v in t.terms())
+    # a violation the XOR check reports is a real nonzero d^2
+    gens = [Generator("a", 2, 2), Generator("b", 1, 1), Generator("c", 0, 0)]
+    bad = BigradedComplex.from_terms(gens, [("a", "b", 0, 0), ("b", "c", 0, 0)])
+    db = oracle_uv.matrix(bad.terms())
+    assert oracle_uv.compose(db, db) == {"a": {"c": oracle_uv.UV_ONE}}
+
+
+def test_tensor_labels_may_collide():
+    # Tensor generators are indexed (i, j); "a" x "b|c" and "a|b" x "c"
+    # share a label but stay distinct generators.
+    left = BigradedComplex.from_terms(
+        [Generator("a", 0, 0), Generator("a|b", 1, 1), Generator("z", 0, 0)],
+        [("a|b", "z", 0, 0)],
+    )
+    right = BigradedComplex.from_terms(
+        [Generator("c", 0, 0), Generator("b|c", 1, 1), Generator("w", 0, 0)],
+        [("b|c", "w", 0, 0)],
+    )
+    t = left.tensor(right)
+    assert len(t) == 9
+    assert t.validate() == []
+    assert t.repeated_label() == "a|b|c"

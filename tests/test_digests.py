@@ -1,0 +1,62 @@
+"""Byte-identity of the program's output.
+
+The corpus reports must hash to the sha256 values in
+`perfbench/digests.json` (read here, never written). The saved files of
+three torus sums with their involutions, and of a round trip of
+`tests/data/hw.cfk`, must hash to the values below; these pin the file
+writer's canonical order.
+"""
+
+import hashlib
+import json
+import os
+
+import pytest
+
+from knotfloer.cli import main
+from knotfloer.expressions import parse_knot_expr
+from knotfloer.fileio import load_complex, save_complex
+from knotfloer.involutive import realize_with_iota
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+CORPUS = {
+    "J": "T(2,11)#T(4,7)#-T(5,6)",
+    "K": "T(2,3)#T(4,7)#-T(5,6)",
+    "K1": "T(2,11)#-T(4,5)",
+    "HW": "@tests/data/hw.cfk",
+}
+SAVED = {
+    "T(2,3)#T(2,3)": "662e179885ca63885816659da5499bfb9b642960cd5cf8e01e48843ce1e058a4",
+    "T(2,5)#-T(3,4)": "e4f3bc2c609c20c28b08d8e3282af3e7e5e64a4c9b3fcabb0f1e567ef862d92b",
+    "T(2,3)#T(4,7)#-T(5,6)": "63f8187c0682244b2904587629997fd9cf69db6e62759d9c785a506f50fb9293",
+}
+HW_ROUND_TRIP = "c89eb16c113ed21ccf7dc5970ef1e49fde3dca7f2fd5dffcd6ce5712f6c38e1b"
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("label", sorted(CORPUS))
+def test_corpus_report_digest(label, capsys, monkeypatch):
+    with open(os.path.join(ROOT, "perfbench", "digests.json"), encoding="utf-8") as fh:
+        want = json.load(fh)["reports"][label]
+    monkeypatch.chdir(ROOT)  # the HW report prints its relative path
+    assert main(["report", f"--expr={CORPUS[label]}", "--format", "json"]) == 0
+    out, _ = capsys.readouterr()
+    assert sha256(out.encode()) == want
+
+
+@pytest.mark.parametrize("expr", sorted(SAVED))
+def test_saved_sum_digest(expr, tmp_path):
+    c, iota = realize_with_iota(parse_knot_expr(expr))
+    path = tmp_path / "sum.cfk"
+    save_complex(c, str(path), expr, iota)
+    assert sha256(path.read_bytes()) == SAVED[expr]
+
+
+def test_hw_round_trip_digest(tmp_path):
+    c, iota = load_complex(os.path.join(ROOT, "tests", "data", "hw.cfk"))
+    path = tmp_path / "hw.cfk"
+    save_complex(c, str(path), "hw", iota)
+    assert sha256(path.read_bytes()) == HW_ROUND_TRIP

@@ -77,10 +77,8 @@ def test_representatives_are_cycles():
     assert red.rank == 1
     rep = red.reps[0]
     # boundary of the representative vanishes
-    idx = {l: i for i, l in enumerate(level.fu.labels)}
     acc = {}
-    for label, power in rep:
-        i = idx[label]
+    for i, power in rep:
         rest = level.fu.cols[i]
         while rest:
             low = rest & -rest

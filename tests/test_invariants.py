@@ -41,12 +41,12 @@ def test_is_knotlike():
     assert is_knotlike(staircase(2))
     assert is_knotlike(named_complex("HW"))
     assert is_knotlike(staircase(1).tensor(staircase_dual(2)))
-    two_dots = BigradedComplex([Generator("a", 0, 0), Generator("b", 0, 0)], {})
+    two_dots = BigradedComplex.from_terms([Generator("a", 0, 0), Generator("b", 0, 0)], [])
     assert not is_knotlike(two_dots)
 
 
 def test_level_complex_rejects_non_knotlike():
-    two_dots = BigradedComplex([Generator("a", 0, 0), Generator("b", 0, 0)], {})
+    two_dots = BigradedComplex.from_terms([Generator("a", 0, 0), Generator("b", 0, 0)], [])
     with pytest.raises(ValidationError):
         a_level_complex(two_dots, 0)
 
