@@ -5,7 +5,6 @@ from .builders import (
     named_complex,
     staircase,
     staircase_dual,
-    staircase_transition_maps,
     torus_knot_complex,
 )
 from .complexes import (

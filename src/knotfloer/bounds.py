@@ -240,6 +240,22 @@ def signature_clasp_bound(sig: StepFunction) -> Tuple[int, int, int]:
 # --- report assembly --------------------------------------------------------
 
 
+def _parity_bound(values: Dict[int, int]) -> Dict:
+    """Largest n + 2*val - 1 over the entries with val >= 1, and where.
+
+    The bound is 0, reached nowhere, when no value is positive.
+    """
+    best, at = 0, []
+    for n, val in sorted(values.items()):
+        if val >= 1:
+            cand = n + 2 * val - 1
+            if cand > best:
+                best, at = cand, [n]
+            elif cand == best:
+                at.append(n)
+    return {"bound": best, "certificate": {"achieved_at": at}}
+
+
 def genus_bounds(
     v: Dict[int, int],
     y: Dict[int, int],
@@ -251,24 +267,8 @@ def genus_bounds(
     sources: Dict[str, Dict] = {}
     sources["nu_plus"] = {"bound": nu_plus, "certificate": {"nu_plus": nu_plus}}
     sources["omega_plus"] = {"bound": omega_plus, "certificate": {"omega_plus": omega_plus}}
-    v_best, v_at = 0, []
-    for s, val in sorted(v.items()):
-        if s >= 0 and val >= 1:
-            cand = s + 2 * val - 1
-            if cand > v_best:
-                v_best, v_at = cand, [s]
-            elif cand == v_best:
-                v_at.append(s)
-    sources["v_parity"] = {"bound": v_best, "certificate": {"achieved_at": v_at}}
-    y_best, y_at = 0, []
-    for n, val in sorted(y.items()):
-        if val >= 1:
-            cand = n + 2 * val - 1
-            if cand > y_best:
-                y_best, y_at = cand, [n]
-            elif cand == y_best:
-                y_at.append(n)
-    sources["y_parity"] = {"bound": y_best, "certificate": {"achieved_at": y_at}}
+    sources["v_parity"] = _parity_bound({s: val for s, val in v.items() if s >= 0})
+    sources["y_parity"] = _parity_bound(y)
     if involutive is not None:
         # ceil((g+1)/2) >= v_under and >= -v_bar force g >= 2*v - 2.
         v_bar, v_under = involutive
@@ -326,15 +326,7 @@ def clasp_bounds(
         "bound": table_mirror["omega_plus"],
         "certificate": {},
     }
-    y_best, y_at = 0, []
-    for n, val in sorted(table_k["y"].items()):
-        if val >= 1:
-            cand = n + 2 * val - 1
-            if cand > y_best:
-                y_best, y_at = cand, [n]
-            elif cand == y_best:
-                y_at.append(n)
-    plus_sources["y_parity"] = {"bound": y_best, "certificate": {"achieved_at": y_at}}
+    plus_sources["y_parity"] = _parity_bound(table_k["y"])
     if involutive is not None:
         # ceil((c+1)/2) >= v_under and >= -v_bar force c >= 2*v - 2.
         v_bar, v_under = involutive

@@ -15,12 +15,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from typing import Dict, Tuple
+from typing import Tuple
 
-from .complexes import BigradedComplex, ChainMap, require_chain_map
+from .complexes import BigradedComplex
 from .errors import ConsistencyError, ValidationError
-from .linalg import LinearSystem, iter_bits
-from .rings import ipoly_divexact
 
 
 @dataclass(frozen=True)
@@ -41,6 +39,33 @@ class StepSequence:
     @property
     def genus(self) -> int:
         return self.exponents[0]
+
+
+def ipoly_divexact(num: dict, den: dict) -> dict:
+    """Exact division of integer polynomials (dict exponent -> coefficient).
+
+    Raises when a remainder is left.
+    """
+    num = dict(num)
+    dmax = max(den)
+    dlead = den[dmax]
+    quot: dict = {}
+    while num:
+        e = max(num)
+        if e < dmax:
+            raise ArithmeticError("inexact polynomial division")
+        c, r = divmod(num[e], dlead)
+        if r:
+            raise ArithmeticError("inexact polynomial division")
+        quot[e - dmax] = c
+        for de, dc in den.items():
+            ne = e - dmax + de
+            nc = num.get(ne, 0) - c * dc
+            if nc:
+                num[ne] = nc
+            else:
+                num.pop(ne, None)
+    return quot
 
 
 def alexander_exponents(p: int, q: int) -> StepSequence:
@@ -157,95 +182,3 @@ def named_complex(name: str) -> BigradedComplex:
             f"unknown named complex {name!r}; available: {sorted(NAMED_COMPLEXES)}"
         ) from None
     return builder()
-
-
-# --- transition maps between dual staircases --------------------------------
-
-
-def _solve_local_map(
-    source: BigradedComplex, target: BigradedComplex, bidegree: Tuple[int, int]
-) -> ChainMap:
-    """Any chain map of the given bidegree that is nonzero on the towers.
-
-    The matrix is not transcribed from a picture: the chain-map equations
-    plus one affine locality condition (the image of a tower cycle must
-    again be non-torsion) go to the affine solver, and any solution works.
-    Existence is a property of the staircase family, so an unsolvable
-    system is an internal error.
-    """
-    from .invariants import a_level_complex, slice_obstruction, tower_cycle
-
-    dw, dz = bidegree
-    system = LinearSystem()
-    # One unknown per admissible matrix slot; homogeneity fixes the monomial.
-    slots: Dict[Tuple[int, int], int] = {}
-    by_source: Dict[int, list] = {}
-    for i, (sw, sz) in enumerate(zip(source.grw, source.grz)):
-        for j, (tw, tz) in enumerate(zip(target.grw, target.grz)):
-            ua, vb = tw - sw - dw, tz - sz - dz
-            if ua < 0 or vb < 0 or ua % 2 or vb % 2:
-                continue
-            var = system.new_vars(1)[0]
-            slots[(i, j)] = var
-            by_source.setdefault(i, []).append((j, var))
-
-    # d f + f d = 0, one equation per (source gen, final gen) pair.
-    for i in range(len(source)):
-        masks: Dict[int, int] = {}
-        for mid, var in by_source.get(i, ()):
-            for tgt in iter_bits(target.cols[mid]):
-                masks[tgt] = masks.get(tgt, 0) ^ (1 << var)
-        for mid in iter_bits(source.cols[i]):
-            for tgt, var in by_source.get(mid, ()):
-                masks[tgt] = masks.get(tgt, 0) ^ (1 << var)
-        for tgt in sorted(masks):
-            if masks[tgt]:
-                system.add_equation(masks[tgt], 0)
-
-    # Locality: push the source tower cycle through the unknown map and
-    # pin its class to the non-torsion coset on the target side. A slot
-    # i -> j rewrites on the level complexes as a T-power fixed by the
-    # level gradings (the map preserves the Alexander grading).
-    src_level = a_level_complex(source, 0)
-    tgt_level = a_level_complex(target, 0)
-    cycle = tower_cycle(src_level)
-    want = slice_obstruction(tgt_level, cycle.grading + dw)
-    pos = {pair: m for m, pair in enumerate(want.slice)}
-    coeff_masks = [0] * len(want.slice)
-    for i, power in cycle.terms:
-        for j, var in by_source.get(i, ()):
-            k2 = tgt_level.fu.gradings[j] - src_level.fu.gradings[i] - dw
-            if k2 < 0 or k2 % 2:
-                raise ConsistencyError("transition-map image leaves the level complex")
-            coeff_masks[pos[(j, k2 // 2 + power)]] ^= 1 << var
-    for row_mask, rhs in want.rows:
-        mask = 0
-        for m in iter_bits(row_mask):
-            mask ^= coeff_masks[m]
-        system.add_equation(mask, rhs)
-
-    solution = system.solve()
-    if solution is None:
-        raise ConsistencyError(
-            f"no local chain map of bidegree {bidegree} between the staircase duals"
-        )
-    cols = [0] * len(source)
-    for (i, j), var in slots.items():
-        if (solution >> var) & 1:
-            cols[i] |= 1 << j
-    return require_chain_map(ChainMap(source, target, cols, bidegree))
-
-
-def staircase_transition_maps(n: int) -> Tuple[ChainMap, ChainMap]:
-    """Local chain maps between consecutive dual staircases.
-
-    Returns (down, up): down has bidegree (-2,-2) from the (n+1)-dual to
-    the n-dual, up has bidegree (0,0) the other way. Both preserve the
-    Alexander grading (forced by their bidegrees) and are nonzero on the
-    localized towers.
-    """
-    big = staircase_dual(n + 1)
-    small = staircase_dual(n)
-    down = _solve_local_map(big, small, (-2, -2))
-    up = _solve_local_map(small, big, (0, 0))
-    return down, up

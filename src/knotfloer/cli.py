@@ -27,7 +27,6 @@ from .bounds import (
     upsilon_of_expr,
     upsilon_ratio_bound,
 )
-from .complexes import verify_chain_map
 from .errors import (
     ConsistencyError,
     FileFormatError,
@@ -297,17 +296,10 @@ def _cmd_validate(args) -> int:
         print("validate expects a file input: --expr "
               "'@path/to/file'", file=sys.stderr)
         return 2
+    # load_complex has already checked d^2 = 0, homogeneity and iota.
     complex_, iota = load_complex(expr.path)
-    problems = complex_.validate()
     if not is_knotlike(complex_):
-        problems.append("complex is not knot-like (localized tower rank != 1)")
-    if iota is not None:
-        violation = verify_chain_map(iota)
-        if violation is not None:
-            problems.append(f"iota: {violation}")
-    if problems:
-        for p in problems:
-            print(p, file=sys.stderr)
+        print("complex is not knot-like (localized tower rank != 1)", file=sys.stderr)
         return 3
     print(f"ok: {len(complex_)} generators"
           + (", involution verified" if iota is not None else ""))

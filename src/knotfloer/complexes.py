@@ -444,24 +444,19 @@ def _zero_exponent(cols: Sequence[int], gradings: Sequence[int]) -> Tuple[int, .
     return tuple(col & at.get(g - 1, 0) for col, g in zip(cols, gradings))
 
 
-def reduce_complex(c: BigradedComplex, mode: str):
+def reduce_complex(c: BigradedComplex, mode: str) -> FUComplex:
     """Quotient reductions of the coefficient ring, as filters of the columns.
 
-    mode "U0"  -> free GF(2)[V]-complex (a FUComplex graded by grz) on the
-                  entries without U;
-    mode "V0"  -> free GF(2)[U]-complex (graded by grw) on those without V;
-    mode "U0V1"-> columns of the finite GF(2) complex with V specialised
-                  to 1 (the same entries as U0);
-    mode "UV0" -> columns over GF(2)[U,V]/(UV): the pure-monomial entries.
+    mode "U0" -> free GF(2)[V]-complex (a FUComplex graded by grz) on the
+                 entries without U; its columns are also those of the
+                 finite GF(2) complex with U = 0 and V = 1;
+    mode "V0" -> free GF(2)[U]-complex (graded by grw) on those without V.
+
+    The pure-monomial entries (the UV = 0 quotient) are the union of the
+    two modes' columns.
     """
     if mode == "U0":
         return FUComplex(c.labels, c.grz, _zero_exponent(c.cols, c.grw))
     if mode == "V0":
         return FUComplex(c.labels, c.grw, _zero_exponent(c.cols, c.grz))
-    if mode == "U0V1":
-        return _zero_exponent(c.cols, c.grw)
-    if mode == "UV0":
-        no_u = _zero_exponent(c.cols, c.grw)
-        no_v = _zero_exponent(c.cols, c.grz)
-        return tuple(a | b for a, b in zip(no_u, no_v))
     raise ValueError(f"unknown reduction mode {mode!r}")

@@ -7,15 +7,10 @@ from basis element j into basis element i must be T^k with
 k = (r_i - r_j + 1) / 2, so the differential is stored as one bitmask
 of row indices per column and all T-powers are implied.
 
-Two independent routes compute the homology towers:
-
-* `tower_reduce` - a column reduction along the grading filtration,
-  with clearing. Unpaired basis elements are the free homology
-  generators; their gradings give the tower tops.
-* `oracle_rank_and_top` - Smith normal form over GF(2)[T]: kernel basis,
-  image expressed in the kernel, invariant factors, and a rank test for
-  the non-torsion homogeneous component. Small inputs only; this is the
-  oracle the reduction is checked against.
+`tower_reduce` computes the homology towers by a column reduction
+along the grading filtration, with clearing. Unpaired basis elements are
+the free homology generators; their gradings give the tower tops. The
+test suite checks it against a Smith-normal-form oracle.
 """
 
 from __future__ import annotations
@@ -23,10 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .errors import ConsistencyError, ValidationError
+from .errors import ValidationError
 from .linalg import iter_bits
-from .rings import t_exps, t_mul
-from .snf import smith_normal_form, solve_in_column_span, t_mat_rank
 
 
 class FUComplex:
@@ -108,14 +101,12 @@ class Reduction:
     """Result of the filtration reduction.
 
     unpaired: (label, grading) of the free homology generators, sorted by
-    descending grading; pairs: (birth grading, death grading) of the torsion
-    summands; reps: for each unpaired generator, a homogeneous cycle in the
-    original basis as a list of (basis index, T-power) pairs (only when
-    requested).
+    descending grading; reps: for each unpaired generator, a homogeneous
+    cycle in the original basis as a list of (basis index, T-power) pairs
+    (only when requested).
     """
 
     unpaired: List[Tuple[str, int]]
-    pairs: List[Tuple[int, int]]
     reps: Optional[List[List[Tuple[int, int]]]] = None
 
     @property
@@ -185,114 +176,6 @@ def tower_reduce(fu: FUComplex, *, with_reps: bool = False) -> Reduction:
             rep.sort()
             reps.append((fu.gradings[idx], rep))
     unpaired_sorted = sorted(unpaired, key=lambda t: (-t[1], t[0]))
-    pairs = []
-    for low, p in sorted(pivot_of.items()):
-        pairs.append((fu.gradings[order[low]], fu.gradings[order[p]]))
     if reps is not None:
         reps = [r for _g, r in sorted(reps, key=lambda t: -t[0])]
-    return Reduction(unpaired_sorted, pairs, reps)
-
-
-# --- Smith-form oracle ------------------------------------------------------
-
-
-def _t_matrix(fu: FUComplex) -> List[List[int]]:
-    n = len(fu)
-    mat = [[0] * n for _ in range(n)]
-    for j, col in enumerate(fu.cols):
-        for i in iter_bits(col):
-            mat[i][j] = 1 << fu.power(i, j)
-    return mat
-
-
-def oracle_rank_and_top(fu: FUComplex) -> Tuple[int, Optional[int]]:
-    """(free rank of homology, top tower grading) via Smith normal form.
-
-    The top grading is only reported for rank one, which is the case the
-    invariants use. Everything here is GF(2)[T]-matrix algebra: kernel from
-    the Smith form of the differential, image expressed in the kernel,
-    invariant factors of the quotient, and a fraction-field rank test to
-    locate the non-torsion homogeneous component of the free generator.
-    """
-    n = len(fu)
-    if n == 0:
-        return 0, None
-    d = _t_matrix(fu)
-    factors, _u, v = smith_normal_form(d)
-    rank_d = len(factors)
-    # Kernel basis: columns of V past the rank.
-    ker: List[List[int]] = []
-    for j in range(rank_d, n):
-        ker.append([v[i][j] for i in range(n)])
-    kdim = len(ker)
-    free_rank = kdim - rank_d  # dim ker - dim im
-    if free_rank < 0:
-        raise ConsistencyError("oracle: negative homology rank")
-    if free_rank == 0:
-        return 0, None
-    # Express the image in the kernel basis.
-    kmat = [[ker[c][r] for c in range(kdim)] for r in range(n)]
-    im_in_ker: List[List[int]] = [[0] * n for _ in range(kdim)]
-    for j in range(n):
-        target = [d[i][j] for i in range(n)]
-        if not any(target):
-            continue
-        w = solve_in_column_span(kmat, target)
-        if w is None:
-            raise ConsistencyError("oracle: image column outside the kernel")
-        for r in range(kdim):
-            im_in_ker[r][j] = w[r]
-    mfac, mu, _mv = smith_normal_form(im_in_ker)
-    if kdim - len(mfac) != free_rank:
-        raise ConsistencyError("oracle: rank of quotient presentation disagrees")
-    if free_rank != 1:
-        return free_rank, None
-    # Free generator of ker/im: invert the row transform of the presentation.
-    muinv = _invert_transform(mu)
-    gen_ker = [muinv[r][len(mfac)] for r in range(kdim)]
-    # Ambient coordinates of the generator.
-    ambient = [0] * n
-    for r in range(kdim):
-        if gen_ker[r]:
-            for i in range(n):
-                if ker[r][i]:
-                    ambient[i] ^= t_mul(gen_ker[r], ker[r][i])
-    # Homogeneous components, graded by r_i - 2k.
-    components: Dict[int, List[int]] = {}
-    for i in range(n):
-        for k in t_exps(ambient[i]):
-            g = fu.gradings[i] - 2 * k
-            comp = components.setdefault(g, [0] * n)
-            comp[i] ^= 1 << k
-    tops = []
-    for g in sorted(components, reverse=True):
-        z = components[g]
-        stacked = [[d[i][j] for j in range(n)] + [z[i]] for i in range(n)]
-        if t_mat_rank(stacked) == rank_d + 1:
-            tops.append(g)
-    if len(tops) != 1:
-        raise ConsistencyError(
-            f"oracle: expected one non-torsion component, found {len(tops)}"
-        )
-    return 1, tops[0]
-
-
-def _invert_transform(mat: List[List[int]]) -> List[List[int]]:
-    """Inverse of a product of elementary GF(2)[T] operations.
-
-    Gauss-Jordan over the fraction field is unnecessary: the Smith
-    transforms are invertible over GF(2)[T], and solving column by column
-    against the identity with exact division recovers the inverse.
-    """
-    n = len(mat)
-    out = []
-    for j in range(n):
-        e = [1 if i == j else 0 for i in range(n)]
-        w = solve_in_column_span(mat, e)
-        if w is None:
-            raise ConsistencyError("transform is not invertible over GF(2)[T]")
-        out.append(w)
-    # out[j] is the j-th column of the inverse.
-    return [[out[j][i] for j in range(n)] for i in range(n)]
-
-
+    return Reduction(unpaired_sorted, reps)

@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .complexes import BigradedComplex, reduce_complex
 from .errors import ConsistencyError, ValidationError
 from .fu import FUComplex, tower_reduce
-from .linalg import ColumnSolver, Echelon, LinearSystem, gap_guard, iter_bits
+from .linalg import ColumnSolver, Echelon, LinearSystem, gap_guard, iter_bits, transpose
 
 
 # --- level subcomplexes over GF(2)[T] --------------------------------------
@@ -84,58 +84,6 @@ def tower_cycle(level: ALevel) -> TowerCycle:
     if red.rank != 1:
         raise ValidationError(f"tower rank is {red.rank}, not 1")
     return TowerCycle(red.unpaired[0][1], red.reps[0])
-
-
-@dataclass
-class SliceObstruction:
-    """Affine condition "this cycle is T-non-torsion" at a fixed grading.
-
-    `slice` is the grading-slice basis as (basis index, T-power) pairs;
-    a cycle v (bitmask over slice positions) is non-torsion exactly when
-    popcount(v & mask) == rhs for every (mask, rhs) row. Rows pin v to
-    the coset of a chosen non-torsion representative modulo the
-    torsion-or-boundary subspace, which is affine because the non-torsion
-    quotient at one grading of a rank-one complex is one-dimensional.
-    """
-
-    slice: List[Tuple[int, int]]
-    rows: List[Tuple[int, int]]
-
-
-def slice_obstruction(level: ALevel, grading: int) -> SliceObstruction:
-    fu = level.fu
-    cap = max(1, (grading - min(fu.gradings)) // 2 + 1)
-    deep = grading - 2 * cap
-    deep_slice = fu.slice_basis(deep)
-    deep_pos = {pair: m for m, pair in enumerate(deep_slice)}
-    im = Echelon(fu.boundary_columns(fu.slice_basis(deep + 1), deep_slice))
-    slice_ = fu.slice_basis(grading)
-    phi = [im.reduce(1 << deep_pos[(i, k + cap)]) for i, k in slice_]
-    # A non-torsion cycle representative at this grading.
-    below = fu.slice_basis(grading - 1)
-    cycles = ColumnSolver(fu.boundary_columns(slice_, below)).kernel
-    rep = None
-    for z in cycles:
-        acc = 0
-        for q in iter_bits(z):
-            acc ^= phi[q]
-        if acc:
-            rep = acc
-            break
-    if rep is None:
-        raise ValidationError(f"no non-torsion cycle at grading {grading}")
-    bits = 0
-    for p in phi:
-        bits |= p
-    bits |= rep
-    rows: List[Tuple[int, int]] = []
-    for bit in iter_bits(bits):
-        mask = 0
-        for m, p in enumerate(phi):
-            if (p >> bit) & 1:
-                mask |= 1 << m
-        rows.append((mask, (rep >> bit) & 1))
-    return SliceObstruction(slice_, rows)
 
 
 # --- knot-likeness ----------------------------------------------------------
@@ -235,7 +183,7 @@ def tau_invariant(c: BigradedComplex) -> int:
 def _tau_scan(c: BigradedComplex) -> int:
     if not is_knotlike(c):
         raise ValidationError("tau undefined: complex is not knot-like")
-    cols = reduce_complex(c, "U0V1")
+    cols = reduce_complex(c, "U0").cols
     full = Echelon(cols)
     levels = sorted(set(c.alexander))
     by_level: Dict[int, List[int]] = {}
@@ -264,7 +212,7 @@ class HatSlices:
 
     def __init__(self, c: BigradedComplex):
         self.grw, self.grz = c.grw, c.grz
-        self.no_u = reduce_complex(c, "U0V1")
+        self.no_u = reduce_complex(c, "U0").cols
         self.no_v = reduce_complex(c, "V0").cols
         self._cache: Dict[Tuple[int, int], List[Tuple[int, int, int]]] = {}
 
@@ -349,14 +297,8 @@ class HatSlices:
         bits = rep
         for p in phi:
             bits |= p
-        rows = []
-        for bit in iter_bits(bits):
-            mask = 0
-            for m, p in enumerate(phi):
-                if (p >> bit) & 1:
-                    mask |= 1 << m
-            rows.append((mask, (rep >> bit) & 1))
-        return keys, rows
+        phi_rows = transpose(phi, bits.bit_length())
+        return keys, [(phi_rows[bit], (rep >> bit) & 1) for bit in iter_bits(bits)]
 
 
 def nu_hat(c: BigradedComplex) -> int:
@@ -380,7 +322,7 @@ def nu_hat(c: BigradedComplex) -> int:
 
 def _v1_class_test(c: BigradedComplex):
     """Predicate on s: does a level-s hat cycle map to the V = 1 generator?"""
-    no_u = reduce_complex(c, "U0V1")  # also the differential with V = 1
+    no_u = reduce_complex(c, "U0").cols  # also the differential with V = 1
     no_v = reduce_complex(c, "V0").cols
     im1 = Echelon(no_u)
     gen_class = None
@@ -433,59 +375,40 @@ def omega_hat(c: BigradedComplex) -> int:
 
 
 def _omega_feasible(slices: HatSlices, n: int) -> bool:
+    # Each variable block is a contiguous range, so a row over a block is
+    # a row of the transposed columns shifted to the block's start.
     system = LinearSystem()
-    zvars: Dict[int, List[int]] = {}
+    zstart: Dict[int, int] = {}
     zkeys: Dict[int, List[Tuple[int, int, int]]] = {}
     for i in range(-n, n + 1, 2):
         keys = slices.slice(-n + i, -n - i)
         zkeys[i] = keys
-        zvars[i] = list(system.new_vars(len(keys)))
+        zstart[i] = system.new_vars(len(keys)).start
     # end conditions: the extreme cycles must be non-torsion
     v_rows = slices.nontorsion_rows(0, -2 * n, "v")
     u_rows = slices.nontorsion_rows(-2 * n, 0, "u")
     if v_rows is None or u_rows is None:
         return False
     for mask_pos, rhs in v_rows[1]:
-        mask = 0
-        for q in iter_bits(mask_pos):
-            mask |= 1 << zvars[n][q]
-        system.add_equation(mask, rhs)
+        system.add_equation(mask_pos << zstart[n], rhs)
     for mask_pos, rhs in u_rows[1]:
-        mask = 0
-        for q in iter_bits(mask_pos):
-            mask |= 1 << zvars[-n][q]
-        system.add_equation(mask, rhs)
+        system.add_equation(mask_pos << zstart[-n], rhs)
     # cycle conditions
     for i in range(-n, n + 1, 2):
-        keys = zkeys[i]
         below = slices.slice(-n + i - 1, -n - i - 1)
-        cols = slices.boundary_cols(keys, below)
-        for bit in range(len(below)):
-            mask = 0
-            for m, colv in enumerate(cols):
-                if (colv >> bit) & 1:
-                    mask |= 1 << zvars[i][m]
-            if mask:
-                system.add_equation(mask, 0)
+        for row in transpose(slices.boundary_cols(zkeys[i], below), len(below)):
+            if row:
+                system.add_equation(row << zstart[i], 0)
     # staircase relations: U z_i + V z_(i-2) must bound
     for i in range(-n + 2, n + 1, 2):
         tgt = slices.slice(-n + i - 2, -n - i)
         wkeys = slices.slice(-n + i - 1, -n - i + 1)
-        wvars = list(system.new_vars(len(wkeys)))
-        bcols = slices.boundary_cols(wkeys, tgt)
-        ucols = slices.shift_cols(zkeys[i], tgt, 1, 0)
-        vcols = slices.shift_cols(zkeys[i - 2], tgt, 0, 1)
-        for bit in range(len(tgt)):
-            mask = 0
-            for m, colv in enumerate(bcols):
-                if (colv >> bit) & 1:
-                    mask |= 1 << wvars[m]
-            for m, colv in enumerate(ucols):
-                if (colv >> bit) & 1:
-                    mask |= 1 << zvars[i][m]
-            for m, colv in enumerate(vcols):
-                if (colv >> bit) & 1:
-                    mask |= 1 << zvars[i - 2][m]
+        wstart = system.new_vars(len(wkeys)).start
+        brows = transpose(slices.boundary_cols(wkeys, tgt), len(tgt))
+        urows = transpose(slices.shift_cols(zkeys[i], tgt, 1, 0), len(tgt))
+        vrows = transpose(slices.shift_cols(zkeys[i - 2], tgt, 0, 1), len(tgt))
+        for b, u, v in zip(brows, urows, vrows):
+            mask = (b << wstart) | (u << zstart[i]) | (v << zstart[i - 2])
             if mask:
                 system.add_equation(mask, 0)
     return system.solve() is not None

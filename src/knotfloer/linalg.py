@@ -3,10 +3,6 @@
 A vector is a Python int (bit i = coordinate i); a matrix is a list of
 column ints. The pivot is always the highest set bit and input order is
 preserved, so every routine is deterministic.
-
-The sparse (row, col) entry-set representation only appears at the
-interface, in :class:`SparseMatGF2`; elimination always runs on dense
-bitmask columns.
 """
 
 from __future__ import annotations
@@ -174,89 +170,6 @@ class ColumnSolver:
         return len(self.pivots)
 
 
-def rank(cols: Sequence[int]) -> int:
-    ech = Echelon()
-    for c in cols:
-        ech.add(c)
-    return ech.dim
-
-
-def kernel_vectors(cols: Sequence[int]) -> List[int]:
-    """Basis of {x : sum_j x_j col_j = 0} as bitmasks over column indices."""
-    return ColumnSolver(cols).kernel
-
-
-def mask_to_bits(mask: int, n: int) -> Tuple[int, ...]:
-    return tuple((mask >> i) & 1 for i in range(n))
-
-
-def bits_to_mask(bits: Sequence[int]) -> int:
-    out = 0
-    for i, b in enumerate(bits):
-        if b & 1:
-            out |= 1 << i
-    return out
-
-
-class SparseMatGF2:
-    """GF(2) matrix with a sparse entry-set interface.
-
-    ``entries`` is a set of (row, col) positions holding 1; internally the
-    matrix is kept as dense bitmask columns.
-    """
-
-    __slots__ = ("rows", "cols", "entries", "_columns")
-
-    def __init__(self, rows: int, cols: int, entries: Iterable[Tuple[int, int]]):
-        self.rows = rows
-        self.cols = cols
-        ent = set()
-        for r, c in entries:
-            if not (0 <= r < rows and 0 <= c < cols):
-                raise ValueError(f"entry ({r},{c}) out of bounds for {rows}x{cols}")
-            if (r, c) in ent:
-                raise ValueError(f"duplicate entry ({r},{c})")
-            ent.add((r, c))
-        self.entries = frozenset(ent)
-        columns = [0] * cols
-        for r, c in ent:
-            columns[c] |= 1 << r
-        self._columns = columns
-
-    @classmethod
-    def from_dense(cls, rows: Sequence[Sequence[int]]) -> "SparseMatGF2":
-        nr = len(rows)
-        nc = len(rows[0]) if nr else 0
-        ent = [(r, c) for r in range(nr) for c in range(nc) if rows[r][c] & 1]
-        return cls(nr, nc, ent)
-
-    def column(self, j: int) -> int:
-        return self._columns[j]
-
-    def mul_vec(self, x: Sequence[int]) -> Tuple[int, ...]:
-        acc = 0
-        for j, xj in enumerate(x):
-            if xj & 1:
-                acc ^= self._columns[j]
-        return mask_to_bits(acc, self.rows)
-
-    def rank(self) -> int:
-        return rank(self._columns)
-
-    def solve(self, b: Sequence[int]):
-        """Solve A x = b.
-
-        Returns ``(x, kernel)`` where x is a 0/1 tuple or None when there is
-        no solution, and kernel is a basis of ker A as 0/1 tuples. A missing
-        solution is a normal outcome, not an error.
-        """
-        solver = ColumnSolver(self._columns)
-        combo = solver.solve(bits_to_mask(b))
-        x = None if combo is None else mask_to_bits(combo, self.cols)
-        ker = [mask_to_bits(k, self.cols) for k in solver.kernel]
-        return x, ker
-
-
 class LinearSystem:
     """Affine system over GF(2), assembled equation by equation.
 
@@ -294,17 +207,11 @@ class LinearSystem:
                     return None
                 continue
             pivots[mask.bit_length() - 1] = (mask, rhs)
-        # Back-substitute in ascending pivot order; free variables stay 0.
+        # Back-substitute in ascending pivot order; free variables stay 0,
+        # and bit p of the solution is still 0 when its row is read.
         solution = 0
         for p in sorted(pivots):
             mask, rhs = pivots[p]
-            val = rhs
-            rest = mask & ~(1 << p)
-            while rest:
-                q = rest & -rest
-                if solution & q:
-                    val ^= 1
-                rest ^= q
-            if val:
+            if rhs ^ ((mask & solution).bit_count() & 1):
                 solution |= 1 << p
         return solution

@@ -63,6 +63,20 @@ def random_fu_complex(rng: random.Random, max_size: int = 8) -> FUComplex:
     return fu
 
 
+def ipoly_mul(p: dict, q: dict) -> dict:
+    """Product of integer polynomials (dict exponent -> coefficient)."""
+    out: dict = {}
+    for e1, c1 in p.items():
+        for e2, c2 in q.items():
+            e = e1 + e2
+            c = out.get(e, 0) + c1 * c2
+            if c:
+                out[e] = c
+            else:
+                out.pop(e, None)
+    return out
+
+
 @pytest.fixture
 def rng():
     return random.Random(20240817)

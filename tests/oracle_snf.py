@@ -1,4 +1,4 @@
-"""Smith normal form over GF(2)[T].
+"""Smith-normal-form oracle for the tower engine.
 
 GF(2)[T] is a principal ideal domain with unit group {1}, so the Smith
 form needs no sign or leading-coefficient bookkeeping: pivoting on an
@@ -6,17 +6,72 @@ entry of minimal degree with exact division always terminates. The
 transforms U, V are products of elementary operations, hence have
 determinant 1; `verify_snf` re-multiplies the certificates.
 
-This module is the independent oracle for the tower computations in
-`fu`; it is deliberately simple and only meant for small matrices.
+`oracle_rank_and_top` computes the homology towers of a `FUComplex`
+from the Smith form alone, independently of `fu.tower_reduce`: kernel
+basis, image expressed in the kernel, invariant factors, and a rank
+test for the non-torsion homogeneous component. It is deliberately
+simple and only meant for small matrices.
+
+A GF(2)[T] polynomial is an int bitmask whose bit k is the coefficient
+of T^k.
 """
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from .rings import t_deg, t_divmod, t_mul
+from knotfloer.errors import ConsistencyError
+from knotfloer.fu import FUComplex
+from knotfloer.linalg import iter_bits
 
 TMatrix = List[List[int]]
+
+
+# --- GF(2)[T] as int bitmasks ----------------------------------------------
+
+
+def t_from_exps(exps) -> int:
+    out = 0
+    for k in exps:
+        if k < 0:
+            raise ValueError("negative T exponent")
+        out ^= 1 << k
+    return out
+
+
+def t_exps(p: int) -> tuple:
+    return tuple(k for k in range(p.bit_length()) if (p >> k) & 1)
+
+
+def t_deg(p: int) -> int:
+    """Degree, with deg(0) == -1."""
+    return p.bit_length() - 1
+
+
+def t_mul(a: int, b: int) -> int:
+    acc = 0
+    shift = 0
+    while b:
+        if b & 1:
+            acc ^= a << shift
+        b >>= 1
+        shift += 1
+    return acc
+
+
+def t_divmod(a: int, b: int) -> tuple:
+    if b == 0:
+        raise ZeroDivisionError("polynomial division by zero")
+    q = 0
+    db = t_deg(b)
+    while t_deg(a) >= db:
+        s = t_deg(a) - db
+        q ^= 1 << s
+        a ^= b << s
+    return q, a
+
+
+# --- matrices over GF(2)[T] --------------------------------------------------
 
 
 def t_mat_identity(n: int) -> TMatrix:
@@ -198,3 +253,106 @@ def solve_in_column_span(mat: TMatrix, target: List[int]):
                 acc ^= t_mul(v[i][j], y[j])
         w[i] = acc
     return w
+
+
+# --- homology towers of a FUComplex -------------------------------------------
+
+
+def _t_matrix(fu: FUComplex) -> TMatrix:
+    n = len(fu)
+    mat = [[0] * n for _ in range(n)]
+    for j, col in enumerate(fu.cols):
+        for i in iter_bits(col):
+            mat[i][j] = 1 << fu.power(i, j)
+    return mat
+
+
+def oracle_rank_and_top(fu: FUComplex) -> Tuple[int, Optional[int]]:
+    """(free rank of homology, top tower grading) via Smith normal form.
+
+    The top grading is only reported for rank one, which is the case the
+    invariants use. Everything here is GF(2)[T]-matrix algebra: kernel from
+    the Smith form of the differential, image expressed in the kernel,
+    invariant factors of the quotient, and a fraction-field rank test to
+    locate the non-torsion homogeneous component of the free generator.
+    """
+    n = len(fu)
+    if n == 0:
+        return 0, None
+    d = _t_matrix(fu)
+    factors, _u, v = smith_normal_form(d)
+    rank_d = len(factors)
+    # Kernel basis: columns of V past the rank.
+    ker: List[List[int]] = []
+    for j in range(rank_d, n):
+        ker.append([v[i][j] for i in range(n)])
+    kdim = len(ker)
+    free_rank = kdim - rank_d  # dim ker - dim im
+    if free_rank < 0:
+        raise ConsistencyError("oracle: negative homology rank")
+    if free_rank == 0:
+        return 0, None
+    # Express the image in the kernel basis.
+    kmat = [[ker[c][r] for c in range(kdim)] for r in range(n)]
+    im_in_ker: List[List[int]] = [[0] * n for _ in range(kdim)]
+    for j in range(n):
+        target = [d[i][j] for i in range(n)]
+        if not any(target):
+            continue
+        w = solve_in_column_span(kmat, target)
+        if w is None:
+            raise ConsistencyError("oracle: image column outside the kernel")
+        for r in range(kdim):
+            im_in_ker[r][j] = w[r]
+    mfac, mu, _mv = smith_normal_form(im_in_ker)
+    if kdim - len(mfac) != free_rank:
+        raise ConsistencyError("oracle: rank of quotient presentation disagrees")
+    if free_rank != 1:
+        return free_rank, None
+    # Free generator of ker/im: invert the row transform of the presentation.
+    muinv = _invert_transform(mu)
+    gen_ker = [muinv[r][len(mfac)] for r in range(kdim)]
+    # Ambient coordinates of the generator.
+    ambient = [0] * n
+    for r in range(kdim):
+        if gen_ker[r]:
+            for i in range(n):
+                if ker[r][i]:
+                    ambient[i] ^= t_mul(gen_ker[r], ker[r][i])
+    # Homogeneous components, graded by r_i - 2k.
+    components: Dict[int, List[int]] = {}
+    for i in range(n):
+        for k in t_exps(ambient[i]):
+            g = fu.gradings[i] - 2 * k
+            comp = components.setdefault(g, [0] * n)
+            comp[i] ^= 1 << k
+    tops = []
+    for g in sorted(components, reverse=True):
+        z = components[g]
+        stacked = [[d[i][j] for j in range(n)] + [z[i]] for i in range(n)]
+        if t_mat_rank(stacked) == rank_d + 1:
+            tops.append(g)
+    if len(tops) != 1:
+        raise ConsistencyError(
+            f"oracle: expected one non-torsion component, found {len(tops)}"
+        )
+    return 1, tops[0]
+
+
+def _invert_transform(mat: TMatrix) -> TMatrix:
+    """Inverse of a product of elementary GF(2)[T] operations.
+
+    Gauss-Jordan over the fraction field is unnecessary: the Smith
+    transforms are invertible over GF(2)[T], and solving column by column
+    against the identity with exact division recovers the inverse.
+    """
+    n = len(mat)
+    out = []
+    for j in range(n):
+        e = [1 if i == j else 0 for i in range(n)]
+        w = solve_in_column_span(mat, e)
+        if w is None:
+            raise ConsistencyError("transform is not invertible over GF(2)[T]")
+        out.append(w)
+    # out[j] is the j-th column of the inverse.
+    return [[out[j][i] for j in range(n)] for i in range(n)]

@@ -18,7 +18,7 @@ from knotfloer.bounds import (
 from knotfloer.builders import named_complex, staircase, staircase_dual, torus_knot_complex
 from knotfloer.cli import main
 from knotfloer.expressions import parse_knot_expr, realize_expr
-from knotfloer.fu import oracle_rank_and_top, tower_reduce
+from knotfloer.fu import tower_reduce
 from knotfloer.invariants import (
     compute_invariant_table,
     nu_plus,
@@ -30,6 +30,7 @@ from knotfloer.invariants import (
 from knotfloer.involutive import realize_with_iota, v0_bar_under
 
 from conftest import random_fu_complex
+from oracle_snf import oracle_rank_and_top
 
 K_EXPR = "T(2,3)#T(4,7)#-T(5,6)"
 J_EXPR = "T(2,11)#T(4,7)#-T(5,6)"

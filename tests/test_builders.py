@@ -3,16 +3,15 @@ import pytest
 from knotfloer.builders import (
     StepSequence,
     alexander_exponents,
+    ipoly_divexact,
     named_complex,
     staircase,
     staircase_dual,
-    staircase_transition_maps,
     torus_knot_complex,
 )
-from knotfloer.complexes import map_compose, verify_chain_map
 from knotfloer.errors import ValidationError
-from knotfloer.invariants import a_level_complex, slice_obstruction, tower_cycle
-from knotfloer.rings import ipoly_divexact, ipoly_mul
+
+from conftest import ipoly_mul
 
 
 def expand_oracle(p, q):
@@ -127,52 +126,3 @@ def test_named_registry():
     assert len(named_complex("HW").gens) == 3
     with pytest.raises(ValidationError):
         named_complex("nope")
-
-
-@pytest.mark.parametrize("n", [0, 1, 2, 3])
-def test_transition_maps(n):
-    down, up = staircase_transition_maps(n)
-    assert down.bidegree == (-2, -2)
-    assert up.bidegree == (0, 0)
-    assert verify_chain_map(down) is None
-    assert verify_chain_map(up) is None
-    # Alexander preservation: forced by the bidegrees, check a sample entry
-    for f in (down, up):
-        for src, tgt, a, b in f.terms():
-            assert (
-                f.target.gen(tgt).alexander - a + b
-                == f.source.gen(src).alexander
-            )
-    # locality: the image of the source tower cycle is again non-torsion
-    for f in (down, up):
-        level_src = a_level_complex(f.source, 0)
-        level_tgt = a_level_complex(f.target, 0)
-        cyc = tower_cycle(level_src)
-        want = slice_obstruction(level_tgt, cyc.grading + f.bidegree[0])
-        pos = {pair: m for m, pair in enumerate(want.slice)}
-        image = {}
-        for src, tgt, a, b in f.terms():
-            image.setdefault(f.source.index[src], []).append((f.target.index[tgt], a, b))
-        vec = 0
-        for si, power in cyc.terms:
-            iu, jv = level_src.min_monomials[si]
-            for ti, a, b in image.get(si, ()):
-                tu, tv = level_tgt.min_monomials[ti]
-                k = iu + a - tu
-                assert k == jv + b - tv and k >= 0
-                vec ^= 1 << pos[(ti, k + power)]
-        for mask, rhs in want.rows:
-            assert bin(vec & mask).count("1") % 2 == rhs
-    comp = map_compose(down, up)
-    assert comp.bidegree == (-2, -2)
-    assert verify_chain_map(comp) is None
-
-
-def test_transition_map_n0_shape():
-    down, up = staircase_transition_maps(0)
-    # the inclusion sends the generator to a (0,0)-cycle; V x(-1) + U x(1)
-    # is the canonical choice and any valid solution is a cycle
-    image = [(tgt, u, v) for src, tgt, u, v in up.terms() if src == "x0"]
-    assert image
-    for tgt, u, v in image:
-        assert (tgt, u, v) in (("x-1", 0, 1), ("x1", 1, 0))

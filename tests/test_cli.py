@@ -197,6 +197,26 @@ def test_validate_rejects_bad_gradings(tmp_path, capsys):
     assert code == 3
 
 
+def test_validate_rejects_non_knotlike(tmp_path, capsys):
+    # Well formed, but two towers: localized homology has rank 2.
+    two = tmp_path / "two.cfk"
+    two.write_text(
+        json.dumps(
+            {
+                "generators": [
+                    {"id": "a", "grw": 0, "grz": 0},
+                    {"id": "b", "grw": 0, "grz": 0},
+                ],
+                "differential": [],
+            }
+        )
+    )
+    code, out, err = run_cli(["validate", "--expr", f"@{two}"], capsys)
+    assert code == 3
+    assert out == ""
+    assert "knot-like" in err
+
+
 def test_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "knotfloer.cli", "report", "--expr", "T(2,3)"],

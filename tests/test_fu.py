@@ -5,14 +5,11 @@ import pytest
 from knotfloer.builders import staircase, staircase_dual, torus_knot_complex
 from knotfloer.complexes import UNKNOT
 from knotfloer.errors import ValidationError
-from knotfloer.fu import (
-    FUComplex,
-    oracle_rank_and_top,
-    tower_reduce,
-)
+from knotfloer.fu import FUComplex, tower_reduce
 from knotfloer.invariants import a_level_complex, d_invariant
 
 from conftest import random_fu_complex
+from oracle_snf import oracle_rank_and_top
 
 
 def test_validation_catches_bad_powers():

@@ -1,67 +1,55 @@
-import random
+from knotfloer.linalg import ColumnSolver, Echelon, LinearSystem, iter_bits
 
-from knotfloer.linalg import (
-    ColumnSolver,
-    Echelon,
-    LinearSystem,
-    SparseMatGF2,
-    bits_to_mask,
-    mask_to_bits,
-)
+
+def _combine(cols, combo):
+    """Sum of the columns picked by the bits of combo."""
+    acc = 0
+    for j in iter_bits(combo):
+        acc ^= cols[j]
+    return acc
 
 
 def test_affine_solve_invertible():
-    a = SparseMatGF2.from_dense([[1, 1], [0, 1]])
-    x, kernel = a.solve((1, 0))
-    assert x == (1, 0)
-    assert kernel == []
+    # rows (1 1), (0 1): bit i of a column is row i
+    solver = ColumnSolver([0b01, 0b11])
+    assert solver.solve(0b01) == 0b01
+    assert solver.kernel == []
 
 
 def test_affine_solve_underdetermined():
-    a = SparseMatGF2.from_dense([[1, 1]])
-    x, kernel = a.solve((1,))
-    assert x == (1, 0)
-    assert kernel == [(1, 1)]
+    solver = ColumnSolver([0b1, 0b1])
+    assert solver.solve(0b1) == 0b01  # the free variable stays 0
+    assert solver.kernel == [0b11]
 
 
 def test_affine_solve_no_solution():
-    a = SparseMatGF2.from_dense([[0, 0], [0, 0]])
-    x, kernel = a.solve((1, 0))
-    assert x is None
-    assert len(kernel) == 2
+    solver = ColumnSolver([0, 0])
+    assert solver.solve(0b01) is None
+    assert len(solver.kernel) == 2
 
 
 def test_solutions_verify_and_dimension(rng):
     for _ in range(200):
         rows = rng.randint(1, 7)
-        cols = rng.randint(1, 7)
-        dense = [[rng.randint(0, 1) for _ in range(cols)] for _ in range(rows)]
-        a = SparseMatGF2(rows, cols, [(r, c) for r in range(rows) for c in range(cols) if dense[r][c]])
-        x0 = tuple(rng.randint(0, 1) for _ in range(cols))
-        b = a.mul_vec(x0)
-        x, kernel = a.solve(b)
+        ncols = rng.randint(1, 7)
+        cols = [rng.getrandbits(rows) for _ in range(ncols)]
+        b = _combine(cols, rng.getrandbits(ncols))
+        solver = ColumnSolver(cols)
+        x = solver.solve(b)
         assert x is not None
-        assert a.mul_vec(x) == b
-        for v in kernel:
-            assert a.mul_vec(v) == (0,) * rows
-        assert len(kernel) == cols - a.rank()
+        assert _combine(cols, x) == b
+        for v in solver.kernel:
+            assert v and _combine(cols, v) == 0
+        assert len(solver.kernel) == ncols - Echelon(cols).dim
 
 
 def test_solve_deterministic(rng):
-    dense = [[1, 0, 1, 1], [0, 1, 1, 0]]
-    a = SparseMatGF2.from_dense(dense)
-    first = a.solve((1, 1))
+    cols = [0b01, 0b10, 0b11, 0b01]  # rows (1 0 1 1), (0 1 1 0)
+    solver = ColumnSolver(cols)
+    first = (solver.solve(0b11), solver.kernel)
     for _ in range(5):
-        assert SparseMatGF2.from_dense(dense).solve((1, 1)) == first
-
-
-def test_duplicate_entry_rejected():
-    try:
-        SparseMatGF2(2, 2, [(0, 0), (0, 0)])
-    except ValueError as exc:
-        assert "duplicate" in str(exc)
-    else:
-        raise AssertionError("duplicate entry accepted")
+        again = ColumnSolver(cols)
+        assert (again.solve(0b11), again.kernel) == first
 
 
 def test_echelon_projection_is_linear(rng):
@@ -123,7 +111,3 @@ def test_linear_system_inconsistent():
     system.add_equation(0b11, 0)
     system.add_equation(0b11, 1)
     assert system.solve() is None
-
-
-def test_mask_round_trip():
-    assert bits_to_mask(mask_to_bits(0b1011, 5)) == 0b1011
