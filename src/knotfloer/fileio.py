@@ -7,17 +7,24 @@ gradings and exponents exact integers. The optional `iota` field has the
 same entry shape and is interpreted as a skew-equivariant involution
 candidate; it must pass the skew chain-map checks.
 
-Loading validates everything and reports violations with entry context;
-saving canonicalizes ordering so that save(load(f)) is byte-stable.
+Loading validates everything and reports violations with entry context.
+Saving writes exactly the bytes of `json.dump(obj, indent=1,
+sort_keys=True)` plus a newline: ASCII, with `\\u` escapes, and entries
+in (from, to) label order, so save(load(f)) is byte-stable. The writer
+formats the fixed-shape entries itself because `indent` forces `json`
+onto its pure-Python encoder; `tests/oracle_io.py` keeps the `json.dump`
+writer as the reference.
 """
 
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii
 from typing import List, Optional, Tuple
 
-from .complexes import BigradedComplex, Generator, SkewMap, Term, verify_chain_map
+from .complexes import BigradedComplex, ChainMap, Generator, SkewMap, Term, verify_chain_map
 from .errors import FileFormatError, ValidationError
+from .linalg import iter_bits
 
 
 def _field(entry: dict, ctx: str, key: str, kind):
@@ -32,9 +39,45 @@ def _field(entry: dict, ctx: str, key: str, kind):
     return value
 
 
+def _parse_generators(raw) -> List[Generator]:
+    if not isinstance(raw, list) or not raw:
+        raise FileFormatError("'generators' must be a nonempty list")
+    try:
+        rows = [(g["id"], g["grw"], g["grz"]) for g in raw]
+    except (KeyError, TypeError):  # an entry that is not an object or lacks a field
+        rows = None
+    if rows is not None and all(
+        type(n) is str and type(w) is int and type(z) is int for n, w, z in rows
+    ):
+        return [Generator(*row) for row in rows]
+    # Some entry is faulty: check them in order and name the first.
+    gens = []
+    for idx, g in enumerate(raw):
+        ctx = f"generator entry #{idx}"
+        if not isinstance(g, dict):
+            raise FileFormatError(f"{ctx}: expected an object")
+        gens.append(Generator(_field(g, ctx, "id", str), _field(g, ctx, "grw", int), _field(g, ctx, "grz", int)))
+    return gens
+
+
 def _parse_entries(raw, kind: str, names) -> List[Term]:
     if not isinstance(raw, list):
         raise FileFormatError(f"'{kind}' must be a list")
+    try:
+        quads = [(e["from"], e["to"], e["u"], e["v"]) for e in raw]
+    except (KeyError, TypeError):  # an entry that is not an object or lacks a field
+        quads = None
+    if (
+        quads is not None
+        and all(
+            type(s) is str and type(t) is str and type(u) is int and type(v) is int
+            and u >= 0 and v >= 0 and s in names and t in names
+            for s, t, u, v in quads
+        )
+        and len(set(quads)) == len(quads)
+    ):
+        return quads
+    # Some entry is faulty: check them in order and name the first.
     seen = set()
     out: List[Term] = []
     for idx, entry in enumerate(raw):
@@ -69,15 +112,7 @@ def load_complex(path: str) -> Tuple[BigradedComplex, Optional[SkewMap]]:
         raise FileFormatError(f"{path} is not well-formed JSON: {exc}") from None
     if not isinstance(data, dict):
         raise FileFormatError("top level must be an object")
-    gens_raw = data.get("generators")
-    if not isinstance(gens_raw, list) or not gens_raw:
-        raise FileFormatError("'generators' must be a nonempty list")
-    gens = []
-    for idx, g in enumerate(gens_raw):
-        ctx = f"generator entry #{idx}"
-        if not isinstance(g, dict):
-            raise FileFormatError(f"{ctx}: expected an object")
-        gens.append(Generator(_field(g, ctx, "id", str), _field(g, ctx, "grw", int), _field(g, ctx, "grz", int)))
+    gens = _parse_generators(data.get("generators"))
     names = {g.name for g in gens}
     terms = _parse_entries(data.get("differential", []), "differential", names)
     try:
@@ -99,29 +134,64 @@ def load_complex(path: str) -> Tuple[BigradedComplex, Optional[SkewMap]]:
     return complex_, iota
 
 
+# One entry of each list as `json.dump(indent=1, sort_keys=True)` lays it out.
+_GENERATOR = '  {\n   "grw": %d,\n   "grz": %d,\n   "id": %s\n  }'
+_TERM = '  {\n   "from": %s,\n   "to": %s,\n   "u": %d,\n   "v": %d\n  }'
+
+
+def _block(key: str, entries: List[str]) -> str:
+    if not entries:
+        return f' "{key}": []'
+    return f' "{key}": [\n' + ",\n".join(entries) + "\n ]"
+
+
+def _term_entries(f: ChainMap, quoted: List[str], order: List[int], rank: List[int]) -> List[str]:
+    """The entries of f, sorted by (from, to) label; labels are distinct."""
+    bw, bz = f.bases
+    tw, tz = f.target.grw, f.target.grz
+    cols = f.cols
+    return [
+        _TERM % (quoted[i], quoted[j], (tw[j] - bw[i]) // 2, (tz[j] - bz[i]) // 2)
+        for i in order
+        for j in sorted(iter_bits(cols[i]), key=rank.__getitem__)
+    ]
+
+
+def _format_complex(complex_: BigradedComplex, name: str, iota: Optional[SkewMap]) -> str:
+    labels = complex_.labels
+    quoted = list(map(encode_basestring_ascii, labels))
+    order = sorted(range(len(labels)), key=labels.__getitem__)
+    rank = [0] * len(labels)
+    for position, i in enumerate(order):
+        rank[i] = position
+    blocks = [
+        _block("differential", _term_entries(complex_.d, quoted, order, rank)),
+        _block("generators", list(map(_GENERATOR.__mod__, zip(complex_.grw, complex_.grz, quoted)))),
+    ]
+    if iota is not None:
+        blocks.append(_block("iota", _term_entries(iota, quoted, order, rank)))
+    blocks.append(' "name": ' + encode_basestring_ascii(name))
+    return "{\n" + ",\n".join(blocks) + "\n}\n"
+
+
 def save_complex(
     complex_: BigradedComplex,
     path: str,
     name: str = "",
     iota: Optional[SkewMap] = None,
 ) -> None:
-    """Write a complex (and iota) in canonical order; labels must be distinct."""
+    """Write a complex (and iota) in canonical order; labels must be distinct.
+
+    Nothing is written, and a file already at `path` is left as it was,
+    when the complex or the name cannot be saved.
+    """
     dup = complex_.repeated_label()
     if dup is not None:
         raise ValidationError(f"cannot save: generator label {dup!r} is repeated")
-
-    def entry_list(terms):
-        return [{"from": s, "to": t, "u": u, "v": v} for s, t, u, v in sorted(terms)]
-
-    data = {
-        "name": name,
-        "generators": [
-            {"id": g.name, "grw": g.grw, "grz": g.grz} for g in complex_.gens
-        ],
-        "differential": entry_list(complex_.terms()),
-    }
-    if iota is not None:
-        data["iota"] = entry_list(iota.terms())
+    if not isinstance(name, str):
+        raise ValidationError(f"cannot save: name must be a string, got {name!r}")
+    if iota is not None and iota.source.labels != complex_.labels:
+        raise ValidationError("cannot save: iota is a map on another complex")
+    text = _format_complex(complex_, name, iota)
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(data, handle, indent=1, sort_keys=True)
-        handle.write("\n")
+        handle.write(text)

@@ -1,12 +1,20 @@
+import functools
 import json
 import os
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from knotfloer.builders import named_complex, staircase
-from knotfloer.errors import FileFormatError
+from knotfloer.cli import main
+from knotfloer.complexes import UNKNOT, BigradedComplex, Generator
+from knotfloer.errors import FileFormatError, ValidationError
+from knotfloer.expressions import parse_knot_expr
 from knotfloer.fileio import load_complex, save_complex
-from knotfloer.involutive import staircase_iota
+from knotfloer.involutive import realize_with_iota, staircase_iota
+from oracle_io import save_complex_json
+from test_digests import SAVED
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -155,8 +163,6 @@ def _one_arrow_file():
 
 @pytest.mark.parametrize("where,field,value", STRICT_CASES)
 def test_fields_must_be_exact_types(tmp_path, capsys, where, field, value):
-    from knotfloer.cli import main
-
     data = _one_arrow_file()
     data[where][1][field] = value
     path = tmp_path / "bad.cfk"
@@ -170,10 +176,8 @@ def test_fields_must_be_exact_types(tmp_path, capsys, where, field, value):
     assert out == "" and entry in err_text
 
 
-def test_save_rejects_repeated_labels(tmp_path):
-    from knotfloer.complexes import BigradedComplex, Generator
-    from knotfloer.errors import ValidationError
-
+def _colliding_sum():
+    """A valid tensor product in which the label 'a|b|c' occurs twice."""
     left = BigradedComplex.from_terms(
         [Generator("a", 0, 0), Generator("a|b", 1, 1), Generator("z", 0, 0)],
         [("a|b", "z", 0, 0)],
@@ -182,8 +186,226 @@ def test_save_rejects_repeated_labels(tmp_path):
         [Generator("c", 0, 0), Generator("b|c", 1, 1), Generator("w", 0, 0)],
         [("b|c", "w", 0, 0)],
     )
+    return left.tensor(right)
+
+
+def test_save_rejects_repeated_labels(tmp_path):
     path = tmp_path / "sum.cfk"
     with pytest.raises(ValidationError) as err:
-        save_complex(left.tensor(right), str(path))
+        save_complex(_colliding_sum(), str(path))
     assert "'a|b|c'" in str(err.value)
     assert not path.exists()
+
+
+# --- the writer against the json.dump oracle --------------------------------
+
+# Settings for the property tests: fixed seeds, no example database, and
+# one temporary directory reused by every example.
+PROPERTY = dict(
+    derandomize=True,
+    database=None,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+
+
+def _assert_matches_oracle(tmp_path, c, name="", iota=None):
+    """save_complex writes the oracle's bytes, and save(load(f)) keeps them."""
+    new, ref = tmp_path / "new.cfk", tmp_path / "ref.cfk"
+    save_complex(c, str(new), name, iota)
+    save_complex_json(c, str(ref), name, iota)
+    first = new.read_bytes()
+    assert first == ref.read_bytes()
+    loaded, loaded_iota = load_complex(str(new))
+    save_complex(loaded, str(new), name, loaded_iota)
+    assert new.read_bytes() == first
+
+
+def _sum(expr):
+    c, iota = realize_with_iota(parse_knot_expr(expr))
+    return c, expr, iota
+
+
+def _hw_round_trip():
+    c, iota = load_complex(os.path.join(DATA, "hw.cfk"))
+    return c, "hw", iota
+
+
+def _odd_labels():
+    s2 = staircase(2)
+    s2 = s2.relabel(dict(zip(s2.labels, ['q"', "b\\s", "é", "x\ny", "a|b"])))
+    return s2, 'ünï"x', staircase_iota(s2)
+
+
+ORACLE_CASES = {
+    **{expr: functools.partial(_sum, expr) for expr in SAVED},
+    "hw round trip": _hw_round_trip,
+    "unknot": lambda: (UNKNOT, "", None),
+    "odd labels": _odd_labels,
+}
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_writer_matches_json_dump(tmp_path, case):
+    _assert_matches_oracle(tmp_path, *ORACLE_CASES[case]())
+
+
+SMALL_KNOTS = ["T(2,3)", "T(2,5)", "T(2,7)", "T(3,4)", "T(3,5)"]
+
+
+@settings(max_examples=25, **PROPERTY)
+@given(
+    parts=st.lists(st.tuples(st.booleans(), st.sampled_from(SMALL_KNOTS)), min_size=1, max_size=3),
+    with_iota=st.booleans(),
+)
+def test_writer_matches_json_dump_on_random_sums(tmp_path, parts, with_iota):
+    expr = "#".join(("-" if mirrored else "") + knot for mirrored, knot in parts)
+    c, iota = realize_with_iota(parse_knot_expr(expr))
+    _assert_matches_oracle(tmp_path, c, expr, iota if with_iota else None)
+
+
+@pytest.mark.parametrize(
+    "complex_,kwargs",
+    [
+        (_colliding_sum(), {}),
+        (staircase(1), {"name": object()}),
+        (staircase(1), {"name": 5}),
+        (staircase(1), {"iota": staircase_iota(staircase(2))}),
+    ],
+    ids=["repeated label", "name object", "name int", "iota of another complex"],
+)
+def test_failed_save_keeps_existing_file(tmp_path, complex_, kwargs):
+    path = tmp_path / "keep.cfk"
+    path.write_bytes(b"old bytes\n")
+    with pytest.raises(ValidationError):
+        save_complex(complex_, str(path), **kwargs)
+    assert path.read_bytes() == b"old bytes\n"
+
+
+# --- loader errors late in a long file --------------------------------------
+
+LONG_SUM = "T(2,5)#T(2,7)#-T(2,3)"  # 105 generators, 244 differential and 152 iota entries
+
+
+@pytest.fixture(scope="module")
+def long_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("long") / "long.cfk"
+    c, iota = realize_with_iota(parse_knot_expr(LONG_SUM))
+    save_complex(c, str(path), LONG_SUM, iota)
+    return json.loads(path.read_text())
+
+
+def _set(key, value):
+    def edit(entries, k):
+        entries[k][key] = value
+
+    return edit
+
+
+def _delete(key):
+    def edit(entries, k):
+        del entries[k][key]
+
+    return edit
+
+
+def _replace(value):
+    def edit(entries, k):
+        entries[k] = value
+
+    return edit
+
+
+def _duplicate(entries, k):
+    entries[k] = dict(entries[k - 1])
+
+
+def _two_faults(entries, k):
+    entries[k]["u"] = -1
+    entries[k + 30] = "not an object"
+
+
+LATE_FAULTS = [
+    # (list, entry index, edit, message after "<kind> entry #<k>: ")
+    ("differential", 200, _replace(["from"]), "expected an object"),
+    ("differential", 200, _delete("u"), "missing field 'u'"),
+    ("differential", 200, _set("u", 1.0), "field 'u' must be an integer, got 1.0"),
+    ("differential", 200, _set("v", True), "field 'v' must be an integer, got True"),
+    ("differential", 200, _set("from", 7), "field 'from' must be a string, got 7"),
+    ("differential", 200, _set("u", -1), "field 'u' must be nonnegative, got -1"),
+    ("differential", 200, _set("to", "nowhere"), "unknown generator 'nowhere' in 'to'"),
+    ("differential", 200, _duplicate, "duplicate term"),
+    ("differential", 180, _two_faults, "field 'u' must be nonnegative, got -1"),
+    ("generators", 100, _replace("x"), "expected an object"),
+    ("generators", 100, _delete("grw"), "missing field 'grw'"),
+    ("generators", 100, _set("grz", "-3"), "field 'grz' must be an integer, got '-3'"),
+    ("generators", 100, _set("grw", 1.0), "field 'grw' must be an integer, got 1.0"),
+    ("generators", 100, _set("grw", True), "field 'grw' must be an integer, got True"),
+    ("generators", 100, _set("id", 5), "field 'id' must be a string, got 5"),
+    ("iota", 150, _set("v", -2), "field 'v' must be nonnegative, got -2"),
+    ("iota", 150, _duplicate, "duplicate term"),
+]
+
+
+@pytest.mark.parametrize("where,k,edit,message", LATE_FAULTS)
+def test_late_fault_is_named(tmp_path, long_file, where, k, edit, message):
+    data = json.loads(json.dumps(long_file))
+    edit(data[where], k)
+    path = tmp_path / "bad.cfk"
+    path.write_text(json.dumps(data))
+    with pytest.raises(FileFormatError) as err:
+        load_complex(str(path))
+    kind = "generator" if where == "generators" else where
+    if message == "duplicate term":
+        entry = data[where][k]
+        message += f" {(entry['from'], entry['to'], entry['u'], entry['v'])}"
+    assert str(err.value) == f"{kind} entry #{k}: {message}"
+
+
+# --- validate on mutated files ----------------------------------------------
+
+FUZZ_SUM = "T(2,5)#-T(3,4)"
+MUTATIONS = ("delete", "retype", "bump", "duplicate", "truncate")
+
+
+@pytest.fixture(scope="module")
+def fuzz_text(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "base.cfk"
+    c, iota = realize_with_iota(parse_knot_expr(FUZZ_SUM))
+    save_complex(c, str(path), FUZZ_SUM, iota)
+    return path.read_text()
+
+
+@settings(max_examples=200, **PROPERTY)
+@given(data=st.data())
+def test_validate_survives_mutated_files(tmp_path, capsys, fuzz_text, data):
+    mutation = data.draw(st.sampled_from(MUTATIONS), label="mutation")
+    if mutation == "truncate":
+        text = fuzz_text[: data.draw(st.integers(0, len(fuzz_text) - 1), label="length")]
+    else:
+        obj = json.loads(fuzz_text)
+        where = data.draw(st.sampled_from(["generators", "differential", "iota"]), label="list")
+        entries = obj[where]
+        k = data.draw(st.integers(0, len(entries) - 1), label="entry")
+        if mutation == "delete":
+            holder = data.draw(st.sampled_from([obj, entries[k]]), label="holder")
+            del holder[data.draw(st.sampled_from(sorted(holder)), label="key")]
+        elif mutation == "retype":
+            key = data.draw(st.sampled_from(sorted(entries[k])), label="key")
+            entries[k][key] = data.draw(
+                st.sampled_from([None, True, 1.5, "1", str(entries[k][key]), [], {}, -1]),
+                label="value",
+            )
+        elif mutation == "bump":
+            key = data.draw(
+                st.sampled_from(["grw", "grz"] if where == "generators" else ["u", "v"]),
+                label="key",
+            )
+            entries[k][key] += data.draw(st.sampled_from([-2, -1, 1, 2]), label="by")
+        else:
+            entries.insert(k, dict(entries[k]))
+        text = json.dumps(obj, indent=1)
+    path = tmp_path / "mutated.cfk"
+    path.write_text(text)
+    assert main(["validate", f"--expr=@{path}"]) in (0, 2, 3)
+    capsys.readouterr()
