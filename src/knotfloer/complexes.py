@@ -29,8 +29,7 @@ which checks every term against the gradings.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import ValidationError
 from .fu import FUComplex
@@ -40,8 +39,7 @@ from .linalg import gap_guard, iter_bits, transpose, value_masks
 Term = Tuple[str, str, int, int]
 
 
-@dataclass(frozen=True)
-class Generator:
+class Generator(NamedTuple):
     name: str
     grw: int
     grz: int
@@ -69,13 +67,13 @@ class BigradedComplex:
             raise ValidationError("grading and column lists differ in length")
 
     @classmethod
-    def from_terms(cls, gens: Sequence[Generator], terms: Iterable[Term]) -> "BigradedComplex":
-        """Complex from generators and monomial terms of d.
+    def from_terms(cls, gens: Sequence[Tuple[str, int, int]], terms: Iterable[Term]) -> "BigradedComplex":
+        """Complex from (name, grw, grz) generator rows and monomial terms of d.
 
         Every term must carry the exponents its gradings imply; the
         inhomogeneous ones are reported together.
         """
-        c = cls([g.name for g in gens], [g.grw for g in gens], [g.grz for g in gens], [0] * len(gens))
+        c = cls([g[0] for g in gens], [g[1] for g in gens], [g[2] for g in gens], [0] * len(gens))
         dup = c.repeated_label()
         if dup is not None:
             raise ValidationError(f"duplicate generator id {dup!r}")

@@ -22,7 +22,7 @@ import json
 from json.encoder import encode_basestring_ascii
 from typing import List, Optional, Tuple
 
-from .complexes import BigradedComplex, ChainMap, Generator, SkewMap, Term, verify_chain_map
+from .complexes import BigradedComplex, ChainMap, SkewMap, Term, verify_chain_map
 from .errors import FileFormatError, ValidationError
 from .linalg import iter_bits
 
@@ -39,7 +39,8 @@ def _field(entry: dict, ctx: str, key: str, kind):
     return value
 
 
-def _parse_generators(raw) -> List[Generator]:
+def _parse_generators(raw) -> List[Tuple[str, int, int]]:
+    """The (id, grw, grz) row of each generator entry, checked."""
     if not isinstance(raw, list) or not raw:
         raise FileFormatError("'generators' must be a nonempty list")
     try:
@@ -49,15 +50,15 @@ def _parse_generators(raw) -> List[Generator]:
     if rows is not None and all(
         type(n) is str and type(w) is int and type(z) is int for n, w, z in rows
     ):
-        return [Generator(*row) for row in rows]
+        return rows
     # Some entry is faulty: check them in order and name the first.
-    gens = []
+    rows = []
     for idx, g in enumerate(raw):
         ctx = f"generator entry #{idx}"
         if not isinstance(g, dict):
             raise FileFormatError(f"{ctx}: expected an object")
-        gens.append(Generator(_field(g, ctx, "id", str), _field(g, ctx, "grw", int), _field(g, ctx, "grz", int)))
-    return gens
+        rows.append((_field(g, ctx, "id", str), _field(g, ctx, "grw", int), _field(g, ctx, "grz", int)))
+    return rows
 
 
 def _parse_entries(raw, kind: str, names) -> List[Term]:
@@ -113,7 +114,7 @@ def load_complex(path: str) -> Tuple[BigradedComplex, Optional[SkewMap]]:
     if not isinstance(data, dict):
         raise FileFormatError("top level must be an object")
     gens = _parse_generators(data.get("generators"))
-    names = {g.name for g in gens}
+    names = {row[0] for row in gens}
     terms = _parse_entries(data.get("differential", []), "differential", names)
     try:
         complex_ = BigradedComplex.from_terms(gens, terms).require_valid()

@@ -35,15 +35,6 @@ class FUComplex:
     def __len__(self) -> int:
         return len(self.labels)
 
-    def power(self, row: int, col: int) -> int:
-        """Implied T-power of the (row, col) entry."""
-        k2 = self.gradings[row] - self.gradings[col] + 1
-        if k2 % 2 or k2 < 0:
-            raise ValidationError(
-                f"entry {self.labels[col]} -> {self.labels[row]} has no legal T-power"
-            )
-        return k2 // 2
-
     def validate(self) -> List[str]:
         out: List[str] = []
         for j, col in enumerate(self.cols):
@@ -69,28 +60,6 @@ class FUComplex:
         if violations:
             raise ValidationError(violations)
         return self
-
-    # -- grading slices -------------------------------------------------
-
-    def slice_basis(self, rho: int) -> List[Tuple[int, int]]:
-        """Elements T^k e_i of grading rho, as (index, power) pairs."""
-        out = []
-        for i, r in enumerate(self.gradings):
-            k2 = r - rho
-            if k2 >= 0 and k2 % 2 == 0:
-                out.append((i, k2 // 2))
-        return out
-
-    def boundary_columns(self, src_slice: List[Tuple[int, int]], tgt_slice: List[Tuple[int, int]]):
-        """Boundary matrix between adjacent slices, columns as bitmasks."""
-        pos = {pair: n for n, pair in enumerate(tgt_slice)}
-        cols = []
-        for i, k in src_slice:
-            mask = 0
-            for m in iter_bits(self.cols[i]):
-                mask |= 1 << pos[(m, k + self.power(m, i))]
-            cols.append(mask)
-        return cols
 
 
 # --- reduction along the grading filtration --------------------------------

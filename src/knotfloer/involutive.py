@@ -15,16 +15,16 @@ level-0 subcomplex, with the cone variable Q of degree -1:
     upper d = 1 + max grading of a T-non-torsion class eventually landing
               in the image of Q.
 
-Both are decided by affine feasibility per grading slice; the power caps
-are exact because slice maps become isomorphisms below the bottom
-grading of the basis.
+Once T is inverted, iota fixes the level-0 tower, so the cone has two
+towers of opposite parity. The image of Q is torsion in even gradings and
+swallows the odd tower, so lower d is the top of the even tower and upper
+d is one more than the top of the odd one: one tower reduction of the
+cone gives both.
 """
 
 from __future__ import annotations
 
-import functools
-from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Tuple
 
 from .complexes import (
     BigradedComplex,
@@ -39,8 +39,8 @@ from .complexes import (
 )
 from .errors import ConsistencyError, ValidationError
 from .fu import FUComplex, tower_reduce
-from .invariants import ALevel, a_level_complex, v_invariant
-from .linalg import ColumnSolver, Echelon, iter_bits, transpose
+from .invariants import a_level_complex, v_invariant
+from .linalg import transpose
 
 
 def staircase_iota(c: BigradedComplex) -> SkewMap:
@@ -130,17 +130,8 @@ def realize_with_iota(expr):
 # --- the mapping cone -------------------------------------------------------
 
 
-@dataclass
-class Cone:
-    """Cone of (1 + iota) on the level-0 subcomplex, Q of degree -1."""
-
-    fu: FUComplex
-    level: ALevel
-    one_plus_iota_cols: Tuple[int, ...]  # columns over the level basis
-
-
-def ai0_cone(c: BigradedComplex, iota: SkewMap) -> Cone:
-    """Cone of (1 + iota) on the level-0 subcomplex.
+def ai0_cone(c: BigradedComplex, iota: SkewMap) -> FUComplex:
+    """Cone of (1 + iota) on the level-0 subcomplex, Q of degree -1.
 
     A verified skew map swaps the gradings, so on the level-0 basis it is
     grading-preserving and its T-powers are implied like those of d: its
@@ -149,134 +140,44 @@ def ai0_cone(c: BigradedComplex, iota: SkewMap) -> Cone:
     violation = verify_chain_map(iota)
     if violation is not None:
         raise ValidationError(f"involution fails verification: {violation}")
-    level = a_level_complex(c, 0)
-    n = len(level.fu.labels)
-    one_plus = tuple(col ^ (1 << j) for j, col in enumerate(iota.cols))
-    labels = list(level.fu.labels) + ["Q|" + lbl for lbl in level.fu.labels]
-    gradings = list(level.fu.gradings) + [r - 1 for r in level.fu.gradings]
-    cols = [col | (op << n) for col, op in zip(level.fu.cols, one_plus)]
-    cols += [col << n for col in level.fu.cols]
-    fu = FUComplex(tuple(labels), tuple(gradings), tuple(cols)).require_valid()
-    return Cone(fu, level, one_plus)
+    level = a_level_complex(c, 0).fu
+    n = len(level)
+    labels = list(level.labels) + ["Q|" + lbl for lbl in level.labels]
+    gradings = list(level.gradings) + [r - 1 for r in level.gradings]
+    one_plus = [col ^ (1 << j) for j, col in enumerate(iota.cols)]
+    cols = [col | (op << n) for col, op in zip(level.cols, one_plus)]
+    cols += [col << n for col in level.cols]
+    return FUComplex(labels, gradings, cols).require_valid()
 
 
-def _q_image_vectors(cone: Cone, gamma: int, deep_slice) -> List[int]:
-    """Q-part vectors at cone grading gamma coming from homology classes.
+def involutive_d_pair(cone: FUComplex) -> Tuple[int, int]:
+    """(upper d, lower d) of the cone, read off its two tower tops.
 
-    Sources are level cycles a with (1 + iota) a a boundary; their images
-    Q a span the image of the Q-action on homology at this grading.
+    After T is inverted, iota is the identity on the rank-one tower of the
+    level-0 complex, so 1 + iota vanishes there and the cone has exactly
+    two towers: the level-0 tower in even gradings and its Q-shift in odd
+    gradings. In even gradings the image of Q is torsion, so every
+    non-torsion even class stays outside it; every non-torsion odd class
+    lands in it after some power of T. Hence lower d is the grading of the
+    even unpaired generator and upper d is one more than that of the odd
+    one.
     """
-    level_fu = cone.level.fu
-    n = len(level_fu.labels)
-    a_slice = level_fu.slice_basis(gamma + 1)
-    if not a_slice:
-        return []
-    below = level_fu.slice_basis(gamma)
-    bcols = level_fu.boundary_columns(a_slice, below)
-    im_same = Echelon(
-        level_fu.boundary_columns(level_fu.slice_basis(gamma + 2), a_slice)
-    )
-    pos = {pair: m for m, pair in enumerate(a_slice)}
-    stacked = []
-    for m, (i, k) in enumerate(a_slice):
-        acc = 0
-        for ti in iter_bits(cone.one_plus_iota_cols[i]):
-            kk = k + (level_fu.gradings[ti] - level_fu.gradings[i]) // 2
-            acc |= 1 << pos[(ti, kk)]
-        reduced = im_same.reduce(acc)
-        stacked.append(bcols[m] | (reduced << len(below)))
-    cycles_with_bounding = ColumnSolver(stacked).kernel
-    deep_pos = {pair: m for m, pair in enumerate(deep_slice)}
-    out = []
-    for combo in cycles_with_bounding:
-        vec = 0
-        for q in iter_bits(combo):
-            i, k = a_slice[q]
-            vec ^= 1 << deep_pos[(n + i, k)]
-        out.append(vec)
-    return out
-
-
-def involutive_d_pair(cone: Cone) -> Tuple[int, int]:
-    """(upper d, lower d) of the cone."""
-    fu = cone.fu
-    red = tower_reduce(fu)
+    red = tower_reduce(cone)
     if red.rank != 2:
         raise ValidationError(
             f"cone localization has rank {red.rank}, expected two towers"
         )
-    top = max(fu.gradings)
-    bottom = min(fu.gradings)
-
-    @functools.cache
-    def analyze(rho: int):
-        """dim data for the slice at grading rho; None when empty.
-
-        Both scans below visit the same slices, so each is analyzed once.
-        """
-        keys = fu.slice_basis(rho)
-        if not keys:
-            return None
-        cap = max(1, (rho - bottom) // 2 + 1)
-        deep = rho - 2 * cap
-        deep_slice = fu.slice_basis(deep)
-        deep_pos = {pair: m for m, pair in enumerate(deep_slice)}
-        im_only = Echelon(fu.boundary_columns(fu.slice_basis(deep + 1), deep_slice))
-        with_q = im_only.copy()
-        for vec in _q_image_vectors(cone, deep, deep_slice):
-            with_q.add(vec)
-        below = fu.slice_basis(rho - 1)
-        cycles = ColumnSolver(fu.boundary_columns(keys, below)).kernel
-        shifted = []
-        for z in cycles:
-            vec = 0
-            for q in iter_bits(z):
-                i, k = keys[q]
-                vec ^= 1 << deep_pos[(i, k + cap)]
-            shifted.append(vec)
-        return shifted, im_only, with_q
-
-    d_under = None
-    for rho in range(top, bottom - 1, -1):
-        data = analyze(rho)
-        if data is None:
-            continue
-        shifted, _im_only, with_q = data
-        if any(not with_q.contains(v) for v in shifted):
-            d_under = rho
-            break
-    if d_under is None:
-        raise ConsistencyError("no class found for the lower involutive term")
-
-    d_bar = None
-    for rho in range(top, bottom - 1, -1):
-        data = analyze(rho)
-        if data is None:
-            continue
-        shifted, im_only, with_q = data
-        in_q = ColumnSolver(with_q.reduce(v) for v in shifted).kernel
-        if not in_q:
-            continue
-        vectors = []
-        for combo in in_q:
-            vec = 0
-            for q in iter_bits(combo):
-                vec ^= shifted[q]
-            vectors.append(vec)
-        torsion_inside = ColumnSolver(im_only.reduce(v) for v in vectors).kernel
-        if len(vectors) > len(torsion_inside):
-            d_bar = rho + 1
-            break
-    if d_bar is None:
-        raise ConsistencyError("no class found for the upper involutive term")
-    return d_bar, d_under
+    even, odd = sorted((g for _label, g in red.unpaired), key=lambda g: g % 2)
+    if even % 2 or not odd % 2:
+        raise ConsistencyError(
+            f"cone towers at gradings {even} and {odd}, expected one of each parity"
+        )
+    return odd + 1, even
 
 
 def v0_bar_under(c: BigradedComplex, iota: SkewMap) -> Tuple[int, int]:
     """(upper, lower) involutive correction terms bracketing V_0."""
     d_bar, d_under = involutive_d_pair(ai0_cone(c, iota))
-    if d_bar % 2 or d_under % 2:
-        raise ConsistencyError(f"odd involutive gradings ({d_bar}, {d_under})")
     v_bar, v_under = -d_bar // 2, -d_under // 2
     v0 = v_invariant(c, 0)
     if not v_bar <= v0 <= v_under:

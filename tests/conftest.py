@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from knotfloer.builders import torus_knot_complex
 from knotfloer.fu import FUComplex
 from knotfloer.linalg import ColumnSolver
 
@@ -61,6 +62,26 @@ def random_fu_complex(rng: random.Random, max_size: int = 8) -> FUComplex:
     fu = FUComplex(labels, tuple(gradings), tuple(cols))
     assert not fu.validate()
     return fu
+
+
+TORUS_FACTORS = [(2, 3), (2, 5), (3, 4), (2, 7), (3, 5), (4, 5), (2, 9), (3, 7)]
+
+
+def random_torus_sum(rng: random.Random, max_terms: int, max_gens: int) -> str:
+    """Expression of a sum of 1..max_terms torus knots, some mirrored.
+
+    Its complex has at most max_gens generators (the factor sizes
+    multiply).
+    """
+    while True:
+        factors = [rng.choice(TORUS_FACTORS) for _ in range(rng.randint(1, max_terms))]
+        size = 1
+        for p, q in factors:
+            size *= len(torus_knot_complex(p, q))
+        if size <= max_gens:
+            return "#".join(
+                ("-" if rng.random() < 0.5 else "") + f"T({p},{q})" for p, q in factors
+            )
 
 
 def ipoly_mul(p: dict, q: dict) -> dict:

@@ -175,6 +175,27 @@ def test_file_iota_drives_involutive_report(tmp_path, capsys):
     assert payload["involutive"] == {"v0_bar": 1, "v0_under": 2}
 
 
+def test_involution_with_acyclic_cone_is_rejected(tmp_path, capsys):
+    # The zero map is a verified skew chain map, but then 1 + iota is the
+    # identity and the cone has no tower at all.
+    from knotfloer.builders import torus_knot_complex
+    from knotfloer.complexes import SkewMap
+    from knotfloer.fileio import save_complex
+
+    c = torus_knot_complex(2, 5)
+    path = tmp_path / "zero_iota.cfk"
+    save_complex(c, str(path), iota=SkewMap(c, [0] * len(c)))
+    code, out, _ = run_cli(["validate", "--expr", f"@{path}"], capsys)
+    assert code == 0
+    assert "involution verified" in out
+    code, out, err = run_cli(["report", "--expr", f"@{path}"], capsys)
+    assert code == 3
+    assert out == ""
+    assert "cone localization has rank 0" in err
+    code, _, _ = run_cli(["report", "--expr", f"@{path}", "--involutive", "off"], capsys)
+    assert code == 0
+
+
 def test_validate_ok(tmp_path, capsys):
     target = tmp_path / "hw.cfk"
     shutil.copy(os.path.join(DATA, "hw.cfk"), target)

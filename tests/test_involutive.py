@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from knotfloer.builders import named_complex, staircase, torus_knot_complex
@@ -9,9 +11,9 @@ from knotfloer.complexes import (
     identity_map,
     verify_chain_map,
 )
-from knotfloer.errors import ValidationError
+from knotfloer.errors import ConsistencyError, ValidationError
 from knotfloer.expressions import parse_knot_expr
-from knotfloer.fu import tower_reduce
+from knotfloer.fu import FUComplex, tower_reduce
 from knotfloer.invariants import v_invariant
 from knotfloer.involutive import (
     ai0_cone,
@@ -24,6 +26,8 @@ from knotfloer.involutive import (
 )
 
 import oracle_uv
+from conftest import random_torus_sum
+from oracle_involutive import oracle_d_pair
 
 
 def test_reflection_verifies_on_staircases():
@@ -112,8 +116,8 @@ def test_triple_sum_iota_verifies():
 def test_cone_structure_unknot():
     c = staircase(0)
     cone = ai0_cone(c, staircase_iota(c))
-    assert not cone.fu.validate()
-    assert cone.fu.gradings == (0, -1)
+    assert not cone.validate()
+    assert cone.gradings == (0, -1)
     assert involutive_d_pair(cone) == (0, 0)
 
 
@@ -133,7 +137,13 @@ def test_cone_has_two_towers():
     for expr in ["T(2,3)", "T(2,3)#T(2,3)", "T(2,3)#-T(2,3)"]:
         c, io = realize_with_iota(parse_knot_expr(expr))
         cone = ai0_cone(c, io)
-        assert tower_reduce(cone.fu).rank == 2
+        assert tower_reduce(cone).rank == 2
+
+
+def test_pair_needs_towers_of_both_parities():
+    assert involutive_d_pair(FUComplex(("a", "b"), (0, -3), (0, 0))) == (-2, 0)
+    with pytest.raises(ConsistencyError):
+        involutive_d_pair(FUComplex(("a", "b"), (0, 2), (0, 0)))
 
 
 def test_acceptance_pin_doubled_trefoil():
@@ -164,3 +174,17 @@ def test_genus_consistency_for_torus_sums():
         v_bar, v_under = v0_bar_under(c, io)
         assert v_under <= (genus + 2) // 2, expr
         assert -((genus + 2) // 2) <= v_bar, expr
+
+
+def test_pair_matches_slice_oracle():
+    # The tower-parity reading of the cone against the slice-by-slice
+    # definitions, on each input and its mirror.
+    rng = random.Random(31337)
+    exprs = ["T(2,3)#T(4,7)#-T(5,6)", "T(2,3)#T(2,3)", "T(2,3)#-T(2,3)"]
+    exprs += [random_torus_sum(rng, 3, 400) for _ in range(30)]
+    for expr in exprs:
+        c, io = realize_with_iota(parse_knot_expr(expr))
+        mirror = c.dual()
+        for k, k_io in [(c, io), (mirror, mirror_iota(io, mirror))]:
+            d_bar, d_under = oracle_d_pair(k, k_io)
+            assert v0_bar_under(k, k_io) == (-d_bar // 2, -d_under // 2), expr
