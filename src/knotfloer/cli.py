@@ -12,6 +12,7 @@ expression. Structured output is emitted only on success, all at once.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -362,11 +363,16 @@ def _attach_expr_values(argv: List[str]) -> List[str]:
     return out
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser of `build_parser`, built once per process."""
+    return build_parser()
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
     if argv is None:
         argv = sys.argv[1:]
-    args = parser.parse_args(_attach_expr_values(list(argv)))
+    args = _parser().parse_args(_attach_expr_values(list(argv)))
     try:
         return args.func(args)
     except argparse.ArgumentTypeError as exc:

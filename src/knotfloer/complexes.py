@@ -413,24 +413,26 @@ def require_chain_map(f: ChainMap) -> ChainMap:
 # --- basepoint endomorphisms ---------------------------------------------
 
 
-def basepoint_maps(c: BigradedComplex) -> Tuple[ChainMap, ChainMap]:
-    """The two basepoint endomorphisms as formal partial derivatives.
+def basepoint_map(c: BigradedComplex, variable: str) -> ChainMap:
+    """One basepoint endomorphism, as a formal partial derivative of d.
 
-    The first differentiates the differential in U (a term U^u V^v y of dx
-    contributes u * U^(u-1) V^v y, coefficient mod 2), the second in V.
-    So Phi keeps the entries of d with odd u and has bidegree (1, -1);
-    Psi keeps those with odd v and has bidegree (-1, 1). u is odd exactly
-    when grw(y) = grw(x) + 1 mod 4.
+    Differentiating in "U" (a term U^u V^v y of dx contributes
+    u * U^(u-1) V^v y, coefficient mod 2) gives Phi: it keeps the entries
+    of d with odd u and has bidegree (1, -1). u is odd exactly when
+    grw(y) = grw(x) + 1 mod 4. Differentiating in "V" gives Psi, of
+    bidegree (-1, 1), from the entries with odd v.
     """
-    w4 = value_masks([w % 4 for w in c.grw])
-    z4 = value_masks([z % 4 for z in c.grz])
-    phi = ChainMap(c, c, [col & w4.get((w + 1) % 4, 0) for col, w in zip(c.cols, c.grw)], (1, -1))
-    psi = ChainMap(c, c, [col & z4.get((z + 1) % 4, 0) for col, z in zip(c.cols, c.grz)], (-1, 1))
-    if not phi.is_zero():
-        require_chain_map(phi)
-    if not psi.is_zero():
-        require_chain_map(psi)
-    return phi, psi
+    if variable not in ("U", "V"):
+        raise ValueError(f"unknown variable {variable!r}")
+    grading, bidegree = (c.grw, (1, -1)) if variable == "U" else (c.grz, (-1, 1))
+    mod4 = value_masks([g % 4 for g in grading])
+    f = ChainMap(c, c, [col & mod4.get((g + 1) % 4, 0) for col, g in zip(c.cols, grading)], bidegree)
+    return f if f.is_zero() else require_chain_map(f)
+
+
+def basepoint_maps(c: BigradedComplex) -> Tuple[ChainMap, ChainMap]:
+    """The two basepoint endomorphisms (Phi, Psi) of `basepoint_map`."""
+    return basepoint_map(c, "U"), basepoint_map(c, "V")
 
 
 # --- quotient reductions ---------------------------------------------------

@@ -8,9 +8,11 @@ k = (r_i - r_j + 1) / 2, so the differential is stored as one bitmask
 of row indices per column and all T-powers are implied.
 
 `tower_reduce` computes the homology towers by a column reduction
-along the grading filtration, with clearing. Unpaired basis elements are
-the free homology generators; their gradings give the tower tops. The
-test suite checks it against a Smith-normal-form oracle.
+along the grading filtration, with clearing. A column is moved into
+filtration order only when the reduction reaches it, so a column that
+clearing zeroes is never moved. Unpaired basis elements are the free
+homology generators; their gradings give the tower tops. The test suite
+checks it against a Smith-normal-form oracle.
 """
 
 from __future__ import annotations
@@ -70,12 +72,14 @@ class Reduction:
     """Result of the filtration reduction.
 
     unpaired: (label, grading) of the free homology generators, sorted by
-    descending grading; reps: for each unpaired generator, a homogeneous
-    cycle in the original basis as a list of (basis index, T-power) pairs
-    (only when requested).
+    descending grading, then label; indices: the basis index of each
+    (labels of a tensor may repeat); reps: for each, a homogeneous cycle
+    in the original basis as a list of (basis index, T-power) pairs (only
+    when requested).
     """
 
     unpaired: List[Tuple[str, int]]
+    indices: List[int]
     reps: Optional[List[List[Tuple[int, int]]]] = None
 
     @property
@@ -87,64 +91,55 @@ class Reduction:
 
 
 def tower_reduce(fu: FUComplex, *, with_reps: bool = False) -> Reduction:
-    n = len(fu)
-    order = sorted(range(n), key=lambda i: (-fu.gradings[i], fu.labels[i]))
-    pos_of = {idx: p for p, idx in enumerate(order)}
+    labels, gradings, cols = fu.labels, fu.gradings, fu.cols
+    n = len(cols)
+    # Position p holds basis index order[p], in (-grading, label) order:
+    # two stable sorts with C-level keys.
+    order = sorted(range(n), key=labels.__getitem__)
+    order.sort(key=gradings.__getitem__, reverse=True)
+    pos = [0] * n
+    for p, idx in enumerate(order):
+        pos[idx] = p
 
-    def to_positions(mask: int) -> int:
-        out = 0
-        for q in iter_bits(mask):
-            out |= 1 << pos_of[q]
-        return out
-
-    cols = [to_positions(fu.cols[idx]) for idx in order]
-    combos = [1 << p for p in range(n)] if with_reps else None
-
-    pivot_of: Dict[int, int] = {}
-    killed_rows = set()
-    reduced = [0] * n
-    for p in range(n):
-        if p in killed_rows:
-            # Clearing: the column of a paired row reduces to zero.
-            reduced[p] = 0
-            if combos is not None:
-                combos[p] = 0  # representative not needed for dead rows
+    # pivot row -> the reduced column with that lowest row (and, for reps,
+    # the positions it combines).
+    pivots: Dict[int, int] = {}
+    combos: Dict[int, int] = {}
+    cycles: List[Tuple[int, int]] = []
+    for p, idx in enumerate(order):
+        if p in pivots:
+            # Clearing: the column of a paired row reduces to zero, so it
+            # is never moved into position space.
             continue
-        vec = cols[p]
-        combo = combos[p] if combos is not None else 0
+        mask, vec = cols[idx], 0
+        while mask:
+            low = mask & -mask
+            vec |= 1 << pos[low.bit_length() - 1]
+            mask ^= low
+        combo = 1 << p if with_reps else 0
         while vec:
             low = vec.bit_length() - 1
-            hit = pivot_of.get(low)
+            hit = pivots.get(low)
             if hit is None:
+                pivots[low] = vec
+                if with_reps:
+                    combos[low] = combo
                 break
-            vec ^= reduced[hit]
-            if combos is not None:
-                combo ^= combos[hit]
-        reduced[p] = vec
-        if combos is not None:
-            combos[p] = combo
-        if vec:
-            low = vec.bit_length() - 1
-            pivot_of[low] = p
-            killed_rows.add(low)
+            vec ^= hit
+            if with_reps:
+                combo ^= combos[low]
+        else:
+            cycles.append((p, combo))
 
-    unpaired = []
-    reps = [] if with_reps else None
-    paired_cols = set(pivot_of.values())
-    for p in range(n):
-        if p in killed_rows or p in paired_cols or reduced[p] != 0:
-            continue
-        idx = order[p]
-        unpaired.append((fu.labels[idx], fu.gradings[idx]))
-        if reps is not None:
-            rep = []
-            for q in iter_bits(combos[p]):
-                src = order[q]
-                power = (fu.gradings[src] - fu.gradings[idx]) // 2
-                rep.append((src, power))
-            rep.sort()
-            reps.append((fu.gradings[idx], rep))
-    unpaired_sorted = sorted(unpaired, key=lambda t: (-t[1], t[0]))
-    if reps is not None:
-        reps = [r for _g, r in sorted(reps, key=lambda t: -t[0])]
-    return Reduction(unpaired_sorted, reps)
+    # Positions ascend in (-grading, label) order, so the unpaired
+    # generators come out sorted.
+    free = [(order[p], combo) for p, combo in cycles if p not in pivots]
+    indices = [idx for idx, _combo in free]
+    unpaired = [(labels[idx], gradings[idx]) for idx in indices]
+    reps = None
+    if with_reps:
+        reps = [
+            sorted((order[q], (gradings[order[q]] - gradings[idx]) // 2) for q in iter_bits(combo))
+            for idx, combo in free
+        ]
+    return Reduction(unpaired, indices, reps)

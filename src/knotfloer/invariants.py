@@ -8,11 +8,13 @@ Everything here reduces to exact linear algebra in a grading slice:
 * correction terms: V_s is minus half the top tower grading of the
   level-s subcomplex, and the staircase-twisted variant Y_n applies V_0
   to the tensor with a dual staircase;
-* tau / nu / omega live in quotients of the coefficient ring (U = 0 for
-  tau, UV = 0 for nu and omega) and are decided by affine feasibility
-  with exact stabilization caps: once a grading slice is saturated,
-  multiplication by the tower variable is an isomorphism of slices, so
-  "for all powers" is decidable at a finite, provable cap.
+* tau is the Alexander grading of the tower generator of the U = 0
+  reduction, which the knot-likeness check reduces anyway;
+* nu / omega live in the UV = 0 quotient of the coefficient ring and
+  are decided by affine feasibility with exact stabilization caps: once
+  a grading slice is saturated, multiplication by the tower variable is
+  an isomorphism of slices, so "for all powers" is decidable at a
+  finite, provable cap.
 """
 
 from __future__ import annotations
@@ -89,13 +91,26 @@ def tower_cycle(level: ALevel) -> TowerCycle:
 # --- knot-likeness ----------------------------------------------------------
 
 
+def _reduced(c: BigradedComplex, mode: str) -> FUComplex:
+    """`reduce_complex(c, mode)`, built once per complex."""
+    memo = c.__dict__.setdefault("_reduced", {})
+    if mode not in memo:
+        memo[mode] = reduce_complex(c, mode)
+    return memo[mode]
+
+
 def is_knotlike(c: BigradedComplex) -> bool:
-    """True when both one-variable reductions have rank-one towers."""
+    """True when both one-variable reductions have rank-one towers.
+
+    Keeps the basis index of the U = 0 tower generator, which gives tau.
+    """
     cached = c.__dict__.get("_knotlike")
     if cached is None:
-        rank_v = tower_reduce(reduce_complex(c, "U0")).rank
-        rank_u = tower_reduce(reduce_complex(c, "V0")).rank
-        cached = rank_v == 1 and rank_u == 1
+        red_u0 = tower_reduce(_reduced(c, "U0"))
+        rank_v0 = tower_reduce(_reduced(c, "V0")).rank
+        cached = red_u0.rank == 1 and rank_v0 == 1
+        if cached:
+            c.__dict__["_tau_index"] = red_u0.indices[0]
         c.__dict__["_knotlike"] = cached
     return cached
 
@@ -169,37 +184,16 @@ def omega_plus(c: BigradedComplex, cap: Optional[int] = None) -> int:
 def tau_invariant(c: BigradedComplex) -> int:
     """Alexander grading of the tower generator of the U = 0 reduction.
 
-    Computed as the least level s at which the subcomplex of generators
-    with A <= s contains a cycle outside the full column space of the
-    pure-V differential: below the tower the restricted kernels consist
-    of boundaries, at the tower level a non-torsion cycle appears.
+    The U = 0 reduction is a free GF(2)[V]-complex graded by grz. V keeps
+    grw, so the tower lies in one grw, where A = (grw - grz) / 2: its top
+    grz is the least Alexander level at which CF-hat has a non-torsion
+    class, which is tau (Ozsvath-Szabo, Knot Floer homology and the
+    four-ball genus). `is_knotlike` runs that reduction and keeps the
+    unpaired generator, so no further reduction runs here.
     """
-    cached = c.__dict__.get("_tau")
-    if cached is None:
-        cached = c.__dict__["_tau"] = _tau_scan(c)
-    return cached
-
-
-def _tau_scan(c: BigradedComplex) -> int:
     if not is_knotlike(c):
         raise ValidationError("tau undefined: complex is not knot-like")
-    cols = reduce_complex(c, "U0").cols
-    full = Echelon(cols)
-    levels = sorted(set(c.alexander))
-    by_level: Dict[int, List[int]] = {}
-    for i, a in enumerate(c.alexander):
-        by_level.setdefault(a, []).append(i)
-    chosen: List[int] = []
-    for s in range(min(levels), max(levels) + 1):
-        chosen.extend(by_level.get(s, ()))
-        solver = ColumnSolver(cols[i] for i in chosen)
-        for combo in solver.kernel:
-            vec = 0
-            for q in iter_bits(combo):
-                vec |= 1 << chosen[q]
-            if not full.contains(vec):
-                return s
-    raise ConsistencyError("no non-torsion class found in the U = 0 reduction")
+    return c.alexander[c.__dict__["_tau_index"]]
 
 
 class HatSlices:
@@ -212,8 +206,8 @@ class HatSlices:
 
     def __init__(self, c: BigradedComplex):
         self.grw, self.grz = c.grw, c.grz
-        self.no_u = reduce_complex(c, "U0").cols
-        self.no_v = reduce_complex(c, "V0").cols
+        self.no_u = _reduced(c, "U0").cols
+        self.no_v = _reduced(c, "V0").cols
         self._cache: Dict[Tuple[int, int], List[Tuple[int, int, int]]] = {}
 
     def slice(self, w: int, z: int) -> List[Tuple[int, int, int]]:
@@ -322,8 +316,8 @@ def nu_hat(c: BigradedComplex) -> int:
 
 def _v1_class_test(c: BigradedComplex):
     """Predicate on s: does a level-s hat cycle map to the V = 1 generator?"""
-    no_u = reduce_complex(c, "U0").cols  # also the differential with V = 1
-    no_v = reduce_complex(c, "V0").cols
+    no_u = _reduced(c, "U0").cols  # also the differential with V = 1
+    no_v = _reduced(c, "V0").cols
     im1 = Echelon(no_u)
     gen_class = None
     for combo in ColumnSolver(no_u).kernel:

@@ -30,7 +30,7 @@ from .complexes import (
     BigradedComplex,
     ChainMap,
     SkewMap,
-    basepoint_maps,
+    basepoint_map,
     identity_map,
     map_add,
     map_compose,
@@ -111,8 +111,7 @@ def realize_with_iota(expr):
             nxt, nxt_iota = realize_with_iota(part)
             tensor_c = acc.tensor(nxt)
             if acc_iota is not None and nxt_iota is not None:
-                phi1 = basepoint_maps(acc)[0]
-                psi2 = basepoint_maps(nxt)[1]
+                phi1, psi2 = basepoint_map(acc, "U"), basepoint_map(nxt, "V")
                 acc_iota = connected_sum_iota(tensor_c, acc_iota, nxt_iota, phi1, psi2)
             else:
                 acc_iota = None

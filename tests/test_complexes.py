@@ -15,6 +15,7 @@ from knotfloer.complexes import (
     Generator,
     SkewMap,
     UNKNOT,
+    basepoint_map,
     basepoint_maps,
     reduce_complex,
     verify_chain_map,
@@ -190,6 +191,10 @@ def test_basepoint_maps_staircase():
     assert psi.terms() == [("y0", "y1", 0, 0)]
     assert phi.bidegree == (1, -1)
     assert psi.bidegree == (-1, 1)
+    assert basepoint_map(s1, "U").cols == phi.cols
+    assert basepoint_map(s1, "V").cols == psi.cols
+    with pytest.raises(ValueError):
+        basepoint_map(s1, "T")
 
 
 def test_basepoint_maps_vanish_on_even_exponents():

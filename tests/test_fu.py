@@ -5,6 +5,7 @@ import pytest
 from knotfloer.builders import staircase, staircase_dual, torus_knot_complex
 from knotfloer.complexes import UNKNOT
 from knotfloer.errors import ValidationError
+from knotfloer.expressions import parse_knot_expr, realize_expr
 from knotfloer.fu import FUComplex, tower_reduce
 from knotfloer.invariants import a_level_complex, d_invariant
 
@@ -69,22 +70,39 @@ def test_reduction_matches_oracle_1000_random():
     assert rank_one > 100  # the comparison actually exercised towers
 
 
-def test_representatives_are_cycles():
-    level = a_level_complex(torus_knot_complex(3, 4), 0)
-    red = tower_reduce(level.fu, with_reps=True)
-    assert red.rank == 1
-    rep = red.reps[0]
-    # boundary of the representative vanishes
+def is_homogeneous_cycle(fu, rep, grading) -> bool:
+    """rep is a cycle of fu, and each term sits in the given grading."""
+    if any(fu.gradings[i] - 2 * k != grading for i, k in rep):
+        return False
     acc = {}
     for i, k in rep:
-        rest = level.fu.cols[i]
+        rest = fu.cols[i]
         while rest:
             low = rest & -rest
             m = low.bit_length() - 1
             rest ^= low
-            key = (m, k + power(level.fu, m, i))
+            key = (m, k + power(fu, m, i))
             acc[key] = acc.get(key, 0) ^ 1
-    assert all(v == 0 for v in acc.values())
+    return all(v == 0 for v in acc.values())
+
+
+def test_representatives_are_cycles():
+    level = a_level_complex(torus_knot_complex(3, 4), 0)
+    red = tower_reduce(level.fu, with_reps=True)
+    assert red.rank == 1
+    assert is_homogeneous_cycle(level.fu, red.reps[0], red.top_grading())
+
+
+@pytest.mark.parametrize("expr", ["T(2,3)#T(2,3)", "-T(2,3)#-T(2,3)"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_staircase_twisted_levels_match_oracle(expr, n):
+    # Nearly half the columns of these level complexes are cleared.
+    c = realize_expr(parse_knot_expr(expr)).tensor(staircase_dual(n))
+    fu = a_level_complex(c, 0).fu
+    red = tower_reduce(fu, with_reps=True)
+    assert (red.rank, red.top_grading()) == oracle_rank_and_top(fu)
+    assert is_homogeneous_cycle(fu, red.reps[0], red.top_grading())
+    assert fu.labels[red.indices[0]] == red.unpaired[0][0]
 
 
 def test_rank_errors():

@@ -1,11 +1,15 @@
+import os
 import random
 
 import pytest
 
+from knotfloer import invariants
 from knotfloer.builders import named_complex, staircase, staircase_dual, torus_knot_complex
 from knotfloer.complexes import BigradedComplex, Generator, UNKNOT
 from knotfloer.errors import ConsistencyError, ValidationError
 from knotfloer.expressions import parse_knot_expr, realize_expr
+from knotfloer.fileio import load_complex
+from knotfloer.linalg import iter_bits
 from knotfloer.invariants import (
     a_level_complex,
     compute_invariant_table,
@@ -19,7 +23,11 @@ from knotfloer.invariants import (
     y_invariant,
 )
 
+from conftest import random_torus_sum
 from oracle_nu import nu_hat_scan
+from oracle_tau import tau_scan
+
+HW_FILE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "hw.cfk")
 
 
 def corpus():
@@ -79,6 +87,74 @@ def test_tau_examples():
     assert tau_invariant(torus_knot_complex(2, 3)) == 1
     k1 = realize_expr(parse_knot_expr("T(2,11)#-T(4,5)"))
     assert tau_invariant(k1) == -1
+
+
+def random_staircase(rng: random.Random) -> BigradedComplex:
+    """Zigzag with random step lengths, its first generator at a random bigrading.
+
+    Generator 2k+1 hits 2k by a U-power and 2k+2 by a V-power. The
+    lengths are independent, so the complex is not symmetric, and the
+    shift moves its towers off grw = 0 and grz = 0.
+    """
+    grw, grz = [2 * rng.randint(-2, 2)], [2 * rng.randint(-2, 2)]
+    cols = [0]
+    for k in range(rng.randint(1, 3)):
+        a, b = rng.randint(1, 3), rng.randint(1, 3)
+        w, z = grw[-1] + 1 - 2 * a, grz[-1] + 1
+        grw += [w, w - 1]
+        grz += [z, z - 1 + 2 * b]
+        cols += [0b101 << (2 * k), 0]
+    labels = [f"s{i}" for i in range(len(cols))]
+    return BigradedComplex(labels, grw, grz, cols).require_valid()
+
+
+def shuffled(c: BigradedComplex, rng: random.Random) -> BigradedComplex:
+    """c with its generators in a random order.
+
+    Staircases and their tensors put the U = 0 tower generator at index 0;
+    the shuffle keeps a wrong index from passing unseen.
+    """
+    perm = list(range(len(c)))
+    rng.shuffle(perm)
+    where = {old: new for new, old in enumerate(perm)}
+    cols = [sum(1 << where[j] for j in iter_bits(c.cols[old])) for old in perm]
+    return BigradedComplex(
+        [c.labels[i] for i in perm], [c.grw[i] for i in perm], [c.grz[i] for i in perm], cols
+    ).require_valid()
+
+
+def test_tau_matches_scan_oracle():
+    rng = random.Random(20261018)
+    texts = ["T(2,11)#T(4,7)#-T(5,6)", "T(2,3)#T(4,7)#-T(5,6)", "T(2,11)#-T(4,5)"]
+    texts += [random_torus_sum(rng, 3, 400) for _ in range(30)]
+    cases = [(text, realize_expr(parse_knot_expr(text))) for text in texts]
+    cases.append(("hw.cfk", load_complex(HW_FILE)[0]))
+    for k in range(30):
+        c = random_staircase(rng)
+        for part in random_torus_sum(rng, 2, 60).split("#"):
+            c = c.tensor(realize_expr(parse_knot_expr(part)))
+        cases.append((f"staircase sum {k}", c))
+    for name, c in cases:
+        for complex_ in (c, c.dual(), shuffled(c, rng), shuffled(c.dual(), rng)):
+            assert tau_invariant(complex_) == tau_scan(complex_), name
+
+
+def test_tau_runs_no_reduction_after_knotlike(monkeypatch):
+    calls = []
+    real = invariants.tower_reduce
+
+    def counted(*args, **kwargs):
+        calls.append(len(args[0]))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(invariants, "tower_reduce", counted)
+    c = realize_expr(parse_knot_expr("T(2,5)#-T(3,4)"))
+    assert is_knotlike(c)
+    assert len(calls) == 2  # the U = 0 and V = 0 reductions
+    assert tau_invariant(c) == -1
+    assert len(calls) == 2
+    assert tau_invariant(c.dual()) == 1  # a fresh complex: its knot-likeness only
+    assert len(calls) == 4
 
 
 def test_tau_of_positive_torus_knots_is_genus():
