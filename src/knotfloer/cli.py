@@ -41,7 +41,7 @@ from .fileio import load_complex
 from .invariants import (
     a_level_complex,
     compute_invariant_table,
-    is_knotlike,
+    require_knot_complex,
     tower_cycle,
 )
 from .involutive import mirror_iota, realize_with_iota, v0_bar_under
@@ -79,13 +79,10 @@ def _table_payload(table) -> Dict:
 def _tower_certificate(c) -> Optional[List[Dict]]:
     if len(c) > CYCLE_CERTIFICATE_LIMIT:
         return None
-    level = a_level_complex(c, 0)
-    labels = level.fu.labels
-    out = []
-    for i, power in sorted(tower_cycle(level).terms, key=lambda t: (labels[t[0]], t[1])):
-        iu, jv = level.min_monomials[i]
-        out.append({"gen": labels[i], "u": iu + power, "v": jv + power})
-    return out
+    labels, alex = c.labels, c.alexander
+    terms = sorted(tower_cycle(a_level_complex(c, 0)).terms, key=lambda t: (labels[t[0]], t[1]))
+    # Basis element i of the level-0 complex is U^A x_i, or V^-A x_i when A < 0.
+    return [{"gen": labels[i], "u": max(alex[i], 0) + t, "v": max(-alex[i], 0) + t} for i, t in terms]
 
 
 def _build_report(args) -> Dict:
@@ -94,15 +91,9 @@ def _build_report(args) -> Dict:
     expr = parse_knot_expr(args.expr)
     complex_, iota = realize_with_iota(expr)
     complex_.require_valid()
-    if not is_knotlike(complex_):
-        raise ValidationError("input complex is not knot-like")
+    require_knot_complex(complex_)
     mirror = complex_.dual()
-    mirror_io = None
-    if iota is not None:
-        try:
-            mirror_io = mirror_iota(iota, mirror)
-        except ValidationError:
-            mirror_io = None
+    mirror_io = None if iota is None else mirror_iota(iota, mirror)
 
     want_involutive = args.involutive != "off"
     if args.involutive == "on" and iota is None:
@@ -299,9 +290,7 @@ def _cmd_validate(args) -> int:
         return 2
     # load_complex has already checked d^2 = 0, homogeneity and iota.
     complex_, iota = load_complex(expr.path)
-    if not is_knotlike(complex_):
-        print("complex is not knot-like (localized tower rank != 1)", file=sys.stderr)
-        return 3
+    require_knot_complex(complex_)
     print(f"ok: {len(complex_)} generators"
           + (", involution verified" if iota is not None else ""))
     return 0

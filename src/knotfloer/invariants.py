@@ -1,6 +1,6 @@
 """The invariant engine.
 
-Everything here reduces to exact linear algebra in a grading slice:
+Everything here reduces to exact linear algebra over GF(2):
 
 * the level-s subcomplex over GF(2)[T]: one basis element per generator,
   the minimal monomial U^i V^j x of Alexander level s with i, j >= 0 and
@@ -10,11 +10,11 @@ Everything here reduces to exact linear algebra in a grading slice:
   to the tensor with a dual staircase;
 * tau is the Alexander grading of the tower generator of the U = 0
   reduction, which the knot-likeness check reduces anyway;
-* nu / omega live in the UV = 0 quotient of the coefficient ring and
-  are decided by affine feasibility with exact stabilization caps: once
-  a grading slice is saturated, multiplication by the tower variable is
-  an isomorphism of slices, so "for all powers" is decidable at a
-  finite, provable cap.
+* nu and omega live in the UV = 0 quotient, the level complexes with
+  T = 0 (hat complexes). Each asks whether a hat cycle maps to the
+  generator of the V = 1 complex (and, for omega, of the U = 1 complex
+  too). One cocycle per complex answers that by a parity: the tower
+  cycle of the dual reduction, with T = 1.
 """
 
 from __future__ import annotations
@@ -25,22 +25,13 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .complexes import BigradedComplex, reduce_complex
 from .errors import ConsistencyError, ValidationError
 from .fu import FUComplex, tower_reduce
-from .linalg import ColumnSolver, Echelon, LinearSystem, gap_guard, iter_bits, transpose
+from .linalg import ColumnSolver, gap_guard, iter_bits, transpose, value_masks
 
 
 # --- level subcomplexes over GF(2)[T] --------------------------------------
 
 
-@dataclass
-class ALevel:
-    """Level-s subcomplex: free GF(2)[T]-complex on the minimal monomials."""
-
-    fu: FUComplex
-    min_monomials: Tuple[Tuple[int, int], ...]
-    level: int
-
-
-def a_level_complex(c: BigradedComplex, s: int, *, check: bool = True) -> ALevel:
+def a_level_complex(c: BigradedComplex, s: int, *, check: bool = True) -> FUComplex:
     """Subcomplex of Alexander level s with nonnegative exponents.
 
     Basis element for generator x: U^(A-s) x when A(x) >= s, else
@@ -52,21 +43,19 @@ def a_level_complex(c: BigradedComplex, s: int, *, check: bool = True) -> ALevel
     """
     if check and not is_knotlike(c):
         raise ValidationError("complex is not knot-like (localized tower rank != 1)")
-    mins = tuple((a - s, 0) if a >= s else (0, s - a) for a in c.alexander)
-    gradings = tuple(w - 2 * iu for w, (iu, _jv) in zip(c.grw, mins))
+    gradings = tuple(w - 2 * (a - s) if a > s else w for w, a in zip(c.grw, c.alexander))
     guard = gap_guard(gradings)
     for i, col in enumerate(c.cols):
         bad = col & guard(gradings[i] - 1)
         if bad:
             j = (bad & -bad).bit_length() - 1
             raise ConsistencyError(f"level-{s} rewrite failed on {c.labels[i]} -> {c.labels[j]}")
-    return ALevel(FUComplex(c.labels, gradings, c.cols), mins, s)
+    return FUComplex(c.labels, gradings, c.cols)
 
 
-def d_invariant(level) -> int:
+def d_invariant(level: FUComplex) -> int:
     """Top grading of a T-non-torsion homogeneous homology class."""
-    fu = level.fu if isinstance(level, ALevel) else level
-    red = tower_reduce(fu)
+    red = tower_reduce(level)
     if red.rank != 1:
         raise ValidationError(
             f"d-invariant undefined: localized homology has rank {red.rank}"
@@ -80,9 +69,9 @@ class TowerCycle:
     terms: List[Tuple[int, int]]  # (basis index, T-power)
 
 
-def tower_cycle(level: ALevel) -> TowerCycle:
+def tower_cycle(level: FUComplex) -> TowerCycle:
     """A homogeneous non-torsion cycle generating the tower."""
-    red = tower_reduce(level.fu, with_reps=True)
+    red = tower_reduce(level, with_reps=True)
     if red.rank != 1:
         raise ValidationError(f"tower rank is {red.rank}, not 1")
     return TowerCycle(red.unpaired[0][1], red.reps[0])
@@ -99,30 +88,66 @@ def _reduced(c: BigradedComplex, mode: str) -> FUComplex:
     return memo[mode]
 
 
+def _cocycle(c: BigradedComplex, mode: str) -> int:
+    """Cocycle, as a bitmask of generators, that detects the tower of a reduction.
+
+    Mode "U0" gives the V = 1 complex, "V0" the U = 1 complex. The cocycle
+    is the tower cycle of the dual reduction with T set to 1. Setting
+    T = 1 kills the torsion of a free GF(2)[T]-complex and leaves one GF(2)
+    of the tower, so a cycle z of that complex represents its generator
+    exactly when z & cocycle has odd weight. Built once per complex.
+    """
+    memo = c.__dict__.setdefault("_cocycle", {})
+    if mode not in memo:
+        red = _reduced(c, mode)
+        dual = FUComplex(red.labels, [-g for g in red.gradings], transpose(red.cols, len(red)))
+        tower = tower_reduce(dual, with_reps=True)
+        if tower.rank != 1:
+            raise ConsistencyError(f"dual {mode} reduction has {tower.rank} towers, not 1")
+        memo[mode] = sum(1 << i for i, _power in tower.reps[0])
+    return memo[mode]
+
+
 def is_knotlike(c: BigradedComplex) -> bool:
     """True when both one-variable reductions have rank-one towers.
 
-    Keeps the basis index of the U = 0 tower generator, which gives tau.
+    Keeps the basis index of each tower generator: the U = 0 one gives
+    tau, and `require_knot_complex` reads the gradings of both.
     """
     cached = c.__dict__.get("_knotlike")
     if cached is None:
         red_u0 = tower_reduce(_reduced(c, "U0"))
-        rank_v0 = tower_reduce(_reduced(c, "V0")).rank
-        cached = red_u0.rank == 1 and rank_v0 == 1
+        red_v0 = tower_reduce(_reduced(c, "V0"))
+        cached = red_u0.rank == 1 and red_v0.rank == 1
         if cached:
-            c.__dict__["_tau_index"] = red_u0.indices[0]
+            c.__dict__["_towers"] = (red_u0.indices[0], red_v0.indices[0])
         c.__dict__["_knotlike"] = cached
     return cached
+
+
+def require_knot_complex(c: BigradedComplex) -> None:
+    """Raise `ValidationError` unless c is knot-like with a knot's towers.
+
+    The complex of a knot in S^3 has its U = 0 tower at grw = 0 and its
+    V = 0 tower at grz = 0 (both compute HF-hat(S^3)). A shifted complex
+    is knot-like, but its nu and omega need not lie in {tau, tau + 1}.
+    """
+    if not is_knotlike(c):
+        raise ValidationError("complex is not knot-like (localized tower rank != 1)")
+    towers = zip(c.__dict__["_towers"], ("U = 0", "V = 0"), ("grw", "grz"), (c.grw, c.grz))
+    for idx, tower, name, grading in towers:
+        if grading[idx]:
+            raise ValidationError(f"the {tower} tower generator {c.labels[idx]!r} has {name} = {grading[idx]}, not 0")
 
 
 # --- correction terms -------------------------------------------------------
 
 
-def _correction_term(level: ALevel) -> int:
-    """-d/2 of a level complex; its tower grading must be even."""
+def _correction_term(level: FUComplex, s: int) -> int:
+    """-d/2 of a level-s complex; its tower grading must be even."""
     d = d_invariant(level)
     if d % 2:
-        raise ConsistencyError(f"tower grading {d} at level {level.level} is odd")
+        raise ConsistencyError(f"tower grading {d} at level {s} is odd")
     return -d // 2
 
 
@@ -130,7 +155,7 @@ def v_invariant(c: BigradedComplex, s: int) -> int:
     """Correction term of the level-s subcomplex: -d/2 (memoized per complex)."""
     memo = c.__dict__.setdefault("_v", {})
     if s not in memo:
-        memo[s] = _correction_term(a_level_complex(c, s))
+        memo[s] = _correction_term(a_level_complex(c, s), s)
     return memo[s]
 
 
@@ -152,7 +177,7 @@ def y_invariant(c: BigradedComplex, n: int) -> int:
         if not (is_knotlike(c) and is_knotlike(dual)):
             raise ValidationError("complex is not knot-like (localized tower rank != 1)")
         level = a_level_complex(c.tensor(dual), 0, check=False)
-        memo[n] = _correction_term(level)
+        memo[n] = _correction_term(level, 0)
     return memo[n]
 
 
@@ -193,110 +218,21 @@ def tau_invariant(c: BigradedComplex) -> int:
     """
     if not is_knotlike(c):
         raise ValidationError("tau undefined: complex is not knot-like")
-    return c.alexander[c.__dict__["_tau_index"]]
+    return c.alexander[c.__dict__["_towers"][0]]
 
 
-class HatSlices:
-    """Bigrading slices of the UV = 0 reduction.
+def _hat_entries(no_u: int, no_v: int, a: int) -> int:
+    """Entries of d that a hat basis element of Alexander offset a keeps.
 
-    Elements are pure monomials U^du x or V^dv x, keyed (gen index, du, dv)
-    with du * dv = 0. The hat ring kills every mixed product, which makes
-    the U- and V-actions partial shift maps.
+    The basis element carries U^a when a > 0 and V^-a when a < 0. Its
+    product with an entry survives UV = 0 only when the entry has no V,
+    no U, or (a = 0) is pure itself.
     """
-
-    def __init__(self, c: BigradedComplex):
-        self.grw, self.grz = c.grw, c.grz
-        self.no_u = _reduced(c, "U0").cols
-        self.no_v = _reduced(c, "V0").cols
-        self._cache: Dict[Tuple[int, int], List[Tuple[int, int, int]]] = {}
-
-    def slice(self, w: int, z: int) -> List[Tuple[int, int, int]]:
-        key = (w, z)
-        if key not in self._cache:
-            out = []
-            for i, (gw, gz) in enumerate(zip(self.grw, self.grz)):
-                if gz == z and gw >= w and (gw - w) % 2 == 0:
-                    out.append((i, (gw - w) // 2, 0))
-                if gw == w and gz > z and (gz - z) % 2 == 0:
-                    out.append((i, 0, (gz - z) // 2))
-            self._cache[key] = sorted(out)
-        return self._cache[key]
-
-    def boundary_cols(self, keys, target_keys) -> List[int]:
-        pos = {k: m for m, k in enumerate(target_keys)}
-        grw, grz = self.grw, self.grz
-        cols = []
-        for i, du, dv in keys:
-            # U^du V^dv times an entry stays pure only when the entry has no
-            # V (du > 0), no U (dv > 0), or is pure itself (du = dv = 0).
-            entries = self.no_v[i] if du else self.no_u[i] if dv else self.no_u[i] | self.no_v[i]
-            mask = 0
-            for t in iter_bits(entries):
-                u = (grw[t] - grw[i] + 1) // 2
-                v = (grz[t] - grz[i] + 1) // 2
-                mask ^= 1 << pos[(t, du + u, dv + v)]
-            cols.append(mask)
-        return cols
-
-    def shift_cols(self, keys, target_keys, du: int, dv: int) -> List[int]:
-        """Multiplication by U^du V^dv; mixed results die."""
-        pos = {k: m for m, k in enumerate(target_keys)}
-        cols = []
-        for i, u0, v0 in keys:
-            nu, nv = u0 + du, v0 + dv
-            if nu > 0 and nv > 0:
-                cols.append(0)
-            else:
-                cols.append(1 << pos[(i, nu, nv)])
-        return cols
-
-    def saturation_cap(self, w: int, z: int, variable: str) -> int:
-        """Power beyond which the shifted slices are all saturated."""
-        if variable == "v":
-            floor = min(self.grz)
-            return max(1, (z - floor) // 2 + 2)
-        floor = min(self.grw)
-        return max(1, (w - floor) // 2 + 2)
-
-    def nontorsion_rows(self, w: int, z: int, variable: str):
-        """Affine rows pinning a cycle at (w, z) to the non-torsion coset.
-
-        `variable` is "v" or "u": which tower must survive. None when no
-        non-torsion cycle lives at this bigrading.
-        """
-        cap = self.saturation_cap(w, z, variable)
-        if variable == "v":
-            dw_, dz_ = w, z - 2 * cap
-            shift = (0, cap)
-        else:
-            dw_, dz_ = w - 2 * cap, z
-            shift = (cap, 0)
-        deep = self.slice(dw_, dz_)
-        im = Echelon(self.boundary_cols(self.slice(dw_ + 1, dz_ + 1), deep))
-        keys = self.slice(w, z)
-        shifted = self.shift_cols(keys, deep, *shift)
-        phi = [im.reduce(v) for v in shifted]
-        below = self.slice(w - 1, z - 1)
-        cycles = ColumnSolver(self.boundary_cols(keys, below)).kernel
-        rep = None
-        for zvec in cycles:
-            acc = 0
-            for q in iter_bits(zvec):
-                acc ^= phi[q]
-            if acc:
-                rep = acc
-                break
-        if rep is None:
-            return None
-        bits = rep
-        for p in phi:
-            bits |= p
-        phi_rows = transpose(phi, bits.bit_length())
-        return keys, [(phi_rows[bit], (rep >> bit) & 1) for bit in iter_bits(bits)]
+    return no_v if a > 0 else no_u if a < 0 else no_u | no_v
 
 
 def nu_hat(c: BigradedComplex) -> int:
-    """Least level whose hat cycles hit the generator of the V = 1 quotient.
+    """Least level whose hat cycles hit the generator of the V = 1 complex.
 
     nu is tau or tau + 1 (Hom-Wu), so only three levels are tested: tau - 1
     must miss, and the first of tau, tau + 1 to hit is nu. Any other
@@ -305,7 +241,17 @@ def nu_hat(c: BigradedComplex) -> int:
     if not is_knotlike(c):
         raise ValidationError("nu undefined: complex is not knot-like")
     tau = tau_invariant(c)
-    hits = _v1_class_test(c)
+    no_u, no_v = _reduced(c, "U0").cols, _reduced(c, "V0").cols
+    alex = c.alexander
+    at = value_masks(alex)
+    phi = _cocycle(c, "U0")
+
+    def hits(s: int) -> bool:
+        cols = [_hat_entries(u, v, a - s) for u, v, a in zip(no_u, no_v, alex)]
+        # Setting U = 0 and V = 1 drops the basis elements with a U-power.
+        probe = phi & sum(mask for a, mask in at.items() if a <= s)
+        return any((z & probe).bit_count() & 1 for z in ColumnSolver(cols).kernel)
+
     if hits(tau - 1):
         raise ConsistencyError(f"level {tau - 1} hits the V = 1 class below tau = {tau}")
     for s in (tau, tau + 1):
@@ -314,98 +260,60 @@ def nu_hat(c: BigradedComplex) -> int:
     raise ConsistencyError(f"nu outside {{tau, tau+1}}, tau={tau}")
 
 
-def _v1_class_test(c: BigradedComplex):
-    """Predicate on s: does a level-s hat cycle map to the V = 1 generator?"""
-    no_u = _reduced(c, "U0").cols  # also the differential with V = 1
-    no_v = _reduced(c, "V0").cols
-    im1 = Echelon(no_u)
-    gen_class = None
-    for combo in ColumnSolver(no_u).kernel:
-        reduced = im1.reduce(combo)
-        if reduced:
-            gen_class = reduced
-            break
-    if gen_class is None:
-        raise ValidationError("V = 1 reduction has trivial homology")
-    alex = c.alexander
-    quotient = [im1.reduce(1 << j) for j in range(len(alex))]
-
-    def hits(s: int) -> bool:
-        # The basis element of x is U^(A-s) x above level s and V^(s-A) x
-        # below it; a hat entry survives when the product stays pure.
-        cols = [
-            no_v[j] if a > s else no_u[j] if a < s else no_u[j] | no_v[j]
-            for j, a in enumerate(alex)
-        ]
-        # Only basis elements without a U-power survive in the V = 1 quotient.
-        proj = [quotient[j] if a <= s else 0 for j, a in enumerate(alex)]
-        images = Echelon()
-        for z in ColumnSolver(cols).kernel:
-            acc = 0
-            for q in iter_bits(z):
-                acc ^= proj[q]
-            images.add(acc)
-        return images.contains(gen_class)
-
-    return hits
-
-
 def omega_hat(c: BigradedComplex) -> int:
-    """Staircase-mapping invariant of the UV = 0 reduction.
+    """Least n >= 0 with a staircase map St_n -> C/(UV) whose ends are non-torsion.
 
-    tau when the joint cycle system is solvable at n = tau, else tau + 1;
-    below tau = 0 the single-cycle system at n = 0 must be solvable. The
-    fallback feasibility is verified rather than assumed.
+    omega is tau or tau + 1 when tau >= 0, and 0 below, so only those
+    candidates are tested; the first to admit a map is omega, and a
+    failure of both is a consistency failure.
     """
     tau = tau_invariant(c)
-    slices = HatSlices(c)
     candidates = [n for n in (tau, tau + 1) if n >= 0] or [0]
     for n in candidates:
-        if _omega_feasible(slices, n):
+        if _staircase_map(c, n):
             return n
-    raise ConsistencyError(
-        f"omega dichotomy failed: no staircase map at n in {candidates}"
-    )
+    raise ConsistencyError(f"omega dichotomy failed: no staircase map at n in {candidates}")
 
 
-def _omega_feasible(slices: HatSlices, n: int) -> bool:
-    # Each variable block is a contiguous range, so a row over a block is
-    # a row of the transposed columns shifted to the block's start.
-    system = LinearSystem()
-    zstart: Dict[int, int] = {}
-    zkeys: Dict[int, List[Tuple[int, int, int]]] = {}
-    for i in range(-n, n + 1, 2):
-        keys = slices.slice(-n + i, -n - i)
-        zkeys[i] = keys
-        zstart[i] = system.new_vars(len(keys)).start
-    # end conditions: the extreme cycles must be non-torsion
-    v_rows = slices.nontorsion_rows(0, -2 * n, "v")
-    u_rows = slices.nontorsion_rows(-2 * n, 0, "u")
-    if v_rows is None or u_rows is None:
-        return False
-    for mask_pos, rhs in v_rows[1]:
-        system.add_equation(mask_pos << zstart[n], rhs)
-    for mask_pos, rhs in u_rows[1]:
-        system.add_equation(mask_pos << zstart[-n], rhs)
-    # cycle conditions
-    for i in range(-n, n + 1, 2):
-        below = slices.slice(-n + i - 1, -n - i - 1)
-        for row in transpose(slices.boundary_cols(zkeys[i], below), len(below)):
-            if row:
-                system.add_equation(row << zstart[i], 0)
-    # staircase relations: U z_i + V z_(i-2) must bound
-    for i in range(-n + 2, n + 1, 2):
-        tgt = slices.slice(-n + i - 2, -n - i)
-        wkeys = slices.slice(-n + i - 1, -n - i + 1)
-        wstart = system.new_vars(len(wkeys)).start
-        brows = transpose(slices.boundary_cols(wkeys, tgt), len(tgt))
-        urows = transpose(slices.shift_cols(zkeys[i], tgt, 1, 0), len(tgt))
-        vrows = transpose(slices.shift_cols(zkeys[i - 2], tgt, 0, 1), len(tgt))
-        for b, u, v in zip(brows, urows, vrows):
-            mask = (b << wstart) | (u << zstart[i]) | (v << zstart[i - 2])
-            if mask:
-                system.add_equation(mask, 0)
-    return system.solve() is not None
+def _staircase_map(c: BigradedComplex, n: int) -> bool:
+    """Is there a staircase map St_n -> C/(UV) with non-torsion ends?
+
+    A degree-0 chain map St_n -> C/(UV) is a grading-0 cycle of the
+    level-0 hat complex of C tensor St*_n, whose generator (j, p) pairs
+    generator j of C with x(p - n). Its values on the ends y(-n) and y(n)
+    are the blocks on x(-n) and x(n): the first must hit the generator of
+    the V = 1 complex, the second that of the U = 1 complex. Only the
+    grading-0 slice is built, straight from the columns of both factors.
+    """
+    from .builders import staircase_dual
+
+    dual = staircase_dual(n)
+    m = len(dual)
+    no_u, no_v = _reduced(c, "U0").cols, _reduced(c, "V0").cols
+    st_u, st_v = _reduced(dual, "U0").cols, _reduced(dual, "V0").cols
+    phi_u, phi_v = _cocycle(c, "U0"), _cocycle(c, "V0")
+    grw, alex = c.grw, c.alexander
+    at_w, at_z = value_masks(grw), value_masks(c.grz)
+    cols: List[int] = []
+    v1_end = u1_end = 0  # slice positions read in the V = 1 and U = 1 complexes
+    for p in range(m):  # x(p - n) sits at bigrading (p, 2n - p)
+        # (j, p) is U^a or V^-a times c_j tensor x(p - n); at bigrading
+        # (0, 0) one exponent is 0, so grw(c_j) = -p or grz(c_j) = p - 2n.
+        for j in iter_bits(at_w.get(-p, 0) | at_z.get(p - 2 * n, 0)):
+            a = alex[j] + p - n
+            if grw[j] + p - 2 * max(a, 0):
+                continue
+            spread = 0
+            for k in iter_bits(_hat_entries(no_u[j], no_v[j], a)):
+                spread |= 1 << (k * m)
+            if p == 0 and a <= 0 and phi_u >> j & 1:
+                v1_end |= 1 << len(cols)
+            if p == m - 1 and a >= 0 and phi_v >> j & 1:
+                u1_end |= 1 << len(cols)
+            cols.append((spread << p) ^ (_hat_entries(st_u[p], st_v[p], a) << (j * m)))
+    kernel = ColumnSolver(cols).kernel
+    ends = {((z & v1_end).bit_count() & 1, (z & u1_end).bit_count() & 1) for z in kernel}
+    return (1, 1) in ends or {(1, 0), (0, 1)} <= ends
 
 
 # --- assembled table --------------------------------------------------------

@@ -139,7 +139,7 @@ def ai0_cone(c: BigradedComplex, iota: SkewMap) -> FUComplex:
     violation = verify_chain_map(iota)
     if violation is not None:
         raise ValidationError(f"involution fails verification: {violation}")
-    level = a_level_complex(c, 0).fu
+    level = a_level_complex(c, 0)
     n = len(level)
     labels = list(level.labels) + ["Q|" + lbl for lbl in level.labels]
     gradings = list(level.gradings) + [r - 1 for r in level.gradings]

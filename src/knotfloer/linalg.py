@@ -72,9 +72,10 @@ class Echelon:
 
     Every stored row contains exactly one pivot bit, its own, so
     :meth:`reduce` is the canonical linear projection onto a complement
-    of the subspace: reduce(a ^ b) == reduce(a) ^ reduce(b). Several
-    callers build quotient functionals from per-basis-vector reductions,
-    which is only sound with this linearity.
+    of the subspace: reduce(a ^ b) == reduce(a) ^ reduce(b). The test
+    oracles build quotient functionals from per-basis-vector reductions,
+    which is only sound with this linearity; the program itself tests
+    classes against cocycles instead.
     """
 
     __slots__ = ("pivots", "pivot_mask")

@@ -84,6 +84,19 @@ def random_torus_sum(rng: random.Random, max_terms: int, max_gens: int) -> str:
             )
 
 
+def level_monomials(c, level: FUComplex, s: int):
+    """(U-power, V-power) of each basis element of a level-s complex of c.
+
+    Read off the gradings alone: U^u V^v x has grw(x) - 2u, and Alexander
+    grading A(x) - u + v = s.
+    """
+    out = []
+    for w, a, g in zip(c.grw, c.alexander, level.gradings):
+        u = (w - g) // 2
+        out.append((u, u + s - a))
+    return tuple(out)
+
+
 def ipoly_mul(p: dict, q: dict) -> dict:
     """Product of integer polynomials (dict exponent -> coefficient)."""
     out: dict = {}

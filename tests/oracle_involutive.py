@@ -96,7 +96,7 @@ def _q_image_vectors(level_fu: FUComplex, one_plus, gamma: int, deep_slice) -> L
 def oracle_d_pair(c, iota) -> Tuple[int, int]:
     """(upper d, lower d) of the cone of (1 + iota), slice by slice."""
     fu = ai0_cone(c, iota)
-    level_fu = a_level_complex(c, 0).fu
+    level_fu = a_level_complex(c, 0)
     one_plus = tuple(col ^ (1 << j) for j, col in enumerate(iota.cols))
     red = tower_reduce(fu)
     if red.rank != 2:

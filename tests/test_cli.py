@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from knotfloer.cli import main
+from knotfloer.errors import ValidationError
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -236,6 +237,45 @@ def test_validate_rejects_non_knotlike(tmp_path, capsys):
     assert code == 3
     assert out == ""
     assert "knot-like" in err
+
+
+@pytest.mark.parametrize(
+    "dw, dz, named",
+    [
+        (0, 0, "U = 0 tower generator 'g0' has grw = 2"),
+        (-2, 2, "V = 0 tower generator 'g2' has grz = 4"),
+        (-4, -2, "U = 0 tower generator 'g0' has grw = -2"),
+    ],
+)
+def test_shifted_towers_are_bad_input(tmp_path, capsys, dw, dz, named):
+    # Knot-like, but the towers of T(2,3) sit off grw = 0 or grz = 0:
+    # nu and omega of such a complex are those of no knot. The fixture
+    # is T(2,3) shifted by (+2, +2); (dw, dz) moves it on.
+    path = os.path.join(DATA, "shifted_t23.cfk")
+    if (dw, dz) != (0, 0):
+        with open(path) as fh:
+            data = json.load(fh)
+        for gen in data["generators"]:
+            gen["grw"] += dw
+            gen["grz"] += dz
+        path = tmp_path / "t23.cfk"
+        path.write_text(json.dumps(data))
+    for command in ("validate", "report"):
+        code, out, err = run_cli([command, "--expr", f"@{path}"], capsys)
+        assert (code, out) == (3, ""), command
+        assert named in err, command
+
+
+def test_failed_mirror_involution_is_reported(monkeypatch, capsys):
+    import knotfloer.cli as cli
+
+    def broken(iota, mirror):
+        raise ValidationError("transpose is not a skew map")
+
+    monkeypatch.setattr(cli, "mirror_iota", broken)
+    code, out, err = run_cli(["report", "--expr", "T(2,3)#T(2,5)", "--format", "json"], capsys)
+    assert (code, out) == (3, "")
+    assert "transpose is not a skew map" in err
 
 
 def test_entry_point_runs():

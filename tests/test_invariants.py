@@ -23,8 +23,9 @@ from knotfloer.invariants import (
     y_invariant,
 )
 
-from conftest import random_torus_sum
+from conftest import level_monomials, random_torus_sum
 from oracle_nu import nu_hat_scan
+from oracle_omega import omega_feasible
 from oracle_tau import tau_scan
 
 HW_FILE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "hw.cfk")
@@ -62,8 +63,8 @@ def test_level_complex_rejects_non_knotlike():
 def test_unknot_levels():
     for s in range(3):
         level = a_level_complex(UNKNOT, s)
-        assert level.min_monomials == ((0, s),)
-        assert level.fu.gradings == (0,)
+        assert level_monomials(UNKNOT, level, s) == ((0, s),)
+        assert level.gradings == (0,)
 
 
 def test_v_values_model_complex():
@@ -89,12 +90,14 @@ def test_tau_examples():
     assert tau_invariant(k1) == -1
 
 
-def random_staircase(rng: random.Random) -> BigradedComplex:
+def random_staircase(rng: random.Random, normalized: bool = False) -> BigradedComplex:
     """Zigzag with random step lengths, its first generator at a random bigrading.
 
     Generator 2k+1 hits 2k by a U-power and 2k+2 by a V-power. The
     lengths are independent, so the complex is not symmetric, and the
-    shift moves its towers off grw = 0 and grz = 0.
+    shift moves its towers off grw = 0 and grz = 0. `normalized` puts
+    them back where a knot's are: the U = 0 tower is the first
+    generator, at grw = 0, and the V = 0 tower the last, at grz = 0.
     """
     grw, grz = [2 * rng.randint(-2, 2)], [2 * rng.randint(-2, 2)]
     cols = [0]
@@ -104,8 +107,22 @@ def random_staircase(rng: random.Random) -> BigradedComplex:
         grw += [w, w - 1]
         grz += [z, z - 1 + 2 * b]
         cols += [0b101 << (2 * k), 0]
+    if normalized:
+        grw = [w - grw[0] for w in grw]
+        grz = [z - grz[-1] for z in grz]
     labels = [f"s{i}" for i in range(len(cols))]
     return BigradedComplex(labels, grw, grz, cols).require_valid()
+
+
+def asymmetric_sums(rng: random.Random, count: int):
+    """Normalized random staircases tensored with 0-2 small torus knots."""
+    out = []
+    for k in range(count):
+        c = random_staircase(rng, normalized=True)
+        for part in random_torus_sum(rng, 2, 60).split("#")[: rng.randint(0, 2)]:
+            c = c.tensor(realize_expr(parse_knot_expr(part)))
+        out.append((f"asymmetric sum {k}", c))
+    return out
 
 
 def shuffled(c: BigradedComplex, rng: random.Random) -> BigradedComplex:
@@ -259,16 +276,39 @@ def _mixed_sums(seed, count):
 
 
 def test_nu_matches_full_scan_oracle():
+    rng = random.Random(20261019)
     exprs = [
         "T(2,11)#T(4,7)#-T(5,6)",
         "T(2,3)#T(4,7)#-T(5,6)",
         "T(2,11)#-T(4,5)",
         "HW",
     ] + _mixed_sums(20260, 30)
-    for text in exprs:
-        c = realize_expr(parse_knot_expr(text))
-        for name, cc in ((text, c), ("-(" + text + ")", c.dual())):
-            assert nu_hat(cc) == nu_hat_scan(cc), name
+    cases = [(text, realize_expr(parse_knot_expr(text))) for text in exprs]
+    cases += asymmetric_sums(rng, 30)
+    for name, c in cases:
+        for complex_ in (c, c.dual(), shuffled(c, rng), shuffled(c.dual(), rng)):
+            assert nu_hat(complex_) == nu_hat_scan(complex_), name
+
+
+def test_omega_matches_affine_oracle_at_every_n():
+    # Symmetric complexes alone pass a test that drops the U-end or the
+    # V-end condition; the asymmetric sums do not. They are no knot's
+    # complexes, so omega itself may leave {tau, tau + 1} there, and only
+    # the per-n answers are compared.
+    rng = random.Random(20261020)
+    texts = ["T(2,11)#T(4,7)#-T(5,6)", "T(2,3)#T(4,7)#-T(5,6)", "T(2,11)#-T(4,5)"]
+    texts += [random_torus_sum(rng, 3, 400) for _ in range(30)]
+    knots = [(text, realize_expr(parse_knot_expr(text))) for text in texts]
+    knots.append(("hw.cfk", load_complex(HW_FILE)[0]))
+    cases = [(name, c, True) for name, c in knots]
+    cases += [(name, c, False) for name, c in asymmetric_sums(rng, 30)]
+    for name, c, is_knot in cases:
+        for complex_ in (c, c.dual(), shuffled(c, rng), shuffled(c.dual(), rng)):
+            ns = range(max(tau_invariant(complex_), 0) + 4)
+            feasible = [n for n in ns if invariants._staircase_map(complex_, n)]
+            assert feasible == [n for n in ns if omega_feasible(complex_, n)], name
+            if is_knot:
+                assert omega_hat(complex_) == feasible[0], name
 
 
 def test_staircase_tensors_are_knotlike():
