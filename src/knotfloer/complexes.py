@@ -33,7 +33,7 @@ from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import ValidationError
 from .fu import FUComplex
-from .linalg import gap_guard, iter_bits, transpose, value_masks
+from .linalg import gap_guard, image, iter_bits, spread, transpose, value_masks
 
 # (source label, target label, u, v): one monomial term U^u V^v target.
 Term = Tuple[str, str, int, int]
@@ -129,10 +129,7 @@ class BigradedComplex:
         out.extend(d.problem(i, j) for i, j in d.illegal_entries())
         labels, cols = self.labels, self.cols
         for i, col in enumerate(cols):
-            acc = 0
-            for j in iter_bits(col):
-                acc ^= cols[j]
-            for k in iter_bits(acc):
+            for k in iter_bits(image(cols, col)):
                 u = (self.grw[k] - self.grw[i] + 2) // 2
                 v = (self.grz[k] - self.grz[i] + 2) // 2
                 out.append(f"d^2({labels[i]}) has term U^{u}V^{v}*{labels[k]}")
@@ -155,11 +152,8 @@ class BigradedComplex:
         m = len(other)
         cols = []
         for i, col in enumerate(self.cols):
-            spread = 0
-            for k in iter_bits(col):
-                spread |= 1 << (k * m)
-            base = i * m
-            cols.extend((spread << j) ^ (ocol << base) for j, ocol in enumerate(other.cols))
+            left, base = spread(col, m), i * m
+            cols.extend((left << j) ^ (ocol << base) for j, ocol in enumerate(other.cols))
         return BigradedComplex(
             [f"{a}|{b}" for a in self.labels for b in other.labels],
             [w + x for w in self.grw for x in other.grw],
@@ -199,8 +193,6 @@ class ChainMap:
     2v = grz(y_j) - grz(x_i) - dz. `verify_chain_map` checks that every
     implied exponent is a nonnegative integer and that df = fd.
     """
-
-    skew = False
 
     def __init__(
         self,
@@ -291,15 +283,12 @@ class SkewMap(ChainMap):
     U^u V^v y of f(x) has 2u = grw(y) - grz(x) and 2v = grz(y) - grw(x).
     """
 
-    skew = True
-
-    def __init__(self, complex_: BigradedComplex, cols: Sequence[int], provenance: str = "user"):
+    def __init__(self, complex_: BigradedComplex, cols: Sequence[int]):
         super().__init__(complex_, complex_, cols, (0, 0))
-        self.provenance = provenance
 
     @classmethod
-    def from_terms(cls, complex_, terms: Iterable[Term], provenance: str = "user") -> "SkewMap":
-        f = cls(complex_, (), provenance)
+    def from_terms(cls, complex_, terms: Iterable[Term]) -> "SkewMap":
+        f = cls(complex_, ())
         f.cols = _columns_from_terms(f, terms)
         return f
 
@@ -333,72 +322,15 @@ def _columns_from_terms(f: ChainMap, terms: Iterable[Term]) -> Tuple[int, ...]:
     return tuple(cols)
 
 
-def identity_map(c: BigradedComplex) -> ChainMap:
-    return ChainMap(c, c, [1 << i for i in range(len(c))], (0, 0))
-
-
-def map_add(f: ChainMap, g: ChainMap) -> ChainMap:
-    if f.skew != g.skew or f.bidegree != g.bidegree:
-        raise ValueError("cannot add maps of different kinds or bidegrees")
-    cols = [a ^ b for a, b in zip(f.cols, g.cols)]
-    if f.skew:
-        return SkewMap(f.source, cols)
-    return ChainMap(f.source, f.target, cols, f.bidegree)
-
-
-def map_compose(outer: ChainMap, inner: ChainMap) -> ChainMap:
-    """outer after inner, by counting paths. The skew rule twists the inner
-    exponents when the outer map is skew; composing two skew maps yields an
-    equivariant map."""
-    cols = []
-    for col in inner.cols:
-        acc = 0
-        for k in iter_bits(col):
-            acc ^= outer.cols[k]
-        cols.append(acc)
-    if outer.skew != inner.skew:
-        plain = inner if outer.skew else outer
-        if plain.bidegree != (0, 0):
-            raise ValueError("a skew map composes only with maps of bidegree (0,0)")
-        return SkewMap(inner.source, cols)
-    dw = outer.bidegree[0] + inner.bidegree[0]
-    dz = outer.bidegree[1] + inner.bidegree[1]
-    return ChainMap(inner.source, outer.target, cols, (dw, dz))
-
-
-def tensor_map(f: ChainMap, g: ChainMap, source: BigradedComplex, target: BigradedComplex) -> ChainMap:
-    """f (x) g on already-built tensor complexes (generator (i, j) at i * m + j)."""
-    if f.skew != g.skew:
-        raise ValueError("tensor factors must be both skew or both equivariant")
-    m = len(g.target)
-    cols = []
-    for fcol in f.cols:
-        shifts = [k * m for k in iter_bits(fcol)]
-        for gcol in g.cols:
-            acc = 0
-            for shift in shifts:
-                acc ^= gcol << shift
-            cols.append(acc)
-    if f.skew:
-        return SkewMap(source, cols)
-    bd = (f.bidegree[0] + g.bidegree[0], f.bidegree[1] + g.bidegree[1])
-    return ChainMap(source, target, cols, bd)
-
-
 def verify_chain_map(f: ChainMap) -> Optional[str]:
     """None when f is a valid (skew) chain map, else the first violation."""
     for i, j in f.illegal_entries():
         return f.problem(i, j)
     # Chain condition d f = f d; exponents along a path depend only on its
     # end points (for skew maps too), so both sides are XORs of columns.
-    fcols, dsrc, dtgt = f.cols, f.source.cols, f.target.cols
-    for i in range(len(f.source)):
-        left = right = 0
-        for k in iter_bits(fcols[i]):
-            left ^= dtgt[k]
-        for k in iter_bits(dsrc[i]):
-            right ^= fcols[k]
-        if left != right:
+    fcols, dtgt = f.cols, f.target.cols
+    for i, (fcol, dcol) in enumerate(zip(fcols, f.source.cols)):
+        if image(dtgt, fcol) != image(fcols, dcol):
             return f"d f != f d on generator {f.source.labels[i]!r}"
     return None
 

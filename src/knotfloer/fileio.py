@@ -126,7 +126,7 @@ def load_complex(path: str) -> Tuple[BigradedComplex, Optional[SkewMap]]:
     if "iota" in data:
         terms = _parse_entries(data["iota"], "iota", names)
         try:
-            iota = SkewMap.from_terms(complex_, terms, provenance="user-file")
+            iota = SkewMap.from_terms(complex_, terms)
         except ValidationError as exc:
             raise FileFormatError(f"{path}: iota rejected: {'; '.join(exc.violations)}") from None
         violation = verify_chain_map(iota)

@@ -18,10 +18,10 @@ checks it against a Smith-normal-form oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import ValidationError
-from .linalg import iter_bits
+from .linalg import gap_guard, image, iter_bits
 
 
 class FUComplex:
@@ -37,24 +37,24 @@ class FUComplex:
     def __len__(self) -> int:
         return len(self.labels)
 
-    def validate(self) -> List[str]:
-        out: List[str] = []
+    def illegal_entries(self) -> Iterator[Tuple[int, int]]:
+        """(j, i) of every entry j -> i whose T-power (r_i - r_j + 1) / 2 is not a natural number."""
+        gradings = self.gradings
+        guard = gap_guard(gradings)
         for j, col in enumerate(self.cols):
-            for i in iter_bits(col):
-                k2 = self.gradings[i] - self.gradings[j] + 1
-                if k2 % 2 or k2 < 0:
-                    out.append(
-                        f"entry {self.labels[j]} -> {self.labels[i]}: grading gap "
-                        f"{self.gradings[j]} -> {self.gradings[i]} admits no T-power"
-                    )
+            bad = col & guard(gradings[j] - 1)
+            if bad:
+                yield from ((j, i) for i in iter_bits(bad))
+
+    def validate(self) -> List[str]:
+        labels, gradings, cols = self.labels, self.gradings, self.cols
+        out = [
+            f"entry {labels[j]} -> {labels[i]}: grading gap {gradings[j]} -> {gradings[i]} admits no T-power"
+            for j, i in self.illegal_entries()
+        ]
         # d^2 = 0; implied powers agree per (source, final) pair, so the
         # composite reduces to XOR of child columns.
-        for j, col in enumerate(self.cols):
-            acc = 0
-            for q in iter_bits(col):
-                acc ^= self.cols[q]
-            if acc:
-                out.append(f"d^2 != 0 on basis element {self.labels[j]}")
+        out += (f"d^2 != 0 on basis element {labels[j]}" for j, col in enumerate(cols) if image(cols, col))
         return out
 
     def require_valid(self) -> "FUComplex":

@@ -19,13 +19,14 @@ Everything here reduces to exact linear algebra over GF(2):
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .complexes import BigradedComplex, reduce_complex
 from .errors import ConsistencyError, ValidationError
 from .fu import FUComplex, tower_reduce
-from .linalg import ColumnSolver, gap_guard, iter_bits, transpose, value_masks
+from .linalg import ColumnSolver, iter_bits, spread, transpose, value_masks
 
 
 # --- level subcomplexes over GF(2)[T] --------------------------------------
@@ -44,13 +45,10 @@ def a_level_complex(c: BigradedComplex, s: int, *, check: bool = True) -> FUComp
     if check and not is_knotlike(c):
         raise ValidationError("complex is not knot-like (localized tower rank != 1)")
     gradings = tuple(w - 2 * (a - s) if a > s else w for w, a in zip(c.grw, c.alexander))
-    guard = gap_guard(gradings)
-    for i, col in enumerate(c.cols):
-        bad = col & guard(gradings[i] - 1)
-        if bad:
-            j = (bad & -bad).bit_length() - 1
-            raise ConsistencyError(f"level-{s} rewrite failed on {c.labels[i]} -> {c.labels[j]}")
-    return FUComplex(c.labels, gradings, c.cols)
+    level = FUComplex(c.labels, gradings, c.cols)
+    for i, j in level.illegal_entries():
+        raise ConsistencyError(f"level-{s} rewrite failed on {c.labels[i]} -> {c.labels[j]}")
+    return level
 
 
 def d_invariant(level: FUComplex) -> int:
@@ -129,8 +127,11 @@ def require_knot_complex(c: BigradedComplex) -> None:
     """Raise `ValidationError` unless c is knot-like with a knot's towers.
 
     The complex of a knot in S^3 has its U = 0 tower at grw = 0 and its
-    V = 0 tower at grz = 0 (both compute HF-hat(S^3)). A shifted complex
-    is knot-like, but its nu and omega need not lie in {tau, tau + 1}.
+    V = 0 tower at grz = 0 (both compute HF-hat(S^3)), and its graded
+    Euler characteristic sum (-1)^grw t^A is the Alexander polynomial,
+    which is symmetric under A -> -A. A shifted or asymmetric complex can
+    be knot-like, but its nu and omega need not lie in {tau, tau + 1}.
+    These are necessary conditions only; the complex itself may still be asymmetric.
     """
     if not is_knotlike(c):
         raise ValidationError("complex is not knot-like (localized tower rank != 1)")
@@ -138,6 +139,13 @@ def require_knot_complex(c: BigradedComplex) -> None:
     for idx, tower, name, grading in towers:
         if grading[idx]:
             raise ValidationError(f"the {tower} tower generator {c.labels[idx]!r} has {name} = {grading[idx]}, not 0")
+    chi = Counter()
+    for w, a in zip(c.grw, c.alexander):
+        chi[a] += -1 if w % 2 else 1
+    for a in sorted(chi, reverse=True):
+        if chi[a] != chi[-a]:
+            raise ValidationError(f"graded Euler characteristic is not symmetric: coefficient "
+                                  f"{chi[a]} at Alexander grading {a}, {chi[-a]} at {-a}")
 
 
 # --- correction terms -------------------------------------------------------
@@ -303,14 +311,12 @@ def _staircase_map(c: BigradedComplex, n: int) -> bool:
             a = alex[j] + p - n
             if grw[j] + p - 2 * max(a, 0):
                 continue
-            spread = 0
-            for k in iter_bits(_hat_entries(no_u[j], no_v[j], a)):
-                spread |= 1 << (k * m)
+            left = spread(_hat_entries(no_u[j], no_v[j], a), m)
             if p == 0 and a <= 0 and phi_u >> j & 1:
                 v1_end |= 1 << len(cols)
             if p == m - 1 and a >= 0 and phi_v >> j & 1:
                 u1_end |= 1 << len(cols)
-            cols.append((spread << p) ^ (_hat_entries(st_u[p], st_v[p], a) << (j * m)))
+            cols.append((left << p) ^ (_hat_entries(st_u[p], st_v[p], a) << (j * m)))
     kernel = ColumnSolver(cols).kernel
     ends = {((z & v1_end).bit_count() & 1, (z & u1_end).bit_count() & 1) for z in kernel}
     return (1, 1) in ends or {(1, 0), (0, 1)} <= ends

@@ -3,9 +3,9 @@
 The involution of a staircase-type complex is the index reflection, the
 unique grading-swapping skew chain isomorphism of a symmetric zigzag.
 Connected sums compose the factor involutions with a basepoint
-correction: with the product map t = iota1 (x) iota2 and the correction
-h = id + Phi1 (x) Psi2, the involution of the sum is t after h, the
-order pinned by the doubled-trefoil correction-term value.
+correction (Zemke): iota = (iota1 (x) iota2) after (1 + Phi1 (x) Psi2),
+the order pinned by the doubled-trefoil correction-term value. It is
+built from the factor columns by the mixed-product rule.
 
 The involutive corrections come from the cone of (1 + iota) on the
 level-0 subcomplex, with the cone variable Q of degree -1:
@@ -26,27 +26,17 @@ from __future__ import annotations
 
 from typing import Tuple
 
-from .complexes import (
-    BigradedComplex,
-    ChainMap,
-    SkewMap,
-    basepoint_map,
-    identity_map,
-    map_add,
-    map_compose,
-    tensor_map,
-    verify_chain_map,
-)
+from .complexes import BigradedComplex, ChainMap, SkewMap, basepoint_map, verify_chain_map
 from .errors import ConsistencyError, ValidationError
 from .fu import FUComplex, tower_reduce
 from .invariants import a_level_complex, v_invariant
-from .linalg import transpose
+from .linalg import image, kron, transpose
 
 
 def staircase_iota(c: BigradedComplex) -> SkewMap:
     """Index-reflection involution of a symmetric zigzag complex."""
     count = len(c)
-    iota = SkewMap(c, [1 << (count - 1 - k) for k in range(count)], provenance="staircase-reflection")
+    iota = SkewMap(c, [1 << (count - 1 - k) for k in range(count)])
     violation = verify_chain_map(iota)
     if violation is not None:
         raise ValidationError(
@@ -60,7 +50,7 @@ def mirror_iota(iota: SkewMap, dual_c: BigradedComplex) -> SkewMap:
 
     Its implied exponents are those of iota, swapped.
     """
-    out = SkewMap(dual_c, transpose(iota.cols, len(dual_c)), provenance=iota.provenance + "-mirror")
+    out = SkewMap(dual_c, transpose(iota.cols, len(dual_c)))
     violation = verify_chain_map(out)
     if violation is not None:
         raise ValidationError(f"mirrored involution fails verification: {violation}")
@@ -74,14 +64,17 @@ def connected_sum_iota(
     phi1: ChainMap,
     psi2: ChainMap,
 ) -> SkewMap:
-    """Involution of a tensor product: (iota1 x iota2) after (id + phi1 x psi2).
+    """Involution of a tensor product: (iota1 x iota2) after (1 + phi1 x psi2).
 
-    It must be a valid skew chain map.
+    Composition multiplies column matrices (exponents along a path depend
+    only on its end points), so the columns are, by the mixed-product
+    rule, iota1 (x) iota2 + (iota1 phi1) (x) (iota2 psi2). It must be a
+    valid skew chain map.
     """
-    product = tensor_map(iota1, iota2, tensor_c, tensor_c)
-    twist = map_add(identity_map(tensor_c), tensor_map(phi1, psi2, tensor_c, tensor_c))
-    out = map_compose(product, twist)
-    out.provenance = "connected-sum"
+    twisted1 = [image(iota1.cols, col) for col in phi1.cols]
+    twisted2 = [image(iota2.cols, col) for col in psi2.cols]
+    cols = map(int.__xor__, kron(iota1.cols, iota2.cols), kron(twisted1, twisted2))
+    out = SkewMap(tensor_c, cols)
     violation = verify_chain_map(out)
     if violation is not None:
         raise ValidationError(f"connected-sum involution fails verification: {violation}")

@@ -18,6 +18,32 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def image(cols: Sequence[int], mask: int) -> int:
+    """XOR of the columns that mask selects: the matrix times the vector mask."""
+    acc = 0
+    for k in iter_bits(mask):
+        acc ^= cols[k]
+    return acc
+
+
+def spread(mask: int, width: int) -> int:
+    """mask with each set bit k moved to bit k * width."""
+    out = 0
+    for k in iter_bits(mask):
+        out |= 1 << (k * width)
+    return out
+
+
+def kron(left: Sequence[int], right: Sequence[int]) -> List[int]:
+    """Kronecker product of square matrices: column and row (i, j) at i * len(right) + j.
+
+    The shifted copies of a right column fill disjoint blocks of bits, so
+    their XOR is an integer product.
+    """
+    spreads = [spread(lcol, len(right)) for lcol in left]
+    return [rcol * s for s in spreads for rcol in right]
+
+
 def transpose(cols: Sequence[int], nrows: int) -> List[int]:
     """Columns of the transpose of an nrows x len(cols) bitmask matrix."""
     out = [0] * nrows
@@ -65,62 +91,6 @@ def gap_guard(values: Sequence[int]) -> Callable[[int], int]:
         return out
 
     return guard
-
-
-class Echelon:
-    """Fully reduced (Gauss-Jordan) basis of a subspace of GF(2)^n.
-
-    Every stored row contains exactly one pivot bit, its own, so
-    :meth:`reduce` is the canonical linear projection onto a complement
-    of the subspace: reduce(a ^ b) == reduce(a) ^ reduce(b). The test
-    oracles build quotient functionals from per-basis-vector reductions,
-    which is only sound with this linearity; the program itself tests
-    classes against cocycles instead.
-    """
-
-    __slots__ = ("pivots", "pivot_mask")
-
-    def __init__(self, vectors: Iterable[int] = ()):
-        self.pivots: dict = {}
-        self.pivot_mask = 0
-        for v in vectors:
-            self.add(v)
-
-    def reduce(self, v: int) -> int:
-        pivots = self.pivots
-        while True:
-            hit = v & self.pivot_mask
-            if not hit:
-                return v
-            v ^= pivots[hit.bit_length() - 1]
-
-    def add(self, v: int) -> bool:
-        """Insert v; returns True when the dimension grew."""
-        v = self.reduce(v)
-        if v == 0:
-            return False
-        p = v.bit_length() - 1
-        bit = 1 << p
-        for q, row in self.pivots.items():
-            if row & bit:
-                self.pivots[q] = row ^ v
-        self.pivots[p] = v
-        self.pivot_mask |= bit
-        return True
-
-    def copy(self) -> "Echelon":
-        """Independent copy; cheaper than re-adding the reduced rows."""
-        out = Echelon()
-        out.pivots = dict(self.pivots)
-        out.pivot_mask = self.pivot_mask
-        return out
-
-    def contains(self, v: int) -> bool:
-        return self.reduce(v) == 0
-
-    @property
-    def dim(self) -> int:
-        return len(self.pivots)
 
 
 class ColumnSolver:
@@ -176,7 +146,8 @@ class LinearSystem:
 
     Variables are allocated through :meth:`new_vars`; an equation is a
     (coefficient bitmask, rhs bit) pair. :meth:`solve` returns one solution
-    as a bitmask (free variables zero) or None.
+    as a bitmask (free variables zero) or None. Only the test oracles
+    assemble such systems.
     """
 
     __slots__ = ("nvars", "rows")

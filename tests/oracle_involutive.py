@@ -24,7 +24,9 @@ from knotfloer.errors import ConsistencyError, ValidationError
 from knotfloer.fu import FUComplex, tower_reduce
 from knotfloer.invariants import a_level_complex
 from knotfloer.involutive import ai0_cone
-from knotfloer.linalg import ColumnSolver, Echelon, iter_bits
+from knotfloer.linalg import ColumnSolver, iter_bits
+
+from echelon import Echelon
 
 
 def power(fu: FUComplex, row: int, col: int) -> int:

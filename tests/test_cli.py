@@ -266,6 +266,17 @@ def test_shifted_towers_are_bad_input(tmp_path, capsys, dw, dz, named):
         assert named in err, command
 
 
+def test_asymmetric_complex_is_bad_input(capsys):
+    # Knot-like, towers at grw = 0 and grz = 0, but its graded Euler
+    # characteristic t^4 - t + t^-2 - t^-5 + t^-6 is not symmetric: it is
+    # no knot's complex, and its omega is neither tau nor tau + 1.
+    path = os.path.join(DATA, "asymmetric_zigzag.cfk")
+    for command in ("validate", "report"):
+        code, out, err = run_cli([command, "--expr", f"@{path}"], capsys)
+        assert (code, out) == (3, ""), command
+        assert "coefficient 1 at Alexander grading 4, 0 at -4" in err, command
+
+
 def test_failed_mirror_involution_is_reported(monkeypatch, capsys):
     import knotfloer.cli as cli
 

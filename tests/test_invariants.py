@@ -18,6 +18,7 @@ from knotfloer.invariants import (
     nu_plus,
     omega_hat,
     omega_plus,
+    require_knot_complex,
     tau_invariant,
     v_invariant,
     y_invariant,
@@ -309,6 +310,33 @@ def test_omega_matches_affine_oracle_at_every_n():
             assert feasible == [n for n in ns if omega_feasible(complex_, n)], name
             if is_knot:
                 assert omega_hat(complex_) == feasible[0], name
+
+
+def test_knot_check_needs_a_symmetric_euler_characteristic():
+    # sum (-1)^grw t^A of a knot complex is the symmetric Alexander
+    # polynomial, so torus sums and their mirrors pass. Of the normalized
+    # staircases, those with an asymmetric one are rejected, and those
+    # that pass still give a self-consistent invariant table.
+    rng = random.Random(1)
+    for _ in range(10):
+        c = realize_expr(parse_knot_expr(random_torus_sum(rng, 3, 400)))
+        require_knot_complex(c)
+        require_knot_complex(c.dual())
+    passed = 0
+    for _ in range(100):
+        c = random_staircase(rng, normalized=True)
+        for complex_ in (c, c.dual()):
+            chi = {}
+            for g in complex_.gens:
+                chi[g.alexander] = chi.get(g.alexander, 0) + (-1) ** (g.grw % 2)
+            if all(chi[a] == chi.get(-a, 0) for a in chi):
+                require_knot_complex(complex_)
+                compute_invariant_table(complex_)
+                passed += 1
+            else:
+                with pytest.raises(ValidationError, match="Euler characteristic is not symmetric"):
+                    require_knot_complex(complex_)
+    assert 0 < passed < 200
 
 
 def test_staircase_tensors_are_knotlike():

@@ -8,11 +8,10 @@ from knotfloer.complexes import (
     Generator,
     SkewMap,
     basepoint_maps,
-    identity_map,
     verify_chain_map,
 )
 from knotfloer.errors import ConsistencyError, ValidationError
-from knotfloer.expressions import parse_knot_expr
+from knotfloer.expressions import Sum, parse_knot_expr
 from knotfloer.fu import FUComplex, tower_reduce
 from knotfloer.invariants import v_invariant
 from knotfloer.involutive import (
@@ -94,16 +93,26 @@ def test_connected_sum_with_unknot_is_plain_product():
 
 def test_connected_sum_matches_explicit_polynomials():
     # (iota1 x iota2) after (id + Phi1 x Psi2), composed with the monomials
-    # written out and the skew rule applied to the inner coefficients.
-    for text in ["T(2,3)#T(2,5)", "T(2,3)#-T(3,4)"]:
-        left, right = parse_knot_expr(text).children
+    # written out and the skew rule applied to the inner coefficients. A
+    # sum folds from the left, so the last summand is the right factor.
+    rng = random.Random(2019)
+    texts = ["T(2,3)#T(2,5)", "T(2,3)#-T(3,4)"]
+    while len(texts) < 12:
+        text = random_torus_sum(rng, 3, 150)
+        if "#" in text:
+            texts.append(text)
+    assert any(text.count("#") == 2 for text in texts)
+    assert any(text.startswith("-") or "#-" in text for text in texts[2:])
+    m = oracle_uv.matrix
+    for text in texts:
+        children = parse_knot_expr(text).children
+        left = children[0] if len(children) == 2 else Sum(children[:-1])
         c1, io1 = realize_with_iota(left)
-        c2, io2 = realize_with_iota(right)
+        c2, io2 = realize_with_iota(children[-1])
         c, io = realize_with_iota(parse_knot_expr(text))
-        m = oracle_uv.matrix
         product = oracle_uv.tensor_maps(m(io1.terms()), m(io2.terms()))
         twist = oracle_uv.tensor_maps(m(basepoint_maps(c1)[0].terms()), m(basepoint_maps(c2)[1].terms()))
-        twist = oracle_uv.add(m(identity_map(c).terms()), twist)
+        twist = oracle_uv.add(m([(x, x, 0, 0) for x in c.labels]), twist)
         assert m(io.terms()) == oracle_uv.compose(product, twist, outer_skew=True), text
 
 

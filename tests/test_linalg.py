@@ -1,4 +1,6 @@
-from knotfloer.linalg import ColumnSolver, Echelon, LinearSystem, iter_bits
+from knotfloer.linalg import ColumnSolver, LinearSystem, iter_bits
+
+from echelon import Echelon
 
 
 def _combine(cols, combo):
