@@ -45,7 +45,6 @@ from .bounds import (
     signature_clasp_bound,
     upsilon_of_expr,
     upsilon_ratio_bound,
-    upsilon_staircase,
 )
 
 __version__ = "0.1.0"

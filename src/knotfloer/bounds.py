@@ -1,14 +1,19 @@
 """Slice-genus and clasp-number lower bounds, all in exact arithmetic.
 
-Two analytic inputs are computed here for torus-knot sums:
+Two analytic inputs are computed here for torus-knot sums, each as a
+signed sum over the summands (`expressions.torus_terms`) of per-term
+jumps, with mirrored summands counted with sign -1:
 
-* the piecewise-linear concordance function on [0, 2]: for a staircase it
-  is the upper envelope over the cycle generators of
-  (1 - t/2) grw + (t/2) grz, which starts at 0 with slope -tau; mirrors
-  negate and connected sums add;
-* the Levine-Tristram signature step function on (0, 1): for T(p, q) the
-  lattice set {a/p + b/q} contributes a -2 jump at s - 1 when s > 1 and a
-  +2 jump at s when s < 1; mirrors negate, sums add.
+* the piecewise-linear concordance function on [0, 2]. For T(p, q) it
+  is the upper envelope of the lines grw - t A over the cycle
+  generators of its staircase, which starts at 0 with slope -tau; its
+  initial slope and its slope changes {t: change} are read off the
+  Alexander exponents in one hull pass. The sum's slope changes are
+  the signed merge of the terms', integrated once from f(0) = 0;
+* the Levine-Tristram signature step function on (0, 1): for T(p, q)
+  the lattice set {a/p + b/q} contributes a -2 jump at s - 1 when s > 1
+  and a +2 jump at s when s < 1; the sum's jumps are the signed merge
+  of the terms'.
 
 Everything downstream (ratio bound, signature extrema, report assembly)
 is bookkeeping over `fractions.Fraction`; no floats anywhere.
@@ -18,12 +23,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
-from .builders import alexander_exponents, staircase_from_steps
+from .builders import alexander_exponents
 from .errors import UnsupportedInputError, ValidationError
-from .expressions import KnotExpr, Mirror, Sum, TorusKnot
-from .complexes import BigradedComplex
+from .expressions import KnotExpr, torus_terms
 
 
 @dataclass(frozen=True)
@@ -56,94 +60,62 @@ class PLFunction:
     def initial_slope(self) -> Fraction:
         return (self.values[1] - self.values[0]) / (self.breakpoints[1] - self.breakpoints[0])
 
-    def negate(self) -> "PLFunction":
-        return PLFunction(self.breakpoints, tuple(-v for v in self.values))
 
-    def add(self, other: "PLFunction") -> "PLFunction":
-        xs = sorted(set(self.breakpoints) | set(other.breakpoints))
-        ys = tuple(self(x) + other(x) for x in xs)
-        return PLFunction(tuple(xs), ys)
-
-    def simplify(self) -> "PLFunction":
-        """Drop breakpoints where the slope does not change."""
-        xs, ys = list(self.breakpoints), list(self.values)
-        out_x, out_y = [xs[0]], [ys[0]]
-        for i in range(1, len(xs) - 1):
-            s_in = (ys[i] - out_y[-1]) / (xs[i] - out_x[-1])
-            s_out = (ys[i + 1] - ys[i]) / (xs[i + 1] - xs[i])
-            if s_in != s_out:
-                out_x.append(xs[i])
-                out_y.append(ys[i])
-        out_x.append(xs[-1])
-        out_y.append(ys[-1])
-        return PLFunction(tuple(out_x), tuple(out_y))
+def _signed_merge(terms: Iterable[Tuple[int, Dict[Fraction, int]]]) -> Dict[Fraction, int]:
+    """Sum of sign * jumps over the terms, sorted by location, zeros dropped."""
+    acc: Dict[Fraction, int] = {}
+    for sign, jumps in terms:
+        for x, size in jumps.items():
+            acc[x] = acc.get(x, 0) + sign * size
+    return {x: acc[x] for x in sorted(acc) if acc[x]}
 
 
-def _upper_envelope(lines: Sequence[Tuple[Fraction, Fraction]]) -> PLFunction:
-    """Upper envelope of lines (slope, intercept) over [0, 2]."""
-    xs = {Fraction(0), Fraction(2)}
-    for i in range(len(lines)):
-        s1, c1 = lines[i]
-        for j in range(i + 1, len(lines)):
-            s2, c2 = lines[j]
-            if s1 == s2:
-                continue
-            t = Fraction(c2 - c1, s1 - s2)
-            if 0 < t < 2:
-                xs.add(t)
-    grid = sorted(xs)
-    vals = [max(s * t + c for s, c in lines) for t in grid]
-    return PLFunction(tuple(grid), tuple(vals)).simplify()
+def _upsilon_torus(p: int, q: int) -> Tuple[int, Dict[Fraction, int]]:
+    """Initial slope and {t: slope change} of the concordance function of T(p, q).
 
-
-def _is_staircase_shape(c: BigradedComplex) -> bool:
-    """Zigzag test: even positions are cycles, odd ones hit both neighbours."""
-    if len(c) % 2 == 0:
-        return False
-    for idx, col in enumerate(c.cols):
-        want = 0 if idx % 2 == 0 else (1 << (idx - 1)) | (1 << (idx + 1))
-        if col != want:
-            return False
-    return True
-
-
-def upsilon_staircase(c: BigradedComplex) -> PLFunction:
-    """Concordance function of a staircase complex.
-
-    Maximum over the cycle generators of the t-interpolated grading;
-    boundaries and monomial multiples only lower it, so generators
-    realize the envelope. Only genuine zigzags are accepted: on anything
-    else (dual staircases included) the envelope formula is wrong, so
-    such input is refused rather than approximated.
+    Cycle generator x_2i of the staircase has A = s_2i, and grw drops by
+    2(s_2i - s_2i+1) from one to the next, so the slopes -A of the lines
+    grw - t A increase along the staircase and one stack pass keeps the
+    lines of the upper envelope. x_0 alone leads at t = 0 and x_2m alone
+    at t = 2, so every crossing kept lies inside (0, 2).
     """
-    if not _is_staircase_shape(c):
-        raise UnsupportedInputError("not a staircase-shaped complex")
-    lines = [
-        (Fraction(z - w, 2), Fraction(w))
-        for w, z, col in zip(c.grw, c.grz, c.cols)
-        if not col
-    ]
-    return _upper_envelope(lines)
+    s = alexander_exponents(p, q).exponents
+    hull: List[Tuple[int, int, Fraction]] = []  # (slope, intercept, where it starts to lead)
+    w = 0
+    for i in range(0, len(s), 2):
+        if i:
+            w -= 2 * (s[i - 2] - s[i - 1])
+        start = Fraction(0)
+        while hull:
+            slope, intercept, since = hull[-1]
+            start = Fraction(intercept - w, -s[i] - slope)
+            if start > since:
+                break
+            hull.pop()
+        hull.append((-s[i], w, start))
+    return hull[0][0], {t: slope - prev for (prev, _, _), (slope, _, t) in zip(hull, hull[1:])}
 
 
 def upsilon_of_expr(e: KnotExpr) -> PLFunction:
     """Concordance function of a torus-knot sum expression.
 
-    Mirrors negate, connected sums add; anything beyond torus knots,
-    mirrors, and sums is refused rather than approximated.
+    Anything beyond torus knots, mirrors, and sums is refused rather
+    than approximated.
     """
-    if isinstance(e, TorusKnot):
-        return upsilon_staircase(staircase_from_steps(alexander_exponents(e.p, e.q)))
-    if isinstance(e, Mirror):
-        return upsilon_of_expr(e.child).negate()
-    if isinstance(e, Sum):
-        acc = upsilon_of_expr(e.children[0])
-        for child in e.children[1:]:
-            acc = acc.add(upsilon_of_expr(child))
-        return acc.simplify()
-    raise UnsupportedInputError(
-        "the concordance function is only computed for torus-knot sums"
-    )
+    terms = torus_terms(e)
+    if terms is None:
+        raise UnsupportedInputError(
+            "the concordance function is only computed for torus-knot sums"
+        )
+    per_term = [(sign, _upsilon_torus(p, q)) for sign, p, q in terms]
+    slope = sum(sign * first for sign, (first, _) in per_term)
+    changes = _signed_merge((sign, jumps) for sign, (_, jumps) in per_term)
+    xs, ys = [Fraction(0)], [Fraction(0)]
+    for t in [*changes, Fraction(2)]:
+        ys.append(ys[-1] + slope * (t - xs[-1]))
+        xs.append(t)
+        slope += changes.get(t, 0)
+    return PLFunction(tuple(xs), tuple(ys))
 
 
 def upsilon_ratio_bound(f: PLFunction) -> Fraction:
@@ -178,16 +150,6 @@ class StepFunction:
             raise ValueError(f"{t} is a jump point")
         return sum(size for x, size in self.jumps if x < t)
 
-    def negate(self) -> "StepFunction":
-        return StepFunction(tuple((x, -s) for x, s in self.jumps))
-
-    def add(self, other: "StepFunction") -> "StepFunction":
-        acc: Dict[Fraction, int] = {}
-        for x, s in self.jumps + other.jumps:
-            acc[x] = acc.get(x, 0) + s
-        merged = tuple((x, acc[x]) for x in sorted(acc) if acc[x])
-        return StepFunction(merged)
-
     def extrema(self) -> Tuple[int, int]:
         """(max, min) over the open intervals between jumps."""
         level = 0
@@ -217,18 +179,13 @@ def lt_signature_torus(p: int, q: int) -> StepFunction:
 
 
 def lt_signature_of_expr(e: KnotExpr) -> StepFunction:
-    if isinstance(e, TorusKnot):
-        return lt_signature_torus(e.p, e.q)
-    if isinstance(e, Mirror):
-        return lt_signature_of_expr(e.child).negate()
-    if isinstance(e, Sum):
-        acc = lt_signature_of_expr(e.children[0])
-        for child in e.children[1:]:
-            acc = acc.add(lt_signature_of_expr(child))
-        return acc
-    raise UnsupportedInputError(
-        "the signature function is only computed for torus-knot sums"
-    )
+    terms = torus_terms(e)
+    if terms is None:
+        raise UnsupportedInputError(
+            "the signature function is only computed for torus-knot sums"
+        )
+    jumps = _signed_merge((sign, dict(lt_signature_torus(p, q).jumps)) for sign, p, q in terms)
+    return StepFunction(tuple(jumps.items()))
 
 
 def signature_clasp_bound(sig: StepFunction) -> Tuple[int, int, int]:

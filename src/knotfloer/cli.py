@@ -36,7 +36,7 @@ from .errors import (
     UnsupportedInputError,
     ValidationError,
 )
-from .expressions import FileRef, expr_to_string, is_torus_sum, parse_knot_expr
+from .expressions import FileRef, expr_to_string, parse_knot_expr, torus_terms
 from .fileio import load_complex
 from .invariants import (
     a_level_complex,
@@ -114,7 +114,7 @@ def _build_report(args) -> Dict:
         m_involutive = v0_bar_under(mirror, mirror_io)
     upsilon = None
     signature = None
-    if is_torus_sum(expr):
+    if torus_terms(expr) is not None:
         upsilon = upsilon_of_expr(expr)
         signature = lt_signature_of_expr(expr)
 
@@ -265,7 +265,7 @@ def _cmd_report(args) -> int:
 
 def _cmd_plotdata(args) -> int:
     expr = parse_knot_expr(args.expr)
-    if not is_torus_sum(expr):
+    if torus_terms(expr) is None:
         print("plotdata requires a torus-knot sum expression", file=sys.stderr)
         return 5
     ups = upsilon_of_expr(expr)

@@ -5,6 +5,7 @@ Grammar (whitespace ignored):
     expr := term ('#' term)*
     term := '-'? atom
     atom := 'T(' int ',' int ')' | name | '@' path
+    int  := ASCII digits 0-9, one or more
 
 '-' mirrors a single atom. Connected sum realizes as the tensor product,
 mirroring as the dual complex.
@@ -14,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from typing import Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 from .complexes import BigradedComplex
 from .errors import ParseError
@@ -87,7 +88,7 @@ class _Parser:
     def parse_int(self) -> int:
         self.skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos] in "0123456789":
             self.pos += 1
         if self.pos == start:
             raise self.error("expected an integer")
@@ -164,12 +165,24 @@ def realize_expr(e: KnotExpr) -> BigradedComplex:
     return realize_with_iota(e)[0]
 
 
-def is_torus_sum(e: KnotExpr) -> bool:
-    """True when the expression is built from torus knots, mirrors, sums."""
+def torus_terms(e: KnotExpr) -> Optional[List[Tuple[int, int, int]]]:
+    """The (sign, p, q) of each summand of a torus-knot sum, in order.
+
+    sign is -1 for a mirrored summand. Nested sums and mirrors, which the
+    API can build though the parser does not, are flattened. None when
+    the expression has an atom other than a torus knot.
+    """
     if isinstance(e, TorusKnot):
-        return True
+        return [(1, e.p, e.q)]
     if isinstance(e, Mirror):
-        return is_torus_sum(e.child)
+        inner = torus_terms(e.child)
+        return None if inner is None else [(-sign, p, q) for sign, p, q in inner]
     if isinstance(e, Sum):
-        return all(is_torus_sum(ch) for ch in e.children)
-    return False
+        out: List[Tuple[int, int, int]] = []
+        for child in e.children:
+            inner = torus_terms(child)
+            if inner is None:
+                return None
+            out.extend(inner)
+        return out
+    return None

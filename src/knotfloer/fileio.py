@@ -111,6 +111,10 @@ def load_complex(path: str) -> Tuple[BigradedComplex, Optional[SkewMap]]:
         raise FileFormatError(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise FileFormatError(f"{path} is not well-formed JSON: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise FileFormatError(f"{path} is not UTF-8 text: {exc}") from None
+    except RecursionError:
+        raise FileFormatError(f"{path} nests arrays or objects too deeply to read") from None
     if not isinstance(data, dict):
         raise FileFormatError("top level must be an object")
     gens = _parse_generators(data.get("generators"))

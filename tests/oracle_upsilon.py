@@ -1,0 +1,129 @@
+"""Staircase envelope, kept as an oracle for `bounds.upsilon_of_expr`.
+
+`upsilon_of_expr` sums the slope changes of each torus knot's hull.
+This oracle builds each term's staircase complex, reads the cycle lines
+off its gradings, takes the upper envelope by intersecting every pair
+of lines and maximizing over all lines at each crossing, then combines
+the terms with the PL arithmetic below (mirror: negate; sum: evaluate
+both at every breakpoint and add; then drop breakpoints where the slope
+does not change). The signature fold does the same for step functions.
+"""
+
+from fractions import Fraction
+from typing import Dict, Sequence, Tuple
+
+from knotfloer.bounds import PLFunction, StepFunction, lt_signature_torus
+from knotfloer.builders import alexander_exponents, staircase_from_steps
+from knotfloer.complexes import BigradedComplex
+from knotfloer.errors import UnsupportedInputError
+from knotfloer.expressions import KnotExpr, Mirror, Sum, TorusKnot
+
+
+def pl_negate(f: PLFunction) -> PLFunction:
+    return PLFunction(f.breakpoints, tuple(-v for v in f.values))
+
+
+def pl_add(f: PLFunction, g: PLFunction) -> PLFunction:
+    xs = sorted(set(f.breakpoints) | set(g.breakpoints))
+    return PLFunction(tuple(xs), tuple(f(x) + g(x) for x in xs))
+
+
+def pl_simplify(f: PLFunction) -> PLFunction:
+    """Drop breakpoints where the slope does not change."""
+    xs, ys = list(f.breakpoints), list(f.values)
+    out_x, out_y = [xs[0]], [ys[0]]
+    for i in range(1, len(xs) - 1):
+        s_in = (ys[i] - out_y[-1]) / (xs[i] - out_x[-1])
+        s_out = (ys[i + 1] - ys[i]) / (xs[i + 1] - xs[i])
+        if s_in != s_out:
+            out_x.append(xs[i])
+            out_y.append(ys[i])
+    out_x.append(xs[-1])
+    out_y.append(ys[-1])
+    return PLFunction(tuple(out_x), tuple(out_y))
+
+
+def upper_envelope(lines: Sequence[Tuple[Fraction, Fraction]]) -> PLFunction:
+    """Upper envelope of lines (slope, intercept) over [0, 2]."""
+    xs = {Fraction(0), Fraction(2)}
+    for i in range(len(lines)):
+        s1, c1 = lines[i]
+        for j in range(i + 1, len(lines)):
+            s2, c2 = lines[j]
+            if s1 == s2:
+                continue
+            t = Fraction(c2 - c1, s1 - s2)
+            if 0 < t < 2:
+                xs.add(t)
+    grid = sorted(xs)
+    vals = [max(s * t + c for s, c in lines) for t in grid]
+    return pl_simplify(PLFunction(tuple(grid), tuple(vals)))
+
+
+def is_staircase_shape(c: BigradedComplex) -> bool:
+    """Zigzag test: even positions are cycles, odd ones hit both neighbours."""
+    if len(c) % 2 == 0:
+        return False
+    for idx, col in enumerate(c.cols):
+        want = 0 if idx % 2 == 0 else (1 << (idx - 1)) | (1 << (idx + 1))
+        if col != want:
+            return False
+    return True
+
+
+def upsilon_staircase(c: BigradedComplex) -> PLFunction:
+    """Concordance function of a staircase complex.
+
+    Maximum over the cycle generators of the t-interpolated grading;
+    boundaries and monomial multiples only lower it, so generators
+    realize the envelope. Only genuine zigzags are accepted: on anything
+    else (dual staircases included) the envelope formula is wrong, so
+    such input is refused rather than approximated.
+    """
+    if not is_staircase_shape(c):
+        raise UnsupportedInputError("not a staircase-shaped complex")
+    lines = [
+        (Fraction(z - w, 2), Fraction(w))
+        for w, z, col in zip(c.grw, c.grz, c.cols)
+        if not col
+    ]
+    return upper_envelope(lines)
+
+
+def upsilon_reference(e: KnotExpr) -> PLFunction:
+    """Concordance function of a torus-knot sum: mirrors negate, sums add."""
+    if isinstance(e, TorusKnot):
+        return upsilon_staircase(staircase_from_steps(alexander_exponents(e.p, e.q)))
+    if isinstance(e, Mirror):
+        return pl_negate(upsilon_reference(e.child))
+    if isinstance(e, Sum):
+        acc = upsilon_reference(e.children[0])
+        for child in e.children[1:]:
+            acc = pl_add(acc, upsilon_reference(child))
+        return pl_simplify(acc)
+    raise UnsupportedInputError("not a torus-knot sum")
+
+
+def step_negate(f: StepFunction) -> StepFunction:
+    return StepFunction(tuple((x, -s) for x, s in f.jumps))
+
+
+def step_add(f: StepFunction, g: StepFunction) -> StepFunction:
+    acc: Dict[Fraction, int] = {}
+    for x, s in f.jumps + g.jumps:
+        acc[x] = acc.get(x, 0) + s
+    return StepFunction(tuple((x, acc[x]) for x in sorted(acc) if acc[x]))
+
+
+def signature_reference(e: KnotExpr) -> StepFunction:
+    """Levine-Tristram signature of a torus-knot sum by the same fold."""
+    if isinstance(e, TorusKnot):
+        return lt_signature_torus(e.p, e.q)
+    if isinstance(e, Mirror):
+        return step_negate(signature_reference(e.child))
+    if isinstance(e, Sum):
+        acc = signature_reference(e.children[0])
+        for child in e.children[1:]:
+            acc = step_add(acc, signature_reference(child))
+        return acc
+    raise UnsupportedInputError("not a torus-knot sum")

@@ -1,4 +1,6 @@
+import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -12,13 +14,14 @@ from knotfloer.bounds import (
     signature_clasp_bound,
     upsilon_of_expr,
     upsilon_ratio_bound,
-    upsilon_staircase,
 )
 from knotfloer.builders import staircase, torus_knot_complex
 from knotfloer.errors import UnsupportedInputError, ValidationError
-from knotfloer.expressions import parse_knot_expr
+from knotfloer.expressions import Mirror, Sum, TorusKnot, parse_knot_expr
 from knotfloer.invariants import tau_invariant
 from knotfloer.expressions import realize_expr
+
+from oracle_upsilon import signature_reference, upsilon_reference, upsilon_staircase
 
 K1 = "T(2,11)#-T(4,5)"
 
@@ -86,6 +89,41 @@ def test_upsilon_slope_matches_tau():
         e = parse_knot_expr(text)
         c = realize_expr(e)
         assert upsilon_of_expr(e).initial_slope() == -tau_invariant(c), text
+
+
+# The torus knots T(p, q), p < q, with p < 14, q < 20 and genus <= 15.
+SMALL_TORUS = [
+    TorusKnot(p, q)
+    for p in range(2, 14)
+    for q in range(p + 1, 20)
+    if gcd(p, q) == 1 and (p - 1) * (q - 1) <= 30
+]
+
+
+def _oracle_cases():
+    rng = random.Random(2017)
+    sums = [
+        Sum(tuple(
+            Mirror(k) if rng.random() < 0.5 else k
+            for k in (rng.choice(SMALL_TORUS) for _ in range(rng.randint(2, 3)))
+        ))
+        for _ in range(40)
+    ]
+    return SMALL_TORUS + [Mirror(k) for k in SMALL_TORUS] + sums
+
+
+def test_upsilon_and_signature_match_the_envelope_oracle():
+    cases = _oracle_cases()
+    assert len(SMALL_TORUS) == 26 and len(cases) == 92
+    # Nested sums and a mirrored sum, which the API builds and the parser does not.
+    cases.append(Mirror(Sum((TorusKnot(2, 3), Mirror(TorusKnot(3, 4))))))
+    cases.append(Sum((Sum((TorusKnot(2, 5), TorusKnot(3, 4))), Mirror(TorusKnot(2, 5)))))
+    for e in cases:
+        got, want = upsilon_of_expr(e), upsilon_reference(e)
+        assert got.breakpoints == want.breakpoints, e
+        assert got.values == want.values, e
+        assert all(type(x) is Fraction for x in got.breakpoints + got.values), e
+        assert lt_signature_of_expr(e) == signature_reference(e), e
 
 
 def test_upsilon_refuses_general_complexes():

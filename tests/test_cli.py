@@ -81,6 +81,14 @@ def test_parse_error_exit_code(capsys):
     assert "syntax error" in err
 
 
+@pytest.mark.parametrize("expr", ["T(\u00b2,3)", "T(\u0662,3)"])
+def test_non_ascii_digit_is_syntax_error(expr, capsys):
+    for command in ("report", "plotdata"):
+        code, out, err = run_cli([command, "--expr", expr], capsys)
+        assert (code, out) == (2, ""), command
+        assert "expected an integer" in err, command
+
+
 def test_validation_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.cfk"
     bad.write_text(
@@ -275,6 +283,14 @@ def test_asymmetric_complex_is_bad_input(capsys):
         code, out, err = run_cli([command, "--expr", f"@{path}"], capsys)
         assert (code, out) == (3, ""), command
         assert "coefficient 1 at Alexander grading 4, 0 at -4" in err, command
+
+
+def test_undecodable_file_is_bad_input(capsys):
+    path = os.path.join(DATA, "not_utf8.cfk")
+    for command in ("validate", "report"):
+        code, out, err = run_cli([command, "--expr", f"@{path}"], capsys)
+        assert (code, out) == (3, ""), command
+        assert "is not UTF-8 text" in err, command
 
 
 def test_failed_mirror_involution_is_reported(monkeypatch, capsys):

@@ -4,7 +4,8 @@ The corpus reports must hash to the sha256 values in
 `perfbench/digests.json` (read here, never written). The saved files of
 three torus sums with their involutions, and of a round trip of
 `tests/data/hw.cfk`, must hash to the values below; these pin the file
-writer's canonical order.
+writer's canonical order. So must the `plotdata` tables of the corpus
+sums and of one three-term sum.
 """
 
 import hashlib
@@ -30,6 +31,13 @@ SAVED = {
     "T(2,5)#-T(3,4)": "e4f3bc2c609c20c28b08d8e3282af3e7e5e64a4c9b3fcabb0f1e567ef862d92b",
     "T(2,3)#T(4,7)#-T(5,6)": "63f8187c0682244b2904587629997fd9cf69db6e62759d9c785a506f50fb9293",
 }
+PLOTDATA = {
+    ("J", "--full"): "88e252786a5977af5e7d1e7505a66e8f8ec037bdb17b337eec6c17756f2b33ad",
+    ("K", "--full"): "93f9faf996bf2eecba0c9244ef91f05d2b2d86ce67678ebae09b3f3d174ae6a5",
+    ("K1", "--full"): "8e878191341551e5bf9c1ddf67f9efdf5df0cd7b2876eb8877d91df78610a420",
+    ("K1", ""): "5103b123f459335fd79b1680d99cdc9c82011079aa8bd32f99d91abebe7ea3fc",
+    ("T(3,4)#-T(2,5)#T(2,7)", "--full"): "16a3666baf32ca6524f412f647db6fe10f538a51f5af2000c500d9f2ba6ae91c",
+}
 HW_ROUND_TRIP = "c89eb16c113ed21ccf7dc5970ef1e49fde3dca7f2fd5dffcd6ce5712f6c38e1b"
 
 
@@ -45,6 +53,14 @@ def test_corpus_report_digest(label, capsys, monkeypatch):
     assert main(["report", f"--expr={CORPUS[label]}", "--format", "json"]) == 0
     out, _ = capsys.readouterr()
     assert sha256(out.encode()) == want
+
+
+@pytest.mark.parametrize("label, flag", sorted(PLOTDATA))
+def test_plotdata_digest(label, flag, capsys):
+    argv = ["plotdata", f"--expr={CORPUS.get(label, label)}"] + ([flag] if flag else [])
+    assert main(argv) == 0
+    out, _ = capsys.readouterr()
+    assert sha256(out.encode()) == PLOTDATA[label, flag]
 
 
 @pytest.mark.parametrize("expr", sorted(SAVED))

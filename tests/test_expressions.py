@@ -11,9 +11,9 @@ from knotfloer.expressions import (
     Sum,
     TorusKnot,
     expr_to_string,
-    is_torus_sum,
     parse_knot_expr,
     realize_expr,
+    torus_terms,
 )
 
 
@@ -43,6 +43,14 @@ def test_parse_errors_have_positions():
     for text in ["", "T(2,3)#", "-", "T(2,", "T(2,3)x", "#T(2,3)"]:
         with pytest.raises(ParseError):
             parse_knot_expr(text)
+
+
+@pytest.mark.parametrize("text", ["T(\u00b2,3)", "T(\u0662,3)", "T(2,\uff13)"])
+def test_parse_reads_only_ascii_digits(text):
+    # A superscript two, an Arabic-Indic two and a fullwidth three.
+    with pytest.raises(ParseError) as err:
+        parse_knot_expr(text)
+    assert "expected an integer" in str(err.value)
 
 
 def random_expr(rng, depth=0):
@@ -88,7 +96,11 @@ def test_realize_sum_generates_product():
     assert len(c.gens) == 9
 
 
-def test_is_torus_sum():
-    assert is_torus_sum(parse_knot_expr("T(2,3)#-T(4,5)"))
-    assert not is_torus_sum(parse_knot_expr("T(2,3)#HW"))
-    assert not is_torus_sum(parse_knot_expr("@file.cfk"))
+def test_torus_terms():
+    assert torus_terms(parse_knot_expr("T(2,3)#-T(4,5)")) == [(1, 2, 3), (-1, 4, 5)]
+    assert torus_terms(parse_knot_expr("-T(3,4)")) == [(-1, 3, 4)]
+    nested = Mirror(Sum((TorusKnot(2, 3), Mirror(Sum((TorusKnot(2, 5), Mirror(TorusKnot(3, 4))))))))
+    assert torus_terms(nested) == [(-1, 2, 3), (1, 2, 5), (-1, 3, 4)]
+    assert torus_terms(parse_knot_expr("T(2,3)#HW")) is None
+    assert torus_terms(Mirror(Sum((TorusKnot(2, 3), FileRef("a.cfk"))))) is None
+    assert torus_terms(parse_knot_expr("@file.cfk")) is None

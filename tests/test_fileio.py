@@ -115,6 +115,17 @@ def test_bad_iota_rejected_with_witness(tmp_path):
     assert "iota" in str(err.value) and "y-1" in str(err.value)
 
 
+def test_undecodable_and_deep_files_are_format_errors(tmp_path):
+    with pytest.raises(FileFormatError) as err:
+        load_complex(os.path.join(DATA, "not_utf8.cfk"))
+    assert "not_utf8.cfk is not UTF-8 text" in str(err.value)
+    deep = tmp_path / "deep.cfk"
+    deep.write_text("[" * 100000 + "]" * 100000)
+    with pytest.raises(FileFormatError) as err:
+        load_complex(str(deep))
+    assert f"{deep} nests arrays or objects too deeply" in str(err.value)
+
+
 def test_missing_fields_and_unknown_ids(tmp_path):
     path = tmp_path / "x.cfk"
     path.write_text(json.dumps({"generators": [{"id": "a", "grw": 0}]}))
