@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
@@ -49,18 +50,29 @@ from .involutive import mirror_iota, realize_with_iota, v0_bar_under
 CYCLE_CERTIFICATE_LIMIT = 2000
 
 
-def _parse_range(text: Optional[str]) -> Tuple[int, ...]:
+def _integer(text: str) -> int:
+    """An integer in ASCII digits, with an optional minus sign.
+
+    int() alone also takes spaces, '_' separators and the digits of other
+    scripts.
+    """
+    if re.fullmatch("-?[0-9]+", text) is None:
+        raise argparse.ArgumentTypeError(f"expected an integer in ASCII digits, got {text!r}")
+    return int(text)
+
+
+def _parse_range(text: Optional[str], flag: str) -> Tuple[int, ...]:
     if not text:
         return ()
     try:
         lo, hi = text.split("..")
-        lo_i, hi_i = int(lo), int(hi)
-    except ValueError:
+        lo_i, hi_i = _integer(lo), _integer(hi)
+    except (ValueError, argparse.ArgumentTypeError):
         raise argparse.ArgumentTypeError(
-            f"range must look like A..B, got {text!r}"
+            f"{flag}: range must look like A..B, got {text!r}"
         ) from None
     if lo_i < 0 or hi_i < lo_i:
-        raise argparse.ArgumentTypeError(f"bad range {text!r}")
+        raise argparse.ArgumentTypeError(f"{flag}: bad range {text!r}")
     return tuple(range(lo_i, hi_i + 1))
 
 
@@ -101,8 +113,8 @@ def _build_report(args) -> Dict:
             "--involutive on: no involution available for this input"
         )
 
-    v_idx = _parse_range(args.v)
-    y_idx = _parse_range(args.y)
+    v_idx = _parse_range(args.v, "--v")
+    y_idx = _parse_range(args.y, "--y")
 
     table = compute_invariant_table(complex_, v_idx, y_idx, args.cap)
     mtable = compute_invariant_table(mirror, v_idx, y_idx, args.cap)
@@ -315,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
             choices=["human", "json", "json-like", "csv"],
             default="human",
         )
-        p.add_argument("--cap", type=int, default=None, help="iteration cap")
+        p.add_argument("--cap", type=_integer, default=None, help="iteration cap")
 
     rep = sub.add_parser("report", help="invariant tables and bound reports")
     common(rep)

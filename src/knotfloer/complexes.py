@@ -29,11 +29,11 @@ which checks every term against the gradings.
 from __future__ import annotations
 
 import functools
-from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import ValidationError
 from .fu import FUComplex
-from .linalg import gap_guard, image, iter_bits, spread, transpose, value_masks
+from .linalg import gap_guard, guarded_entries, image, iter_bits, spread, transpose, value_masks
 
 # (source label, target label, u, v): one monomial term U^u V^v target.
 Term = Tuple[str, str, int, int]
@@ -77,7 +77,7 @@ class BigradedComplex:
         dup = c.repeated_label()
         if dup is not None:
             raise ValidationError(f"duplicate generator id {dup!r}")
-        c.cols = _columns_from_terms(c.d, terms)
+        c.cols = columns_from_terms(c.d, terms)
         return c
 
     # -- basic access --------------------------------------------------
@@ -93,6 +93,16 @@ class BigradedComplex:
     @functools.cached_property
     def alexander(self) -> Tuple[int, ...]:
         return tuple((w - z) // 2 for w, z in zip(self.grw, self.grz))
+
+    @functools.cached_property
+    def grw_masks(self) -> Dict[int, int]:
+        """grw value -> bitmask of the generators at it."""
+        return value_masks(self.grw)
+
+    @functools.cached_property
+    def grz_masks(self) -> Dict[int, int]:
+        """grz value -> bitmask of the generators at it."""
+        return value_masks(self.grz)
 
     @property
     def d(self) -> "Differential":
@@ -118,20 +128,20 @@ class BigradedComplex:
     # -- validation ----------------------------------------------------
 
     def validate(self) -> List[str]:
-        out: List[str] = []
-        for g in self.gens:
-            if (g.grw - g.grz) % 2:
-                out.append(
-                    f"generator {g.name!r}: grw-grz = {g.grw - g.grz} is odd, "
-                    "Alexander grading is not an integer"
-                )
+        labels, grw, grz, cols = self.labels, self.grw, self.grz, self.cols
+        out = [
+            f"generator {name!r}: grw-grz = {w - z} is odd, Alexander grading is not an integer"
+            for name, w, z in zip(labels, grw, grz)
+            if (w - z) % 2
+        ]
         d = self.d
         out.extend(d.problem(i, j) for i, j in d.illegal_entries())
-        labels, cols = self.labels, self.cols
         for i, col in enumerate(cols):
-            for k in iter_bits(image(cols, col)):
-                u = (self.grw[k] - self.grw[i] + 2) // 2
-                v = (self.grz[k] - self.grz[i] + 2) // 2
+            square = image(cols, col)
+            if not square:
+                continue
+            for k in iter_bits(square):
+                u, v = (grw[k] - grw[i] + 2) // 2, (grz[k] - grz[i] + 2) // 2
                 out.append(f"d^2({labels[i]}) has term U^{u}V^{v}*{labels[k]}")
         return out
 
@@ -209,7 +219,7 @@ class ChainMap:
     @classmethod
     def from_terms(cls, source, target, terms: Iterable[Term], bidegree) -> "ChainMap":
         f = cls(source, target, (), bidegree)
-        f.cols = _columns_from_terms(f, terms)
+        f.cols = columns_from_terms(f, terms)
         return f
 
     @functools.cached_property
@@ -239,12 +249,16 @@ class ChainMap:
         return not any(self.cols)
 
     def illegal_entries(self):
-        """(i, j) of every entry whose implied exponents are not nonnegative integers."""
+        """(i, j) of every entry whose implied exponents are not nonnegative integers.
+
+        Checked once per class of sources with the same base grw, and once
+        per class with the same base grz.
+        """
         bw, bz = self.bases
-        guard_w, guard_z = gap_guard(self.target.grw), gap_guard(self.target.grz)
-        for i, col in enumerate(self.cols):
-            for j in iter_bits(col & (guard_w(bw[i]) | guard_z(bz[i]))):
-                yield i, j
+        target = self.target
+        return guarded_entries(
+            self.cols, (bw, gap_guard(target.grw_masks)), (bz, gap_guard(target.grz_masks))
+        )
 
     def _term(self, j: int, u: Optional[int], v: Optional[int]) -> str:
         name = self.target.labels[j]
@@ -289,7 +303,7 @@ class SkewMap(ChainMap):
     @classmethod
     def from_terms(cls, complex_, terms: Iterable[Term]) -> "SkewMap":
         f = cls(complex_, ())
-        f.cols = _columns_from_terms(f, terms)
+        f.cols = columns_from_terms(f, terms)
         return f
 
     @functools.cached_property
@@ -303,7 +317,7 @@ class SkewMap(ChainMap):
         )
 
 
-def _columns_from_terms(f: ChainMap, terms: Iterable[Term]) -> Tuple[int, ...]:
+def columns_from_terms(f: ChainMap, terms: Iterable[Term]) -> Tuple[int, ...]:
     """Columns of f from monomial terms; raises on every inhomogeneous one."""
     src_index, tgt_index = f.source.index, f.target.index
     bw, bz = f.bases
@@ -356,9 +370,14 @@ def basepoint_map(c: BigradedComplex, variable: str) -> ChainMap:
     """
     if variable not in ("U", "V"):
         raise ValueError(f"unknown variable {variable!r}")
-    grading, bidegree = (c.grw, (1, -1)) if variable == "U" else (c.grz, (-1, 1))
-    mod4 = value_masks([g % 4 for g in grading])
-    f = ChainMap(c, c, [col & mod4.get((g + 1) % 4, 0) for col, g in zip(c.cols, grading)], bidegree)
+    if variable == "U":
+        grading, masks, bidegree = c.grw, c.grw_masks, (1, -1)
+    else:
+        grading, masks, bidegree = c.grz, c.grz_masks, (-1, 1)
+    mod4 = [0] * 4
+    for g, mask in masks.items():
+        mod4[g % 4] |= mask
+    f = ChainMap(c, c, [col & mod4[(g + 1) % 4] for col, g in zip(c.cols, grading)], bidegree)
     return f if f.is_zero() else require_chain_map(f)
 
 
@@ -370,9 +389,11 @@ def basepoint_maps(c: BigradedComplex) -> Tuple[ChainMap, ChainMap]:
 # --- quotient reductions ---------------------------------------------------
 
 
-def _zero_exponent(cols: Sequence[int], gradings: Sequence[int]) -> Tuple[int, ...]:
-    """The entries whose exponent along `gradings` is 0: grading drops by one."""
-    at = value_masks(gradings)
+def _zero_exponent(cols: Sequence[int], gradings: Sequence[int], at: Dict[int, int]) -> Tuple[int, ...]:
+    """The entries whose exponent along `gradings` is 0: grading drops by one.
+
+    `at` is the complex's `value_masks` of `gradings`.
+    """
     return tuple(col & at.get(g - 1, 0) for col, g in zip(cols, gradings))
 
 
@@ -388,7 +409,7 @@ def reduce_complex(c: BigradedComplex, mode: str) -> FUComplex:
     two modes' columns.
     """
     if mode == "U0":
-        return FUComplex(c.labels, c.grz, _zero_exponent(c.cols, c.grw))
+        return FUComplex(c.labels, c.grz, _zero_exponent(c.cols, c.grw, c.grw_masks))
     if mode == "V0":
-        return FUComplex(c.labels, c.grw, _zero_exponent(c.cols, c.grz))
+        return FUComplex(c.labels, c.grw, _zero_exponent(c.cols, c.grz, c.grz_masks))
     raise ValueError(f"unknown reduction mode {mode!r}")

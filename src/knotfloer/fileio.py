@@ -22,7 +22,7 @@ import json
 from json.encoder import encode_basestring_ascii
 from typing import List, Optional, Tuple
 
-from .complexes import BigradedComplex, ChainMap, SkewMap, Term, verify_chain_map
+from .complexes import BigradedComplex, ChainMap, SkewMap, Term, columns_from_terms, verify_chain_map
 from .errors import FileFormatError, ValidationError
 from .linalg import iter_bits
 
@@ -61,24 +61,40 @@ def _parse_generators(raw) -> List[Tuple[str, int, int]]:
     return rows
 
 
+def _entry_columns(raw, f: ChainMap) -> Optional[List[int]]:
+    """The columns of f, read from a list of file entries in one pass.
+
+    Checks each entry as the checked path does (types, signs, ids,
+    homogeneity, a (from, to) pair given twice) but returns None at the
+    first anomaly instead of naming it. A pair given twice is a duplicate
+    term or an inhomogeneous one, since the gradings fix its exponents.
+    """
+    if not isinstance(raw, list):
+        return None
+    index = f.source.index
+    bw, bz = f.bases
+    tw, tz = f.target.grw, f.target.grz
+    cols = [0] * len(index)
+    try:
+        for entry in raw:
+            u, v = entry["u"], entry["v"]
+            if type(u) is not int or type(v) is not int or u < 0 or v < 0:
+                return None
+            # A non-string id is no key of index, so the lookup fails.
+            i, j = index[entry["from"]], index[entry["to"]]
+            bit = 1 << j
+            if tw[j] - bw[i] != 2 * u or tz[j] - bz[i] != 2 * v or cols[i] & bit:
+                return None
+            cols[i] |= bit
+    except (KeyError, TypeError):  # not an object, a missing field or an unknown id
+        return None
+    return cols
+
+
 def _parse_entries(raw, kind: str, names) -> List[Term]:
+    """The (from, to, u, v) term of each entry; names the first faulty one."""
     if not isinstance(raw, list):
         raise FileFormatError(f"'{kind}' must be a list")
-    try:
-        quads = [(e["from"], e["to"], e["u"], e["v"]) for e in raw]
-    except (KeyError, TypeError):  # an entry that is not an object or lacks a field
-        quads = None
-    if (
-        quads is not None
-        and all(
-            type(s) is str and type(t) is str and type(u) is int and type(v) is int
-            and u >= 0 and v >= 0 and s in names and t in names
-            for s, t, u, v in quads
-        )
-        and len(set(quads)) == len(quads)
-    ):
-        return quads
-    # Some entry is faulty: check them in order and name the first.
     seen = set()
     out: List[Term] = []
     for idx, entry in enumerate(raw):
@@ -102,6 +118,19 @@ def _parse_entries(raw, kind: str, names) -> List[Term]:
     return out
 
 
+def _read_columns(raw, kind: str, f: ChainMap, names) -> Tuple[int, ...]:
+    """The columns of f from a list of file entries.
+
+    One pass reads them; at its first anomaly the checked path,
+    `_parse_entries` and then the homogeneity check of `from_terms`,
+    reads the list again and names the fault.
+    """
+    cols = _entry_columns(raw, f)
+    if cols is None:
+        return columns_from_terms(f, _parse_entries(raw, kind, names))
+    return tuple(cols)
+
+
 def load_complex(path: str) -> Tuple[BigradedComplex, Optional[SkewMap]]:
     """Load and fully validate a complex file; returns (complex, iota?)."""
     try:
@@ -119,18 +148,22 @@ def load_complex(path: str) -> Tuple[BigradedComplex, Optional[SkewMap]]:
         raise FileFormatError("top level must be an object")
     gens = _parse_generators(data.get("generators"))
     names = {row[0] for row in gens}
-    terms = _parse_entries(data.get("differential", []), "differential", names)
+    raw = data.get("differential", [])
+    complex_ = BigradedComplex(*zip(*gens), [0] * len(gens))
     try:
-        complex_ = BigradedComplex.from_terms(gens, terms).require_valid()
+        if len(names) == len(gens):
+            complex_.cols = _read_columns(raw, "differential", complex_.d, names)
+        else:  # from_terms names the repeated id, after any faulty entry
+            BigradedComplex.from_terms(gens, _parse_entries(raw, "differential", names))
+        complex_.require_valid()
     except ValidationError as exc:
         raise FileFormatError(
             f"{path}: complex fails validation: {'; '.join(exc.violations)}"
         ) from None
     iota = None
     if "iota" in data:
-        terms = _parse_entries(data["iota"], "iota", names)
         try:
-            iota = SkewMap.from_terms(complex_, terms)
+            iota = SkewMap(complex_, _read_columns(data["iota"], "iota", SkewMap(complex_, ()), names))
         except ValidationError as exc:
             raise FileFormatError(f"{path}: iota rejected: {'; '.join(exc.violations)}") from None
         violation = verify_chain_map(iota)

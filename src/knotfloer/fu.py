@@ -17,11 +17,12 @@ checks it against a Smith-normal-form oracle.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import ValidationError
-from .linalg import gap_guard, image, iter_bits
+from .linalg import gap_guard, guarded_entries, image, iter_bits, value_masks
 
 
 class FUComplex:
@@ -37,14 +38,18 @@ class FUComplex:
     def __len__(self) -> int:
         return len(self.labels)
 
+    @functools.cached_property
+    def grading_masks(self) -> Dict[int, int]:
+        """grading -> bitmask of the basis elements in it."""
+        return value_masks(self.gradings)
+
     def illegal_entries(self) -> Iterator[Tuple[int, int]]:
-        """(j, i) of every entry j -> i whose T-power (r_i - r_j + 1) / 2 is not a natural number."""
-        gradings = self.gradings
-        guard = gap_guard(gradings)
-        for j, col in enumerate(self.cols):
-            bad = col & guard(gradings[j] - 1)
-            if bad:
-                yield from ((j, i) for i in iter_bits(bad))
+        """(j, i) of every entry j -> i whose T-power (r_i - r_j + 1) / 2 is not a natural number.
+
+        Checked once per grading class of the sources.
+        """
+        guard = gap_guard(self.grading_masks)
+        return guarded_entries(self.cols, (self.gradings, lambda r: guard(r - 1)))
 
     def validate(self) -> List[str]:
         labels, gradings, cols = self.labels, self.gradings, self.cols

@@ -301,7 +301,7 @@ def _staircase_map(c: BigradedComplex, n: int) -> bool:
     st_u, st_v = _reduced(dual, "U0").cols, _reduced(dual, "V0").cols
     phi_u, phi_v = _cocycle(c, "U0"), _cocycle(c, "V0")
     grw, alex = c.grw, c.alexander
-    at_w, at_z = value_masks(grw), value_masks(c.grz)
+    at_w, at_z = c.grw_masks, c.grz_masks
     cols: List[int] = []
     v1_end = u1_end = 0  # slice positions read in the V = 1 and U = 1 complexes
     for p in range(m):  # x(p - n) sits at bigrading (p, 2n - p)

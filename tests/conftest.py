@@ -3,8 +3,9 @@ import random
 import pytest
 
 from knotfloer.builders import torus_knot_complex
+from knotfloer.complexes import BigradedComplex, SkewMap
 from knotfloer.fu import FUComplex
-from knotfloer.linalg import ColumnSolver
+from knotfloer.linalg import ColumnSolver, image
 
 
 def random_fu_complex(rng: random.Random, max_size: int = 8) -> FUComplex:
@@ -82,6 +83,61 @@ def random_torus_sum(rng: random.Random, max_terms: int, max_gens: int) -> str:
             return "#".join(
                 ("-" if rng.random() < 0.5 else "") + f"T({p},{q})" for p, q in factors
             )
+
+
+def _compose(left, right):
+    """Columns of left after right; exponents along a path depend only on its end points."""
+    return [image(left, col) for col in right]
+
+
+def scramble(c: BigradedComplex, iota: SkewMap, rng: random.Random):
+    """An iota-locally equivalent copy of (c, iota) with dense columns.
+
+    Adds 0-2 acyclic boxes d(a) = U b + V c, d(b) = V e, d(c) = U e, with
+    a and e at the same bigrading of Alexander grading 0 and iota fixing a
+    and e and swapping b and c. Then changes the basis by P = 1 + N: N has
+    an entry x -> y, with probability 0.05, 0.2 or 0.5, when both grading
+    gaps from x to y are even and nonnegative and y comes later in
+    (grw + grz, index) order, so N is nilpotent. The copy has
+    d' = P d P^-1 and iota' = P iota P^-1.
+    """
+    labels, grw, grz = list(c.labels), list(c.grw), list(c.grz)
+    d, io = list(c.cols), list(iota.cols)
+    for k in range(rng.randint(0, 2)):
+        w, n = rng.randint(-3, 3), len(labels)
+        a, b, cc, e = n, n + 1, n + 2, n + 3
+        labels += [f"box{k}{x}" for x in "abce"]
+        grw += [w, w + 1, w - 1, w]
+        grz += [w, w - 1, w + 1, w]
+        d += [1 << b | 1 << cc, 1 << e, 1 << e, 0]
+        io += [1 << a, 1 << cc, 1 << b, 1 << e]
+    n = len(labels)
+    density = rng.choice((0.05, 0.2, 0.5))
+    key = [(grw[i] + grz[i], i) for i in range(n)]
+
+    def even_up(gap):
+        return gap >= 0 and gap % 2 == 0
+
+    nil = [
+        sum(
+            1 << y
+            for y in range(n)
+            if key[y] > key[x]
+            and even_up(grw[y] - grw[x])
+            and even_up(grz[y] - grz[x])
+            and rng.random() < density
+        )
+        for x in range(n)
+    ]
+    ident = [1 << x for x in range(n)]
+    p = [i ^ m for i, m in zip(ident, nil)]
+    # P^-1 = 1 + N + N^2 + ..., which stops because N is nilpotent.
+    p_inv, power = list(p), nil
+    while any(power):
+        power = _compose(nil, power)
+        p_inv = [x ^ y for x, y in zip(p_inv, power)]
+    out = BigradedComplex(labels, grw, grz, _compose(p, _compose(d, p_inv)))
+    return out, SkewMap(out, _compose(p, _compose(io, p_inv)))
 
 
 def level_monomials(c, level: FUComplex, s: int):

@@ -1,0 +1,86 @@
+"""Entry-by-entry homogeneity scans: the oracle of the class-level checks.
+
+`ChainMap.illegal_entries` and `FUComplex.illegal_entries` OR the columns
+of one grading class together and test each class once. These scans test
+every entry on its own, from the exponent formulas, and list the faults
+in index order. `validate_messages` and `fu_validate_messages` rebuild the
+violation lists of `BigradedComplex.validate` and `FUComplex.validate`
+from them.
+"""
+
+from typing import List, Tuple
+
+from knotfloer.complexes import BigradedComplex, ChainMap, SkewMap
+from knotfloer.fu import FUComplex
+
+
+def _bits(mask: int) -> List[int]:
+    return [k for k in range(mask.bit_length()) if mask >> k & 1]
+
+
+def map_illegal_entries(f: ChainMap) -> List[Tuple[int, int]]:
+    """(i, j) of each entry of f whose exponents are not nonnegative integers.
+
+    A term U^u V^v y_j of f(x_i) has 2u = grw(y_j) - grw(x_i) - dw and
+    2v = grz(y_j) - grz(x_i) - dz; a skew map has 2u = grw(y_j) - grz(x_i)
+    and 2v = grz(y_j) - grw(x_i).
+    """
+    src, tgt = f.source, f.target
+    dw, dz = f.bidegree
+    out = []
+    for i, col in enumerate(f.cols):
+        if isinstance(f, SkewMap):
+            w, z = src.grz[i], src.grw[i]
+        else:
+            w, z = src.grw[i] + dw, src.grz[i] + dz
+        for j in _bits(col):
+            two_u, two_v = tgt.grw[j] - w, tgt.grz[j] - z
+            if two_u < 0 or two_v < 0 or two_u % 2 or two_v % 2:
+                out.append((i, j))
+    return out
+
+
+def fu_illegal_entries(fu: FUComplex) -> List[Tuple[int, int]]:
+    """(j, i) of each entry j -> i whose T-power (r_i - r_j + 1) / 2 is not a natural number."""
+    r = fu.gradings
+    return [
+        (j, i)
+        for j, col in enumerate(fu.cols)
+        for i in _bits(col)
+        if r[i] - r[j] + 1 < 0 or (r[i] - r[j] + 1) % 2
+    ]
+
+
+def _square(cols, col: int) -> int:
+    out = 0
+    for k in _bits(col):
+        out ^= cols[k]
+    return out
+
+
+def validate_messages(c: BigradedComplex) -> List[str]:
+    """The violations `BigradedComplex.validate` lists, in its order."""
+    out = [
+        f"generator {g.name!r}: grw-grz = {g.grw - g.grz} is odd, Alexander grading is not an integer"
+        for g in c.gens
+        if (g.grw - g.grz) % 2
+    ]
+    d = c.d
+    out += [d.problem(i, j) for i, j in map_illegal_entries(d)]
+    for i, col in enumerate(c.cols):
+        for k in _bits(_square(c.cols, col)):
+            u = (c.grw[k] - c.grw[i] + 2) // 2
+            v = (c.grz[k] - c.grz[i] + 2) // 2
+            out.append(f"d^2({c.labels[i]}) has term U^{u}V^{v}*{c.labels[k]}")
+    return out
+
+
+def fu_validate_messages(fu: FUComplex) -> List[str]:
+    """The violations `FUComplex.validate` lists, in its order."""
+    labels, r = fu.labels, fu.gradings
+    out = [
+        f"entry {labels[j]} -> {labels[i]}: grading gap {r[j]} -> {r[i]} admits no T-power"
+        for j, i in fu_illegal_entries(fu)
+    ]
+    out += [f"d^2 != 0 on basis element {labels[j]}" for j, col in enumerate(fu.cols) if _square(fu.cols, col)]
+    return out

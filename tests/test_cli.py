@@ -167,6 +167,20 @@ def test_negative_cap_is_usage_error(capsys):
     assert "--cap" in err
 
 
+@pytest.mark.parametrize(
+    "flag,value",
+    [("--v", "0..\u0662"), ("--v", "0..1_0"), ("--cap", "\u0663"), ("--cap", "1_0")],
+)
+def test_number_flag_takes_only_ascii_digits(flag, value, capsys):
+    try:
+        code = main(["report", "--expr", "T(2,3)", flag, value])
+    except SystemExit as exc:  # argparse itself rejects a --cap value
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert flag in err
+
+
 def test_file_iota_drives_involutive_report(tmp_path, capsys):
     from knotfloer.expressions import parse_knot_expr
     from knotfloer.fileio import save_complex

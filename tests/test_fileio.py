@@ -1,6 +1,7 @@
 import functools
 import json
 import os
+import random
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -8,11 +9,12 @@ from hypothesis import strategies as st
 
 from knotfloer.builders import named_complex, staircase
 from knotfloer.cli import main
-from knotfloer.complexes import UNKNOT, BigradedComplex, Generator
+from knotfloer.complexes import UNKNOT, BigradedComplex, Generator, SkewMap
 from knotfloer.errors import FileFormatError, ValidationError
 from knotfloer.expressions import parse_knot_expr
-from knotfloer.fileio import load_complex, save_complex
+from knotfloer.fileio import _parse_entries, load_complex, save_complex
 from knotfloer.involutive import realize_with_iota, staircase_iota
+from conftest import random_torus_sum
 from oracle_io import save_complex_json
 from test_digests import SAVED
 
@@ -88,6 +90,28 @@ def test_duplicate_quadruple_rejected(tmp_path):
     with pytest.raises(FileFormatError) as err:
         load_complex(str(path))
     assert "duplicate" in str(err.value)
+
+
+@pytest.mark.parametrize("where", ["differential", "iota"])
+@pytest.mark.parametrize("key", ["u", "v"])
+def test_homogeneous_negative_exponent_is_named(tmp_path, where, key):
+    # Gradings of b that imply the exponent -1 for `key` and 1 for the
+    # other one on the entry a -> b.
+    exps = {"u": -1, "v": 1} if key == "u" else {"u": 1, "v": -1}
+    shift = 1 if where == "differential" else 0
+    data = {
+        "generators": [
+            {"id": "a", "grw": 0, "grz": 0},
+            {"id": "b", "grw": 2 * exps["u"] - shift, "grz": 2 * exps["v"] - shift},
+        ],
+        "differential": [],
+        where: [{"from": "a", "to": "b", **exps}],
+    }
+    path = tmp_path / "negative.cfk"
+    path.write_text(json.dumps(data))
+    with pytest.raises(FileFormatError) as err:
+        load_complex(str(path))
+    assert str(err.value) == f"{where} entry #0: field {key!r} must be nonnegative, got -1"
 
 
 def test_bad_iota_rejected_with_witness(tmp_path):
@@ -293,6 +317,26 @@ def test_failed_save_keeps_existing_file(tmp_path, complex_, kwargs):
     assert path.read_bytes() == b"old bytes\n"
 
 
+# --- the loader's single pass against its checked path ----------------------
+
+
+def test_single_pass_matches_checked_path(tmp_path):
+    path = tmp_path / "sum.cfk"
+    for seed in range(40):
+        rng = random.Random(seed)
+        expr = random_torus_sum(rng, 3, 250)
+        c, iota = realize_with_iota(parse_knot_expr(expr))
+        save_complex(c, str(path), expr, iota)
+        loaded, loaded_iota = load_complex(str(path))
+        data = json.loads(path.read_text())
+        gens = [(g["id"], g["grw"], g["grz"]) for g in data["generators"]]
+        names = {g[0] for g in gens}
+        checked = BigradedComplex.from_terms(gens, _parse_entries(data["differential"], "differential", names))
+        checked_iota = SkewMap.from_terms(checked, _parse_entries(data["iota"], "iota", names))
+        assert loaded.cols == checked.cols == c.cols, expr
+        assert loaded_iota.cols == checked_iota.cols == iota.cols, expr
+
+
 # --- loader errors late in a long file --------------------------------------
 
 LONG_SUM = "T(2,5)#T(2,7)#-T(2,3)"  # 105 generators, 244 differential and 152 iota entries
@@ -331,6 +375,25 @@ def _duplicate(entries, k):
     entries[k] = dict(entries[k - 1])
 
 
+def _bump(key, by):
+    def edit(entries, k):
+        entries[k][key] += by
+
+    return edit
+
+
+def _insert_copy(entries, k):
+    entries.insert(k, dict(entries[k - 1]))
+
+
+def _insert_bumped(entries, k):
+    """A second entry for the pair of entry k - 1, with other exponents."""
+    entry = dict(entries[k - 1])
+    entry["u"] += 1
+    entry["v"] += 1
+    entries.insert(k, entry)
+
+
 def _two_faults(entries, k):
     entries[k]["u"] = -1
     entries[k + 30] = "not an object"
@@ -346,6 +409,9 @@ LATE_FAULTS = [
     ("differential", 200, _set("u", -1), "field 'u' must be nonnegative, got -1"),
     ("differential", 200, _set("to", "nowhere"), "unknown generator 'nowhere' in 'to'"),
     ("differential", 200, _duplicate, "duplicate term"),
+    ("differential", 243, _insert_copy, "duplicate term"),
+    ("differential", 230, _insert_bumped, "inhomogeneous term"),
+    ("differential", 210, _bump("v", 2), "inhomogeneous term"),
     ("differential", 180, _two_faults, "field 'u' must be nonnegative, got -1"),
     ("generators", 100, _replace("x"), "expected an object"),
     ("generators", 100, _delete("grw"), "missing field 'grw'"),
@@ -367,9 +433,19 @@ def test_late_fault_is_named(tmp_path, long_file, where, k, edit, message):
     with pytest.raises(FileFormatError) as err:
         load_complex(str(path))
     kind = "generator" if where == "generators" else where
+    entry = data[where][k]
     if message == "duplicate term":
-        entry = data[where][k]
         message += f" {(entry['from'], entry['to'], entry['u'], entry['v'])}"
+    if message == "inhomogeneous term":
+        # Well-formed entries; the homogeneity check names the term.
+        gens = {g["id"]: (g["grw"], g["grz"]) for g in data["generators"]}
+        (sw, sz), (tw, tz) = gens[entry["from"]], gens[entry["to"]]
+        u, v = entry["u"], entry["v"]
+        assert str(err.value) == (
+            f"{path}: complex fails validation: inhomogeneous term U^{u}V^{v}*{entry['to']} "
+            f"in d({entry['from']}): target grading ({tw},{tz}), needs ({sw - 1 + 2 * u},{sz - 1 + 2 * v})"
+        )
+        return
     assert str(err.value) == f"{kind} entry #{k}: {message}"
 
 

@@ -1,0 +1,112 @@
+"""The class-level homogeneity checks against the entry-by-entry oracle.
+
+Each case injects entries with an odd gap, a negative even gap, or both
+(one odd gap and one negative) into a valid map, complex or level
+complex, and compares the faults found, and their order, with the scans
+of `tests/oracle_homogeneity.py`.
+"""
+
+import random
+
+import pytest
+
+from conftest import random_torus_sum
+from oracle_homogeneity import (
+    fu_illegal_entries,
+    fu_validate_messages,
+    map_illegal_entries,
+    validate_messages,
+)
+
+from knotfloer.complexes import BigradedComplex, ChainMap, SkewMap, basepoint_map, reduce_complex, verify_chain_map
+from knotfloer.expressions import parse_knot_expr
+from knotfloer.fu import FUComplex
+from knotfloer.invariants import a_level_complex
+from knotfloer.involutive import realize_with_iota
+
+KINDS = ("odd", "negative", "mixed")
+SEEDS = range(12)
+
+
+def _kind(gaps) -> str:
+    """The fault of an entry with these doubled exponents, or "" when it is legal."""
+    odd = any(g % 2 for g in gaps)
+    negative = any(g < 0 for g in gaps)
+    if odd and negative:
+        return "mixed"
+    return "odd" if odd else "negative" if negative else ""
+
+
+def _inject(rng, cols, gaps, count):
+    """cols with `count` entries of random fault kinds set; gaps(i, j) gives their doubled exponents."""
+    cols = list(cols)
+    n = len(cols)
+    for _ in range(count):
+        kind = rng.choice(KINDS)
+        i = rng.randrange(n)
+        targets = [j for j in range(n) if _kind(gaps(i, j)) == kind]
+        if targets:
+            cols[i] |= 1 << rng.choice(targets)
+    return cols
+
+
+def _map_gaps(f):
+    src, tgt = f.source, f.target
+    dw, dz = f.bidegree
+    if isinstance(f, SkewMap):
+        return lambda i, j: (tgt.grw[j] - src.grz[i], tgt.grz[j] - src.grw[i])
+    return lambda i, j: (tgt.grw[j] - src.grw[i] - dw, tgt.grz[j] - src.grz[i] - dz)
+
+
+def _sum(seed):
+    rng = random.Random(seed)
+    expr = random_torus_sum(rng, 3, 150)
+    c, iota = realize_with_iota(parse_knot_expr(expr))
+    return rng, c, iota
+
+
+def _maps(c, iota):
+    identity = ChainMap(c, c, [1 << i for i in range(len(c))], (0, 0))
+    return [c.d, basepoint_map(c, "U"), basepoint_map(c, "V"), identity, iota]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_map_checks_match_oracle(seed):
+    rng, c, iota = _sum(seed)
+    for f in _maps(c, iota):
+        assert list(f.illegal_entries()) == map_illegal_entries(f) == []
+        cols = _inject(rng, f.cols, _map_gaps(f), rng.randint(1, 6))
+        if isinstance(f, SkewMap):
+            bad = SkewMap(c, cols)
+        else:
+            bad = ChainMap(c, c, cols, f.bidegree)
+        expected = map_illegal_entries(bad)
+        assert list(bad.illegal_entries()) == expected
+        assert verify_chain_map(bad) == (bad.problem(*expected[0]) if expected else verify_chain_map(f))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_validate_matches_oracle(seed):
+    rng, c, _iota = _sum(seed)
+    d = c.d
+    cols = _inject(rng, c.cols, _map_gaps(d), rng.randint(1, 6))
+    bad = BigradedComplex(c.labels, c.grw, c.grz, cols)
+    assert bad.validate() == validate_messages(bad)
+    assert bad.validate()
+    # Shifted generators: odd Alexander gradings, and gaps that change parity.
+    shifted = [z + (rng.random() < 0.1) for z in c.grz]
+    odd = BigradedComplex(c.labels, c.grw, shifted, cols)
+    assert odd.validate() == validate_messages(odd)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_fu_checks_match_oracle(seed):
+    rng, c, _iota = _sum(seed)
+    fus = [reduce_complex(c, "U0"), reduce_complex(c, "V0"), a_level_complex(c, rng.randint(-2, 2))]
+    for fu in fus:
+        assert list(fu.illegal_entries()) == fu_illegal_entries(fu) == []
+        r = fu.gradings
+        cols = _inject(rng, fu.cols, lambda j, i: (r[i] - r[j] + 1,), rng.randint(1, 6))
+        bad = FUComplex(fu.labels, fu.gradings, cols)
+        assert list(bad.illegal_entries()) == fu_illegal_entries(bad)
+        assert bad.validate() == fu_validate_messages(bad)

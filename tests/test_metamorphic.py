@@ -1,0 +1,38 @@
+"""Invariants are unchanged by a change of basis and by acyclic boxes.
+
+`scramble` turns a torus sum into a dense, iota-locally equivalent copy.
+The copy goes through `save_complex` and `load_complex`, so the loader's
+single pass reads dense columns that torus sums never produce; V_0, tau
+and the involutive pair of what it reads must be those of the sum.
+"""
+
+import random
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import random_torus_sum, scramble
+from test_fileio import PROPERTY
+
+from knotfloer.expressions import parse_knot_expr
+from knotfloer.fileio import load_complex, save_complex
+from knotfloer.invariants import tau_invariant, v_invariant
+from knotfloer.involutive import realize_with_iota, v0_bar_under
+
+
+def _invariants(c, iota):
+    return v_invariant(c, 0), tau_invariant(c), v0_bar_under(c, iota)
+
+
+@settings(max_examples=30, **PROPERTY)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_scrambled_sum_keeps_invariants_through_a_file(tmp_path, seed):
+    rng = random.Random(seed)
+    expr = random_torus_sum(rng, 3, 150)
+    c, iota = realize_with_iota(parse_knot_expr(expr))
+    dense, dense_iota = scramble(c, iota, rng)
+    path = tmp_path / "scrambled.cfk"
+    save_complex(dense, str(path), expr, dense_iota)
+    loaded, loaded_iota = load_complex(str(path))
+    assert loaded.cols == dense.cols and loaded_iota.cols == dense_iota.cols
+    assert _invariants(loaded, loaded_iota) == _invariants(c, iota), expr
