@@ -22,8 +22,9 @@ The structural rules enforced by `validate`:
 * d^2 = 0. The exponents along a path depend only on its end points, so
   d^2 is the XOR of the columns d hits.
 
-Monomial terms from outside (files, tests) enter through `from_terms`,
-which checks every term against the gradings.
+Monomial terms from outside enter through `from_terms`, which checks
+every term against the gradings; `fileio` applies the same check as it
+reads a file.
 """
 
 from __future__ import annotations
@@ -73,12 +74,12 @@ class BigradedComplex:
         Every term must carry the exponents its gradings imply; the
         inhomogeneous ones are reported together.
         """
-        c = cls([g[0] for g in gens], [g[1] for g in gens], [g[2] for g in gens], [0] * len(gens))
-        dup = c.repeated_label()
+        labels, grw, grz = [g[0] for g in gens], [g[1] for g in gens], [g[2] for g in gens]
+        shape = cls(labels, grw, grz, [0] * len(gens))
+        dup = shape.repeated_label()
         if dup is not None:
             raise ValidationError(f"duplicate generator id {dup!r}")
-        c.cols = columns_from_terms(c.d, terms)
-        return c
+        return cls(labels, grw, grz, _columns_from_terms(shape.d, terms))
 
     # -- basic access --------------------------------------------------
 
@@ -104,7 +105,7 @@ class BigradedComplex:
         """grz value -> bitmask of the generators at it."""
         return value_masks(self.grz)
 
-    @property
+    @functools.cached_property
     def d(self) -> "Differential":
         return Differential(self)
 
@@ -218,9 +219,8 @@ class ChainMap:
 
     @classmethod
     def from_terms(cls, source, target, terms: Iterable[Term], bidegree) -> "ChainMap":
-        f = cls(source, target, (), bidegree)
-        f.cols = columns_from_terms(f, terms)
-        return f
+        cols = _columns_from_terms(cls(source, target, (), bidegree), terms)
+        return cls(source, target, cols, bidegree)
 
     @functools.cached_property
     def bases(self) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
@@ -302,9 +302,7 @@ class SkewMap(ChainMap):
 
     @classmethod
     def from_terms(cls, complex_, terms: Iterable[Term]) -> "SkewMap":
-        f = cls(complex_, ())
-        f.cols = columns_from_terms(f, terms)
-        return f
+        return cls(complex_, _columns_from_terms(cls(complex_, ()), terms))
 
     @functools.cached_property
     def bases(self):
@@ -317,7 +315,7 @@ class SkewMap(ChainMap):
         )
 
 
-def columns_from_terms(f: ChainMap, terms: Iterable[Term]) -> Tuple[int, ...]:
+def _columns_from_terms(f: ChainMap, terms: Iterable[Term]) -> Tuple[int, ...]:
     """Columns of f from monomial terms; raises on every inhomogeneous one."""
     src_index, tgt_index = f.source.index, f.target.index
     bw, bz = f.bases

@@ -8,6 +8,11 @@ same entry shape and is interpreted as a skew-equivariant involution
 candidate; it must pass the skew chain-map checks.
 
 Loading validates everything and reports violations with entry context.
+Each list is read in one pass. The first malformed entry (not an object,
+a missing or mistyped field, an unknown id, a negative exponent, a
+quadruple given twice) is named at once; inhomogeneous entries are
+reported together after the pass, unless a generator id repeats, which
+is reported instead.
 Saving writes exactly the bytes of `json.dump(obj, indent=1,
 sort_keys=True)` plus a newline: ASCII, with `\\u` escapes, and entries
 in (from, to) label order, so save(load(f)) is byte-stable. The writer
@@ -20,9 +25,9 @@ from __future__ import annotations
 
 import json
 from json.encoder import encode_basestring_ascii
-from typing import List, Optional, Tuple
+from typing import List, NoReturn, Optional, Tuple
 
-from .complexes import BigradedComplex, ChainMap, SkewMap, Term, columns_from_terms, verify_chain_map
+from .complexes import BigradedComplex, ChainMap, SkewMap, verify_chain_map
 from .errors import FileFormatError, ValidationError
 from .linalg import iter_bits
 
@@ -39,95 +44,86 @@ def _field(entry: dict, ctx: str, key: str, kind):
     return value
 
 
+def _fields(entry, ctx: str, spec) -> list:
+    """The values of an entry's fields, checked in order; names the first fault."""
+    if not isinstance(entry, dict):
+        raise FileFormatError(f"{ctx}: expected an object")
+    return [_field(entry, ctx, key, kind) for key, kind in spec]
+
+
+_GENERATOR_FIELDS = (("id", str), ("grw", int), ("grz", int))
+_TERM_FIELDS = (("from", str), ("to", str), ("u", int), ("v", int))
+
+
 def _parse_generators(raw) -> List[Tuple[str, int, int]]:
     """The (id, grw, grz) row of each generator entry, checked."""
     if not isinstance(raw, list) or not raw:
         raise FileFormatError("'generators' must be a nonempty list")
-    try:
-        rows = [(g["id"], g["grw"], g["grz"]) for g in raw]
-    except (KeyError, TypeError):  # an entry that is not an object or lacks a field
-        rows = None
-    if rows is not None and all(
-        type(n) is str and type(w) is int and type(z) is int for n, w, z in rows
-    ):
-        return rows
-    # Some entry is faulty: check them in order and name the first.
     rows = []
-    for idx, g in enumerate(raw):
-        ctx = f"generator entry #{idx}"
-        if not isinstance(g, dict):
-            raise FileFormatError(f"{ctx}: expected an object")
-        rows.append((_field(g, ctx, "id", str), _field(g, ctx, "grw", int), _field(g, ctx, "grz", int)))
+    for k, g in enumerate(raw):
+        try:
+            n, w, z = g["id"], g["grw"], g["grz"]
+            ok = type(n) is str and type(w) is int and type(z) is int
+        except (KeyError, TypeError):  # not an object or a missing field
+            ok = False
+        if not ok:
+            n, w, z = _fields(g, f"generator entry #{k}", _GENERATOR_FIELDS)
+        rows.append((n, w, z))
     return rows
 
 
-def _entry_columns(raw, f: ChainMap) -> Optional[List[int]]:
+def _name_fault(entry, ctx: str, index) -> NoReturn:
+    """Raise the error of a faulty term entry.
+
+    In order: not an object, a missing or mistyped field, an unknown id,
+    a negative exponent; an entry with none of these repeats an earlier one.
+    """
+    src, tgt, u, v = _fields(entry, ctx, _TERM_FIELDS)
+    for key, name in (("from", src), ("to", tgt)):
+        if name not in index:
+            raise FileFormatError(f"{ctx}: unknown generator {name!r} in {key!r}")
+    for key, value in (("u", u), ("v", v)):
+        if value < 0:
+            raise FileFormatError(f"{ctx}: field {key!r} must be nonnegative, got {value}")
+    raise FileFormatError(f"{ctx}: duplicate term {(src, tgt, u, v)}")
+
+
+def _read_columns(raw, kind: str, f: ChainMap) -> Tuple[int, ...]:
     """The columns of f, read from a list of file entries in one pass.
 
-    Checks each entry as the checked path does (types, signs, ids,
-    homogeneity, a (from, to) pair given twice) but returns None at the
-    first anomaly instead of naming it. A pair given twice is a duplicate
-    term or an inhomogeneous one, since the gradings fix its exponents.
+    Faults take precedence as the module docstring says. A homogeneous
+    entry sets its column bit, so a second hit on it repeats a quadruple.
     """
     if not isinstance(raw, list):
-        return None
+        raise FileFormatError(f"'{kind}' must be a list")
     index = f.source.index
     bw, bz = f.bases
     tw, tz = f.target.grw, f.target.grz
-    cols = [0] * len(index)
-    try:
-        for entry in raw:
+    cols = [0] * len(f.source)  # not len(index): repeated ids shrink it
+    bad = {}  # inhomogeneous (from, to, u, v) -> (i, j), in entry order
+    for k, entry in enumerate(raw):
+        try:
             u, v = entry["u"], entry["v"]
-            if type(u) is not int or type(v) is not int or u < 0 or v < 0:
-                return None
-            # A non-string id is no key of index, so the lookup fails.
+            # An id that is not a string is no key of index.
             i, j = index[entry["from"]], index[entry["to"]]
+        except (KeyError, TypeError):  # not an object, a missing field or an unknown id
+            _name_fault(entry, f"{kind} entry #{k}", index)
+        if type(u) is not int or type(v) is not int or u < 0 or v < 0:
+            _name_fault(entry, f"{kind} entry #{k}", index)
+        if tw[j] - bw[i] == 2 * u and tz[j] - bz[i] == 2 * v:
             bit = 1 << j
-            if tw[j] - bw[i] != 2 * u or tz[j] - bz[i] != 2 * v or cols[i] & bit:
-                return None
+            if cols[i] & bit:
+                _name_fault(entry, f"{kind} entry #{k}", index)
             cols[i] |= bit
-    except (KeyError, TypeError):  # not an object, a missing field or an unknown id
-        return None
-    return cols
-
-
-def _parse_entries(raw, kind: str, names) -> List[Term]:
-    """The (from, to, u, v) term of each entry; names the first faulty one."""
-    if not isinstance(raw, list):
-        raise FileFormatError(f"'{kind}' must be a list")
-    seen = set()
-    out: List[Term] = []
-    for idx, entry in enumerate(raw):
-        ctx = f"{kind} entry #{idx}"
-        if not isinstance(entry, dict):
-            raise FileFormatError(f"{ctx}: expected an object")
-        src, tgt = _field(entry, ctx, "from", str), _field(entry, ctx, "to", str)
-        u, v = _field(entry, ctx, "u", int), _field(entry, ctx, "v", int)
-        if src not in names:
-            raise FileFormatError(f"{ctx}: unknown generator {src!r} in 'from'")
-        if tgt not in names:
-            raise FileFormatError(f"{ctx}: unknown generator {tgt!r} in 'to'")
-        for key, value in (("u", u), ("v", v)):
-            if value < 0:
-                raise FileFormatError(f"{ctx}: field {key!r} must be nonnegative, got {value}")
-        quad = (src, tgt, u, v)
-        if quad in seen:
-            raise FileFormatError(f"{ctx}: duplicate term {quad}")
-        seen.add(quad)
-        out.append(quad)
-    return out
-
-
-def _read_columns(raw, kind: str, f: ChainMap, names) -> Tuple[int, ...]:
-    """The columns of f from a list of file entries.
-
-    One pass reads them; at its first anomaly the checked path,
-    `_parse_entries` and then the homogeneity check of `from_terms`,
-    reads the list again and names the fault.
-    """
-    cols = _entry_columns(raw, f)
-    if cols is None:
-        return columns_from_terms(f, _parse_entries(raw, kind, names))
+        else:
+            quad = (entry["from"], entry["to"], u, v)
+            if quad in bad:
+                _name_fault(entry, f"{kind} entry #{k}", index)
+            bad[quad] = (i, j)
+    if len(index) < len(cols):
+        raise ValidationError(f"duplicate generator id {f.source.repeated_label()!r}")
+    if bad:
+        raise ValidationError([f.problem(i, j, u, v) for (_, _, u, v), (i, j) in bad.items()])
     return tuple(cols)
 
 
@@ -146,16 +142,11 @@ def load_complex(path: str) -> Tuple[BigradedComplex, Optional[SkewMap]]:
         raise FileFormatError(f"{path} nests arrays or objects too deeply to read") from None
     if not isinstance(data, dict):
         raise FileFormatError("top level must be an object")
-    gens = _parse_generators(data.get("generators"))
-    names = {row[0] for row in gens}
-    raw = data.get("differential", [])
-    complex_ = BigradedComplex(*zip(*gens), [0] * len(gens))
+    labels, grw, grz = zip(*_parse_generators(data.get("generators")))
+    shape = BigradedComplex(labels, grw, grz, [0] * len(labels))
     try:
-        if len(names) == len(gens):
-            complex_.cols = _read_columns(raw, "differential", complex_.d, names)
-        else:  # from_terms names the repeated id, after any faulty entry
-            BigradedComplex.from_terms(gens, _parse_entries(raw, "differential", names))
-        complex_.require_valid()
+        cols = _read_columns(data.get("differential", []), "differential", shape.d)
+        complex_ = BigradedComplex(labels, grw, grz, cols).require_valid()
     except ValidationError as exc:
         raise FileFormatError(
             f"{path}: complex fails validation: {'; '.join(exc.violations)}"
@@ -163,7 +154,7 @@ def load_complex(path: str) -> Tuple[BigradedComplex, Optional[SkewMap]]:
     iota = None
     if "iota" in data:
         try:
-            iota = SkewMap(complex_, _read_columns(data["iota"], "iota", SkewMap(complex_, ()), names))
+            iota = SkewMap(complex_, _read_columns(data["iota"], "iota", SkewMap(complex_, ())))
         except ValidationError as exc:
             raise FileFormatError(f"{path}: iota rejected: {'; '.join(exc.violations)}") from None
         violation = verify_chain_map(iota)

@@ -9,13 +9,13 @@ from hypothesis import strategies as st
 
 from knotfloer.builders import named_complex, staircase
 from knotfloer.cli import main
-from knotfloer.complexes import UNKNOT, BigradedComplex, Generator, SkewMap
+from knotfloer.complexes import UNKNOT, BigradedComplex, Generator
 from knotfloer.errors import FileFormatError, ValidationError
 from knotfloer.expressions import parse_knot_expr
-from knotfloer.fileio import _parse_entries, load_complex, save_complex
+from knotfloer.fileio import load_complex, save_complex
 from knotfloer.involutive import realize_with_iota, staircase_iota
 from conftest import random_torus_sum
-from oracle_io import save_complex_json
+from oracle_io import load_complex_checked, save_complex_json
 from test_digests import SAVED
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -30,6 +30,14 @@ def test_load_model_file():
     ]
     assert c.cols == hw.cols
     assert c.terms() == [("b", "a", 2, 0), ("b", "c", 0, 2)]
+
+
+def test_differential_is_cached_with_final_columns():
+    hw = named_complex("HW")
+    loaded, _ = load_complex(os.path.join(DATA, "hw.cfk"))
+    for c in (BigradedComplex.from_terms(hw.gens, hw.terms()), loaded):
+        assert c.d is c.d
+        assert c.d.cols == c.cols == hw.cols
 
 
 def test_save_load_round_trip(tmp_path):
@@ -317,7 +325,7 @@ def test_failed_save_keeps_existing_file(tmp_path, complex_, kwargs):
     assert path.read_bytes() == b"old bytes\n"
 
 
-# --- the loader's single pass against its checked path ----------------------
+# --- the loader's single pass against the checked oracle --------------------
 
 
 def test_single_pass_matches_checked_path(tmp_path):
@@ -328,11 +336,7 @@ def test_single_pass_matches_checked_path(tmp_path):
         c, iota = realize_with_iota(parse_knot_expr(expr))
         save_complex(c, str(path), expr, iota)
         loaded, loaded_iota = load_complex(str(path))
-        data = json.loads(path.read_text())
-        gens = [(g["id"], g["grw"], g["grz"]) for g in data["generators"]]
-        names = {g[0] for g in gens}
-        checked = BigradedComplex.from_terms(gens, _parse_entries(data["differential"], "differential", names))
-        checked_iota = SkewMap.from_terms(checked, _parse_entries(data["iota"], "iota", names))
+        checked, checked_iota = load_complex_checked(str(path))
         assert loaded.cols == checked.cols == c.cols, expr
         assert loaded_iota.cols == checked_iota.cols == iota.cols, expr
 
@@ -394,6 +398,12 @@ def _insert_bumped(entries, k):
     entries.insert(k, entry)
 
 
+def _bumped_twice(entries, k):
+    """Entry k - 1 made inhomogeneous, then given again as entry k."""
+    _bump("v", 2)(entries, k - 1)
+    _insert_copy(entries, k)
+
+
 def _two_faults(entries, k):
     entries[k]["u"] = -1
     entries[k + 30] = "not an object"
@@ -412,6 +422,7 @@ LATE_FAULTS = [
     ("differential", 243, _insert_copy, "duplicate term"),
     ("differential", 230, _insert_bumped, "inhomogeneous term"),
     ("differential", 210, _bump("v", 2), "inhomogeneous term"),
+    ("differential", 211, _bumped_twice, "duplicate term"),
     ("differential", 180, _two_faults, "field 'u' must be nonnegative, got -1"),
     ("generators", 100, _replace("x"), "expected an object"),
     ("generators", 100, _delete("grw"), "missing field 'grw'"),
@@ -447,6 +458,34 @@ def test_late_fault_is_named(tmp_path, long_file, where, k, edit, message):
         )
         return
     assert str(err.value) == f"{kind} entry #{k}: {message}"
+
+
+REPEATED_ID_CASES = [
+    # (differential entry index, edit, message after "<path>: ", None for the id)
+    (None, None, None),
+    (200, _set("u", -1), "differential entry #200: field 'u' must be nonnegative, got -1"),
+    (210, _bump("v", 2), None),
+]
+
+
+@pytest.mark.parametrize(
+    "k,edit,message", REPEATED_ID_CASES, ids=["clean", "late malformed", "inhomogeneous"]
+)
+def test_repeated_id_precedence(tmp_path, long_file, k, edit, message):
+    # A malformed entry is named first, then the repeated id, and an
+    # inhomogeneous term only when no id repeats.
+    data = json.loads(json.dumps(long_file))
+    gens = data["generators"]
+    gens.insert(100, dict(gens[99]))
+    if edit is not None:
+        edit(data["differential"], k)
+    path = tmp_path / "repeated.cfk"
+    path.write_text(json.dumps(data))
+    with pytest.raises(FileFormatError) as err:
+        load_complex(str(path))
+    if message is None:
+        message = f"{path}: complex fails validation: duplicate generator id {gens[99]['id']!r}"
+    assert str(err.value) == message
 
 
 # --- validate on mutated files ----------------------------------------------
@@ -496,3 +535,13 @@ def test_validate_survives_mutated_files(tmp_path, capsys, fuzz_text, data):
     path.write_text(text)
     assert main(["validate", f"--expr=@{path}"]) in (0, 2, 3)
     capsys.readouterr()
+    assert _outcome(load_complex, path) == _outcome(load_complex_checked, path)
+
+
+def _outcome(load, path):
+    """The error a loader raises on path, or what it reads."""
+    try:
+        c, iota = load(str(path))
+    except Exception as exc:
+        return type(exc), str(exc)
+    return c.labels, c.grw, c.grz, c.d.cols, iota and iota.cols

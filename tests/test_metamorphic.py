@@ -4,8 +4,13 @@
 The copy goes through `save_complex` and `load_complex`, so the loader's
 single pass reads dense columns that torus sums never produce; V_0, tau
 and the involutive pair of what it reads must be those of the sum.
+`tests/data/scrambled_k1.cfk` is one such copy, of K1 = T(2,11)#-T(4,5);
+its report through the command line must agree with K1's on the
+invariants, the involutive pair and the genus bounds, for both mirrors.
 """
 
+import json
+import os
 import random
 
 from hypothesis import given, settings
@@ -14,6 +19,7 @@ from hypothesis import strategies as st
 from conftest import random_torus_sum, scramble
 from test_fileio import PROPERTY
 
+from knotfloer.cli import main
 from knotfloer.expressions import parse_knot_expr
 from knotfloer.fileio import load_complex, save_complex
 from knotfloer.invariants import tau_invariant, v_invariant
@@ -36,3 +42,22 @@ def test_scrambled_sum_keeps_invariants_through_a_file(tmp_path, seed):
     loaded, loaded_iota = load_complex(str(path))
     assert loaded.cols == dense.cols and loaded_iota.cols == dense_iota.cols
     assert _invariants(loaded, loaded_iota) == _invariants(c, iota), expr
+
+
+K1 = "T(2,11)#-T(4,5)"
+# scramble(K1, iota, random.Random(0)) written by save_complex: 81
+# generators, K1's 77 and one acyclic box.
+SCRAMBLED_K1 = os.path.join(os.path.dirname(__file__), "data", "scrambled_k1.cfk")
+
+
+def _report(capsys, expr):
+    assert main(["report", "--expr", expr, "--format", "json"]) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+def test_committed_scrambled_k1_has_the_report_of_k1(capsys):
+    scrambled, plain = _report(capsys, f"@{SCRAMBLED_K1}"), _report(capsys, K1)
+    assert scrambled["generator_count"] == 81
+    for key in ("invariants", "mirror_invariants", "involutive", "mirror_involutive"):
+        assert scrambled[key] == plain[key], key
+    assert scrambled["bounds"]["genus"] == plain["bounds"]["genus"]
