@@ -32,6 +32,7 @@ from .bounds import (
 from .errors import (
     ConsistencyError,
     FileFormatError,
+    IterationCapError,
     KnotFloerError,
     ParseError,
     UnsupportedInputError,
@@ -109,21 +110,20 @@ def _build_report(args) -> Dict:
 
     want_involutive = args.involutive != "off"
     if args.involutive == "on" and iota is None:
-        raise ValidationError(
-            "--involutive on: no involution available for this input"
-        )
+        raise ValidationError("--involutive on: no involution available for this input")
 
     v_idx = _parse_range(args.v, "--v")
     y_idx = _parse_range(args.y, "--y")
 
-    table = compute_invariant_table(complex_, v_idx, y_idx, args.cap)
-    mtable = compute_invariant_table(mirror, v_idx, y_idx, args.cap)
-    involutive = None
-    m_involutive = None
-    if want_involutive and iota is not None:
-        involutive = v0_bar_under(complex_, iota)
-    if want_involutive and mirror_io is not None:
-        m_involutive = v0_bar_under(mirror, mirror_io)
+    try:
+        table = compute_invariant_table(complex_, v_idx, y_idx, args.cap)
+        mtable = compute_invariant_table(mirror, v_idx, y_idx, args.cap)
+    except IterationCapError as exc:
+        if args.cap is None:
+            raise
+        raise argparse.ArgumentTypeError(f"--cap {args.cap} is too small: {exc}") from None
+    involutive = v0_bar_under(complex_, iota) if want_involutive and iota is not None else None
+    m_involutive = v0_bar_under(mirror, mirror_io) if want_involutive and mirror_io is not None else None
     upsilon = None
     signature = None
     if torus_terms(expr) is not None:
@@ -171,9 +171,7 @@ def _build_report(args) -> Dict:
             "clasp_bound": bound,
         }
 
-    genus = genus_bounds(
-        table.v, table.y, table.nu_plus, table.omega_plus, involutive
-    )
+    genus = genus_bounds(table.v, table.y, table.nu_plus, table.omega_plus, involutive)
     clasp = clasp_bounds(
         {"nu_plus": table.nu_plus, "omega_plus": table.omega_plus, "y": table.y},
         {"nu_plus": mtable.nu_plus, "omega_plus": mtable.omega_plus, "y": mtable.y},

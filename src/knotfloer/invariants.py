@@ -6,8 +6,9 @@ Everything here reduces to exact linear algebra over GF(2):
   the minimal monomial U^i V^j x of Alexander level s with i, j >= 0 and
   min(i, j) = 0, graded by the grw of that monomial;
 * correction terms: V_s is minus half the top tower grading of the
-  level-s subcomplex, and the staircase-twisted variant Y_n applies V_0
-  to the tensor with a dual staircase;
+  level-s subcomplex, and Y_n is V_0 of C tensor the dual staircase
+  St*_n, built from C's columns: the levels A_n(C), ..., A_-n(C) side by
+  side, glued by the staircase arrows, the identity on each generator;
 * tau is the Alexander grading of the tower generator of the U = 0
   reduction, which the knot-likeness check reduces anyway;
 * nu and omega live in the UV = 0 quotient, the level complexes with
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .complexes import BigradedComplex, reduce_complex
-from .errors import ConsistencyError, ValidationError
+from .errors import ConsistencyError, IterationCapError, ValidationError
 from .fu import FUComplex, tower_reduce
 from .linalg import ColumnSolver, iter_bits, spread, transpose, value_masks
 
@@ -32,22 +33,51 @@ from .linalg import ColumnSolver, iter_bits, spread, transpose, value_masks
 # --- level subcomplexes over GF(2)[T] --------------------------------------
 
 
-def a_level_complex(c: BigradedComplex, s: int, *, check: bool = True) -> FUComplex:
-    """Subcomplex of Alexander level s with nonnegative exponents.
+def _staircase_arrows(n: int) -> Tuple[List[int], List[int]]:
+    """(V arrows, U arrows) of St*_n: the "U0" and "V0" columns of `staircase_dual(n)`.
+
+    Generator k is x(k - n); even k maps by V to k - 1 and by U to k + 1.
+    """
+    m = 2 * n + 1
+    down = [1 << (k - 1) if k % 2 == 0 and k > 0 else 0 for k in range(m)]
+    up = [1 << (k + 1) if k % 2 == 0 and k + 1 < m else 0 for k in range(m)]
+    return down, up
+
+
+def a_level_complex(c: BigradedComplex, s: int, n: int = 0) -> FUComplex:
+    """Level s of C tensor the n-step dual staircase St*_n (St*_0 is the unknot).
 
     Basis element for generator x: U^(A-s) x when A(x) >= s, else
-    V^(s-A) x; grading is the grw of that monomial. Every entry x -> y of
-    d rewrites as T^k times the basis element of y, with the T-power
-    k = (g(y) - g(x) + 1) / 2 implied by the level gradings g, so the
-    level complex shares the complex's own columns. Rejects complexes
-    without rank-one localized towers.
+    V^(s-A) x, graded by the grw of that monomial. Every entry x -> y of d
+    is T^k times the basis element of y, with k = (g(y) - g(x) + 1) / 2
+    implied by the level gradings g, so a level shares C's own columns.
+    x(k - n) sits at bigrading (k, 2n - k), so generator (j, k), at index
+    j * (2n + 1) + k, is c_j at level s + n - k with its grading raised by
+    k. Its column is c_j's spread over the blocks plus the staircase
+    arrows, U or V on both sides: the identity on c_j. Rejects complexes
+    without rank-one localized towers (a tensor with St*_n of a knot-like
+    complex is knot-like, by Kunneth over the localized ring).
     """
-    if check and not is_knotlike(c):
+    if not is_knotlike(c):
         raise ValidationError("complex is not knot-like (localized tower rank != 1)")
-    gradings = tuple(w - 2 * (a - s) if a > s else w for w, a in zip(c.grw, c.alexander))
-    level = FUComplex(c.labels, gradings, c.cols)
+    m = 2 * n + 1
+    blocks = range(m)
+    gradings = [
+        k + (w - 2 * (a - t) if a > t else w)
+        for w, a in zip(c.grw, c.alexander)
+        for k, t in zip(blocks, range(s + n, s - n - 1, -1))
+    ]
+    labels, cols = c.labels, c.cols
+    if n:
+        labels = [label for label in c.labels for _k in blocks]
+        glue = [v | u for v, u in zip(*_staircase_arrows(n))]
+        cols = []
+        for j, col in enumerate(c.cols):
+            left, base = spread(col, m), j * m
+            cols.extend((left << k) ^ (glue[k] << base) for k in blocks)
+    level = FUComplex(labels, gradings, cols)
     for i, j in level.illegal_entries():
-        raise ConsistencyError(f"level-{s} rewrite failed on {c.labels[i]} -> {c.labels[j]}")
+        raise ConsistencyError(f"level-{s} rewrite failed on {labels[i]} -> {labels[j]}")
     return level
 
 
@@ -55,9 +85,7 @@ def d_invariant(level: FUComplex) -> int:
     """Top grading of a T-non-torsion homogeneous homology class."""
     red = tower_reduce(level)
     if red.rank != 1:
-        raise ValidationError(
-            f"d-invariant undefined: localized homology has rank {red.rank}"
-        )
+        raise ValidationError(f"d-invariant undefined: localized homology has rank {red.rank}")
     return red.top_grading()
 
 
@@ -151,64 +179,49 @@ def require_knot_complex(c: BigradedComplex) -> None:
 # --- correction terms -------------------------------------------------------
 
 
-def _correction_term(level: FUComplex, s: int) -> int:
-    """-d/2 of a level-s complex; its tower grading must be even."""
-    d = d_invariant(level)
-    if d % 2:
-        raise ConsistencyError(f"tower grading {d} at level {s} is odd")
-    return -d // 2
+def _level_correction(c: BigradedComplex, s: int, n: int) -> int:
+    """-d/2 of level s of C tensor St*_n, memoized per complex by (s, n); d must be even."""
+    memo = c.__dict__.setdefault("_corrections", {})
+    if (s, n) not in memo:
+        d = d_invariant(a_level_complex(c, s, n))
+        if d % 2:
+            raise ConsistencyError(f"tower grading {d} at level {s} of C tensor St*_{n} is odd")
+        memo[s, n] = -d // 2
+    return memo[s, n]
 
 
 def v_invariant(c: BigradedComplex, s: int) -> int:
-    """Correction term of the level-s subcomplex: -d/2 (memoized per complex)."""
-    memo = c.__dict__.setdefault("_v", {})
-    if s not in memo:
-        memo[s] = _correction_term(a_level_complex(c, s), s)
-    return memo[s]
+    """Correction term of the level-s subcomplex: -d/2."""
+    return _level_correction(c, s, 0)
 
 
 def y_invariant(c: BigradedComplex, n: int) -> int:
-    """V_0 of the tensor with the n-step dual staircase (memoized per complex).
-
-    Knot-likeness is checked on the two factors only: a tensor product of
-    knot-like complexes is knot-like (Kunneth over the localized ring).
-    """
-    from .builders import staircase_dual
-
+    """V_0 of C tensor the n-step dual staircase; Y_0 = V_0."""
     if n < 0:
         raise ValidationError("index must be nonnegative")
-    if n == 0:
-        return v_invariant(c, 0)
-    memo = c.__dict__.setdefault("_y", {})
-    if n not in memo:
-        dual = staircase_dual(n)
-        if not (is_knotlike(c) and is_knotlike(dual)):
-            raise ValidationError("complex is not knot-like (localized tower rank != 1)")
-        level = a_level_complex(c.tensor(dual), 0, check=False)
-        memo[n] = _correction_term(level, 0)
-    return memo[n]
+    return _level_correction(c, 0, n)
 
 
 def _default_cap(c: BigradedComplex) -> int:
     return 4 * max(c.max_alexander(), 0) + 4
 
 
+def _first_zero(values, name: str, c: BigradedComplex, cap: Optional[int]) -> int:
+    limit = _default_cap(c) if cap is None else cap
+    for k in range(limit + 1):
+        if values(c, k) == 0:
+            return k
+    raise IterationCapError(f"{name} did not vanish by the iteration cap {limit}")
+
+
 def nu_plus(c: BigradedComplex, cap: Optional[int] = None) -> int:
     """Minimal s >= 0 with V_s = 0."""
-    limit = _default_cap(c) if cap is None else cap
-    for s in range(limit + 1):
-        if v_invariant(c, s) == 0:
-            return s
-    raise ConsistencyError(f"V_s did not vanish by the iteration cap {limit}")
+    return _first_zero(v_invariant, "V_s", c, cap)
 
 
 def omega_plus(c: BigradedComplex, cap: Optional[int] = None) -> int:
     """Minimal n >= 0 with Y_n = 0."""
-    limit = _default_cap(c) if cap is None else cap
-    for n in range(limit + 1):
-        if y_invariant(c, n) == 0:
-            return n
-    raise ConsistencyError(f"Y_n did not vanish by the iteration cap {limit}")
+    return _first_zero(y_invariant, "Y_n", c, cap)
 
 
 # --- invariants of the UV = 0 reduction -------------------------------------
@@ -291,14 +304,11 @@ def _staircase_map(c: BigradedComplex, n: int) -> bool:
     generator j of C with x(p - n). Its values on the ends y(-n) and y(n)
     are the blocks on x(-n) and x(n): the first must hit the generator of
     the V = 1 complex, the second that of the U = 1 complex. Only the
-    grading-0 slice is built, straight from the columns of both factors.
+    grading-0 slice is built, from C's columns and the staircase arrows.
     """
-    from .builders import staircase_dual
-
-    dual = staircase_dual(n)
-    m = len(dual)
+    m = 2 * n + 1
     no_u, no_v = _reduced(c, "U0").cols, _reduced(c, "V0").cols
-    st_u, st_v = _reduced(dual, "U0").cols, _reduced(dual, "V0").cols
+    st_u, st_v = _staircase_arrows(n)
     phi_u, phi_v = _cocycle(c, "U0"), _cocycle(c, "V0")
     grw, alex = c.grw, c.alexander
     at_w, at_z = c.grw_masks, c.grz_masks
@@ -374,21 +384,9 @@ def compute_invariant_table(
     """All integer invariants of one complex; raises on self-inconsistency."""
     nu_p = nu_plus(c, cap)
     omega_p = omega_plus(c, cap)
-    v: Dict[int, int] = {}
-    for s in sorted(set(range(nu_p + 1)) | set(v_indices)):
-        v[s] = v_invariant(c, s)
-    y: Dict[int, int] = {}
-    for n in sorted(set(range(omega_p + 1)) | set(y_indices)):
-        y[n] = y_invariant(c, n)
-    table = InvariantTable(
-        v=v,
-        y=y,
-        nu_plus=nu_p,
-        omega_plus=omega_p,
-        tau=tau_invariant(c),
-        nu_hat=nu_hat(c),
-        omega_hat=omega_hat(c),
-    )
+    v = {s: v_invariant(c, s) for s in sorted(set(range(nu_p + 1)) | set(v_indices))}
+    y = {n: y_invariant(c, n) for n in sorted(set(range(omega_p + 1)) | set(y_indices))}
+    table = InvariantTable(v, y, nu_p, omega_p, tau_invariant(c), nu_hat(c), omega_hat(c))
     problems = table.consistency_violations()
     if problems:
         raise ConsistencyError("; ".join(problems))

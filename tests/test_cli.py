@@ -154,10 +154,22 @@ def test_certificates_block(capsys):
         assert g.alexander - term["u"] + term["v"] == 0
 
 
-def test_cap_overflow_is_internal_error(capsys):
-    code, _, err = run_cli(["report", "--expr", "T(2,3)", "--cap", "0"], capsys)
+def test_cap_overflow_is_internal_error(monkeypatch, capsys):
+    # Only the default cap vouches that the search must stop by then.
+    from knotfloer import invariants
+
+    monkeypatch.setattr(invariants, "_default_cap", lambda c: 0)
+    code, _, err = run_cli(["report", "--expr", "T(2,3)"], capsys)
     assert code == 4
     assert "internal consistency" in err
+
+
+def test_user_cap_too_small_is_usage_error(capsys):
+    for expr, cap in (("T(2,5)", "1"), ("T(2,3)", "0")):
+        code, out, err = run_cli(["report", "--expr", expr, "--cap", cap], capsys)
+        assert code == 2, expr
+        assert out == ""
+        assert err.startswith(f"usage error: --cap {cap} ") and "iteration cap" in err, err
 
 
 def test_negative_cap_is_usage_error(capsys):

@@ -348,29 +348,29 @@ def test_staircase_tensors_are_knotlike():
                 assert is_knotlike(cc.tensor(staircase_dual(n))), (text, n)
 
 
-def test_report_tensors_each_staircase_once(monkeypatch, capsys):
+def test_report_builds_no_staircase_tensor(monkeypatch, capsys):
+    # Y_n is built from the knot's own columns: the report makes no dual
+    # staircase, and its only tensors are the two that realize the sum.
     import knotfloer.builders as builders
     from knotfloer.cli import main
 
-    made = {}
-    counts = {}
+    duals = []
+    tensors = []
     real_dual = builders.staircase_dual
     real_tensor = BigradedComplex.tensor
 
     def counting_dual(n):
-        out = real_dual(n)
-        made[id(out)] = (out, n)
-        return out
+        duals.append(n)
+        return real_dual(n)
 
     def counting_tensor(self, other):
-        if id(other) in made:
-            key = (id(self), made[id(other)][1])
-            counts[key] = counts.get(key, 0) + 1
-        return real_tensor(self, other)
+        out = real_tensor(self, other)
+        tensors.append(len(out))
+        return out
 
     monkeypatch.setattr(builders, "staircase_dual", counting_dual)
     monkeypatch.setattr(BigradedComplex, "tensor", counting_tensor)
     assert main(["report", "--expr", "T(2,3)#T(4,7)#-T(5,6)", "--format", "json"]) == 0
     capsys.readouterr()
-    assert len({key[0] for key in counts}) == 2  # the knot and its mirror
-    assert all(n == 1 for n in counts.values()), counts
+    assert duals == []
+    assert tensors == [3 * 11, 297]  # T(2,3)#T(4,7), then #-T(5,6)

@@ -3,9 +3,10 @@
 `scramble` turns a torus sum into a dense, iota-locally equivalent copy.
 The copy goes through `save_complex` and `load_complex`, so the loader's
 single pass reads dense columns that torus sums never produce; V_0, tau
-and the involutive pair of what it reads must be those of the sum.
-`tests/data/scrambled_k1.cfk` is one such copy, of K1 = T(2,11)#-T(4,5);
-its report through the command line must agree with K1's on the
+and the involutive pair of what it reads must be those of the sum, and
+so must its report through the command line, in every section that
+files have. `tests/data/scrambled_k1.cfk` is one such copy, of
+K1 = T(2,11)#-T(4,5); its report must agree with K1's on the
 invariants, the involutive pair and the genus bounds, for both mirrors.
 """
 
@@ -42,6 +43,34 @@ def test_scrambled_sum_keeps_invariants_through_a_file(tmp_path, seed):
     loaded, loaded_iota = load_complex(str(path))
     assert loaded.cols == dense.cols and loaded_iota.cols == dense_iota.cols
     assert _invariants(loaded, loaded_iota) == _invariants(c, iota), expr
+
+
+def _file_sections(report):
+    """The report sections that a complex file has too.
+
+    Files carry no torus terms, so they have no upsilon and no signature,
+    nor the clasp sources and the clasp maximum built from those two.
+    """
+    clasp = dict(report["bounds"]["clasp"])
+    clasp["sources"] = {
+        name: source for name, source in clasp["sources"].items() if name not in ("upsilon_ratio", "signature")
+    }
+    del clasp["max"]
+    keys = ("invariants", "mirror_invariants", "involutive", "mirror_involutive")
+    return {key: report[key] for key in keys}, report["bounds"]["genus"], clasp
+
+
+@settings(max_examples=20, **PROPERTY)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_scrambled_sum_file_has_the_report_of_the_sum(tmp_path, capsys, seed):
+    rng = random.Random(seed)
+    expr = random_torus_sum(rng, 3, 150)
+    dense, dense_iota = scramble(*realize_with_iota(parse_knot_expr(expr)), rng)
+    path = tmp_path / "scrambled.cfk"
+    save_complex(dense, str(path), expr, dense_iota)
+    from_file, plain = _report(capsys, f"@{path}"), _report(capsys, expr)
+    assert from_file["generator_count"] == len(dense)
+    assert _file_sections(from_file) == _file_sections(plain), expr
 
 
 K1 = "T(2,11)#-T(4,5)"
