@@ -33,7 +33,7 @@ import functools
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import ValidationError
-from .fu import FUComplex
+from .fu import FUComplex, zero_exponent
 from .linalg import gap_guard, guarded_entries, image, iter_bits, spread, transpose, value_masks
 
 # (source label, target label, u, v): one monomial term U^u V^v target.
@@ -128,6 +128,15 @@ class BigradedComplex:
 
     # -- validation ----------------------------------------------------
 
+    @functools.cached_property
+    def illegal_terms(self) -> Tuple[str, ...]:
+        """A message for every entry of d whose implied exponents are not natural numbers.
+
+        Computed once per complex; `validate` and the invariants share it.
+        """
+        d = self.d
+        return tuple(d.problem(i, j) for i, j in d.illegal_entries())
+
     def validate(self) -> List[str]:
         labels, grw, grz, cols = self.labels, self.grw, self.grz, self.cols
         out = [
@@ -135,8 +144,7 @@ class BigradedComplex:
             for name, w, z in zip(labels, grw, grz)
             if (w - z) % 2
         ]
-        d = self.d
-        out.extend(d.problem(i, j) for i, j in d.illegal_entries())
+        out.extend(self.illegal_terms)
         for i, col in enumerate(cols):
             square = image(cols, col)
             if not square:
@@ -387,14 +395,6 @@ def basepoint_maps(c: BigradedComplex) -> Tuple[ChainMap, ChainMap]:
 # --- quotient reductions ---------------------------------------------------
 
 
-def _zero_exponent(cols: Sequence[int], gradings: Sequence[int], at: Dict[int, int]) -> Tuple[int, ...]:
-    """The entries whose exponent along `gradings` is 0: grading drops by one.
-
-    `at` is the complex's `value_masks` of `gradings`.
-    """
-    return tuple(col & at.get(g - 1, 0) for col, g in zip(cols, gradings))
-
-
 def reduce_complex(c: BigradedComplex, mode: str) -> FUComplex:
     """Quotient reductions of the coefficient ring, as filters of the columns.
 
@@ -407,7 +407,7 @@ def reduce_complex(c: BigradedComplex, mode: str) -> FUComplex:
     two modes' columns.
     """
     if mode == "U0":
-        return FUComplex(c.labels, c.grz, _zero_exponent(c.cols, c.grw, c.grw_masks))
+        return FUComplex(c.labels, c.grz, zero_exponent(c.cols, c.grw, c.grw_masks))
     if mode == "V0":
-        return FUComplex(c.labels, c.grw, _zero_exponent(c.cols, c.grz, c.grz_masks))
+        return FUComplex(c.labels, c.grw, zero_exponent(c.cols, c.grz, c.grz_masks))
     raise ValueError(f"unknown reduction mode {mode!r}")

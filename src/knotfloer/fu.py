@@ -69,6 +69,15 @@ class FUComplex:
         return self
 
 
+def zero_exponent(cols: Sequence[int], gradings: Sequence[int], at: Dict[int, int]) -> Tuple[int, ...]:
+    """The entries whose exponent along `gradings` is 0: grading drops by one.
+
+    `at` is the `value_masks` of `gradings`. On a level complex these are
+    the entries that survive T = 0.
+    """
+    return tuple(col & at.get(g - 1, 0) for col, g in zip(cols, gradings))
+
+
 # --- reduction along the grading filtration --------------------------------
 
 

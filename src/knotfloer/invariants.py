@@ -12,10 +12,12 @@ Everything here reduces to exact linear algebra over GF(2):
 * tau is the Alexander grading of the tower generator of the U = 0
   reduction, which the knot-likeness check reduces anyway;
 * nu and omega live in the UV = 0 quotient, the level complexes with
-  T = 0 (hat complexes). Each asks whether a hat cycle maps to the
-  generator of the V = 1 complex (and, for omega, of the U = 1 complex
-  too). One cocycle per complex answers that by a parity: the tower
-  cycle of the dual reduction, with T = 1.
+  T = 0 (hat complexes): the exponent-0 entries of `a_level_complex`,
+  of level s for nu and of level 0 of C tensor St*_n for omega. Each
+  asks whether a hat cycle maps to the generator of the V = 1 complex
+  (and, for omega, of the U = 1 complex too). One cocycle per complex
+  answers that by a parity: the tower cycle of the dual reduction, with
+  T = 1.
 """
 
 from __future__ import annotations
@@ -26,22 +28,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .complexes import BigradedComplex, reduce_complex
 from .errors import ConsistencyError, IterationCapError, ValidationError
-from .fu import FUComplex, tower_reduce
+from .fu import FUComplex, tower_reduce, zero_exponent
 from .linalg import ColumnSolver, iter_bits, spread, transpose, value_masks
 
 
 # --- level subcomplexes over GF(2)[T] --------------------------------------
-
-
-def _staircase_arrows(n: int) -> Tuple[List[int], List[int]]:
-    """(V arrows, U arrows) of St*_n: the "U0" and "V0" columns of `staircase_dual(n)`.
-
-    Generator k is x(k - n); even k maps by V to k - 1 and by U to k + 1.
-    """
-    m = 2 * n + 1
-    down = [1 << (k - 1) if k % 2 == 0 and k > 0 else 0 for k in range(m)]
-    up = [1 << (k + 1) if k % 2 == 0 and k + 1 < m else 0 for k in range(m)]
-    return down, up
 
 
 def a_level_complex(c: BigradedComplex, s: int, n: int = 0) -> FUComplex:
@@ -57,6 +48,15 @@ def a_level_complex(c: BigradedComplex, s: int, n: int = 0) -> FUComplex:
     arrows, U or V on both sides: the identity on c_j. Rejects complexes
     without rank-one localized towers (a tensor with St*_n of a knot-like
     complex is knot-like, by Kunneth over the localized ring).
+
+    Every k is a natural number, so a level is not checked itself. Take
+    an entry x -> U^u V^v y of C with u, v >= 0, and basis elements
+    U^a_x V^b_x x and U^a_y V^b_y y. d preserves A, so
+    u + a_x - a_y = v + b_x - b_y = k, and min(a_y, b_y) = 0 makes k
+    equal to u + a_x or to v + b_x, natural either way. The staircase
+    arrows are multiplication by U or V, so the same holds for n > 0.
+    The premise, natural exponents on every entry of C, is checked once
+    per complex by `is_knotlike`.
     """
     if not is_knotlike(c):
         raise ValidationError("complex is not knot-like (localized tower rank != 1)")
@@ -70,15 +70,13 @@ def a_level_complex(c: BigradedComplex, s: int, n: int = 0) -> FUComplex:
     labels, cols = c.labels, c.cols
     if n:
         labels = [label for label in c.labels for _k in blocks]
-        glue = [v | u for v, u in zip(*_staircase_arrows(n))]
+        # x(k - n) is generator k of St*_n; even k maps by V to k - 1 and by U to k + 1.
+        glue = [sum(1 << b for b in (k - 1, k + 1) if k % 2 == 0 and 0 <= b < m) for k in blocks]
         cols = []
         for j, col in enumerate(c.cols):
             left, base = spread(col, m), j * m
             cols.extend((left << k) ^ (glue[k] << base) for k in blocks)
-    level = FUComplex(labels, gradings, cols)
-    for i, j in level.illegal_entries():
-        raise ConsistencyError(f"level-{s} rewrite failed on {labels[i]} -> {labels[j]}")
-    return level
+    return FUComplex(labels, gradings, cols)
 
 
 def d_invariant(level: FUComplex) -> int:
@@ -138,10 +136,15 @@ def is_knotlike(c: BigradedComplex) -> bool:
     """True when both one-variable reductions have rank-one towers.
 
     Keeps the basis index of each tower generator: the U = 0 one gives
-    tau, and `require_knot_complex` reads the gradings of both.
+    tau, and `require_knot_complex` reads the gradings of both. First
+    checks the premise of every reduction and level complex here, that
+    each entry of d has natural exponents, and raises `ValidationError`
+    naming each entry that does not. Both run once per complex.
     """
     cached = c.__dict__.get("_knotlike")
     if cached is None:
+        if c.illegal_terms:
+            raise ValidationError(c.illegal_terms)
         red_u0 = tower_reduce(_reduced(c, "U0"))
         red_v0 = tower_reduce(_reduced(c, "V0"))
         cached = red_u0.rank == 1 and red_v0.rank == 1
@@ -242,16 +245,6 @@ def tau_invariant(c: BigradedComplex) -> int:
     return c.alexander[c.__dict__["_towers"][0]]
 
 
-def _hat_entries(no_u: int, no_v: int, a: int) -> int:
-    """Entries of d that a hat basis element of Alexander offset a keeps.
-
-    The basis element carries U^a when a > 0 and V^-a when a < 0. Its
-    product with an entry survives UV = 0 only when the entry has no V,
-    no U, or (a = 0) is pure itself.
-    """
-    return no_v if a > 0 else no_u if a < 0 else no_u | no_v
-
-
 def nu_hat(c: BigradedComplex) -> int:
     """Least level whose hat cycles hit the generator of the V = 1 complex.
 
@@ -262,13 +255,12 @@ def nu_hat(c: BigradedComplex) -> int:
     if not is_knotlike(c):
         raise ValidationError("nu undefined: complex is not knot-like")
     tau = tau_invariant(c)
-    no_u, no_v = _reduced(c, "U0").cols, _reduced(c, "V0").cols
-    alex = c.alexander
-    at = value_masks(alex)
+    at = value_masks(c.alexander)
     phi = _cocycle(c, "U0")
 
     def hits(s: int) -> bool:
-        cols = [_hat_entries(u, v, a - s) for u, v, a in zip(no_u, no_v, alex)]
+        level = a_level_complex(c, s)
+        cols = zero_exponent(level.cols, level.gradings, level.grading_masks)
         # Setting U = 0 and V = 1 drops the basis elements with a U-power.
         probe = phi & sum(mask for a, mask in at.items() if a <= s)
         return any((z & probe).bit_count() & 1 for z in ColumnSolver(cols).kernel)
@@ -299,34 +291,29 @@ def omega_hat(c: BigradedComplex) -> int:
 def _staircase_map(c: BigradedComplex, n: int) -> bool:
     """Is there a staircase map St_n -> C/(UV) with non-torsion ends?
 
-    A degree-0 chain map St_n -> C/(UV) is a grading-0 cycle of the
-    level-0 hat complex of C tensor St*_n, whose generator (j, p) pairs
-    generator j of C with x(p - n). Its values on the ends y(-n) and y(n)
-    are the blocks on x(-n) and x(n): the first must hit the generator of
-    the V = 1 complex, the second that of the U = 1 complex. Only the
-    grading-0 slice is built, from C's columns and the staircase arrows.
+    A degree-0 chain map St_n -> C/(UV) is a grading-0 cycle of the hat
+    complex of level 0 of C tensor St*_n: its T^0 entries, here those
+    from grading 0 to -1. Generator (j, p) pairs generator j of C with
+    x(p - n). Its values on the ends y(-n) and y(n) are the blocks on
+    x(-n) and x(n): the first must hit the generator of the V = 1 complex,
+    the second that of the U = 1 complex. The test asks whether (1, 1)
+    is in the span of the end parities of the cycles, so the order of the
+    columns does not matter.
     """
     m = 2 * n + 1
-    no_u, no_v = _reduced(c, "U0").cols, _reduced(c, "V0").cols
-    st_u, st_v = _staircase_arrows(n)
+    level = a_level_complex(c, 0, n)
     phi_u, phi_v = _cocycle(c, "U0"), _cocycle(c, "V0")
-    grw, alex = c.grw, c.alexander
-    at_w, at_z = c.grw_masks, c.grz_masks
+    alex, below = c.alexander, level.grading_masks.get(-1, 0)
     cols: List[int] = []
-    v1_end = u1_end = 0  # slice positions read in the V = 1 and U = 1 complexes
-    for p in range(m):  # x(p - n) sits at bigrading (p, 2n - p)
-        # (j, p) is U^a or V^-a times c_j tensor x(p - n); at bigrading
-        # (0, 0) one exponent is 0, so grw(c_j) = -p or grz(c_j) = p - 2n.
-        for j in iter_bits(at_w.get(-p, 0) | at_z.get(p - 2 * n, 0)):
-            a = alex[j] + p - n
-            if grw[j] + p - 2 * max(a, 0):
-                continue
-            left = spread(_hat_entries(no_u[j], no_v[j], a), m)
-            if p == 0 and a <= 0 and phi_u >> j & 1:
-                v1_end |= 1 << len(cols)
-            if p == m - 1 and a >= 0 and phi_v >> j & 1:
-                u1_end |= 1 << len(cols)
-            cols.append((left << p) ^ (_hat_entries(st_u[p], st_v[p], a) << (j * m)))
+    v1_end = u1_end = 0  # column positions read in the V = 1 and U = 1 complexes
+    for i in iter_bits(level.grading_masks.get(0, 0)):
+        # Block p of c_j carries U^a or V^-a, a = A + p - n; V = 1 drops U-powers, U = 1 V-powers.
+        j, p = divmod(i, m)
+        if p == 0 and alex[j] <= n and phi_u >> j & 1:
+            v1_end |= 1 << len(cols)
+        if p == m - 1 and alex[j] >= -n and phi_v >> j & 1:
+            u1_end |= 1 << len(cols)
+        cols.append(level.cols[i] & below)
     kernel = ColumnSolver(cols).kernel
     ends = {((z & v1_end).bit_count() & 1, (z & u1_end).bit_count() & 1) for z in kernel}
     return (1, 1) in ends or {(1, 0), (0, 1)} <= ends

@@ -102,7 +102,8 @@ def test_validate_matches_oracle(seed):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_fu_checks_match_oracle(seed):
     rng, c, _iota = _sum(seed)
-    fus = [reduce_complex(c, "U0"), reduce_complex(c, "V0"), a_level_complex(c, rng.randint(-2, 2))]
+    level = a_level_complex(c, rng.randint(-2, 2), rng.randint(0, 2))
+    fus = [reduce_complex(c, "U0"), reduce_complex(c, "V0"), level]
     for fu in fus:
         assert list(fu.illegal_entries()) == fu_illegal_entries(fu) == []
         r = fu.gradings

@@ -340,7 +340,7 @@ def test_knot_check_needs_a_symmetric_euler_characteristic():
 
 
 def test_staircase_tensors_are_knotlike():
-    # y_invariant checks only the factors; this is the Kunneth step it uses.
+    # a_level_complex checks the knot-likeness of C alone; this is the Kunneth step that relies on.
     for text in ["T(2,3)#T(4,7)#-T(5,6)", "T(2,11)#-T(4,5)"]:
         c = realize_expr(parse_knot_expr(text))
         for cc in (c, c.dual()):
@@ -374,3 +374,38 @@ def test_report_builds_no_staircase_tensor(monkeypatch, capsys):
     capsys.readouterr()
     assert duals == []
     assert tensors == [3 * 11, 297]  # T(2,3)#T(4,7), then #-T(5,6)
+
+
+def _with_entry(c, source, target):
+    """c with one more entry of d, from generator `source` to `target`."""
+    cols = list(c.cols)
+    cols[c.index[source]] ^= 1 << c.index[target]
+    return BigradedComplex(c.labels, c.grw, c.grz, cols)
+
+
+def test_invalid_complex_is_rejected_once_naming_the_entry(monkeypatch, capsys):
+    from knotfloer.cli import main
+    from knotfloer.complexes import Differential
+
+    # g0 -> g2 of T(2,3) has an odd grw gap; g0 -> g3 of T(2,5) is U^-1 V^2 g3.
+    assert _with_entry(torus_knot_complex(2, 5), "g0", "g3").d.exponents(0, 3) == (-1, 2)
+    cases = [(torus_knot_complex(2, 3), "g0", "g2"), (torus_knot_complex(2, 5), "g0", "g3")]
+    calls = [lambda c: a_level_complex(c, 0), lambda c: v_invariant(c, 0), nu_hat, omega_hat]
+    for knot, source, target in cases:
+        for call in calls:
+            with pytest.raises(ValidationError, match=rf"term {target} in d\({source}\)"):
+                call(_with_entry(knot, source, target))
+
+    # A report checks the premise of each complex at most once.
+    checked = []
+    real = Differential.illegal_entries
+
+    def counting(self):
+        checked.append(self.source)
+        return real(self)
+
+    monkeypatch.setattr(Differential, "illegal_entries", counting)
+    assert main(["report", "--expr", "T(2,3)#T(4,7)#-T(5,6)", "--format", "json"]) == 0
+    capsys.readouterr()
+    assert len(set(map(id, checked))) == len(checked)
+    assert [len(c) for c in checked].count(297) == 2  # K and its mirror

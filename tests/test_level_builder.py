@@ -46,6 +46,8 @@ def test_blocks_match_the_tensor_route():
                 blocks, oracle = a_level_complex(c, s, n), a_level_complex(tensor, s)
                 assert blocks.gradings == oracle.gradings, (name, n, s)
                 assert blocks.cols == oracle.cols, (name, n, s)
+                # The builder does not check its levels: every T-power must be natural.
+                assert not list(blocks.illegal_entries()), (name, n, s)
 
 
 def test_y_ladder_matches_the_tensor_route():
