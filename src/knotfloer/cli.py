@@ -40,11 +40,11 @@ from .errors import (
 )
 from .expressions import FileRef, expr_to_string, parse_knot_expr, torus_terms
 from .fileio import load_complex
+from .fu import tower_reduce
 from .invariants import (
     a_level_complex,
     compute_invariant_table,
     require_knot_complex,
-    tower_cycle,
 )
 from .involutive import mirror_iota, realize_with_iota, v0_bar_under
 
@@ -93,7 +93,9 @@ def _tower_certificate(c) -> Optional[List[Dict]]:
     if len(c) > CYCLE_CERTIFICATE_LIMIT:
         return None
     labels, alex = c.labels, c.alexander
-    terms = sorted(tower_cycle(a_level_complex(c, 0)).terms, key=lambda t: (labels[t[0]], t[1]))
+    # The level-0 tower has rank one: the invariant table has read its top.
+    cycle = tower_reduce(a_level_complex(c, 0), with_reps=True).reps[0]
+    terms = sorted(cycle, key=lambda t: (labels[t[0]], t[1]))
     # Basis element i of the level-0 complex is U^A x_i, or V^-A x_i when A < 0.
     return [{"gen": labels[i], "u": max(alex[i], 0) + t, "v": max(-alex[i], 0) + t} for i, t in terms]
 
@@ -103,7 +105,6 @@ def _build_report(args) -> Dict:
         raise argparse.ArgumentTypeError(f"--cap must be nonnegative, got {args.cap}")
     expr = parse_knot_expr(args.expr)
     complex_, iota = realize_with_iota(expr)
-    complex_.require_valid()
     require_knot_complex(complex_)
     mirror = complex_.dual()
     mirror_io = None if iota is None else mirror_iota(iota, mirror)

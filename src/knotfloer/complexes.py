@@ -33,7 +33,7 @@ import functools
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import ValidationError
-from .fu import FUComplex, zero_exponent
+from .fu import FUComplex
 from .linalg import gap_guard, guarded_entries, image, iter_bits, spread, transpose, value_masks
 
 # (source label, target label, u, v): one monomial term U^u V^v target.
@@ -406,8 +406,8 @@ def reduce_complex(c: BigradedComplex, mode: str) -> FUComplex:
     The pure-monomial entries (the UV = 0 quotient) are the union of the
     two modes' columns.
     """
-    if mode == "U0":
-        return FUComplex(c.labels, c.grz, zero_exponent(c.cols, c.grw, c.grw_masks))
-    if mode == "V0":
-        return FUComplex(c.labels, c.grw, zero_exponent(c.cols, c.grz, c.grz_masks))
-    raise ValueError(f"unknown reduction mode {mode!r}")
+    if mode not in ("U0", "V0"):
+        raise ValueError(f"unknown reduction mode {mode!r}")
+    # Keep the entries whose exponent of the killed variable is 0: its grading drops by one.
+    drop, masks, keep = (c.grw, c.grw_masks, c.grz) if mode == "U0" else (c.grz, c.grz_masks, c.grw)
+    return FUComplex(c.labels, keep, tuple(col & masks.get(g - 1, 0) for col, g in zip(c.cols, drop)))

@@ -5,7 +5,10 @@ A `FUComplex` is a finitely generated free graded GF(2)[T]-module
 by one. Homogeneity pins the T-power of every matrix entry: an entry
 from basis element j into basis element i must be T^k with
 k = (r_i - r_j + 1) / 2, so the differential is stored as one bitmask
-of row indices per column and all T-powers are implied.
+of row indices per column and all T-powers are implied. A `FUComplex`
+is a plain value and checks nothing: every one the program builds is
+valid by construction (see `a_level_complex`, `reduce_complex` and
+`ai0_cone`).
 
 `tower_reduce` computes the homology towers by a column reduction
 along the grading filtration, with clearing. A column is moved into
@@ -19,10 +22,9 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from .errors import ValidationError
-from .linalg import gap_guard, guarded_entries, image, iter_bits, value_masks
+from .linalg import iter_bits, value_masks
 
 
 class FUComplex:
@@ -32,8 +34,6 @@ class FUComplex:
         self.labels: Tuple[str, ...] = tuple(labels)
         self.gradings: Tuple[int, ...] = tuple(gradings)
         self.cols: Tuple[int, ...] = tuple(cols)
-        if not (len(self.labels) == len(self.gradings) == len(self.cols)):
-            raise ValidationError("basis, grading, and column lists differ in length")
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -42,40 +42,6 @@ class FUComplex:
     def grading_masks(self) -> Dict[int, int]:
         """grading -> bitmask of the basis elements in it."""
         return value_masks(self.gradings)
-
-    def illegal_entries(self) -> Iterator[Tuple[int, int]]:
-        """(j, i) of every entry j -> i whose T-power (r_i - r_j + 1) / 2 is not a natural number.
-
-        Checked once per grading class of the sources.
-        """
-        guard = gap_guard(self.grading_masks)
-        return guarded_entries(self.cols, (self.gradings, lambda r: guard(r - 1)))
-
-    def validate(self) -> List[str]:
-        labels, gradings, cols = self.labels, self.gradings, self.cols
-        out = [
-            f"entry {labels[j]} -> {labels[i]}: grading gap {gradings[j]} -> {gradings[i]} admits no T-power"
-            for j, i in self.illegal_entries()
-        ]
-        # d^2 = 0; implied powers agree per (source, final) pair, so the
-        # composite reduces to XOR of child columns.
-        out += (f"d^2 != 0 on basis element {labels[j]}" for j, col in enumerate(cols) if image(cols, col))
-        return out
-
-    def require_valid(self) -> "FUComplex":
-        violations = self.validate()
-        if violations:
-            raise ValidationError(violations)
-        return self
-
-
-def zero_exponent(cols: Sequence[int], gradings: Sequence[int], at: Dict[int, int]) -> Tuple[int, ...]:
-    """The entries whose exponent along `gradings` is 0: grading drops by one.
-
-    `at` is the `value_masks` of `gradings`. On a level complex these are
-    the entries that survive T = 0.
-    """
-    return tuple(col & at.get(g - 1, 0) for col, g in zip(cols, gradings))
 
 
 # --- reduction along the grading filtration --------------------------------

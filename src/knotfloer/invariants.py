@@ -18,18 +18,22 @@ Everything here reduces to exact linear algebra over GF(2):
   (and, for omega, of the U = 1 complex too). One cocycle per complex
   answers that by a parity: the tower cycle of the dual reduction, with
   T = 1.
+
+V_s, Y_n, nu and omega read one visit per level (s, n) of a complex,
+`_level`: its tower top and, at the levels nu and omega test, the end
+parities of its hat cycles.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .complexes import BigradedComplex, reduce_complex
 from .errors import ConsistencyError, IterationCapError, ValidationError
-from .fu import FUComplex, tower_reduce, zero_exponent
-from .linalg import ColumnSolver, iter_bits, spread, transpose, value_masks
+from .fu import FUComplex, tower_reduce
+from .linalg import ColumnSolver, iter_bits, spread, transpose
 
 
 # --- level subcomplexes over GF(2)[T] --------------------------------------
@@ -87,20 +91,6 @@ def d_invariant(level: FUComplex) -> int:
     return red.top_grading()
 
 
-@dataclass
-class TowerCycle:
-    grading: int
-    terms: List[Tuple[int, int]]  # (basis index, T-power)
-
-
-def tower_cycle(level: FUComplex) -> TowerCycle:
-    """A homogeneous non-torsion cycle generating the tower."""
-    red = tower_reduce(level, with_reps=True)
-    if red.rank != 1:
-        raise ValidationError(f"tower rank is {red.rank}, not 1")
-    return TowerCycle(red.unpaired[0][1], red.reps[0])
-
-
 # --- knot-likeness ----------------------------------------------------------
 
 
@@ -154,6 +144,16 @@ def is_knotlike(c: BigradedComplex) -> bool:
     return cached
 
 
+def _require_towers_at_zero(c: BigradedComplex) -> None:
+    """Raise `ValidationError` unless c is knot-like with its U = 0 tower at grw = 0 and its V = 0 tower at grz = 0."""
+    if not is_knotlike(c):
+        raise ValidationError("complex is not knot-like (localized tower rank != 1)")
+    towers = zip(c.__dict__["_towers"], ("U = 0", "V = 0"), ("grw", "grz"), (c.grw, c.grz))
+    for idx, tower, name, grading in towers:
+        if grading[idx]:
+            raise ValidationError(f"the {tower} tower generator {c.labels[idx]!r} has {name} = {grading[idx]}, not 0")
+
+
 def require_knot_complex(c: BigradedComplex) -> None:
     """Raise `ValidationError` unless c is knot-like with a knot's towers.
 
@@ -164,12 +164,7 @@ def require_knot_complex(c: BigradedComplex) -> None:
     be knot-like, but its nu and omega need not lie in {tau, tau + 1}.
     These are necessary conditions only; the complex itself may still be asymmetric.
     """
-    if not is_knotlike(c):
-        raise ValidationError("complex is not knot-like (localized tower rank != 1)")
-    towers = zip(c.__dict__["_towers"], ("U = 0", "V = 0"), ("grw", "grz"), (c.grw, c.grz))
-    for idx, tower, name, grading in towers:
-        if grading[idx]:
-            raise ValidationError(f"the {tower} tower generator {c.labels[idx]!r} has {name} = {grading[idx]}, not 0")
+    _require_towers_at_zero(c)
     chi = Counter()
     for w, a in zip(c.grw, c.alexander):
         chi[a] += -1 if w % 2 else 1
@@ -179,30 +174,96 @@ def require_knot_complex(c: BigradedComplex) -> None:
                                   f"{chi[a]} at Alexander grading {a}, {chi[-a]} at {-a}")
 
 
+# --- the level visit --------------------------------------------------------
+
+
+def _candidates(c: BigradedComplex) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    """The levels nu and omega test (Hom-Wu): s at n = 0, and n at s = 0.
+
+    nu is tau or tau + 1, so nu tests s = tau - 1 (which must miss), tau
+    and tau + 1. omega is tau or tau + 1 when tau >= 0, and 0 below.
+    """
+    tau = tau_invariant(c)
+    return (tau - 1, tau, tau + 1), tuple(n for n in (tau, tau + 1) if n >= 0) or (0,)
+
+
+def _level(c: BigradedComplex, s: int, n: int) -> Tuple[int, Optional[FrozenSet[Tuple[int, int]]]]:
+    """(tower top d, hat ends or None) of level s of C tensor St*_n, built once per complex.
+
+    The hat ends are read only at the levels nu and omega test.
+    """
+    memo = c.__dict__.setdefault("_levels", {})
+    if (s, n) not in memo:
+        level = a_level_complex(c, s, n)
+        nus, omegas = _candidates(c)
+        tested = (n == 0 and s in nus) or (s == 0 and n in omegas)
+        memo[s, n] = d_invariant(level), _hat_ends(c, level, s, n) if tested else None
+    return memo[s, n]
+
+
+def _hat_ends(c: BigradedComplex, level: FUComplex, s: int, n: int) -> FrozenSet[Tuple[int, int]]:
+    """End parities (v1, u1) of a kernel basis of the grading-g hat columns of a level.
+
+    The hat complex is the T^0 entries, here the grading-g columns masked
+    to grading g - 1, g the grw of the U = 0 tower generator. Generator
+    (j, p) pairs c_j with x(p - n), and carries U^a or V^-a with
+    a = A + p - n - s. At s = 0 and g = 0 a hat cycle is a degree-0 chain
+    map St_n -> C/(UV), whose ends y(-n), y(n) are its blocks 0 and 2n.
+    v1 is its parity against the U = 0 cocycle phi_U on block 0 where
+    A <= s + n (V = 1 drops the U-powers), u1 that against phi_V on
+    block 2n where A >= s - n (U = 1 drops the V-powers): 1 when the cycle
+    hits the generator of the V = 1 (U = 1) complex.
+
+    The grading-g slice is exact for v1. phi_U is homogeneous in grw: the
+    reduction only adds columns that share a pivot row, which have one
+    grw. It pairs to 1 with the U = 0 tower cycle, so it lies at grw = g,
+    the level grading of every V^(s+n-A) x of block 0 that it meets. u1
+    lies at grading g only when the V = 0 tower is at grz = g - 2s, which
+    `omega_hat` checks.
+    """
+    m = 2 * n + 1
+    g = c.grw[c.__dict__["_towers"][0]]
+    phi_u, phi_v = _cocycle(c, "U0"), _cocycle(c, "V0")
+    alex, below = c.alexander, level.grading_masks.get(g - 1, 0)
+    cols: List[int] = []
+    v1_end = u1_end = 0  # column positions read in the V = 1 and U = 1 complexes
+    for i in iter_bits(level.grading_masks.get(g, 0)):
+        j, p = divmod(i, m)
+        if p == 0 and alex[j] <= s + n and phi_u >> j & 1:
+            v1_end |= 1 << len(cols)
+        if p == m - 1 and alex[j] >= s - n and phi_v >> j & 1:
+            u1_end |= 1 << len(cols)
+        cols.append(level.cols[i] & below)
+    kernel = ColumnSolver(cols).kernel
+    return frozenset(((z & v1_end).bit_count() & 1, (z & u1_end).bit_count() & 1) for z in kernel)
+
+
+def _admits_map(ends: FrozenSet[Tuple[int, int]]) -> bool:
+    """Is (1, 1) in the span of the end pairs: a staircase map with both ends non-torsion?"""
+    return (1, 1) in ends or {(1, 0), (0, 1)} <= ends
+
+
 # --- correction terms -------------------------------------------------------
 
 
-def _level_correction(c: BigradedComplex, s: int, n: int) -> int:
-    """-d/2 of level s of C tensor St*_n, memoized per complex by (s, n); d must be even."""
-    memo = c.__dict__.setdefault("_corrections", {})
-    if (s, n) not in memo:
-        d = d_invariant(a_level_complex(c, s, n))
-        if d % 2:
-            raise ConsistencyError(f"tower grading {d} at level {s} of C tensor St*_{n} is odd")
-        memo[s, n] = -d // 2
-    return memo[s, n]
+def _correction(c: BigradedComplex, s: int, n: int) -> int:
+    """-d/2 of level s of C tensor St*_n; d must be even."""
+    d = _level(c, s, n)[0]
+    if d % 2:
+        raise ConsistencyError(f"tower grading {d} at level {s} of C tensor St*_{n} is odd")
+    return -d // 2
 
 
 def v_invariant(c: BigradedComplex, s: int) -> int:
     """Correction term of the level-s subcomplex: -d/2."""
-    return _level_correction(c, s, 0)
+    return _correction(c, s, 0)
 
 
 def y_invariant(c: BigradedComplex, n: int) -> int:
     """V_0 of C tensor the n-step dual staircase; Y_0 = V_0."""
     if n < 0:
         raise ValidationError("index must be nonnegative")
-    return _level_correction(c, 0, n)
+    return _correction(c, 0, n)
 
 
 def _default_cap(c: BigradedComplex) -> int:
@@ -248,27 +309,17 @@ def tau_invariant(c: BigradedComplex) -> int:
 def nu_hat(c: BigradedComplex) -> int:
     """Least level whose hat cycles hit the generator of the V = 1 complex.
 
-    nu is tau or tau + 1 (Hom-Wu), so only three levels are tested: tau - 1
-    must miss, and the first of tau, tau + 1 to hit is nu. Any other
-    outcome is a consistency failure, so the shortcut stays certified.
+    Only the candidate levels are tested: tau - 1 must miss, and the first
+    of tau, tau + 1 to hit is nu. Any other outcome is a consistency
+    failure, so the shortcut stays certified.
     """
     if not is_knotlike(c):
         raise ValidationError("nu undefined: complex is not knot-like")
-    tau = tau_invariant(c)
-    at = value_masks(c.alexander)
-    phi = _cocycle(c, "U0")
-
-    def hits(s: int) -> bool:
-        level = a_level_complex(c, s)
-        cols = zero_exponent(level.cols, level.gradings, level.grading_masks)
-        # Setting U = 0 and V = 1 drops the basis elements with a U-power.
-        probe = phi & sum(mask for a, mask in at.items() if a <= s)
-        return any((z & probe).bit_count() & 1 for z in ColumnSolver(cols).kernel)
-
-    if hits(tau - 1):
-        raise ConsistencyError(f"level {tau - 1} hits the V = 1 class below tau = {tau}")
-    for s in (tau, tau + 1):
-        if hits(s):
+    below, tau, above = _candidates(c)[0]
+    for s in (below, tau, above):
+        if any(v1 for v1, _u1 in _level(c, s, 0)[1]):
+            if s == below:
+                raise ConsistencyError(f"level {below} hits the V = 1 class below tau = {tau}")
             return s
     raise ConsistencyError(f"nu outside {{tau, tau+1}}, tau={tau}")
 
@@ -276,47 +327,17 @@ def nu_hat(c: BigradedComplex) -> int:
 def omega_hat(c: BigradedComplex) -> int:
     """Least n >= 0 with a staircase map St_n -> C/(UV) whose ends are non-torsion.
 
-    omega is tau or tau + 1 when tau >= 0, and 0 below, so only those
-    candidates are tested; the first to admit a map is omega, and a
-    failure of both is a consistency failure.
+    Such a map is a grading-0 hat cycle of level 0 of C tensor St*_n
+    whose ends hit both generators (`_hat_ends`), so the towers must sit
+    at grw = 0 and grz = 0. Only the candidates are tested; the first to
+    admit a map is omega, and a failure of all is a consistency failure.
     """
-    tau = tau_invariant(c)
-    candidates = [n for n in (tau, tau + 1) if n >= 0] or [0]
+    _require_towers_at_zero(c)
+    candidates = _candidates(c)[1]
     for n in candidates:
-        if _staircase_map(c, n):
+        if _admits_map(_level(c, 0, n)[1]):
             return n
-    raise ConsistencyError(f"omega dichotomy failed: no staircase map at n in {candidates}")
-
-
-def _staircase_map(c: BigradedComplex, n: int) -> bool:
-    """Is there a staircase map St_n -> C/(UV) with non-torsion ends?
-
-    A degree-0 chain map St_n -> C/(UV) is a grading-0 cycle of the hat
-    complex of level 0 of C tensor St*_n: its T^0 entries, here those
-    from grading 0 to -1. Generator (j, p) pairs generator j of C with
-    x(p - n). Its values on the ends y(-n) and y(n) are the blocks on
-    x(-n) and x(n): the first must hit the generator of the V = 1 complex,
-    the second that of the U = 1 complex. The test asks whether (1, 1)
-    is in the span of the end parities of the cycles, so the order of the
-    columns does not matter.
-    """
-    m = 2 * n + 1
-    level = a_level_complex(c, 0, n)
-    phi_u, phi_v = _cocycle(c, "U0"), _cocycle(c, "V0")
-    alex, below = c.alexander, level.grading_masks.get(-1, 0)
-    cols: List[int] = []
-    v1_end = u1_end = 0  # column positions read in the V = 1 and U = 1 complexes
-    for i in iter_bits(level.grading_masks.get(0, 0)):
-        # Block p of c_j carries U^a or V^-a, a = A + p - n; V = 1 drops U-powers, U = 1 V-powers.
-        j, p = divmod(i, m)
-        if p == 0 and alex[j] <= n and phi_u >> j & 1:
-            v1_end |= 1 << len(cols)
-        if p == m - 1 and alex[j] >= -n and phi_v >> j & 1:
-            u1_end |= 1 << len(cols)
-        cols.append(level.cols[i] & below)
-    kernel = ColumnSolver(cols).kernel
-    ends = {((z & v1_end).bit_count() & 1, (z & u1_end).bit_count() & 1) for z in kernel}
-    return (1, 1) in ends or {(1, 0), (0, 1)} <= ends
+    raise ConsistencyError(f"omega dichotomy failed: no staircase map at n in {list(candidates)}")
 
 
 # --- assembled table --------------------------------------------------------

@@ -127,7 +127,14 @@ def ai0_cone(c: BigradedComplex, iota: SkewMap) -> FUComplex:
 
     A verified skew map swaps the gradings, so on the level-0 basis it is
     grading-preserving and its T-powers are implied like those of d: its
-    matrix there is its own columns.
+    matrix there is its own columns. The cone is valid once
+    `verify_chain_map(iota)` passes, so it is not checked again. iota
+    restricts to level 0: it swaps U and V, maps level s to -s, and
+    T = UV is symmetric. Its level-0 T-powers are natural: an entry
+    x -> U^u V^v y sends U^a_x V^b_x x to T^k U^a_y V^b_y y with
+    k = b_x + u - a_y = a_x + v - b_y, which min(a_y, b_y) = 0 makes
+    b_x + u or a_x + v, as for d in `a_level_complex`. And d_cone^2 = 0
+    is d (1 + iota) = (1 + iota) d, the chain-map condition.
     """
     violation = verify_chain_map(iota)
     if violation is not None:
@@ -139,7 +146,7 @@ def ai0_cone(c: BigradedComplex, iota: SkewMap) -> FUComplex:
     one_plus = [col ^ (1 << j) for j, col in enumerate(iota.cols)]
     cols = [col | (op << n) for col, op in zip(level.cols, one_plus)]
     cols += [col << n for col in level.cols]
-    return FUComplex(labels, gradings, cols).require_valid()
+    return FUComplex(labels, gradings, cols)
 
 
 def involutive_d_pair(cone: FUComplex) -> Tuple[int, int]:

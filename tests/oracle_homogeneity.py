@@ -1,11 +1,13 @@
 """Entry-by-entry homogeneity scans: the oracle of the class-level checks.
 
-`ChainMap.illegal_entries` and `FUComplex.illegal_entries` OR the columns
-of one grading class together and test each class once. These scans test
-every entry on its own, from the exponent formulas, and list the faults
-in index order. `validate_messages` and `fu_validate_messages` rebuild the
-violation lists of `BigradedComplex.validate` and `FUComplex.validate`
-from them.
+`ChainMap.illegal_entries` ORs the columns of one grading class together
+and tests each class once. These scans test every entry on its own, from
+the exponent formulas, and list the faults in index order.
+`validate_messages` rebuilds the violation list of
+`BigradedComplex.validate` from them. A `FUComplex` checks nothing
+itself, since the program builds only valid ones; `fu_illegal_entries`
+and `fu_validate_messages` are the checks the tests run on them (natural
+T-powers, d^2 = 0).
 """
 
 from typing import List, Tuple
@@ -15,7 +17,12 @@ from knotfloer.fu import FUComplex
 
 
 def _bits(mask: int) -> List[int]:
-    return [k for k in range(mask.bit_length()) if mask >> k & 1]
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 def map_illegal_entries(f: ChainMap) -> List[Tuple[int, int]]:
@@ -76,7 +83,7 @@ def validate_messages(c: BigradedComplex) -> List[str]:
 
 
 def fu_validate_messages(fu: FUComplex) -> List[str]:
-    """The violations `FUComplex.validate` lists, in its order."""
+    """Every entry without a natural T-power, then every basis element where d^2 != 0."""
     labels, r = fu.labels, fu.gradings
     out = [
         f"entry {labels[j]} -> {labels[i]}: grading gap {r[j]} -> {r[i]} admits no T-power"

@@ -300,6 +300,23 @@ def test_shifted_towers_are_bad_input(tmp_path, capsys, dw, dz, named):
         assert named in err, command
 
 
+def test_file_report_validates_the_complex_once(monkeypatch, capsys):
+    # load_complex validates what it reads; the report does not check it again.
+    from knotfloer.complexes import BigradedComplex
+
+    checked = []
+    real = BigradedComplex.validate
+
+    def counting(self):
+        checked.append(self)
+        return real(self)
+
+    monkeypatch.setattr(BigradedComplex, "validate", counting)
+    code, _out, err = run_cli(["report", "--expr", f"@{DATA}/scrambled_k1.cfk", "--format", "json"], capsys)
+    assert code == 0, err
+    assert len(checked) == 1
+
+
 def test_asymmetric_complex_is_bad_input(capsys):
     # Knot-like, towers at grw = 0 and grz = 0, but its graded Euler
     # characteristic t^4 - t + t^-2 - t^-5 + t^-6 is not symmetric: it is

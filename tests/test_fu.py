@@ -14,18 +14,6 @@ from oracle_involutive import power
 from oracle_snf import oracle_rank_and_top
 
 
-def test_validation_catches_bad_powers():
-    # a -> b: gap 0 -> 0 needs T^(1/2); a -> c: gap 0 -> -3 needs T^-1;
-    # a -> d: gap 0 -> -1 is T^0.
-    fu = FUComplex(("a", "b", "c", "d"), (0, 0, -3, -1), (0b1110, 0, 0, 0))
-    assert fu.validate() == [
-        "entry a -> b: grading gap 0 -> 0 admits no T-power",
-        "entry a -> c: grading gap 0 -> -3 admits no T-power",
-    ]
-    assert list(fu.illegal_entries()) == [(0, 1), (0, 2)]
-    assert FUComplex(("a", "d"), (0, -1), (0b10, 0)).validate() == []
-
-
 def test_unknot_level_zero():
     fu = a_level_complex(UNKNOT, 0)
     assert d_invariant(fu) == 0

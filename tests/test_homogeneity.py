@@ -1,9 +1,10 @@
 """The class-level homogeneity checks against the entry-by-entry oracle.
 
 Each case injects entries with an odd gap, a negative even gap, or both
-(one odd gap and one negative) into a valid map, complex or level
-complex, and compares the faults found, and their order, with the scans
-of `tests/oracle_homogeneity.py`.
+(one odd gap and one negative) into a valid map or complex, and compares
+the faults found, and their order, with the scans of
+`tests/oracle_homogeneity.py`. The reductions and level complexes, which
+the program builds without a check, must pass those scans as built.
 """
 
 import random
@@ -20,7 +21,6 @@ from oracle_homogeneity import (
 
 from knotfloer.complexes import BigradedComplex, ChainMap, SkewMap, basepoint_map, reduce_complex, verify_chain_map
 from knotfloer.expressions import parse_knot_expr
-from knotfloer.fu import FUComplex
 from knotfloer.invariants import a_level_complex
 from knotfloer.involutive import realize_with_iota
 
@@ -104,10 +104,6 @@ def test_fu_checks_match_oracle(seed):
     rng, c, _iota = _sum(seed)
     level = a_level_complex(c, rng.randint(-2, 2), rng.randint(0, 2))
     fus = [reduce_complex(c, "U0"), reduce_complex(c, "V0"), level]
+    # FUComplex checks nothing itself: the reductions and levels are valid by construction.
     for fu in fus:
-        assert list(fu.illegal_entries()) == fu_illegal_entries(fu) == []
-        r = fu.gradings
-        cols = _inject(rng, fu.cols, lambda j, i: (r[i] - r[j] + 1,), rng.randint(1, 6))
-        bad = FUComplex(fu.labels, fu.gradings, cols)
-        assert list(bad.illegal_entries()) == fu_illegal_entries(bad)
-        assert bad.validate() == fu_validate_messages(bad)
+        assert fu_illegal_entries(fu) == fu_validate_messages(fu) == []

@@ -1,5 +1,6 @@
 import os
 import random
+from collections import Counter
 
 import pytest
 
@@ -9,6 +10,7 @@ from knotfloer.complexes import BigradedComplex, Generator, UNKNOT
 from knotfloer.errors import ConsistencyError, ValidationError
 from knotfloer.expressions import parse_knot_expr, realize_expr
 from knotfloer.fileio import load_complex
+from knotfloer.involutive import realize_with_iota
 from knotfloer.linalg import iter_bits
 from knotfloer.invariants import (
     a_level_complex,
@@ -24,12 +26,13 @@ from knotfloer.invariants import (
     y_invariant,
 )
 
-from conftest import level_monomials, random_torus_sum
+from conftest import level_monomials, random_torus_sum, scramble
 from oracle_nu import nu_hat_scan
 from oracle_omega import omega_feasible
 from oracle_tau import tau_scan
 
-HW_FILE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "hw.cfk")
+DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
+HW_FILE = os.path.join(DATA, "hw.cfk")
 
 
 def corpus():
@@ -139,6 +142,20 @@ def shuffled(c: BigradedComplex, rng: random.Random) -> BigradedComplex:
     return BigradedComplex(
         [c.labels[i] for i in perm], [c.grw[i] for i in perm], [c.grz[i] for i in perm], cols
     ).require_valid()
+
+
+def shifted(c: BigradedComplex, k: int) -> BigradedComplex:
+    """c with both gradings raised by k: A is unchanged, and the towers leave grw = 0 and grz = 0."""
+    return BigradedComplex(c.labels, [w + k for w in c.grw], [z + k for z in c.grz], c.cols)
+
+
+def scrambled_sums(rng: random.Random, count: int):
+    """Dense, locally equivalent copies (`conftest.scramble`) of seeded torus sums."""
+    out = []
+    for _ in range(count):
+        expr = random_torus_sum(rng, 3, 150)
+        out.append(("scrambled " + expr, scramble(*realize_with_iota(parse_knot_expr(expr)), rng)[0]))
+    return out
 
 
 def test_tau_matches_scan_oracle():
@@ -286,9 +303,19 @@ def test_nu_matches_full_scan_oracle():
     ] + _mixed_sums(20260, 30)
     cases = [(text, realize_expr(parse_knot_expr(text))) for text in exprs]
     cases += asymmetric_sums(rng, 30)
+    # nu reads only the hat cycles in the grading of the U = 0 tower; shifted complexes move it off 0.
+    extra = random.Random(20261021)
+    sums = scrambled_sums(extra, 10)
+    small = [(text, realize_expr(parse_knot_expr(text))) for text in ("T(2,3)", "-T(2,5)", "T(3,4)#T(2,3)")]
+    cases += sums + [(f"{name} shifted by {k}", shifted(c, k)) for name, c in small + sums for k in (2, -4)]
     for name, c in cases:
         for complex_ in (c, c.dual(), shuffled(c, rng), shuffled(c.dual(), rng)):
             assert nu_hat(complex_) == nu_hat_scan(complex_), name
+
+
+def staircase_map(c: BigradedComplex, n: int) -> bool:
+    """omega's per-n test, on a level built here: the report builds only the candidate n."""
+    return invariants._admits_map(invariants._hat_ends(c, a_level_complex(c, 0, n), 0, n))
 
 
 def test_omega_matches_affine_oracle_at_every_n():
@@ -303,13 +330,44 @@ def test_omega_matches_affine_oracle_at_every_n():
     knots.append(("hw.cfk", load_complex(HW_FILE)[0]))
     cases = [(name, c, True) for name, c in knots]
     cases += [(name, c, False) for name, c in asymmetric_sums(rng, 30)]
+    cases += [(name, c, True) for name, c in scrambled_sums(random.Random(20261022), 10)]
     for name, c, is_knot in cases:
         for complex_ in (c, c.dual(), shuffled(c, rng), shuffled(c.dual(), rng)):
             ns = range(max(tau_invariant(complex_), 0) + 4)
-            feasible = [n for n in ns if invariants._staircase_map(complex_, n)]
+            feasible = [n for n in ns if staircase_map(complex_, n)]
             assert feasible == [n for n in ns if omega_feasible(complex_, n)], name
             if is_knot:
                 assert omega_hat(complex_) == feasible[0], name
+
+
+def test_shifted_towers_are_bad_input_for_omega_not_nu():
+    # omega's staircase map needs both towers at grading 0, so a shifted
+    # complex is bad input there, not an internal failure; nu reads the
+    # hat cycles in the grading of the U = 0 tower and stays defined.
+    c = load_complex(os.path.join(DATA, "shifted_t23.cfk"))[0]
+    with pytest.raises(ValidationError, match="the U = 0 tower generator 'g0' has grw = 2, not 0"):
+        omega_hat(c)
+    for complex_ in (c, c.dual(), shifted(c, -6)):
+        assert nu_hat(complex_) == nu_hat_scan(complex_)
+
+
+def test_report_builds_each_level_once(monkeypatch, capsys):
+    # V_s, Y_n, nu and omega all read one visit per level (s, n) of a complex.
+    from knotfloer.cli import main
+
+    builds = Counter()
+    real = invariants.a_level_complex
+
+    def counting(c, s, n=0):
+        builds[id(c), s, n] += 1
+        return real(c, s, n)
+
+    monkeypatch.setattr(invariants, "a_level_complex", counting)
+    for expr in ["T(2,3)#T(4,7)#-T(5,6)", "T(2,11)#-T(4,5)", "@" + HW_FILE, "@" + os.path.join(DATA, "scrambled_k1.cfk")]:
+        builds.clear()
+        assert main(["report", "--expr", expr, "--format", "json"]) == 0, expr
+        capsys.readouterr()
+        assert builds and max(builds.values()) == 1, (expr, [key for key, count in builds.items() if count > 1])
 
 
 def test_knot_check_needs_a_symmetric_euler_characteristic():

@@ -12,6 +12,7 @@ Y_n ladder.
 import random
 
 from conftest import random_torus_sum, scramble
+from oracle_homogeneity import fu_illegal_entries
 from test_invariants import corpus
 
 from knotfloer.builders import staircase_dual
@@ -47,7 +48,7 @@ def test_blocks_match_the_tensor_route():
                 assert blocks.gradings == oracle.gradings, (name, n, s)
                 assert blocks.cols == oracle.cols, (name, n, s)
                 # The builder does not check its levels: every T-power must be natural.
-                assert not list(blocks.illegal_entries()), (name, n, s)
+                assert not fu_illegal_entries(blocks), (name, n, s)
 
 
 def test_y_ladder_matches_the_tensor_route():
