@@ -6,9 +6,11 @@ exponent sequence, arrows from the odd generators to their even
 neighbours, top generator pinned at grw = 0 and every other grading
 forced by homogeneity.
 
-The exponent sequence of a torus knot comes from the exact expansion of
-(t^(pq) - 1)(t - 1) / ((t^p - 1)(t^q - 1)); its nonzero terms alternate
-between +1 and -1 and are symmetric about the genus.
+The exponent sequence of a torus knot T(p, q) is read off its semigroup
+S = <p, q>: sum_(s in S) t^s = (1 - t^(pq)) / ((1 - t^p)(1 - t^q)), so
+the Alexander polynomial is Delta(t) = (1 - t) sum_(s in S) t^s and its
+terms sit where membership in S flips. `StepSequence` checks that the
+result is odd in length, strictly decreasing and symmetric.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from math import gcd
 from typing import Tuple
 
 from .complexes import BigradedComplex
-from .errors import ConsistencyError, ValidationError
+from .errors import ValidationError
 
 
 @dataclass(frozen=True)
@@ -41,60 +43,32 @@ class StepSequence:
         return self.exponents[0]
 
 
-def ipoly_divexact(num: dict, den: dict) -> dict:
-    """Exact division of integer polynomials (dict exponent -> coefficient).
-
-    Raises when a remainder is left.
-    """
-    num = dict(num)
-    dmax = max(den)
-    dlead = den[dmax]
-    quot: dict = {}
-    while num:
-        e = max(num)
-        if e < dmax:
-            raise ArithmeticError("inexact polynomial division")
-        c, r = divmod(num[e], dlead)
-        if r:
-            raise ArithmeticError("inexact polynomial division")
-        quot[e - dmax] = c
-        for de, dc in den.items():
-            ne = e - dmax + de
-            nc = num.get(ne, 0) - c * dc
-            if nc:
-                num[ne] = nc
-            else:
-                num.pop(ne, None)
-    return quot
-
-
 def alexander_exponents(p: int, q: int) -> StepSequence:
     """Symmetrized exponents of the torus-knot Alexander polynomial.
 
-    Expands (t^(pq)-1)(t-1)/((t^p-1)(t^q-1)) exactly, checks the nonzero
-    coefficients alternate in {+1,-1}, and recenters by the genus
-    g = (p-1)(q-1)/2.
+    With S = <p, q> the semigroup of T(p, q), the identity
+    sum_(s in S) t^s = (1 - t^(pq)) / ((1 - t^p)(1 - t^q)) gives
+    Delta(t) = (1 - t) sum_(s in S) t^s: the terms of Delta sit where
+    membership in S flips between k - 1 and k. S holds every k >= 2g,
+    g = (p-1)(q-1)/2, so the flips lie in 0..2g; returns g - k for each
+    flip k, in decreasing order.
     """
     if p < 2 or q < 2:
         raise ValidationError(f"torus parameters must be >= 2, got ({p},{q})")
     if gcd(p, q) != 1:
         raise ValidationError(f"torus parameters ({p},{q}) are not coprime")
-    num = {p * q + 1: 1, p * q: -1, 1: -1, 0: 1}
-    quot = ipoly_divexact(ipoly_divexact(num, {p: 1, 0: -1}), {q: 1, 0: -1})
-    exps = sorted(quot, reverse=True)
-    g = (p - 1) * (q - 1) // 2
-    if exps[0] != 2 * g:
-        raise ConsistencyError(f"Alexander polynomial of T({p},{q}) has wrong degree")
-    for n, e in enumerate(exps):
-        if quot[e] != (1 if n % 2 == 0 else -1):
-            raise ConsistencyError(
-                f"Alexander polynomial of T({p},{q}) does not alternate at t^{e}"
-            )
-    return StepSequence(tuple(e - g for e in exps))
+    top = (p - 1) * (q - 1)
+    # member[k + 1] is 1 when k is in S; member[0] stands for k = -1.
+    member = bytearray(top + 2)
+    for a in range(0, top + 1, p):
+        for k in range(a, top + 1, q):
+            member[k + 1] = 1
+    g = top // 2
+    return StepSequence(tuple(g - k for k in range(top + 1) if member[k] != member[k + 1]))
 
 
-def staircase_from_steps(steps: StepSequence, prefix: str = "g") -> BigradedComplex:
-    """Zigzag complex of an exponent sequence; top generator at grw = 0.
+def staircase_from_steps(steps: StepSequence) -> BigradedComplex:
+    """Zigzag complex g0..g2m of an exponent sequence; top generator at grw = 0.
 
     Each odd generator hits its two neighbours, the earlier one by a pure
     U-power and the later one by a pure V-power; the gradings fix both.
@@ -110,7 +84,7 @@ def staircase_from_steps(steps: StepSequence, prefix: str = "g") -> BigradedComp
     for i in range(1, count, 2):
         cols[i] = (1 << (i - 1)) | (1 << (i + 1))
     return BigradedComplex(
-        [f"{prefix}{i}" for i in range(count)],
+        [f"g{i}" for i in range(count)],
         grw,
         [grw[i] - 2 * s[i] for i in range(count)],
         cols,
@@ -125,12 +99,8 @@ def staircase(n: int) -> BigradedComplex:
     """
     if n < 0:
         raise ValidationError("staircase index must be nonnegative")
-    if n == 0:
-        return BigradedComplex(["y0"], [0], [0], [0]).require_valid()
-    seq = StepSequence(tuple(range(n, -n - 1, -1)))
-    c = staircase_from_steps(seq, prefix="tmp")
-    renaming = {f"tmp{k}": f"y{k - n}" for k in range(2 * n + 1)}
-    return c.relabel(renaming).require_valid()
+    c = staircase_from_steps(StepSequence(tuple(range(n, -n - 1, -1))))
+    return c.relabel({f"g{k}": f"y{k - n}" for k in range(2 * n + 1)})
 
 
 def staircase_dual(n: int) -> BigradedComplex:
@@ -138,21 +108,8 @@ def staircase_dual(n: int) -> BigradedComplex:
 
     x(i) with i - n even maps by d(x(i)) = U x(i+1) + V x(i-1).
     """
-    if n < 0:
-        raise ValidationError("staircase index must be nonnegative")
-    count = 2 * n + 1
-    cols = [0] * count
-    for k in range(0, count, 2):  # index k holds x(k - n)
-        if k + 1 < count:
-            cols[k] |= 1 << (k + 1)
-        if k > 0:
-            cols[k] |= 1 << (k - 1)
-    return BigradedComplex(
-        [f"x{i}" for i in range(-n, n + 1)],
-        [n + i for i in range(-n, n + 1)],
-        [n - i for i in range(-n, n + 1)],
-        cols,
-    ).require_valid()
+    c = staircase(n).dual()
+    return c.relabel({f"y{i}*": f"x{i}" for i in range(-n, n + 1)}).require_valid()
 
 
 def torus_knot_complex(p: int, q: int) -> BigradedComplex:

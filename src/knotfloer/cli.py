@@ -4,9 +4,10 @@ Commands: `report` (invariant tables, bounds, certificates), `plotdata`
 (exact breakpoint tables for the concordance function), `validate`
 (structural checks of a complex file).
 
-Exit codes: 0 success, 2 expression syntax or usage error, 3 validation or file
-error, 4 internal-consistency failure, 5 plotdata on a non-torus-sum
-expression. Structured output is emitted only on success, all at once.
+Exit codes: 0 success, 1 out of memory or an error of no narrower kind,
+2 expression syntax or usage error, 3 validation or file error,
+4 internal-consistency failure, 5 plotdata on a non-torus-sum expression.
+Structured output is emitted only on success, all at once.
 """
 
 from __future__ import annotations
@@ -389,6 +390,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 4
     except KnotFloerError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print(
+            f"out of memory: {args.command} needs more memory than this process may use",
+            file=sys.stderr,
+        )
         return 1
 
 

@@ -169,6 +169,33 @@ def ipoly_mul(p: dict, q: dict) -> dict:
     return out
 
 
+def ipoly_divexact(num: dict, den: dict) -> dict:
+    """Exact division of integer polynomials (dict exponent -> coefficient).
+
+    Raises when a remainder is left.
+    """
+    num = dict(num)
+    dmax = max(den)
+    dlead = den[dmax]
+    quot: dict = {}
+    while num:
+        e = max(num)
+        if e < dmax:
+            raise ArithmeticError("inexact polynomial division")
+        c, r = divmod(num[e], dlead)
+        if r:
+            raise ArithmeticError("inexact polynomial division")
+        quot[e - dmax] = c
+        for de, dc in den.items():
+            ne = e - dmax + de
+            nc = num.get(ne, 0) - c * dc
+            if nc:
+                num[ne] = nc
+            else:
+                num.pop(ne, None)
+    return quot
+
+
 @pytest.fixture
 def rng():
     return random.Random(20240817)

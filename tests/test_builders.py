@@ -1,9 +1,10 @@
+from math import gcd
+
 import pytest
 
 from knotfloer.builders import (
     StepSequence,
     alexander_exponents,
-    ipoly_divexact,
     named_complex,
     staircase,
     staircase_dual,
@@ -11,7 +12,7 @@ from knotfloer.builders import (
 )
 from knotfloer.errors import ValidationError
 
-from conftest import ipoly_mul
+from conftest import ipoly_divexact, ipoly_mul
 
 
 def expand_oracle(p, q):
@@ -41,14 +42,19 @@ def test_exponents_t45():
 
 
 def test_exponents_alternate_and_symmetric():
-    for p, q in [(2, 7), (3, 5), (4, 7), (5, 6)]:
+    # Every torus knot the benchmark draws (p < 14, q < 20), plus two larger ones.
+    pairs = [(p, q) for p in range(2, 14) for q in range(p + 1, 20) if gcd(p, q) == 1]
+    assert len(pairs) == 90
+    for p, q in [(2, 7), (3, 5), (4, 7), (5, 6)] + pairs + [(13, 97), (19, 23)]:
         seq = alexander_exponents(p, q)
         s = seq.exponents
-        assert s[0] == (p - 1) * (q - 1) // 2
+        g = (p - 1) * (q - 1) // 2
+        assert s[0] == g
         assert all(s[i] == -s[len(s) - 1 - i] for i in range(len(s)))
         quot = expand_oracle(p, q)
         signs = [quot[e] for e in sorted(quot, reverse=True)]
         assert signs == [(-1) ** i for i in range(len(signs))]
+        assert s == tuple(e - g for e in sorted(quot, reverse=True)), (p, q)
 
 
 def test_non_coprime_rejected():

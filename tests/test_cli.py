@@ -164,6 +164,22 @@ def test_cap_overflow_is_internal_error(monkeypatch, capsys):
     assert "internal consistency" in err
 
 
+def test_out_of_memory_exits_1_without_traceback(monkeypatch, capsys):
+    from knotfloer import cli
+
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "compute_invariant_table", exhausted)
+    code, out, err = run_cli(["report", "--expr", "T(2,3)"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.splitlines() == [
+        "out of memory: report needs more memory than this process may use"
+    ]
+    assert "Traceback" not in err
+
+
 def test_user_cap_too_small_is_usage_error(capsys):
     for expr, cap in (("T(2,5)", "1"), ("T(2,3)", "0")):
         code, out, err = run_cli(["report", "--expr", expr, "--cap", cap], capsys)

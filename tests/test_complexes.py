@@ -3,7 +3,6 @@ import random
 import pytest
 
 from knotfloer.builders import (
-    ipoly_divexact,
     named_complex,
     staircase,
     staircase_dual,
@@ -24,6 +23,7 @@ from knotfloer.errors import ValidationError
 from knotfloer.linalg import iter_bits
 
 import oracle_uv
+from conftest import ipoly_divexact
 from oracle_homogeneity import fu_validate_messages
 
 

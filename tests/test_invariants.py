@@ -340,6 +340,34 @@ def test_omega_matches_affine_oracle_at_every_n():
                 assert omega_hat(complex_) == feasible[0], name
 
 
+def test_omega_hat_needs_both_ends_on_asymmetric_complexes():
+    # A knot complex is symmetric, so its two staircase ends agree and a
+    # test that reads one end, or accepts either, passes it; on these sums
+    # the ends differ. omega_hat must give the first Hom-Wu candidate the
+    # oracle finds feasible, and fail when there is none.
+    one_end_tests = {
+        "v1 end only": lambda ends: any(v1 for v1, _u1 in ends),
+        "u1 end only": lambda ends: any(u1 for _v1, u1 in ends),
+        "either end": lambda ends: any(v1 or u1 for v1, u1 in ends),
+    }
+    told_apart = set()
+    for name, c in asymmetric_sums(random.Random(20261023), 40):
+        for complex_ in (c, c.dual()):
+            tau = tau_invariant(complex_)
+            candidates = [n for n in (tau, tau + 1) if n >= 0] or [0]
+            expected = next((n for n in candidates if omega_feasible(complex_, n)), None)
+            if expected is None:
+                with pytest.raises(ConsistencyError):
+                    omega_hat(complex_)
+            else:
+                assert omega_hat(complex_) == expected, name
+            ends = {n: invariants._hat_ends(complex_, a_level_complex(complex_, 0, n), 0, n) for n in candidates}
+            for label, admits in one_end_tests.items():
+                if next((n for n in candidates if admits(ends[n])), None) != expected:
+                    told_apart.add(label)
+    assert told_apart == set(one_end_tests)
+
+
 def test_shifted_towers_are_bad_input_for_omega_not_nu():
     # omega's staircase map needs both towers at grading 0, so a shifted
     # complex is bad input there, not an internal failure; nu reads the

@@ -1,8 +1,6 @@
 import random
 
-from knotfloer.builders import ipoly_divexact
-
-from conftest import ipoly_mul
+from conftest import ipoly_divexact, ipoly_mul
 from oracle_snf import t_deg, t_divmod, t_exps, t_from_exps, t_mul
 
 # The two-variable ring lives in the test oracle: the program never
