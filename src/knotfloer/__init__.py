@@ -23,6 +23,7 @@ from .invariants import (
     compute_invariant_table,
     d_invariant,
     is_knotlike,
+    level_split,
     nu_hat,
     nu_plus,
     omega_hat,

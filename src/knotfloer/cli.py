@@ -41,12 +41,7 @@ from .errors import (
 )
 from .expressions import FileRef, expr_to_string, parse_knot_expr, torus_terms
 from .fileio import load_complex
-from .fu import tower_reduce
-from .invariants import (
-    a_level_complex,
-    compute_invariant_table,
-    require_knot_complex,
-)
+from .invariants import compute_invariant_table, level_split, require_knot_complex
 from .involutive import mirror_iota, realize_with_iota, v0_bar_under
 
 CYCLE_CERTIFICATE_LIMIT = 2000
@@ -94,8 +89,8 @@ def _tower_certificate(c) -> Optional[List[Dict]]:
     if len(c) > CYCLE_CERTIFICATE_LIMIT:
         return None
     labels, alex = c.labels, c.alexander
-    # The level-0 tower has rank one: the invariant table has read its top.
-    cycle = tower_reduce(a_level_complex(c, 0), with_reps=True).reps[0]
+    # The level-0 tower has rank one: the invariant table has read its top off this split.
+    cycle = level_split(c, 0).reduction.reps[0]
     terms = sorted(cycle, key=lambda t: (labels[t[0]], t[1]))
     # Basis element i of the level-0 complex is U^A x_i, or V^-A x_i when A < 0.
     return [{"gen": labels[i], "u": max(alex[i], 0) + t, "v": max(-alex[i], 0) + t} for i, t in terms]

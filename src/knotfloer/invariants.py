@@ -2,26 +2,30 @@
 
 Everything here reduces to exact linear algebra over GF(2):
 
-* the level-s subcomplex over GF(2)[T]: one basis element per generator,
-  the minimal monomial U^i V^j x of Alexander level s with i, j >= 0 and
-  min(i, j) = 0, graded by the grw of that monomial;
-* correction terms: V_s is minus half the top tower grading of the
-  level-s subcomplex, and Y_n is V_0 of C tensor the dual staircase
-  St*_n, built from C's columns: the levels A_n(C), ..., A_-n(C) side by
-  side, glued by the staircase arrows, the identity on each generator;
+* the level-s subcomplex A_s over GF(2)[T]: one basis element per
+  generator, the minimal monomial U^i V^j x of Alexander level s with
+  i, j >= 0 and min(i, j) = 0, graded by the grw of that monomial. Its
+  tower reduction splits it (`fu.Split`): the minimal model M_s, with
+  the inclusion iota_s: M_s -> A_s and the projection pi_s: A_s -> M_s;
+* correction terms: V_s is minus half the top tower grading of A_s, and
+  Y_n is V_0 of C tensor the dual staircase St*_n. Level 0 of that
+  tensor is the levels A_n(C), ..., A_-n(C) side by side, glued by the
+  staircase arrows from its even blocks to its odd ones: a mapping cone,
+  which the models replace up to homotopy (`_cone`);
 * tau is the Alexander grading of the tower generator of the U = 0
   reduction, which the knot-likeness check reduces anyway;
-* nu and omega live in the UV = 0 quotient, the level complexes with
-  T = 0 (hat complexes): the exponent-0 entries of `a_level_complex`,
-  of level s for nu and of level 0 of C tensor St*_n for omega. Each
-  asks whether a hat cycle maps to the generator of the V = 1 complex
-  (and, for omega, of the U = 1 complex too). One cocycle per complex
-  answers that by a parity: the tower cycle of the dual reduction, with
-  T = 1.
+* nu and omega live in the UV = 0 quotient, the complexes with T = 0
+  (hat complexes): of M_s for nu and of the model cone of level 0 of C
+  tensor St*_n for omega. Each asks whether a hat cycle maps to the
+  generator of the V = 1 complex (and, for omega, of the U = 1 complex
+  too), read through iota. One cocycle per complex answers that by a
+  parity: the tower cycle of the dual reduction, with T = 1.
 
-V_s, Y_n, nu and omega read one visit per level (s, n) of a complex,
-`_level`: its tower top and, at the levels nu and omega test, the end
-parities of its hat cycles.
+Each complex keeps the split of every level it builds (`level_split`),
+so a level is built and reduced once for V_s, Y_n, nu and omega, the
+glue between neighbouring models, and one visit per level (s, n) of C
+tensor St*_n, `_level`: the tower top of its model cone and, at the
+levels nu and omega test, the end parities of its hat cycles.
 """
 
 from __future__ import annotations
@@ -32,60 +36,104 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .complexes import BigradedComplex, reduce_complex
 from .errors import ConsistencyError, IterationCapError, ValidationError
-from .fu import FUComplex, tower_reduce
-from .linalg import ColumnSolver, iter_bits, spread, transpose
+from .fu import FUComplex, Reduction, Split, tower_reduce
+from .linalg import ColumnSolver, iter_bits, transpose
 
 
 # --- level subcomplexes over GF(2)[T] --------------------------------------
 
 
-def a_level_complex(c: BigradedComplex, s: int, n: int = 0) -> FUComplex:
-    """Level s of C tensor the n-step dual staircase St*_n (St*_0 is the unknot).
+def a_level_complex(c: BigradedComplex, s: int) -> FUComplex:
+    """Level s of C: the subcomplex A_s over GF(2)[T].
 
     Basis element for generator x: U^(A-s) x when A(x) >= s, else
     V^(s-A) x, graded by the grw of that monomial. Every entry x -> y of d
     is T^k times the basis element of y, with k = (g(y) - g(x) + 1) / 2
     implied by the level gradings g, so a level shares C's own columns.
-    x(k - n) sits at bigrading (k, 2n - k), so generator (j, k), at index
-    j * (2n + 1) + k, is c_j at level s + n - k with its grading raised by
-    k. Its column is c_j's spread over the blocks plus the staircase
-    arrows, U or V on both sides: the identity on c_j. Rejects complexes
-    without rank-one localized towers (a tensor with St*_n of a knot-like
-    complex is knot-like, by Kunneth over the localized ring).
+    Rejects complexes without rank-one localized towers.
 
     Every k is a natural number, so a level is not checked itself. Take
     an entry x -> U^u V^v y of C with u, v >= 0, and basis elements
     U^a_x V^b_x x and U^a_y V^b_y y. d preserves A, so
     u + a_x - a_y = v + b_x - b_y = k, and min(a_y, b_y) = 0 makes k
-    equal to u + a_x or to v + b_x, natural either way. The staircase
-    arrows are multiplication by U or V, so the same holds for n > 0.
-    The premise, natural exponents on every entry of C, is checked once
-    per complex by `is_knotlike`.
+    equal to u + a_x or to v + b_x, natural either way. The premise,
+    natural exponents on every entry of C, is checked once per complex
+    by `is_knotlike`.
     """
     if not is_knotlike(c):
         raise ValidationError("complex is not knot-like (localized tower rank != 1)")
-    m = 2 * n + 1
-    blocks = range(m)
-    gradings = [
-        k + (w - 2 * (a - t) if a > t else w)
-        for w, a in zip(c.grw, c.alexander)
-        for k, t in zip(blocks, range(s + n, s - n - 1, -1))
-    ]
-    labels, cols = c.labels, c.cols
-    if n:
-        labels = [label for label in c.labels for _k in blocks]
-        # x(k - n) is generator k of St*_n; even k maps by V to k - 1 and by U to k + 1.
-        glue = [sum(1 << b for b in (k - 1, k + 1) if k % 2 == 0 and 0 <= b < m) for k in blocks]
-        cols = []
-        for j, col in enumerate(c.cols):
-            left, base = spread(col, m), j * m
-            cols.extend((left << k) ^ (glue[k] << base) for k in blocks)
-    return FUComplex(labels, gradings, cols)
+    gradings = [w - 2 * (a - s) if a > s else w for w, a in zip(c.grw, c.alexander)]
+    return FUComplex(c.labels, gradings, c.cols)
+
+
+def level_split(c: BigradedComplex, s: int) -> Split:
+    """The split of level s into towers and pairs (`fu.Split`), built once per complex.
+
+    Its reduction gives V_s and the level-0 tower cycle; its model M_s,
+    iota_s and pi_s give nu and the cones of Y_n and omega.
+    """
+    memo = c.__dict__.setdefault("_splits", {})
+    if s not in memo:
+        memo[s] = Split(a_level_complex(c, s))
+    return memo[s]
+
+
+def _glue(c: BigradedComplex, s: int, t: int) -> List[int]:
+    """pi_t f iota_s for each generator of M_s: the staircase arrow A_s -> A_t (t = s +- 1) on the models.
+
+    The arrow is U or V on every generator, so on the level bases it is
+    the identity on C's indices, with T-powers implied by the gradings.
+    Built once per complex and pair of levels.
+    """
+    memo = c.__dict__.setdefault("_glue", {})
+    if (s, t) not in memo:
+        target = level_split(c, t)
+        memo[s, t] = [target.project(v) for v in level_split(c, s).inc]
+    return memo[s, t]
+
+
+def _cone(c: BigradedComplex, s: int, n: int) -> Tuple[FUComplex, List[int]]:
+    """A model of level s of C tensor St*_n, and where its blocks start (then its size).
+
+    x(k - n) sits at bigrading (k, 2n - k), so block k = 0..2n of the level
+    is A_(s+n-k)(C) with its grading raised by k, and generator k of St*_n
+    maps by V to k - 1 and by U to k + 1 when k is even. Every arrow runs
+    from an even block to an odd one, so the level is the mapping cone of
+    f: E -> O, its even blocks to its odd blocks. Since iota and pi are
+    homotopy equivalences, Cone(f) is homotopy equivalent to
+    Cone(pi_O f iota_E), which is this complex: block k is M_(s+n-k) raised
+    by k, and generator m of an even block k maps into block k +- 1 by
+    pi f iota (m) (`_glue`). For n = 0 it is M_s.
+
+    Its T-powers are natural: those of a model are, and a glue entry is
+    an entry of pi f iota, a composite of maps whose T-powers are.
+    """
+    splits = [level_split(c, s + n - k) for k in range(2 * n + 1)]
+    offsets = [0]
+    labels: List[str] = []
+    gradings: List[int] = []
+    cols: List[int] = []
+    for k, split in enumerate(splits):
+        model = split.model
+        labels.extend(model.labels)
+        gradings.extend(r + k for r in model.gradings)
+        cols.extend(col << offsets[k] for col in model.cols)
+        offsets.append(len(cols))
+    for k in range(0, 2 * n + 1, 2):
+        for b in (k - 1, k + 1):
+            if 0 <= b <= 2 * n:
+                base, shift = offsets[k], offsets[b]
+                for m, glue in enumerate(_glue(c, s + n - k, s + n - b)):
+                    cols[base + m] |= glue << shift
+    return FUComplex(labels, gradings, cols), offsets
 
 
 def d_invariant(level: FUComplex) -> int:
     """Top grading of a T-non-torsion homogeneous homology class."""
-    red = tower_reduce(level)
+    return _tower_top(tower_reduce(level))
+
+
+def _tower_top(red: Reduction) -> int:
     if red.rank != 1:
         raise ValidationError(f"d-invariant undefined: localized homology has rank {red.rank}")
     return red.top_grading()
@@ -188,31 +236,48 @@ def _candidates(c: BigradedComplex) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
 
 
 def _level(c: BigradedComplex, s: int, n: int) -> Tuple[int, Optional[FrozenSet[Tuple[int, int]]]]:
-    """(tower top d, hat ends or None) of level s of C tensor St*_n, built once per complex.
+    """(tower top d, hat ends or None) of level s of C tensor St*_n, read once per complex.
 
-    The hat ends are read only at the levels nu and omega test.
+    At n = 0, d is the top of the level's own reduction; for n > 0, that of
+    its model cone. The hat ends are read only at the levels nu and omega
+    test.
     """
     memo = c.__dict__.setdefault("_levels", {})
     if (s, n) not in memo:
-        level = a_level_complex(c, s, n)
         nus, omegas = _candidates(c)
         tested = (n == 0 and s in nus) or (s == 0 and n in omegas)
-        memo[s, n] = d_invariant(level), _hat_ends(c, level, s, n) if tested else None
+        cone = _cone(c, s, n) if n or tested else None
+        d = d_invariant(cone[0]) if n else _tower_top(level_split(c, s).reduction)
+        memo[s, n] = d, _hat_ends(c, cone, s, n) if tested else None
     return memo[s, n]
 
 
-def _hat_ends(c: BigradedComplex, level: FUComplex, s: int, n: int) -> FrozenSet[Tuple[int, int]]:
-    """End parities (v1, u1) of a kernel basis of the grading-g hat columns of a level.
+def _hat_ends(c: BigradedComplex, cone: Tuple[FUComplex, List[int]], s: int, n: int) -> FrozenSet[Tuple[int, int]]:
+    """End parities (v1, u1) of a kernel basis of the grading-g hat columns of a model cone (`_cone`).
 
     The hat complex is the T^0 entries, here the grading-g columns masked
-    to grading g - 1, g the grw of the U = 0 tower generator. Generator
-    (j, p) pairs c_j with x(p - n), and carries U^a or V^-a with
-    a = A + p - n - s. At s = 0 and g = 0 a hat cycle is a degree-0 chain
-    map St_n -> C/(UV), whose ends y(-n), y(n) are its blocks 0 and 2n.
-    v1 is its parity against the U = 0 cocycle phi_U on block 0 where
+    to grading g - 1, g the grw of the U = 0 tower generator. At n = 0 the
+    cone is M_s, whose T^0 entries vanish, so every generator is a hat
+    cycle. Block k of level s of C tensor St*_n pairs generators of C with
+    x(k - n), and carries U^a or V^-a with a = A + k - n - s. At s = 0 and
+    g = 0 a hat cycle of the level is a degree-0 chain map
+    St_n -> C/(UV), whose ends y(-n), y(n) are its blocks 0 and 2n. v1 is
+    its parity against the U = 0 cocycle phi_U on block 0 where
     A <= s + n (V = 1 drops the U-powers), u1 that against phi_V on
     block 2n where A >= s - n (U = 1 drops the V-powers): 1 when the cycle
     hits the generator of the V = 1 (U = 1) complex.
+
+    Each end is read through iota. Blocks 0 and 2n are even, so they lie
+    in E of Cone(f: E -> O). The comparison chain map from
+    Cone(pi_O f iota_E) to Cone(f) sends (x, y) to
+    (iota_E x, iota_O y + H f iota_E x), with H a homotopy from iota_O pi_O
+    to 1, so its E-part is exactly iota_E x and the end of a cone cycle x
+    is the end of iota(x) in the level. Setting T = 0 keeps that map a
+    homotopy equivalence, and each end functional is a projection onto
+    the quotient E, a chain map, paired with a cocycle, so it vanishes on
+    boundaries: the cone's hat cycles give the level's end pairs. The T^0
+    part of iota(m), for m of grading h in block k, is its indices of
+    level grading h - k.
 
     The grading-g slice is exact for v1. phi_U is homogeneous in grw: the
     reduction only adds columns that share a pivot row, which have one
@@ -221,19 +286,23 @@ def _hat_ends(c: BigradedComplex, level: FUComplex, s: int, n: int) -> FrozenSet
     lies at grading g only when the V = 0 tower is at grz = g - 2s, which
     `omega_hat` checks.
     """
-    m = 2 * n + 1
+    fu, offsets = cone
     g = c.grw[c.__dict__["_towers"][0]]
-    phi_u, phi_v = _cocycle(c, "U0"), _cocycle(c, "V0")
-    alex, below = c.alexander, level.grading_masks.get(g - 1, 0)
+    first, last = level_split(c, s + n), level_split(c, s - n)
+    alex = c.alexander
+    v1_probe = _cocycle(c, "U0") & first.fu.grading_masks.get(g, 0)
+    v1_probe &= sum(1 << j for j, a in enumerate(alex) if a <= s + n)
+    u1_probe = _cocycle(c, "V0") & last.fu.grading_masks.get(g - 2 * n, 0)
+    u1_probe &= sum(1 << j for j, a in enumerate(alex) if a >= s - n)
+    below, end = fu.grading_masks.get(g - 1, 0), offsets[-2]
     cols: List[int] = []
     v1_end = u1_end = 0  # column positions read in the V = 1 and U = 1 complexes
-    for i in iter_bits(level.grading_masks.get(g, 0)):
-        j, p = divmod(i, m)
-        if p == 0 and alex[j] <= s + n and phi_u >> j & 1:
+    for i in iter_bits(fu.grading_masks.get(g, 0)):
+        if i < offsets[1] and (first.inc[i] & v1_probe).bit_count() & 1:
             v1_end |= 1 << len(cols)
-        if p == m - 1 and alex[j] >= s - n and phi_v >> j & 1:
+        if i >= end and (last.inc[i - end] & u1_probe).bit_count() & 1:
             u1_end |= 1 << len(cols)
-        cols.append(level.cols[i] & below)
+        cols.append(fu.cols[i] & below)
     kernel = ColumnSolver(cols).kernel
     return frozenset(((z & v1_end).bit_count() & 1, (z & u1_end).bit_count() & 1) for z in kernel)
 

@@ -9,8 +9,9 @@ determinant 1; `verify_snf` re-multiplies the certificates.
 `oracle_rank_and_top` computes the homology towers of a `FUComplex`
 from the Smith form alone, independently of `fu.tower_reduce`: kernel
 basis, image expressed in the kernel, invariant factors, and a rank
-test for the non-torsion homogeneous component. It is deliberately
-simple and only meant for small matrices.
+test for the non-torsion homogeneous component. `oracle_torsion` reads
+the torsion off the invariant factors. It is deliberately simple and
+only meant for small matrices.
 
 A GF(2)[T] polynomial is an int bitmask whose bit k is the coefficient
 of T^k.
@@ -266,6 +267,21 @@ def _t_matrix(fu: FUComplex) -> TMatrix:
         for i in iter_bits(col):
             mat[i][j] = 1 << power(fu, i, j)
     return mat
+
+
+def oracle_torsion(fu: FUComplex) -> List[int]:
+    """T-degrees of the invariant factors of the differential, ascending; 0 marks a unit.
+
+    A homogeneous matrix has monomial invariant factors, and the unit group
+    of GF(2)[T] is {1}, so each factor is T^k exactly. The factors with
+    k > 0 are the torsion summands GF(2)[T]/(T^k) of the homology.
+    """
+    if not len(fu):
+        return []
+    factors = smith_normal_form(_t_matrix(fu))[0]
+    if any(f & (f - 1) for f in factors):
+        raise ConsistencyError("oracle: an invariant factor of a homogeneous matrix is not a monomial")
+    return sorted(f.bit_length() - 1 for f in factors)
 
 
 def oracle_rank_and_top(fu: FUComplex) -> Tuple[int, Optional[int]]:

@@ -1,19 +1,23 @@
 """Staircase envelope, kept as an oracle for `bounds.upsilon_of_expr`.
 
 `upsilon_of_expr` sums the slope changes of each torus knot's hull.
-This oracle builds each term's staircase complex, reads the cycle lines
-off its gradings, takes the upper envelope by intersecting every pair
-of lines and maximizing over all lines at each crossing, then combines
-the terms with the PL arithmetic below (mirror: negate; sum: evaluate
-both at every breakpoint and add; then drop breakpoints where the slope
-does not change). The signature fold does the same for step functions.
+This oracle expands each term's Alexander polynomial by exact integer
+division (`conftest.ipoly_divexact`), reads the cycle lines of its
+staircase off those exponents, takes the upper envelope by intersecting
+every pair of lines and maximizing over all lines at each crossing, then
+combines the terms with the PL arithmetic below (mirror: negate; sum:
+evaluate both at every breakpoint and add; then drop breakpoints where
+the slope does not change). The signature fold does the same for step
+functions. It imports nothing from `knotfloer.builders`, whose exponents
+and staircases it checks.
 """
 
 from fractions import Fraction
-from typing import Dict, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
+
+from conftest import ipoly_divexact
 
 from knotfloer.bounds import PLFunction, StepFunction, lt_signature_torus
-from knotfloer.builders import alexander_exponents, staircase_from_steps
 from knotfloer.complexes import BigradedComplex
 from knotfloer.errors import UnsupportedInputError
 from knotfloer.expressions import KnotExpr, Mirror, Sum, TorusKnot
@@ -90,10 +94,36 @@ def upsilon_staircase(c: BigradedComplex) -> PLFunction:
     return upper_envelope(lines)
 
 
+def torus_exponents(p: int, q: int) -> List[int]:
+    """Symmetrized exponents of the Alexander polynomial of T(p, q), descending.
+
+    Delta(t) = (t - 1)(t^(pq) - 1) / ((t^p - 1)(t^q - 1)), of degree 2g.
+    """
+    num = {p * q + 1: 1, p * q: -1, 1: -1, 0: 1}
+    quot = ipoly_divexact(ipoly_divexact(num, {p: 1, 0: -1}), {q: 1, 0: -1})
+    g = (p - 1) * (q - 1) // 2
+    return [e - g for e in sorted(quot, reverse=True)]
+
+
+def staircase_cycle_lines(exponents: Sequence[int]) -> List[Tuple[Fraction, Fraction]]:
+    """Lines (slope, intercept) of the cycle generators of the staircase of an exponent sequence.
+
+    The cycles are the even generators. The first sits at grw = 0, each
+    step to the next lowers grw by twice the drop in A across the step's
+    first edge, and a generator at (grw, A) gives the line grw - t A.
+    """
+    lines, w = [], 0
+    for i in range(0, len(exponents), 2):
+        if i:
+            w -= 2 * (exponents[i - 2] - exponents[i - 1])
+        lines.append((Fraction(-exponents[i]), Fraction(w)))
+    return lines
+
+
 def upsilon_reference(e: KnotExpr) -> PLFunction:
     """Concordance function of a torus-knot sum: mirrors negate, sums add."""
     if isinstance(e, TorusKnot):
-        return upsilon_staircase(staircase_from_steps(alexander_exponents(e.p, e.q)))
+        return upper_envelope(staircase_cycle_lines(torus_exponents(e.p, e.q)))
     if isinstance(e, Mirror):
         return pl_negate(upsilon_reference(e.child))
     if isinstance(e, Sum):

@@ -240,3 +240,17 @@ def test_plot_rows_family_knot():
     assert rows[0] == (Fraction(0), Fraction(0))
     first_slope = (rows[1][1] - rows[0][1]) / (rows[1][0] - rows[0][0])
     assert first_slope == 1
+
+
+def test_upsilon_oracle_imports_nothing_from_builders():
+    # The oracle checks the exponents and staircases of `knotfloer.builders`, so it shares none of their code.
+    import ast
+
+    import oracle_upsilon
+
+    with open(oracle_upsilon.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    imported = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    imported |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names}
+    assert not [name for name in imported if name and name.split(".")[:2] == ["knotfloer", "builders"]]
+    assert all(getattr(value, "__module__", None) != "knotfloer.builders" for value in vars(oracle_upsilon).values())

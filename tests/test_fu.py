@@ -6,12 +6,13 @@ from knotfloer.builders import staircase, staircase_dual, torus_knot_complex
 from knotfloer.complexes import UNKNOT
 from knotfloer.errors import ValidationError
 from knotfloer.expressions import parse_knot_expr, realize_expr
-from knotfloer.fu import FUComplex, tower_reduce
+from knotfloer.fu import FUComplex, Split, tower_reduce
 from knotfloer.invariants import a_level_complex, d_invariant
+from knotfloer.linalg import image
 
 from conftest import level_monomials, random_fu_complex
 from oracle_involutive import power
-from oracle_snf import oracle_rank_and_top
+from oracle_snf import oracle_rank_and_top, oracle_torsion
 
 
 def test_unknot_level_zero():
@@ -106,3 +107,44 @@ def test_rank_errors():
     two_towers = FUComplex(("a", "b"), (0, 0), (0, 0))
     with pytest.raises(ValidationError):
         d_invariant(two_towers)
+
+
+def check_split(fu, torsion=True, tower=True):
+    """The split of fu: M has its towers and torsion, pi iota = 1, and iota and pi are chain maps.
+
+    The Smith-form oracle gives the torsion (`torsion`) and the towers
+    (`tower`) of fu. M keeps no unit entry, so it is |fu| less twice the
+    number of unit invariant factors of fu.
+    """
+    split = Split(fu)
+    model, inc = split.model, split.inc
+    if torsion:
+        factors = oracle_torsion(fu)
+        assert oracle_torsion(model) == [k for k in factors if k]
+        assert len(model) == len(fu) - 2 * factors.count(0)
+    if tower:
+        assert oracle_rank_and_top(model) == oracle_rank_and_top(fu)
+    reduced, again = tower_reduce(fu), tower_reduce(model)
+    assert [g for _label, g in reduced.unpaired] == [g for _label, g in again.unpaired]
+    for m, vec in enumerate(inc):
+        assert split.project(vec) == 1 << m
+        assert image(fu.cols, vec) == image(inc, model.cols[m])
+    for j, col in enumerate(fu.cols):
+        assert split.project(col) == image(model.cols, split.project(1 << j))
+
+
+def test_split_matches_smith_form_on_random_complexes():
+    rng = random.Random(20261018)
+    for _ in range(400):
+        check_split(random_fu_complex(rng, 10))
+
+
+def test_split_of_corpus_levels():
+    from test_invariants import corpus
+
+    for c in corpus().values():
+        for complex_ in (c, c.dual()):
+            for s in range(-3, 4):
+                # The Smith form of a 297-generator level takes about a second, and the tower oracle longer.
+                level = a_level_complex(complex_, s)
+                check_split(level, torsion=len(level) < 100 or s == 0, tower=len(level) < 20)

@@ -3,10 +3,12 @@
 Each case injects entries with an odd gap, a negative even gap, or both
 (one odd gap and one negative) into a valid map or complex, and compares
 the faults found, and their order, with the scans of
-`tests/oracle_homogeneity.py`. The reductions and level complexes, which
-the program builds without a check, must pass those scans as built.
+`tests/oracle_homogeneity.py`. The reductions, level complexes and model
+cones, which the program builds without a check, must pass those scans
+as built, and so must every model cone a report builds.
 """
 
+import os
 import random
 
 import pytest
@@ -21,9 +23,11 @@ from oracle_homogeneity import (
 
 from knotfloer.complexes import BigradedComplex, ChainMap, SkewMap, basepoint_map, reduce_complex, verify_chain_map
 from knotfloer.expressions import parse_knot_expr
+from knotfloer import invariants
 from knotfloer.invariants import a_level_complex
 from knotfloer.involutive import realize_with_iota
 
+DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 KINDS = ("odd", "negative", "mixed")
 SEEDS = range(12)
 
@@ -102,8 +106,30 @@ def test_validate_matches_oracle(seed):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_fu_checks_match_oracle(seed):
     rng, c, _iota = _sum(seed)
-    level = a_level_complex(c, rng.randint(-2, 2), rng.randint(0, 2))
-    fus = [reduce_complex(c, "U0"), reduce_complex(c, "V0"), level]
-    # FUComplex checks nothing itself: the reductions and levels are valid by construction.
+    s, n = rng.randint(-2, 2), rng.randint(0, 2)
+    fus = [reduce_complex(c, "U0"), reduce_complex(c, "V0"), a_level_complex(c, s), invariants._cone(c, s, n)[0]]
+    # FUComplex checks nothing itself: the reductions, levels and model cones are valid by construction.
     for fu in fus:
         assert fu_illegal_entries(fu) == fu_validate_messages(fu) == []
+
+
+def test_report_cones_pass_the_scan(monkeypatch, capsys):
+    from knotfloer.cli import main
+
+    built = []
+    real = invariants._cone
+
+    def keeping(c, s, n):
+        cone = real(c, s, n)
+        built.append((s, n, cone[0]))
+        return cone
+
+    monkeypatch.setattr(invariants, "_cone", keeping)
+    for expr in ["T(2,3)#T(4,7)#-T(5,6)", "T(2,11)#-T(4,5)", "@" + os.path.join(DATA, "hw.cfk"),
+                 "@" + os.path.join(DATA, "scrambled_k1.cfk")]:
+        built.clear()
+        assert main(["report", "--expr", expr, "--format", "json"]) == 0, expr
+        capsys.readouterr()
+        assert any(n for _s, n, _cone in built), expr
+        for s, n, cone in built:
+            assert fu_illegal_entries(cone) == fu_validate_messages(cone) == [], (expr, s, n)
