@@ -355,10 +355,11 @@ def verify_chain_map(f: ChainMap) -> Optional[str]:
     return None
 
 
-def require_chain_map(f: ChainMap) -> ChainMap:
+def require_chain_map(f: ChainMap, what: str = "") -> ChainMap:
+    """f, or `ValidationError` with its first violation, after "what: " when given."""
     violation = verify_chain_map(f)
     if violation is not None:
-        raise ValidationError(violation)
+        raise ValidationError(f"{what}: {violation}" if what else violation)
     return f
 
 

@@ -25,7 +25,7 @@ Each complex keeps the split of every level it builds (`level_split`),
 so a level is built and reduced once for V_s, Y_n, nu and omega, the
 glue between neighbouring models, and one visit per level (s, n) of C
 tensor St*_n, `_level`: the tower top of its model cone and, at the
-levels nu and omega test, the end parities of its hat cycles.
+levels nu and omega test, the end parities of its hat homology.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 from .complexes import BigradedComplex, reduce_complex
 from .errors import ConsistencyError, IterationCapError, ValidationError
 from .fu import FUComplex, Reduction, Split, tower_reduce
-from .linalg import ColumnSolver, iter_bits, transpose
+from .linalg import iter_bits, transpose
 
 
 # --- level subcomplexes over GF(2)[T] --------------------------------------
@@ -238,34 +238,37 @@ def _candidates(c: BigradedComplex) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
 def _level(c: BigradedComplex, s: int, n: int) -> Tuple[int, Optional[FrozenSet[Tuple[int, int]]]]:
     """(tower top d, hat ends or None) of level s of C tensor St*_n, read once per complex.
 
-    At n = 0, d is the top of the level's own reduction; for n > 0, that of
-    its model cone. The hat ends are read only at the levels nu and omega
-    test.
+    At the levels nu and omega test, both are read off the split of the
+    model cone; elsewhere d is the top of the cone's reduction, or at
+    n = 0 of the level's own.
     """
     memo = c.__dict__.setdefault("_levels", {})
     if (s, n) not in memo:
         nus, omegas = _candidates(c)
-        tested = (n == 0 and s in nus) or (s == 0 and n in omegas)
-        cone = _cone(c, s, n) if n or tested else None
-        d = d_invariant(cone[0]) if n else _tower_top(level_split(c, s).reduction)
-        memo[s, n] = d, _hat_ends(c, cone, s, n) if tested else None
+        if (n == 0 and s in nus) or (s == 0 and n in omegas):
+            cone, offsets = _cone(c, s, n)
+            split = Split(cone)
+            memo[s, n] = _tower_top(split.reduction), _hat_ends(c, split, offsets, s, n)
+        else:
+            memo[s, n] = (d_invariant(_cone(c, s, n)[0]) if n else _tower_top(level_split(c, s).reduction)), None
     return memo[s, n]
 
 
-def _hat_ends(c: BigradedComplex, cone: Tuple[FUComplex, List[int]], s: int, n: int) -> FrozenSet[Tuple[int, int]]:
-    """End parities (v1, u1) of a kernel basis of the grading-g hat columns of a model cone (`_cone`).
+def _hat_ends(c: BigradedComplex, split: Split, offsets: List[int], s: int, n: int) -> FrozenSet[Tuple[int, int]]:
+    """End parities (v1, u1) of a basis of grading-g hat homology of a model cone (`_cone`), given its split.
 
-    The hat complex is the T^0 entries, here the grading-g columns masked
-    to grading g - 1, g the grw of the U = 0 tower generator. At n = 0 the
-    cone is M_s, whose T^0 entries vanish, so every generator is a hat
-    cycle. Block k of level s of C tensor St*_n pairs generators of C with
-    x(k - n), and carries U^a or V^-a with a = A + k - n - s. At s = 0 and
-    g = 0 a hat cycle of the level is a degree-0 chain map
-    St_n -> C/(UV), whose ends y(-n), y(n) are its blocks 0 and 2n. v1 is
-    its parity against the U = 0 cocycle phi_U on block 0 where
-    A <= s + n (V = 1 drops the U-powers), u1 that against phi_V on
-    block 2n where A >= s - n (U = 1 drops the V-powers): 1 when the cycle
-    hits the generator of the V = 1 (U = 1) complex.
+    The hat complex is the T^0 entries, g the grw of the U = 0 tower
+    generator. The split's model has no T^0 entries, and its inclusion
+    stays a homotopy equivalence at T = 0, so its grading-g generators,
+    read through that inclusion, are a basis of hat homology. Block k
+    of level s of C tensor St*_n pairs generators of C with x(k - n), and
+    carries U^a or V^-a with a = A + k - n - s. At s = 0 and g = 0 a hat
+    cycle of the level is a degree-0 chain map St_n -> C/(UV), whose ends
+    y(-n), y(n) are its blocks 0 and 2n. v1 is its parity against the
+    U = 0 cocycle phi_U on block 0 where A <= s + n (V = 1 drops the
+    U-powers), u1 that against phi_V on block 2n where A >= s - n (U = 1
+    drops the V-powers): 1 when the cycle hits the generator of the
+    V = 1 (U = 1) complex.
 
     Each end is read through iota. Blocks 0 and 2n are even, so they lie
     in E of Cone(f: E -> O). The comparison chain map from
@@ -275,9 +278,9 @@ def _hat_ends(c: BigradedComplex, cone: Tuple[FUComplex, List[int]], s: int, n: 
     is the end of iota(x) in the level. Setting T = 0 keeps that map a
     homotopy equivalence, and each end functional is a projection onto
     the quotient E, a chain map, paired with a cocycle, so it vanishes on
-    boundaries: the cone's hat cycles give the level's end pairs. The T^0
-    part of iota(m), for m of grading h in block k, is its indices of
-    level grading h - k.
+    boundaries: a basis of the cone's hat homology spans the level's end
+    pairs, all that `_admits_map` and nu read. The T^0 part of iota(m),
+    for m of grading h in block k, is its indices of level grading h - k.
 
     The grading-g slice is exact for v1. phi_U is homogeneous in grw: the
     reduction only adds columns that share a pivot row, which have one
@@ -286,7 +289,6 @@ def _hat_ends(c: BigradedComplex, cone: Tuple[FUComplex, List[int]], s: int, n: 
     lies at grading g only when the V = 0 tower is at grz = g - 2s, which
     `omega_hat` checks.
     """
-    fu, offsets = cone
     g = c.grw[c.__dict__["_towers"][0]]
     first, last = level_split(c, s + n), level_split(c, s - n)
     alex = c.alexander
@@ -294,17 +296,12 @@ def _hat_ends(c: BigradedComplex, cone: Tuple[FUComplex, List[int]], s: int, n: 
     v1_probe &= sum(1 << j for j, a in enumerate(alex) if a <= s + n)
     u1_probe = _cocycle(c, "V0") & last.fu.grading_masks.get(g - 2 * n, 0)
     u1_probe &= sum(1 << j for j, a in enumerate(alex) if a >= s - n)
-    below, end = fu.grading_masks.get(g - 1, 0), offsets[-2]
-    cols: List[int] = []
-    v1_end = u1_end = 0  # column positions read in the V = 1 and U = 1 complexes
-    for i in iter_bits(fu.grading_masks.get(g, 0)):
-        if i < offsets[1] and (first.inc[i] & v1_probe).bit_count() & 1:
-            v1_end |= 1 << len(cols)
-        if i >= end and (last.inc[i - end] & u1_probe).bit_count() & 1:
-            u1_end |= 1 << len(cols)
-        cols.append(fu.cols[i] & below)
-    kernel = ColumnSolver(cols).kernel
-    return frozenset(((z & v1_end).bit_count() & 1, (z & u1_end).bit_count() & 1) for z in kernel)
+    at_g, end = split.fu.grading_masks.get(g, 0), offsets[-2]
+    # The cone generators of grading g read in the V = 1 and U = 1 complexes.
+    v1_end = sum(1 << i for i in iter_bits(at_g) if i < offsets[1] and (first.inc[i] & v1_probe).bit_count() & 1)
+    u1_end = sum(1 << i for i in iter_bits(at_g) if i >= end and (last.inc[i - end] & u1_probe).bit_count() & 1)
+    basis = (inc for inc, h in zip(split.inc, split.model.gradings) if h == g)
+    return frozenset(((z & v1_end).bit_count() & 1, (z & u1_end).bit_count() & 1) for z in basis)
 
 
 def _admits_map(ends: FrozenSet[Tuple[int, int]]) -> bool:

@@ -8,7 +8,8 @@ the order pinned by the doubled-trefoil correction-term value. It is
 built from the factor columns by the mixed-product rule.
 
 The involutive corrections come from the cone of (1 + iota) on the
-level-0 subcomplex, with the cone variable Q of degree -1:
+level-0 subcomplex, built on its model M_0 (`ai0_cone`), with the cone
+variable Q of degree -1:
 
     lower d = max grading of a homogeneous class that stays T-non-torsion
               and outside the image of Q forever;
@@ -26,10 +27,10 @@ from __future__ import annotations
 
 from typing import Tuple
 
-from .complexes import BigradedComplex, ChainMap, SkewMap, basepoint_map, verify_chain_map
+from .complexes import BigradedComplex, ChainMap, SkewMap, basepoint_map, require_chain_map
 from .errors import ConsistencyError, ValidationError
 from .fu import FUComplex, tower_reduce
-from .invariants import a_level_complex, v_invariant
+from .invariants import level_split, v_invariant
 from .linalg import image, kron, transpose
 
 
@@ -37,12 +38,7 @@ def staircase_iota(c: BigradedComplex) -> SkewMap:
     """Index-reflection involution of a symmetric zigzag complex."""
     count = len(c)
     iota = SkewMap(c, [1 << (count - 1 - k) for k in range(count)])
-    violation = verify_chain_map(iota)
-    if violation is not None:
-        raise ValidationError(
-            f"complex is not a symmetric staircase, reflection fails: {violation}"
-        )
-    return iota
+    return require_chain_map(iota, "complex is not a symmetric staircase, reflection fails")
 
 
 def mirror_iota(iota: SkewMap, dual_c: BigradedComplex) -> SkewMap:
@@ -51,10 +47,7 @@ def mirror_iota(iota: SkewMap, dual_c: BigradedComplex) -> SkewMap:
     Its implied exponents are those of iota, swapped.
     """
     out = SkewMap(dual_c, transpose(iota.cols, len(dual_c)))
-    violation = verify_chain_map(out)
-    if violation is not None:
-        raise ValidationError(f"mirrored involution fails verification: {violation}")
-    return out
+    return require_chain_map(out, "mirrored involution fails verification")
 
 
 def connected_sum_iota(
@@ -74,11 +67,7 @@ def connected_sum_iota(
     twisted1 = [image(iota1.cols, col) for col in phi1.cols]
     twisted2 = [image(iota2.cols, col) for col in psi2.cols]
     cols = map(int.__xor__, kron(iota1.cols, iota2.cols), kron(twisted1, twisted2))
-    out = SkewMap(tensor_c, cols)
-    violation = verify_chain_map(out)
-    if violation is not None:
-        raise ValidationError(f"connected-sum involution fails verification: {violation}")
-    return out
+    return require_chain_map(SkewMap(tensor_c, cols), "connected-sum involution fails verification")
 
 
 def realize_with_iota(expr):
@@ -123,29 +112,32 @@ def realize_with_iota(expr):
 
 
 def ai0_cone(c: BigradedComplex, iota: SkewMap) -> FUComplex:
-    """Cone of (1 + iota) on the level-0 subcomplex, Q of degree -1.
+    """Cone of 1 + pi_0 iota iota_0 on the level-0 model M_0, Q of degree -1.
 
-    A verified skew map swaps the gradings, so on the level-0 basis it is
-    grading-preserving and its T-powers are implied like those of d: its
-    matrix there is its own columns. The cone is valid once
-    `verify_chain_map(iota)` passes, so it is not checked again. iota
-    restricts to level 0: it swaps U and V, maps level s to -s, and
-    T = UV is symmetric. Its level-0 T-powers are natural: an entry
-    x -> U^u V^v y sends U^a_x V^b_x x to T^k U^a_y V^b_y y with
-    k = b_x + u - a_y = a_x + v - b_y, which min(a_y, b_y) = 0 makes
-    b_x + u or a_x + v, as for d in `a_level_complex`. And d_cone^2 = 0
-    is d (1 + iota) = (1 + iota) d, the chain-map condition.
+    The split of level 0 (`level_split`) gives homotopy equivalences
+    iota_0, pi_0 with pi_0 iota_0 = 1. Composing with them keeps the
+    homotopy type of a cone, so the cone of 1 + iota on level 0 is
+    homotopy equivalent to Cone(pi_0 (1 + iota) iota_0), which is this one.
+
+    A verified skew map swaps the gradings and U with V, so it maps
+    level s to -s (T = UV is symmetric), and on the level-0 basis it is
+    grading-preserving with its own columns. Its T-powers there are
+    natural: an entry x -> U^u V^v y sends U^a_x V^b_x x to
+    T^k U^a_y V^b_y y with k = b_x + u - a_y = a_x + v - b_y, which
+    min(a_y, b_y) = 0 makes b_x + u or a_x + v, as for d in
+    `a_level_complex`. So are those of iota_0 and pi_0, and by
+    homogeneity those of the composite. The cone is valid once
+    `require_chain_map(iota)` passes, so it is not checked again:
+    d_cone^2 = 0 is the chain-map condition of 1 + pi_0 iota iota_0.
     """
-    violation = verify_chain_map(iota)
-    if violation is not None:
-        raise ValidationError(f"involution fails verification: {violation}")
-    level = a_level_complex(c, 0)
-    n = len(level)
-    labels = list(level.labels) + ["Q|" + lbl for lbl in level.labels]
-    gradings = list(level.gradings) + [r - 1 for r in level.gradings]
-    one_plus = [col ^ (1 << j) for j, col in enumerate(iota.cols)]
-    cols = [col | (op << n) for col, op in zip(level.cols, one_plus)]
-    cols += [col << n for col in level.cols]
+    require_chain_map(iota, "involution fails verification")
+    split = level_split(c, 0)
+    model, n = split.model, len(split.model)
+    labels = list(model.labels) + ["Q|" + lbl for lbl in model.labels]
+    gradings = list(model.gradings) + [r - 1 for r in model.gradings]
+    one_plus = [split.project(image(iota.cols, inc)) ^ (1 << m) for m, inc in enumerate(split.inc)]
+    cols = [col | (op << n) for col, op in zip(model.cols, one_plus)]
+    cols += [col << n for col in model.cols]
     return FUComplex(labels, gradings, cols)
 
 

@@ -8,7 +8,7 @@ preserved, so every routine is deterministic.
 from __future__ import annotations
 
 import bisect
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 
 def iter_bits(mask: int) -> Iterator[int]:
@@ -122,54 +122,6 @@ def gap_guard(masks: Dict[int, int]) -> Callable[[int], int]:
         return below[1 - same][-1] | below[same][bisect.bisect_left(values[same], t)]
 
     return guard
-
-
-class ColumnSolver:
-    """Echelon of a column family that remembers combinations.
-
-    Solves ``sum_j x_j col_j = b`` and collects a kernel basis (the
-    combinations reducing to zero). Combinations are bitmasks over the
-    column indices in insertion order.
-    """
-
-    __slots__ = ("pivots", "kernel", "ncols")
-
-    def __init__(self, cols: Iterable[int] = ()):
-        self.pivots: dict = {}
-        self.kernel: List[int] = []
-        self.ncols = 0
-        for c in cols:
-            self.append(c)
-
-    def append(self, col: int) -> None:
-        combo = 1 << self.ncols
-        self.ncols += 1
-        vec = col
-        while vec:
-            p = vec.bit_length() - 1
-            hit = self.pivots.get(p)
-            if hit is None:
-                self.pivots[p] = (vec, combo)
-                return
-            vec ^= hit[0]
-            combo ^= hit[1]
-        self.kernel.append(combo)
-
-    def solve(self, b: int) -> Optional[int]:
-        """Combination hitting b, or None; free choices are left at zero."""
-        combo = 0
-        while b:
-            p = b.bit_length() - 1
-            hit = self.pivots.get(p)
-            if hit is None:
-                return None
-            b ^= hit[0]
-            combo ^= hit[1]
-        return combo
-
-    @property
-    def rank(self) -> int:
-        return len(self.pivots)
 
 
 class LinearSystem:

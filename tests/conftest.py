@@ -5,8 +5,9 @@ import pytest
 from knotfloer.builders import torus_knot_complex
 from knotfloer.complexes import BigradedComplex, SkewMap
 from knotfloer.fu import FUComplex
-from knotfloer.linalg import ColumnSolver, image
+from knotfloer.linalg import image
 
+from echelon import ColumnSolver
 from oracle_homogeneity import fu_validate_messages
 
 

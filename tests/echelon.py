@@ -1,9 +1,10 @@
-"""Gauss-Jordan subspace basis over GF(2), for the test oracles.
+"""GF(2) elimination for the test oracles: a Gauss-Jordan subspace basis
+and a column echelon that solves systems and collects kernels.
 
 Vectors are bitmask ints, as in `knotfloer.linalg`.
 """
 
-from typing import Iterable
+from typing import Iterable, List, Optional
 
 
 class Echelon:
@@ -58,4 +59,52 @@ class Echelon:
 
     @property
     def dim(self) -> int:
+        return len(self.pivots)
+
+
+class ColumnSolver:
+    """Echelon of a column family that remembers combinations.
+
+    Solves ``sum_j x_j col_j = b`` and collects a kernel basis (the
+    combinations reducing to zero). Combinations are bitmasks over the
+    column indices in insertion order.
+    """
+
+    __slots__ = ("pivots", "kernel", "ncols")
+
+    def __init__(self, cols: Iterable[int] = ()):
+        self.pivots: dict = {}
+        self.kernel: List[int] = []
+        self.ncols = 0
+        for c in cols:
+            self.append(c)
+
+    def append(self, col: int) -> None:
+        combo = 1 << self.ncols
+        self.ncols += 1
+        vec = col
+        while vec:
+            p = vec.bit_length() - 1
+            hit = self.pivots.get(p)
+            if hit is None:
+                self.pivots[p] = (vec, combo)
+                return
+            vec ^= hit[0]
+            combo ^= hit[1]
+        self.kernel.append(combo)
+
+    def solve(self, b: int) -> Optional[int]:
+        """Combination hitting b, or None; free choices are left at zero."""
+        combo = 0
+        while b:
+            p = b.bit_length() - 1
+            hit = self.pivots.get(p)
+            if hit is None:
+                return None
+            b ^= hit[0]
+            combo ^= hit[1]
+        return combo
+
+    @property
+    def rank(self) -> int:
         return len(self.pivots)

@@ -1,9 +1,10 @@
 """Slice-by-slice oracle for the involutive correction terms.
 
 `oracle_d_pair(c, iota)` computes (upper d, lower d) of the cone of
-(1 + iota) on the level-0 subcomplex from the definitions, one grading
-slice at a time, independently of the tower parity argument that
-`involutive.involutive_d_pair` uses:
+(1 + iota) on the full level-0 subcomplex from the definitions, one
+grading slice at a time, independently of the minimal model that
+`involutive.ai0_cone` reduces the cone to and of the tower parity
+argument that `involutive.involutive_d_pair` uses:
 
     lower d = max grading of a homogeneous class that stays T-non-torsion
               and outside the image of Q forever;
@@ -23,10 +24,9 @@ from typing import List, Tuple
 from knotfloer.errors import ConsistencyError, ValidationError
 from knotfloer.fu import FUComplex, tower_reduce
 from knotfloer.invariants import a_level_complex
-from knotfloer.involutive import ai0_cone
-from knotfloer.linalg import ColumnSolver, iter_bits
+from knotfloer.linalg import iter_bits
 
-from echelon import Echelon
+from echelon import ColumnSolver, Echelon
 
 
 def power(fu: FUComplex, row: int, col: int) -> int:
@@ -95,11 +95,21 @@ def _q_image_vectors(level_fu: FUComplex, one_plus, gamma: int, deep_slice) -> L
     return out
 
 
+def level_cone(level_fu: FUComplex, one_plus) -> FUComplex:
+    """Cone of one_plus on the level, Q of degree -1: Q|x is index n + x."""
+    n = len(level_fu)
+    labels = list(level_fu.labels) + ["Q|" + lbl for lbl in level_fu.labels]
+    gradings = list(level_fu.gradings) + [r - 1 for r in level_fu.gradings]
+    cols = [col | (op << n) for col, op in zip(level_fu.cols, one_plus)]
+    cols += [col << n for col in level_fu.cols]
+    return FUComplex(labels, gradings, cols)
+
+
 def oracle_d_pair(c, iota) -> Tuple[int, int]:
-    """(upper d, lower d) of the cone of (1 + iota), slice by slice."""
-    fu = ai0_cone(c, iota)
+    """(upper d, lower d) of the cone of (1 + iota) on level 0, slice by slice."""
     level_fu = a_level_complex(c, 0)
     one_plus = tuple(col ^ (1 << j) for j, col in enumerate(iota.cols))
+    fu = level_cone(level_fu, one_plus)
     red = tower_reduce(fu)
     if red.rank != 2:
         raise ValidationError(f"cone localization has rank {red.rank}, expected two towers")

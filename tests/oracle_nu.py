@@ -9,9 +9,9 @@ class" with a `LinearSystem`. The first solvable level is nu.
 
 from knotfloer.complexes import BigradedComplex
 from knotfloer.errors import ConsistencyError, ValidationError
-from knotfloer.linalg import ColumnSolver, LinearSystem
+from knotfloer.linalg import LinearSystem
 
-from echelon import Echelon
+from echelon import ColumnSolver, Echelon
 
 
 def nu_hat_scan(c: BigradedComplex) -> int:

@@ -13,9 +13,9 @@ solves the whole system with a `LinearSystem`.
 from typing import Dict, List, Tuple
 
 from knotfloer.complexes import BigradedComplex, reduce_complex
-from knotfloer.linalg import ColumnSolver, LinearSystem, iter_bits, transpose
+from knotfloer.linalg import LinearSystem, iter_bits, transpose
 
-from echelon import Echelon
+from echelon import ColumnSolver, Echelon
 
 
 class HatSlices:

@@ -13,9 +13,9 @@ from typing import Dict, List
 
 from knotfloer.complexes import BigradedComplex, reduce_complex
 from knotfloer.errors import ConsistencyError
-from knotfloer.linalg import ColumnSolver, iter_bits
+from knotfloer.linalg import iter_bits
 
-from echelon import Echelon
+from echelon import ColumnSolver, Echelon
 
 
 def tau_scan(c: BigradedComplex) -> int:

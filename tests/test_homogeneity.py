@@ -5,7 +5,8 @@ Each case injects entries with an odd gap, a negative even gap, or both
 the faults found, and their order, with the scans of
 `tests/oracle_homogeneity.py`. The reductions, level complexes and model
 cones, which the program builds without a check, must pass those scans
-as built, and so must every model cone a report builds.
+as built, and so must every model cone and involutive cone a report
+builds.
 """
 
 import os
@@ -23,7 +24,7 @@ from oracle_homogeneity import (
 
 from knotfloer.complexes import BigradedComplex, ChainMap, SkewMap, basepoint_map, reduce_complex, verify_chain_map
 from knotfloer.expressions import parse_knot_expr
-from knotfloer import invariants
+from knotfloer import invariants, involutive
 from knotfloer.invariants import a_level_complex
 from knotfloer.involutive import realize_with_iota
 
@@ -114,22 +115,33 @@ def test_fu_checks_match_oracle(seed):
 
 
 def test_report_cones_pass_the_scan(monkeypatch, capsys):
+    # The model cones of Y_n and omega, and the involutive cones on M_0,
+    # whose columns are not C's own either.
     from knotfloer.cli import main
 
-    built = []
-    real = invariants._cone
+    built, pairs = [], []
+    real, real_pair = invariants._cone, involutive.ai0_cone
 
     def keeping(c, s, n):
         cone = real(c, s, n)
         built.append((s, n, cone[0]))
         return cone
 
+    def keeping_pair(c, iota):
+        cone = real_pair(c, iota)
+        pairs.append(cone)
+        return cone
+
     monkeypatch.setattr(invariants, "_cone", keeping)
+    monkeypatch.setattr(involutive, "ai0_cone", keeping_pair)
     for expr in ["T(2,3)#T(4,7)#-T(5,6)", "T(2,11)#-T(4,5)", "@" + os.path.join(DATA, "hw.cfk"),
                  "@" + os.path.join(DATA, "scrambled_k1.cfk")]:
         built.clear()
+        pairs.clear()
         assert main(["report", "--expr", expr, "--format", "json"]) == 0, expr
         capsys.readouterr()
         assert any(n for _s, n, _cone in built), expr
-        for s, n, cone in built:
+        # hw.cfk carries no involution; the others give one for C and one for its mirror.
+        assert len(pairs) == (0 if expr.endswith("hw.cfk") else 2), expr
+        for s, n, cone in built + [("ai0", 0, cone) for cone in pairs]:
             assert fu_illegal_entries(cone) == fu_validate_messages(cone) == [], (expr, s, n)

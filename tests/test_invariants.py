@@ -10,6 +10,7 @@ from knotfloer.complexes import BigradedComplex, Generator, UNKNOT
 from knotfloer.errors import ConsistencyError, ValidationError
 from knotfloer.expressions import parse_knot_expr, realize_expr
 from knotfloer.fileio import load_complex
+from knotfloer.fu import Split
 from knotfloer.involutive import realize_with_iota
 from knotfloer.linalg import iter_bits
 from knotfloer.invariants import (
@@ -315,7 +316,8 @@ def test_nu_matches_full_scan_oracle():
 
 def model_ends(c: BigradedComplex, n: int):
     """The hat ends of level 0 of C tensor St*_n, on a model cone built here: the report reads only the candidate n."""
-    return invariants._hat_ends(c, invariants._cone(c, 0, n), 0, n)
+    cone, offsets = invariants._cone(c, 0, n)
+    return invariants._hat_ends(c, Split(cone), offsets, 0, n)
 
 
 def staircase_map(c: BigradedComplex, n: int) -> bool:

@@ -13,7 +13,7 @@ from knotfloer.complexes import (
 from knotfloer.errors import ConsistencyError, ValidationError
 from knotfloer.expressions import Sum, parse_knot_expr
 from knotfloer.fu import FUComplex, tower_reduce
-from knotfloer.invariants import v_invariant
+from knotfloer.invariants import level_split, v_invariant
 from knotfloer.involutive import (
     ai0_cone,
     connected_sum_iota,
@@ -141,6 +141,15 @@ def test_cone_rejects_rank_one():
     bad = SkewMap(s1, [0b100, 0, 0b001])
     with pytest.raises(ValidationError):
         ai0_cone(s1, bad)
+
+
+def test_cone_lives_on_the_level_zero_model():
+    # The cone is built on M_0, not on the full level A_0.
+    for expr in ["T(2,11)#T(4,7)#-T(5,6)", "T(2,3)#T(4,7)#-T(5,6)"]:
+        c, io = realize_with_iota(parse_knot_expr(expr))
+        mirror = c.dual()
+        for k, k_io in [(c, io), (mirror, mirror_iota(io, mirror))]:
+            assert len(ai0_cone(k, k_io)) == 2 * len(level_split(k, 0).model) < len(k), expr
 
 
 def test_cone_has_two_towers():

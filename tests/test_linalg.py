@@ -1,6 +1,6 @@
-from knotfloer.linalg import ColumnSolver, LinearSystem, iter_bits
+from knotfloer.linalg import LinearSystem, iter_bits
 
-from echelon import Echelon
+from echelon import ColumnSolver, Echelon
 
 
 def _combine(cols, combo):
