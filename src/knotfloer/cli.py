@@ -90,7 +90,7 @@ def _tower_certificate(c) -> Optional[List[Dict]]:
         return None
     labels, alex = c.labels, c.alexander
     # The level-0 tower has rank one: the invariant table has read its top off this split.
-    cycle = level_split(c, 0).reduction.reps[0]
+    cycle = level_split(c, 0).reps[0]
     terms = sorted(cycle, key=lambda t: (labels[t[0]], t[1]))
     # Basis element i of the level-0 complex is U^A x_i, or V^-A x_i when A < 0.
     return [{"gen": labels[i], "u": max(alex[i], 0) + t, "v": max(-alex[i], 0) + t} for i, t in terms]

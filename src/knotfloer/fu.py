@@ -7,24 +7,26 @@ from basis element j into basis element i must be T^k with
 k = (r_i - r_j + 1) / 2, so the differential is stored as one bitmask
 of row indices per column and all T-powers are implied. A `FUComplex`
 is a plain value and checks nothing: every one the program builds is
-valid by construction (see `a_level_complex`, `reduce_complex`, `Split`,
-the model cones of `invariants` and `ai0_cone`).
+valid by construction (see `a_level_complex`, `reduce_complex`, the
+minimal model of a `Reduction`, the model cones of `invariants` and
+`ai0_cone`).
 
 `tower_reduce` computes the homology towers by a column reduction
 along the grading filtration, with clearing. A column is moved into
 filtration order only when the reduction reaches it, so a column that
 clearing zeroes is never moved. Unpaired basis elements are the free
-homology generators; their gradings give the tower tops. With reps the
-same loop also gives a basis in which the complex splits into towers and
-pairs, and `Split` reads the minimal model off it. The
-test suite checks both against a Smith-normal-form oracle.
+homology generators; their gradings give the tower tops. The same loop
+gives a basis in which the complex splits into towers and pairs. The
+`Reduction` keeps it and reads off it, on demand, the minimal model
+with its inclusion and projection, and the cocycle that detects the
+tower. The test suite checks them against a Smith-normal-form oracle.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .linalg import iter_bits, value_masks
 
@@ -46,33 +48,59 @@ class FUComplex:
         return value_masks(self.gradings)
 
 
+def _moved(mask: int, table: Sequence[int]) -> int:
+    """mask with each set bit i moved to bit table[i]: indices to positions by `pos`, back by `order`."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= 1 << table[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
 # --- reduction along the grading filtration --------------------------------
 
 
 @dataclass
 class Reduction:
-    """Result of the filtration reduction.
+    """Result of the filtration reduction: the towers, and the split of `fu` into towers and pairs.
 
     unpaired: (label, grading) of the free homology generators, sorted by
     descending grading, then label; indices: the basis index of each
     (labels of a tensor may repeat); reps: for each, a homogeneous cycle
-    in the original basis as a list of (basis index, T-power) pairs (only
-    when requested).
+    in the original basis as a list of (basis index, T-power) pairs.
 
-    With reps the reduction also keeps the basis it found, for `Split`.
-    order[p] is the basis index at position p, and vectors[p] the position
-    mask of the basis vector led by position p: z_i = R_j / T^k at a pivot
-    row i, where the reduced column R_j = d V_j has its lowest row i with
-    power T^k, and the column combination V_p at every other position.
-    pairs maps each pivot row i to its column j.
+    order[p] is the basis index at position p and pos its inverse, and
+    vectors[p] the position mask of the basis vector led by position p:
+    z_i = R_j / T^k at a pivot row i, where the reduced column R_j = d V_j
+    has its lowest row i with power T^k, and the column combination V_p
+    at every other position. pairs maps each pivot row i to its column j.
+
+    Each basis vector leads at its own position with coefficient 1, so
+    they are unitriangular in position order and form a homogeneous basis
+    of L = `fu`. In it d V_j = T^k z_i for each pair and every other
+    vector is a cycle, so L is the direct sum of the towers, the pairs
+    with k > 0 and the pairs with k = 0, the last contractible
+    (Zomorodian-Carlsson, Computing persistent homology, 2005). The
+    minimal model M keeps the towers and the pairs with k > 0: its
+    differential is one entry T^k per kept pair, so M has the towers and
+    the torsion of L, and its T = 0 differential vanishes.
+
+    `inc` is the inclusion iota: M -> L, one index mask of L per generator
+    of M; `project` is the projection pi: L -> M along the contractible
+    pairs. Both are chain maps, pi iota = 1, and iota pi is homotopic to
+    1. Both are homogeneous, so their T-powers stay implied by the
+    gradings. The model, iota and pi are built on first read.
     """
 
+    fu: FUComplex
     unpaired: List[Tuple[str, int]]
     indices: List[int]
-    reps: Optional[List[List[Tuple[int, int]]]] = None
-    order: Optional[List[int]] = None
-    vectors: Optional[List[int]] = None
-    pairs: Optional[Dict[int, int]] = None
+    reps: List[List[Tuple[int, int]]]
+    order: List[int]
+    pos: List[int]
+    vectors: List[int]
+    pairs: Dict[int, int]
 
     @property
     def rank(self) -> int:
@@ -81,8 +109,74 @@ class Reduction:
     def top_grading(self) -> int:
         return self.unpaired[0][1]
 
+    def cocycle(self) -> int:
+        """The coordinate functional of the first tower vector at T = 1, as an index mask.
 
-def tower_reduce(fu: FUComplex, *, with_reps: bool = False) -> Reduction:
+        It is 1 on that vector and 0 on every other basis vector. A basis
+        vector meets only positions at or before its own, so the
+        functional is found in one pass: start at the tower's position t,
+        and for each later position q add q when the functional so far is
+        odd on vectors[q]. The image of d lies in the span of the z_i,
+        none of them the tower vector, so with T = 1 it is a cocycle:
+        even against every column, odd against reps[0].
+        """
+        vectors = self.vectors
+        t = self.pos[self.indices[0]]
+        phi = 1 << t
+        for q in range(t + 1, len(vectors)):
+            if (phi & vectors[q]).bit_count() & 1:
+                phi |= 1 << q
+        return _moved(phi, self.order)
+
+    @functools.cached_property
+    def _kept(self) -> List[int]:
+        """The positions of M: all but those of the contractible pairs (k = 0)."""
+        order, gradings = self.order, self.fu.gradings
+        contractible = set()
+        for row, col in self.pairs.items():
+            if gradings[order[row]] == gradings[order[col]] - 1:
+                contractible.update((row, col))
+        return [p for p in range(len(order)) if p not in contractible]
+
+    @functools.cached_property
+    def _coord(self) -> List[int]:
+        """The generator of M at each position, -1 where none is."""
+        coord = [-1] * len(self.order)
+        for m, p in enumerate(self._kept):
+            coord[p] = m
+        return coord
+
+    @functools.cached_property
+    def model(self) -> FUComplex:
+        fu, order, kept, coord = self.fu, self.order, self._kept, self._coord
+        cols = [0] * len(kept)
+        for row, col in self.pairs.items():
+            if coord[row] >= 0:
+                cols[coord[col]] = 1 << coord[row]
+        return FUComplex([fu.labels[order[p]] for p in kept], [fu.gradings[order[p]] for p in kept], cols)
+
+    @functools.cached_property
+    def inc(self) -> List[int]:
+        return [_moved(self.vectors[p], self.order) for p in self._kept]
+
+    def project(self, mask: int) -> int:
+        """pi of a homogeneous vector of L, given as an index mask: a generator mask of M.
+
+        Reduces the vector against the leading positions of the basis, one
+        XOR per basis vector it contains, and keeps the coordinates of the
+        kept ones.
+        """
+        vectors, coord = self.vectors, self._coord
+        vec, out = _moved(mask, self.pos), 0
+        while vec:
+            p = vec.bit_length() - 1
+            if coord[p] >= 0:
+                out |= 1 << coord[p]
+            vec ^= vectors[p]
+        return out
+
+
+def tower_reduce(fu: FUComplex) -> Reduction:
     labels, gradings, cols = fu.labels, fu.gradings, fu.cols
     n = len(cols)
     # Position p holds basis index order[p], in (-grading, label) order:
@@ -93,123 +187,37 @@ def tower_reduce(fu: FUComplex, *, with_reps: bool = False) -> Reduction:
     for p, idx in enumerate(order):
         pos[idx] = p
 
-    # pivot row -> the reduced column with that lowest row (and, for reps,
-    # the positions it combines and its own position).
-    pivots: Dict[int, int] = {}
-    combos: Dict[int, int] = {}
+    # pivot row -> its column. The basis vector of a pivot row is the
+    # reduced column, that of a column the positions it combines.
     pairs: Dict[int, int] = {}
-    cycles: List[Tuple[int, int]] = []
+    vectors = [0] * n
+    cycles: List[int] = []
     for p, idx in enumerate(order):
-        if p in pivots:
+        if p in pairs:
             # Clearing: the column of a paired row reduces to zero, so it
             # is never moved into position space.
             continue
-        mask, vec = cols[idx], 0
-        while mask:
-            low = mask & -mask
-            vec |= 1 << pos[low.bit_length() - 1]
-            mask ^= low
-        combo = 1 << p if with_reps else 0
+        vec, combo = _moved(cols[idx], pos), 1 << p
         while vec:
             low = vec.bit_length() - 1
-            hit = pivots.get(low)
-            if hit is None:
-                pivots[low] = vec
-                if with_reps:
-                    combos[low] = combo
-                    pairs[low] = p
+            col = pairs.get(low)
+            if col is None:
+                pairs[low] = p
+                vectors[low] = vec
                 break
-            vec ^= hit
-            if with_reps:
-                combo ^= combos[low]
+            vec ^= vectors[low]
+            combo ^= vectors[col]
         else:
-            cycles.append((p, combo))
+            cycles.append(p)
+        vectors[p] = combo
 
     # Positions ascend in (-grading, label) order, so the unpaired
     # generators come out sorted.
-    free = [p for p, _combo in cycles if p not in pivots]
+    free = [p for p in cycles if p not in pairs]
     indices = [order[p] for p in free]
     unpaired = [(labels[idx], gradings[idx]) for idx in indices]
-    if not with_reps:
-        return Reduction(unpaired, indices)
-    vectors = [0] * n
-    for p, combo in cycles:
-        vectors[p] = combo
-    for row, col in pairs.items():
-        vectors[row] = pivots[row]
-        vectors[col] = combos[row]
     reps = [
         sorted((order[q], (gradings[order[q]] - gradings[order[p]]) // 2) for q in iter_bits(vectors[p]))
         for p in free
     ]
-    return Reduction(unpaired, indices, reps, order, vectors, pairs)
-
-
-# --- the split into towers and pairs ------------------------------------------
-
-
-class Split:
-    """A complex L as towers plus pairs, read off one `tower_reduce` with reps.
-
-    Each basis vector of the reduction (`Reduction.vectors`) leads at its
-    own position with coefficient 1, so they are unitriangular in position
-    order and form a homogeneous basis of L. In it d V_j = T^k z_i for each
-    pair and every other vector is a cycle, so L is the direct sum of the
-    towers, the pairs with k > 0 and the pairs with k = 0, the last
-    contractible (Zomorodian-Carlsson, Computing persistent homology,
-    2005). The minimal model M keeps the towers and the pairs with k > 0:
-    its differential is one entry T^k per kept pair, so M has the towers
-    and the torsion of L, and its T = 0 differential vanishes.
-
-    `fu` is L and `reduction` that reduction. `inc` is the inclusion
-    iota: M -> L, one index mask of L per generator of M; `project` is the
-    projection pi: L -> M along the contractible pairs. Both are chain
-    maps, pi iota = 1, and iota pi is homotopic to 1. Both are homogeneous,
-    so their T-powers stay implied by the gradings.
-    """
-
-    def __init__(self, fu: FUComplex):
-        red = tower_reduce(fu, with_reps=True)
-        order, vectors, gradings = red.order, red.vectors, fu.gradings
-        n = len(order)
-        contractible = set()
-        for row, col in red.pairs.items():
-            if gradings[order[row]] == gradings[order[col]] - 1:  # k = 0
-                contractible.update((row, col))
-        kept = [p for p in range(n) if p not in contractible]
-        coord = [-1] * n
-        for m, p in enumerate(kept):
-            coord[p] = m
-        cols = [0] * len(kept)
-        for row, col in red.pairs.items():
-            if row not in contractible:
-                cols[coord[col]] = 1 << coord[row]
-        self.fu = fu
-        self.reduction = red
-        self.model = FUComplex([fu.labels[order[p]] for p in kept], [gradings[order[p]] for p in kept], cols)
-        self.inc = [sum(1 << order[q] for q in iter_bits(vectors[p])) for p in kept]
-        self._pos = [0] * n
-        for p, idx in enumerate(order):
-            self._pos[idx] = p
-        self._vectors = vectors
-        self._coord = coord
-
-    def project(self, mask: int) -> int:
-        """pi of a homogeneous vector of L, given as an index mask: a generator mask of M.
-
-        Reduces the vector against the leading positions of the basis, one
-        XOR per basis vector it contains, and keeps the coordinates of the
-        kept ones.
-        """
-        pos, vectors, coord = self._pos, self._vectors, self._coord
-        vec = out = 0
-        while mask:
-            low = mask & -mask
-            vec |= 1 << pos[low.bit_length() - 1]
-            mask ^= low
-        while vec:
-            p = vec.bit_length() - 1
-            if coord[p] >= 0:
-                out |= 1 << coord[p]
-            vec ^= vectors[p]
-        return out
+    return Reduction(fu, unpaired, indices, reps, order, pos, vectors, pairs)

@@ -5,7 +5,7 @@ Everything here reduces to exact linear algebra over GF(2):
 * the level-s subcomplex A_s over GF(2)[T]: one basis element per
   generator, the minimal monomial U^i V^j x of Alexander level s with
   i, j >= 0 and min(i, j) = 0, graded by the grw of that monomial. Its
-  tower reduction splits it (`fu.Split`): the minimal model M_s, with
+  tower reduction splits it (`fu.Reduction`): the minimal model M_s,
   the inclusion iota_s: M_s -> A_s and the projection pi_s: A_s -> M_s;
 * correction terms: V_s is minus half the top tower grading of A_s, and
   Y_n is V_0 of C tensor the dual staircase St*_n. Level 0 of that
@@ -18,12 +18,13 @@ Everything here reduces to exact linear algebra over GF(2):
   (hat complexes): of M_s for nu and of the model cone of level 0 of C
   tensor St*_n for omega. Each asks whether a hat cycle maps to the
   generator of the V = 1 complex (and, for omega, of the U = 1 complex
-  too), read through iota. One cocycle per complex answers that by a
-  parity: the tower cycle of the dual reduction, with T = 1.
+  too), read through iota. One cocycle per quotient answers that by a
+  parity: the tower's coordinate functional, with T = 1.
 
-Each complex keeps the split of every level it builds (`level_split`),
-so a level is built and reduced once for V_s, Y_n, nu and omega, the
-glue between neighbouring models, and one visit per level (s, n) of C
+Each complex keeps the tower index and cocycle of each quotient
+(`_quotient`), the split of every level it builds (`level_split`), so
+a level is built and reduced once for V_s, Y_n, nu and omega, the glue
+between neighbouring models, and one visit per level (s, n) of C
 tensor St*_n, `_level`: the tower top of its model cone and, at the
 levels nu and omega test, the end parities of its hat homology.
 """
@@ -36,8 +37,8 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .complexes import BigradedComplex, reduce_complex
 from .errors import ConsistencyError, IterationCapError, ValidationError
-from .fu import FUComplex, Reduction, Split, tower_reduce
-from .linalg import iter_bits, transpose
+from .fu import FUComplex, Reduction, tower_reduce
+from .linalg import iter_bits
 
 
 # --- level subcomplexes over GF(2)[T] --------------------------------------
@@ -66,15 +67,15 @@ def a_level_complex(c: BigradedComplex, s: int) -> FUComplex:
     return FUComplex(c.labels, gradings, c.cols)
 
 
-def level_split(c: BigradedComplex, s: int) -> Split:
-    """The split of level s into towers and pairs (`fu.Split`), built once per complex.
+def level_split(c: BigradedComplex, s: int) -> Reduction:
+    """The split of level s into towers and pairs (`fu.Reduction`), built once per complex.
 
-    Its reduction gives V_s and the level-0 tower cycle; its model M_s,
+    Its tower gives V_s and the level-0 tower cycle; its model M_s,
     iota_s and pi_s give nu and the cones of Y_n and omega.
     """
     memo = c.__dict__.setdefault("_splits", {})
     if s not in memo:
-        memo[s] = Split(a_level_complex(c, s))
+        memo[s] = tower_reduce(a_level_complex(c, s))
     return memo[s]
 
 
@@ -142,62 +143,44 @@ def _tower_top(red: Reduction) -> int:
 # --- knot-likeness ----------------------------------------------------------
 
 
-def _reduced(c: BigradedComplex, mode: str) -> FUComplex:
-    """`reduce_complex(c, mode)`, built once per complex."""
-    memo = c.__dict__.setdefault("_reduced", {})
-    if mode not in memo:
-        memo[mode] = reduce_complex(c, mode)
-    return memo[mode]
+def _quotient(c: BigradedComplex, mode: str) -> Optional[Tuple[int, int]]:
+    """(tower index, cocycle) of `reduce_complex(c, mode)`, or None unless it has one tower.
 
-
-def _cocycle(c: BigradedComplex, mode: str) -> int:
-    """Cocycle, as a bitmask of generators, that detects the tower of a reduction.
-
-    Mode "U0" gives the V = 1 complex, "V0" the U = 1 complex. The cocycle
-    is the tower cycle of the dual reduction with T set to 1. Setting
+    Mode "U0" gives the V = 1 complex, "V0" the U = 1 complex. The
+    cocycle, a bitmask of generators, is `Reduction.cocycle`. Setting
     T = 1 kills the torsion of a free GF(2)[T]-complex and leaves one GF(2)
     of the tower, so a cycle z of that complex represents its generator
-    exactly when z & cocycle has odd weight. Built once per complex.
+    exactly when z & cocycle has odd weight. The basis is not kept.
+    Built once per complex and mode.
     """
-    memo = c.__dict__.setdefault("_cocycle", {})
+    memo = c.__dict__.setdefault("_quotients", {})
     if mode not in memo:
-        red = _reduced(c, mode)
-        dual = FUComplex(red.labels, [-g for g in red.gradings], transpose(red.cols, len(red)))
-        tower = tower_reduce(dual, with_reps=True)
-        if tower.rank != 1:
-            raise ConsistencyError(f"dual {mode} reduction has {tower.rank} towers, not 1")
-        memo[mode] = sum(1 << i for i, _power in tower.reps[0])
+        red = tower_reduce(reduce_complex(c, mode))
+        memo[mode] = (red.indices[0], red.cocycle()) if red.rank == 1 else None
     return memo[mode]
 
 
 def is_knotlike(c: BigradedComplex) -> bool:
     """True when both one-variable reductions have rank-one towers.
 
-    Keeps the basis index of each tower generator: the U = 0 one gives
-    tau, and `require_knot_complex` reads the gradings of both. First
-    checks the premise of every reduction and level complex here, that
-    each entry of d has natural exponents, and raises `ValidationError`
-    naming each entry that does not. Both run once per complex.
+    `_quotient` keeps the tower index and cocycle of each: the U = 0
+    tower gives tau, `require_knot_complex` reads the gradings of both,
+    and nu and omega pair with the cocycles. First checks the premise of
+    every reduction and level complex here, that each entry of d has
+    natural exponents, and raises `ValidationError` naming each entry
+    that does not.
     """
-    cached = c.__dict__.get("_knotlike")
-    if cached is None:
-        if c.illegal_terms:
-            raise ValidationError(c.illegal_terms)
-        red_u0 = tower_reduce(_reduced(c, "U0"))
-        red_v0 = tower_reduce(_reduced(c, "V0"))
-        cached = red_u0.rank == 1 and red_v0.rank == 1
-        if cached:
-            c.__dict__["_towers"] = (red_u0.indices[0], red_v0.indices[0])
-        c.__dict__["_knotlike"] = cached
-    return cached
+    if c.illegal_terms:
+        raise ValidationError(c.illegal_terms)
+    return _quotient(c, "U0") is not None and _quotient(c, "V0") is not None
 
 
-def _require_towers_at_zero(c: BigradedComplex) -> None:
+def _require_tower_at_zero(c: BigradedComplex) -> None:
     """Raise `ValidationError` unless c is knot-like with its U = 0 tower at grw = 0 and its V = 0 tower at grz = 0."""
     if not is_knotlike(c):
         raise ValidationError("complex is not knot-like (localized tower rank != 1)")
-    towers = zip(c.__dict__["_towers"], ("U = 0", "V = 0"), ("grw", "grz"), (c.grw, c.grz))
-    for idx, tower, name, grading in towers:
+    for mode, tower, name, grading in (("U0", "U = 0", "grw", c.grw), ("V0", "V = 0", "grz", c.grz)):
+        idx = _quotient(c, mode)[0]
         if grading[idx]:
             raise ValidationError(f"the {tower} tower generator {c.labels[idx]!r} has {name} = {grading[idx]}, not 0")
 
@@ -212,7 +195,7 @@ def require_knot_complex(c: BigradedComplex) -> None:
     be knot-like, but its nu and omega need not lie in {tau, tau + 1}.
     These are necessary conditions only; the complex itself may still be asymmetric.
     """
-    _require_towers_at_zero(c)
+    _require_tower_at_zero(c)
     chi = Counter()
     for w, a in zip(c.grw, c.alexander):
         chi[a] += -1 if w % 2 else 1
@@ -247,14 +230,14 @@ def _level(c: BigradedComplex, s: int, n: int) -> Tuple[int, Optional[FrozenSet[
         nus, omegas = _candidates(c)
         if (n == 0 and s in nus) or (s == 0 and n in omegas):
             cone, offsets = _cone(c, s, n)
-            split = Split(cone)
-            memo[s, n] = _tower_top(split.reduction), _hat_ends(c, split, offsets, s, n)
+            split = tower_reduce(cone)
+            memo[s, n] = _tower_top(split), _hat_ends(c, split, offsets, s, n)
         else:
-            memo[s, n] = (d_invariant(_cone(c, s, n)[0]) if n else _tower_top(level_split(c, s).reduction)), None
+            memo[s, n] = (d_invariant(_cone(c, s, n)[0]) if n else _tower_top(level_split(c, s))), None
     return memo[s, n]
 
 
-def _hat_ends(c: BigradedComplex, split: Split, offsets: List[int], s: int, n: int) -> FrozenSet[Tuple[int, int]]:
+def _hat_ends(c: BigradedComplex, split: Reduction, offsets: List[int], s: int, n: int) -> FrozenSet[Tuple[int, int]]:
     """End parities (v1, u1) of a basis of grading-g hat homology of a model cone (`_cone`), given its split.
 
     The hat complex is the T^0 entries, g the grw of the U = 0 tower
@@ -282,19 +265,22 @@ def _hat_ends(c: BigradedComplex, split: Split, offsets: List[int], s: int, n: i
     pairs, all that `_admits_map` and nu read. The T^0 part of iota(m),
     for m of grading h in block k, is its indices of level grading h - k.
 
-    The grading-g slice is exact for v1. phi_U is homogeneous in grw: the
-    reduction only adds columns that share a pivot row, which have one
-    grw. It pairs to 1 with the U = 0 tower cycle, so it lies at grw = g,
-    the level grading of every V^(s+n-A) x of block 0 that it meets. u1
-    lies at grading g only when the V = 0 tower is at grz = g - 2s, which
-    `omega_hat` checks.
+    The grading-g slice is exact for v1: phi_U lies at grw = g, the level
+    grading of every V^(s+n-A) x of block 0 that it meets. Every basis
+    vector of the U = 0 reduction lies in one grw, since its columns drop
+    grw by one and the reduction adds only columns that share a pivot
+    row. So `Reduction.cocycle`, which adds a position only where phi_U
+    meets its basis vector, never leaves the grw g of the tower where it
+    starts. u1 lies at grading g only when the V = 0 tower is at
+    grz = g - 2s, which `omega_hat` checks.
     """
-    g = c.grw[c.__dict__["_towers"][0]]
+    (u0_tower, phi_u), phi_v = _quotient(c, "U0"), _quotient(c, "V0")[1]
+    g = c.grw[u0_tower]
     first, last = level_split(c, s + n), level_split(c, s - n)
     alex = c.alexander
-    v1_probe = _cocycle(c, "U0") & first.fu.grading_masks.get(g, 0)
+    v1_probe = phi_u & first.fu.grading_masks.get(g, 0)
     v1_probe &= sum(1 << j for j, a in enumerate(alex) if a <= s + n)
-    u1_probe = _cocycle(c, "V0") & last.fu.grading_masks.get(g - 2 * n, 0)
+    u1_probe = phi_v & last.fu.grading_masks.get(g - 2 * n, 0)
     u1_probe &= sum(1 << j for j, a in enumerate(alex) if a >= s - n)
     at_g, end = split.fu.grading_masks.get(g, 0), offsets[-2]
     # The cone generators of grading g read in the V = 1 and U = 1 complexes.
@@ -369,7 +355,7 @@ def tau_invariant(c: BigradedComplex) -> int:
     """
     if not is_knotlike(c):
         raise ValidationError("tau undefined: complex is not knot-like")
-    return c.alexander[c.__dict__["_towers"][0]]
+    return c.alexander[_quotient(c, "U0")[0]]
 
 
 def nu_hat(c: BigradedComplex) -> int:
@@ -398,7 +384,7 @@ def omega_hat(c: BigradedComplex) -> int:
     at grw = 0 and grz = 0. Only the candidates are tested; the first to
     admit a map is omega, and a failure of all is a consistency failure.
     """
-    _require_towers_at_zero(c)
+    _require_tower_at_zero(c)
     candidates = _candidates(c)[1]
     for n in candidates:
         if _admits_map(_level(c, 0, n)[1]):

@@ -3,14 +3,15 @@ import random
 import pytest
 
 from knotfloer.builders import staircase, staircase_dual, torus_knot_complex
-from knotfloer.complexes import UNKNOT
+from knotfloer.complexes import UNKNOT, reduce_complex
 from knotfloer.errors import ValidationError
 from knotfloer.expressions import parse_knot_expr, realize_expr
-from knotfloer.fu import FUComplex, Split, tower_reduce
+from knotfloer.fu import FUComplex, tower_reduce
 from knotfloer.invariants import a_level_complex, d_invariant
-from knotfloer.linalg import image
+from knotfloer.involutive import realize_with_iota
+from knotfloer.linalg import image, iter_bits
 
-from conftest import level_monomials, random_fu_complex
+from conftest import level_monomials, random_fu_complex, scramble
 from oracle_involutive import power
 from oracle_snf import oracle_rank_and_top, oracle_torsion
 
@@ -86,7 +87,7 @@ def is_homogeneous_cycle(fu, rep, grading) -> bool:
 
 def test_representatives_are_cycles():
     level = a_level_complex(torus_knot_complex(3, 4), 0)
-    red = tower_reduce(level, with_reps=True)
+    red = tower_reduce(level)
     assert red.rank == 1
     assert is_homogeneous_cycle(level, red.reps[0], red.top_grading())
 
@@ -97,10 +98,47 @@ def test_staircase_twisted_levels_match_oracle(expr, n):
     # Nearly half the columns of these level complexes are cleared.
     c = realize_expr(parse_knot_expr(expr)).tensor(staircase_dual(n))
     fu = a_level_complex(c, 0)
-    red = tower_reduce(fu, with_reps=True)
+    red = tower_reduce(fu)
     assert (red.rank, red.top_grading()) == oracle_rank_and_top(fu)
     assert is_homogeneous_cycle(fu, red.reps[0], red.top_grading())
     assert fu.labels[red.indices[0]] == red.unpaired[0][0]
+
+
+def check_cocycle(fu, grading=None):
+    """The cocycle of fu's reduction: even against every column, odd against the tower cycle.
+
+    Given the gradings of a knot complex, it also lies in one of their
+    classes, where the grading slice of `invariants._hat_ends` looks.
+    """
+    red = tower_reduce(fu)
+    phi = red.cocycle()
+    assert all((phi & col).bit_count() % 2 == 0 for col in fu.cols)
+    assert (phi & sum(1 << i for i, _power in red.reps[0])).bit_count() % 2 == 1
+    if grading is not None:
+        assert len({grading[i] for i in iter_bits(phi)}) == 1
+
+
+def test_cocycle_detects_the_tower_of_random_complexes():
+    rng = random.Random(20261025)
+    checked = 0
+    while checked < 400:
+        fu = random_fu_complex(rng, 10)
+        if tower_reduce(fu).rank == 1:
+            check_cocycle(fu)
+            checked += 1
+
+
+def test_cocycle_of_the_corpus_quotients_lies_in_one_grading():
+    from test_invariants import corpus
+
+    rng = random.Random(20261026)
+    complexes = list(corpus().values())
+    for expr in ("T(2,3)", "T(3,4)", "T(2,3)#T(4,7)#-T(5,6)", "T(2,11)#-T(4,5)"):
+        complexes += [scramble(*realize_with_iota(parse_knot_expr(expr)), rng)[0] for _ in range(3)]
+    for c in complexes:
+        for complex_ in (c, c.dual()):
+            check_cocycle(reduce_complex(complex_, "U0"), complex_.grw)
+            check_cocycle(reduce_complex(complex_, "V0"), complex_.grz)
 
 
 def test_rank_errors():
@@ -116,7 +154,7 @@ def check_split(fu, torsion=True, tower=True):
     (`tower`) of fu. M keeps no unit entry, so it is |fu| less twice the
     number of unit invariant factors of fu.
     """
-    split = Split(fu)
+    split = tower_reduce(fu)
     model, inc = split.model, split.inc
     if torsion:
         factors = oracle_torsion(fu)

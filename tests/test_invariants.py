@@ -10,7 +10,7 @@ from knotfloer.complexes import BigradedComplex, Generator, UNKNOT
 from knotfloer.errors import ConsistencyError, ValidationError
 from knotfloer.expressions import parse_knot_expr, realize_expr
 from knotfloer.fileio import load_complex
-from knotfloer.fu import Split
+from knotfloer.fu import tower_reduce
 from knotfloer.involutive import realize_with_iota
 from knotfloer.linalg import iter_bits
 from knotfloer.invariants import (
@@ -188,6 +188,9 @@ def test_tau_runs_no_reduction_after_knotlike(monkeypatch):
     assert is_knotlike(c)
     assert len(calls) == 2  # the U = 0 and V = 0 reductions
     assert tau_invariant(c) == -1
+    require_knot_complex(c)  # the U = 0 and V = 0 tower gradings
+    # nu and omega pair with these cocycles: the same two reductions give them.
+    assert all(invariants._quotient(c, mode)[1] for mode in ("U0", "V0"))
     assert len(calls) == 2
     assert tau_invariant(c.dual()) == 1  # a fresh complex: its knot-likeness only
     assert len(calls) == 4
@@ -317,7 +320,7 @@ def test_nu_matches_full_scan_oracle():
 def model_ends(c: BigradedComplex, n: int):
     """The hat ends of level 0 of C tensor St*_n, on a model cone built here: the report reads only the candidate n."""
     cone, offsets = invariants._cone(c, 0, n)
-    return invariants._hat_ends(c, Split(cone), offsets, 0, n)
+    return invariants._hat_ends(c, tower_reduce(cone), offsets, 0, n)
 
 
 def staircase_map(c: BigradedComplex, n: int) -> bool:
