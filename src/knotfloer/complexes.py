@@ -132,7 +132,7 @@ class BigradedComplex:
     def illegal_terms(self) -> Tuple[str, ...]:
         """A message for every entry of d whose implied exponents are not natural numbers.
 
-        Computed once per complex; `validate` and the invariants share it.
+        Computed once per complex (`load_complex` sets it from its reader); `validate` and the invariants share it.
         """
         d = self.d
         return tuple(d.problem(i, j) for i, j in d.illegal_entries())
@@ -342,17 +342,33 @@ def _columns_from_terms(f: ChainMap, terms: Iterable[Term]) -> Tuple[int, ...]:
     return tuple(cols)
 
 
-def verify_chain_map(f: ChainMap) -> Optional[str]:
-    """None when f is a valid (skew) chain map, else the first violation."""
-    for i, j in f.illegal_entries():
-        return f.problem(i, j)
-    # Chain condition d f = f d; exponents along a path depend only on its
-    # end points (for skew maps too), so both sides are XORs of columns.
+def chain_violation(f: ChainMap) -> Optional[str]:
+    """None when d f = f d, else the first generator where it fails.
+
+    Exponents along a path depend only on its end points (for skew maps
+    too), so both sides are XORs of columns, taken into one accumulator.
+    """
     fcols, dtgt = f.cols, f.target.cols
     for i, (fcol, dcol) in enumerate(zip(fcols, f.source.cols)):
-        if image(dtgt, fcol) != image(fcols, dcol):
+        acc = 0
+        while fcol:
+            top = fcol.bit_length() - 1
+            acc ^= dtgt[top]
+            fcol ^= 1 << top
+        while dcol:
+            top = dcol.bit_length() - 1
+            acc ^= fcols[top]
+            dcol ^= 1 << top
+        if acc:
             return f"d f != f d on generator {f.source.labels[i]!r}"
     return None
+
+
+def verify_chain_map(f: ChainMap) -> Optional[str]:
+    """None when f is a valid (skew) chain map, else the first violation: homogeneity, then `chain_violation`."""
+    for i, j in f.illegal_entries():
+        return f.problem(i, j)
+    return chain_violation(f)
 
 
 def require_chain_map(f: ChainMap, what: str = "") -> ChainMap:

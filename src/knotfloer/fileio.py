@@ -7,12 +7,13 @@ gradings and exponents exact integers. The optional `iota` field has the
 same entry shape and is interpreted as a skew-equivariant involution
 candidate; it must pass the skew chain-map checks.
 
-Loading validates everything and reports violations with entry context.
-Each list is read in one pass. The first malformed entry (not an object,
-a missing or mistyped field, an unknown id, a negative exponent, a
-quadruple given twice) is named at once; inhomogeneous entries are
-reported together after the pass, unless a generator id repeats, which
-is reported instead.
+Loading reports each violation with entry context. The reader checks
+fields, ids, exponents, duplicates and homogeneity in one pass over each
+list: the first malformed entry (not an object, a missing or mistyped
+field, an unknown id, a negative exponent, a quadruple given twice) is
+named at once; inhomogeneous entries are reported together after the
+pass, unless a generator id repeats, which is reported instead. Then
+`load_complex` checks the rest: Alexander parity, d^2 = 0, d iota = iota d.
 Saving writes exactly the bytes of `json.dump(obj, indent=1,
 sort_keys=True)` plus a newline: ASCII, with `\\u` escapes, and entries
 in (from, to) label order, so save(load(f)) is byte-stable. The writer
@@ -27,9 +28,8 @@ import json
 from json.encoder import encode_basestring_ascii
 from typing import List, NoReturn, Optional, Tuple
 
-from .complexes import BigradedComplex, ChainMap, SkewMap, verify_chain_map
+from .complexes import BigradedComplex, ChainMap, SkewMap, chain_violation
 from .errors import FileFormatError, ValidationError
-from .linalg import iter_bits
 
 
 def _field(entry: dict, ctx: str, key: str, kind):
@@ -146,7 +146,9 @@ def load_complex(path: str) -> Tuple[BigradedComplex, Optional[SkewMap]]:
     shape = BigradedComplex(labels, grw, grz, [0] * len(labels))
     try:
         cols = _read_columns(data.get("differential", []), "differential", shape.d)
-        complex_ = BigradedComplex(labels, grw, grz, cols).require_valid()
+        complex_ = BigradedComplex(labels, grw, grz, cols)
+        complex_.illegal_terms = ()  # the reader matched each entry with its implied exponents
+        complex_.require_valid()
     except ValidationError as exc:
         raise FileFormatError(
             f"{path}: complex fails validation: {'; '.join(exc.violations)}"
@@ -157,15 +159,14 @@ def load_complex(path: str) -> Tuple[BigradedComplex, Optional[SkewMap]]:
             iota = SkewMap(complex_, _read_columns(data["iota"], "iota", SkewMap(complex_, ())))
         except ValidationError as exc:
             raise FileFormatError(f"{path}: iota rejected: {'; '.join(exc.violations)}") from None
-        violation = verify_chain_map(iota)
+        violation = chain_violation(iota)
         if violation is not None:
             raise FileFormatError(f"{path}: iota rejected: {violation}")
     return complex_, iota
 
 
-# One entry of each list as `json.dump(indent=1, sort_keys=True)` lays it out.
+# A generator entry as `json.dump(indent=1, sort_keys=True)` lays it out; term entries alike.
 _GENERATOR = '  {\n   "grw": %d,\n   "grz": %d,\n   "id": %s\n  }'
-_TERM = '  {\n   "from": %s,\n   "to": %s,\n   "u": %d,\n   "v": %d\n  }'
 
 
 def _block(key: str, entries: List[str]) -> str:
@@ -174,16 +175,26 @@ def _block(key: str, entries: List[str]) -> str:
     return f' "{key}": [\n' + ",\n".join(entries) + "\n ]"
 
 
-def _term_entries(f: ChainMap, quoted: List[str], order: List[int], rank: List[int]) -> List[str]:
-    """The entries of f, sorted by (from, to) label; labels are distinct."""
+def _term_entries(f: ChainMap, heads: List[str], quoted: List[str], order: List[int], rank: List[int]) -> List[str]:
+    """The entries of f, sorted by (from, to) label; labels are distinct. heads[i] opens one from i."""
     bw, bz = f.bases
     tw, tz = f.target.grw, f.target.grz
     cols = f.cols
-    return [
-        _TERM % (quoted[i], quoted[j], (tw[j] - bw[i]) // 2, (tz[j] - bz[i]) // 2)
-        for i in order
-        for j in sorted(iter_bits(cols[i]), key=rank.__getitem__)
-    ]
+    out = []
+    for i in order:
+        col, head, w, z = cols[i], heads[i], bw[i], bz[i]
+        if col & (col - 1):  # two or more targets, put in label order
+            targets = []
+            while col:
+                top = col.bit_length() - 1
+                targets.append(top)
+                col ^= 1 << top
+            targets.sort(key=rank.__getitem__)
+        else:
+            targets = (col.bit_length() - 1,) if col else ()
+        for j in targets:
+            out.append(f'{head}{quoted[j]},\n   "u": {(tw[j] - w) // 2},\n   "v": {(tz[j] - z) // 2}\n  }}')
+    return out
 
 
 def _format_complex(complex_: BigradedComplex, name: str, iota: Optional[SkewMap]) -> str:
@@ -193,12 +204,13 @@ def _format_complex(complex_: BigradedComplex, name: str, iota: Optional[SkewMap
     rank = [0] * len(labels)
     for position, i in enumerate(order):
         rank[i] = position
+    heads = [f'  {{\n   "from": {q},\n   "to": ' for q in quoted]
     blocks = [
-        _block("differential", _term_entries(complex_.d, quoted, order, rank)),
+        _block("differential", _term_entries(complex_.d, heads, quoted, order, rank)),
         _block("generators", list(map(_GENERATOR.__mod__, zip(complex_.grw, complex_.grz, quoted)))),
     ]
     if iota is not None:
-        blocks.append(_block("iota", _term_entries(iota, quoted, order, rank)))
+        blocks.append(_block("iota", _term_entries(iota, heads, quoted, order, rank)))
     blocks.append(' "name": ' + encode_basestring_ascii(name))
     return "{\n" + ",\n".join(blocks) + "\n}\n"
 

@@ -52,9 +52,9 @@ def _moved(mask: int, table: Sequence[int]) -> int:
     """mask with each set bit i moved to bit table[i]: indices to positions by `pos`, back by `order`."""
     out = 0
     while mask:
-        low = mask & -mask
-        out |= 1 << table[low.bit_length() - 1]
-        mask ^= low
+        top = mask.bit_length() - 1
+        out |= 1 << table[top]
+        mask ^= 1 << top
     return out
 
 
@@ -186,6 +186,7 @@ def tower_reduce(fu: FUComplex) -> Reduction:
     pos = [0] * n
     for p, idx in enumerate(order):
         pos[idx] = p
+    bit = [1 << p for p in pos]
 
     # pivot row -> its column. The basis vector of a pivot row is the
     # reduced column, that of a column the positions it combines.
@@ -197,7 +198,11 @@ def tower_reduce(fu: FUComplex) -> Reduction:
             # Clearing: the column of a paired row reduces to zero, so it
             # is never moved into position space.
             continue
-        vec, combo = _moved(cols[idx], pos), 1 << p
+        mask, vec, combo = cols[idx], 0, 1 << p  # vec: the column moved into position space
+        while mask:
+            top = mask.bit_length() - 1
+            vec |= bit[top]
+            mask ^= 1 << top
         while vec:
             low = vec.bit_length() - 1
             col = pairs.get(low)

@@ -21,15 +21,12 @@ def iter_bits(mask: int) -> Iterator[int]:
 
 def image(cols: Sequence[int], mask: int) -> int:
     """XOR of the columns that mask selects: the matrix times the vector mask.
-
-    Walks the bits itself: the d^2 and df = fd checks call it once per
-    column, and a generator per call makes them about 1.3 times slower.
-    """
+    Walks the bits itself; through `iter_bits` the d^2 check takes 1.1 to 1.6 times as long."""
     acc = 0
     while mask:
-        low = mask & -mask
-        acc ^= cols[low.bit_length() - 1]
-        mask ^= low
+        top = mask.bit_length() - 1
+        acc ^= cols[top]
+        mask ^= 1 << top
     return acc
 
 

@@ -16,14 +16,18 @@ from knotfloer.complexes import (
     UNKNOT,
     basepoint_map,
     basepoint_maps,
+    chain_violation,
     reduce_complex,
     verify_chain_map,
 )
 from knotfloer.errors import ValidationError
+from knotfloer.expressions import parse_knot_expr
+from knotfloer.involutive import mirror_iota, realize_with_iota, staircase_iota
 from knotfloer.linalg import iter_bits
 
 import oracle_uv
-from conftest import ipoly_divexact
+from conftest import ipoly_divexact, random_torus_sum
+from oracle_chain import first_chain_failure, first_square_failure
 from oracle_homogeneity import fu_validate_messages
 
 
@@ -237,6 +241,38 @@ def test_verify_rejects_grading_mismatch():
     f = ChainMap(s1, s1, [1 << s1.index["y1"], 0, 0], (0, 0))
     violation = verify_chain_map(f)
     assert violation is not None and "homogeneous" in violation
+
+
+def _with_flip(rng, cols):
+    """cols with one random entry flipped."""
+    cols = list(cols)
+    cols[rng.randrange(len(cols))] ^= 1 << rng.randrange(len(cols))
+    return cols
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_chain_kernel_names_the_oracle_generator(seed):
+    # chain_violation and the d^2 check of validate against the plain
+    # products of tests/oracle_chain.py, on a staircase, a torus sum and
+    # the mirror of each: their valid maps, and copies with one flipped entry.
+    rng = random.Random(seed)
+    s = staircase(rng.randint(1, 4))
+    cases = [(s, staircase_iota(s)), realize_with_iota(parse_knot_expr(random_torus_sum(rng, 3, 300)))]
+    cases += [(m, mirror_iota(iota, m)) for c, iota in cases for m in (c.dual(),)]
+    for c, iota in cases:
+        for f in (iota, basepoint_map(c, "U"), basepoint_map(c, "V")):
+            assert chain_violation(f) is None and first_chain_failure(f) is None
+            for _ in range(5):
+                cols = _with_flip(rng, f.cols)
+                bad = SkewMap(c, cols) if isinstance(f, SkewMap) else ChainMap(c, c, cols, f.bidegree)
+                i = first_chain_failure(bad)
+                assert chain_violation(bad) == (None if i is None else f"d f != f d on generator {c.labels[i]!r}")
+        assert c.validate() == [] and first_square_failure(c) is None
+        for _ in range(5):
+            bad = BigradedComplex(c.labels, c.grw, c.grz, _with_flip(rng, c.cols))
+            squares = [v for v in bad.validate() if v.startswith("d^2(")]
+            i = first_square_failure(bad)
+            assert (squares[0].startswith(f"d^2({c.labels[i]}) ") if i is not None else squares == [])
 
 
 def test_columns_match_explicit_polynomials(rng):
