@@ -552,6 +552,25 @@ def test_validate_survives_mutated_files(tmp_path, capsys, fuzz_text, data):
     assert _outcome(_load_homogeneous, path) == _outcome(load_complex_checked, path)
 
 
+@pytest.mark.parametrize("with_iota", [True, False], ids=["with iota", "without iota"])
+def test_loader_accepts_only_homogeneous_files(tmp_path, fuzz_text, with_iota):
+    # Each generator's grw or grz moved by 2 keeps every parity and every
+    # column, so d^2 = 0 still holds: only the comparison of each entry's
+    # stated exponents with its gradings can reject such a file.
+    base = json.loads(fuzz_text)
+    if not with_iota:
+        del base["iota"]
+    path = tmp_path / "moved.cfk"
+    for k in range(len(base["generators"])):
+        for key in ("grw", "grz"):
+            for by in (-2, 2):
+                obj = json.loads(json.dumps(base))
+                obj["generators"][k][key] += by
+                path.write_text(json.dumps(obj))
+                with pytest.raises(FileFormatError):
+                    _load_homogeneous(path)
+
+
 def _outcome(load, path):
     """The error a loader raises on path, or what it reads."""
     try:
