@@ -24,7 +24,8 @@ The structural rules enforced by `validate`:
 
 Monomial terms from outside enter through `from_terms`, which checks
 every term against the gradings; `fileio` applies the same check as it
-reads a file.
+reads a format-1 file. A format-2 file stores only the columns, so its
+exponents are checked here, by `illegal_terms`.
 """
 
 from __future__ import annotations
@@ -132,7 +133,9 @@ class BigradedComplex:
     def illegal_terms(self) -> Tuple[str, ...]:
         """A message for every entry of d whose implied exponents are not natural numbers.
 
-        Computed once per complex (`load_complex` sets it from its reader); `validate` and the invariants share it.
+        Computed once per complex; `validate` and the invariants share it. For a
+        format-1 file `load_complex` sets it from its reader, which has matched
+        each entry with its implied exponents.
         """
         d = self.d
         return tuple(d.problem(i, j) for i, j in d.illegal_entries())
@@ -390,6 +393,15 @@ def basepoint_map(c: BigradedComplex, variable: str) -> ChainMap:
     of d with odd u and has bidegree (1, -1). u is odd exactly when
     grw(y) = grw(x) + 1 mod 4. Differentiating in "V" gives Psi, of
     bidegree (-1, 1), from the entries with odd v.
+
+    The result is a valid chain map whenever c is valid, so it is not
+    checked here. It is homogeneous: a kept entry has odd u >= 1, and
+    U^(u-1) V^v is the monomial that bidegree (1, -1) implies. It
+    commutes with d: the formal derivative of a product of matrices over
+    GF(2)[U, V] obeys the product rule, so differentiating d d = 0 gives
+    Phi d + d Phi = 0, which over GF(2) is Phi d = d Phi. The same holds
+    for Psi. `validate` checks every complex that comes from outside,
+    and the tests check Phi and Psi with `verify_chain_map`.
     """
     if variable not in ("U", "V"):
         raise ValueError(f"unknown variable {variable!r}")
@@ -400,8 +412,7 @@ def basepoint_map(c: BigradedComplex, variable: str) -> ChainMap:
     mod4 = [0] * 4
     for g, mask in masks.items():
         mod4[g % 4] |= mask
-    f = ChainMap(c, c, [col & mod4[(g + 1) % 4] for col, g in zip(c.cols, grading)], bidegree)
-    return f if f.is_zero() else require_chain_map(f)
+    return ChainMap(c, c, [col & mod4[(g + 1) % 4] for col, g in zip(c.cols, grading)], bidegree)
 
 
 def basepoint_maps(c: BigradedComplex) -> Tuple[ChainMap, ChainMap]:

@@ -1,35 +1,49 @@
-"""Complex files: a small JSON format.
+"""Complex files: a small JSON format, written as gradings and columns.
 
-Top-level fields: `name` (string), `generators` (list of {id, grw, grz}),
-`differential` (list of {from, to, u, v}), each entry one monomial term;
-duplicate (from, to, u, v) quadruples are an error. Ids are strings and
-gradings and exponents exact integers. The optional `iota` field has the
-same entry shape and is interpreted as a skew-equivariant involution
-candidate; it must pass the skew chain-map checks.
+Format 2, the one `save_complex` writes, stores a complex the way
+`BigradedComplex` holds it. Top-level fields: `format` (the integer 2),
+`name` (string), `id` (the n generator ids, distinct strings), `grw` and
+`grz` (n exact integers each), `differential` (n lists: differential[i]
+lists the indices j of the generators y_j in d(x_i)) and the optional
+`iota` (the same shape: the columns of a skew-equivariant involution
+candidate). Exponents are not stored, since homogeneity fixes them:
+U^u V^v y in d(x) has 2u = grw(y) - grw(x) + 1 and
+2v = grz(y) - grz(x) + 1, and in iota(x) 2u = grw(y) - grz(x) and
+2v = grz(y) - grw(x). The reader checks the shape of each list, the
+exact type of each element (a bool or a float is not an integer), the
+index ranges, repeated targets and repeated ids, and names the first
+fault by field and generator. Then `require_valid` checks parity,
+homogeneity (every implied exponent a natural number) and d^2 = 0, and
+`verify_chain_map` checks iota. Any other `format` value is an error.
 
-Loading reports each violation with entry context. The reader checks
-fields, ids, exponents, duplicates and homogeneity in one pass over each
-list: the first malformed entry (not an object, a missing or mistyped
-field, an unknown id, a negative exponent, a quadruple given twice) is
-named at once; inhomogeneous entries are reported together after the
-pass, unless a generator id repeats, which is reported instead. Then
-`load_complex` checks the rest: Alexander parity, d^2 = 0, d iota = iota d.
-Saving writes exactly the bytes of `json.dump(obj, indent=1,
-sort_keys=True)` plus a newline: ASCII, with `\\u` escapes, and entries
-in (from, to) label order, so save(load(f)) is byte-stable. The writer
-formats the fixed-shape entries itself because `indent` forces `json`
-onto its pure-Python encoder; `tests/oracle_io.py` keeps the `json.dump`
-writer as the reference.
+Format 1 is every file without a `format` field. It is still read,
+never written. `generators` is a list of {id, grw, grz} and
+`differential` a list of {from, to, u, v}, each entry one monomial term;
+duplicate (from, to, u, v) quadruples are an error. The optional `iota`
+has the same entry shape. The reader checks fields, ids, exponents,
+duplicates and homogeneity in one pass over each list: the first
+malformed entry (not an object, a missing or mistyped field, an unknown
+id, a negative exponent, a quadruple given twice) is named at once;
+inhomogeneous entries are reported together after the pass, unless a
+generator id repeats, which is reported instead. Then `load_complex`
+checks Alexander parity, d^2 = 0 and d iota = iota d.
+
+Saving writes exactly the bytes of `json.dumps(obj, sort_keys=True)`
+plus a newline: one line, ASCII with `\\u` escapes, targets in
+ascending index order, so save(load(f)) is byte-stable. Without
+`indent`, `json` runs its C encoder.
 """
 
 from __future__ import annotations
 
 import json
-from json.encoder import encode_basestring_ascii
 from typing import List, NoReturn, Optional, Tuple
 
-from .complexes import BigradedComplex, ChainMap, SkewMap, chain_violation
+from .complexes import BigradedComplex, ChainMap, SkewMap, chain_violation, verify_chain_map
 from .errors import FileFormatError, ValidationError
+from .linalg import iter_bits
+
+FORMAT = 2  # the layout `save_complex` writes
 
 
 def _field(entry: dict, ctx: str, key: str, kind):
@@ -49,6 +63,80 @@ def _fields(entry, ctx: str, spec) -> list:
     if not isinstance(entry, dict):
         raise FileFormatError(f"{ctx}: expected an object")
     return [_field(entry, ctx, key, kind) for key, kind in spec]
+
+
+# --- format 2: gradings and target lists ------------------------------------
+
+
+def _only(values, kind) -> bool:
+    """Whether every element of a list has exactly type kind."""
+    return set(map(type, values)) <= {kind}
+
+
+def _at(key: str, k: int, labels: List[str]) -> str:
+    """Where a format-2 fault is: the field and the generator."""
+    return f"{key} of generator #{k} {labels[k]!r}"
+
+
+def _gradings(data: dict, key: str, labels: List[str]) -> List[int]:
+    """The list data[key] of one exact integer per generator."""
+    raw = data.get(key)
+    if type(raw) is not list or len(raw) != len(labels):
+        raise FileFormatError(f"field {key!r} must be a list of {len(labels)} integers, one per id")
+    if not _only(raw, int):
+        k = next(k for k, value in enumerate(raw) if type(value) is not int)
+        raise FileFormatError(f"{_at(key, k, labels)}: must be an integer, got {raw[k]!r}")
+    return raw
+
+
+def _ids(data: dict) -> List[str]:
+    """The list of distinct generator ids."""
+    raw = data.get("id")
+    if type(raw) is not list or not raw:
+        raise FileFormatError("field 'id' must be a nonempty list of strings")
+    if not _only(raw, str):
+        k = next(k for k, value in enumerate(raw) if type(value) is not str)
+        raise FileFormatError(f"id of generator #{k}: must be a string, got {raw[k]!r}")
+    if len(set(raw)) < len(raw):
+        first = {}
+        for k, name in enumerate(raw):
+            if name in first:
+                raise FileFormatError(f"{_at('id', k, raw)}: repeats generator #{first[name]}")
+            first[name] = k
+    return raw
+
+
+def _read_targets(raw, key: str, labels: List[str]) -> List[int]:
+    """The bitmask columns of n target lists, checked; names the first fault."""
+    n = len(labels)
+    if type(raw) is not list or len(raw) != n:
+        raise FileFormatError(f"field {key!r} must be a list of {n} target lists, one per id")
+    cols = []
+    for i, targets in enumerate(raw):
+        if type(targets) is not list:
+            raise FileFormatError(f"{_at(key, i, labels)}: expected a list of target indices, got {targets!r}")
+        col = 0
+        for j in targets:
+            if type(j) is not int:  # bool is not int here, and 1.0 is not 1
+                raise FileFormatError(f"{_at(key, i, labels)}: target must be an integer, got {j!r}")
+            if not 0 <= j < n:
+                raise FileFormatError(f"{_at(key, i, labels)}: target {j} is not a generator index (0..{n - 1})")
+            bit = 1 << j
+            if col & bit:
+                raise FileFormatError(f"{_at(key, i, labels)}: target {j} is repeated")
+            col |= bit
+        cols.append(col)
+    return cols
+
+
+def _columns_complex(data: dict) -> BigradedComplex:
+    """The complex of a format-2 file, before `require_valid`."""
+    labels = _ids(data)
+    grw, grz = _gradings(data, "grw", labels), _gradings(data, "grz", labels)
+    return BigradedComplex(labels, grw, grz, _read_targets(data.get("differential"), "differential", labels))
+
+
+# --- format 1: one object per term ------------------------------------------
 
 
 _GENERATOR_FIELDS = (("id", str), ("grw", int), ("grz", int))
@@ -127,8 +215,20 @@ def _read_columns(raw, kind: str, f: ChainMap) -> Tuple[int, ...]:
     return tuple(cols)
 
 
+def _entries_complex(data: dict) -> BigradedComplex:
+    """The complex of a format-1 file, before `require_valid`."""
+    labels, grw, grz = zip(*_parse_generators(data.get("generators")))
+    shape = BigradedComplex(labels, grw, grz, [0] * len(labels))
+    complex_ = BigradedComplex(labels, grw, grz, _read_columns(data.get("differential", []), "differential", shape.d))
+    complex_.illegal_terms = ()  # the reader matched each entry with its implied exponents
+    return complex_
+
+
+# --- loading and saving -------------------------------------------------------
+
+
 def load_complex(path: str) -> Tuple[BigradedComplex, Optional[SkewMap]]:
-    """Load and fully validate a complex file; returns (complex, iota?)."""
+    """Load and fully validate a complex file of either format; returns (complex, iota?)."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             data = json.load(handle)
@@ -142,12 +242,13 @@ def load_complex(path: str) -> Tuple[BigradedComplex, Optional[SkewMap]]:
         raise FileFormatError(f"{path} nests arrays or objects too deeply to read") from None
     if not isinstance(data, dict):
         raise FileFormatError("top level must be an object")
-    labels, grw, grz = zip(*_parse_generators(data.get("generators")))
-    shape = BigradedComplex(labels, grw, grz, [0] * len(labels))
+    columnar = "format" in data
+    if columnar and (type(data["format"]) is not int or data["format"] != FORMAT):
+        raise FileFormatError(
+            f"field 'format' must be {FORMAT}, or absent in a format-1 file, got {data['format']!r}"
+        )
     try:
-        cols = _read_columns(data.get("differential", []), "differential", shape.d)
-        complex_ = BigradedComplex(labels, grw, grz, cols)
-        complex_.illegal_terms = ()  # the reader matched each entry with its implied exponents
+        complex_ = (_columns_complex if columnar else _entries_complex)(data)
         complex_.require_valid()
     except ValidationError as exc:
         raise FileFormatError(
@@ -156,63 +257,22 @@ def load_complex(path: str) -> Tuple[BigradedComplex, Optional[SkewMap]]:
     iota = None
     if "iota" in data:
         try:
-            iota = SkewMap(complex_, _read_columns(data["iota"], "iota", SkewMap(complex_, ())))
+            if columnar:
+                iota = SkewMap(complex_, _read_targets(data["iota"], "iota", complex_.labels))
+                violation = verify_chain_map(iota)
+            else:
+                iota = SkewMap(complex_, _read_columns(data["iota"], "iota", SkewMap(complex_, ())))
+                violation = chain_violation(iota)  # the reader checked homogeneity
         except ValidationError as exc:
             raise FileFormatError(f"{path}: iota rejected: {'; '.join(exc.violations)}") from None
-        violation = chain_violation(iota)
         if violation is not None:
             raise FileFormatError(f"{path}: iota rejected: {violation}")
     return complex_, iota
 
 
-# A generator entry as `json.dump(indent=1, sort_keys=True)` lays it out; term entries alike.
-_GENERATOR = '  {\n   "grw": %d,\n   "grz": %d,\n   "id": %s\n  }'
-
-
-def _block(key: str, entries: List[str]) -> str:
-    if not entries:
-        return f' "{key}": []'
-    return f' "{key}": [\n' + ",\n".join(entries) + "\n ]"
-
-
-def _term_entries(f: ChainMap, heads: List[str], quoted: List[str], order: List[int], rank: List[int]) -> List[str]:
-    """The entries of f, sorted by (from, to) label; labels are distinct. heads[i] opens one from i."""
-    bw, bz = f.bases
-    tw, tz = f.target.grw, f.target.grz
-    cols = f.cols
-    out = []
-    for i in order:
-        col, head, w, z = cols[i], heads[i], bw[i], bz[i]
-        if col & (col - 1):  # two or more targets, put in label order
-            targets = []
-            while col:
-                top = col.bit_length() - 1
-                targets.append(top)
-                col ^= 1 << top
-            targets.sort(key=rank.__getitem__)
-        else:
-            targets = (col.bit_length() - 1,) if col else ()
-        for j in targets:
-            out.append(f'{head}{quoted[j]},\n   "u": {(tw[j] - w) // 2},\n   "v": {(tz[j] - z) // 2}\n  }}')
-    return out
-
-
-def _format_complex(complex_: BigradedComplex, name: str, iota: Optional[SkewMap]) -> str:
-    labels = complex_.labels
-    quoted = list(map(encode_basestring_ascii, labels))
-    order = sorted(range(len(labels)), key=labels.__getitem__)
-    rank = [0] * len(labels)
-    for position, i in enumerate(order):
-        rank[i] = position
-    heads = [f'  {{\n   "from": {q},\n   "to": ' for q in quoted]
-    blocks = [
-        _block("differential", _term_entries(complex_.d, heads, quoted, order, rank)),
-        _block("generators", list(map(_GENERATOR.__mod__, zip(complex_.grw, complex_.grz, quoted)))),
-    ]
-    if iota is not None:
-        blocks.append(_block("iota", _term_entries(iota, heads, quoted, order, rank)))
-    blocks.append(' "name": ' + encode_basestring_ascii(name))
-    return "{\n" + ",\n".join(blocks) + "\n}\n"
+def _targets(cols) -> List[List[int]]:
+    """Each column as the list of its set bits, lowest first."""
+    return [[*iter_bits(col)] for col in cols]
 
 
 def save_complex(
@@ -221,7 +281,7 @@ def save_complex(
     name: str = "",
     iota: Optional[SkewMap] = None,
 ) -> None:
-    """Write a complex (and iota) in canonical order; labels must be distinct.
+    """Write a complex (and iota) in format 2; labels must be distinct.
 
     Nothing is written, and a file already at `path` is left as it was,
     when the complex or the name cannot be saved.
@@ -233,6 +293,16 @@ def save_complex(
         raise ValidationError(f"cannot save: name must be a string, got {name!r}")
     if iota is not None and iota.source.labels != complex_.labels:
         raise ValidationError("cannot save: iota is a map on another complex")
-    text = _format_complex(complex_, name, iota)
+    data = {
+        "format": FORMAT,
+        "name": name,
+        "id": complex_.labels,
+        "grw": complex_.grw,
+        "grz": complex_.grz,
+        "differential": _targets(complex_.cols),
+    }
+    if iota is not None:
+        data["iota"] = _targets(iota.cols)
+    text = json.dumps(data, sort_keys=True) + "\n"
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(text)

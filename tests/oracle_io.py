@@ -1,15 +1,23 @@
-"""Reference complex-file reader and writer, oracles for `fileio`.
+"""Reference complex-file readers and writers, oracles for `fileio`.
 
-`load_complex_checked` reads a file the slow way: it checks every
-generator entry, then turns every term entry into a checked
+`load_complex_checked` reads a format-1 file the slow way: it checks
+every generator entry, then turns every term entry into a checked
 (from, to, u, v) quadruple, and only then builds the complex with
 `from_terms`, which names a repeated id before any inhomogeneous term.
 The program's loader must give the same complex or the same error in
 one pass over each list.
 
-`save_complex_json` builds the file as a dict and hands it to
-`json.dump(indent=1, sort_keys=True)`; the program formats the same
-bytes itself.
+`load_columns_checked` reads a format-2 file by translating it into a
+format-1 object, each target given the exponents its gradings imply
+(rounded down when they are not integers), and handing that to the
+same checks. So a format-2 file must be accepted exactly when its
+translation is, and give the same complex.
+
+`save_complex_json` writes format 1 with `json.dump(indent=1,
+sort_keys=True)`; the program no longer writes format 1, and the tests
+use these files to drive its format-1 reader. `save_complex_columns`
+writes format 2 from `terms()`; the program builds the same bytes
+straight from its columns.
 """
 
 import json
@@ -68,7 +76,7 @@ def parse_entries_checked(raw, kind, names):
     return out
 
 
-def load_complex_checked(path):
+def _read_json(path):
     try:
         with open(path, "r", encoding="utf-8") as handle:
             data = json.load(handle)
@@ -82,6 +90,14 @@ def load_complex_checked(path):
         raise FileFormatError(f"{path} nests arrays or objects too deeply to read") from None
     if not isinstance(data, dict):
         raise FileFormatError("top level must be an object")
+    return data
+
+
+def load_complex_checked(path):
+    return _load_entries(_read_json(path), path)
+
+
+def _load_entries(data, path):
     gens = parse_generators_checked(data.get("generators"))
     names = {row[0] for row in gens}
     try:
@@ -103,6 +119,52 @@ def load_complex_checked(path):
     return complex_, iota
 
 
+def _exact_ints(raw, n):
+    return isinstance(raw, list) and len(raw) == n and all(type(x) is int for x in raw)
+
+
+def _entries(raw, n, exponents):
+    """The format-1 entries of n target lists; exponents(i, j) gives (u, v)."""
+    if not isinstance(raw, list) or len(raw) != n:
+        raise FileFormatError("target lists do not match the ids")
+    out = []
+    for i, targets in enumerate(raw):
+        if not isinstance(targets, list):
+            raise FileFormatError(f"generator #{i}: target list is not a list")
+        for j in targets:
+            if type(j) is not int or not 0 <= j < n:
+                raise FileFormatError(f"generator #{i}: target {j!r} is no generator index")
+            out.append((i, j, *exponents(i, j)))
+    return out
+
+
+def load_columns_checked(path):
+    data = _read_json(path)
+    if data.get("format") != 2 or type(data.get("format")) is not int:
+        raise FileFormatError("not a format-2 file")
+    ids, grw, grz = data.get("id"), data.get("grw"), data.get("grz")
+    if not isinstance(ids, list) or not ids or not all(type(x) is str for x in ids):
+        raise FileFormatError("ids are not a nonempty list of strings")
+    n = len(ids)
+    if not _exact_ints(grw, n) or not _exact_ints(grz, n):
+        raise FileFormatError("gradings do not match the ids")
+
+    def as_terms(entries):
+        return [{"from": ids[i], "to": ids[j], "u": u, "v": v} for i, j, u, v in entries]
+
+    translated = {
+        "generators": [{"id": name, "grw": w, "grz": z} for name, w, z in zip(ids, grw, grz)],
+        "differential": as_terms(
+            _entries(data.get("differential"), n, lambda i, j: ((grw[j] - grw[i] + 1) // 2, (grz[j] - grz[i] + 1) // 2))
+        ),
+    }
+    if "iota" in data:
+        translated["iota"] = as_terms(
+            _entries(data["iota"], n, lambda i, j: ((grw[j] - grz[i]) // 2, (grz[j] - grw[i]) // 2))
+        )
+    return _load_entries(translated, path)
+
+
 def save_complex_json(complex_, path, name="", iota=None):
     dup = complex_.repeated_label()
     if dup is not None:
@@ -121,3 +183,29 @@ def save_complex_json(complex_, path, name="", iota=None):
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(data, handle, indent=1, sort_keys=True)
         handle.write("\n")
+
+
+def save_complex_columns(complex_, path, name="", iota=None):
+    dup = complex_.repeated_label()
+    if dup is not None:
+        raise ValidationError(f"cannot save: generator label {dup!r} is repeated")
+    index = complex_.index
+
+    def target_lists(terms):
+        lists = [[] for _ in complex_.labels]
+        for src, tgt, _u, _v in terms:
+            lists[index[src]].append(index[tgt])
+        return [sorted(targets) for targets in lists]
+
+    data = {
+        "format": 2,
+        "name": name,
+        "id": [g.name for g in complex_.gens],
+        "grw": [g.grw for g in complex_.gens],
+        "grz": [g.grz for g in complex_.gens],
+        "differential": target_lists(complex_.terms()),
+    }
+    if iota is not None:
+        data["iota"] = target_lists(iota.terms())
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(json.dumps(data, sort_keys=True) + "\n")

@@ -4,8 +4,12 @@ The corpus reports must hash to the sha256 values in
 `perfbench/digests.json` (read here, never written). The saved files of
 three torus sums with their involutions, and of a round trip of
 `tests/data/hw.cfk`, must hash to the values below; these pin the file
-writer's canonical order. So must the `plotdata` tables of the corpus
-sums and of one three-term sum.
+writer's canonical order. `SAVED_COLUMNS` and `HW_ROUND_TRIP_COLUMNS`
+pin the format-2 files that `save_complex` writes; `SAVED` and
+`HW_ROUND_TRIP` pin the format-1 files of the reference writer in
+`tests/oracle_io.py`, which the program wrote before format 2. So must
+the `plotdata` tables of the corpus sums and of one three-term sum
+hash to the values below.
 """
 
 import hashlib
@@ -18,6 +22,7 @@ from knotfloer.cli import main
 from knotfloer.expressions import parse_knot_expr
 from knotfloer.fileio import load_complex, save_complex
 from knotfloer.involutive import realize_with_iota
+from oracle_io import save_complex_json
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CORPUS = {
@@ -31,6 +36,11 @@ SAVED = {
     "T(2,5)#-T(3,4)": "e4f3bc2c609c20c28b08d8e3282af3e7e5e64a4c9b3fcabb0f1e567ef862d92b",
     "T(2,3)#T(4,7)#-T(5,6)": "63f8187c0682244b2904587629997fd9cf69db6e62759d9c785a506f50fb9293",
 }
+SAVED_COLUMNS = {
+    "T(2,3)#T(2,3)": "44e4435b24e6b8dbf6ffb452aaf9b14faa297da814ccb039c972627bc90fa9fd",
+    "T(2,5)#-T(3,4)": "6959d47bd6725393d184cea90f929f6b2787939d82eea50d22133783c7156acb",
+    "T(2,3)#T(4,7)#-T(5,6)": "6b95a5a4c5bac6e0a0a7b84f2d10989674080cc498ddde8a910a1bb948b3564b",
+}
 PLOTDATA = {
     ("J", "--full"): "88e252786a5977af5e7d1e7505a66e8f8ec037bdb17b337eec6c17756f2b33ad",
     ("K", "--full"): "93f9faf996bf2eecba0c9244ef91f05d2b2d86ce67678ebae09b3f3d174ae6a5",
@@ -39,6 +49,7 @@ PLOTDATA = {
     ("T(3,4)#-T(2,5)#T(2,7)", "--full"): "16a3666baf32ca6524f412f647db6fe10f538a51f5af2000c500d9f2ba6ae91c",
 }
 HW_ROUND_TRIP = "c89eb16c113ed21ccf7dc5970ef1e49fde3dca7f2fd5dffcd6ce5712f6c38e1b"
+HW_ROUND_TRIP_COLUMNS = "a54cae7378a11ed329753700c7420dc8a99c2246898154b55b23cb1cc5ffc152"
 
 
 def sha256(data: bytes) -> str:
@@ -67,12 +78,27 @@ def test_plotdata_digest(label, flag, capsys):
 def test_saved_sum_digest(expr, tmp_path):
     c, iota = realize_with_iota(parse_knot_expr(expr))
     path = tmp_path / "sum.cfk"
-    save_complex(c, str(path), expr, iota)
+    save_complex_json(c, str(path), expr, iota)
     assert sha256(path.read_bytes()) == SAVED[expr]
 
 
 def test_hw_round_trip_digest(tmp_path):
     c, iota = load_complex(os.path.join(ROOT, "tests", "data", "hw.cfk"))
     path = tmp_path / "hw.cfk"
-    save_complex(c, str(path), "hw", iota)
+    save_complex_json(c, str(path), "hw", iota)
     assert sha256(path.read_bytes()) == HW_ROUND_TRIP
+
+
+@pytest.mark.parametrize("expr", sorted(SAVED_COLUMNS))
+def test_saved_sum_columns_digest(expr, tmp_path):
+    c, iota = realize_with_iota(parse_knot_expr(expr))
+    path = tmp_path / "sum.cfk"
+    save_complex(c, str(path), expr, iota)
+    assert sha256(path.read_bytes()) == SAVED_COLUMNS[expr]
+
+
+def test_hw_round_trip_columns_digest(tmp_path):
+    c, iota = load_complex(os.path.join(ROOT, "tests", "data", "hw.cfk"))
+    path = tmp_path / "hw.cfk"
+    save_complex(c, str(path), "hw", iota)
+    assert sha256(path.read_bytes()) == HW_ROUND_TRIP_COLUMNS

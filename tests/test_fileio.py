@@ -15,7 +15,7 @@ from knotfloer.expressions import parse_knot_expr
 from knotfloer.fileio import load_complex, save_complex
 from knotfloer.involutive import realize_with_iota, staircase_iota
 from conftest import random_torus_sum
-from oracle_io import load_complex_checked, save_complex_json
+from oracle_io import load_columns_checked, load_complex_checked, save_complex_columns, save_complex_json
 from test_digests import SAVED
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -240,7 +240,7 @@ def test_save_rejects_repeated_labels(tmp_path):
     assert not path.exists()
 
 
-# --- the writer against the json.dump oracle --------------------------------
+# --- the writer against the format-2 oracle --------------------------------
 
 # Settings for the property tests: fixed seeds, no example database, and
 # one temporary directory reused by every example.
@@ -255,8 +255,9 @@ PROPERTY = dict(
 def _load_homogeneous(path):
     """load_complex(path), with what it accepts checked for homogeneity from scratch.
 
-    The loader leaves homogeneity to its reader; here a fresh complex and
-    a fresh skew map recompute `illegal_terms` and `illegal_entries`.
+    On a format-1 file the loader leaves homogeneity to its reader; here a
+    fresh complex and a fresh skew map recompute `illegal_terms` and
+    `illegal_entries`.
     """
     c, iota = load_complex(str(path))
     fresh = BigradedComplex(c.labels, c.grw, c.grz, c.cols)
@@ -266,16 +267,27 @@ def _load_homogeneous(path):
     return c, iota
 
 
+def _contents(c, iota):
+    return c.labels, c.grw, c.grz, c.cols, iota and iota.cols
+
+
 def _assert_matches_oracle(tmp_path, c, name="", iota=None):
-    """save_complex writes the oracle's bytes, and save(load(f)) keeps them."""
-    new, ref = tmp_path / "new.cfk", tmp_path / "ref.cfk"
+    """save_complex writes the format-2 oracle's bytes, and save(load(f)) keeps them.
+
+    The format-1 file of the same complex loads to the same complex and
+    iota, and saving what it loads gives the format-2 bytes too.
+    """
+    new, ref, old = tmp_path / "new.cfk", tmp_path / "ref.cfk", tmp_path / "old.cfk"
     save_complex(c, str(new), name, iota)
-    save_complex_json(c, str(ref), name, iota)
+    save_complex_columns(c, str(ref), name, iota)
     first = new.read_bytes()
     assert first == ref.read_bytes()
-    loaded, loaded_iota = _load_homogeneous(new)
-    save_complex(loaded, str(new), name, loaded_iota)
-    assert new.read_bytes() == first
+    save_complex_json(c, str(old), name, iota)
+    from_v1, from_v2 = _load_homogeneous(old), _load_homogeneous(new)
+    assert _contents(*from_v2) == _contents(*from_v1) == _contents(c, iota)
+    for loaded, loaded_iota in (from_v2, from_v1):
+        save_complex(loaded, str(new), name, loaded_iota)
+        assert new.read_bytes() == first
 
 
 def _sum(expr):
@@ -339,7 +351,10 @@ def test_failed_save_keeps_existing_file(tmp_path, complex_, kwargs):
     assert path.read_bytes() == b"old bytes\n"
 
 
-# --- the loader's single pass against the checked oracle --------------------
+# --- the format-1 reader's single pass against the checked oracle -----------
+
+# The program writes only format 2; the format-1 files of these tests come
+# from the oracle's json.dump writer.
 
 
 def test_single_pass_matches_checked_path(tmp_path):
@@ -348,7 +363,7 @@ def test_single_pass_matches_checked_path(tmp_path):
         rng = random.Random(seed)
         expr = random_torus_sum(rng, 3, 250)
         c, iota = realize_with_iota(parse_knot_expr(expr))
-        save_complex(c, str(path), expr, iota)
+        save_complex_json(c, str(path), expr, iota)
         loaded, loaded_iota = _load_homogeneous(path)
         checked, checked_iota = load_complex_checked(str(path))
         assert loaded.cols == checked.cols == c.cols, expr
@@ -364,7 +379,7 @@ LONG_SUM = "T(2,5)#T(2,7)#-T(2,3)"  # 105 generators, 244 differential and 152 i
 def long_file(tmp_path_factory):
     path = tmp_path_factory.mktemp("long") / "long.cfk"
     c, iota = realize_with_iota(parse_knot_expr(LONG_SUM))
-    save_complex(c, str(path), LONG_SUM, iota)
+    save_complex_json(c, str(path), LONG_SUM, iota)
     return json.loads(path.read_text())
 
 
@@ -512,7 +527,7 @@ MUTATIONS = ("delete", "retype", "bump", "duplicate", "truncate")
 def fuzz_text(tmp_path_factory):
     path = tmp_path_factory.mktemp("fuzz") / "base.cfk"
     c, iota = realize_with_iota(parse_knot_expr(FUZZ_SUM))
-    save_complex(c, str(path), FUZZ_SUM, iota)
+    save_complex_json(c, str(path), FUZZ_SUM, iota)
     return path.read_text()
 
 
@@ -578,3 +593,180 @@ def _outcome(load, path):
     except Exception as exc:
         return type(exc), str(exc)
     return c.labels, c.grw, c.grz, c.d.cols, iota and iota.cols
+
+
+# --- format 2: faults named by field and generator ---------------------------
+
+
+def _columns_file():
+    """The format-2 object of the staircase y-1 <- y0 -> y1 with its reflection.
+
+    id ['y-1', 'y0', 'y1'], grw [0, -1, -2], grz [-2, -1, 0],
+    differential [[], [0, 2], []], iota [[2], [1], [0]].
+    """
+    s1 = staircase(1)
+    return {
+        "format": 2,
+        "name": "s1",
+        "id": list(s1.labels),
+        "grw": list(s1.grw),
+        "grz": list(s1.grz),
+        "differential": [[], [0, 2], []],
+        "iota": [[2], [1], [0]],
+    }
+
+
+def _put(key, value, k=None):
+    def edit(data):
+        if k is None:
+            data[key] = value
+        else:
+            data[key][k] = value
+
+    return edit
+
+
+def _drop(key):
+    def edit(data):
+        del data[key]
+
+    return edit
+
+
+COLUMN_FAULTS = [
+    # (id, edit, message); a message that starts with ":" follows the path
+    ("format 3", _put("format", 3), "field 'format' must be 2, or absent in a format-1 file, got 3"),
+    ("format 1", _put("format", 1), "field 'format' must be 2, or absent in a format-1 file, got 1"),
+    ("format string", _put("format", "2"), "field 'format' must be 2, or absent in a format-1 file, got '2'"),
+    ("format float", _put("format", 2.0), "field 'format' must be 2, or absent in a format-1 file, got 2.0"),
+    ("format bool", _put("format", True), "field 'format' must be 2, or absent in a format-1 file, got True"),
+    ("no ids", _drop("id"), "field 'id' must be a nonempty list of strings"),
+    ("empty ids", _put("id", []), "field 'id' must be a nonempty list of strings"),
+    ("id not a string", _put("id", 5, 1), "id of generator #1: must be a string, got 5"),
+    ("repeated id", _put("id", "y-1", 2), "id of generator #2 'y-1': repeats generator #0"),
+    ("grw not a list", _put("grw", {}), "field 'grw' must be a list of 3 integers, one per id"),
+    ("grz too short", _put("grz", [-2, -1]), "field 'grz' must be a list of 3 integers, one per id"),
+    ("grw bool", _put("grw", True, 1), "grw of generator #1 'y0': must be an integer, got True"),
+    ("grz float", _put("grz", 0.0, 2), "grz of generator #2 'y1': must be an integer, got 0.0"),
+    ("differential missing", _drop("differential"),
+     "field 'differential' must be a list of 3 target lists, one per id"),
+    ("differential not a list", _put("differential", {"1": [0, 2]}),
+     "field 'differential' must be a list of 3 target lists, one per id"),
+    ("differential too long", _put("differential", [[], [0, 2], [], []]),
+     "field 'differential' must be a list of 3 target lists, one per id"),
+    ("column not a list", _put("differential", 0, 1),
+     "differential of generator #1 'y0': expected a list of target indices, got 0"),
+    ("bool target", _put("differential", [True, 2], 1),
+     "differential of generator #1 'y0': target must be an integer, got True"),
+    ("float target", _put("differential", [0, 2.0], 1),
+     "differential of generator #1 'y0': target must be an integer, got 2.0"),
+    ("string target", _put("differential", ["0", 2], 1),
+     "differential of generator #1 'y0': target must be an integer, got '0'"),
+    ("negative target", _put("differential", [-1, 2], 1),
+     "differential of generator #1 'y0': target -1 is not a generator index (0..2)"),
+    ("target out of range", _put("differential", [0, 3], 1),
+     "differential of generator #1 'y0': target 3 is not a generator index (0..2)"),
+    ("repeated target", _put("differential", [0, 2, 0], 1),
+     "differential of generator #1 'y0': target 0 is repeated"),
+    ("iota not a list", _put("iota", None), "field 'iota' must be a list of 3 target lists, one per id"),
+    ("iota target out of range", _put("iota", [5], 2),
+     "iota of generator #2 'y1': target 5 is not a generator index (0..2)"),
+    ("repeated iota target", _put("iota", [1, 1], 1), "iota of generator #1 'y0': target 1 is repeated"),
+    # grw(y-1) = -4 implies U^-1 on y-1 in d(y0), with every parity kept.
+    ("negative implied exponent", _put("grw", [-4, -1, -2]),
+     ": complex fails validation: inhomogeneous term y-1 in d(y0): target grading (-4,-2) "
+     "admits no monomial from (-1,-1)"),
+    ("odd alexander grading", _put("grz", [-1, -1, 0]),
+     ": complex fails validation: generator 'y-1': grw-grz = 1 is odd, Alexander grading is not an integer; "
+     "inhomogeneous term y-1 in d(y0): target grading (0,-1) admits no monomial from (-1,-1)"),
+    ("d squared", lambda data: data.update(
+        id=["a", "b", "c"], grw=[2, 1, 0], grz=[2, 1, 0], differential=[[1], [2], []], iota=[[], [], []]),
+     ": complex fails validation: d^2(a) has term U^0V^0*c"),
+    ("inhomogeneous iota", _put("iota", [[0], [1], [2]]),
+     ": iota rejected: skew map does not swap gradings on term y-1 of image of y-1"),
+    ("iota not a chain map", _put("iota", [[2], [1], []]), ": iota rejected: d f != f d on generator 'y0'"),
+]
+
+
+@pytest.mark.parametrize("edit,message", [case[1:] for case in COLUMN_FAULTS], ids=[c[0] for c in COLUMN_FAULTS])
+def test_columns_fault_is_named(tmp_path, capsys, edit, message):
+    data = _columns_file()
+    edit(data)
+    path = tmp_path / "bad.cfk"
+    path.write_text(json.dumps(data))
+    if message.startswith(":"):
+        message = f"{path}{message}"
+    with pytest.raises(FileFormatError) as err:
+        load_complex(str(path))
+    assert str(err.value) == message
+    with pytest.raises(FileFormatError):
+        load_columns_checked(str(path))
+    assert main(["validate", f"--expr=@{path}"]) == 3
+    out, err_text = capsys.readouterr()
+    assert (out, err_text) == ("", f"invalid input: {message}\n")
+
+
+def test_columns_base_file_is_valid(tmp_path, capsys):
+    path = tmp_path / "s1.cfk"
+    path.write_text(json.dumps(_columns_file()))
+    c, iota = load_complex(str(path))
+    assert _contents(c, iota) == _contents(*load_columns_checked(str(path)))
+    assert c.cols == staircase(1).cols and iota.cols == staircase_iota(staircase(1)).cols
+    assert main(["validate", f"--expr=@{path}"]) == 0
+    assert capsys.readouterr().out == "ok: 3 generators, involution verified\n"
+
+
+# --- format 2: validate on mutated files ---------------------------------------
+
+
+@pytest.fixture(scope="module")
+def columns_text(tmp_path_factory):
+    path = tmp_path_factory.mktemp("columns") / "base.cfk"
+    c, iota = realize_with_iota(parse_knot_expr(FUZZ_SUM))
+    save_complex(c, str(path), FUZZ_SUM, iota)
+    return path.read_text()
+
+
+COLUMN_VALUES = [None, True, 1.5, "1", [], {}, -1, 0, 1, 10**6]
+
+
+@settings(max_examples=200, **PROPERTY)
+@given(data=st.data())
+def test_validate_survives_mutated_columns_files(tmp_path, capsys, columns_text, data):
+    # Each mutation ends in exit 0 or 3, never a traceback; the loader
+    # accepts exactly what the format-1 translation of the file passes.
+    mutation = data.draw(st.sampled_from(MUTATIONS), label="mutation")
+    if mutation == "truncate":
+        text = columns_text[: data.draw(st.integers(0, len(columns_text) - 1), label="length")]
+    else:
+        obj = json.loads(columns_text)
+        # A top-level field, an element of its list, or a target in such an element.
+        places = [(key,) for key in obj]
+        places += [(key, i) for key in obj if isinstance(obj[key], list) for i in range(len(obj[key]))]
+        places += [(key, i, t) for key in ("differential", "iota") for i, ts in enumerate(obj[key]) for t in range(len(ts))]
+        *steps, k = data.draw(st.sampled_from(places), label="place")
+        holder = obj
+        for step in steps:
+            holder = holder[step]
+        if mutation == "delete":
+            del holder[k]
+        elif mutation == "bump" and type(holder[k]) is int:
+            holder[k] += data.draw(st.sampled_from([-2, -1, 1, 2]), label="by")
+        elif mutation == "duplicate" and isinstance(holder, list):
+            holder.insert(k, json.loads(json.dumps(holder[k])))
+        else:
+            holder[k] = data.draw(st.sampled_from(COLUMN_VALUES + [str(holder[k])]), label="value")
+        text = json.dumps(obj)
+    path = tmp_path / "mutated.cfk"
+    path.write_text(text)
+    assert main(["validate", f"--expr=@{path}"]) in (0, 3)
+    capsys.readouterr()
+    assert _accepts(load_complex, path) == _accepts(load_columns_checked, path)
+
+
+def _accepts(load, path):
+    """What a loader reads from path, or None when it raises FileFormatError."""
+    try:
+        return _contents(*load(str(path)))
+    except FileFormatError:
+        return None

@@ -6,8 +6,10 @@ single pass reads dense columns that torus sums never produce; V_0, tau
 and the involutive pair of what it reads must be those of the sum, and
 so must its report through the command line, in every section that
 files have. `tests/data/scrambled_k1.cfk` is one such copy, of
-K1 = T(2,11)#-T(4,5); its report must agree with K1's on the
-invariants, the involutive pair and the genus bounds, for both mirrors.
+K1 = T(2,11)#-T(4,5), in format 1; its report must agree with K1's on
+the invariants, the involutive pair and the genus bounds, for both
+mirrors. `tests/data/scrambled_k1_v2.cfk` is its format-2 save and must
+load to the same complex and give the same report.
 """
 
 import json
@@ -77,6 +79,7 @@ K1 = "T(2,11)#-T(4,5)"
 # scramble(K1, iota, random.Random(0)) written by save_complex: 81
 # generators, K1's 77 and one acyclic box.
 SCRAMBLED_K1 = os.path.join(os.path.dirname(__file__), "data", "scrambled_k1.cfk")
+SCRAMBLED_K1_V2 = os.path.join(os.path.dirname(__file__), "data", "scrambled_k1_v2.cfk")
 
 
 def _report(capsys, expr):
@@ -86,6 +89,18 @@ def _report(capsys, expr):
 
 def test_committed_scrambled_k1_has_the_report_of_k1(capsys):
     scrambled, plain = _report(capsys, f"@{SCRAMBLED_K1}"), _report(capsys, K1)
+    assert scrambled["generator_count"] == 81
+    for key in ("invariants", "mirror_invariants", "involutive", "mirror_involutive"):
+        assert scrambled[key] == plain[key], key
+    assert scrambled["bounds"]["genus"] == plain["bounds"]["genus"]
+
+
+def test_committed_scrambled_k1_v2_has_the_report_of_k1(capsys):
+    (c, iota), (c2, iota2) = load_complex(SCRAMBLED_K1), load_complex(SCRAMBLED_K1_V2)
+    assert (c2.labels, c2.grw, c2.grz, c2.cols, iota2.cols) == (c.labels, c.grw, c.grz, c.cols, iota.cols)
+    scrambled, plain = _report(capsys, f"@{SCRAMBLED_K1_V2}"), _report(capsys, K1)
+    # The report of the format-1 file differs only in the path it names.
+    assert {**scrambled, "expression": None} == {**_report(capsys, f"@{SCRAMBLED_K1}"), "expression": None}
     assert scrambled["generator_count"] == 81
     for key in ("invariants", "mirror_invariants", "involutive", "mirror_involutive"):
         assert scrambled[key] == plain[key], key
