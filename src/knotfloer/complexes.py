@@ -26,6 +26,14 @@ Monomial terms from outside enter through `from_terms`, which checks
 every term against the gradings; `fileio` applies the same check as it
 reads a format-1 file. A format-2 file stores only the columns, so its
 exponents are checked here, by `illegal_terms`.
+
+`ChainMap.targets` is the one walk over the bits of a map's columns: it
+lists each column's target indices once, and the d^2 check, the
+d f = f d check (`chain_violation`), `terms` and the file writer all
+read those lists. The format-2 reader stores the lists it has read and
+checked as the `targets` of the differential and of iota, so the bits of
+a loaded complex are never walked. Homogeneity (`illegal_entries`)
+needs no walk: it ANDs whole columns with grading masks.
 """
 
 from __future__ import annotations
@@ -35,7 +43,7 @@ from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import ValidationError
 from .fu import FUComplex
-from .linalg import gap_guard, guarded_entries, image, iter_bits, spread, transpose, value_masks
+from .linalg import gap_guard, guarded_entries, iter_bits, spread, transpose, value_masks
 
 # (source label, target label, u, v): one monomial term U^u V^v target.
 Term = Tuple[str, str, int, int]
@@ -148,8 +156,10 @@ class BigradedComplex:
             if (w - z) % 2
         ]
         out.extend(self.illegal_terms)
-        for i, col in enumerate(cols):
-            square = image(cols, col)
+        for i, targets in enumerate(self.d.targets):
+            square = 0
+            for j in targets:
+                square ^= cols[j]
             if not square:
                 continue
             for k in iter_bits(square):
@@ -247,13 +257,32 @@ class ChainMap:
         bw, bz = self.bases
         return (self.target.grw[j] - bw[i]) // 2, (self.target.grz[j] - bz[i]) // 2
 
+    @functools.cached_property
+    def targets(self) -> Tuple[List[int], ...]:
+        """Per source generator, the indices of its targets in ascending order.
+
+        The one walk over the bits of the columns; every reader of the
+        entries shares it. Top bit first: on sparse columns that is faster
+        than splitting off the lowest bit.
+        """
+        out = []
+        for col in self.cols:
+            row = []
+            while col:
+                top = col.bit_length() - 1
+                row.append(top)
+                col ^= 1 << top
+            row.reverse()
+            out.append(row)
+        return tuple(out)
+
     def terms(self) -> List[Term]:
         """Every entry as (source label, target label, u, v), in index order."""
         src, tgt = self.source.labels, self.target.labels
         return [
             (src[i], tgt[j], *self.exponents(i, j))
-            for i, col in enumerate(self.cols)
-            for j in iter_bits(col)
+            for i, row in enumerate(self.targets)
+            for j in row
         ]
 
     def is_zero(self) -> bool:
@@ -349,19 +378,16 @@ def chain_violation(f: ChainMap) -> Optional[str]:
     """None when d f = f d, else the first generator where it fails.
 
     Exponents along a path depend only on its end points (for skew maps
-    too), so both sides are XORs of columns, taken into one accumulator.
+    too), so both sides are XORs of columns, taken into one accumulator
+    over the target lists of f and of the source's d.
     """
     fcols, dtgt = f.cols, f.target.cols
-    for i, (fcol, dcol) in enumerate(zip(fcols, f.source.cols)):
+    for i, (ftargets, dtargets) in enumerate(zip(f.targets, f.source.d.targets)):
         acc = 0
-        while fcol:
-            top = fcol.bit_length() - 1
-            acc ^= dtgt[top]
-            fcol ^= 1 << top
-        while dcol:
-            top = dcol.bit_length() - 1
-            acc ^= fcols[top]
-            dcol ^= 1 << top
+        for j in ftargets:
+            acc ^= dtgt[j]
+        for j in dtargets:
+            acc ^= fcols[j]
         if acc:
             return f"d f != f d on generator {f.source.labels[i]!r}"
     return None

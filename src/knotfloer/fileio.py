@@ -12,9 +12,12 @@ U^u V^v y in d(x) has 2u = grw(y) - grw(x) + 1 and
 2v = grz(y) - grw(x). The reader checks the shape of each list, the
 exact type of each element (a bool or a float is not an integer), the
 index ranges, repeated targets and repeated ids, and names the first
-fault by field and generator. Then `require_valid` checks parity,
-homogeneity (every implied exponent a natural number) and d^2 = 0, and
-`verify_chain_map` checks iota. Any other `format` value is an error.
+fault by field and generator. It sorts each target list in place and
+keeps the lists as the `targets` of the differential and of iota
+(`ChainMap.targets`), so no later check walks the bits of the columns.
+Then `require_valid` checks parity, homogeneity (every implied exponent
+a natural number) and d^2 = 0, and `verify_chain_map` checks iota, both
+over those lists. Any other `format` value is an error.
 
 Format 1 is every file without a `format` field. It is still read,
 never written. `generators` is a list of {id, grw, grz} and
@@ -29,8 +32,9 @@ generator id repeats, which is reported instead. Then `load_complex`
 checks Alexander parity, d^2 = 0 and d iota = iota d.
 
 Saving writes exactly the bytes of `json.dumps(obj, sort_keys=True)`
-plus a newline: one line, ASCII with `\\u` escapes, targets in
-ascending index order, so save(load(f)) is byte-stable. Without
+plus a newline: one line, ASCII with `\\u` escapes, and the target lists
+of `ChainMap.targets`, in ascending index order, so save(load(f)) is
+byte-stable even when the file's lists are not sorted. Without
 `indent`, `json` runs its C encoder.
 """
 
@@ -41,7 +45,6 @@ from typing import List, NoReturn, Optional, Tuple
 
 from .complexes import BigradedComplex, ChainMap, SkewMap, chain_violation, verify_chain_map
 from .errors import FileFormatError, ValidationError
-from .linalg import iter_bits
 
 FORMAT = 2  # the layout `save_complex` writes
 
@@ -106,8 +109,11 @@ def _ids(data: dict) -> List[str]:
     return raw
 
 
-def _read_targets(raw, key: str, labels: List[str]) -> List[int]:
-    """The bitmask columns of n target lists, checked; names the first fault."""
+def _read_targets(raw, key: str, labels: List[str]) -> Tuple[List[int], Tuple[List[int], ...]]:
+    """The bitmask columns of n target lists, and the lists, checked and sorted in place.
+
+    Names the first fault.
+    """
     n = len(labels)
     if type(raw) is not list or len(raw) != n:
         raise FileFormatError(f"field {key!r} must be a list of {n} target lists, one per id")
@@ -125,15 +131,19 @@ def _read_targets(raw, key: str, labels: List[str]) -> List[int]:
             if col & bit:
                 raise FileFormatError(f"{_at(key, i, labels)}: target {j} is repeated")
             col |= bit
+        targets.sort()
         cols.append(col)
-    return cols
+    return cols, tuple(raw)
 
 
 def _columns_complex(data: dict) -> BigradedComplex:
     """The complex of a format-2 file, before `require_valid`."""
     labels = _ids(data)
     grw, grz = _gradings(data, "grw", labels), _gradings(data, "grz", labels)
-    return BigradedComplex(labels, grw, grz, _read_targets(data.get("differential"), "differential", labels))
+    cols, targets = _read_targets(data.get("differential"), "differential", labels)
+    complex_ = BigradedComplex(labels, grw, grz, cols)
+    complex_.d.targets = targets
+    return complex_
 
 
 # --- format 1: one object per term ------------------------------------------
@@ -258,7 +268,9 @@ def load_complex(path: str) -> Tuple[BigradedComplex, Optional[SkewMap]]:
     if "iota" in data:
         try:
             if columnar:
-                iota = SkewMap(complex_, _read_targets(data["iota"], "iota", complex_.labels))
+                cols, targets = _read_targets(data["iota"], "iota", complex_.labels)
+                iota = SkewMap(complex_, cols)
+                iota.targets = targets
                 violation = verify_chain_map(iota)
             else:
                 iota = SkewMap(complex_, _read_columns(data["iota"], "iota", SkewMap(complex_, ())))
@@ -268,11 +280,6 @@ def load_complex(path: str) -> Tuple[BigradedComplex, Optional[SkewMap]]:
         if violation is not None:
             raise FileFormatError(f"{path}: iota rejected: {violation}")
     return complex_, iota
-
-
-def _targets(cols) -> List[List[int]]:
-    """Each column as the list of its set bits, lowest first."""
-    return [[*iter_bits(col)] for col in cols]
 
 
 def save_complex(
@@ -299,10 +306,10 @@ def save_complex(
         "id": complex_.labels,
         "grw": complex_.grw,
         "grz": complex_.grz,
-        "differential": _targets(complex_.cols),
+        "differential": complex_.d.targets,
     }
     if iota is not None:
-        data["iota"] = _targets(iota.cols)
+        data["iota"] = iota.targets
     text = json.dumps(data, sort_keys=True) + "\n"
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(text)

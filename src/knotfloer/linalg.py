@@ -21,7 +21,13 @@ def iter_bits(mask: int) -> Iterator[int]:
 
 def image(cols: Sequence[int], mask: int) -> int:
     """XOR of the columns that mask selects: the matrix times the vector mask.
-    Walks the bits itself; through `iter_bits` the d^2 check takes 1.1 to 1.6 times as long."""
+
+    Applies a map to a vector that is not one of its columns, as a
+    composite does. It walks the bits itself, top bit first, which beats a
+    loop over `iter_bits`. The d^2 and d f = f d checks do not call it:
+    they XOR over the lists of `ChainMap.targets`, which walk each column
+    once for every reader.
+    """
     acc = 0
     while mask:
         top = mask.bit_length() - 1

@@ -1,10 +1,10 @@
 """The chain conditions checked the plain way: the oracle of the chain kernel.
 
 `complexes.chain_violation` XORs both sides of d f = f d into one
-accumulator per generator, walking the set bits highest first. Here each
-side is its own matrix-vector product, lowest bit first, and the two are
-compared, as the program did before; d^2 is one such product per
-generator. Both return the index of the first generator that fails.
+accumulator per generator, over the target lists of f and of d
+(`ChainMap.targets`). Here each side is its own matrix-vector product
+over the raw columns, lowest bit first, and the two are compared, as
+the program did before; d^2 is one such product per generator. Both return the index of the first generator that fails.
 """
 
 from typing import Optional, Sequence

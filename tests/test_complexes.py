@@ -243,6 +243,26 @@ def test_verify_rejects_grading_mismatch():
     assert violation is not None and "homogeneous" in violation
 
 
+def test_targets_match_iter_bits(rng):
+    # ChainMap.targets, the one walk over a map's columns, against iter_bits
+    # on random maps: empty, sparse, dense, lowest-bit-only and top-bit-only columns.
+    for _ in range(60):
+        n = rng.randint(1, 300)
+        c = BigradedComplex([f"g{k}" for k in range(n)], [0] * n, [0] * n, [0] * n)
+        kinds = [
+            lambda: 0,
+            lambda: 1,
+            lambda: 1 << (n - 1),
+            lambda: rng.getrandbits(n),
+            lambda: sum(1 << rng.randrange(n) for _ in range(rng.randint(1, 4))),
+        ]
+        cols = [rng.choice(kinds)() for _ in range(n)]
+        cols[rng.randrange(n)] = 0
+        f = ChainMap(c, c, cols, (0, 0))
+        assert f.targets == tuple([*iter_bits(col)] for col in cols)
+        assert f.targets is f.targets
+
+
 def _with_flip(rng, cols):
     """cols with one random entry flipped."""
     cols = list(cols)

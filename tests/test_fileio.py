@@ -14,6 +14,7 @@ from knotfloer.errors import FileFormatError, ValidationError
 from knotfloer.expressions import parse_knot_expr
 from knotfloer.fileio import load_complex, save_complex
 from knotfloer.involutive import realize_with_iota, staircase_iota
+from knotfloer.linalg import iter_bits
 from conftest import random_torus_sum
 from oracle_io import load_columns_checked, load_complex_checked, save_complex_columns, save_complex_json
 from test_digests import SAVED
@@ -257,13 +258,17 @@ def _load_homogeneous(path):
 
     On a format-1 file the loader leaves homogeneity to its reader; here a
     fresh complex and a fresh skew map recompute `illegal_terms` and
-    `illegal_entries`.
+    `illegal_entries`. The target lists that a format-2 load keeps, and
+    that the checks and the writer read, must be those of a fresh
+    `iter_bits` walk of the columns.
     """
     c, iota = load_complex(str(path))
     fresh = BigradedComplex(c.labels, c.grw, c.grz, c.cols)
     assert fresh.illegal_terms == (), path
+    assert c.d.targets == tuple([*iter_bits(col)] for col in c.cols), path
     if iota is not None:
         assert list(SkewMap(fresh, iota.cols).illegal_entries()) == [], path
+        assert iota.targets == tuple([*iter_bits(col)] for col in iota.cols), path
     return c, iota
 
 
@@ -714,6 +719,30 @@ def test_columns_base_file_is_valid(tmp_path, capsys):
     assert c.cols == staircase(1).cols and iota.cols == staircase_iota(staircase(1)).cols
     assert main(["validate", f"--expr=@{path}"]) == 0
     assert capsys.readouterr().out == "ok: 3 generators, involution verified\n"
+
+
+@pytest.mark.parametrize("order", ["reversed", 0, 1, 2])
+def test_unsorted_target_lists_load_and_save_as_sorted(tmp_path, order):
+    # The reader sorts each target list before it keeps the lists as the
+    # maps' targets, so a file whose lists are reversed or shuffled loads
+    # to the same complex and iota, and saves to the bytes of the original.
+    c, iota = realize_with_iota(parse_knot_expr(LONG_SUM))
+    original, permuted = tmp_path / "original.cfk", tmp_path / "permuted.cfk"
+    save_complex(c, str(original), LONG_SUM, iota)
+    data = json.loads(original.read_text())
+    rng = random.Random(order)
+    for key in ("differential", "iota"):
+        for row in data[key]:
+            if order == "reversed":
+                row.reverse()
+            else:
+                rng.shuffle(row)
+    assert data != json.loads(original.read_text())
+    permuted.write_text(json.dumps(data))
+    loaded, loaded_iota = _load_homogeneous(permuted)
+    assert _contents(loaded, loaded_iota) == _contents(c, iota)
+    save_complex(loaded, str(permuted), LONG_SUM, loaded_iota)
+    assert permuted.read_bytes() == original.read_bytes()
 
 
 # --- format 2: validate on mutated files ---------------------------------------

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -14,6 +15,7 @@ from knotfloer.errors import ConsistencyError, ValidationError
 from knotfloer.expressions import Sum, parse_knot_expr
 from knotfloer.fu import FUComplex, tower_reduce
 from knotfloer.invariants import level_split, v_invariant
+import knotfloer.involutive as involutive
 from knotfloer.involutive import (
     ai0_cone,
     connected_sum_iota,
@@ -25,7 +27,7 @@ from knotfloer.involutive import (
 )
 
 import oracle_uv
-from conftest import random_torus_sum
+from conftest import TORUS_FACTORS, random_torus_sum
 from oracle_homogeneity import fu_validate_messages
 from oracle_involutive import oracle_d_pair
 
@@ -121,6 +123,86 @@ def test_triple_sum_iota_verifies():
     c, io = realize_with_iota(parse_knot_expr("T(2,3)#T(4,7)#-T(5,6)"))
     assert io is not None
     assert verify_chain_map(io) is None
+
+
+def _long_sums(seed):
+    """A seeded sum of 3-4 torus knots (at most 400 generators), and its mirror."""
+    rng = random.Random(seed)
+    while True:
+        factors = [rng.choice(TORUS_FACTORS) for _ in range(rng.randint(3, 4))]
+        if math.prod(len(torus_knot_complex(p, q)) for p, q in factors) <= 400:
+            break
+    signs = [rng.choice(("", "-")) for _ in factors]
+    return ["#".join(f"{sign}T({p},{q})" for sign, (p, q) in zip(flips, factors))
+            for flips in (signs, ["-" if sign == "" else "" for sign in signs])]
+
+
+def _recording(monkeypatch, name, built, edit=None):
+    """Wrap the unchecked construction involutive.<name> to record (and maybe edit) its maps."""
+    make = getattr(involutive, name)
+
+    def wrapper(*args):
+        out = make(*args)
+        if edit is not None:
+            out = edit(out)
+        built.append((name, out))
+        return out
+
+    monkeypatch.setattr(involutive, name, wrapper)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_fold_builds_only_chain_maps(monkeypatch, seed):
+    # realize_with_iota checks only the involution it returns. Its proof
+    # says every map the fold builds on the way is a valid skew chain map;
+    # here each one is checked.
+    for text in _long_sums(seed):
+        built = []
+        for name in ("_reflection", "_transposed", "_sum_iota"):
+            _recording(monkeypatch, name, built)
+        c, iota = realize_with_iota(parse_knot_expr(text))
+        terms = text.count("#") + 1
+        assert [name for name, _ in built].count("_sum_iota") == terms - 1, text
+        assert [name for name, _ in built].count("_transposed") == text.count("-"), text
+        assert built[-1][1] is iota
+        for name, f in built:
+            assert verify_chain_map(f) is None, (text, name)
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_final_check_fails_iff_a_flipped_intermediate_does(monkeypatch, seed):
+    # One entry of the first intermediate sum involution flipped. Each later
+    # step maps that error E to (E x iota3)(1 + Phi x Psi): iota3, a factor's
+    # reflection or its transpose, has exponent-0 entries and is invertible,
+    # and 1 + Phi x Psi is a chain isomorphism. So the returned map passes
+    # the final check exactly when the flipped intermediate is still valid.
+    rng = random.Random(seed)
+    outcomes = set()
+    for text in _long_sums(seed):
+        for _ in range(4):
+            verdicts = []
+
+            def flip(f):
+                if verdicts:
+                    return f
+                cols = list(f.cols)
+                cols[rng.randrange(len(cols))] ^= 1 << rng.randrange(len(cols))
+                flipped = SkewMap(f.source, cols)
+                verdicts.append(verify_chain_map(flipped) is None)
+                return flipped
+
+            _recording(monkeypatch, "_sum_iota", [], flip)
+            try:
+                realize_with_iota(parse_knot_expr(text))
+                passed = True
+            except ValidationError as err:
+                assert "involution fails verification" in str(err), text
+                passed = False
+            monkeypatch.undo()
+            assert passed == verdicts[0], text
+            outcomes.add(passed)
+    assert False in outcomes
 
 
 def test_cone_structure_unknot():
