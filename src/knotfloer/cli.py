@@ -103,11 +103,11 @@ def _build_report(args) -> Dict:
     complex_, iota = realize_with_iota(expr)
     require_knot_complex(complex_)
     mirror = complex_.dual()
-    mirror_io = None if iota is None else mirror_iota(iota, mirror)
-
-    want_involutive = args.involutive != "off"
     if args.involutive == "on" and iota is None:
         raise ValidationError("--involutive on: no involution available for this input")
+    if args.involutive == "off":
+        iota = None
+    mirror_io = None if iota is None else mirror_iota(iota, mirror)
 
     v_idx = _parse_range(args.v, "--v")
     y_idx = _parse_range(args.y, "--y")
@@ -119,8 +119,8 @@ def _build_report(args) -> Dict:
         if args.cap is None:
             raise
         raise argparse.ArgumentTypeError(f"--cap {args.cap} is too small: {exc}") from None
-    involutive = v0_bar_under(complex_, iota) if want_involutive and iota is not None else None
-    m_involutive = v0_bar_under(mirror, mirror_io) if want_involutive and mirror_io is not None else None
+    involutive = None if iota is None else v0_bar_under(complex_, iota)
+    m_involutive = None if mirror_io is None else v0_bar_under(mirror, mirror_io)
     upsilon = None
     signature = None
     if torus_terms(expr) is not None:

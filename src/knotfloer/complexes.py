@@ -400,14 +400,6 @@ def verify_chain_map(f: ChainMap) -> Optional[str]:
     return chain_violation(f)
 
 
-def require_chain_map(f: ChainMap, what: str = "") -> ChainMap:
-    """f, or `ValidationError` with its first violation, after "what: " when given."""
-    violation = verify_chain_map(f)
-    if violation is not None:
-        raise ValidationError(f"{what}: {violation}" if what else violation)
-    return f
-
-
 # --- basepoint endomorphisms ---------------------------------------------
 
 

@@ -159,7 +159,11 @@ def parse_knot_expr(text: str) -> KnotExpr:
 
 
 def realize_expr(e: KnotExpr) -> BigradedComplex:
-    """Build the complex of an expression (see `involutive.realize_with_iota`)."""
+    """The complex of an expression, built by `involutive.realize_with_iota`.
+
+    The involution built with it is dropped unchecked: it is checked only
+    where a number is read from it (`involutive.ai0_cone`).
+    """
     from .involutive import realize_with_iota
 
     return realize_with_iota(e)[0]

@@ -7,6 +7,11 @@ correction (Zemke): iota = (iota1 (x) iota2) after (1 + Phi1 (x) Psi2),
 the order pinned by the doubled-trefoil correction-term value. It is
 built from the factor columns by the mixed-product rule.
 
+The constructions check nothing: each keeps a valid skew chain map
+valid (the proof is in `realize_with_iota`). An involution is checked
+where a number is read from it, once, by `ai0_cone`; a file's is also
+checked as `load_complex` reads it.
+
 The involutive corrections come from the cone of (1 + iota) on the
 level-0 subcomplex, built on its model M_0 (`ai0_cone`), with the cone
 variable Q of degree -1:
@@ -27,27 +32,17 @@ from __future__ import annotations
 
 from typing import Tuple
 
-from .complexes import BigradedComplex, ChainMap, SkewMap, basepoint_map, require_chain_map
+from .complexes import BigradedComplex, ChainMap, SkewMap, basepoint_map, verify_chain_map
 from .errors import ConsistencyError, ValidationError
 from .fu import FUComplex, tower_reduce
 from .invariants import level_split, v_invariant
 from .linalg import image, kron, transpose
 
 
-def _reflection(c: BigradedComplex) -> SkewMap:
-    """The index reflection of c, unchecked."""
+def staircase_iota(c: BigradedComplex) -> SkewMap:
+    """Index-reflection involution of a symmetric zigzag complex (unchecked, see `realize_with_iota`)."""
     count = len(c)
     return SkewMap(c, [1 << (count - 1 - k) for k in range(count)])
-
-
-def staircase_iota(c: BigradedComplex) -> SkewMap:
-    """Index-reflection involution of a symmetric zigzag complex."""
-    return require_chain_map(_reflection(c), "complex is not a symmetric staircase, reflection fails")
-
-
-def _transposed(iota: SkewMap, dual_c: BigradedComplex) -> SkewMap:
-    """The transpose of iota on the dual complex, unchecked."""
-    return SkewMap(dual_c, transpose(iota.cols, len(dual_c)))
 
 
 def mirror_iota(iota: SkewMap, dual_c: BigradedComplex) -> SkewMap:
@@ -55,14 +50,7 @@ def mirror_iota(iota: SkewMap, dual_c: BigradedComplex) -> SkewMap:
 
     Its implied exponents are those of iota, swapped.
     """
-    return require_chain_map(_transposed(iota, dual_c), "mirrored involution fails verification")
-
-
-def _sum_iota(tensor_c: BigradedComplex, iota1: SkewMap, iota2: SkewMap, phi1: ChainMap, psi2: ChainMap) -> SkewMap:
-    """The columns of `connected_sum_iota`, unchecked."""
-    twisted1 = [image(iota1.cols, col) for col in phi1.cols]
-    twisted2 = [image(iota2.cols, col) for col in psi2.cols]
-    return SkewMap(tensor_c, map(int.__xor__, kron(iota1.cols, iota2.cols), kron(twisted1, twisted2)))
+    return SkewMap(dual_c, transpose(iota.cols, len(dual_c)))
 
 
 def connected_sum_iota(
@@ -76,12 +64,11 @@ def connected_sum_iota(
 
     Composition multiplies column matrices (exponents along a path depend
     only on its end points), so the columns are, by the mixed-product
-    rule, iota1 (x) iota2 + (iota1 phi1) (x) (iota2 psi2). It must be a
-    valid skew chain map.
+    rule, iota1 (x) iota2 + (iota1 phi1) (x) (iota2 psi2).
     """
-    return require_chain_map(
-        _sum_iota(tensor_c, iota1, iota2, phi1, psi2), "connected-sum involution fails verification"
-    )
+    twisted1 = [image(iota1.cols, col) for col in phi1.cols]
+    twisted2 = [image(iota2.cols, col) for col in psi2.cols]
+    return SkewMap(tensor_c, map(int.__xor__, kron(iota1.cols, iota2.cols), kron(twisted1, twisted2)))
 
 
 def realize_with_iota(expr):
@@ -89,13 +76,13 @@ def realize_with_iota(expr):
 
     Torus knots get the reflection, mirrors the transposed involution,
     sums the connected-sum composition. Named complexes carry no
-    canonical involution; files may supply one.
+    canonical involution; files may supply one, which `load_complex`
+    has checked.
 
-    The involution is built unchecked and checked once, at the end: a
-    file's involution is returned as `load_complex` checked it, and any
-    other is checked here by `require_chain_map`. The maps built on the
-    way need no check of their own, because each construction keeps a
-    valid skew chain map valid:
+    Nothing here checks a map: the involution is checked where a number
+    is read from it, by `ai0_cone`. No map built on the way needs a check
+    of its own, because each construction keeps a valid skew chain map
+    valid:
 
     * the transpose of a skew chain map on C is one on the dual, since
       iota^T d^T = (d iota)^T = (iota d)^T = d^T iota^T, and its implied
@@ -110,39 +97,28 @@ def realize_with_iota(expr):
     The reflection of a torus knot's staircase is one too: the steps of a
     staircase built from the symmetric Alexander polynomial read the same
     backwards, so the reflection trades each U-step for the V-step of the
-    same length. So every map on the way is valid by construction, and
-    the one final check guards the construction itself;
-    `tests/test_involutive.py` checks every intermediate map of the fold
-    against `verify_chain_map`.
+    same length. So every map is valid by construction, and the check in
+    `ai0_cone` guards the construction itself; `tests/test_involutive.py`
+    checks every map the fold builds against `verify_chain_map`.
     """
-    from .expressions import FileRef
-
-    c, iota = _realize(expr)
-    if iota is None or isinstance(expr, FileRef):
-        return c, iota
-    return c, require_chain_map(iota, "involution fails verification")
-
-
-def _realize(expr):
-    """(complex, involution-or-None) of `realize_with_iota`, the involution unchecked."""
     from .expressions import FileRef, Mirror, Named, Sum, TorusKnot
     from .builders import torus_knot_complex, named_complex
 
     if isinstance(expr, TorusKnot):
         c = torus_knot_complex(expr.p, expr.q)
-        return c, _reflection(c)
+        return c, staircase_iota(c)
     if isinstance(expr, Mirror):
-        child, child_iota = _realize(expr.child)
+        child, child_iota = realize_with_iota(expr.child)
         c = child.dual()
-        return c, (_transposed(child_iota, c) if child_iota else None)
+        return c, (mirror_iota(child_iota, c) if child_iota else None)
     if isinstance(expr, Sum):
-        acc, acc_iota = _realize(expr.children[0])
+        acc, acc_iota = realize_with_iota(expr.children[0])
         for part in expr.children[1:]:
-            nxt, nxt_iota = _realize(part)
+            nxt, nxt_iota = realize_with_iota(part)
             tensor_c = acc.tensor(nxt)
             if acc_iota is not None and nxt_iota is not None:
                 phi1, psi2 = basepoint_map(acc, "U"), basepoint_map(nxt, "V")
-                acc_iota = _sum_iota(tensor_c, acc_iota, nxt_iota, phi1, psi2)
+                acc_iota = connected_sum_iota(tensor_c, acc_iota, nxt_iota, phi1, psi2)
             else:
                 acc_iota = None
             acc = tensor_c
@@ -174,11 +150,17 @@ def ai0_cone(c: BigradedComplex, iota: SkewMap) -> FUComplex:
     T^k U^a_y V^b_y y with k = b_x + u - a_y = a_x + v - b_y, which
     min(a_y, b_y) = 0 makes b_x + u or a_x + v, as for d in
     `a_level_complex`. So are those of iota_0 and pi_0, and by
-    homogeneity those of the composite. The cone is valid once
-    `require_chain_map(iota)` passes, so it is not checked again:
-    d_cone^2 = 0 is the chain-map condition of 1 + pi_0 iota iota_0.
+    homogeneity those of the composite. The cone is valid once iota
+    passes `verify_chain_map`, so it is not checked again: d_cone^2 = 0
+    is the chain-map condition of 1 + pi_0 iota iota_0.
+
+    This is the one check of a built involution: the constructions in
+    `realize_with_iota` make valid maps, and a number read from iota
+    passes through here.
     """
-    require_chain_map(iota, "involution fails verification")
+    violation = verify_chain_map(iota)
+    if violation is not None:
+        raise ValidationError(f"involution fails verification: {violation}")
     split = level_split(c, 0)
     model, n = split.model, len(split.model)
     labels = list(model.labels) + ["Q|" + lbl for lbl in model.labels]

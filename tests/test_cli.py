@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import shutil
@@ -362,6 +363,85 @@ def test_failed_mirror_involution_is_reported(monkeypatch, capsys):
     code, out, err = run_cli(["report", "--expr", "T(2,3)#T(2,5)", "--format", "json"], capsys)
     assert (code, out) == (3, "")
     assert "transpose is not a skew map" in err
+
+
+def _count_chain_checks(monkeypatch):
+    """Wrap verify_chain_map in every knotfloer module that imported it; returns the list of maps checked."""
+    import knotfloer.complexes
+
+    real, checked = knotfloer.complexes.verify_chain_map, []
+
+    def counting(f):
+        checked.append(f)
+        return real(f)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "knotfloer" and getattr(module, "verify_chain_map", None) is real:
+            monkeypatch.setattr(module, "verify_chain_map", counting)
+    return checked
+
+
+def test_each_involution_is_checked_where_it_is_read(monkeypatch, tmp_path, capsys):
+    # A report checks iota and its mirror once each, in the cone. Building,
+    # saving and a report without the pair check nothing; a file's iota is
+    # checked as it is loaded.
+    from knotfloer.expressions import parse_knot_expr, realize_expr
+    from knotfloer.fileio import save_complex
+    from knotfloer.involutive import realize_with_iota
+
+    expr = "T(2,11)#T(4,7)#-T(5,6)"
+    checked = _count_chain_checks(monkeypatch)
+    for args, count in [([], 2), (["--involutive", "off"], 0)]:
+        del checked[:]
+        code, _out, err = run_cli(["report", "--expr", expr, "--format", "json"] + args, capsys)
+        assert (code, len(checked)) == (0, count), (args, err)
+    del checked[:]
+    c, iota = realize_with_iota(parse_knot_expr(expr))
+    realize_expr(parse_knot_expr(expr))
+    path = tmp_path / "j.cfk"
+    save_complex(c, str(path), expr, iota)
+    assert checked == []
+    code, out, _ = run_cli(["validate", "--expr", f"@{path}"], capsys)
+    assert out == "ok: 1089 generators, involution verified\n"
+    assert (code, len(checked)) == (0, 1)
+
+
+def _flip_first_sum(monkeypatch):
+    """Flip one entry of the first sum involution each realization builds, so that it fails verification."""
+    import knotfloer.involutive as involutive
+    from knotfloer.complexes import SkewMap, verify_chain_map
+
+    real, built = involutive.connected_sum_iota, []
+
+    def flipped(*args):
+        f = real(*args)
+        built.append(f)
+        if len(built) > 1:
+            return f
+        for i, j in itertools.product(range(len(f.cols)), repeat=2):
+            cols = list(f.cols)
+            cols[i] ^= 1 << j
+            bad = SkewMap(f.source, cols)
+            if verify_chain_map(bad) is not None:
+                return bad
+        raise AssertionError("every one-entry flip is a valid skew chain map")
+
+    monkeypatch.setattr(involutive, "connected_sum_iota", flipped)
+
+
+def test_flipped_sum_involution_fails_only_where_it_is_read(monkeypatch, capsys):
+    # Nothing checks the intermediate sum involution as it is built: the
+    # pair's cone rejects the involution, and a report without the pair
+    # prints the tables of the unflipped input.
+    args = ["report", "--expr", "T(2,3)#T(2,5)#-T(3,4)", "--format", "json"]
+    code, tables, _ = run_cli(args + ["--involutive", "off"], capsys)
+    assert code == 0
+    _flip_first_sum(monkeypatch)
+    code, out, err = run_cli(args + ["--involutive", "on"], capsys)
+    assert (code, out) == (3, "")
+    assert "involution fails verification" in err
+    _flip_first_sum(monkeypatch)
+    assert run_cli(args + ["--involutive", "off"], capsys) == (0, tables, "")
 
 
 def test_entry_point_runs():

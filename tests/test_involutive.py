@@ -11,10 +11,12 @@ from knotfloer.complexes import (
     basepoint_maps,
     verify_chain_map,
 )
-from knotfloer.errors import ConsistencyError, ValidationError
+from knotfloer.errors import ConsistencyError, KnotFloerError, ValidationError
 from knotfloer.expressions import Sum, parse_knot_expr
+from knotfloer.fileio import load_complex, save_complex
 from knotfloer.fu import FUComplex, tower_reduce
 from knotfloer.invariants import level_split, v_invariant
+from knotfloer.linalg import kron
 import knotfloer.involutive as involutive
 from knotfloer.involutive import (
     ai0_cone,
@@ -30,6 +32,8 @@ import oracle_uv
 from conftest import TORUS_FACTORS, random_torus_sum
 from oracle_homogeneity import fu_validate_messages
 from oracle_involutive import oracle_d_pair
+from oracle_io import save_complex_json
+from oracle_sarkar import sarkar_violation
 
 
 def test_reflection_verifies_on_staircases():
@@ -46,10 +50,13 @@ def test_reflection_swaps_ends():
 
 
 def test_reflection_rejects_asymmetric():
+    # The reflection is built unchecked; the cone's check rejects it.
     gens = [Generator("a", 0, -2), Generator("b", -1, -1)]
     c = BigradedComplex.from_terms(gens, [])
-    with pytest.raises(ValidationError):
-        staircase_iota(c)
+    iota = staircase_iota(c)
+    assert verify_chain_map(iota) is not None
+    with pytest.raises(ValidationError, match="involution fails verification"):
+        ai0_cone(c, iota)
 
 
 def test_iota_exponents_swap_gradings():
@@ -125,6 +132,35 @@ def test_triple_sum_iota_verifies():
     assert verify_chain_map(io) is None
 
 
+# Two- and three-term sums with mirrored summands, and K1 = T(2,11)#-T(4,5).
+SARKAR_SUMS = ["T(2,3)#T(2,3)", "T(2,5)#-T(2,3)", "T(2,3)#-T(2,3)", "T(3,4)#T(2,3)",
+               "T(2,5)#T(2,3)#T(2,3)", "T(2,9)#-T(2,3)#-T(2,3)", "T(2,11)#-T(4,5)"]
+
+
+def test_realized_involutions_satisfy_sarkar_law(tmp_path):
+    # iota^2 = 1 + Phi Psi exactly (a zero homotopy) on realized sums, their
+    # mirrors, and both formats of their saved files read back.
+    rng = random.Random(23)
+    exprs = SARKAR_SUMS + [random_torus_sum(rng, 3, 400) for _ in range(20)]
+    for n, expr in enumerate(exprs):
+        c, io = realize_with_iota(parse_knot_expr(expr))
+        mirror = c.dual()
+        for k, k_io in [(c, io), (mirror, mirror_iota(io, mirror))]:
+            assert sarkar_violation(k, k_io) is None, expr
+        for save in (save_complex, save_complex_json):
+            path = str(tmp_path / f"{n}_{save.__name__}.cfk")
+            save(c, path, expr, io)
+            assert sarkar_violation(*load_complex(path)) is None, (expr, save.__name__)
+
+
+def test_sarkar_law_needs_the_basepoint_term(monkeypatch):
+    # iota1 (x) iota2 without the (iota1 Phi1) (x) (iota2 Psi2) term fails the law on every sum.
+    monkeypatch.setattr(involutive, "connected_sum_iota",
+                        lambda tensor_c, iota1, iota2, phi1, psi2: SkewMap(tensor_c, kron(iota1.cols, iota2.cols)))
+    for expr in SARKAR_SUMS:
+        assert sarkar_violation(*realize_with_iota(parse_knot_expr(expr))) is not None, expr
+
+
 def _long_sums(seed):
     """A seeded sum of 3-4 torus knots (at most 400 generators), and its mirror."""
     rng = random.Random(seed)
@@ -138,7 +174,7 @@ def _long_sums(seed):
 
 
 def _recording(monkeypatch, name, built, edit=None):
-    """Wrap the unchecked construction involutive.<name> to record (and maybe edit) its maps."""
+    """Wrap the construction involutive.<name> to record (and maybe edit) its maps."""
     make = getattr(involutive, name)
 
     def wrapper(*args):
@@ -153,17 +189,17 @@ def _recording(monkeypatch, name, built, edit=None):
 
 @pytest.mark.parametrize("seed", range(6))
 def test_fold_builds_only_chain_maps(monkeypatch, seed):
-    # realize_with_iota checks only the involution it returns. Its proof
-    # says every map the fold builds on the way is a valid skew chain map;
-    # here each one is checked.
+    # realize_with_iota checks no map. Its proof says every map the fold
+    # builds is a valid skew chain map; here each one is checked.
     for text in _long_sums(seed):
         built = []
-        for name in ("_reflection", "_transposed", "_sum_iota"):
+        for name in ("staircase_iota", "mirror_iota", "connected_sum_iota"):
             _recording(monkeypatch, name, built)
         c, iota = realize_with_iota(parse_knot_expr(text))
         terms = text.count("#") + 1
-        assert [name for name, _ in built].count("_sum_iota") == terms - 1, text
-        assert [name for name, _ in built].count("_transposed") == text.count("-"), text
+        assert [name for name, _ in built].count("staircase_iota") == terms, text
+        assert [name for name, _ in built].count("connected_sum_iota") == terms - 1, text
+        assert [name for name, _ in built].count("mirror_iota") == text.count("-"), text
         assert built[-1][1] is iota
         for name, f in built:
             assert verify_chain_map(f) is None, (text, name)
@@ -176,7 +212,7 @@ def test_final_check_fails_iff_a_flipped_intermediate_does(monkeypatch, seed):
     # step maps that error E to (E x iota3)(1 + Phi x Psi): iota3, a factor's
     # reflection or its transpose, has exponent-0 entries and is invertible,
     # and 1 + Phi x Psi is a chain isomorphism. So the returned map passes
-    # the final check exactly when the flipped intermediate is still valid.
+    # the cone's check exactly when the flipped intermediate is still valid.
     rng = random.Random(seed)
     outcomes = set()
     for text in _long_sums(seed):
@@ -192,14 +228,16 @@ def test_final_check_fails_iff_a_flipped_intermediate_does(monkeypatch, seed):
                 verdicts.append(verify_chain_map(flipped) is None)
                 return flipped
 
-            _recording(monkeypatch, "_sum_iota", [], flip)
-            try:
-                realize_with_iota(parse_knot_expr(text))
-                passed = True
-            except ValidationError as err:
-                assert "involution fails verification" in str(err), text
-                passed = False
+            _recording(monkeypatch, "connected_sum_iota", [], flip)
+            c, iota = realize_with_iota(parse_knot_expr(text))
             monkeypatch.undo()
+            try:
+                v0_bar_under(c, iota)
+                passed = True
+            except KnotFloerError as err:
+                # A flipped map that passes the check is a valid skew chain
+                # map, but not always an involution: reading it may fail later.
+                passed = "involution fails verification" not in str(err)
             assert passed == verdicts[0], text
             outcomes.add(passed)
     assert False in outcomes
