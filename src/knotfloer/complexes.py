@@ -22,18 +22,26 @@ The structural rules enforced by `validate`:
 * d^2 = 0. The exponents along a path depend only on its end points, so
   d^2 is the XOR of the columns d hits.
 
-Monomial terms from outside enter through `from_terms`, which checks
-every term against the gradings; `fileio` applies the same check as it
-reads a format-1 file. A format-2 file stores only the columns, so its
-exponents are checked here, by `illegal_terms`.
+Where homogeneity is checked:
+
+* monomial terms from outside enter through `from_terms`, which checks
+  every term against the gradings;
+* both file readers (`fileio`) check each entry as they read it and set
+  `illegal_terms` themselves: a format-1 entry against its stated
+  exponents, a format-2 entry (columns only) by its implied ones. The
+  format-2 reader also checks iota, so a loaded involution needs only
+  `chain_violation`;
+* every other complex, and every map built in the program, is checked
+  by `illegal_terms` and `verify_chain_map` through grading masks
+  (`ChainMap.illegal_entries`), which need no walk over the bits: they
+  AND whole columns with the masks.
 
 `ChainMap.targets` is the one walk over the bits of a map's columns: it
 lists each column's target indices once, and the d^2 check, the
 d f = f d check (`chain_violation`), `terms` and the file writer all
 read those lists. The format-2 reader stores the lists it has read and
 checked as the `targets` of the differential and of iota, so the bits of
-a loaded complex are never walked. Homogeneity (`illegal_entries`)
-needs no walk: it ANDs whole columns with grading masks.
+a loaded complex are never walked.
 """
 
 from __future__ import annotations
@@ -75,6 +83,9 @@ class BigradedComplex:
         self.cols: Tuple[int, ...] = tuple(cols)
         if not len(self.labels) == len(self.grw) == len(self.grz) == len(self.cols):
             raise ValidationError("grading and column lists differ in length")
+        # mode -> the columns of `reduce_complex(self, mode)`, when a reader
+        # has split them off; each is dropped once read.
+        self.quotient_cols: Dict[str, Tuple[int, ...]] = {}
 
     @classmethod
     def from_terms(cls, gens: Sequence[Tuple[str, int, int]], terms: Iterable[Term]) -> "BigradedComplex":
@@ -141,9 +152,9 @@ class BigradedComplex:
     def illegal_terms(self) -> Tuple[str, ...]:
         """A message for every entry of d whose implied exponents are not natural numbers.
 
-        Computed once per complex; `validate` and the invariants share it. For a
-        format-1 file `load_complex` sets it from its reader, which has matched
-        each entry with its implied exponents.
+        Computed once per complex, through grading masks; `validate` and the
+        invariants share it. For a loaded complex the file's reader sets it,
+        having checked each entry as it read it.
         """
         d = self.d
         return tuple(d.problem(i, j) for i, j in d.illegal_entries())
@@ -449,11 +460,23 @@ def reduce_complex(c: BigradedComplex, mode: str) -> FUComplex:
                  finite GF(2) complex with U = 0 and V = 1;
     mode "V0" -> free GF(2)[U]-complex (graded by grw) on those without V.
 
-    The pure-monomial entries (the UV = 0 quotient) are the union of the
-    two modes' columns.
+    The kept entries lower the dropped grading (grw for "U0", grz for
+    "V0") by exactly one, so it is a homological degree of the quotient:
+    the result carries it as its `degrees`, by which `tower_reduce`
+    clears. The pure-monomial entries (the UV = 0 quotient) are the union
+    of the two modes' columns.
+
+    When the file reader has split the columns off (`quotient_cols`), they
+    are taken from there and dropped, so a loaded complex keeps them only
+    until its quotients are reduced; otherwise they are filtered through
+    grading masks.
     """
     if mode not in ("U0", "V0"):
         raise ValueError(f"unknown reduction mode {mode!r}")
-    # Keep the entries whose exponent of the killed variable is 0: its grading drops by one.
-    drop, masks, keep = (c.grw, c.grw_masks, c.grz) if mode == "U0" else (c.grz, c.grz_masks, c.grw)
-    return FUComplex(c.labels, keep, tuple(col & masks.get(g - 1, 0) for col, g in zip(c.cols, drop)))
+    drop, keep = (c.grw, c.grz) if mode == "U0" else (c.grz, c.grw)
+    cols = c.quotient_cols.pop(mode, None)
+    if cols is None:
+        # Keep the entries whose exponent of the killed variable is 0: its grading drops by one.
+        masks = c.grw_masks if mode == "U0" else c.grz_masks
+        cols = tuple(col & masks.get(g - 1, 0) for col, g in zip(c.cols, drop))
+    return FUComplex(c.labels, keep, cols, drop)

@@ -12,12 +12,21 @@ U^u V^v y in d(x) has 2u = grw(y) - grw(x) + 1 and
 2v = grz(y) - grw(x). The reader checks the shape of each list, the
 exact type of each element (a bool or a float is not an integer), the
 index ranges, repeated targets and repeated ids, and names the first
-fault by field and generator. It sorts each target list in place and
-keeps the lists as the `targets` of the differential and of iota
-(`ChainMap.targets`), so no later check walks the bits of the columns.
-Then `require_valid` checks parity, homogeneity (every implied exponent
-a natural number) and d^2 = 0, and `verify_chain_map` checks iota, both
-over those lists. Any other `format` value is an error.
+fault by field and generator. In the same pass over the entries it
+checks homogeneity: it lists each entry whose implied exponents are not
+natural numbers, as the complex's `illegal_terms` for d and as the
+first violation for iota, with the messages and in the (i, j) order of
+the grading-mask checks (`ChainMap.illegal_entries`). It also splits
+each column of d into its entries with u = 0 and those with v = 0, a
+unit entry into both: the columns of the two one-variable quotients,
+which `reduce_complex` takes (and drops) once instead of filtering the
+columns through grading masks (`BigradedComplex.quotient_cols`). It
+sorts each target list in place and keeps the lists as the `targets` of
+the differential and of iota (`ChainMap.targets`), so no later check
+walks the bits of the columns. Then `require_valid` checks parity,
+reports the entries the reader listed and checks d^2 = 0, and
+`chain_violation` checks d iota = iota d, both over those lists. Any
+other `format` value is an error.
 
 Format 1 is every file without a `format` field. It is still read,
 never written. `generators` is a list of {id, grw, grz} and
@@ -28,8 +37,9 @@ duplicates and homogeneity in one pass over each list: the first
 malformed entry (not an object, a missing or mistyped field, an unknown
 id, a negative exponent, a quadruple given twice) is named at once;
 inhomogeneous entries are reported together after the pass, unless a
-generator id repeats, which is reported instead. Then `load_complex`
-checks Alexander parity, d^2 = 0 and d iota = iota d.
+generator id repeats, which is reported instead. So the reader leaves
+`illegal_terms` empty, and `load_complex` checks Alexander parity,
+d^2 = 0 and d iota = iota d.
 
 Saving writes exactly the bytes of `json.dumps(obj, sort_keys=True)`
 plus a newline: one line, ASCII with `\\u` escapes, and the target lists
@@ -41,9 +51,9 @@ byte-stable even when the file's lists are not sorted. Without
 from __future__ import annotations
 
 import json
-from typing import List, NoReturn, Optional, Tuple
+from typing import Dict, List, NoReturn, Optional, Tuple
 
-from .complexes import BigradedComplex, ChainMap, SkewMap, chain_violation, verify_chain_map
+from .complexes import BigradedComplex, ChainMap, SkewMap, chain_violation
 from .errors import FileFormatError, ValidationError
 
 FORMAT = 2  # the layout `save_complex` writes
@@ -109,19 +119,28 @@ def _ids(data: dict) -> List[str]:
     return raw
 
 
-def _read_targets(raw, key: str, labels: List[str]) -> Tuple[List[int], Tuple[List[int], ...]]:
-    """The bitmask columns of n target lists, and the lists, checked and sorted in place.
+def _read_targets(
+    raw, key: str, f: ChainMap, split: bool
+) -> Tuple[List[int], Tuple[List[int], ...], List[Tuple[int, int]], Dict[str, Tuple[int, ...]]]:
+    """The columns of f from n target lists, in one pass over the entries.
 
-    Names the first fault.
+    f is a map on the file's complex with no columns yet, which gives the
+    gradings and `ChainMap.bases`. Each list is checked and sorted in
+    place, and the first fault of type, range or repetition is raised.
+    Returns the bitmask columns, the lists, the (i, j) of each entry whose
+    implied exponents are not natural numbers, in index order, and, with
+    split, each column's entries without U and those without V, under the
+    modes of `reduce_complex` ("U0", "V0"); a unit entry is in both.
     """
+    labels, grw, grz = f.source.labels, f.target.grw, f.target.grz
     n = len(labels)
     if type(raw) is not list or len(raw) != n:
         raise FileFormatError(f"field {key!r} must be a list of {n} target lists, one per id")
-    cols = []
-    for i, targets in enumerate(raw):
+    cols, no_u, no_v, bad = [], [], [], []
+    for i, (targets, bw, bz) in enumerate(zip(raw, *f.bases)):
         if type(targets) is not list:
             raise FileFormatError(f"{_at(key, i, labels)}: expected a list of target indices, got {targets!r}")
-        col = 0
+        col = col_u = col_v = 0
         for j in targets:
             if type(j) is not int:  # bool is not int here, and 1.0 is not 1
                 raise FileFormatError(f"{_at(key, i, labels)}: target must be an integer, got {j!r}")
@@ -131,18 +150,33 @@ def _read_targets(raw, key: str, labels: List[str]) -> Tuple[List[int], Tuple[Li
             if col & bit:
                 raise FileFormatError(f"{_at(key, i, labels)}: target {j} is repeated")
             col |= bit
+            two_u, two_v = grw[j] - bw, grz[j] - bz
+            both = two_u | two_v  # negative when either is, odd when either is
+            if both < 0 or both & 1:
+                bad.append((i, j))
+            elif split:
+                if not two_u:
+                    col_u |= bit
+                if not two_v:
+                    col_v |= bit
         targets.sort()
         cols.append(col)
-    return cols, tuple(raw)
+        no_u.append(col_u)
+        no_v.append(col_v)
+    bad.sort()
+    return cols, tuple(raw), bad, {"U0": tuple(no_u), "V0": tuple(no_v)} if split else {}
 
 
 def _columns_complex(data: dict) -> BigradedComplex:
     """The complex of a format-2 file, before `require_valid`."""
     labels = _ids(data)
     grw, grz = _gradings(data, "grw", labels), _gradings(data, "grz", labels)
-    cols, targets = _read_targets(data.get("differential"), "differential", labels)
+    shape = BigradedComplex(labels, grw, grz, [0] * len(labels))
+    cols, targets, bad, quotient_cols = _read_targets(data.get("differential"), "differential", shape.d, True)
     complex_ = BigradedComplex(labels, grw, grz, cols)
     complex_.d.targets = targets
+    complex_.illegal_terms = tuple(complex_.d.problem(i, j) for i, j in bad)
+    complex_.quotient_cols = quotient_cols
     return complex_
 
 
@@ -268,10 +302,10 @@ def load_complex(path: str) -> Tuple[BigradedComplex, Optional[SkewMap]]:
     if "iota" in data:
         try:
             if columnar:
-                cols, targets = _read_targets(data["iota"], "iota", complex_.labels)
+                cols, targets, bad, _ = _read_targets(data["iota"], "iota", SkewMap(complex_, ()), False)
                 iota = SkewMap(complex_, cols)
                 iota.targets = targets
-                violation = verify_chain_map(iota)
+                violation = iota.problem(*bad[0]) if bad else chain_violation(iota)
             else:
                 iota = SkewMap(complex_, _read_columns(data["iota"], "iota", SkewMap(complex_, ())))
                 violation = chain_violation(iota)  # the reader checked homogeneity

@@ -12,32 +12,61 @@ minimal model of a `Reduction`, the model cones of `invariants` and
 `ai0_cone`).
 
 `tower_reduce` computes the homology towers by a column reduction
-along the grading filtration, with clearing. A column is moved into
-filtration order only when the reduction reaches it, so a column that
-clearing zeroes is never moved. Unpaired basis elements are the free
-homology generators; their gradings give the tower tops. The same loop
-gives a basis in which the complex splits into towers and pairs. The
-`Reduction` keeps it and reads off it, on demand, the minimal model
-with its inclusion and projection, and the cocycle that detects the
-tower. The test suite checks them against a Smith-normal-form oracle.
+along the grading filtration, with clearing (Chen and Kerber,
+Persistent homology computation with a twist, 2011): when a reduced
+column has its pivot in row i, column i reduces to zero, so it is
+skipped. A column is moved into filtration order only when the
+reduction reaches it, so a skipped column is never moved. Unpaired
+basis elements are the free homology generators; their gradings give
+the tower tops. The same loop gives a basis in which the complex splits
+into towers and pairs. The `Reduction` keeps it and reads off it, on
+demand, the minimal model with its inclusion and projection, and the
+cocycle that detects the tower. The test suite checks them against a
+Smith-normal-form oracle.
+
+Clearing skips only the rows that are pivots before the loop reaches
+them. In filtration order that happens in a level, at the rows of its
+T^0 entries, which come after their columns. In a one-variable quotient
+of a complex without unit entries every entry is T^k with k >= 1, so
+its row comes before its column, and filtration order clears nothing.
+But a quotient has a homological degree, its dropped grading, which d
+lowers by exactly one (`FUComplex.degrees`). Its columns are then reduced
+class by class in descending degree, and in filtration order within a
+class. The columns of degree g have their rows in degree g - 1, and only
+they do, so each class reduces as in filtration order, independently of
+the others: the pivots, pairs and basis are the same. And every pivot
+row of degree g - 1 is found before class g - 1 is reached, so its
+column is cleared.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .linalg import iter_bits, value_masks
 
 
 class FUComplex:
-    """Free graded GF(2)[T]-complex with implied-power differential."""
+    """Free graded GF(2)[T]-complex with implied-power differential.
 
-    def __init__(self, labels: Sequence[str], gradings: Sequence[int], cols: Sequence[int]):
+    degrees, when given, is a homological degree per basis element that d
+    lowers by exactly one, as the dropped grading of a one-variable
+    quotient is (`complexes.reduce_complex`); `tower_reduce` clears by it.
+    """
+
+    def __init__(
+        self,
+        labels: Sequence[str],
+        gradings: Sequence[int],
+        cols: Sequence[int],
+        degrees: Optional[Sequence[int]] = None,
+    ):
         self.labels: Tuple[str, ...] = tuple(labels)
         self.gradings: Tuple[int, ...] = tuple(gradings)
         self.cols: Tuple[int, ...] = tuple(cols)
+        self.degrees: Optional[Tuple[int, ...]] = None if degrees is None else tuple(degrees)
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -187,13 +216,17 @@ def tower_reduce(fu: FUComplex) -> Reduction:
     for p, idx in enumerate(order):
         pos[idx] = p
     bit = [1 << p for p in pos]
+    # The columns are reduced in position order, or with degrees, class by
+    # class in descending degree and in position order within a class.
+    sweep = order if fu.degrees is None else sorted(order, key=fu.degrees.__getitem__, reverse=True)
 
     # pivot row -> its column. The basis vector of a pivot row is the
     # reduced column, that of a column the positions it combines.
     pairs: Dict[int, int] = {}
     vectors = [0] * n
     cycles: List[int] = []
-    for p, idx in enumerate(order):
+    for idx in sweep:
+        p = pos[idx]
         if p in pairs:
             # Clearing: the column of a paired row reduces to zero, so it
             # is never moved into position space.
@@ -216,9 +249,9 @@ def tower_reduce(fu: FUComplex) -> Reduction:
             cycles.append(p)
         vectors[p] = combo
 
-    # Positions ascend in (-grading, label) order, so the unpaired
-    # generators come out sorted.
-    free = [p for p in cycles if p not in pairs]
+    # Positions ascend in (-grading, label) order, so sorted positions give
+    # the unpaired generators in that order.
+    free = sorted(p for p in cycles if p not in pairs)
     indices = [order[p] for p in free]
     unpaired = [(labels[idx], gradings[idx]) for idx in indices]
     reps = [

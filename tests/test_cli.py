@@ -366,18 +366,23 @@ def test_failed_mirror_involution_is_reported(monkeypatch, capsys):
 
 
 def _count_chain_checks(monkeypatch):
-    """Wrap verify_chain_map in every knotfloer module that imported it; returns the list of maps checked."""
+    """Wrap chain_violation in every knotfloer module that imported it; returns the list of maps checked.
+
+    verify_chain_map calls it through the module of `complexes`, so its
+    checks are counted too; the format-2 reader checks homogeneity itself
+    and calls chain_violation alone.
+    """
     import knotfloer.complexes
 
-    real, checked = knotfloer.complexes.verify_chain_map, []
+    real, checked = knotfloer.complexes.chain_violation, []
 
     def counting(f):
         checked.append(f)
         return real(f)
 
     for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "knotfloer" and getattr(module, "verify_chain_map", None) is real:
-            monkeypatch.setattr(module, "verify_chain_map", counting)
+        if name.split(".")[0] == "knotfloer" and getattr(module, "chain_violation", None) is real:
+            monkeypatch.setattr(module, "chain_violation", counting)
     return checked
 
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from knotfloer.builders import named_complex, staircase
 from knotfloer.cli import main
-from knotfloer.complexes import UNKNOT, BigradedComplex, Generator, SkewMap
+from knotfloer.complexes import UNKNOT, BigradedComplex, Generator, SkewMap, reduce_complex, verify_chain_map
 from knotfloer.errors import FileFormatError, ValidationError
 from knotfloer.expressions import parse_knot_expr
 from knotfloer.fileio import load_complex, save_complex
@@ -254,20 +254,32 @@ PROPERTY = dict(
 
 
 def _load_homogeneous(path):
-    """load_complex(path), with what it accepts checked for homogeneity from scratch.
+    """load_complex(path), with what it accepts checked against the grading-mask checks.
 
-    On a format-1 file the loader leaves homogeneity to its reader; here a
-    fresh complex and a fresh skew map recompute `illegal_terms` and
-    `illegal_entries`. The target lists that a format-2 load keeps, and
-    that the checks and the writer read, must be those of a fresh
-    `iter_bits` walk of the columns.
+    A fresh complex and a fresh skew map, built from the loaded columns,
+    compute `illegal_terms`, the first violation of iota and the U = 0 and
+    V = 0 columns through grading masks. The loader's must equal them: the
+    format-2 reader sets `illegal_terms` and splits the quotient columns
+    off as it reads (`quotient_cols`), and the format-1 reader sets
+    `illegal_terms` and leaves the quotients to `reduce_complex`. The
+    target lists that a format-2 load keeps, and that the checks and the
+    writer read, must be those of a fresh `iter_bits` walk of the columns.
+    The loaded complex is left as it was loaded.
     """
     c, iota = load_complex(str(path))
+    with open(path, encoding="utf-8") as handle:
+        columnar = "format" in json.load(handle)
     fresh = BigradedComplex(c.labels, c.grw, c.grz, c.cols)
-    assert fresh.illegal_terms == (), path
+    assert c.illegal_terms == fresh.illegal_terms == (), path
+    assert sorted(c.quotient_cols) == (["U0", "V0"] if columnar else []), path
+    for mode, drop in (("U0", c.grw), ("V0", c.grz)):
+        quotient = reduce_complex(fresh, mode)
+        assert quotient.degrees == drop, path
+        if columnar:
+            assert c.quotient_cols[mode] == quotient.cols, (path, mode)
     assert c.d.targets == tuple([*iter_bits(col)] for col in c.cols), path
     if iota is not None:
-        assert list(SkewMap(fresh, iota.cols).illegal_entries()) == [], path
+        assert verify_chain_map(SkewMap(fresh, iota.cols)) is None, path
         assert iota.targets == tuple([*iter_bits(col)] for col in iota.cols), path
     return c, iota
 
@@ -790,7 +802,7 @@ def test_validate_survives_mutated_columns_files(tmp_path, capsys, columns_text,
     path.write_text(text)
     assert main(["validate", f"--expr=@{path}"]) in (0, 3)
     capsys.readouterr()
-    assert _accepts(load_complex, path) == _accepts(load_columns_checked, path)
+    assert _accepts(_load_homogeneous, path) == _accepts(load_columns_checked, path)
 
 
 def _accepts(load, path):
@@ -799,3 +811,75 @@ def _accepts(load, path):
         return _contents(*load(str(path)))
     except FileFormatError:
         return None
+
+
+# --- format 2: the reader's checks against the grading-mask checks -----------
+
+
+def _mask_verdict(data, path):
+    """The error message for a format-2 object of sound shape, from a fresh complex and skew map; None if valid.
+
+    The complex and the map are built from the object's target lists, so
+    their homogeneity is found by `illegal_terms` and `verify_chain_map`
+    through grading masks, not by the reader.
+    """
+
+    def columns(lists):
+        return [sum(1 << j for j in targets) for targets in lists]
+
+    c = BigradedComplex(data["id"], data["grw"], data["grz"], columns(data["differential"]))
+    violations = c.validate()
+    if violations:
+        return f"{path}: complex fails validation: {'; '.join(violations)}"
+    violation = verify_chain_map(SkewMap(c, columns(data["iota"])))
+    return None if violation is None else f"{path}: iota rejected: {violation}"
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_columns_reader_matches_mask_checks(tmp_path, columns_text, seed):
+    # One to three edits that keep the file's shape: a new target in a list
+    # of d or iota, or a grading moved by 1 or 2. The loader names the
+    # inhomogeneous entries of d and the first one of iota exactly as the
+    # mask checks do, and what it accepts passes `_load_homogeneous`.
+    rng = random.Random(seed)
+    obj = json.loads(columns_text)
+    n = len(obj["id"])
+    for _ in range(rng.randint(1, 3)):
+        key, i, j = rng.choice(["differential", "iota", "grw", "grz"]), rng.randrange(n), rng.randrange(n)
+        if key in ("grw", "grz"):
+            obj[key][i] += rng.choice([-2, -1, 1, 2])
+        elif j not in obj[key][i]:
+            obj[key][i].insert(rng.randint(0, len(obj[key][i])), j)
+    path = tmp_path / "edited.cfk"
+    path.write_text(json.dumps(obj))
+    expected = _mask_verdict(obj, path)
+    if expected is None:
+        _load_homogeneous(path)
+    else:
+        with pytest.raises(FileFormatError) as err:
+            load_complex(str(path))
+        assert str(err.value) == expected
+
+
+@pytest.mark.parametrize("name", sorted(os.listdir(DATA)))
+def test_data_files_pass_the_mask_checks(name):
+    path = os.path.join(DATA, name)
+    if name == "not_utf8.cfk":
+        with pytest.raises(FileFormatError):
+            load_complex(path)
+    else:
+        _load_homogeneous(path)
+
+
+def test_unit_entry_is_in_both_quotients():
+    # d(a) = b with u = v = 0: the reader puts it in the columns of both
+    # quotients. reduce_complex returns the reader's columns once, then
+    # computes the same columns through masks.
+    c, _ = _load_homogeneous(os.path.join(DATA, "unit_pair.cfk"))
+    a, b = c.index["a"], c.index["b"]
+    for mode in ("U0", "V0"):
+        split = c.quotient_cols[mode]
+        assert split[a] == 1 << b
+        assert reduce_complex(c, mode).cols is split
+        assert mode not in c.quotient_cols
+        assert reduce_complex(c, mode).cols == split

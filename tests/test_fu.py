@@ -1,19 +1,23 @@
+import os
 import random
 
 import pytest
 
 from knotfloer.builders import staircase, staircase_dual, torus_knot_complex
 from knotfloer.complexes import UNKNOT, reduce_complex
-from knotfloer.errors import ValidationError
+from knotfloer.errors import FileFormatError, ValidationError
 from knotfloer.expressions import parse_knot_expr, realize_expr
+from knotfloer.fileio import load_complex
 from knotfloer.fu import FUComplex, tower_reduce
 from knotfloer.invariants import a_level_complex, d_invariant
 from knotfloer.involutive import realize_with_iota
 from knotfloer.linalg import image, iter_bits
 
-from conftest import level_monomials, random_fu_complex, scramble
+from conftest import level_monomials, random_fu_complex, random_torus_sum, scramble
 from oracle_involutive import power
 from oracle_snf import oracle_rank_and_top, oracle_torsion
+
+DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 
 
 def test_unknot_level_zero():
@@ -139,6 +143,42 @@ def test_cocycle_of_the_corpus_quotients_lies_in_one_grading():
         for complex_ in (c, c.dual()):
             check_cocycle(reduce_complex(complex_, "U0"), complex_.grw)
             check_cocycle(reduce_complex(complex_, "V0"), complex_.grz)
+
+
+def _as_reduced(red):
+    """What a reduction reports: towers, their cycles, the cocycle and the pairs of basis indices."""
+    order = red.order
+    pairs = {(order[row], order[col]) for row, col in red.pairs.items()}
+    return red.unpaired, red.indices, red.reps, red.cocycle(), pairs
+
+
+def _quotient_sources():
+    """Seeded sums, their mirrors and scrambled copies, and every complex in tests/data."""
+    rng = random.Random(20261019)
+    out = []
+    for _ in range(10):
+        c, iota = realize_with_iota(parse_knot_expr(random_torus_sum(rng, 3, 300)))
+        out += [c, c.dual(), scramble(c, iota, rng)[0]]
+    for name in sorted(os.listdir(DATA)):
+        try:
+            out.append(load_complex(os.path.join(DATA, name))[0])
+        except FileFormatError:  # not UTF-8
+            pass
+    return out
+
+
+def test_degree_order_reduces_quotients_as_position_order():
+    # A quotient's columns are reduced class by class in descending dropped
+    # grading, so each pivot row is cleared before it is reached. Without
+    # degrees the same columns are reduced in position order; both give the
+    # same towers, cycles, cocycle and pairs. tests/data/unit_pair.cfk has
+    # an entry in both quotients.
+    for c in _quotient_sources():
+        for mode, drop in (("U0", c.grw), ("V0", c.grz)):
+            fu = reduce_complex(c, mode)
+            assert fu.degrees == drop
+            by_position = FUComplex(fu.labels, fu.gradings, fu.cols)
+            assert _as_reduced(tower_reduce(fu)) == _as_reduced(tower_reduce(by_position)), (c.labels[:3], mode)
 
 
 def test_rank_errors():
