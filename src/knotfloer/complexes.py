@@ -174,8 +174,12 @@ class BigradedComplex:
             if not square:
                 continue
             for k in iter_bits(square):
-                u, v = (grw[k] - grw[i] + 2) // 2, (grz[k] - grz[i] + 2) // 2
-                out.append(f"d^2({labels[i]}) has term U^{u}V^{v}*{labels[k]}")
+                # After an inhomogeneous entry the implied exponents of a d^2
+                # term need not be natural; then only its target is named.
+                two_u, two_v = grw[k] - grw[i] + 2, grz[k] - grz[i] + 2
+                natural = two_u >= 0 and two_v >= 0 and not (two_u | two_v) & 1
+                term = f"U^{two_u // 2}V^{two_v // 2}*{labels[k]}" if natural else labels[k]
+                out.append(f"d^2({labels[i]}) has term {term}")
         return out
 
     def require_valid(self) -> "BigradedComplex":

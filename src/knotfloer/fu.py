@@ -22,7 +22,10 @@ the tower tops. The same loop gives a basis in which the complex splits
 into towers and pairs. The `Reduction` keeps it and reads off it, on
 demand, the minimal model with its inclusion and projection, and the
 cocycle that detects the tower. The test suite checks them against a
-Smith-normal-form oracle.
+Smith-normal-form oracle. The basis is the bulk of a reduction, n
+vectors of up to n bits, so a reduction whose projection will not be
+read again drops it (`Reduction.drop_basis`) and keeps its towers, its
+tower cycles, its model and the inclusion.
 
 Clearing skips only the rows that are pivots before the loop reaches
 them. In filtration order that happens in a level, at the rows of its
@@ -45,6 +48,7 @@ import functools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from .errors import ConsistencyError
 from .linalg import iter_bits, value_masks
 
 
@@ -119,7 +123,12 @@ class Reduction:
     of M; `project` is the projection pi: L -> M along the contractible
     pairs. Both are chain maps, pi iota = 1, and iota pi is homotopic to
     1. Both are homogeneous, so their T-powers stay implied by the
-    gradings. The model, iota and pi are built on first read.
+    gradings. The model and iota are built on first read.
+
+    `drop_basis` builds the model and iota and then drops order, pos,
+    vectors and pairs (set to None). What is left is `fu`, the towers
+    (unpaired, indices, reps), the model and iota; `project` and
+    `cocycle` raise `ConsistencyError` from then on.
     """
 
     fu: FUComplex
@@ -138,6 +147,18 @@ class Reduction:
     def top_grading(self) -> int:
         return self.unpaired[0][1]
 
+    def _basis(self) -> List[int]:
+        if self.vectors is None:
+            raise ConsistencyError("the basis of this reduction was read after it was dropped")
+        return self.vectors
+
+    def drop_basis(self) -> None:
+        """Build the model and iota, then drop the basis and the tables read off it."""
+        self.model, self.inc  # both cached on first read
+        self.order = self.pos = self.vectors = self.pairs = None
+        self.__dict__.pop("_kept", None)
+        self.__dict__.pop("_coord", None)
+
     def cocycle(self) -> int:
         """The coordinate functional of the first tower vector at T = 1, as an index mask.
 
@@ -149,7 +170,7 @@ class Reduction:
         none of them the tower vector, so with T = 1 it is a cocycle:
         even against every column, odd against reps[0].
         """
-        vectors = self.vectors
+        vectors = self._basis()
         t = self.pos[self.indices[0]]
         phi = 1 << t
         for q in range(t + 1, len(vectors)):
@@ -193,9 +214,9 @@ class Reduction:
 
         Reduces the vector against the leading positions of the basis, one
         XOR per basis vector it contains, and keeps the coordinates of the
-        kept ones.
+        kept ones. Raises `ConsistencyError` once the basis is dropped.
         """
-        vectors, coord = self.vectors, self._coord
+        vectors, coord = self._basis(), self._coord
         vec, out = _moved(mask, self.pos), 0
         while vec:
             p = vec.bit_length() - 1

@@ -26,7 +26,12 @@ Each complex keeps the tower index and cocycle of each quotient
 a level is built and reduced once for V_s, Y_n, nu and omega, the glue
 between neighbouring models, and one visit per level (s, n) of C
 tensor St*_n, `_level`: the tower top of its model cone and, at the
-levels nu and omega test, the end parities of its hat homology.
+levels nu and omega test, the end parities of its hat homology. The
+glue is built when the second of two neighbouring levels is split, and
+a level then drops its basis once both its neighbours are split: it
+keeps its towers, model and iota. Level 0 keeps its basis for the
+involution, and the ends of each run of split levels for the glue to
+the next level out.
 """
 
 from __future__ import annotations
@@ -72,10 +77,25 @@ def level_split(c: BigradedComplex, s: int) -> Reduction:
 
     Its tower gives V_s and the level-0 tower cycle; its model M_s,
     iota_s and pi_s give nu and the cones of Y_n and omega.
+
+    pi_s is read only for the glue between neighbouring models and, at
+    level 0, for the involution (`involutive.ai0_cone`). So the glue
+    between s and each neighbour s +- 1 already split is built here, both
+    ways, and a level other than 0 whose two neighbours are split drops
+    its basis (`Reduction.drop_basis`), keeping its towers, tower cycles,
+    model and iota.
     """
     memo = c.__dict__.setdefault("_splits", {})
     if s not in memo:
-        memo[s] = tower_reduce(a_level_complex(c, s))
+        split = memo[s] = tower_reduce(a_level_complex(c, s))
+        glue = c.__dict__.setdefault("_glue", {})
+        for t in (s - 1, s + 1):
+            if t in memo:
+                glue[s, t] = [memo[t].project(v) for v in split.inc]
+                glue[t, s] = [split.project(v) for v in memo[t].inc]
+        for t in (s - 1, s, s + 1):
+            if t and {t - 1, t, t + 1} <= memo.keys() and memo[t].vectors is not None:
+                memo[t].drop_basis()
     return memo[s]
 
 
@@ -84,13 +104,9 @@ def _glue(c: BigradedComplex, s: int, t: int) -> List[int]:
 
     The arrow is U or V on every generator, so on the level bases it is
     the identity on C's indices, with T-powers implied by the gradings.
-    Built once per complex and pair of levels.
+    `level_split` builds it once both levels are split.
     """
-    memo = c.__dict__.setdefault("_glue", {})
-    if (s, t) not in memo:
-        target = level_split(c, t)
-        memo[s, t] = [target.project(v) for v in level_split(c, s).inc]
-    return memo[s, t]
+    return c.__dict__["_glue"][s, t]
 
 
 def _cone(c: BigradedComplex, s: int, n: int) -> Tuple[FUComplex, List[int]]:

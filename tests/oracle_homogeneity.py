@@ -76,9 +76,13 @@ def validate_messages(c: BigradedComplex) -> List[str]:
     out += [d.problem(i, j) for i, j in map_illegal_entries(d)]
     for i, col in enumerate(c.cols):
         for k in _bits(_square(c.cols, col)):
-            u = (c.grw[k] - c.grw[i] + 2) // 2
-            v = (c.grz[k] - c.grz[i] + 2) // 2
-            out.append(f"d^2({c.labels[i]}) has term U^{u}V^{v}*{c.labels[k]}")
+            two_u = c.grw[k] - c.grw[i] + 2
+            two_v = c.grz[k] - c.grz[i] + 2
+            if two_u < 0 or two_v < 0 or two_u % 2 or two_v % 2:
+                # No monomial: only the target is named, as for an entry of d.
+                out.append(f"d^2({c.labels[i]}) has term {c.labels[k]}")
+            else:
+                out.append(f"d^2({c.labels[i]}) has term U^{two_u // 2}V^{two_v // 2}*{c.labels[k]}")
     return out
 
 

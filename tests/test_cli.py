@@ -411,6 +411,30 @@ def test_each_involution_is_checked_where_it_is_read(monkeypatch, tmp_path, caps
     assert (code, len(checked)) == (0, 1)
 
 
+def test_d_squared_after_an_inhomogeneous_entry_names_no_false_monomial(tmp_path, capsys):
+    # J's file with one inhomogeneous target added to a column of d: the d^2
+    # terms it causes are named, but a monomial only where its exponents are
+    # natural numbers, never one with a negative or rounded exponent. The
+    # added entry has an odd grz gap, so no term it causes has a monomial.
+    from knotfloer.expressions import parse_knot_expr
+    from knotfloer.fileio import save_complex
+    from knotfloer.involutive import realize_with_iota
+
+    expr = "T(2,11)#T(4,7)#-T(5,6)"
+    c, iota = realize_with_iota(parse_knot_expr(expr))
+    path = tmp_path / "j.cfk"
+    save_complex(c, str(path), expr, iota)
+    data = json.loads(path.read_text())
+    data["differential"][275].append(129)
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli(["validate", "--expr", f"@{path}"], capsys)
+    assert (code, out) == (3, "")
+    assert "inhomogeneous term g1|g3|g3* in d(g2|g8|g5*)" in err
+    assert "d^2(g1|g8|g5*) has term g1|g3|g3*;" in err
+    assert "d^2(g2|g8|g5*) has term g1|g4|g3*;" in err
+    assert "^-" not in err and "U^" not in err
+
+
 def _flip_first_sum(monkeypatch):
     """Flip one entry of the first sum involution each realization builds, so that it fails verification."""
     import knotfloer.involutive as involutive

@@ -505,3 +505,35 @@ def test_invalid_complex_is_rejected_once_naming_the_entry(monkeypatch, capsys):
     capsys.readouterr()
     assert len(set(map(id, checked))) == len(checked)
     assert [len(c) for c in checked].count(297) == 2  # K and its mirror
+
+
+def _check_glue_and_dropped_bases(c):
+    """The table's glue is pi_t iota_s of full reductions, and only the inner levels but 0 drop their basis."""
+    compute_invariant_table(c)
+    splits, glue = c._splits, c._glue
+    adjacent = {(s, t) for s in splits for t in (s - 1, s + 1) if t in splits}
+    assert set(glue) == adjacent
+    full = {s: tower_reduce(a_level_complex(c, s)) for s in splits}
+    for s, t in adjacent:
+        assert glue[s, t] == [full[t].project(v) for v in full[s].inc], (s, t)
+    for s, split in splits.items():
+        assert split.inc == full[s].inc and split.reps == full[s].reps
+        model, again = split.model, full[s].model
+        assert (model.labels, model.gradings, model.cols) == (again.labels, again.gradings, again.cols)
+        dropped = s != 0 and s - 1 in splits and s + 1 in splits
+        assert (split.vectors is None) == dropped, s
+        if dropped:
+            with pytest.raises(ConsistencyError):
+                split.project(1)
+
+
+def test_levels_drop_their_basis_once_their_glue_is_built():
+    complexes = dict(corpus())
+    complexes["J"] = realize_expr(parse_knot_expr("T(2,11)#T(4,7)#-T(5,6)"))
+    rng = random.Random(20261019)
+    for _ in range(4):
+        expr = random_torus_sum(rng, 3, 300)
+        complexes[expr] = realize_expr(parse_knot_expr(expr))
+    for name in ("K", "K1", "HW", "J", *list(complexes)[-4:]):
+        for c in (complexes[name], complexes[name].dual()):
+            _check_glue_and_dropped_bases(c)
