@@ -177,7 +177,7 @@ class BigradedComplex:
                 # After an inhomogeneous entry the implied exponents of a d^2
                 # term need not be natural; then only its target is named.
                 two_u, two_v = grw[k] - grw[i] + 2, grz[k] - grz[i] + 2
-                natural = two_u >= 0 and two_v >= 0 and not (two_u | two_v) & 1
+                natural = two_u >= 0 and two_v >= 0 and two_u % 2 == two_v % 2 == 0
                 term = f"U^{two_u // 2}V^{two_v // 2}*{labels[k]}" if natural else labels[k]
                 out.append(f"d^2({labels[i]}) has term {term}")
         return out
