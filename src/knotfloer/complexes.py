@@ -22,7 +22,9 @@ The structural rules enforced by `validate`:
 * d^2 = 0. The exponents along a path depend only on its end points, so
   d^2 is the XOR of the columns d hits.
 
-Where homogeneity is checked:
+Homogeneity is one rule, applied entry by entry: an entry is legal when
+both of its doubled exponents are nonnegative and even. Where it is
+checked:
 
 * monomial terms from outside enter through `from_terms`, which checks
   every term against the gradings;
@@ -32,9 +34,9 @@ Where homogeneity is checked:
   format-2 reader also checks iota, so a loaded involution needs only
   `chain_violation`;
 * every other complex, and every map built in the program, is checked
-  by `illegal_terms` and `verify_chain_map` through grading masks
-  (`ChainMap.illegal_entries`), which need no walk over the bits: they
-  AND whole columns with the masks.
+  by `illegal_terms` and `verify_chain_map` (`ChainMap.illegal_entries`),
+  which apply the format-2 reader's arithmetic over the map's target
+  lists.
 
 `ChainMap.targets` is the one walk over the bits of a map's columns: it
 lists each column's target indices once, and the d^2 check, the
@@ -47,11 +49,11 @@ a loaded complex are never walked.
 from __future__ import annotations
 
 import functools
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import ValidationError
 from .fu import FUComplex
-from .linalg import gap_guard, guarded_entries, iter_bits, spread, transpose, value_masks
+from .linalg import iter_bits, spread, transpose, value_masks
 
 # (source label, target label, u, v): one monomial term U^u V^v target.
 Term = Tuple[str, str, int, int]
@@ -152,9 +154,9 @@ class BigradedComplex:
     def illegal_terms(self) -> Tuple[str, ...]:
         """A message for every entry of d whose implied exponents are not natural numbers.
 
-        Computed once per complex, through grading masks; `validate` and the
-        invariants share it. For a loaded complex the file's reader sets it,
-        having checked each entry as it read it.
+        Computed once per complex by `ChainMap.illegal_entries`; `validate`
+        and the invariants share it. For a loaded complex the file's reader
+        sets it, having checked each entry as it read it.
         """
         d = self.d
         return tuple(d.problem(i, j) for i, j in d.illegal_entries())
@@ -303,17 +305,18 @@ class ChainMap:
     def is_zero(self) -> bool:
         return not any(self.cols)
 
-    def illegal_entries(self):
-        """(i, j) of every entry whose implied exponents are not nonnegative integers.
+    def illegal_entries(self) -> Iterator[Tuple[int, int]]:
+        """(i, j) of every entry whose implied exponents are not nonnegative integers, in index order.
 
-        Checked once per class of sources with the same base grw, and once
-        per class with the same base grz.
+        One pass over `targets`, with the arithmetic of the format-2 reader:
+        an entry is illegal when either doubled exponent is negative or odd.
         """
-        bw, bz = self.bases
-        target = self.target
-        return guarded_entries(
-            self.cols, (bw, gap_guard(target.grw_masks)), (bz, gap_guard(target.grz_masks))
-        )
+        grw, grz = self.target.grw, self.target.grz
+        for i, (row, w, z) in enumerate(zip(self.targets, *self.bases)):
+            for j in row:
+                gaps = (grw[j] - w) | (grz[j] - z)  # negative when either is, odd when either is
+                if gaps < 0 or gaps & 1:
+                    yield i, j
 
     def _term(self, j: int, u: Optional[int], v: Optional[int]) -> str:
         name = self.target.labels[j]

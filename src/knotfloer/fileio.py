@@ -15,11 +15,11 @@ index ranges, repeated targets and repeated ids, and names the first
 fault by field and generator. In the same pass over the entries it
 checks homogeneity: it lists each entry whose implied exponents are not
 natural numbers, as the complex's `illegal_terms` for d and as the
-first violation for iota, with the messages and in the (i, j) order of
-the grading-mask checks (`ChainMap.illegal_entries`). It also splits
-each column of d into its entries with u = 0 and those with v = 0, a
-unit entry into both: the columns of the two one-variable quotients,
-which `reduce_complex` takes (and drops) once instead of filtering the
+first violation for iota, by the rule, the messages and the (i, j)
+order of `ChainMap.illegal_entries`. It also splits each column of d
+into its entries with u = 0 and those with v = 0, a unit entry into
+both: the columns of the two one-variable quotients, which
+`reduce_complex` takes (and drops) once instead of filtering the
 columns through grading masks (`BigradedComplex.quotient_cols`). It
 sorts each target list in place and keeps the lists as the `targets` of
 the differential and of iota (`ChainMap.targets`), so no later check

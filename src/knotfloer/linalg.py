@@ -7,8 +7,7 @@ preserved, so every routine is deterministic.
 
 from __future__ import annotations
 
-import bisect
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 
 def iter_bits(mask: int) -> Iterator[int]:
@@ -78,53 +77,6 @@ def value_masks(values: Sequence[int]) -> Dict[int, int]:
             buf = bufs[val] = bytearray(size)
         buf[j >> 3] |= 1 << (j & 7)
     return {val: int.from_bytes(buf, "little") for val, buf in bufs.items()}
-
-
-def guarded_entries(
-    cols: Sequence[int], *checks: Tuple[Sequence[int], Callable[[int], int]]
-) -> Iterator[Tuple[int, int]]:
-    """(i, j) of every set bit j of cols[i] inside guard(bases[i]) for a check (bases, guard).
-
-    Per check, the columns that share a base form a class: their OR is
-    ANDed with the guard once. Only the columns of a class that meets its
-    guard are scanned bit by bit, in index order, against every guard.
-    """
-    suspects = set()
-    for bases, guard in checks:
-        union: Dict[int, int] = {}
-        for t, col in zip(bases, cols):
-            union[t] = union.get(t, 0) | col
-        bad = {t for t, acc in union.items() if acc & guard(t)}
-        if bad:
-            suspects.update(i for i, t in enumerate(bases) if t in bad)
-    for i in sorted(suspects):
-        mask = 0
-        for bases, guard in checks:
-            mask |= guard(bases[i])
-        yield from ((i, j) for j in iter_bits(cols[i] & mask))
-
-
-def gap_guard(masks: Dict[int, int]) -> Callable[[int], int]:
-    """t -> bitmask of the indices j whose gap values[j] - t is negative or odd.
-
-    `masks` is `value_masks(values)`. A homogeneous matrix entry has an
-    implied exponent equal to half such a gap, so one AND of a column with
-    this mask finds every entry whose exponent is not a nonnegative
-    integer.
-    """
-    # Per parity: the values in ascending order, and below[k] = the OR of
-    # the masks of the first k of them.
-    values: Tuple[List[int], List[int]] = ([], [])
-    below: Tuple[List[int], List[int]] = ([0], [0])
-    for val in sorted(masks):
-        values[val % 2].append(val)
-        below[val % 2].append(below[val % 2][-1] | masks[val])
-
-    def guard(t: int) -> int:
-        same = t % 2
-        return below[1 - same][-1] | below[same][bisect.bisect_left(values[same], t)]
-
-    return guard
 
 
 class LinearSystem:

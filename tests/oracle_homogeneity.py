@@ -1,8 +1,9 @@
-"""Entry-by-entry homogeneity scans: the oracle of the class-level checks.
+"""Entry-by-entry homogeneity scans: the oracle of `ChainMap.illegal_entries`.
 
-`ChainMap.illegal_entries` ORs the columns of one grading class together
-and tests each class once. These scans test every entry on its own, from
-the exponent formulas, and list the faults in index order.
+`ChainMap.illegal_entries` reads the map's target lists and tests the
+parity and sign of both doubled exponents at once, by OR-ing them. These
+scans walk the column bits themselves, test each exponent on its own
+from the exponent formulas, and list the faults in index order.
 `validate_messages` rebuilds the violation list of
 `BigradedComplex.validate` from them. A `FUComplex` checks nothing
 itself, since the program builds only valid ones; `fu_illegal_entries`

@@ -254,11 +254,12 @@ PROPERTY = dict(
 
 
 def _load_homogeneous(path):
-    """load_complex(path), with what it accepts checked against the grading-mask checks.
+    """load_complex(path), with what it accepts checked against the checks of a fresh complex.
 
     A fresh complex and a fresh skew map, built from the loaded columns,
-    compute `illegal_terms`, the first violation of iota and the U = 0 and
-    V = 0 columns through grading masks. The loader's must equal them: the
+    compute `illegal_terms` and the first violation of iota
+    (`ChainMap.illegal_entries`), and the U = 0 and V = 0 columns through
+    grading masks. The loader's must equal them: the
     format-2 reader sets `illegal_terms` and splits the quotient columns
     off as it reads (`quotient_cols`), and the format-1 reader sets
     `illegal_terms` and leaves the quotients to `reduce_complex`. The
@@ -813,15 +814,15 @@ def _accepts(load, path):
         return None
 
 
-# --- format 2: the reader's checks against the grading-mask checks -----------
+# --- format 2: the reader's checks against those of a fresh complex ----------
 
 
-def _mask_verdict(data, path):
+def _fresh_verdict(data, path):
     """The error message for a format-2 object of sound shape, from a fresh complex and skew map; None if valid.
 
     The complex and the map are built from the object's target lists, so
     their homogeneity is found by `illegal_terms` and `verify_chain_map`
-    through grading masks, not by the reader.
+    (`ChainMap.illegal_entries`), not by the reader.
     """
 
     def columns(lists):
@@ -840,7 +841,8 @@ def test_columns_reader_matches_mask_checks(tmp_path, columns_text, seed):
     # One to three edits that keep the file's shape: a new target in a list
     # of d or iota, or a grading moved by 1 or 2. The loader names the
     # inhomogeneous entries of d and the first one of iota exactly as the
-    # mask checks do, and what it accepts passes `_load_homogeneous`.
+    # checks of a fresh complex do, and what it accepts passes
+    # `_load_homogeneous`.
     rng = random.Random(seed)
     obj = json.loads(columns_text)
     n = len(obj["id"])
@@ -852,7 +854,7 @@ def test_columns_reader_matches_mask_checks(tmp_path, columns_text, seed):
             obj[key][i].insert(rng.randint(0, len(obj[key][i])), j)
     path = tmp_path / "edited.cfk"
     path.write_text(json.dumps(obj))
-    expected = _mask_verdict(obj, path)
+    expected = _fresh_verdict(obj, path)
     if expected is None:
         _load_homogeneous(path)
     else:

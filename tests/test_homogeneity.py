@@ -1,7 +1,8 @@
-"""The class-level homogeneity checks against the entry-by-entry oracle.
+"""The homogeneity rule of `ChainMap.illegal_entries` against the independent oracle.
 
 Each case injects entries with an odd gap, a negative even gap, or both
-(one odd gap and one negative) into a valid map or complex, and compares
+(one odd gap and one negative) into a valid map or complex, among them
+the mirror's differential and involution, and compares
 the faults found, and their order, with the scans of
 `tests/oracle_homogeneity.py`. The reductions, level complexes and model
 cones, which the program builds without a check, must pass those scans
@@ -26,7 +27,7 @@ from knotfloer.complexes import BigradedComplex, ChainMap, SkewMap, basepoint_ma
 from knotfloer.expressions import parse_knot_expr
 from knotfloer import invariants, involutive
 from knotfloer.invariants import a_level_complex
-from knotfloer.involutive import realize_with_iota
+from knotfloer.involutive import mirror_iota, realize_with_iota
 
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 KINDS = ("odd", "negative", "mixed")
@@ -72,7 +73,9 @@ def _sum(seed):
 
 def _maps(c, iota):
     identity = ChainMap(c, c, [1 << i for i in range(len(c))], (0, 0))
-    return [c.d, basepoint_map(c, "U"), basepoint_map(c, "V"), identity, iota]
+    # The mirror: negated gradings, and transposed columns of d and of iota.
+    mirror = c.dual()
+    return [c.d, basepoint_map(c, "U"), basepoint_map(c, "V"), identity, iota, mirror.d, mirror_iota(iota, mirror)]
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -82,9 +85,9 @@ def test_map_checks_match_oracle(seed):
         assert list(f.illegal_entries()) == map_illegal_entries(f) == []
         cols = _inject(rng, f.cols, _map_gaps(f), rng.randint(1, 6))
         if isinstance(f, SkewMap):
-            bad = SkewMap(c, cols)
+            bad = SkewMap(f.source, cols)
         else:
-            bad = ChainMap(c, c, cols, f.bidegree)
+            bad = ChainMap(f.source, f.target, cols, f.bidegree)
         expected = map_illegal_entries(bad)
         assert list(bad.illegal_entries()) == expected
         assert verify_chain_map(bad) == (bad.problem(*expected[0]) if expected else verify_chain_map(f))
