@@ -29,7 +29,7 @@ from test_concordance import _mirror_text
 
 from knotfloer.expressions import parse_knot_expr
 from knotfloer.fileio import save_complex
-from knotfloer.invariants import compute_invariant_table, tau_invariant, v_invariant, y_invariant
+from knotfloer.invariants import compute_invariant_table, tau_invariant, v_invariant
 from knotfloer.involutive import realize_with_iota, v0_bar_under
 
 HW = "@" + os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "hw.cfk")
