@@ -28,22 +28,23 @@ checked:
 
 * monomial terms from outside enter through `from_terms`, which checks
   every term against the gradings;
-* both file readers (`fileio`) check each entry as they read it and set
-  `illegal_terms` themselves: a format-1 entry against its stated
-  exponents, a format-2 entry (columns only) by its implied ones. The
-  format-2 reader also checks iota, so a loaded involution needs only
-  `chain_violation`;
+* the file reader (`fileio`) checks each entry by its implied exponents
+  as it reads it and sets `illegal_terms` itself; a format-1 entry is
+  first checked against its stated exponents, and only the entries that
+  agree reach the reader. The reader also checks iota, so a loaded
+  involution needs only `chain_violation`;
 * every other complex, and every map built in the program, is checked
   by `illegal_terms` and `verify_chain_map` (`ChainMap.illegal_entries`),
-  which apply the format-2 reader's arithmetic over the map's target
+  which apply the file reader's arithmetic over the map's target
   lists.
 
 `ChainMap.targets` is the one walk over the bits of a map's columns: it
 lists each column's target indices once, and the d^2 check, the
 d f = f d check (`chain_violation`), `terms` and the file writer all
-read those lists. The format-2 reader stores the lists it has read and
-checked as the `targets` of the differential and of iota, so the bits of
-a loaded complex are never walked.
+read those lists. The file reader stores the lists it has read and
+checked, from a file of either format, as the `targets` of the
+differential and of iota, so the bits of a loaded complex are never
+walked.
 """
 
 from __future__ import annotations
@@ -308,7 +309,7 @@ class ChainMap:
     def illegal_entries(self) -> Iterator[Tuple[int, int]]:
         """(i, j) of every entry whose implied exponents are not nonnegative integers, in index order.
 
-        One pass over `targets`, with the arithmetic of the format-2 reader:
+        One pass over `targets`, with the arithmetic of the file reader:
         an entry is illegal when either doubled exponent is negative or odd.
         """
         grw, grz = self.target.grw, self.target.grz
@@ -473,10 +474,10 @@ def reduce_complex(c: BigradedComplex, mode: str) -> FUComplex:
     clears. The pure-monomial entries (the UV = 0 quotient) are the union
     of the two modes' columns.
 
-    When the file reader has split the columns off (`quotient_cols`), they
-    are taken from there and dropped, so a loaded complex keeps them only
-    until its quotients are reduced; otherwise they are filtered through
-    grading masks.
+    When the file reader has split the columns off (`quotient_cols`), as
+    it does for a file of either format, they are taken from there and
+    dropped, so a loaded complex keeps them only until its quotients are
+    reduced; otherwise they are filtered through grading masks.
     """
     if mode not in ("U0", "V0"):
         raise ValueError(f"unknown reduction mode {mode!r}")

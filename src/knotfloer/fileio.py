@@ -1,4 +1,4 @@
-"""Complex files: a small JSON format, written as gradings and columns.
+"""Complex files: a small JSON format, written as gradings and target lists.
 
 Format 2, the one `save_complex` writes, stores a complex the way
 `BigradedComplex` holds it. Top-level fields: `format` (the integer 2),
@@ -32,14 +32,16 @@ Format 1 is every file without a `format` field. It is still read,
 never written. `generators` is a list of {id, grw, grz} and
 `differential` a list of {from, to, u, v}, each entry one monomial term;
 duplicate (from, to, u, v) quadruples are an error. The optional `iota`
-has the same entry shape. The reader checks fields, ids, exponents,
-duplicates and homogeneity in one pass over each list: the first
-malformed entry (not an object, a missing or mistyped field, an unknown
-id, a negative exponent, a quadruple given twice) is named at once;
-inhomogeneous entries are reported together after the pass, unless a
-generator id repeats, which is reported instead. So the reader leaves
-`illegal_terms` empty, and `load_complex` checks Alexander parity,
-d^2 = 0 and d iota = iota d.
+has the same entry shape. A front end reads each list in one pass into
+one target list per generator. It checks each entry in this order, and
+names the first fault at once: not an object, a missing or mistyped
+field, an unknown id, a negative exponent, a quadruple given twice.
+Then it compares the stated exponents with those the gradings imply.
+The entries that differ are reported together after the pass, unless a
+generator id repeats, which is reported instead. The lists then
+go through the format-2 reader above, so one builder makes the complex
+of either format, and a format-1 load keeps its target lists and
+quotient columns as a format-2 load does.
 
 Saving writes exactly the bytes of `json.dumps(obj, sort_keys=True)`
 plus a newline: one line, ASCII with `\\u` escapes, and the target lists
@@ -51,7 +53,7 @@ byte-stable even when the file's lists are not sorted. Without
 from __future__ import annotations
 
 import json
-from typing import Dict, List, NoReturn, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .complexes import BigradedComplex, ChainMap, SkewMap, chain_violation
 from .errors import FileFormatError, ValidationError
@@ -167,108 +169,84 @@ def _read_targets(
     return cols, tuple(raw), bad, {"U0": tuple(no_u), "V0": tuple(no_v)} if split else {}
 
 
-def _columns_complex(data: dict) -> BigradedComplex:
-    """The complex of a format-2 file, before `require_valid`."""
-    labels = _ids(data)
-    grw, grz = _gradings(data, "grw", labels), _gradings(data, "grz", labels)
-    shape = BigradedComplex(labels, grw, grz, [0] * len(labels))
-    cols, targets, bad, quotient_cols = _read_targets(data.get("differential"), "differential", shape.d, True)
-    complex_ = BigradedComplex(labels, grw, grz, cols)
-    complex_.d.targets = targets
-    complex_.illegal_terms = tuple(complex_.d.problem(i, j) for i, j in bad)
-    complex_.quotient_cols = quotient_cols
-    return complex_
-
-
-# --- format 1: one object per term ------------------------------------------
+# --- format 1: one object per term, read into target lists ------------------
 
 
 _GENERATOR_FIELDS = (("id", str), ("grw", int), ("grz", int))
 _TERM_FIELDS = (("from", str), ("to", str), ("u", int), ("v", int))
 
 
-def _parse_generators(raw) -> List[Tuple[str, int, int]]:
+def _parse_generators(raw) -> List[list]:
     """The (id, grw, grz) row of each generator entry, checked."""
     if not isinstance(raw, list) or not raw:
         raise FileFormatError("'generators' must be a nonempty list")
-    rows = []
-    for k, g in enumerate(raw):
-        try:
-            n, w, z = g["id"], g["grw"], g["grz"]
-            ok = type(n) is str and type(w) is int and type(z) is int
-        except (KeyError, TypeError):  # not an object or a missing field
-            ok = False
-        if not ok:
-            n, w, z = _fields(g, f"generator entry #{k}", _GENERATOR_FIELDS)
-        rows.append((n, w, z))
-    return rows
+    return [_fields(g, f"generator entry #{k}", _GENERATOR_FIELDS) for k, g in enumerate(raw)]
 
 
-def _name_fault(entry, ctx: str, index) -> NoReturn:
-    """Raise the error of a faulty term entry.
+def _entry_targets(raw, kind: str, f: ChainMap) -> List[List[int]]:
+    """The target lists of f, read from a list of format-1 entries in one pass.
 
-    In order: not an object, a missing or mistyped field, an unknown id,
-    a negative exponent; an entry with none of these repeats an earlier one.
-    """
-    src, tgt, u, v = _fields(entry, ctx, _TERM_FIELDS)
-    for key, name in (("from", src), ("to", tgt)):
-        if name not in index:
-            raise FileFormatError(f"{ctx}: unknown generator {name!r} in {key!r}")
-    for key, value in (("u", u), ("v", v)):
-        if value < 0:
-            raise FileFormatError(f"{ctx}: field {key!r} must be nonnegative, got {value}")
-    raise FileFormatError(f"{ctx}: duplicate term {(src, tgt, u, v)}")
-
-
-def _read_columns(raw, kind: str, f: ChainMap) -> Tuple[int, ...]:
-    """The columns of f, read from a list of file entries in one pass.
-
-    Faults take precedence as the module docstring says. A homogeneous
-    entry sets its column bit, so a second hit on it repeats a quadruple.
+    Each entry is checked in the order of the module docstring, and its
+    first fault is raised. An entry whose stated exponents are not those
+    its gradings imply stays out of the lists; after the pass a repeated
+    generator id is raised, and then all such entries together. So every
+    listed entry has the natural exponents it states, and the
+    implied-exponent rule of `_read_targets` never fires on these lists.
     """
     if not isinstance(raw, list):
         raise FileFormatError(f"'{kind}' must be a list")
     index = f.source.index
     bw, bz = f.bases
     tw, tz = f.target.grw, f.target.grz
-    cols = [0] * len(f.source)  # not len(index): repeated ids shrink it
-    bad = {}  # inhomogeneous (from, to, u, v) -> (i, j), in entry order
+    lists = [[] for _ in f.source.labels]  # not len(index): repeated ids shrink it
+    seen, bad = set(), []
     for k, entry in enumerate(raw):
-        try:
-            u, v = entry["u"], entry["v"]
-            # An id that is not a string is no key of index.
-            i, j = index[entry["from"]], index[entry["to"]]
-        except (KeyError, TypeError):  # not an object, a missing field or an unknown id
-            _name_fault(entry, f"{kind} entry #{k}", index)
-        if type(u) is not int or type(v) is not int or u < 0 or v < 0:
-            _name_fault(entry, f"{kind} entry #{k}", index)
+        ctx = f"{kind} entry #{k}"
+        quad = src, tgt, u, v = tuple(_fields(entry, ctx, _TERM_FIELDS))
+        for key, name in (("from", src), ("to", tgt)):
+            if name not in index:
+                raise FileFormatError(f"{ctx}: unknown generator {name!r} in {key!r}")
+        for key, value in (("u", u), ("v", v)):
+            if value < 0:
+                raise FileFormatError(f"{ctx}: field {key!r} must be nonnegative, got {value}")
+        if quad in seen:
+            raise FileFormatError(f"{ctx}: duplicate term {quad}")
+        seen.add(quad)
+        i, j = index[src], index[tgt]
         if tw[j] - bw[i] == 2 * u and tz[j] - bz[i] == 2 * v:
-            bit = 1 << j
-            if cols[i] & bit:
-                _name_fault(entry, f"{kind} entry #{k}", index)
-            cols[i] |= bit
+            lists[i].append(j)
         else:
-            quad = (entry["from"], entry["to"], u, v)
-            if quad in bad:
-                _name_fault(entry, f"{kind} entry #{k}", index)
-            bad[quad] = (i, j)
-    if len(index) < len(cols):
+            bad.append((i, j, u, v))
+    if len(index) < len(lists):
         raise ValidationError(f"duplicate generator id {f.source.repeated_label()!r}")
     if bad:
-        raise ValidationError([f.problem(i, j, u, v) for (_, _, u, v), (i, j) in bad.items()])
-    return tuple(cols)
-
-
-def _entries_complex(data: dict) -> BigradedComplex:
-    """The complex of a format-1 file, before `require_valid`."""
-    labels, grw, grz = zip(*_parse_generators(data.get("generators")))
-    shape = BigradedComplex(labels, grw, grz, [0] * len(labels))
-    complex_ = BigradedComplex(labels, grw, grz, _read_columns(data.get("differential", []), "differential", shape.d))
-    complex_.illegal_terms = ()  # the reader matched each entry with its implied exponents
-    return complex_
+        raise ValidationError([f.problem(*entry) for entry in bad])
+    return lists
 
 
 # --- loading and saving -------------------------------------------------------
+
+
+def _target_lists(data: dict, key: str, f: ChainMap, columnar: bool):
+    """The raw target lists of f: the file's own in format 2, read off its entries in format 1."""
+    return data.get(key) if columnar else _entry_targets(data.get(key, []), key, f)
+
+
+def _file_complex(data: dict, columnar: bool) -> BigradedComplex:
+    """The complex of a file of either format, before `require_valid`."""
+    if columnar:
+        labels = _ids(data)
+        grw, grz = _gradings(data, "grw", labels), _gradings(data, "grz", labels)
+    else:
+        labels, grw, grz = zip(*_parse_generators(data.get("generators")))
+    shape = BigradedComplex(labels, grw, grz, [0] * len(labels))
+    raw = _target_lists(data, "differential", shape.d, columnar)
+    cols, targets, bad, quotient_cols = _read_targets(raw, "differential", shape.d, True)
+    complex_ = BigradedComplex(labels, grw, grz, cols)
+    complex_.d.targets = targets
+    complex_.illegal_terms = tuple(complex_.d.problem(i, j) for i, j in bad)
+    complex_.quotient_cols = quotient_cols
+    return complex_
 
 
 def load_complex(path: str) -> Tuple[BigradedComplex, Optional[SkewMap]]:
@@ -292,7 +270,7 @@ def load_complex(path: str) -> Tuple[BigradedComplex, Optional[SkewMap]]:
             f"field 'format' must be {FORMAT}, or absent in a format-1 file, got {data['format']!r}"
         )
     try:
-        complex_ = (_columns_complex if columnar else _entries_complex)(data)
+        complex_ = _file_complex(data, columnar)
         complex_.require_valid()
     except ValidationError as exc:
         raise FileFormatError(
@@ -301,16 +279,13 @@ def load_complex(path: str) -> Tuple[BigradedComplex, Optional[SkewMap]]:
     iota = None
     if "iota" in data:
         try:
-            if columnar:
-                cols, targets, bad, _ = _read_targets(data["iota"], "iota", SkewMap(complex_, ()), False)
-                iota = SkewMap(complex_, cols)
-                iota.targets = targets
-                violation = iota.problem(*bad[0]) if bad else chain_violation(iota)
-            else:
-                iota = SkewMap(complex_, _read_columns(data["iota"], "iota", SkewMap(complex_, ())))
-                violation = chain_violation(iota)  # the reader checked homogeneity
+            shape = SkewMap(complex_, ())
+            cols, targets, bad, _ = _read_targets(_target_lists(data, "iota", shape, columnar), "iota", shape, False)
         except ValidationError as exc:
             raise FileFormatError(f"{path}: iota rejected: {'; '.join(exc.violations)}") from None
+        iota = SkewMap(complex_, cols)
+        iota.targets = targets
+        violation = iota.problem(*bad[0]) if bad else chain_violation(iota)
         if violation is not None:
             raise FileFormatError(f"{path}: iota rejected: {violation}")
     return complex_, iota

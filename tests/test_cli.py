@@ -369,8 +369,8 @@ def _count_chain_checks(monkeypatch):
     """Wrap chain_violation in every knotfloer module that imported it; returns the list of maps checked.
 
     verify_chain_map calls it through the module of `complexes`, so its
-    checks are counted too; the format-2 reader checks homogeneity itself
-    and calls chain_violation alone.
+    checks are counted too; the file reader checks homogeneity itself, for
+    either format, and calls chain_violation alone.
     """
     import knotfloer.complexes
 
@@ -389,10 +389,12 @@ def _count_chain_checks(monkeypatch):
 def test_each_involution_is_checked_where_it_is_read(monkeypatch, tmp_path, capsys):
     # A report checks iota and its mirror once each, in the cone. Building,
     # saving and a report without the pair check nothing; a file's iota is
-    # checked as it is loaded.
+    # checked as it is loaded, so a report on J's file, in either format,
+    # checks it there and twice more in the cone.
     from knotfloer.expressions import parse_knot_expr, realize_expr
     from knotfloer.fileio import save_complex
     from knotfloer.involutive import realize_with_iota
+    from oracle_io import save_complex_json
 
     expr = "T(2,11)#T(4,7)#-T(5,6)"
     checked = _count_chain_checks(monkeypatch)
@@ -403,12 +405,18 @@ def test_each_involution_is_checked_where_it_is_read(monkeypatch, tmp_path, caps
     del checked[:]
     c, iota = realize_with_iota(parse_knot_expr(expr))
     realize_expr(parse_knot_expr(expr))
-    path = tmp_path / "j.cfk"
+    path, copy = tmp_path / "j.cfk", tmp_path / "j_v1.cfk"
     save_complex(c, str(path), expr, iota)
+    save_complex_json(c, str(copy), expr, iota)
     assert checked == []
-    code, out, _ = run_cli(["validate", "--expr", f"@{path}"], capsys)
-    assert out == "ok: 1089 generators, involution verified\n"
-    assert (code, len(checked)) == (0, 1)
+    for source in (path, copy):
+        del checked[:]
+        code, out, _ = run_cli(["validate", "--expr", f"@{source}"], capsys)
+        assert out == "ok: 1089 generators, involution verified\n"
+        assert (code, len(checked)) == (0, 1), source
+        del checked[:]
+        code, _out, err = run_cli(["report", "--expr", f"@{source}", "--format", "json"], capsys)
+        assert (code, len(checked)) == (0, 3), (source, err)
 
 
 def test_d_squared_after_an_inhomogeneous_entry_names_no_false_monomial(tmp_path, capsys):

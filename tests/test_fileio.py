@@ -14,7 +14,6 @@ from knotfloer.errors import FileFormatError, ValidationError
 from knotfloer.expressions import parse_knot_expr
 from knotfloer.fileio import load_complex, save_complex
 from knotfloer.involutive import realize_with_iota, staircase_iota
-from knotfloer.linalg import iter_bits
 from conftest import random_torus_sum
 from oracle_io import load_columns_checked, load_complex_checked, save_complex_columns, save_complex_json
 from test_digests import SAVED
@@ -258,30 +257,26 @@ def _load_homogeneous(path):
 
     A fresh complex and a fresh skew map, built from the loaded columns,
     compute `illegal_terms` and the first violation of iota
-    (`ChainMap.illegal_entries`), and the U = 0 and V = 0 columns through
-    grading masks. The loader's must equal them: the
-    format-2 reader sets `illegal_terms` and splits the quotient columns
-    off as it reads (`quotient_cols`), and the format-1 reader sets
-    `illegal_terms` and leaves the quotients to `reduce_complex`. The
-    target lists that a format-2 load keeps, and that the checks and the
-    writer read, must be those of a fresh `iter_bits` walk of the columns.
-    The loaded complex is left as it was loaded.
+    (`ChainMap.illegal_entries`), the U = 0 and V = 0 columns through
+    grading masks, and the target lists by a walk of the columns. The
+    loader's must equal them, for a file of either format: one reader
+    sets `illegal_terms`, splits the quotient columns off as it reads
+    (`quotient_cols`) and keeps the target lists that the checks and the
+    writer read. The loaded complex is left as it was loaded.
     """
     c, iota = load_complex(str(path))
-    with open(path, encoding="utf-8") as handle:
-        columnar = "format" in json.load(handle)
     fresh = BigradedComplex(c.labels, c.grw, c.grz, c.cols)
     assert c.illegal_terms == fresh.illegal_terms == (), path
-    assert sorted(c.quotient_cols) == (["U0", "V0"] if columnar else []), path
+    assert sorted(c.quotient_cols) == ["U0", "V0"], path
     for mode, drop in (("U0", c.grw), ("V0", c.grz)):
         quotient = reduce_complex(fresh, mode)
         assert quotient.degrees == drop, path
-        if columnar:
-            assert c.quotient_cols[mode] == quotient.cols, (path, mode)
-    assert c.d.targets == tuple([*iter_bits(col)] for col in c.cols), path
+        assert c.quotient_cols[mode] == quotient.cols, (path, mode)
+    assert c.d.targets == fresh.d.targets, path
     if iota is not None:
-        assert verify_chain_map(SkewMap(fresh, iota.cols)) is None, path
-        assert iota.targets == tuple([*iter_bits(col)] for col in iota.cols), path
+        fresh_iota = SkewMap(fresh, iota.cols)
+        assert verify_chain_map(fresh_iota) is None, path
+        assert iota.targets == fresh_iota.targets, path
     return c, iota
 
 
@@ -369,7 +364,7 @@ def test_failed_save_keeps_existing_file(tmp_path, complex_, kwargs):
     assert path.read_bytes() == b"old bytes\n"
 
 
-# --- the format-1 reader's single pass against the checked oracle -----------
+# --- the format-1 front end's single pass against the checked oracle --------
 
 # The program writes only format 2; the format-1 files of these tests come
 # from the oracle's json.dump writer.
@@ -873,15 +868,21 @@ def test_data_files_pass_the_mask_checks(name):
         _load_homogeneous(path)
 
 
-def test_unit_entry_is_in_both_quotients():
+def test_unit_entry_is_in_both_quotients(tmp_path):
     # d(a) = b with u = v = 0: the reader puts it in the columns of both
-    # quotients. reduce_complex returns the reader's columns once, then
-    # computes the same columns through masks.
-    c, _ = _load_homogeneous(os.path.join(DATA, "unit_pair.cfk"))
-    a, b = c.index["a"], c.index["b"]
-    for mode in ("U0", "V0"):
-        split = c.quotient_cols[mode]
-        assert split[a] == 1 << b
-        assert reduce_complex(c, mode).cols is split
-        assert mode not in c.quotient_cols
-        assert reduce_complex(c, mode).cols == split
+    # quotients, from the format-2 file and from its format-1 copy.
+    # reduce_complex returns the reader's columns once, then computes the
+    # same columns through masks.
+    path = os.path.join(DATA, "unit_pair.cfk")
+    copy = tmp_path / "unit_pair_v1.cfk"
+    c, iota = load_complex(path)
+    save_complex_json(c, str(copy), "", iota)
+    for source in (path, copy):
+        c, _ = _load_homogeneous(source)
+        a, b = c.index["a"], c.index["b"]
+        for mode in ("U0", "V0"):
+            split = c.quotient_cols[mode]
+            assert split[a] == 1 << b, source
+            assert reduce_complex(c, mode).cols is split
+            assert mode not in c.quotient_cols
+            assert reduce_complex(c, mode).cols == split
