@@ -28,29 +28,25 @@ checked:
 
 * monomial terms from outside enter through `from_terms`, which checks
   every term against the gradings;
-* the file reader (`fileio`) checks each entry by its implied exponents
-  as it reads it and sets `illegal_terms` itself; a format-1 entry is
-  first checked against its stated exponents, and only the entries that
-  agree reach the reader. The reader also checks iota, so a loaded
-  involution needs only `chain_violation`;
-* every other complex, and every map built in the program, is checked
-  by `illegal_terms` and `verify_chain_map` (`ChainMap.illegal_entries`),
-  which apply the file reader's arithmetic over the map's target
-  lists.
+* every other complex and map, those read from a file included, is
+  checked by `illegal_terms` and `verify_chain_map` over the map's target
+  lists (`ChainMap.illegal_entries`). A format-1 file entry is first
+  checked against its stated exponents, and only the entries that agree
+  reach those lists.
 
 `ChainMap.targets` is the one walk over the bits of a map's columns: it
 lists each column's target indices once, and the d^2 check, the
 d f = f d check (`chain_violation`), `terms` and the file writer all
-read those lists. The file reader stores the lists it has read and
-checked, from a file of either format, as the `targets` of the
-differential and of iota, so the bits of a loaded complex are never
-walked.
+read those lists, and so do the homogeneity rule and `reduce_complex`.
+The file reader stores the lists it has read, from a file of either
+format, as the `targets` of the differential and of iota, so the bits of
+a loaded complex are never walked.
 """
 
 from __future__ import annotations
 
 import functools
-from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import ValidationError
 from .fu import FUComplex
@@ -86,9 +82,6 @@ class BigradedComplex:
         self.cols: Tuple[int, ...] = tuple(cols)
         if not len(self.labels) == len(self.grw) == len(self.grz) == len(self.cols):
             raise ValidationError("grading and column lists differ in length")
-        # mode -> the columns of `reduce_complex(self, mode)`, when a reader
-        # has split them off; each is dropped once read.
-        self.quotient_cols: Dict[str, Tuple[int, ...]] = {}
 
     @classmethod
     def from_terms(cls, gens: Sequence[Tuple[str, int, int]], terms: Iterable[Term]) -> "BigradedComplex":
@@ -119,16 +112,6 @@ class BigradedComplex:
         return tuple((w - z) // 2 for w, z in zip(self.grw, self.grz))
 
     @functools.cached_property
-    def grw_masks(self) -> Dict[int, int]:
-        """grw value -> bitmask of the generators at it."""
-        return value_masks(self.grw)
-
-    @functools.cached_property
-    def grz_masks(self) -> Dict[int, int]:
-        """grz value -> bitmask of the generators at it."""
-        return value_masks(self.grz)
-
-    @functools.cached_property
     def d(self) -> "Differential":
         return Differential(self)
 
@@ -156,8 +139,7 @@ class BigradedComplex:
         """A message for every entry of d whose implied exponents are not natural numbers.
 
         Computed once per complex by `ChainMap.illegal_entries`; `validate`
-        and the invariants share it. For a loaded complex the file's reader
-        sets it, having checked each entry as it read it.
+        and the invariants share it.
         """
         d = self.d
         return tuple(d.problem(i, j) for i, j in d.illegal_entries())
@@ -306,11 +288,18 @@ class ChainMap:
     def is_zero(self) -> bool:
         return not any(self.cols)
 
+    @functools.cached_property
+    def violation(self) -> Optional[str]:
+        """The result of `verify_chain_map`, found once per map."""
+        for i, j in self.illegal_entries():
+            return self.problem(i, j)
+        return chain_violation(self)
+
     def illegal_entries(self) -> Iterator[Tuple[int, int]]:
         """(i, j) of every entry whose implied exponents are not nonnegative integers, in index order.
 
-        One pass over `targets`, with the arithmetic of the file reader:
-        an entry is illegal when either doubled exponent is negative or odd.
+        One pass over `targets`, the one home of the homogeneity rule: an
+        entry is illegal when either doubled exponent is negative or odd.
         """
         grw, grz = self.target.grw, self.target.grz
         for i, (row, w, z) in enumerate(zip(self.targets, *self.bases)):
@@ -413,10 +402,11 @@ def chain_violation(f: ChainMap) -> Optional[str]:
 
 
 def verify_chain_map(f: ChainMap) -> Optional[str]:
-    """None when f is a valid (skew) chain map, else the first violation: homogeneity, then `chain_violation`."""
-    for i, j in f.illegal_entries():
-        return f.problem(i, j)
-    return chain_violation(f)
+    """None when f is a valid (skew) chain map, else the first violation: homogeneity, then `chain_violation`.
+
+    The result is kept on f (`ChainMap.violation`), so a map is checked once.
+    """
+    return f.violation
 
 
 # --- basepoint endomorphisms ---------------------------------------------
@@ -442,14 +432,9 @@ def basepoint_map(c: BigradedComplex, variable: str) -> ChainMap:
     """
     if variable not in ("U", "V"):
         raise ValueError(f"unknown variable {variable!r}")
-    if variable == "U":
-        grading, masks, bidegree = c.grw, c.grw_masks, (1, -1)
-    else:
-        grading, masks, bidegree = c.grz, c.grz_masks, (-1, 1)
-    mod4 = [0] * 4
-    for g, mask in masks.items():
-        mod4[g % 4] |= mask
-    return ChainMap(c, c, [col & mod4[(g + 1) % 4] for col, g in zip(c.cols, grading)], bidegree)
+    grading, bidegree = (c.grw, (1, -1)) if variable == "U" else (c.grz, (-1, 1))
+    mod4 = value_masks([g % 4 for g in grading])
+    return ChainMap(c, c, [col & mod4.get((g + 1) % 4, 0) for col, g in zip(c.cols, grading)], bidegree)
 
 
 def basepoint_maps(c: BigradedComplex) -> Tuple[ChainMap, ChainMap]:
@@ -468,23 +453,22 @@ def reduce_complex(c: BigradedComplex, mode: str) -> FUComplex:
                  finite GF(2) complex with U = 0 and V = 1;
     mode "V0" -> free GF(2)[U]-complex (graded by grw) on those without V.
 
-    The kept entries lower the dropped grading (grw for "U0", grz for
-    "V0") by exactly one, so it is a homological degree of the quotient:
-    the result carries it as its `degrees`, by which `tower_reduce`
-    clears. The pure-monomial entries (the UV = 0 quotient) are the union
-    of the two modes' columns.
-
-    When the file reader has split the columns off (`quotient_cols`), as
-    it does for a file of either format, they are taken from there and
-    dropped, so a loaded complex keeps them only until its quotients are
-    reduced; otherwise they are filtered through grading masks.
+    The kept entries are those whose exponent of the killed variable is 0:
+    they lower the dropped grading (grw for "U0", grz for "V0") by exactly
+    one, so it is a homological degree of the quotient. The result
+    carries it as its `degrees`, by which `tower_reduce` clears. The
+    pure-monomial entries (the UV = 0 quotient) are the union of the two
+    modes' columns.
     """
     if mode not in ("U0", "V0"):
         raise ValueError(f"unknown reduction mode {mode!r}")
     drop, keep = (c.grw, c.grz) if mode == "U0" else (c.grz, c.grw)
-    cols = c.quotient_cols.pop(mode, None)
-    if cols is None:
-        # Keep the entries whose exponent of the killed variable is 0: its grading drops by one.
-        masks = c.grw_masks if mode == "U0" else c.grz_masks
-        cols = tuple(col & masks.get(g - 1, 0) for col, g in zip(c.cols, drop))
+    cols = []
+    for row, g in zip(c.d.targets, drop):
+        g -= 1
+        col = 0
+        for j in row:
+            if drop[j] == g:
+                col |= 1 << j
+        cols.append(col)
     return FUComplex(c.labels, keep, cols, drop)

@@ -9,24 +9,15 @@ lists the indices j of the generators y_j in d(x_i)) and the optional
 candidate). Exponents are not stored, since homogeneity fixes them:
 U^u V^v y in d(x) has 2u = grw(y) - grw(x) + 1 and
 2v = grz(y) - grz(x) + 1, and in iota(x) 2u = grw(y) - grz(x) and
-2v = grz(y) - grw(x). The reader checks the shape of each list, the
-exact type of each element (a bool or a float is not an integer), the
-index ranges, repeated targets and repeated ids, and names the first
-fault by field and generator. In the same pass over the entries it
-checks homogeneity: it lists each entry whose implied exponents are not
-natural numbers, as the complex's `illegal_terms` for d and as the
-first violation for iota, by the rule, the messages and the (i, j)
-order of `ChainMap.illegal_entries`. It also splits each column of d
-into its entries with u = 0 and those with v = 0, a unit entry into
-both: the columns of the two one-variable quotients, which
-`reduce_complex` takes (and drops) once instead of filtering the
-columns through grading masks (`BigradedComplex.quotient_cols`). It
-sorts each target list in place and keeps the lists as the `targets` of
-the differential and of iota (`ChainMap.targets`), so no later check
-walks the bits of the columns. Then `require_valid` checks parity,
-reports the entries the reader listed and checks d^2 = 0, and
-`chain_violation` checks d iota = iota d, both over those lists. Any
-other `format` value is an error.
+2v = grz(y) - grw(x). The reader checks only the file: the shape of
+each list, the exact type of each element (a bool or a float is not an
+integer), the index ranges, repeated targets and repeated ids, and names
+the first fault by field and generator. It sorts each target list in
+place and keeps the lists as the `targets` of the differential and of
+iota (`ChainMap.targets`), so no later check walks the bits of the
+columns. Then `require_valid` checks the complex and `verify_chain_map`
+checks iota, both over those lists, by the one homogeneity rule of
+`ChainMap.illegal_entries`. Any other `format` value is an error.
 
 Format 1 is every file without a `format` field. It is still read,
 never written. `generators` is a list of {id, grw, grz} and
@@ -40,8 +31,7 @@ Then it compares the stated exponents with those the gradings imply.
 The entries that differ are reported together after the pass, unless a
 generator id repeats, which is reported instead. The lists then
 go through the format-2 reader above, so one builder makes the complex
-of either format, and a format-1 load keeps its target lists and
-quotient columns as a format-2 load does.
+of either format.
 
 Saving writes exactly the bytes of `json.dumps(obj, sort_keys=True)`
 plus a newline: one line, ASCII with `\\u` escapes, and the target lists
@@ -53,9 +43,9 @@ byte-stable even when the file's lists are not sorted. Without
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
-from .complexes import BigradedComplex, ChainMap, SkewMap, chain_violation
+from .complexes import BigradedComplex, ChainMap, SkewMap, verify_chain_map
 from .errors import FileFormatError, ValidationError
 
 FORMAT = 2  # the layout `save_complex` writes
@@ -121,28 +111,20 @@ def _ids(data: dict) -> List[str]:
     return raw
 
 
-def _read_targets(
-    raw, key: str, f: ChainMap, split: bool
-) -> Tuple[List[int], Tuple[List[int], ...], List[Tuple[int, int]], Dict[str, Tuple[int, ...]]]:
-    """The columns of f from n target lists, in one pass over the entries.
+def _read_targets(raw, key: str, labels: List[str]) -> Tuple[List[int], Tuple[List[int], ...]]:
+    """The bitmask columns and the sorted target lists of n target lists.
 
-    f is a map on the file's complex with no columns yet, which gives the
-    gradings and `ChainMap.bases`. Each list is checked and sorted in
-    place, and the first fault of type, range or repetition is raised.
-    Returns the bitmask columns, the lists, the (i, j) of each entry whose
-    implied exponents are not natural numbers, in index order, and, with
-    split, each column's entries without U and those without V, under the
-    modes of `reduce_complex` ("U0", "V0"); a unit entry is in both.
+    Each list is checked and sorted in place, and the first fault of
+    type, range or repetition is raised.
     """
-    labels, grw, grz = f.source.labels, f.target.grw, f.target.grz
     n = len(labels)
     if type(raw) is not list or len(raw) != n:
         raise FileFormatError(f"field {key!r} must be a list of {n} target lists, one per id")
-    cols, no_u, no_v, bad = [], [], [], []
-    for i, (targets, bw, bz) in enumerate(zip(raw, *f.bases)):
+    cols = []
+    for i, targets in enumerate(raw):
         if type(targets) is not list:
             raise FileFormatError(f"{_at(key, i, labels)}: expected a list of target indices, got {targets!r}")
-        col = col_u = col_v = 0
+        col = 0
         for j in targets:
             if type(j) is not int:  # bool is not int here, and 1.0 is not 1
                 raise FileFormatError(f"{_at(key, i, labels)}: target must be an integer, got {j!r}")
@@ -152,21 +134,9 @@ def _read_targets(
             if col & bit:
                 raise FileFormatError(f"{_at(key, i, labels)}: target {j} is repeated")
             col |= bit
-            two_u, two_v = grw[j] - bw, grz[j] - bz
-            both = two_u | two_v  # negative when either is, odd when either is
-            if both < 0 or both & 1:
-                bad.append((i, j))
-            elif split:
-                if not two_u:
-                    col_u |= bit
-                if not two_v:
-                    col_v |= bit
         targets.sort()
         cols.append(col)
-        no_u.append(col_u)
-        no_v.append(col_v)
-    bad.sort()
-    return cols, tuple(raw), bad, {"U0": tuple(no_u), "V0": tuple(no_v)} if split else {}
+    return cols, tuple(raw)
 
 
 # --- format 1: one object per term, read into target lists ------------------
@@ -190,8 +160,8 @@ def _entry_targets(raw, kind: str, f: ChainMap) -> List[List[int]]:
     first fault is raised. An entry whose stated exponents are not those
     its gradings imply stays out of the lists; after the pass a repeated
     generator id is raised, and then all such entries together. So every
-    listed entry has the natural exponents it states, and the
-    implied-exponent rule of `_read_targets` never fires on these lists.
+    listed entry has the natural exponents it states, and
+    `ChainMap.illegal_entries` never fires on these lists.
     """
     if not isinstance(raw, list):
         raise FileFormatError(f"'{kind}' must be a list")
@@ -241,11 +211,9 @@ def _file_complex(data: dict, columnar: bool) -> BigradedComplex:
         labels, grw, grz = zip(*_parse_generators(data.get("generators")))
     shape = BigradedComplex(labels, grw, grz, [0] * len(labels))
     raw = _target_lists(data, "differential", shape.d, columnar)
-    cols, targets, bad, quotient_cols = _read_targets(raw, "differential", shape.d, True)
+    cols, targets = _read_targets(raw, "differential", labels)
     complex_ = BigradedComplex(labels, grw, grz, cols)
     complex_.d.targets = targets
-    complex_.illegal_terms = tuple(complex_.d.problem(i, j) for i, j in bad)
-    complex_.quotient_cols = quotient_cols
     return complex_
 
 
@@ -279,13 +247,13 @@ def load_complex(path: str) -> Tuple[BigradedComplex, Optional[SkewMap]]:
     iota = None
     if "iota" in data:
         try:
-            shape = SkewMap(complex_, ())
-            cols, targets, bad, _ = _read_targets(_target_lists(data, "iota", shape, columnar), "iota", shape, False)
+            raw = _target_lists(data, "iota", SkewMap(complex_, ()), columnar)
         except ValidationError as exc:
             raise FileFormatError(f"{path}: iota rejected: {'; '.join(exc.violations)}") from None
+        cols, targets = _read_targets(raw, "iota", complex_.labels)
         iota = SkewMap(complex_, cols)
         iota.targets = targets
-        violation = iota.problem(*bad[0]) if bad else chain_violation(iota)
+        violation = verify_chain_map(iota)
         if violation is not None:
             raise FileFormatError(f"{path}: iota rejected: {violation}")
     return complex_, iota

@@ -99,16 +99,6 @@ def level_split(c: BigradedComplex, s: int) -> Reduction:
     return memo[s]
 
 
-def _glue(c: BigradedComplex, s: int, t: int) -> List[int]:
-    """pi_t f iota_s for each generator of M_s: the staircase arrow A_s -> A_t (t = s +- 1) on the models.
-
-    The arrow is U or V on every generator, so on the level bases it is
-    the identity on C's indices, with T-powers implied by the gradings.
-    `level_split` builds it once both levels are split.
-    """
-    return c.__dict__["_glue"][s, t]
-
-
 def _cone(c: BigradedComplex, s: int, n: int) -> Tuple[FUComplex, List[int]]:
     """A model of level s of C tensor St*_n, and where its blocks start (then its size).
 
@@ -120,12 +110,16 @@ def _cone(c: BigradedComplex, s: int, n: int) -> Tuple[FUComplex, List[int]]:
     homotopy equivalences, Cone(f) is homotopy equivalent to
     Cone(pi_O f iota_E), which is this complex: block k is M_(s+n-k) raised
     by k, and generator m of an even block k maps into block k +- 1 by
-    pi f iota (m) (`_glue`). For n = 0 it is M_s.
+    pi f iota (m), the glue that `level_split` builds once both levels are
+    split. The arrow f, U or V on every generator, is the identity on C's
+    indices on the level bases, with T-powers implied by the gradings.
+    For n = 0 it is M_s.
 
     Its T-powers are natural: those of a model are, and a glue entry is
     an entry of pi f iota, a composite of maps whose T-powers are.
     """
     splits = [level_split(c, s + n - k) for k in range(2 * n + 1)]
+    glue = c.__dict__["_glue"]
     offsets = [0]
     labels: List[str] = []
     gradings: List[int] = []
@@ -140,8 +134,8 @@ def _cone(c: BigradedComplex, s: int, n: int) -> Tuple[FUComplex, List[int]]:
         for b in (k - 1, k + 1):
             if 0 <= b <= 2 * n:
                 base, shift = offsets[k], offsets[b]
-                for m, glue in enumerate(_glue(c, s + n - k, s + n - b)):
-                    cols[base + m] |= glue << shift
+                for m, col in enumerate(glue[s + n - k, s + n - b]):
+                    cols[base + m] |= col << shift
     return FUComplex(labels, gradings, cols), offsets
 
 

@@ -9,8 +9,8 @@ built from the factor columns by the mixed-product rule.
 
 The constructions check nothing: each keeps a valid skew chain map
 valid (the proof is in `realize_with_iota`). An involution is checked
-where a number is read from it, once, by `ai0_cone`; a file's is also
-checked as `load_complex` reads it.
+where a number is read from it, once, by `ai0_cone`; a file's is checked
+as `load_complex` reads it, and the cone reuses that check.
 
 The involutive corrections come from the cone of (1 + iota) on the
 level-0 subcomplex, built on its model M_0 (`ai0_cone`), with the cone

@@ -368,9 +368,8 @@ def test_failed_mirror_involution_is_reported(monkeypatch, capsys):
 def _count_chain_checks(monkeypatch):
     """Wrap chain_violation in every knotfloer module that imported it; returns the list of maps checked.
 
-    verify_chain_map calls it through the module of `complexes`, so its
-    checks are counted too; the file reader checks homogeneity itself, for
-    either format, and calls chain_violation alone.
+    verify_chain_map calls it through the module of `complexes`, once per
+    map (`ChainMap.violation`), so its checks are counted too.
     """
     import knotfloer.complexes
 
@@ -389,8 +388,9 @@ def _count_chain_checks(monkeypatch):
 def test_each_involution_is_checked_where_it_is_read(monkeypatch, tmp_path, capsys):
     # A report checks iota and its mirror once each, in the cone. Building,
     # saving and a report without the pair check nothing; a file's iota is
-    # checked as it is loaded, so a report on J's file, in either format,
-    # checks it there and twice more in the cone.
+    # checked as it is loaded, and the cone reuses that check, so a report
+    # on J's file, in either format, checks it there and its mirror in the
+    # cone.
     from knotfloer.expressions import parse_knot_expr, realize_expr
     from knotfloer.fileio import save_complex
     from knotfloer.involutive import realize_with_iota
@@ -416,7 +416,7 @@ def test_each_involution_is_checked_where_it_is_read(monkeypatch, tmp_path, caps
         assert (code, len(checked)) == (0, 1), source
         del checked[:]
         code, _out, err = run_cli(["report", "--expr", f"@{source}", "--format", "json"], capsys)
-        assert (code, len(checked)) == (0, 3), (source, err)
+        assert (code, len(checked)) == (0, 2), (source, err)
 
 
 def test_d_squared_after_an_inhomogeneous_entry_names_no_false_monomial(tmp_path, capsys):

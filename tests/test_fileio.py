@@ -257,21 +257,19 @@ def _load_homogeneous(path):
 
     A fresh complex and a fresh skew map, built from the loaded columns,
     compute `illegal_terms` and the first violation of iota
-    (`ChainMap.illegal_entries`), the U = 0 and V = 0 columns through
-    grading masks, and the target lists by a walk of the columns. The
-    loader's must equal them, for a file of either format: one reader
-    sets `illegal_terms`, splits the quotient columns off as it reads
-    (`quotient_cols`) and keeps the target lists that the checks and the
-    writer read. The loaded complex is left as it was loaded.
+    (`ChainMap.illegal_entries`), the U = 0 and V = 0 quotients, and the
+    target lists by a walk of the columns. The loader's must equal them,
+    for a file of either format: the reader keeps the target lists that
+    the checks, the quotients and the writer read.
     """
     c, iota = load_complex(str(path))
     fresh = BigradedComplex(c.labels, c.grw, c.grz, c.cols)
     assert c.illegal_terms == fresh.illegal_terms == (), path
-    assert sorted(c.quotient_cols) == ["U0", "V0"], path
     for mode, drop in (("U0", c.grw), ("V0", c.grz)):
         quotient = reduce_complex(fresh, mode)
         assert quotient.degrees == drop, path
-        assert c.quotient_cols[mode] == quotient.cols, (path, mode)
+        loaded = reduce_complex(c, mode)
+        assert (loaded.cols, loaded.degrees) == (quotient.cols, quotient.degrees), (path, mode)
     assert c.d.targets == fresh.d.targets, path
     if iota is not None:
         fresh_iota = SkewMap(fresh, iota.cols)
@@ -809,15 +807,16 @@ def _accepts(load, path):
         return None
 
 
-# --- format 2: the reader's checks against those of a fresh complex ----------
+# --- format 2: the loader's checks against those of a fresh complex ----------
 
 
 def _fresh_verdict(data, path):
     """The error message for a format-2 object of sound shape, from a fresh complex and skew map; None if valid.
 
-    The complex and the map are built from the object's target lists, so
-    their homogeneity is found by `illegal_terms` and `verify_chain_map`
-    (`ChainMap.illegal_entries`), not by the reader.
+    The complex and the map are built from the columns of the object's
+    target lists, so `illegal_terms` and `verify_chain_map`
+    (`ChainMap.illegal_entries`) read lists walked off those columns, not
+    the file's lists that the loader keeps.
     """
 
     def columns(lists):
@@ -869,10 +868,8 @@ def test_data_files_pass_the_mask_checks(name):
 
 
 def test_unit_entry_is_in_both_quotients(tmp_path):
-    # d(a) = b with u = v = 0: the reader puts it in the columns of both
+    # d(a) = b with u = v = 0: the entry is in the columns of both
     # quotients, from the format-2 file and from its format-1 copy.
-    # reduce_complex returns the reader's columns once, then computes the
-    # same columns through masks.
     path = os.path.join(DATA, "unit_pair.cfk")
     copy = tmp_path / "unit_pair_v1.cfk"
     c, iota = load_complex(path)
@@ -881,8 +878,4 @@ def test_unit_entry_is_in_both_quotients(tmp_path):
         c, _ = _load_homogeneous(source)
         a, b = c.index["a"], c.index["b"]
         for mode in ("U0", "V0"):
-            split = c.quotient_cols[mode]
-            assert split[a] == 1 << b, source
-            assert reduce_complex(c, mode).cols is split
-            assert mode not in c.quotient_cols
-            assert reduce_complex(c, mode).cols == split
+            assert reduce_complex(c, mode).cols[a] == 1 << b, (source, mode)
