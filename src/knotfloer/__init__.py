@@ -12,7 +12,6 @@ from .complexes import (
     ChainMap,
     Generator,
     SkewMap,
-    basepoint_maps,
     reduce_complex,
     verify_chain_map,
 )

@@ -28,6 +28,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 from .builders import alexander_exponents
 from .errors import UnsupportedInputError, ValidationError
 from .expressions import KnotExpr, torus_terms
+from .invariants import InvariantTable
 
 
 @dataclass(frozen=True)
@@ -142,14 +143,6 @@ class StepFunction:
 
     jumps: Tuple[Tuple[Fraction, int], ...]  # (location, size), increasing
 
-    def value(self, t) -> int:
-        t = Fraction(t)
-        if not 0 < t < 1:
-            raise ValueError("evaluation point must lie in (0, 1)")
-        if any(x == t for x, _ in self.jumps):
-            raise ValueError(f"{t} is a jump point")
-        return sum(size for x, size in self.jumps if x < t)
-
     def extrema(self) -> Tuple[int, int]:
         """(max, min) over the open intervals between jumps."""
         level = 0
@@ -197,6 +190,16 @@ def signature_clasp_bound(sig: StepFunction) -> Tuple[int, int, int]:
 # --- report assembly --------------------------------------------------------
 
 
+def _source(bound: int, **certificate) -> Dict:
+    """One source of a bound: its value and what certifies it."""
+    return {"bound": bound, "certificate": certificate}
+
+
+def _best(sources: Dict[str, Dict]) -> Dict:
+    """The sources of a bound and the largest of their values."""
+    return {"sources": sources, "max": max(src["bound"] for src in sources.values())}
+
+
 def _parity_bound(values: Dict[int, int]) -> Dict:
     """Largest n + 2*val - 1 over the entries with val >= 1, and where.
 
@@ -210,104 +213,69 @@ def _parity_bound(values: Dict[int, int]) -> Dict:
                 best, at = cand, [n]
             elif cand == best:
                 at.append(n)
-    return {"bound": best, "certificate": {"achieved_at": at}}
+    return _source(best, achieved_at=at)
 
 
-def genus_bounds(
-    v: Dict[int, int],
-    y: Dict[int, int],
-    nu_plus: int,
-    omega_plus: int,
-    involutive: Optional[Tuple[int, int]],
-) -> Dict:
+def _involutive_parts(involutive: Tuple[int, int]) -> Tuple[int, int]:
+    """(positive, negative) parts of the bound that (v0_bar, v0_under) puts on g, the slice genus or the clasp number.
+
+    ceil((g+1)/2) >= v_under and >= -v_bar force g >= 2*v - 2, with v
+    each of v_under and -v_bar.
+    """
+    v_bar, v_under = involutive
+    return max(2 * v_under - 2, 0), max(-2 * v_bar - 2, 0)
+
+
+def genus_bounds(table: InvariantTable, involutive: Optional[Tuple[int, int]]) -> Dict:
     """Per-source slice-genus lower bounds with their certificates."""
-    sources: Dict[str, Dict] = {}
-    sources["nu_plus"] = {"bound": nu_plus, "certificate": {"nu_plus": nu_plus}}
-    sources["omega_plus"] = {"bound": omega_plus, "certificate": {"omega_plus": omega_plus}}
-    sources["v_parity"] = _parity_bound({s: val for s, val in v.items() if s >= 0})
-    sources["y_parity"] = _parity_bound(y)
+    sources = {
+        "nu_plus": _source(table.nu_plus, nu_plus=table.nu_plus),
+        "omega_plus": _source(table.omega_plus, omega_plus=table.omega_plus),
+        "v_parity": _parity_bound({s: val for s, val in table.v.items() if s >= 0}),
+        "y_parity": _parity_bound(table.y),
+    }
     if involutive is not None:
-        # ceil((g+1)/2) >= v_under and >= -v_bar force g >= 2*v - 2.
         v_bar, v_under = involutive
-        bound = max(2 * v_under - 2, -2 * v_bar - 2, 0)
-        sources["involutive"] = {
-            "bound": bound,
-            "certificate": {"v0_bar": v_bar, "v0_under": v_under},
-        }
-    overall = max(src["bound"] for src in sources.values())
-    return {"sources": sources, "max": overall}
+        sources["involutive"] = _source(max(_involutive_parts(involutive)), v0_bar=v_bar, v0_under=v_under)
+    return _best(sources)
 
 
 def clasp_bounds(
-    table_k: Dict,
-    table_mirror: Dict,
-    upsilon_bound: Optional[Fraction],
-    signature: Optional[Tuple[int, int, int]],
+    table: InvariantTable,
+    mirror: InvariantTable,
+    ratio: Optional[Fraction],
+    signature: Optional[StepFunction],
     involutive: Optional[Tuple[int, int]],
 ) -> Dict:
-    """Per-source clasp-number lower bounds (total, positive, negative)."""
-    sources: Dict[str, Dict] = {}
-    bcg = table_k["nu_plus"] + table_mirror["nu_plus"]
-    sources["nu_plus_sum"] = {
-        "bound": bcg,
-        "certificate": {
-            "nu_plus": table_k["nu_plus"],
-            "nu_plus_mirror": table_mirror["nu_plus"],
-        },
-    }
-    osum = table_k["omega_plus"] + table_mirror["omega_plus"]
-    sources["omega_plus_sum"] = {
-        "bound": osum,
-        "certificate": {
-            "omega_plus": table_k["omega_plus"],
-            "omega_plus_mirror": table_mirror["omega_plus"],
-        },
-    }
-    if upsilon_bound is not None:
-        sources["upsilon_ratio"] = {
-            "bound_exact": str(upsilon_bound),
-            "bound": -(-upsilon_bound.numerator // upsilon_bound.denominator),
-            "certificate": {},
-        }
-    if signature is not None:
-        hi, lo, bound = signature
-        sources["signature"] = {
-            "bound": bound,
-            "certificate": {"max": hi, "min": lo},
-        }
+    """Per-source clasp-number lower bounds (total, positive, negative).
 
-    plus_sources: Dict[str, Dict] = {}
-    minus_sources: Dict[str, Dict] = {}
-    plus_sources["omega_plus"] = {"bound": table_k["omega_plus"], "certificate": {}}
-    minus_sources["omega_plus_mirror"] = {
-        "bound": table_mirror["omega_plus"],
-        "certificate": {},
+    ratio is `upsilon_ratio_bound`, rounded up; signature is the signature
+    function, bounded by `signature_clasp_bound`.
+    """
+    sources = {
+        "nu_plus_sum": _source(
+            table.nu_plus + mirror.nu_plus, nu_plus=table.nu_plus, nu_plus_mirror=mirror.nu_plus
+        ),
+        "omega_plus_sum": _source(
+            table.omega_plus + mirror.omega_plus, omega_plus=table.omega_plus, omega_plus_mirror=mirror.omega_plus
+        ),
     }
-    plus_sources["y_parity"] = _parity_bound(table_k["y"])
+    if ratio is not None:
+        sources["upsilon_ratio"] = {"bound_exact": str(ratio), **_source(-(-ratio.numerator // ratio.denominator))}
+    if signature is not None:
+        hi, lo, bound = signature_clasp_bound(signature)
+        sources["signature"] = _source(bound, max=hi, min=lo)
+    positive = {"omega_plus": _source(table.omega_plus), "y_parity": _parity_bound(table.y)}
+    negative = {"omega_plus_mirror": _source(mirror.omega_plus)}
     if involutive is not None:
-        # ceil((c+1)/2) >= v_under and >= -v_bar force c >= 2*v - 2.
         v_bar, v_under = involutive
-        plus_sources["involutive"] = {
-            "bound": max(2 * v_under - 2, 0),
-            "certificate": {"v0_under": v_under},
-        }
-        minus_sources["involutive"] = {
-            "bound": max(-2 * v_bar - 2, 0),
-            "certificate": {"v0_bar": v_bar},
-        }
-    plus_max = max(src["bound"] for src in plus_sources.values())
-    minus_max = max(src["bound"] for src in minus_sources.values())
-    sources["signed_sum"] = {
-        "bound": plus_max + minus_max,
-        "certificate": {"positive": plus_max, "negative": minus_max},
-    }
-    overall = max(src["bound"] for src in sources.values())
-    return {
-        "sources": sources,
-        "max": overall,
-        "positive": {"sources": plus_sources, "max": plus_max},
-        "negative": {"sources": minus_sources, "max": minus_max},
-    }
+        plus, minus = _involutive_parts(involutive)
+        positive["involutive"] = _source(plus, v0_under=v_under)
+        negative["involutive"] = _source(minus, v0_bar=v_bar)
+    positive, negative = _best(positive), _best(negative)
+    top = positive["max"] + negative["max"]
+    sources["signed_sum"] = _source(top, positive=positive["max"], negative=negative["max"])
+    return {**_best(sources), "positive": positive, "negative": negative}
 
 
 def format_exact(x: Fraction) -> str:

@@ -38,10 +38,6 @@ class StepSequence:
         if any(s[i] != -s[len(s) - 1 - i] for i in range(len(s))):
             raise ValidationError("exponent sequence must be symmetric")
 
-    @property
-    def genus(self) -> int:
-        return self.exponents[0]
-
 
 def alexander_exponents(p: int, q: int) -> StepSequence:
     """Symmetrized exponents of the torus-knot Alexander polynomial.

@@ -157,10 +157,8 @@ def _build_report(args) -> Dict:
             "ratio_clasp_bound": format_exact(ratio),
         }
     signature_payload = None
-    sig_triple = None
     if signature is not None:
         hi, lo, bound = signature_clasp_bound(signature)
-        sig_triple = (hi, lo, bound)
         signature_payload = {
             "jumps": [[format_exact(x), s] for x, s in signature.jumps],
             "max": hi,
@@ -168,14 +166,8 @@ def _build_report(args) -> Dict:
             "clasp_bound": bound,
         }
 
-    genus = genus_bounds(table.v, table.y, table.nu_plus, table.omega_plus, involutive)
-    clasp = clasp_bounds(
-        {"nu_plus": table.nu_plus, "omega_plus": table.omega_plus, "y": table.y},
-        {"nu_plus": mtable.nu_plus, "omega_plus": mtable.omega_plus, "y": mtable.y},
-        ratio,
-        sig_triple,
-        involutive,
-    )
+    genus = genus_bounds(table, involutive)
+    clasp = clasp_bounds(table, mtable, ratio, signature, involutive)
 
     certificates = {
         "v0_tower_cycle": _tower_certificate(complex_),

@@ -211,9 +211,6 @@ class BigradedComplex:
         return BigradedComplex(labels, self.grw, self.grz, self.cols)
 
 
-UNKNOT = BigradedComplex(("o",), (0,), (0,), (0,))
-
-
 # --- chain maps -------------------------------------------------------
 
 
@@ -284,9 +281,6 @@ class ChainMap:
             for i, row in enumerate(self.targets)
             for j in row
         ]
-
-    def is_zero(self) -> bool:
-        return not any(self.cols)
 
     @functools.cached_property
     def violation(self) -> Optional[str]:
@@ -435,11 +429,6 @@ def basepoint_map(c: BigradedComplex, variable: str) -> ChainMap:
     grading, bidegree = (c.grw, (1, -1)) if variable == "U" else (c.grz, (-1, 1))
     mod4 = value_masks([g % 4 for g in grading])
     return ChainMap(c, c, [col & mod4.get((g + 1) % 4, 0) for col, g in zip(c.cols, grading)], bidegree)
-
-
-def basepoint_maps(c: BigradedComplex) -> Tuple[ChainMap, ChainMap]:
-    """The two basepoint endomorphisms (Phi, Psi) of `basepoint_map`."""
-    return basepoint_map(c, "U"), basepoint_map(c, "V")
 
 
 # --- quotient reductions ---------------------------------------------------

@@ -24,8 +24,8 @@ demand, the minimal model with its inclusion and projection, and the
 cocycle that detects the tower. The test suite checks them against a
 Smith-normal-form oracle. The basis is the bulk of a reduction, n
 vectors of up to n bits, so a reduction whose projection will not be
-read again drops it (`Reduction.drop_basis`) and keeps its towers, its
-tower cycles, its model and the inclusion.
+read again drops it and the complex it reduced (`Reduction.drop_basis`),
+and keeps its towers, its tower cycles, its model and the inclusion.
 
 Clearing skips only the rows that are pivots before the loop reaches
 them. In filtration order that happens in a level, at the rows of its
@@ -49,7 +49,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import ConsistencyError
-from .linalg import iter_bits, value_masks
+from .linalg import iter_bits
 
 
 class FUComplex:
@@ -74,11 +74,6 @@ class FUComplex:
 
     def __len__(self) -> int:
         return len(self.labels)
-
-    @functools.cached_property
-    def grading_masks(self) -> Dict[int, int]:
-        """grading -> bitmask of the basis elements in it."""
-        return value_masks(self.gradings)
 
 
 def _moved(mask: int, table: Sequence[int]) -> int:
@@ -125,13 +120,13 @@ class Reduction:
     1. Both are homogeneous, so their T-powers stay implied by the
     gradings. The model and iota are built on first read.
 
-    `drop_basis` builds the model and iota and then drops order, pos,
-    vectors and pairs (set to None). What is left is `fu`, the towers
+    `drop_basis` builds the model and iota and then drops fu, order,
+    pos, vectors and pairs (set to None). What is left is the towers
     (unpaired, indices, reps), the model and iota; `project` and
     `cocycle` raise `ConsistencyError` from then on.
     """
 
-    fu: FUComplex
+    fu: Optional[FUComplex]
     unpaired: List[Tuple[str, int]]
     indices: List[int]
     reps: List[List[Tuple[int, int]]]
@@ -153,9 +148,9 @@ class Reduction:
         return self.vectors
 
     def drop_basis(self) -> None:
-        """Build the model and iota, then drop the basis and the tables read off it."""
+        """Build the model and iota, then drop `fu`, the basis and the tables read off it."""
         self.model, self.inc  # both cached on first read
-        self.order = self.pos = self.vectors = self.pairs = None
+        self.fu = self.order = self.pos = self.vectors = self.pairs = None
         self.__dict__.pop("_kept", None)
         self.__dict__.pop("_coord", None)
 

@@ -43,7 +43,6 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 from .complexes import BigradedComplex, reduce_complex
 from .errors import ConsistencyError, IterationCapError, ValidationError
 from .fu import FUComplex, Reduction, tower_reduce
-from .linalg import iter_bits
 
 
 # --- level subcomplexes over GF(2)[T] --------------------------------------
@@ -275,27 +274,28 @@ def _hat_ends(c: BigradedComplex, split: Reduction, offsets: List[int], s: int, 
     pairs, all that `_admits_map` and nu read. The T^0 part of iota(m),
     for m of grading h in block k, is its indices of level grading h - k.
 
-    The grading-g slice is exact for v1: phi_U lies at grw = g, the level
-    grading of every V^(s+n-A) x of block 0 that it meets. Every basis
-    vector of the U = 0 reduction lies in one grw, since its columns drop
-    grw by one and the reduction adds only columns that share a pivot
-    row. So `Reduction.cocycle`, which adds a position only where phi_U
-    meets its basis vector, never leaves the grw g of the tower where it
-    starts. u1 lies at grading g only when the V = 0 tower is at
-    grz = g - 2s, which `omega_hat` checks.
+    Each probe is a cocycle cut to its block's Alexander range, and needs
+    no level grading. phi_U lies at grw = g, the level grading of every
+    V^(s+n-A) x of block 0 that it meets. Every basis vector of the U = 0
+    reduction lies in one grw, since its columns drop grw by one and the
+    reduction adds only columns that share a pivot row. So
+    `Reduction.cocycle`, which adds a position only where phi_U meets its
+    basis vector, never leaves the grw g of the tower where it starts.
+    Likewise phi_V lies at the grz of the V = 0 tower, and U^(A-s+n) x
+    of block 2n has level grading grz + 2(s - n), raised by 2n in the
+    cone. So u1 pairs grading-g generators with phi_V when that tower is
+    at grz = g - 2s: u1 is read only by `omega_hat`, at s = 0 once both
+    towers are checked to be at 0.
     """
     (u0_tower, phi_u), phi_v = _quotient(c, "U0"), _quotient(c, "V0")[1]
     g = c.grw[u0_tower]
     first, last = level_split(c, s + n), level_split(c, s - n)
-    alex = c.alexander
-    v1_probe = phi_u & first.fu.grading_masks.get(g, 0)
-    v1_probe &= sum(1 << j for j, a in enumerate(alex) if a <= s + n)
-    u1_probe = phi_v & last.fu.grading_masks.get(g - 2 * n, 0)
-    u1_probe &= sum(1 << j for j, a in enumerate(alex) if a >= s - n)
-    at_g, end = split.fu.grading_masks.get(g, 0), offsets[-2]
+    v1_probe = phi_u & sum(1 << j for j, a in enumerate(c.alexander) if a <= s + n)
+    u1_probe = phi_v & sum(1 << j for j, a in enumerate(c.alexander) if a >= s - n)
+    at_g, end = [i for i, h in enumerate(split.fu.gradings) if h == g], offsets[-2]
     # The cone generators of grading g read in the V = 1 and U = 1 complexes.
-    v1_end = sum(1 << i for i in iter_bits(at_g) if i < offsets[1] and (first.inc[i] & v1_probe).bit_count() & 1)
-    u1_end = sum(1 << i for i in iter_bits(at_g) if i >= end and (last.inc[i - end] & u1_probe).bit_count() & 1)
+    v1_end = sum(1 << i for i in at_g if i < offsets[1] and (first.inc[i] & v1_probe).bit_count() & 1)
+    u1_end = sum(1 << i for i in at_g if i >= end and (last.inc[i - end] & u1_probe).bit_count() & 1)
     basis = (inc for inc, h in zip(split.inc, split.model.gradings) if h == g)
     return frozenset(((z & v1_end).bit_count() & 1, (z & u1_end).bit_count() & 1) for z in basis)
 

@@ -10,6 +10,8 @@ from knotfloer.linalg import image
 from echelon import ColumnSolver
 from oracle_homogeneity import fu_validate_messages
 
+UNKNOT = BigradedComplex(("o",), (0,), (0,), (0,))
+
 
 def random_fu_complex(rng: random.Random, max_size: int = 8) -> FUComplex:
     """Random valid graded free GF(2)[T]-complex.

@@ -145,6 +145,16 @@ def step_add(f: StepFunction, g: StepFunction) -> StepFunction:
     return StepFunction(tuple((x, acc[x]) for x in sorted(acc) if acc[x]))
 
 
+def step_value(f: StepFunction, t) -> int:
+    """Value of f at a point t of (0, 1) that is not a jump."""
+    t = Fraction(t)
+    if not 0 < t < 1:
+        raise ValueError("evaluation point must lie in (0, 1)")
+    if any(x == t for x, _ in f.jumps):
+        raise ValueError(f"{t} is a jump point")
+    return sum(size for x, size in f.jumps if x < t)
+
+
 def signature_reference(e: KnotExpr) -> StepFunction:
     """Levine-Tristram signature of a torus-knot sum by the same fold."""
     if isinstance(e, TorusKnot):

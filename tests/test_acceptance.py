@@ -31,6 +31,7 @@ from knotfloer.involutive import realize_with_iota, v0_bar_under
 
 from conftest import random_fu_complex
 from oracle_snf import oracle_rank_and_top
+from oracle_upsilon import step_value
 
 K_EXPR = "T(2,3)#T(4,7)#-T(5,6)"
 J_EXPR = "T(2,11)#T(4,7)#-T(5,6)"
@@ -58,7 +59,7 @@ def test_criterion_2_bigger_knot():
     table = compute_invariant_table(j, v_indices=range(6), y_indices=range(7))
     assert [table.v[s] for s in range(6)] == [3, 2, 2, 1, 1, 0]
     assert [table.y[n] for n in range(7)] == [3, 2, 2, 1, 1, 1, 0]
-    report = genus_bounds(table.v, table.y, table.nu_plus, table.omega_plus, None)
+    report = genus_bounds(table, None)
     assert report["sources"]["v_parity"]["bound"] == 5
     assert report["sources"]["y_parity"]["bound"] == 6
     _passed(2, "V/Y sequences and genus bounds of T(2,11)#T(4,7)#-T(5,6)")
@@ -107,8 +108,8 @@ def test_criterion_6_signatures():
     assert signature_clasp_bound(j)[:2] == (2, -10)
     k = lt_signature_of_expr(parse_knot_expr(K_EXPR))
     assert signature_clasp_bound(k)[:2] == (2, -4)
-    assert lt_signature_of_expr(parse_knot_expr("T(2,3)")).value(Fraction(1, 2)) == -2
-    assert lt_signature_of_expr(parse_knot_expr("T(3,4)")).value(Fraction(1, 2)) == -6
+    assert step_value(lt_signature_of_expr(parse_knot_expr("T(2,3)")), Fraction(1, 2)) == -2
+    assert step_value(lt_signature_of_expr(parse_knot_expr("T(3,4)")), Fraction(1, 2)) == -6
     _passed(6, "signature extrema and classical pins")
 
 

@@ -1,11 +1,15 @@
+import functools
+import json
 import random
 from fractions import Fraction
 from math import gcd
+from types import SimpleNamespace
 
 import pytest
 
 from knotfloer.bounds import (
     PLFunction,
+    clasp_bounds,
     format_exact,
     genus_bounds,
     lt_signature_of_expr,
@@ -18,10 +22,12 @@ from knotfloer.bounds import (
 from knotfloer.builders import staircase, torus_knot_complex
 from knotfloer.errors import UnsupportedInputError, ValidationError
 from knotfloer.expressions import Mirror, Sum, TorusKnot, parse_knot_expr
-from knotfloer.invariants import tau_invariant
+from knotfloer.invariants import InvariantTable, tau_invariant
 from knotfloer.expressions import realize_expr
 
-from oracle_upsilon import signature_reference, upsilon_reference, upsilon_staircase
+import oracle_bounds
+from conftest import random_torus_sum
+from oracle_upsilon import signature_reference, step_value, upsilon_reference, upsilon_staircase
 
 K1 = "T(2,11)#-T(4,5)"
 
@@ -154,13 +160,13 @@ def test_upsilon_staircase_accepts_long_steps():
 def test_signature_trefoil():
     sig = lt_signature_torus(2, 3)
     assert sig.jumps == ((Fraction(1, 6), -2), (Fraction(5, 6), 2))
-    assert sig.value(Fraction(1, 2)) == -2
-    assert sig.value(Fraction(1, 10)) == 0
+    assert step_value(sig, Fraction(1, 2)) == -2
+    assert step_value(sig, Fraction(1, 10)) == 0
 
 
 def test_signature_t34():
     sig = lt_signature_torus(3, 4)
-    assert sig.value(Fraction(1, 2)) == -6
+    assert step_value(sig, Fraction(1, 2)) == -6
 
 
 def test_signature_symmetry_and_mirror():
@@ -171,10 +177,10 @@ def test_signature_symmetry_and_mirror():
         assert len(set(xs)) == len(xs)
         probe = [Fraction(1, 97), Fraction(22, 97), Fraction(51, 97)]
         for t in probe:
-            assert sig.value(t) == sig.value(1 - t)
+            assert step_value(sig, t) == step_value(sig, 1 - t)
         mirrored = lt_signature_of_expr(parse_knot_expr(f"-T({p},{q})"))
         for t in probe:
-            assert mirrored.value(t) == -sig.value(t)
+            assert step_value(mirrored, t) == -step_value(sig, t)
 
 
 def test_signature_extrema_examples():
@@ -196,7 +202,7 @@ def test_signature_bound_below_twice_genus():
 def test_genus_bounds_report():
     v = {0: 3, 1: 2, 2: 2, 3: 1, 4: 1, 5: 0}
     y = {0: 3, 1: 2, 2: 2, 3: 1, 4: 1, 5: 1, 6: 0}
-    report = genus_bounds(v, y, nu_plus=5, omega_plus=6, involutive=(3, 4))
+    report = genus_bounds(SimpleNamespace(v=v, y=y, nu_plus=5, omega_plus=6), involutive=(3, 4))
     assert report["sources"]["v_parity"]["bound"] == 5
     assert 4 in report["sources"]["v_parity"]["certificate"]["achieved_at"]
     assert report["sources"]["y_parity"]["bound"] == 6
@@ -207,7 +213,7 @@ def test_genus_bounds_report():
 def test_genus_bounds_example_knot():
     v = {0: 1, 1: 0}
     y = {0: 1, 1: 1, 2: 0}
-    report = genus_bounds(v, y, nu_plus=1, omega_plus=2, involutive=(1, 2))
+    report = genus_bounds(SimpleNamespace(v=v, y=y, nu_plus=1, omega_plus=2), involutive=(1, 2))
     assert report["sources"]["v_parity"]["bound"] == 1
     assert report["sources"]["y_parity"]["bound"] == 2
     assert report["sources"]["involutive"]["bound"] == 2
@@ -215,15 +221,39 @@ def test_genus_bounds_example_knot():
 
 
 def test_clasp_bounds_family_knot():
-    from knotfloer.bounds import clasp_bounds
-
-    table = {"nu_plus": 1, "omega_plus": 1, "y": {0: 1, 1: 0}}
-    mirror = {"nu_plus": 1, "omega_plus": 1, "y": {0: 0}}
+    table = SimpleNamespace(nu_plus=1, omega_plus=1, y={0: 1, 1: 0})
+    mirror = SimpleNamespace(nu_plus=1, omega_plus=1, y={0: 0})
     ratio = upsilon_ratio_bound(upsilon_of_expr(parse_knot_expr(K1)))
     report = clasp_bounds(table, mirror, ratio, None, None)
     assert report["sources"]["nu_plus_sum"]["bound"] == 2
     assert report["sources"]["upsilon_ratio"]["bound"] == 2
     assert report["max"] >= 2
+
+
+def _random_table(rng: random.Random) -> InvariantTable:
+    """A table of random V, Y, nu+ and omega+; tau, nu and omega are not read by the bounds."""
+    v = {s: rng.randint(-1, 5) for s in range(rng.randint(-2, 0), rng.randint(0, 6))}
+    y = {n: rng.randint(-1, 5) for n in range(rng.randint(1, 8))}
+    return InvariantTable(v, y, rng.randint(0, 6), rng.randint(0, 6), 0, 0, 0)
+
+
+def test_bound_records_match_the_reference():
+    rng = random.Random(20261019)
+    signatures = [None] + [lt_signature_of_expr(parse_knot_expr(random_torus_sum(rng, 3, 10**6))) for _ in range(8)]
+    dumps = functools.partial(json.dumps, sort_keys=True)
+    for _ in range(400):
+        table, mirror = _random_table(rng), _random_table(rng)
+        involutive = None if rng.random() < 0.2 else tuple(sorted(rng.randint(-4, 4) for _ in range(2)))
+        ratio = None if rng.random() < 0.3 else Fraction(rng.randint(0, 40), rng.randint(1, 12))
+        signature = rng.choice(signatures)
+        triple = None if signature is None else signature_clasp_bound(signature)
+        want = oracle_bounds.genus_bounds(table.v, table.y, table.nu_plus, table.omega_plus, involutive)
+        assert dumps(genus_bounds(table, involutive)) == dumps(want)
+        table_k, table_mirror = (
+            {"nu_plus": t.nu_plus, "omega_plus": t.omega_plus, "y": t.y} for t in (table, mirror)
+        )
+        want = oracle_bounds.clasp_bounds(table_k, table_mirror, ratio, triple, involutive)
+        assert dumps(clasp_bounds(table, mirror, ratio, signature, involutive)) == dumps(want)
 
 
 def test_format_exact():

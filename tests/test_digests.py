@@ -1,7 +1,8 @@
 """Byte-identity of the program's output.
 
 The corpus reports must hash to the sha256 values in
-`perfbench/digests.json` (read here, never written). The saved files of
+`perfbench/digests.json` (read here, never written), and their human
+and csv forms to the values in `TEXT_REPORTS` below. The saved files of
 three torus sums with their involutions, and of a round trip of
 `tests/data/hw.cfk`, must hash to the values below; these pin the file
 writer's canonical order. `SAVED_COLUMNS` and `HW_ROUND_TRIP_COLUMNS`
@@ -48,6 +49,16 @@ PLOTDATA = {
     ("K1", ""): "5103b123f459335fd79b1680d99cdc9c82011079aa8bd32f99d91abebe7ea3fc",
     ("T(3,4)#-T(2,5)#T(2,7)", "--full"): "16a3666baf32ca6524f412f647db6fe10f538a51f5af2000c500d9f2ba6ae91c",
 }
+TEXT_REPORTS = {
+    ("J", "human"): "9a05b915feaa8a0d012f1d22dcfd766b76c1cbc1c815a1fbf1a99cb34103013f",
+    ("J", "csv"): "09a8bbbd35ca5352a13bc9437913f8b8a28d2cb07a7d76f621145bdb3b66ab2c",
+    ("K", "human"): "2bc949bf136b8bf470dceaa1704802f230f669df61b0e005522ad1327491bfed",
+    ("K", "csv"): "d23e38d339e74aa0f7ce1477f5627180254a78550e9df5e93d61c5364891a342",
+    ("K1", "human"): "051c4776354933d866f8d3b071fbfc268e8580b683e85823d8bbc3152ed3d987",
+    ("K1", "csv"): "40eedb3d4613c644a9d87ff220209db1bb4d46ba7737c2404ec7ece4249481c8",
+    ("HW", "human"): "78ad691e07de82d756e43f151d5402efc4377f9b872e2ff1f3fd0be333de1137",
+    ("HW", "csv"): "1f00e61d8362fd443a63e0b615d34b8bac5ba8a4e47bb3120c5286d0359811d9",
+}
 HW_ROUND_TRIP = "c89eb16c113ed21ccf7dc5970ef1e49fde3dca7f2fd5dffcd6ce5712f6c38e1b"
 HW_ROUND_TRIP_COLUMNS = "a54cae7378a11ed329753700c7420dc8a99c2246898154b55b23cb1cc5ffc152"
 
@@ -64,6 +75,14 @@ def test_corpus_report_digest(label, capsys, monkeypatch):
     assert main(["report", f"--expr={CORPUS[label]}", "--format", "json"]) == 0
     out, _ = capsys.readouterr()
     assert sha256(out.encode()) == want
+
+
+@pytest.mark.parametrize("label, fmt", sorted(TEXT_REPORTS))
+def test_corpus_text_report_digest(label, fmt, capsys, monkeypatch):
+    monkeypatch.chdir(ROOT)  # the HW report prints its relative path
+    assert main(["report", f"--expr={CORPUS[label]}", "--format", fmt]) == 0
+    out, _ = capsys.readouterr()
+    assert sha256(out.encode()) == TEXT_REPORTS[label, fmt]
 
 
 @pytest.mark.parametrize("label, flag", sorted(PLOTDATA))

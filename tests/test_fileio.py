@@ -9,12 +9,12 @@ from hypothesis import strategies as st
 
 from knotfloer.builders import named_complex, staircase
 from knotfloer.cli import main
-from knotfloer.complexes import UNKNOT, BigradedComplex, Generator, SkewMap, reduce_complex, verify_chain_map
+from knotfloer.complexes import BigradedComplex, Generator, SkewMap, reduce_complex, verify_chain_map
 from knotfloer.errors import FileFormatError, ValidationError
 from knotfloer.expressions import parse_knot_expr
 from knotfloer.fileio import load_complex, save_complex
 from knotfloer.involutive import realize_with_iota, staircase_iota
-from conftest import random_torus_sum
+from conftest import UNKNOT, random_torus_sum
 from oracle_io import load_columns_checked, load_complex_checked, save_complex_columns, save_complex_json
 from test_digests import SAVED
 

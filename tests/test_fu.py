@@ -4,7 +4,7 @@ import random
 import pytest
 
 from knotfloer.builders import staircase, staircase_dual, torus_knot_complex
-from knotfloer.complexes import UNKNOT, reduce_complex
+from knotfloer.complexes import reduce_complex
 from knotfloer.errors import FileFormatError, ValidationError
 from knotfloer.expressions import parse_knot_expr, realize_expr
 from knotfloer.fileio import load_complex
@@ -13,7 +13,7 @@ from knotfloer.invariants import a_level_complex, d_invariant
 from knotfloer.involutive import realize_with_iota
 from knotfloer.linalg import image, iter_bits
 
-from conftest import level_monomials, random_fu_complex, random_torus_sum, scramble
+from conftest import UNKNOT, level_monomials, random_fu_complex, random_torus_sum, scramble
 from oracle_involutive import power
 from oracle_snf import oracle_rank_and_top, oracle_torsion
 

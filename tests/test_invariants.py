@@ -6,7 +6,7 @@ import pytest
 
 from knotfloer import invariants
 from knotfloer.builders import named_complex, staircase, staircase_dual, torus_knot_complex
-from knotfloer.complexes import BigradedComplex, Generator, UNKNOT
+from knotfloer.complexes import BigradedComplex, Generator
 from knotfloer.errors import ConsistencyError, ValidationError
 from knotfloer.expressions import parse_knot_expr, realize_expr
 from knotfloer.fileio import load_complex
@@ -27,7 +27,7 @@ from knotfloer.invariants import (
     y_invariant,
 )
 
-from conftest import level_monomials, random_torus_sum, scramble
+from conftest import UNKNOT, level_monomials, random_torus_sum, scramble
 from oracle_nu import nu_hat_scan
 from oracle_omega import omega_feasible
 from oracle_tau import tau_scan
@@ -525,6 +525,16 @@ def _check_glue_and_dropped_bases(c):
         if dropped:
             with pytest.raises(ConsistencyError):
                 split.project(1)
+
+
+def test_levels_that_drop_their_basis_drop_their_complex():
+    # J drops the basis of its inner levels; its mirror splits too few levels to drop any.
+    j = realize_expr(parse_knot_expr("T(2,11)#T(4,7)#-T(5,6)"))
+    for c in (j, j.dual()):
+        compute_invariant_table(c)
+        for s, split in c.__dict__["_splits"].items():
+            assert (split.fu is None) == (split.vectors is None), s
+    assert any(split.fu is None for split in j.__dict__["_splits"].values())
 
 
 def test_levels_drop_their_basis_once_their_glue_is_built():

@@ -8,7 +8,7 @@ from knotfloer.complexes import (
     BigradedComplex,
     Generator,
     SkewMap,
-    basepoint_maps,
+    basepoint_map,
     verify_chain_map,
 )
 from knotfloer.errors import ConsistencyError, KnotFloerError, ValidationError
@@ -90,8 +90,8 @@ def test_connected_sum_with_unknot_is_plain_product():
         tensor,
         staircase_iota(s1),
         staircase_iota(unknot),
-        basepoint_maps(s1)[0],
-        basepoint_maps(unknot)[1],
+        basepoint_map(s1, "U"),
+        basepoint_map(unknot, "V"),
     )
     # the basepoint correction vanishes on the unknot side
     assert iota.terms() == [
@@ -121,7 +121,7 @@ def test_connected_sum_matches_explicit_polynomials():
         c2, io2 = realize_with_iota(children[-1])
         c, io = realize_with_iota(parse_knot_expr(text))
         product = oracle_uv.tensor_maps(m(io1.terms()), m(io2.terms()))
-        twist = oracle_uv.tensor_maps(m(basepoint_maps(c1)[0].terms()), m(basepoint_maps(c2)[1].terms()))
+        twist = oracle_uv.tensor_maps(m(basepoint_map(c1, "U").terms()), m(basepoint_map(c2, "V").terms()))
         twist = oracle_uv.add(m([(x, x, 0, 0) for x in c.labels]), twist)
         assert m(io.terms()) == oracle_uv.compose(product, twist, outer_skew=True), text
 
