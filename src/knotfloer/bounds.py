@@ -279,31 +279,22 @@ def clasp_bounds(
 
 
 def format_exact(x: Fraction) -> str:
-    """Exact decimal when the denominator is 2^a 5^b, else 'p/q'."""
-    den = x.denominator
-    d = den
+    """Exact decimal when the denominator is 2^a 5^b, else 'p/q'.
+
+    The decimal has a + b places, so 1/20 prints as "0.050".
+    """
+    num, den = x.numerator, x.denominator
+    d, k = den, 0
     for p in (2, 5):
         while d % p == 0:
             d //= p
+            k += 1
     if d != 1:
-        return f"{x.numerator}/{x.denominator}"
-    # Scale to a power of ten exactly.
-    k = 0
-    num = x.numerator
-    while den % 2 == 0:
-        den //= 2
-        num *= 5
-        k += 1
-    while den % 5 == 0:
-        den //= 5
-        num *= 2
-        k += 1
+        return f"{num}/{den}"
     if k == 0:
         return str(num)
-    sign = "-" if num < 0 else ""
-    num = abs(num)
-    whole, frac = divmod(num, 10**k)
-    return f"{sign}{whole}.{str(frac).zfill(k)}"
+    whole, frac = divmod(abs(num) * 10**k // den, 10**k)
+    return f"{'-' if num < 0 else ''}{whole}.{str(frac).zfill(k)}"
 
 
 def plot_rows(f: PLFunction, upto: Fraction = Fraction(1)) -> List[Tuple[Fraction, Fraction]]:

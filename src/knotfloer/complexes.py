@@ -34,10 +34,11 @@ checked:
   checked against its stated exponents, and only the entries that agree
   reach those lists.
 
-`ChainMap.targets` is the one walk over the bits of a map's columns: it
-lists each column's target indices once, and the d^2 check, the
-d f = f d check (`chain_violation`), `terms` and the file writer all
-read those lists, and so do the homogeneity rule and `reduce_complex`.
+`ChainMap.targets` walks the bits of a map's columns through
+`linalg.iter_bits`, the one walk over a mask's bits: it lists each
+column's target indices once, and the d^2 check, the d f = f d check
+(`chain_violation`), `terms` and the file writer all read those lists,
+and so do the homogeneity rule and `reduce_complex`.
 The file reader stores the lists it has read, from a file of either
 format, as the `targets` of the differential and of iota, so the bits of
 a loaded complex are never walked.
@@ -50,7 +51,7 @@ from typing import Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tup
 
 from .errors import ValidationError
 from .fu import FUComplex
-from .linalg import iter_bits, spread, transpose, value_masks
+from .linalg import iter_bits, spread, transpose
 
 # (source label, target label, u, v): one monomial term U^u V^v target.
 Term = Tuple[str, str, int, int]
@@ -256,22 +257,12 @@ class ChainMap:
 
     @functools.cached_property
     def targets(self) -> Tuple[List[int], ...]:
-        """Per source generator, the indices of its targets in ascending order.
+        """Per source generator, the indices of its targets in ascending order (`iter_bits`).
 
-        The one walk over the bits of the columns; every reader of the
-        entries shares it. Top bit first: on sparse columns that is faster
-        than splitting off the lowest bit.
+        Each column is walked once, and every reader of the entries shares
+        the lists.
         """
-        out = []
-        for col in self.cols:
-            row = []
-            while col:
-                top = col.bit_length() - 1
-                row.append(top)
-                col ^= 1 << top
-            row.reverse()
-            out.append(row)
-        return tuple(out)
+        return tuple(map(iter_bits, self.cols))
 
     def terms(self) -> List[Term]:
         """Every entry as (source label, target label, u, v), in index order."""
@@ -427,8 +418,8 @@ def basepoint_map(c: BigradedComplex, variable: str) -> ChainMap:
     if variable not in ("U", "V"):
         raise ValueError(f"unknown variable {variable!r}")
     grading, bidegree = (c.grw, (1, -1)) if variable == "U" else (c.grz, (-1, 1))
-    mod4 = value_masks([g % 4 for g in grading])
-    return ChainMap(c, c, [col & mod4.get((g + 1) % 4, 0) for col, g in zip(c.cols, grading)], bidegree)
+    mod4 = [sum(1 << j for j, h in enumerate(grading) if h % 4 == r) for r in range(4)]
+    return ChainMap(c, c, [col & mod4[(g + 1) % 4] for col, g in zip(c.cols, grading)], bidegree)
 
 
 # --- quotient reductions ---------------------------------------------------

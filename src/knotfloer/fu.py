@@ -79,10 +79,8 @@ class FUComplex:
 def _moved(mask: int, table: Sequence[int]) -> int:
     """mask with each set bit i moved to bit table[i]: indices to positions by `pos`, back by `order`."""
     out = 0
-    while mask:
-        top = mask.bit_length() - 1
-        out |= 1 << table[top]
-        mask ^= 1 << top
+    for i in iter_bits(mask):
+        out |= 1 << table[i]
     return out
 
 

@@ -230,19 +230,16 @@ def _candidates(c: BigradedComplex) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
 def _level(c: BigradedComplex, s: int, n: int) -> Tuple[int, Optional[FrozenSet[Tuple[int, int]]]]:
     """(tower top d, hat ends or None) of level s of C tensor St*_n, read once per complex.
 
-    At the levels nu and omega test, both are read off the split of the
-    model cone; elsewhere d is the top of the cone's reduction, or at
-    n = 0 of the level's own.
+    Both are read off the split of the model cone (M_s at n = 0); the hat
+    ends only at the levels nu and omega test.
     """
     memo = c.__dict__.setdefault("_levels", {})
     if (s, n) not in memo:
         nus, omegas = _candidates(c)
-        if (n == 0 and s in nus) or (s == 0 and n in omegas):
-            cone, offsets = _cone(c, s, n)
-            split = tower_reduce(cone)
-            memo[s, n] = _tower_top(split), _hat_ends(c, split, offsets, s, n)
-        else:
-            memo[s, n] = (d_invariant(_cone(c, s, n)[0]) if n else _tower_top(level_split(c, s))), None
+        cone, offsets = _cone(c, s, n)
+        split = tower_reduce(cone)
+        tested = (n == 0 and s in nus) or (s == 0 and n in omegas)
+        memo[s, n] = _tower_top(split), _hat_ends(c, split, offsets, s, n) if tested else None
     return memo[s, n]
 
 

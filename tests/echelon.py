@@ -1,10 +1,17 @@
 """GF(2) elimination for the test oracles: a Gauss-Jordan subspace basis
 and a column echelon that solves systems and collects kernels.
 
-Vectors are bitmask ints, as in `knotfloer.linalg`.
+Vectors are bitmask ints, as in `knotfloer.linalg`. `set_bits` is the
+oracles' walk over a mask's bits, so they share no walk with the
+program's `iter_bits`, which they check.
 """
 
 from typing import Iterable, List, Optional
+
+
+def set_bits(mask: int) -> List[int]:
+    """Indices of the set bits of mask, in ascending order, read off its binary digits."""
+    return [j for j, digit in enumerate(bin(mask)[:1:-1]) if digit == "1"]
 
 
 class Echelon:

@@ -7,6 +7,9 @@ the triple of `bounds.signature_clasp_bound`. Every source record and
 both halves of the involutive bound are typed out, so the program's
 shared record and involutive rule are checked against a copy that
 shares neither.
+
+`format_exact` is an earlier form of `bounds.format_exact`, which
+scales the numerator one factor of the denominator at a time.
 """
 
 from fractions import Fraction
@@ -124,3 +127,31 @@ def clasp_bounds(
         "positive": {"sources": plus_sources, "max": plus_max},
         "negative": {"sources": minus_sources, "max": minus_max},
     }
+
+
+def format_exact(x: Fraction) -> str:
+    """Exact decimal when the denominator is 2^a 5^b, else 'p/q'."""
+    den = x.denominator
+    d = den
+    for p in (2, 5):
+        while d % p == 0:
+            d //= p
+    if d != 1:
+        return f"{x.numerator}/{x.denominator}"
+    # Scale to a power of ten exactly.
+    k = 0
+    num = x.numerator
+    while den % 2 == 0:
+        den //= 2
+        num *= 5
+        k += 1
+    while den % 5 == 0:
+        den //= 5
+        num *= 2
+        k += 1
+    if k == 0:
+        return str(num)
+    sign = "-" if num < 0 else ""
+    num = abs(num)
+    whole, frac = divmod(num, 10**k)
+    return f"{sign}{whole}.{str(frac).zfill(k)}"

@@ -24,9 +24,8 @@ from typing import List, Tuple
 from knotfloer.errors import ConsistencyError, ValidationError
 from knotfloer.fu import FUComplex, tower_reduce
 from knotfloer.invariants import a_level_complex
-from knotfloer.linalg import iter_bits
 
-from echelon import ColumnSolver, Echelon
+from echelon import ColumnSolver, Echelon, set_bits
 
 
 def power(fu: FUComplex, row: int, col: int) -> int:
@@ -55,7 +54,7 @@ def boundary_columns(fu: FUComplex, src_slice, tgt_slice) -> List[int]:
     cols = []
     for i, k in src_slice:
         mask = 0
-        for m in iter_bits(fu.cols[i]):
+        for m in set_bits(fu.cols[i]):
             mask |= 1 << pos[(m, k + power(fu, m, i))]
         cols.append(mask)
     return cols
@@ -78,7 +77,7 @@ def _q_image_vectors(level_fu: FUComplex, one_plus, gamma: int, deep_slice) -> L
     stacked = []
     for m, (i, k) in enumerate(a_slice):
         acc = 0
-        for ti in iter_bits(one_plus[i]):
+        for ti in set_bits(one_plus[i]):
             kk = k + (level_fu.gradings[ti] - level_fu.gradings[i]) // 2
             acc |= 1 << pos[(ti, kk)]
         reduced = im_same.reduce(acc)
@@ -88,7 +87,7 @@ def _q_image_vectors(level_fu: FUComplex, one_plus, gamma: int, deep_slice) -> L
     out = []
     for combo in cycles_with_bounding:
         vec = 0
-        for q in iter_bits(combo):
+        for q in set_bits(combo):
             i, k = a_slice[q]
             vec ^= 1 << deep_pos[(n + i, k)]
         out.append(vec)
@@ -134,7 +133,7 @@ def oracle_d_pair(c, iota) -> Tuple[int, int]:
         shifted = []
         for z in cycles:
             vec = 0
-            for q in iter_bits(z):
+            for q in set_bits(z):
                 i, k = keys[q]
                 vec ^= 1 << deep_pos[(i, k + cap)]
             shifted.append(vec)
@@ -164,7 +163,7 @@ def oracle_d_pair(c, iota) -> Tuple[int, int]:
         vectors = []
         for combo in in_q:
             vec = 0
-            for q in iter_bits(combo):
+            for q in set_bits(combo):
                 vec ^= shifted[q]
             vectors.append(vec)
         torsion_inside = ColumnSolver(im_only.reduce(v) for v in vectors).kernel

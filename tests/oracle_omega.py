@@ -13,9 +13,9 @@ solves the whole system with a `LinearSystem`.
 from typing import Dict, List, Tuple
 
 from knotfloer.complexes import BigradedComplex, reduce_complex
-from knotfloer.linalg import LinearSystem, iter_bits, transpose
+from knotfloer.linalg import LinearSystem, transpose
 
-from echelon import ColumnSolver, Echelon
+from echelon import ColumnSolver, Echelon, set_bits
 
 
 class HatSlices:
@@ -53,7 +53,7 @@ class HatSlices:
             # V (du > 0), no U (dv > 0), or is pure itself (du = dv = 0).
             entries = self.no_v[i] if du else self.no_u[i] if dv else self.no_u[i] | self.no_v[i]
             mask = 0
-            for t in iter_bits(entries):
+            for t in set_bits(entries):
                 u = (grw[t] - grw[i] + 1) // 2
                 v = (grz[t] - grz[i] + 1) // 2
                 mask ^= 1 << pos[(t, du + u, dv + v)]
@@ -103,7 +103,7 @@ class HatSlices:
         rep = None
         for zvec in cycles:
             acc = 0
-            for q in iter_bits(zvec):
+            for q in set_bits(zvec):
                 acc ^= phi[q]
             if acc:
                 rep = acc
@@ -114,7 +114,7 @@ class HatSlices:
         for p in phi:
             bits |= p
         phi_rows = transpose(phi, bits.bit_length())
-        return keys, [(phi_rows[bit], (rep >> bit) & 1) for bit in iter_bits(bits)]
+        return keys, [(phi_rows[bit], (rep >> bit) & 1) for bit in set_bits(bits)]
 
 
 def omega_feasible(c: BigradedComplex, n: int) -> bool:

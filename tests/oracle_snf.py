@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Tuple
 
 from knotfloer.errors import ConsistencyError
 from knotfloer.fu import FUComplex
-from knotfloer.linalg import iter_bits
+from echelon import set_bits
 from oracle_involutive import power
 
 TMatrix = List[List[int]]
@@ -264,7 +264,7 @@ def _t_matrix(fu: FUComplex) -> TMatrix:
     n = len(fu)
     mat = [[0] * n for _ in range(n)]
     for j, col in enumerate(fu.cols):
-        for i in iter_bits(col):
+        for i in set_bits(col):
             mat[i][j] = 1 << power(fu, i, j)
     return mat
 

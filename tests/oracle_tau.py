@@ -13,9 +13,8 @@ from typing import Dict, List
 
 from knotfloer.complexes import BigradedComplex, reduce_complex
 from knotfloer.errors import ConsistencyError
-from knotfloer.linalg import iter_bits
 
-from echelon import ColumnSolver, Echelon
+from echelon import ColumnSolver, Echelon, set_bits
 
 
 def tau_scan(c: BigradedComplex) -> int:
@@ -31,7 +30,7 @@ def tau_scan(c: BigradedComplex) -> int:
         solver = ColumnSolver(cols[i] for i in chosen)
         for combo in solver.kernel:
             vec = 0
-            for q in iter_bits(combo):
+            for q in set_bits(combo):
                 vec |= 1 << chosen[q]
             if not full.contains(vec):
                 return s

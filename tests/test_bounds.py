@@ -263,6 +263,17 @@ def test_format_exact():
     assert format_exact(Fraction(1, 3)) == "1/3"
 
 
+def test_format_exact_matches_reference():
+    # Every fraction n/d, and denominators with many 2s and 5s, prints as
+    # the earlier digit-by-digit scaling printed it (1/20 as "0.050").
+    dens = [*range(1, 201), 256, 625, 1000, 1024, 3125, 128000]
+    for d in dens:
+        for n in range(-400, 401):
+            x = Fraction(n, d)
+            assert format_exact(x) == oracle_bounds.format_exact(x), x
+    assert format_exact(Fraction(1, 20)) == "0.050"
+
+
 def test_plot_rows_family_knot():
     ups = upsilon_of_expr(parse_knot_expr(K1))
     rows = plot_rows(ups)

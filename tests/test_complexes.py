@@ -21,10 +21,11 @@ from knotfloer.complexes import (
 from knotfloer.errors import ValidationError
 from knotfloer.expressions import parse_knot_expr
 from knotfloer.involutive import mirror_iota, realize_with_iota, staircase_iota
-from knotfloer.linalg import iter_bits
+from knotfloer.linalg import image, iter_bits
 
 import oracle_uv
 from conftest import UNKNOT, ipoly_divexact, random_torus_sum
+from echelon import set_bits
 from oracle_chain import first_chain_failure, first_square_failure
 from oracle_homogeneity import fu_validate_messages
 
@@ -243,8 +244,9 @@ def test_verify_rejects_grading_mismatch():
 
 
 def test_targets_match_iter_bits(rng):
-    # ChainMap.targets, the one walk over a map's columns, against iter_bits
-    # on random maps: empty, sparse, dense, lowest-bit-only and top-bit-only columns.
+    # iter_bits, the one walk over a mask's bits, and its readers ChainMap.targets
+    # and image, against the tests' own walk on random maps: empty, sparse,
+    # dense, lowest-bit-only and top-bit-only columns.
     for _ in range(60):
         n = rng.randint(1, 300)
         c = BigradedComplex([f"g{k}" for k in range(n)], [0] * n, [0] * n, [0] * n)
@@ -258,8 +260,15 @@ def test_targets_match_iter_bits(rng):
         cols = [rng.choice(kinds)() for _ in range(n)]
         cols[rng.randrange(n)] = 0
         f = ChainMap(c, c, cols, (0, 0))
-        assert f.targets == tuple([*iter_bits(col)] for col in cols)
+        assert [iter_bits(col) for col in cols] == [set_bits(col) for col in cols]
+        assert f.targets == tuple(set_bits(col) for col in cols)
         assert f.targets is f.targets
+        for mask in [*cols, rng.getrandbits(n)]:
+            mask &= (1 << n) - 1  # a sparse column's repeated bits can carry to bit n
+            acc = 0
+            for j in set_bits(mask):
+                acc ^= cols[j]
+            assert image(cols, mask) == acc
 
 
 def _with_flip(rng, cols):
