@@ -96,6 +96,14 @@ def _tower_certificate(c) -> Optional[List[Dict]]:
     return [{"gen": labels[i], "u": max(alex[i], 0) + t, "v": max(-alex[i], 0) + t} for i, t in terms]
 
 
+def _involutive_pair(c, iota, name: str) -> Tuple[int, int]:
+    """`v0_bar_under`, with a rejected iota named by its input and the flag that skips it."""
+    try:
+        return v0_bar_under(c, iota)
+    except ValidationError as exc:
+        raise ValidationError(f"{name}: {exc} (--involutive off skips the involutive pair)") from None
+
+
 def _build_report(args) -> Dict:
     if args.cap is not None and args.cap < 0:
         raise argparse.ArgumentTypeError(f"--cap must be nonnegative, got {args.cap}")
@@ -119,8 +127,9 @@ def _build_report(args) -> Dict:
         if args.cap is None:
             raise
         raise argparse.ArgumentTypeError(f"--cap {args.cap} is too small: {exc}") from None
-    involutive = None if iota is None else v0_bar_under(complex_, iota)
-    m_involutive = None if mirror_io is None else v0_bar_under(mirror, mirror_io)
+    name = expr_to_string(expr)
+    involutive = None if iota is None else _involutive_pair(complex_, iota, name)
+    m_involutive = None if mirror_io is None else _involutive_pair(mirror, mirror_io, f"mirror of {name}")
     upsilon = None
     signature = None
     if torus_terms(expr) is not None:
@@ -175,7 +184,7 @@ def _build_report(args) -> Dict:
     }
 
     return {
-        "expression": expr_to_string(expr),
+        "expression": name,
         "generator_count": len(complex_),
         "invariants": _table_payload(table),
         "mirror_invariants": _table_payload(mtable),

@@ -47,6 +47,7 @@ a loaded complex are never walked.
 from __future__ import annotations
 
 import functools
+import itertools
 from typing import Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import ValidationError
@@ -132,6 +133,28 @@ class BigradedComplex:
 
     def max_alexander(self) -> int:
         return max(self.alexander)
+
+    @functools.cached_property
+    def reversal_symmetric(self) -> bool:
+        """True when the index reversal sigma: i -> n - 1 - i is a skew chain automorphism.
+
+        That is grw(x_i) = grz(x_(n-1-i)), and d(x_(n-1-i)) = sigma d(x_i)
+        on the targets: sigma swaps the gradings, so its entries, and those
+        of d it matches, carry the implied exponents with U and V traded.
+        It holds on every torus-sum complex the program builds or saves
+        (the staircase reflection, kept by tensor products and duals) and
+        on HW. Checked in C-level passes over `d.targets`: the list lengths
+        read the same backwards, and then the flattened lists equal their
+        own reversal mapped through sigma.
+        """
+        if self.grw != self.grz[::-1]:
+            return False
+        targets = self.d.targets
+        lengths = list(map(len, targets))
+        if lengths != lengths[::-1]:
+            return False
+        flat = list(itertools.chain.from_iterable(targets))
+        return flat == list(map((len(self) - 1).__sub__, reversed(flat)))
 
     # -- validation ----------------------------------------------------
 

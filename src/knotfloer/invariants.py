@@ -22,10 +22,14 @@ Everything here reduces to exact linear algebra over GF(2):
   parity: the tower's coordinate functional, with T = 1.
 
 Each complex keeps the tower index and cocycle of each quotient
-(`_quotient`), the split of every level it builds (`level_split`), so
-a level is built and reduced once for V_s, Y_n, nu and omega, the glue
-between neighbouring models, and one visit per level (s, n) of C
-tensor St*_n, `_level`: the tower top of its model cone and, at the
+(`_quotient`), the V = 0 one read off the U = 0 one through index
+reversal when that is a skew chain automorphism of the complex, as it
+is on every torus sum and on HW: the reversal swaps U with V and grw
+with grz, so it carries one quotient onto the other. It keeps the
+split of every level it builds (`level_split`), so a level is built
+and reduced once for V_s, Y_n, nu and omega, the glue between
+neighbouring models, and one visit per level (s, n) of C tensor St*_n,
+`_level`: the tower top of its model cone and, at the
 levels nu and omega test, the end parities of its hat homology. The
 glue is built when the second of two neighbouring levels is split, and
 a level then drops its basis once both its neighbours are split: it
@@ -160,12 +164,28 @@ def _quotient(c: BigradedComplex, mode: str) -> Optional[Tuple[int, int]]:
     T = 1 kills the torsion of a free GF(2)[T]-complex and leaves one GF(2)
     of the tower, so a cycle z of that complex represents its generator
     exactly when z & cocycle has odd weight. The basis is not kept.
-    Built once per complex and mode.
+    Built once per complex and mode, by one reduction, or by none:
+
+    when index reversal sigma is a skew chain automorphism of c
+    (`BigradedComplex.reversal_symmetric`, true of every torus sum and
+    of HW), the V = 0 quotient is read off the U = 0 one and not reduced.
+    sigma swaps grw with grz and U with V, so it maps the U = 0 quotient
+    onto the V = 0 quotient, gradings and degrees included: it takes the
+    tower generator i to n - 1 - i, at the same grading, and the cocycle
+    to its bit reversal, a cocycle odd on that tower. With T = 1 the
+    quotient's homology is one GF(2), so any two such cocycles are
+    cohomologous and pair alike with every cycle. The index may differ
+    from the direct route's, which breaks grading ties by label, but
+    every reader takes its grading only.
     """
     memo = c.__dict__.setdefault("_quotients", {})
     if mode not in memo:
-        red = tower_reduce(reduce_complex(c, mode))
-        memo[mode] = (red.indices[0], red.cocycle()) if red.rank == 1 else None
+        if mode == "V0" and c.reversal_symmetric:
+            quotient, n = _quotient(c, "U0"), len(c)
+            memo[mode] = quotient and (n - 1 - quotient[0], int(format(quotient[1], f"0{n}b")[::-1], 2))
+        else:
+            red = tower_reduce(reduce_complex(c, mode))
+            memo[mode] = (red.indices[0], red.cocycle()) if red.rank == 1 else None
     return memo[mode]
 
 
@@ -448,11 +468,16 @@ def compute_invariant_table(
     y_indices: Sequence[int] = (),
     cap: Optional[int] = None,
 ) -> InvariantTable:
-    """All integer invariants of one complex; raises on self-inconsistency."""
+    """All integer invariants of one complex; raises on self-inconsistency.
+
+    V_s for s >= nu+ and Y_n for n >= omega+ are 0 and read off the ladder,
+    not built: V_s >= V_(s+1) >= 0 makes V_s <= V_(nu+) = 0, and
+    Y_n >= Y_(n+1) with Y_n >= V_n gives 0 <= Y_n <= Y_(omega+) = 0.
+    """
     nu_p = nu_plus(c, cap)
     omega_p = omega_plus(c, cap)
-    v = {s: v_invariant(c, s) for s in sorted(set(range(nu_p + 1)) | set(v_indices))}
-    y = {n: y_invariant(c, n) for n in sorted(set(range(omega_p + 1)) | set(y_indices))}
+    v = {s: v_invariant(c, s) if s < nu_p else 0 for s in sorted(set(range(nu_p + 1)) | set(v_indices))}
+    y = {n: y_invariant(c, n) if n < omega_p else 0 for n in sorted(set(range(omega_p + 1)) | set(y_indices))}
     table = InvariantTable(v, y, nu_p, omega_p, tau_invariant(c), nu_hat(c), omega_hat(c))
     problems = table.consistency_violations()
     if problems:

@@ -186,7 +186,8 @@ def involutive_d_pair(cone: FUComplex) -> Tuple[int, int]:
     red = tower_reduce(cone)
     if red.rank != 2:
         raise ValidationError(
-            f"cone localization has rank {red.rank}, expected two towers"
+            f"iota fails the involutive cone: cone localization has rank {red.rank}, expected "
+            f"two towers, so iota does not fix the level-0 tower once T is inverted"
         )
     even, odd = sorted((g for _label, g in red.unpaired), key=lambda g: g % 2)
     if even % 2 or not odd % 2:

@@ -248,6 +248,22 @@ def test_involution_with_acyclic_cone_is_rejected(tmp_path, capsys):
     assert code == 0
 
 
+def test_zero_iota_is_named_by_report(tmp_path, capsys):
+    # One generator with iota = 0: a valid skew chain map that is no
+    # involution. report names iota and the file; --involutive off skips it.
+    path = tmp_path / "zero_iota.cfk"
+    path.write_text(json.dumps({"format": 2, "id": ["x"], "grw": [0], "grz": [0],
+                                "differential": [[]], "iota": [[]]}))
+    code, out, err = run_cli(["report", "--expr", f"@{path}"], capsys)
+    assert code == 3
+    assert out == ""
+    assert f"@{path}: iota fails the involutive cone" in err
+    assert "--involutive off" in err
+    code, out, _ = run_cli(["report", "--expr", f"@{path}", "--involutive", "off"], capsys)
+    assert code == 0
+    assert "tau = 0" in out
+
+
 def test_validate_ok(tmp_path, capsys):
     target = tmp_path / "hw.cfk"
     shutil.copy(os.path.join(DATA, "hw.cfk"), target)

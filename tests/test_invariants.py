@@ -184,15 +184,24 @@ def test_tau_runs_no_reduction_after_knotlike(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(invariants, "tower_reduce", counted)
-    c = realize_expr(parse_knot_expr("T(2,5)#-T(3,4)"))
+    c, iota = realize_with_iota(parse_knot_expr("T(2,5)#-T(3,4)"))
     assert is_knotlike(c)
-    assert len(calls) == 2  # the U = 0 and V = 0 reductions
+    # The U = 0 reduction only: index reversal is a skew automorphism of a
+    # torus sum, so the V = 0 quotient is read off the U = 0 one.
+    assert len(calls) == 1
     assert tau_invariant(c) == -1
     require_knot_complex(c)  # the U = 0 and V = 0 tower gradings
-    # nu and omega pair with these cocycles: the same two reductions give them.
+    # nu and omega pair with these cocycles: the same reduction gives them.
     assert all(invariants._quotient(c, mode)[1] for mode in ("U0", "V0"))
-    assert len(calls) == 2
+    assert len(calls) == 1
     assert tau_invariant(c.dual()) == 1  # a fresh complex: its knot-likeness only
+    assert len(calls) == 2
+    # A scrambled copy has no such symmetry: both quotients are reduced, once each.
+    dense = scramble(c, iota, random.Random(20261019))[0]
+    assert not dense.reversal_symmetric
+    assert tau_invariant(dense) == -1
+    require_knot_complex(dense)
+    assert all(invariants._quotient(dense, mode)[1] for mode in ("U0", "V0"))
     assert len(calls) == 4
 
 
@@ -545,3 +554,19 @@ def test_levels_drop_their_basis_once_their_glue_is_built():
     for c in [known["K"], known["K1"], known["HW"]] + [realize_expr(parse_knot_expr(e)) for e in exprs]:
         for complex_ in (c, c.dual()):
             _check_glue_and_dropped_bases(complex_)
+
+
+def test_table_reads_indices_past_the_ladder_as_zero():
+    """V_s past nu+ and Y_n past omega+ are filled with 0 unbuilt, and match a direct build."""
+    rng = random.Random(20261019)
+    cases = [load_complex(HW_FILE)[0]]
+    for _ in range(4):
+        c = realize_expr(parse_knot_expr(random_torus_sum(rng, 3, 150)))
+        cases += [c, c.dual()]
+    for c in cases:
+        nu_p, omega_p = nu_plus(c), omega_plus(c)
+        table = compute_invariant_table(c, range(nu_p + 4), range(omega_p + 4))
+        built = c.__dict__["_levels"].keys()
+        assert (nu_p + 3, 0) not in built and (0, omega_p + 3) not in built
+        assert table.v == {s: v_invariant(c, s) for s in range(nu_p + 4)}
+        assert table.y == {n: y_invariant(c, n) for n in range(omega_p + 4)}
