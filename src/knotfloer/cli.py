@@ -59,7 +59,7 @@ def _integer(text: str) -> int:
 
 
 def _parse_range(text: Optional[str], flag: str) -> Tuple[int, ...]:
-    if not text:
+    if text is None:
         return ()
     try:
         lo, hi = text.split("..")

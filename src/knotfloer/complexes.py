@@ -110,6 +110,11 @@ class BigradedComplex:
         return {name: i for i, name in enumerate(self.labels)}
 
     @functools.cached_property
+    def label_order(self) -> List[int]:
+        """The indices sorted by label: the tie order of the levels and quotients (`fu.FUComplex`)."""
+        return sorted(range(len(self)), key=self.labels.__getitem__)
+
+    @functools.cached_property
     def alexander(self) -> Tuple[int, ...]:
         return tuple((w - z) // 2 for w, z in zip(self.grw, self.grz))
 
@@ -459,9 +464,9 @@ def reduce_complex(c: BigradedComplex, mode: str) -> FUComplex:
     The kept entries are those whose exponent of the killed variable is 0:
     they lower the dropped grading (grw for "U0", grz for "V0") by exactly
     one, so it is a homological degree of the quotient. The result
-    carries it as its `degrees`, by which `tower_reduce` clears. The
-    pure-monomial entries (the UV = 0 quotient) are the union of the two
-    modes' columns.
+    carries it as its `degrees`, by which `tower_reduce` clears, and
+    c's `label_order` as its ties. The pure-monomial entries (the UV = 0
+    quotient) are the union of the two modes' columns.
     """
     if mode not in ("U0", "V0"):
         raise ValueError(f"unknown reduction mode {mode!r}")
@@ -474,4 +479,4 @@ def reduce_complex(c: BigradedComplex, mode: str) -> FUComplex:
             if drop[j] == g:
                 col |= 1 << j
         cols.append(col)
-    return FUComplex(c.labels, keep, cols, drop)
+    return FUComplex(keep, cols, drop, ties=c.label_order)

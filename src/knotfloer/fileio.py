@@ -12,7 +12,7 @@ U^u V^v y in d(x) has 2u = grw(y) - grw(x) + 1 and
 2v = grz(y) - grw(x). The reader checks only the file: the shape of
 each list, the exact type of each element (a bool or a float is not an
 integer), the index ranges, repeated targets and repeated ids, and names
-the first fault by field and generator. It sorts each target list in
+the first fault by path, field and generator. It sorts each target list in
 place and keeps the lists as the `targets` of the differential and of
 iota (`ChainMap.targets`), so no later check walks the bits of the
 columns. Then `require_valid` checks the complex and `verify_chain_map`
@@ -223,40 +223,41 @@ def load_complex(path: str) -> Tuple[BigradedComplex, Optional[SkewMap]]:
         with open(path, "r", encoding="utf-8") as handle:
             data = json.load(handle)
     except OSError as exc:
-        raise FileFormatError(f"cannot read {path}: {exc}") from None
+        raise FileFormatError(f"{path}: cannot read: {exc.strerror or exc}") from None
     except json.JSONDecodeError as exc:
         raise FileFormatError(f"{path} is not well-formed JSON: {exc}") from None
     except UnicodeDecodeError as exc:
         raise FileFormatError(f"{path} is not UTF-8 text: {exc}") from None
     except RecursionError:
         raise FileFormatError(f"{path} nests arrays or objects too deeply to read") from None
-    if not isinstance(data, dict):
-        raise FileFormatError("top level must be an object")
-    columnar = "format" in data
-    if columnar and (type(data["format"]) is not int or data["format"] != FORMAT):
-        raise FileFormatError(
-            f"field 'format' must be {FORMAT}, or absent in a format-1 file, got {data['format']!r}"
-        )
     try:
-        complex_ = _file_complex(data, columnar)
-        complex_.require_valid()
-    except ValidationError as exc:
-        raise FileFormatError(
-            f"{path}: complex fails validation: {'; '.join(exc.violations)}"
-        ) from None
-    iota = None
-    if "iota" in data:
+        if not isinstance(data, dict):
+            raise FileFormatError("top level must be an object")
+        columnar = "format" in data
+        if columnar and (type(data["format"]) is not int or data["format"] != FORMAT):
+            raise FileFormatError(
+                f"field 'format' must be {FORMAT}, or absent in a format-1 file, got {data['format']!r}"
+            )
         try:
-            raw = _target_lists(data, "iota", SkewMap(complex_, ()), columnar)
+            complex_ = _file_complex(data, columnar)
+            complex_.require_valid()
         except ValidationError as exc:
-            raise FileFormatError(f"{path}: iota rejected: {'; '.join(exc.violations)}") from None
-        cols, targets = _read_targets(raw, "iota", complex_.labels)
-        iota = SkewMap(complex_, cols)
-        iota.targets = targets
-        violation = verify_chain_map(iota)
-        if violation is not None:
-            raise FileFormatError(f"{path}: iota rejected: {violation}")
-    return complex_, iota
+            raise FileFormatError(f"complex fails validation: {'; '.join(exc.violations)}") from None
+        iota = None
+        if "iota" in data:
+            try:
+                raw = _target_lists(data, "iota", SkewMap(complex_, ()), columnar)
+            except ValidationError as exc:
+                raise FileFormatError(f"iota rejected: {'; '.join(exc.violations)}") from None
+            cols, targets = _read_targets(raw, "iota", complex_.labels)
+            iota = SkewMap(complex_, cols)
+            iota.targets = targets
+            violation = verify_chain_map(iota)
+            if violation is not None:
+                raise FileFormatError(f"iota rejected: {violation}")
+        return complex_, iota
+    except FileFormatError as exc:
+        raise FileFormatError(f"{path}: {exc}") from None
 
 
 def save_complex(

@@ -5,27 +5,30 @@ A `FUComplex` is a finitely generated free graded GF(2)[T]-module
 by one. Homogeneity pins the T-power of every matrix entry: an entry
 from basis element j into basis element i must be T^k with
 k = (r_i - r_j + 1) / 2, so the differential is stored as one bitmask
-of row indices per column and all T-powers are implied. A `FUComplex`
-is a plain value and checks nothing: every one the program builds is
-valid by construction (see `a_level_complex`, `reduce_complex`, the
-minimal model of a `Reduction`, the model cones of `invariants` and
-`ai0_cone`).
+of row indices per column and all T-powers are implied: gradings and
+columns, no labels. A `FUComplex` is a plain value and checks nothing:
+every one the program builds is valid by construction (see
+`a_level_complex`, `reduce_complex`, the minimal model of a `Reduction`,
+the model cones of `invariants` and `ai0_cone`).
+
+Grading ties go in a complex's tie order, index order unless it carries
+one. Ties pick the pivots, so the basis and tower cycle, never a tower
+grading. Levels and quotients break them by label
+(`BigradedComplex.label_order`), as a report's level-0 tower cycle
+needs; a model's generators already stand in that order.
 
 `tower_reduce` computes the homology towers by a column reduction
-along the grading filtration, with clearing (Chen and Kerber,
-Persistent homology computation with a twist, 2011): when a reduced
-column has its pivot in row i, column i reduces to zero, so it is
-skipped. A column is moved into filtration order only when the
-reduction reaches it, so a skipped column is never moved. Unpaired
-basis elements are the free homology generators; their gradings give
-the tower tops. The same loop gives a basis in which the complex splits
-into towers and pairs. The `Reduction` keeps it and reads off it, on
-demand, the minimal model with its inclusion and projection, and the
-cocycle that detects the tower. The test suite checks them against a
-Smith-normal-form oracle. The basis is the bulk of a reduction, n
-vectors of up to n bits, so a reduction whose projection will not be
-read again drops it and the complex it reduced (`Reduction.drop_basis`),
-and keeps its towers, its tower cycles, its model and the inclusion.
+along the grading filtration, one stable sort of the tie order, with
+clearing (Chen and Kerber, Persistent homology computation with a
+twist, 2011): when a reduced column has its pivot in row i, column i
+reduces to zero, so it is skipped. A column is moved into filtration
+order, one set bit at a time, only when the reduction reaches it.
+Unpaired basis elements are the free homology generators; their
+gradings give the tower tops. The same loop gives a basis in which the
+complex splits into towers and pairs. The `Reduction` keeps it and
+reads off it, on demand, the minimal model with its inclusion and
+projection, and the cocycle that detects the tower, which the test
+suite checks against a Smith-normal-form oracle.
 
 Clearing skips only the rows that are pivots before the loop reaches
 them. In filtration order that happens in a level, at the rows of its
@@ -48,32 +51,33 @@ import functools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .errors import ConsistencyError
+from .errors import ConsistencyError, ValidationError
 from .linalg import iter_bits
 
 
 class FUComplex:
-    """Free graded GF(2)[T]-complex with implied-power differential.
+    """Free graded GF(2)[T]-complex with implied-power differential: gradings and columns.
 
     degrees, when given, is a homological degree per basis element that d
     lowers by exactly one, as the dropped grading of a one-variable
     quotient is (`complexes.reduce_complex`); `tower_reduce` clears by it.
+    ties, when given, lists the indices in the order that breaks grading ties.
     """
 
     def __init__(
         self,
-        labels: Sequence[str],
         gradings: Sequence[int],
         cols: Sequence[int],
         degrees: Optional[Sequence[int]] = None,
+        ties: Optional[Sequence[int]] = None,
     ):
-        self.labels: Tuple[str, ...] = tuple(labels)
         self.gradings: Tuple[int, ...] = tuple(gradings)
         self.cols: Tuple[int, ...] = tuple(cols)
         self.degrees: Optional[Tuple[int, ...]] = None if degrees is None else tuple(degrees)
+        self.ties = ties
 
     def __len__(self) -> int:
-        return len(self.labels)
+        return len(self.cols)
 
 
 def _moved(mask: int, table: Sequence[int]) -> int:
@@ -91,12 +95,13 @@ def _moved(mask: int, table: Sequence[int]) -> int:
 class Reduction:
     """Result of the filtration reduction: the towers, and the split of `fu` into towers and pairs.
 
-    unpaired: (label, grading) of the free homology generators, sorted by
-    descending grading, then label; indices: the basis index of each
-    (labels of a tensor may repeat); reps: for each, a homogeneous cycle
-    in the original basis as a list of (basis index, T-power) pairs.
+    unpaired: the tower tops, the gradings of the free homology
+    generators, descending; indices: the basis index of each; reps: for
+    each, a homogeneous cycle in the original basis as a list of (basis
+    index, T-power) pairs.
 
-    order[p] is the basis index at position p and pos its inverse, and
+    order[p] is the basis index at position p, by descending grading and
+    then the tie order of `fu`, and pos its inverse, and
     vectors[p] the position mask of the basis vector led by position p:
     z_i = R_j / T^k at a pivot row i, where the reduced column R_j = d V_j
     has its lowest row i with power T^k, and the column combination V_p
@@ -118,14 +123,14 @@ class Reduction:
     1. Both are homogeneous, so their T-powers stay implied by the
     gradings. The model and iota are built on first read.
 
-    `drop_basis` builds the model and iota and then drops fu, order,
-    pos, vectors and pairs (set to None). What is left is the towers
-    (unpaired, indices, reps), the model and iota; `project` and
-    `cocycle` raise `ConsistencyError` from then on.
+    `drop_basis` keeps only the towers (unpaired, indices, reps), the
+    model and iota, and drops the basis, n vectors of up to n bits and
+    the bulk of a reduction; `project` and `cocycle` raise
+    `ConsistencyError` from then on.
     """
 
     fu: Optional[FUComplex]
-    unpaired: List[Tuple[str, int]]
+    unpaired: List[int]
     indices: List[int]
     reps: List[List[Tuple[int, int]]]
     order: List[int]
@@ -138,7 +143,10 @@ class Reduction:
         return len(self.unpaired)
 
     def top_grading(self) -> int:
-        return self.unpaired[0][1]
+        """The top of the one tower; raises `ValidationError` unless there is exactly one."""
+        if self.rank != 1:
+            raise ValidationError(f"d-invariant undefined: localized homology has rank {self.rank}")
+        return self.unpaired[0]
 
     def _basis(self) -> List[int]:
         if self.vectors is None:
@@ -191,12 +199,12 @@ class Reduction:
 
     @functools.cached_property
     def model(self) -> FUComplex:
-        fu, order, kept, coord = self.fu, self.order, self._kept, self._coord
+        gradings, order, kept, coord = self.fu.gradings, self.order, self._kept, self._coord
         cols = [0] * len(kept)
         for row, col in self.pairs.items():
             if coord[row] >= 0:
                 cols[coord[col]] = 1 << coord[row]
-        return FUComplex([fu.labels[order[p]] for p in kept], [fu.gradings[order[p]] for p in kept], cols)
+        return FUComplex([gradings[order[p]] for p in kept], cols)
 
     @functools.cached_property
     def inc(self) -> List[int]:
@@ -220,16 +228,13 @@ class Reduction:
 
 
 def tower_reduce(fu: FUComplex) -> Reduction:
-    labels, gradings, cols = fu.labels, fu.gradings, fu.cols
+    gradings, cols = fu.gradings, fu.cols
     n = len(cols)
-    # Position p holds basis index order[p], in (-grading, label) order:
-    # two stable sorts with C-level keys.
-    order = sorted(range(n), key=labels.__getitem__)
-    order.sort(key=gradings.__getitem__, reverse=True)
+    # Position p holds basis index order[p]: one stable sort of the tie order by descending grading.
+    order = sorted(range(n) if fu.ties is None else fu.ties, key=gradings.__getitem__, reverse=True)
     pos = [0] * n
     for p, idx in enumerate(order):
         pos[idx] = p
-    bit = [1 << p for p in pos]
     # The columns are reduced in position order, or with degrees, class by
     # class in descending degree and in position order within a class.
     sweep = order if fu.degrees is None else sorted(order, key=fu.degrees.__getitem__, reverse=True)
@@ -248,7 +253,7 @@ def tower_reduce(fu: FUComplex) -> Reduction:
         mask, vec, combo = cols[idx], 0, 1 << p  # vec: the column moved into position space
         while mask:
             top = mask.bit_length() - 1
-            vec |= bit[top]
+            vec |= 1 << pos[top]
             mask ^= 1 << top
         while vec:
             low = vec.bit_length() - 1
@@ -263,11 +268,9 @@ def tower_reduce(fu: FUComplex) -> Reduction:
             cycles.append(p)
         vectors[p] = combo
 
-    # Positions ascend in (-grading, label) order, so sorted positions give
-    # the unpaired generators in that order.
     free = sorted(p for p in cycles if p not in pairs)
     indices = [order[p] for p in free]
-    unpaired = [(labels[idx], gradings[idx]) for idx in indices]
+    unpaired = [gradings[idx] for idx in indices]
     reps = [
         sorted((order[q], (gradings[order[q]] - gradings[order[p]]) // 2) for q in iter_bits(vectors[p]))
         for p in free

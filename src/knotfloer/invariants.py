@@ -58,8 +58,9 @@ def a_level_complex(c: BigradedComplex, s: int) -> FUComplex:
     Basis element for generator x: U^(A-s) x when A(x) >= s, else
     V^(s-A) x, graded by the grw of that monomial. Every entry x -> y of d
     is T^k times the basis element of y, with k = (g(y) - g(x) + 1) / 2
-    implied by the level gradings g, so a level shares C's own columns.
-    Rejects complexes without rank-one localized towers.
+    implied by the level gradings g, so a level shares C's own columns,
+    and its `label_order` as ties. Rejects complexes without rank-one
+    localized towers.
 
     Every k is a natural number, so a level is not checked itself. Take
     an entry x -> U^u V^v y of C with u, v >= 0, and basis elements
@@ -72,7 +73,7 @@ def a_level_complex(c: BigradedComplex, s: int) -> FUComplex:
     if not is_knotlike(c):
         raise ValidationError("complex is not knot-like (localized tower rank != 1)")
     gradings = [w - 2 * (a - s) if a > s else w for w, a in zip(c.grw, c.alexander)]
-    return FUComplex(c.labels, gradings, c.cols)
+    return FUComplex(gradings, c.cols, ties=c.label_order)
 
 
 def level_split(c: BigradedComplex, s: int) -> Reduction:
@@ -121,15 +122,12 @@ def _cone(c: BigradedComplex, s: int, n: int) -> Tuple[FUComplex, List[int]]:
     Its T-powers are natural: those of a model are, and a glue entry is
     an entry of pi f iota, a composite of maps whose T-powers are.
     """
-    splits = [level_split(c, s + n - k) for k in range(2 * n + 1)]
+    models = [level_split(c, s + n - k).model for k in range(2 * n + 1)]
     glue = c.__dict__["_glue"]
     offsets = [0]
-    labels: List[str] = []
     gradings: List[int] = []
     cols: List[int] = []
-    for k, split in enumerate(splits):
-        model = split.model
-        labels.extend(model.labels)
+    for k, model in enumerate(models):
         gradings.extend(r + k for r in model.gradings)
         cols.extend(col << offsets[k] for col in model.cols)
         offsets.append(len(cols))
@@ -139,18 +137,12 @@ def _cone(c: BigradedComplex, s: int, n: int) -> Tuple[FUComplex, List[int]]:
                 base, shift = offsets[k], offsets[b]
                 for m, col in enumerate(glue[s + n - k, s + n - b]):
                     cols[base + m] |= col << shift
-    return FUComplex(labels, gradings, cols), offsets
+    return FUComplex(gradings, cols), offsets
 
 
 def d_invariant(level: FUComplex) -> int:
     """Top grading of a T-non-torsion homogeneous homology class."""
-    return _tower_top(tower_reduce(level))
-
-
-def _tower_top(red: Reduction) -> int:
-    if red.rank != 1:
-        raise ValidationError(f"d-invariant undefined: localized homology has rank {red.rank}")
-    return red.top_grading()
+    return tower_reduce(level).top_grading()
 
 
 # --- knot-likeness ----------------------------------------------------------
@@ -259,7 +251,7 @@ def _level(c: BigradedComplex, s: int, n: int) -> Tuple[int, Optional[FrozenSet[
         cone, offsets = _cone(c, s, n)
         split = tower_reduce(cone)
         tested = (n == 0 and s in nus) or (s == 0 and n in omegas)
-        memo[s, n] = _tower_top(split), _hat_ends(c, split, offsets, s, n) if tested else None
+        memo[s, n] = split.top_grading(), _hat_ends(c, split, offsets, s, n) if tested else None
     return memo[s, n]
 
 

@@ -163,12 +163,10 @@ def ai0_cone(c: BigradedComplex, iota: SkewMap) -> FUComplex:
         raise ValidationError(f"involution fails verification: {violation}")
     split = level_split(c, 0)
     model, n = split.model, len(split.model)
-    labels = list(model.labels) + ["Q|" + lbl for lbl in model.labels]
-    gradings = list(model.gradings) + [r - 1 for r in model.gradings]
     one_plus = [split.project(image(iota.cols, inc)) ^ (1 << m) for m, inc in enumerate(split.inc)]
     cols = [col | (op << n) for col, op in zip(model.cols, one_plus)]
     cols += [col << n for col in model.cols]
-    return FUComplex(labels, gradings, cols)
+    return FUComplex(model.gradings + tuple(r - 1 for r in model.gradings), cols)
 
 
 def involutive_d_pair(cone: FUComplex) -> Tuple[int, int]:
@@ -189,7 +187,7 @@ def involutive_d_pair(cone: FUComplex) -> Tuple[int, int]:
             f"iota fails the involutive cone: cone localization has rank {red.rank}, expected "
             f"two towers, so iota does not fix the level-0 tower once T is inverted"
         )
-    even, odd = sorted((g for _label, g in red.unpaired), key=lambda g: g % 2)
+    even, odd = sorted(red.unpaired, key=lambda g: g % 2)
     if even % 2 or not odd % 2:
         raise ConsistencyError(
             f"cone towers at gradings {even} and {odd}, expected one of each parity"

@@ -64,8 +64,7 @@ def random_fu_complex(rng: random.Random, max_size: int = 8) -> FUComplex:
                     rest ^= low
                 cols[j] = mask
         assigned.append(j)
-    labels = tuple(f"e{i}" for i in range(n))
-    fu = FUComplex(labels, tuple(gradings), tuple(cols))
+    fu = FUComplex(tuple(gradings), tuple(cols))
     assert not fu_validate_messages(fu)
     return fu
 

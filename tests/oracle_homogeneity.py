@@ -89,10 +89,10 @@ def validate_messages(c: BigradedComplex) -> List[str]:
 
 def fu_validate_messages(fu: FUComplex) -> List[str]:
     """Every entry without a natural T-power, then every basis element where d^2 != 0."""
-    labels, r = fu.labels, fu.gradings
+    r = fu.gradings
     out = [
-        f"entry {labels[j]} -> {labels[i]}: grading gap {r[j]} -> {r[i]} admits no T-power"
+        f"entry #{j} -> #{i}: grading gap {r[j]} -> {r[i]} admits no T-power"
         for j, i in fu_illegal_entries(fu)
     ]
-    out += [f"d^2 != 0 on basis element {labels[j]}" for j, col in enumerate(fu.cols) if _square(fu.cols, col)]
+    out += [f"d^2 != 0 on basis element #{j}" for j, col in enumerate(fu.cols) if _square(fu.cols, col)]
     return out

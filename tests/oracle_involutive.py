@@ -33,7 +33,7 @@ def power(fu: FUComplex, row: int, col: int) -> int:
     k2 = fu.gradings[row] - fu.gradings[col] + 1
     if k2 % 2 or k2 < 0:
         raise ValidationError(
-            f"entry {fu.labels[col]} -> {fu.labels[row]} has no legal T-power"
+            f"entry #{col} -> #{row} has no legal T-power"
         )
     return k2 // 2
 
@@ -95,13 +95,12 @@ def _q_image_vectors(level_fu: FUComplex, one_plus, gamma: int, deep_slice) -> L
 
 
 def level_cone(level_fu: FUComplex, one_plus) -> FUComplex:
-    """Cone of one_plus on the level, Q of degree -1: Q|x is index n + x."""
+    """Cone of one_plus on the level, Q of degree -1: Q x is index n + x."""
     n = len(level_fu)
-    labels = list(level_fu.labels) + ["Q|" + lbl for lbl in level_fu.labels]
     gradings = list(level_fu.gradings) + [r - 1 for r in level_fu.gradings]
     cols = [col | (op << n) for col, op in zip(level_fu.cols, one_plus)]
     cols += [col << n for col in level_fu.cols]
-    return FUComplex(labels, gradings, cols)
+    return FUComplex(gradings, cols)
 
 
 def oracle_d_pair(c, iota) -> Tuple[int, int]:

@@ -81,41 +81,48 @@ def _read_json(path):
         with open(path, "r", encoding="utf-8") as handle:
             data = json.load(handle)
     except OSError as exc:
-        raise FileFormatError(f"cannot read {path}: {exc}") from None
+        raise FileFormatError(f"{path}: cannot read: {exc.strerror or exc}") from None
     except json.JSONDecodeError as exc:
         raise FileFormatError(f"{path} is not well-formed JSON: {exc}") from None
     except UnicodeDecodeError as exc:
         raise FileFormatError(f"{path} is not UTF-8 text: {exc}") from None
     except RecursionError:
         raise FileFormatError(f"{path} nests arrays or objects too deeply to read") from None
-    if not isinstance(data, dict):
-        raise FileFormatError("top level must be an object")
     return data
 
 
+def _in_file(path, read):
+    """read(data) of the parsed file at path, each fault after parsing prefixed by the path."""
+    data = _read_json(path)
+    try:
+        if not isinstance(data, dict):
+            raise FileFormatError("top level must be an object")
+        return read(data)
+    except FileFormatError as exc:
+        raise FileFormatError(f"{path}: {exc}") from None
+
+
 def load_complex_checked(path):
-    return _load_entries(_read_json(path), path)
+    return _in_file(path, _load_entries)
 
 
-def _load_entries(data, path):
+def _load_entries(data):
     gens = parse_generators_checked(data.get("generators"))
     names = {row[0] for row in gens}
     try:
         terms = parse_entries_checked(data.get("differential", []), "differential", names)
         complex_ = BigradedComplex.from_terms(gens, terms).require_valid()
     except ValidationError as exc:
-        raise FileFormatError(
-            f"{path}: complex fails validation: {'; '.join(exc.violations)}"
-        ) from None
+        raise FileFormatError(f"complex fails validation: {'; '.join(exc.violations)}") from None
     iota = None
     if "iota" in data:
         try:
             iota = SkewMap.from_terms(complex_, parse_entries_checked(data["iota"], "iota", names))
         except ValidationError as exc:
-            raise FileFormatError(f"{path}: iota rejected: {'; '.join(exc.violations)}") from None
+            raise FileFormatError(f"iota rejected: {'; '.join(exc.violations)}") from None
         violation = verify_chain_map(iota)
         if violation is not None:
-            raise FileFormatError(f"{path}: iota rejected: {violation}")
+            raise FileFormatError(f"iota rejected: {violation}")
     return complex_, iota
 
 
@@ -139,7 +146,10 @@ def _entries(raw, n, exponents):
 
 
 def load_columns_checked(path):
-    data = _read_json(path)
+    return _in_file(path, _load_columns)
+
+
+def _load_columns(data):
     if data.get("format") != 2 or type(data.get("format")) is not int:
         raise FileFormatError("not a format-2 file")
     ids, grw, grz = data.get("id"), data.get("grw"), data.get("grz")
@@ -162,7 +172,7 @@ def load_columns_checked(path):
         translated["iota"] = as_terms(
             _entries(data["iota"], n, lambda i, j: ((grw[j] - grz[i]) // 2, (grz[j] - grw[i]) // 2))
         )
-    return _load_entries(translated, path)
+    return _load_entries(translated)
 
 
 def save_complex_json(complex_, path, name="", iota=None):

@@ -527,3 +527,38 @@ def test_sum_of_files_with_colliding_labels(tmp_path, capsys):
     code, out, err = run_cli(["report", "--expr", f"@{a}#@{b}", "--format", "json"], capsys)
     assert code == 0, err
     assert json.loads(out)["generator_count"] == 9
+
+
+INPUT_FAULTS = [
+    # (id, argv, text of {file} or None, exit code, stderr line); {tmp} is a
+    # fresh directory, {file} the file bad.cfk in it, {data} tests/data.
+    ("validate of an expression", ["validate", "--expr", "T(2,3)"], None, 2,
+     "validate expects a file input: --expr '@path/to/file'"),
+    ("missing file", ["validate", "--expr", "@{tmp}/missing.cfk"], None, 3,
+     "invalid input: {tmp}/missing.cfk: cannot read: No such file or directory"),
+    ("directory", ["report", "--expr", "@{tmp}"], None, 3, "invalid input: {tmp}: cannot read: Is a directory"),
+    ("top-level array", ["validate", "--expr", "@{file}"], "[1, 2]", 3,
+     "invalid input: {file}: top level must be an object"),
+    ("top-level array in a sum", ["report", "--expr", "@{data}/hw.cfk#@{file}"], "[1, 2]", 3,
+     "invalid input: {file}: top level must be an object"),
+    ("format-1 differential object", ["validate", "--expr", "@{file}"],
+     '{"generators": [{"id": "a", "grw": 0, "grz": 0}], "differential": {}}', 3,
+     "invalid input: {file}: 'differential' must be a list"),
+    ("torus parameter 1", ["report", "--expr", "T(1,2)"], None, 2,
+     "syntax error: torus parameters must be >= 2, got (1,2) (at position 5)"),
+    ("bare @", ["report", "--expr", "@"], None, 2, "syntax error: expected a file path after '@' (at position 1)"),
+    ("reversed range", ["report", "--expr", "T(2,3)", "--v", "5..2"], None, 2, "usage error: --v: bad range '5..2'"),
+    ("empty --v", ["report", "--expr", "T(2,3)", "--v", ""], None, 2,
+     "usage error: --v: range must look like A..B, got ''"),
+    ("empty --y", ["report", "--expr", "T(2,3)", "--y", ""], None, 2,
+     "usage error: --y: range must look like A..B, got ''"),
+]
+
+
+@pytest.mark.parametrize("argv,text,code,line", [c[1:] for c in INPUT_FAULTS], ids=[c[0] for c in INPUT_FAULTS])
+def test_input_fault_exits_with_one_line(tmp_path, capsys, argv, text, code, line):
+    names = {"tmp": tmp_path, "file": tmp_path / "bad.cfk", "data": DATA}
+    if text is not None:
+        names["file"].write_text(text)
+    argv = [arg.format(**names) for arg in argv]
+    assert run_cli(argv, capsys) == (code, "", line.format(**names) + "\n")

@@ -119,7 +119,7 @@ def test_homogeneous_negative_exponent_is_named(tmp_path, where, key):
     path.write_text(json.dumps(data))
     with pytest.raises(FileFormatError) as err:
         load_complex(str(path))
-    assert str(err.value) == f"{where} entry #0: field {key!r} must be nonnegative, got -1"
+    assert str(err.value) == f"{path}: {where} entry #0: field {key!r} must be nonnegative, got -1"
 
 
 def test_bad_iota_rejected_with_witness(tmp_path):
@@ -497,7 +497,7 @@ def test_late_fault_is_named(tmp_path, long_file, where, k, edit, message):
             f"in d({entry['from']}): target grading ({tw},{tz}), needs ({sw - 1 + 2 * u},{sz - 1 + 2 * v})"
         )
         return
-    assert str(err.value) == f"{kind} entry #{k}: {message}"
+    assert str(err.value) == f"{path}: {kind} entry #{k}: {message}"
 
 
 REPEATED_ID_CASES = [
@@ -524,8 +524,8 @@ def test_repeated_id_precedence(tmp_path, long_file, k, edit, message):
     with pytest.raises(FileFormatError) as err:
         load_complex(str(path))
     if message is None:
-        message = f"{path}: complex fails validation: duplicate generator id {gens[99]['id']!r}"
-    assert str(err.value) == message
+        message = f"complex fails validation: duplicate generator id {gens[99]['id']!r}"
+    assert str(err.value) == f"{path}: {message}"
 
 
 # --- validate on mutated files ----------------------------------------------
@@ -645,44 +645,44 @@ def _drop(key):
 
 
 COLUMN_FAULTS = [
-    # (id, edit, message); a message that starts with ":" follows the path
-    ("format 3", _put("format", 3), "field 'format' must be 2, or absent in a format-1 file, got 3"),
-    ("format 1", _put("format", 1), "field 'format' must be 2, or absent in a format-1 file, got 1"),
-    ("format string", _put("format", "2"), "field 'format' must be 2, or absent in a format-1 file, got '2'"),
-    ("format float", _put("format", 2.0), "field 'format' must be 2, or absent in a format-1 file, got 2.0"),
-    ("format bool", _put("format", True), "field 'format' must be 2, or absent in a format-1 file, got True"),
-    ("no ids", _drop("id"), "field 'id' must be a nonempty list of strings"),
-    ("empty ids", _put("id", []), "field 'id' must be a nonempty list of strings"),
-    ("id not a string", _put("id", 5, 1), "id of generator #1: must be a string, got 5"),
-    ("repeated id", _put("id", "y-1", 2), "id of generator #2 'y-1': repeats generator #0"),
-    ("grw not a list", _put("grw", {}), "field 'grw' must be a list of 3 integers, one per id"),
-    ("grz too short", _put("grz", [-2, -1]), "field 'grz' must be a list of 3 integers, one per id"),
-    ("grw bool", _put("grw", True, 1), "grw of generator #1 'y0': must be an integer, got True"),
-    ("grz float", _put("grz", 0.0, 2), "grz of generator #2 'y1': must be an integer, got 0.0"),
+    # (id, edit, message); each message follows the path
+    ("format 3", _put("format", 3), ": field 'format' must be 2, or absent in a format-1 file, got 3"),
+    ("format 1", _put("format", 1), ": field 'format' must be 2, or absent in a format-1 file, got 1"),
+    ("format string", _put("format", "2"), ": field 'format' must be 2, or absent in a format-1 file, got '2'"),
+    ("format float", _put("format", 2.0), ": field 'format' must be 2, or absent in a format-1 file, got 2.0"),
+    ("format bool", _put("format", True), ": field 'format' must be 2, or absent in a format-1 file, got True"),
+    ("no ids", _drop("id"), ": field 'id' must be a nonempty list of strings"),
+    ("empty ids", _put("id", []), ": field 'id' must be a nonempty list of strings"),
+    ("id not a string", _put("id", 5, 1), ": id of generator #1: must be a string, got 5"),
+    ("repeated id", _put("id", "y-1", 2), ": id of generator #2 'y-1': repeats generator #0"),
+    ("grw not a list", _put("grw", {}), ": field 'grw' must be a list of 3 integers, one per id"),
+    ("grz too short", _put("grz", [-2, -1]), ": field 'grz' must be a list of 3 integers, one per id"),
+    ("grw bool", _put("grw", True, 1), ": grw of generator #1 'y0': must be an integer, got True"),
+    ("grz float", _put("grz", 0.0, 2), ": grz of generator #2 'y1': must be an integer, got 0.0"),
     ("differential missing", _drop("differential"),
-     "field 'differential' must be a list of 3 target lists, one per id"),
+     ": field 'differential' must be a list of 3 target lists, one per id"),
     ("differential not a list", _put("differential", {"1": [0, 2]}),
-     "field 'differential' must be a list of 3 target lists, one per id"),
+     ": field 'differential' must be a list of 3 target lists, one per id"),
     ("differential too long", _put("differential", [[], [0, 2], [], []]),
-     "field 'differential' must be a list of 3 target lists, one per id"),
+     ": field 'differential' must be a list of 3 target lists, one per id"),
     ("column not a list", _put("differential", 0, 1),
-     "differential of generator #1 'y0': expected a list of target indices, got 0"),
+     ": differential of generator #1 'y0': expected a list of target indices, got 0"),
     ("bool target", _put("differential", [True, 2], 1),
-     "differential of generator #1 'y0': target must be an integer, got True"),
+     ": differential of generator #1 'y0': target must be an integer, got True"),
     ("float target", _put("differential", [0, 2.0], 1),
-     "differential of generator #1 'y0': target must be an integer, got 2.0"),
+     ": differential of generator #1 'y0': target must be an integer, got 2.0"),
     ("string target", _put("differential", ["0", 2], 1),
-     "differential of generator #1 'y0': target must be an integer, got '0'"),
+     ": differential of generator #1 'y0': target must be an integer, got '0'"),
     ("negative target", _put("differential", [-1, 2], 1),
-     "differential of generator #1 'y0': target -1 is not a generator index (0..2)"),
+     ": differential of generator #1 'y0': target -1 is not a generator index (0..2)"),
     ("target out of range", _put("differential", [0, 3], 1),
-     "differential of generator #1 'y0': target 3 is not a generator index (0..2)"),
+     ": differential of generator #1 'y0': target 3 is not a generator index (0..2)"),
     ("repeated target", _put("differential", [0, 2, 0], 1),
-     "differential of generator #1 'y0': target 0 is repeated"),
-    ("iota not a list", _put("iota", None), "field 'iota' must be a list of 3 target lists, one per id"),
+     ": differential of generator #1 'y0': target 0 is repeated"),
+    ("iota not a list", _put("iota", None), ": field 'iota' must be a list of 3 target lists, one per id"),
     ("iota target out of range", _put("iota", [5], 2),
-     "iota of generator #2 'y1': target 5 is not a generator index (0..2)"),
-    ("repeated iota target", _put("iota", [1, 1], 1), "iota of generator #1 'y0': target 1 is repeated"),
+     ": iota of generator #2 'y1': target 5 is not a generator index (0..2)"),
+    ("repeated iota target", _put("iota", [1, 1], 1), ": iota of generator #1 'y0': target 1 is repeated"),
     # grw(y-1) = -4 implies U^-1 on y-1 in d(y0), with every parity kept.
     ("negative implied exponent", _put("grw", [-4, -1, -2]),
      ": complex fails validation: inhomogeneous term y-1 in d(y0): target grading (-4,-2) "
@@ -705,8 +705,7 @@ def test_columns_fault_is_named(tmp_path, capsys, edit, message):
     edit(data)
     path = tmp_path / "bad.cfk"
     path.write_text(json.dumps(data))
-    if message.startswith(":"):
-        message = f"{path}{message}"
+    message = f"{path}{message}"
     with pytest.raises(FileFormatError) as err:
         load_complex(str(path))
     assert str(err.value) == message

@@ -14,6 +14,7 @@ from knotfloer.fu import tower_reduce
 from knotfloer.involutive import realize_with_iota
 from knotfloer.linalg import iter_bits
 from knotfloer.invariants import (
+    InvariantTable,
     a_level_complex,
     compute_invariant_table,
     is_knotlike,
@@ -528,7 +529,7 @@ def _check_glue_and_dropped_bases(c):
     for s, split in splits.items():
         assert split.inc == full[s].inc and split.reps == full[s].reps
         model, again = split.model, full[s].model
-        assert (model.labels, model.gradings, model.cols) == (again.labels, again.gradings, again.cols)
+        assert (model.gradings, model.cols) == (again.gradings, again.cols)
         dropped = s != 0 and s - 1 in splits and s + 1 in splits
         assert (split.vectors is None) == dropped, s
         if dropped:
@@ -570,3 +571,36 @@ def test_table_reads_indices_past_the_ladder_as_zero():
         assert (nu_p + 3, 0) not in built and (0, omega_p + 3) not in built
         assert table.v == {s: v_invariant(c, s) for s in range(nu_p + 4)}
         assert table.y == {n: y_invariant(c, n) for n in range(omega_p + 4)}
+
+
+# --- the internal-consistency net -------------------------------------------
+
+# A consistent table: V = Y = (1, 0), nu+ = omega+ = 1, tau = nu = omega = 1.
+LAWFUL = dict(v={0: 1, 1: 0}, y={0: 1, 1: 0}, nu_plus=1, omega_plus=1, tau=1, nu_hat=1, omega_hat=1)
+
+BROKEN_LAWS = [
+    # (id, fields changed from LAWFUL, the one message)
+    ("negative V", dict(v={0: 1, 1: 0, 2: -1}), "V_2 = -1 < 0"),
+    ("V not monotone", dict(v={0: 1, 1: 0, 2: 1}), "V_1=0, V_2=1 breaks monotonicity"),
+    ("Y not monotone", dict(y={0: 1, 1: 0, 2: 1}), "Y_1=0, Y_2=1 breaks monotonicity"),
+    ("V above Y", dict(v={0: 1, 1: 1}), "V_1=1 > Y_1=0"),
+    ("Y_0 is not V_0", dict(y={0: 2, 1: 1}), "Y_0=2 != V_0=1"),
+    ("nu off tau", dict(nu_hat=0), "nu=0 outside {tau, tau+1}, tau=1"),
+    ("omega off tau", dict(omega_hat=3), "omega=3 outside {tau, tau+1}, tau=1"),
+    ("omega with negative tau", dict(tau=-1, nu_hat=0), "omega=1 nonzero with tau=-1 < 0"),
+    ("nu above omega", dict(nu_hat=2), "nu=2 > omega=1"),
+    ("nu+ above omega+", dict(nu_plus=2), "nu+=2 > omega+=1"),
+]
+
+
+@pytest.mark.parametrize("change,message", [case[1:] for case in BROKEN_LAWS], ids=[case[0] for case in BROKEN_LAWS])
+def test_each_broken_law_is_named(change, message):
+    assert InvariantTable(**LAWFUL).consistency_violations() == []
+    assert InvariantTable(**{**LAWFUL, **change}).consistency_violations() == [message]
+
+
+def test_corpus_tables_keep_every_law():
+    for expr in ("T(2,11)#T(4,7)#-T(5,6)", "T(2,3)#T(4,7)#-T(5,6)", "T(2,11)#-T(4,5)", "HW"):
+        c = named_complex("HW") if expr == "HW" else realize_expr(parse_knot_expr(expr))
+        for complex_ in (c, c.dual()):
+            assert compute_invariant_table(complex_).consistency_violations() == [], expr

@@ -39,14 +39,13 @@ def block_level(c, s, n):
         for w, a in zip(c.grw, c.alexander)
         for k, t in zip(blocks, range(s + n, s - n - 1, -1))
     ]
-    labels = [label for label in c.labels for _k in blocks]
     # Even k maps by V to k - 1 and by U to k + 1.
     glue = [sum(1 << b for b in (k - 1, k + 1) if k % 2 == 0 and 0 <= b < m) for k in blocks]
     cols = []
     for j, col in enumerate(c.cols):
         left, base = spread(col, m), j * m
         cols.extend((left << k) ^ (glue[k] << base) for k in blocks)
-    return FUComplex(labels, gradings, cols)
+    return FUComplex(gradings, cols)
 
 
 def tensor_y(c, n):
