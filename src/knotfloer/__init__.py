@@ -20,7 +20,6 @@ from .fileio import load_complex, save_complex
 from .invariants import (
     a_level_complex,
     compute_invariant_table,
-    d_invariant,
     is_knotlike,
     level_split,
     nu_hat,

@@ -89,7 +89,7 @@ def _tower_certificate(c) -> Optional[List[Dict]]:
     if len(c) > CYCLE_CERTIFICATE_LIMIT:
         return None
     labels, alex = c.labels, c.alexander
-    # The level-0 tower has rank one: the invariant table has read its top off this split.
+    # Level 0 has one tower: the table read V_0 off its model M_0, which has the same towers.
     cycle = level_split(c, 0).reps[0]
     terms = sorted(cycle, key=lambda t: (labels[t[0]], t[1]))
     # Basis element i of the level-0 complex is U^A x_i, or V^-A x_i when A < 0.

@@ -9,7 +9,7 @@ of row indices per column and all T-powers are implied: gradings and
 columns, no labels. A `FUComplex` is a plain value and checks nothing:
 every one the program builds is valid by construction (see
 `a_level_complex`, `reduce_complex`, the minimal model of a `Reduction`,
-the model cones of `invariants` and `ai0_cone`).
+and `cone`).
 
 Grading ties go in a complex's tie order, index order unless it carries
 one. Ties pick the pivots, so the basis and tower cycle, never a tower
@@ -43,6 +43,17 @@ they do, so each class reduces as in filtration order, independently of
 the others: the pivots, pairs and basis are the same. And every pivot
 row of degree g - 1 is found before class g - 1 is reached, so its
 column is cleared.
+
+Level 0 of C tensor St*_n and the involutive complex are mapping cones
+Cone(f: E -> O) of split complexes, built on their models as
+Cone(pi_O f iota_E): `transfer` gives the arrow, `cone` lays out the
+blocks. That is exact and needs no check. pi iota = 1 and iota pi is
+homotopic to 1, so (x, y) -> (iota_E x, iota_O y + H f iota_E x), with
+H a homotopy from iota_O pi_O to 1, is a homotopy equivalence onto
+Cone(f). d^2 = 0 on the model cone is the chain-map condition of
+pi_O f iota_E, and its T-powers are natural when f's are: a model's
+entries are its level's, and pi_O f iota_E composes homogeneous maps
+with natural T-powers.
 """
 
 from __future__ import annotations
@@ -52,7 +63,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import ConsistencyError, ValidationError
-from .linalg import iter_bits
+from .linalg import image, iter_bits
 
 
 class FUComplex:
@@ -276,3 +287,30 @@ def tower_reduce(fu: FUComplex) -> Reduction:
         for p in free
     ]
     return Reduction(fu, unpaired, indices, reps, order, pos, vectors, pairs)
+
+
+# --- cones of models ---------------------------------------------------------
+
+
+def transfer(source: Reduction, target: Reduction, cols: Optional[Sequence[int]] = None) -> List[int]:
+    """pi_target f iota_source, as masks of the target's model; f has these columns, or is the identity."""
+    return [target.project(inc if cols is None else image(cols, inc)) for inc in source.inc]
+
+
+def cone(
+    blocks: Sequence[Tuple[FUComplex, int]], arrows: Sequence[Tuple[int, int, Sequence[int]]]
+) -> Tuple[FUComplex, List[int]]:
+    """(complex, block offsets then size) of (block, grading shift) pairs side by side, ties by index.
+
+    An arrow (a, b, masks) adds masks[m], a mask of block b, to the column
+    of generator m of block a.
+    """
+    offsets, gradings, cols = [0], [], []
+    for fu, shift in blocks:
+        gradings.extend(r + shift for r in fu.gradings)
+        cols.extend(col << offsets[-1] for col in fu.cols)
+        offsets.append(len(cols))
+    for a, b, masks in arrows:
+        for m, mask in enumerate(masks):
+            cols[offsets[a] + m] ^= mask << offsets[b]
+    return FUComplex(gradings, cols), offsets

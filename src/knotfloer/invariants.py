@@ -46,7 +46,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .complexes import BigradedComplex, reduce_complex
 from .errors import ConsistencyError, IterationCapError, ValidationError
-from .fu import FUComplex, Reduction, tower_reduce
+from .fu import FUComplex, Reduction, cone, tower_reduce, transfer
 
 
 # --- level subcomplexes over GF(2)[T] --------------------------------------
@@ -95,8 +95,7 @@ def level_split(c: BigradedComplex, s: int) -> Reduction:
         glue = c.__dict__.setdefault("_glue", {})
         for t in (s - 1, s + 1):
             if t in memo:
-                glue[s, t] = [memo[t].project(v) for v in split.inc]
-                glue[t, s] = [split.project(v) for v in memo[t].inc]
+                glue[s, t], glue[t, s] = transfer(split, memo[t]), transfer(memo[t], split)
         for t in (s - 1, s, s + 1):
             if t and {t - 1, t, t + 1} <= memo.keys() and memo[t].vectors is not None:
                 memo[t].drop_basis()
@@ -107,42 +106,18 @@ def _cone(c: BigradedComplex, s: int, n: int) -> Tuple[FUComplex, List[int]]:
     """A model of level s of C tensor St*_n, and where its blocks start (then its size).
 
     x(k - n) sits at bigrading (k, 2n - k), so block k = 0..2n of the level
-    is A_(s+n-k)(C) with its grading raised by k, and generator k of St*_n
-    maps by V to k - 1 and by U to k + 1 when k is even. Every arrow runs
-    from an even block to an odd one, so the level is the mapping cone of
-    f: E -> O, its even blocks to its odd blocks. Since iota and pi are
-    homotopy equivalences, Cone(f) is homotopy equivalent to
-    Cone(pi_O f iota_E), which is this complex: block k is M_(s+n-k) raised
-    by k, and generator m of an even block k maps into block k +- 1 by
-    pi f iota (m), the glue that `level_split` builds once both levels are
-    split. The arrow f, U or V on every generator, is the identity on C's
-    indices on the level bases, with T-powers implied by the gradings.
-    For n = 0 it is M_s.
-
-    Its T-powers are natural: those of a model are, and a glue entry is
-    an entry of pi f iota, a composite of maps whose T-powers are.
+    is A_(s+n-k)(C) raised by k, and generator k of St*_n maps by V to k - 1
+    and by U to k + 1 when k is even: the level is the cone of f from its
+    even blocks to its odd ones. f, U or V on every generator, is the
+    identity on C's indices, with natural T-powers implied by the gradings.
+    The model cone (`fu.cone`) has M_(s+n-k) for block k, glued by
+    pi f iota, which `level_split` builds. For n = 0 it is M_s.
     """
-    models = [level_split(c, s + n - k).model for k in range(2 * n + 1)]
+    levels = [s + n - k for k in range(2 * n + 1)]
+    blocks = [(level_split(c, t).model, k) for k, t in enumerate(levels)]
     glue = c.__dict__["_glue"]
-    offsets = [0]
-    gradings: List[int] = []
-    cols: List[int] = []
-    for k, model in enumerate(models):
-        gradings.extend(r + k for r in model.gradings)
-        cols.extend(col << offsets[k] for col in model.cols)
-        offsets.append(len(cols))
-    for k in range(0, 2 * n + 1, 2):
-        for b in (k - 1, k + 1):
-            if 0 <= b <= 2 * n:
-                base, shift = offsets[k], offsets[b]
-                for m, col in enumerate(glue[s + n - k, s + n - b]):
-                    cols[base + m] |= col << shift
-    return FUComplex(gradings, cols), offsets
-
-
-def d_invariant(level: FUComplex) -> int:
-    """Top grading of a T-non-torsion homogeneous homology class."""
-    return tower_reduce(level).top_grading()
+    arrows = [(k, b, glue[levels[k], levels[b]]) for b in range(1, 2 * n, 2) for k in (b - 1, b + 1)]
+    return cone(blocks, arrows)
 
 
 # --- knot-likeness ----------------------------------------------------------
@@ -271,17 +246,13 @@ def _hat_ends(c: BigradedComplex, split: Reduction, offsets: List[int], s: int, 
     drops the V-powers): 1 when the cycle hits the generator of the
     V = 1 (U = 1) complex.
 
-    Each end is read through iota. Blocks 0 and 2n are even, so they lie
-    in E of Cone(f: E -> O). The comparison chain map from
-    Cone(pi_O f iota_E) to Cone(f) sends (x, y) to
-    (iota_E x, iota_O y + H f iota_E x), with H a homotopy from iota_O pi_O
-    to 1, so its E-part is exactly iota_E x and the end of a cone cycle x
-    is the end of iota(x) in the level. Setting T = 0 keeps that map a
-    homotopy equivalence, and each end functional is a projection onto
-    the quotient E, a chain map, paired with a cocycle, so it vanishes on
-    boundaries: a basis of the cone's hat homology spans the level's end
-    pairs, all that `_admits_map` and nu read. The T^0 part of iota(m),
-    for m of grading h in block k, is its indices of level grading h - k.
+    Each end is read through iota. Blocks 0 and 2n are even, in E, where
+    the homotopy equivalence from the model cone to the level (`fu`) is
+    iota_E, also at T = 0. Each end functional, the projection onto the
+    quotient E paired with a cocycle, vanishes on boundaries: so a basis
+    of the cone's hat homology spans the level's end pairs, all that
+    `_admits_map` and nu read. The T^0 part of iota(m), for m of grading
+    h in block k, is its indices of level grading h - k.
 
     Each probe is a cocycle cut to its block's Alexander range, and needs
     no level grading. phi_U lies at grw = g, the level grading of every

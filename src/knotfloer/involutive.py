@@ -34,7 +34,7 @@ from typing import Tuple
 
 from .complexes import BigradedComplex, ChainMap, SkewMap, basepoint_map, verify_chain_map
 from .errors import ConsistencyError, ValidationError
-from .fu import FUComplex, tower_reduce
+from .fu import FUComplex, cone, tower_reduce, transfer
 from .invariants import level_split, v_invariant
 from .linalg import image, kron, transpose
 
@@ -138,10 +138,8 @@ def realize_with_iota(expr):
 def ai0_cone(c: BigradedComplex, iota: SkewMap) -> FUComplex:
     """Cone of 1 + pi_0 iota iota_0 on the level-0 model M_0, Q of degree -1.
 
-    The split of level 0 (`level_split`) gives homotopy equivalences
-    iota_0, pi_0 with pi_0 iota_0 = 1. Composing with them keeps the
-    homotopy type of a cone, so the cone of 1 + iota on level 0 is
-    homotopy equivalent to Cone(pi_0 (1 + iota) iota_0), which is this one.
+    The model cone (`fu`) of 1 + iota on level 0: pi_0 (1 + iota) iota_0
+    is 1 + pi_0 iota iota_0, since pi_0 iota_0 = 1 (`level_split`).
 
     A verified skew map swaps the gradings and U with V, so it maps
     level s to -s (T = UV is symmetric), and on the level-0 basis it is
@@ -149,24 +147,16 @@ def ai0_cone(c: BigradedComplex, iota: SkewMap) -> FUComplex:
     natural: an entry x -> U^u V^v y sends U^a_x V^b_x x to
     T^k U^a_y V^b_y y with k = b_x + u - a_y = a_x + v - b_y, which
     min(a_y, b_y) = 0 makes b_x + u or a_x + v, as for d in
-    `a_level_complex`. So are those of iota_0 and pi_0, and by
-    homogeneity those of the composite. The cone is valid once iota
-    passes `verify_chain_map`, so it is not checked again: d_cone^2 = 0
-    is the chain-map condition of 1 + pi_0 iota iota_0.
-
-    This is the one check of a built involution: the constructions in
-    `realize_with_iota` make valid maps, and a number read from iota
-    passes through here.
+    `a_level_complex`. So the cone is valid once iota passes
+    `verify_chain_map`, the one check of a built involution
+    (`realize_with_iota`).
     """
     violation = verify_chain_map(iota)
     if violation is not None:
         raise ValidationError(f"involution fails verification: {violation}")
     split = level_split(c, 0)
-    model, n = split.model, len(split.model)
-    one_plus = [split.project(image(iota.cols, inc)) ^ (1 << m) for m, inc in enumerate(split.inc)]
-    cols = [col | (op << n) for col, op in zip(model.cols, one_plus)]
-    cols += [col << n for col in model.cols]
-    return FUComplex(model.gradings + tuple(r - 1 for r in model.gradings), cols)
+    one_plus = [col ^ (1 << m) for m, col in enumerate(transfer(split, split, iota.cols))]
+    return cone([(split.model, 0), (split.model, -1)], [(0, 1, one_plus)])[0]
 
 
 def involutive_d_pair(cone: FUComplex) -> Tuple[int, int]:

@@ -1,12 +1,16 @@
+import dataclasses
+import importlib
 import itertools
 import json
 import os
 import shutil
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
+from knotfloer.bounds import PLFunction
 from knotfloer.cli import main
 from knotfloer.errors import ValidationError
 
@@ -163,6 +167,47 @@ def test_cap_overflow_is_internal_error(monkeypatch, capsys):
     code, _, err = run_cli(["report", "--expr", "T(2,3)"], capsys)
     assert code == 4
     assert "internal consistency" in err
+
+
+def _tables_with_tau(tau):
+    """A replacement of `cli.compute_invariant_table` whose tables all read this tau."""
+    return lambda real: lambda c, *args: dataclasses.replace(real(c, *args), tau=tau)
+
+
+CONSISTENCY_FAULTS = [
+    # (id, module, name, replacement given the real value, stderr line after
+    # "internal consistency failure: "), each on the report of T(2,3).
+    ("odd tower grading", "invariants", "_level", lambda real: lambda c, s, n: (1, None),
+     "tower grading 1 at level 0 of C tensor St*_0 is odd"),
+    ("nu below tau", "invariants", "_hat_ends", lambda real: lambda *args: frozenset({(1, 1)}),
+     "level 0 hits the V = 1 class below tau = 1"),
+    ("nu above tau + 1", "invariants", "_hat_ends", lambda real: lambda *args: frozenset(),
+     "nu outside {tau, tau+1}, tau=1"),
+    ("table violation", "invariants", "omega_hat", lambda real: lambda c: 5, "omega=5 outside {tau, tau+1}, tau=1"),
+    ("pair outside V_0", "involutive", "v_invariant", lambda real: lambda c, s: 7,
+     "involutive pair (1, 1) does not bracket V_0 = 7"),
+    ("tau mirror asymmetry", "cli", "compute_invariant_table", _tables_with_tau(1), "tau mirror asymmetry: 1 vs 1"),
+    ("initial slope", "cli", "compute_invariant_table", _tables_with_tau(0), "initial slope -1 != -tau = 0"),
+    ("asymmetric concordance function", "cli", "upsilon_of_expr",
+     lambda real: lambda expr: PLFunction(tuple(map(Fraction, (0, 1, 2))), tuple(map(Fraction, (0, -1, -1)))),
+     "concordance function asymmetric at t = 0"),
+]
+
+
+@pytest.mark.parametrize("module,name,replace,line", [c[1:] for c in CONSISTENCY_FAULTS],
+                         ids=[c[0] for c in CONSISTENCY_FAULTS])
+def test_consistency_failure_exits_4_with_one_line(monkeypatch, capsys, module, name, replace, line):
+    target = importlib.import_module(f"knotfloer.{module}")
+    monkeypatch.setattr(target, name, replace(getattr(target, name)))
+    assert run_cli(["report", "--expr", "T(2,3)"], capsys) == (4, "", f"internal consistency failure: {line}\n")
+
+
+def test_certificates_stop_at_the_limit(capsys):
+    # 3^7 = 2,187 generators are past CYCLE_CERTIFICATE_LIMIT, 5^4 * 3 = 1,875 are not.
+    for expr, null in (("#".join(["T(2,3)"] * 7), True), ("T(2,5)#T(2,5)#T(2,5)#T(2,5)#T(2,3)", False)):
+        code, out, _ = run_cli(["report", "--expr", expr, "--format", "json"], capsys)
+        assert code == 0, expr
+        assert [cycle is None for cycle in json.loads(out)["certificates"].values()] == [null, null], expr
 
 
 def test_out_of_memory_exits_1_without_traceback(monkeypatch, capsys):
@@ -547,6 +592,8 @@ INPUT_FAULTS = [
     ("torus parameter 1", ["report", "--expr", "T(1,2)"], None, 2,
      "syntax error: torus parameters must be >= 2, got (1,2) (at position 5)"),
     ("bare @", ["report", "--expr", "@"], None, 2, "syntax error: expected a file path after '@' (at position 1)"),
+    ("missing comma", ["report", "--expr", "T(2 3)"], None, 2, "syntax error: expected ',' (at position 4)"),
+    ("unclosed parenthesis", ["report", "--expr", "T(2,3"], None, 2, "syntax error: expected ')' (at position 5)"),
     ("reversed range", ["report", "--expr", "T(2,3)", "--v", "5..2"], None, 2, "usage error: --v: bad range '5..2'"),
     ("empty --v", ["report", "--expr", "T(2,3)", "--v", ""], None, 2,
      "usage error: --v: range must look like A..B, got ''"),

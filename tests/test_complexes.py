@@ -56,6 +56,10 @@ def test_homogeneity_violation_reported():
     violations = err.value.violations
     assert len(violations) == 1
     assert "inhomogeneous" in violations[0] and "y1" in violations[0]
+    # ... as is a term naming no generator ...
+    with pytest.raises(ValidationError) as err:
+        BigradedComplex.from_terms([Generator("a", 0, 0)], [("a", "b", 0, 0)])
+    assert str(err.value) == "term a -> b: 'b' is not a generator"
     # ... and a column whose gradings imply no monomial fails validation.
     bad = BigradedComplex(["a", "b"], [0, 0], [0, 0], [0b10, 0])
     violations = bad.validate()

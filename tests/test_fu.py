@@ -9,7 +9,7 @@ from knotfloer.errors import FileFormatError, ValidationError
 from knotfloer.expressions import parse_knot_expr, realize_expr
 from knotfloer.fileio import load_complex
 from knotfloer.fu import FUComplex, tower_reduce
-from knotfloer.invariants import a_level_complex, d_invariant
+from knotfloer.invariants import a_level_complex
 from knotfloer.involutive import realize_with_iota
 from knotfloer.linalg import image, iter_bits
 
@@ -22,7 +22,7 @@ DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 
 def test_unknot_level_zero():
     fu = a_level_complex(UNKNOT, 0)
-    assert d_invariant(fu) == 0
+    assert tower_reduce(fu).top_grading() == 0
 
 
 def test_staircase_level_zero():
@@ -31,7 +31,7 @@ def test_staircase_level_zero():
     # basis: U y(-1) at -2, y0 at -1, V y1 at -2; d(y0) = both, power 0
     assert level.gradings == (-2, -1, -2)
     assert level_monomials(c, level, 0) == ((1, 0), (0, 0), (0, 1))
-    assert d_invariant(level) == -2
+    assert tower_reduce(level).top_grading() == -2
 
 
 def test_staircase_level_one():
@@ -43,7 +43,7 @@ def test_staircase_level_one():
     j, i = c.index["y0"], c.index["y-1"]
     assert (level.cols[j] >> i) & 1
     assert power(level, i, j) == 1
-    assert d_invariant(level) == 0
+    assert tower_reduce(level).top_grading() == 0
 
 
 def test_reduction_matches_oracle_on_structured():
@@ -183,7 +183,7 @@ def test_degree_order_reduces_quotients_as_position_order():
 def test_rank_errors():
     two_towers = FUComplex((0, 0), (0, 0))
     with pytest.raises(ValidationError):
-        d_invariant(two_towers)
+        tower_reduce(two_towers).top_grading()
 
 
 def check_split(fu, torsion=True, tower=True):

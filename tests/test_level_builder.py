@@ -18,8 +18,8 @@ from test_invariants import corpus
 
 from knotfloer.builders import staircase_dual
 from knotfloer.expressions import parse_knot_expr, realize_expr
-from knotfloer.fu import FUComplex
-from knotfloer.invariants import a_level_complex, d_invariant, omega_plus, y_invariant
+from knotfloer.fu import FUComplex, tower_reduce
+from knotfloer.invariants import a_level_complex, omega_plus, y_invariant
 from knotfloer.involutive import realize_with_iota
 from knotfloer.linalg import spread
 
@@ -50,7 +50,7 @@ def block_level(c, s, n):
 
 def tensor_y(c, n):
     """Y_n as -d/2 of the level-0 complex of the tensor."""
-    return -d_invariant(a_level_complex(c.tensor(staircase_dual(n)), 0)) // 2
+    return -tower_reduce(a_level_complex(c.tensor(staircase_dual(n)), 0)).top_grading() // 2
 
 
 def _cases(seed, sums, scrambled):
