@@ -33,7 +33,6 @@ from .bounds import (
 from .errors import (
     ConsistencyError,
     FileFormatError,
-    IterationCapError,
     KnotFloerError,
     ParseError,
     UnsupportedInputError,
@@ -105,8 +104,6 @@ def _involutive_pair(c, iota, name: str) -> Tuple[int, int]:
 
 
 def _build_report(args) -> Dict:
-    if args.cap is not None and args.cap < 0:
-        raise argparse.ArgumentTypeError(f"--cap must be nonnegative, got {args.cap}")
     expr = parse_knot_expr(args.expr)
     complex_, iota = realize_with_iota(expr)
     require_knot_complex(complex_)
@@ -120,13 +117,8 @@ def _build_report(args) -> Dict:
     v_idx = _parse_range(args.v, "--v")
     y_idx = _parse_range(args.y, "--y")
 
-    try:
-        table = compute_invariant_table(complex_, v_idx, y_idx, args.cap)
-        mtable = compute_invariant_table(mirror, v_idx, y_idx, args.cap)
-    except IterationCapError as exc:
-        if args.cap is None:
-            raise
-        raise argparse.ArgumentTypeError(f"--cap {args.cap} is too small: {exc}") from None
+    table = compute_invariant_table(complex_, v_idx, y_idx)
+    mtable = compute_invariant_table(mirror, v_idx, y_idx)
     name = expr_to_string(expr)
     involutive = None if iota is None else _involutive_pair(complex_, iota, name)
     m_involutive = None if mirror_io is None else _involutive_pair(mirror, mirror_io, f"mirror of {name}")
@@ -212,7 +204,7 @@ def _flatten(prefix: str, obj, rows: List[Tuple[str, str]]) -> None:
 
 
 def _emit_report(report: Dict, fmt: str) -> None:
-    if fmt in ("json", "json-like"):
+    if fmt == "json":
         sys.stdout.write(json.dumps(report, sort_keys=True, indent=1) + "\n")
         return
     if fmt == "csv":
@@ -311,22 +303,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--expr", required=True, help="knot expression or '@file'")
-        p.add_argument("--v", default=None, help="V-index range A..B")
-        p.add_argument("--y", default=None, help="Y-index range A..B")
-        p.add_argument(
-            "--involutive", choices=["on", "off", "auto"], default="auto"
-        )
-        p.add_argument(
-            "--format",
-            choices=["human", "json", "json-like", "csv"],
-            default="human",
-        )
-        p.add_argument("--cap", type=_integer, default=None, help="iteration cap")
-
     rep = sub.add_parser("report", help="invariant tables and bound reports")
-    common(rep)
+    rep.add_argument("--expr", required=True, help="knot expression or '@file'")
+    rep.add_argument("--v", default=None, help="V-index range A..B")
+    rep.add_argument("--y", default=None, help="Y-index range A..B")
+    rep.add_argument("--involutive", choices=["on", "off", "auto"], default="auto")
+    rep.add_argument("--format", choices=["human", "json", "csv"], default="human")
     rep.set_defaults(func=_cmd_report)
 
     plot = sub.add_parser("plotdata", help="breakpoint tables for plotting")

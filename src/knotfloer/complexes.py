@@ -52,7 +52,7 @@ from typing import Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tup
 
 from .errors import ValidationError
 from .fu import FUComplex
-from .linalg import iter_bits, spread, transpose
+from .linalg import flag_mask, iter_bits, spread, transpose
 
 # (source label, target label, u, v): one monomial term U^u V^v target.
 Term = Tuple[str, str, int, int]
@@ -446,7 +446,7 @@ def basepoint_map(c: BigradedComplex, variable: str) -> ChainMap:
     if variable not in ("U", "V"):
         raise ValueError(f"unknown variable {variable!r}")
     grading, bidegree = (c.grw, (1, -1)) if variable == "U" else (c.grz, (-1, 1))
-    mod4 = [sum(1 << j for j, h in enumerate(grading) if h % 4 == r) for r in range(4)]
+    mod4 = [flag_mask(h % 4 == r for h in grading) for r in range(4)]
     return ChainMap(c, c, [col & mod4[(g + 1) % 4] for col, g in zip(c.cols, grading)], bidegree)
 
 

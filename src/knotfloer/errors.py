@@ -36,7 +36,3 @@ class ConsistencyError(KnotFloerError):
 
     This always indicates a bug, never bad user input.
     """
-
-
-class IterationCapError(ConsistencyError):
-    """A nu+ or omega+ search reached its cap: a bug, unless the cap was the user's."""

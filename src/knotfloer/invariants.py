@@ -45,8 +45,9 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .complexes import BigradedComplex, reduce_complex
-from .errors import ConsistencyError, IterationCapError, ValidationError
+from .errors import ConsistencyError, ValidationError
 from .fu import FUComplex, Reduction, cone, tower_reduce, transfer
+from .linalg import flag_mask
 
 
 # --- level subcomplexes over GF(2)[T] --------------------------------------
@@ -270,12 +271,12 @@ def _hat_ends(c: BigradedComplex, split: Reduction, offsets: List[int], s: int, 
     (u0_tower, phi_u), phi_v = _quotient(c, "U0"), _quotient(c, "V0")[1]
     g = c.grw[u0_tower]
     first, last = level_split(c, s + n), level_split(c, s - n)
-    v1_probe = phi_u & sum(1 << j for j, a in enumerate(c.alexander) if a <= s + n)
-    u1_probe = phi_v & sum(1 << j for j, a in enumerate(c.alexander) if a >= s - n)
-    at_g, end = [i for i, h in enumerate(split.fu.gradings) if h == g], offsets[-2]
+    v1_probe = phi_u & flag_mask(a <= s + n for a in c.alexander)
+    u1_probe = phi_v & flag_mask(a >= s - n for a in c.alexander)
+    gradings, end = split.fu.gradings, offsets[-2]
     # The cone generators of grading g read in the V = 1 and U = 1 complexes.
-    v1_end = sum(1 << i for i in at_g if i < offsets[1] and (first.inc[i] & v1_probe).bit_count() & 1)
-    u1_end = sum(1 << i for i in at_g if i >= end and (last.inc[i - end] & u1_probe).bit_count() & 1)
+    v1_end = flag_mask(h == g and (inc & v1_probe).bit_count() & 1 for h, inc in zip(gradings, first.inc))
+    u1_end = flag_mask(h == g and (inc & u1_probe).bit_count() & 1 for h, inc in zip(gradings[end:], last.inc)) << end
     basis = (inc for inc, h in zip(split.inc, split.model.gradings) if h == g)
     return frozenset(((z & v1_end).bit_count() & 1, (z & u1_end).bit_count() & 1) for z in basis)
 
@@ -312,22 +313,26 @@ def _default_cap(c: BigradedComplex) -> int:
     return 4 * max(c.max_alexander(), 0) + 4
 
 
-def _first_zero(values, name: str, c: BigradedComplex, cap: Optional[int]) -> int:
-    limit = _default_cap(c) if cap is None else cap
+def _first_zero(values, name: str, c: BigradedComplex) -> int:
+    """Least k >= 0 with values(c, k) = 0; crossing `_default_cap` raises `ConsistencyError`.
+
+    The cap is a guard only: every s >= max A gives the same level, so on a knot V_s vanishes by max A.
+    """
+    limit = _default_cap(c)
     for k in range(limit + 1):
         if values(c, k) == 0:
             return k
-    raise IterationCapError(f"{name} did not vanish by the iteration cap {limit}")
+    raise ConsistencyError(f"{name} did not vanish by the iteration cap {limit}")
 
 
-def nu_plus(c: BigradedComplex, cap: Optional[int] = None) -> int:
-    """Minimal s >= 0 with V_s = 0."""
-    return _first_zero(v_invariant, "V_s", c, cap)
+def nu_plus(c: BigradedComplex) -> int:
+    """Minimal s >= 0 with V_s = 0; at most max A, past which `a_level_complex` raises no generator."""
+    return _first_zero(v_invariant, "V_s", c)
 
 
-def omega_plus(c: BigradedComplex, cap: Optional[int] = None) -> int:
+def omega_plus(c: BigradedComplex) -> int:
     """Minimal n >= 0 with Y_n = 0."""
-    return _first_zero(y_invariant, "Y_n", c, cap)
+    return _first_zero(y_invariant, "Y_n", c)
 
 
 # --- invariants of the UV = 0 reduction -------------------------------------
@@ -425,20 +430,15 @@ class InvariantTable:
         return out
 
 
-def compute_invariant_table(
-    c: BigradedComplex,
-    v_indices: Sequence[int] = (),
-    y_indices: Sequence[int] = (),
-    cap: Optional[int] = None,
-) -> InvariantTable:
+def compute_invariant_table(c: BigradedComplex, v_indices: Sequence[int] = (), y_indices: Sequence[int] = ()) -> InvariantTable:
     """All integer invariants of one complex; raises on self-inconsistency.
 
     V_s for s >= nu+ and Y_n for n >= omega+ are 0 and read off the ladder,
     not built: V_s >= V_(s+1) >= 0 makes V_s <= V_(nu+) = 0, and
     Y_n >= Y_(n+1) with Y_n >= V_n gives 0 <= Y_n <= Y_(omega+) = 0.
     """
-    nu_p = nu_plus(c, cap)
-    omega_p = omega_plus(c, cap)
+    nu_p = nu_plus(c)
+    omega_p = omega_plus(c)
     v = {s: v_invariant(c, s) if s < nu_p else 0 for s in sorted(set(range(nu_p + 1)) | set(v_indices))}
     y = {n: y_invariant(c, n) if n < omega_p else 0 for n in sorted(set(range(omega_p + 1)) | set(y_indices))}
     table = InvariantTable(v, y, nu_p, omega_p, tau_invariant(c), nu_hat(c), omega_hat(c))

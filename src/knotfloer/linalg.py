@@ -7,7 +7,7 @@ preserved, so every routine is deterministic.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 
 def iter_bits(mask: int) -> List[int]:
@@ -24,6 +24,15 @@ def iter_bits(mask: int) -> List[int]:
         mask ^= 1 << top
     out.reverse()
     return out
+
+
+def flag_mask(flags: Iterable[object]) -> int:
+    """The mask with bit j set where the j-th flag is true.
+
+    The one way to build an index mask: one binary string, read in time
+    linear in the number of flags, where a sum of 1 << j is quadratic.
+    """
+    return int("".join(["1" if f else "0" for f in flags])[::-1] or "0", 2)
 
 
 def image(cols: Sequence[int], mask: int) -> int:

@@ -135,6 +135,8 @@ def test_upsilon_and_signature_match_the_envelope_oracle():
 def test_upsilon_refuses_general_complexes():
     with pytest.raises(UnsupportedInputError):
         upsilon_of_expr(parse_knot_expr("HW"))
+    with pytest.raises(UnsupportedInputError, match="^the signature function is only computed for torus-knot sums$"):
+        lt_signature_of_expr(parse_knot_expr("HW"))
 
 
 def test_upsilon_staircase_rejects_non_staircases():

@@ -69,6 +69,8 @@ def test_step_sequence_invariants():
         StepSequence((2, 1, 0, -1))  # even length
     with pytest.raises(ValidationError):
         StepSequence((1, 0, -2))  # asymmetric
+    with pytest.raises(ValidationError, match="^exponents must be strictly decreasing$"):
+        StepSequence((0, 0, 0))
 
 
 def test_staircase_small():
@@ -79,6 +81,8 @@ def test_staircase_small():
     assert s2.gen("y2").grw == -4 and s2.gen("y2").grz == 0
     assert s2.gen("y-2").alexander == 2
     assert [s2.gen(f"y{i}").alexander for i in range(-2, 3)] == [2, 1, 0, -1, -2]
+    with pytest.raises(ValidationError, match="^staircase index must be nonnegative$"):
+        staircase(-1)
 
 
 def test_staircase_dual_gradings():

@@ -40,6 +40,11 @@ def test_staircase_validates():
     ]
 
 
+def test_lists_of_different_lengths_are_refused():
+    with pytest.raises(ValidationError, match="^grading and column lists differ in length$"):
+        BigradedComplex(("a", "b"), (0, 0), (0,), (0, 0))
+
+
 def test_model_complex_validates():
     hw = named_complex("HW")
     assert hw.validate() == []
@@ -165,6 +170,8 @@ def test_reduce_modes():
         (s1.index[a], s1.index[b]) for a, b, u, _v in s1.terms() if u == 0
     }
     assert fu_validate_messages(reduce_complex(s1, "U0")) == []  # d^2 = 0 on the columns
+    with pytest.raises(ValueError, match="^unknown reduction mode 'UV'$"):
+        reduce_complex(s1, "UV")
 
     square = staircase(1).tensor(staircase(1))
     kept = {(i, j) for i, col in enumerate(_hat_cols(square)) for j in iter_bits(col)}

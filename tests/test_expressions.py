@@ -80,6 +80,14 @@ def test_round_trip_1000():
         assert parse_knot_expr(expr_to_string(e)) == e
 
 
+def test_non_expressions_are_refused():
+    from knotfloer.involutive import realize_with_iota
+
+    for build in (expr_to_string, realize_with_iota):
+        with pytest.raises(TypeError, match="^not a knot expression: 42$"):
+            build(42)
+
+
 def test_realize_trefoil():
     c = realize_expr(parse_knot_expr("T(2,3)"))
     s = staircase(1)

@@ -64,6 +64,15 @@ def test_level_complex_rejects_non_knotlike():
     two_dots = BigradedComplex.from_terms([Generator("a", 0, 0), Generator("b", 0, 0)], [])
     with pytest.raises(ValidationError):
         a_level_complex(two_dots, 0)
+    with pytest.raises(ValidationError, match="^tau undefined: complex is not knot-like$"):
+        tau_invariant(two_dots)
+    with pytest.raises(ValidationError, match="^nu undefined: complex is not knot-like$"):
+        nu_hat(two_dots)
+
+
+def test_y_invariant_rejects_negative_index():
+    with pytest.raises(ValidationError, match="^index must be nonnegative$"):
+        y_invariant(UNKNOT, -1)
 
 
 def test_unknot_levels():
@@ -255,9 +264,10 @@ def test_omega_plus_example_knot():
     assert omega_plus(UNKNOT) == 0
 
 
-def test_iteration_cap_flags_bug():
-    with pytest.raises(ConsistencyError):
-        nu_plus(torus_knot_complex(4, 5), cap=1)
+def test_iteration_cap_flags_bug(monkeypatch):
+    monkeypatch.setattr(invariants, "_default_cap", lambda c: 1)
+    with pytest.raises(ConsistencyError, match="^V_s did not vanish by the iteration cap 1$"):
+        nu_plus(torus_knot_complex(4, 5))
 
 
 def test_monotonicity_and_bounds_on_corpus():

@@ -1,4 +1,4 @@
-from knotfloer.linalg import LinearSystem, iter_bits
+from knotfloer.linalg import LinearSystem, flag_mask, iter_bits
 
 from echelon import ColumnSolver, Echelon
 
@@ -9,6 +9,18 @@ def _combine(cols, combo):
     for j in iter_bits(combo):
         acc ^= cols[j]
     return acc
+
+
+def _sum_mask(flags):
+    """The quadratic reference that `flag_mask` replaces."""
+    return sum(1 << j for j, f in enumerate(flags) if f)
+
+
+def test_flag_mask_matches_the_sum_of_bits(rng):
+    cases = [[], [False], [True], [0, 1, 0]]
+    cases += [[rng.random() < p for _ in range(rng.randint(1, 300))] for p in (0.0, 0.1, 0.5, 1.0) for _ in range(25)]
+    for flags in cases:
+        assert flag_mask(flags) == flag_mask(iter(flags)) == _sum_mask(flags), flags
 
 
 def test_affine_solve_invertible():
