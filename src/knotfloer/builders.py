@@ -116,22 +116,8 @@ def torus_knot_complex(p: int, q: int) -> BigradedComplex:
 # --- named model complexes --------------------------------------------------
 
 
-def _hedden_watson() -> BigradedComplex:
-    # d(b) = U^2 a + V^2 c
-    c = BigradedComplex(["a", "b", "c"], [0, -3, -4], [-4, -3, 0], [0, 0b101, 0])
-    return c.require_valid()
-
-
-NAMED_COMPLEXES = {
-    "HW": _hedden_watson,
-}
-
-
 def named_complex(name: str) -> BigradedComplex:
-    try:
-        builder = NAMED_COMPLEXES[name]
-    except KeyError:
-        raise ValidationError(
-            f"unknown named complex {name!r}; available: {sorted(NAMED_COMPLEXES)}"
-        ) from None
-    return builder()
+    """The model complex of a name; only HW, d(b) = U^2 a + V^2 c, has one."""
+    if name != "HW":
+        raise ValidationError(f"unknown named complex {name!r}; available: ['HW']")
+    return BigradedComplex(["a", "b", "c"], [0, -3, -4], [-4, -3, 0], [0, 0b101, 0]).require_valid()

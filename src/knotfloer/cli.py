@@ -40,7 +40,7 @@ from .errors import (
 )
 from .expressions import FileRef, expr_to_string, parse_knot_expr, torus_terms
 from .fileio import load_complex
-from .invariants import compute_invariant_table, level_split, require_knot_complex
+from .invariants import compute_invariant_table, level_split, release, require_knot_complex
 from .involutive import mirror_iota, realize_with_iota, v0_bar_under
 
 CYCLE_CERTIFICATE_LIMIT = 2000
@@ -95,33 +95,41 @@ def _tower_certificate(c) -> Optional[List[Dict]]:
     return [{"gen": labels[i], "u": max(alex[i], 0) + t, "v": max(-alex[i], 0) + t} for i, t in terms]
 
 
-def _involutive_pair(c, iota, name: str) -> Tuple[int, int]:
-    """`v0_bar_under`, with a rejected iota named by its input and the flag that skips it."""
+def _side(c, iota, name: str, v_idx, y_idx):
+    """The table, involutive pair and level-0 certificate of c; then c's memos are released.
+
+    A rejected iota is named by its input and the flag that skips it.
+    """
+    table = compute_invariant_table(c, v_idx, y_idx)
     try:
-        return v0_bar_under(c, iota)
+        pair = None if iota is None else v0_bar_under(c, iota)
     except ValidationError as exc:
         raise ValidationError(f"{name}: {exc} (--involutive off skips the involutive pair)") from None
+    certificate = _tower_certificate(c)
+    release(c)
+    return table, pair, certificate
 
 
 def _build_report(args) -> Dict:
     expr = parse_knot_expr(args.expr)
     complex_, iota = realize_with_iota(expr)
     require_knot_complex(complex_)
-    mirror = complex_.dual()
     if args.involutive == "on" and iota is None:
         raise ValidationError("--involutive on: no involution available for this input")
     if args.involutive == "off":
         iota = None
-    mirror_io = None if iota is None else mirror_iota(iota, mirror)
 
     v_idx = _parse_range(args.v, "--v")
     y_idx = _parse_range(args.y, "--y")
 
-    table = compute_invariant_table(complex_, v_idx, y_idx)
-    mtable = compute_invariant_table(mirror, v_idx, y_idx)
     name = expr_to_string(expr)
-    involutive = None if iota is None else _involutive_pair(complex_, iota, name)
-    m_involutive = None if mirror_io is None else _involutive_pair(mirror, mirror_io, f"mirror of {name}")
+    table, involutive, certificate = _side(complex_, iota, name, v_idx, y_idx)
+    # The knot is done before its mirror is built: only its size is read again.
+    mirror = complex_.dual()
+    mirror_io = None if iota is None else mirror_iota(iota, mirror)
+    generator_count = len(complex_)
+    del complex_, iota
+    mtable, m_involutive, m_certificate = _side(mirror, mirror_io, f"mirror of {name}", v_idx, y_idx)
     upsilon = None
     signature = None
     if torus_terms(expr) is not None:
@@ -170,14 +178,9 @@ def _build_report(args) -> Dict:
     genus = genus_bounds(table, involutive)
     clasp = clasp_bounds(table, mtable, ratio, signature, involutive)
 
-    certificates = {
-        "v0_tower_cycle": _tower_certificate(complex_),
-        "v0_tower_cycle_mirror": _tower_certificate(mirror),
-    }
-
     return {
         "expression": name,
-        "generator_count": len(complex_),
+        "generator_count": generator_count,
         "invariants": _table_payload(table),
         "mirror_invariants": _table_payload(mtable),
         "involutive": None
@@ -189,7 +192,7 @@ def _build_report(args) -> Dict:
         "upsilon": upsilon_payload,
         "signature": signature_payload,
         "bounds": {"genus": genus, "clasp": clasp},
-        "certificates": certificates,
+        "certificates": {"v0_tower_cycle": certificate, "v0_tower_cycle_mirror": m_certificate},
     }
 
 

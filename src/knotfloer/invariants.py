@@ -35,7 +35,7 @@ glue is built when the second of two neighbouring levels is split, and
 a level then drops its basis once both its neighbours are split: it
 keeps its towers, model and iota. Level 0 keeps its basis for the
 involution, and the ends of each run of split levels for the glue to
-the next level out.
+the next level out. All four memos last until `release`.
 """
 
 from __future__ import annotations
@@ -101,6 +101,12 @@ def level_split(c: BigradedComplex, s: int) -> Reduction:
             if t and {t - 1, t, t + 1} <= memo.keys() and memo[t].vectors is not None:
                 memo[t].drop_basis()
     return memo[s]
+
+
+def release(c: BigradedComplex) -> None:
+    """Drop the memos this module keeps on c (quotients, splits, glue, level visits); a later read rebuilds them."""
+    for key in ("_quotients", "_splits", "_glue", "_levels"):
+        c.__dict__.pop(key, None)
 
 
 def _cone(c: BigradedComplex, s: int, n: int) -> Tuple[FUComplex, List[int]]:

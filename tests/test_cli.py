@@ -291,6 +291,65 @@ def test_zero_iota_is_named_by_report(tmp_path, capsys):
     assert "tau = 0" in out
 
 
+def test_knot_fault_is_named_before_the_mirror_fault(monkeypatch, tmp_path, capsys):
+    # The knot's pair is read before the mirror's table is built: with a
+    # zero iota on the knot and a failing mirror table, the report names iota.
+    from knotfloer import cli
+    from knotfloer.errors import ConsistencyError
+
+    real, calls = cli.compute_invariant_table, []
+
+    def mirror_fails(*args):
+        calls.append(args)
+        if len(calls) == 2:
+            raise ConsistencyError("mirror table fails")
+        return real(*args)
+
+    monkeypatch.setattr(cli, "compute_invariant_table", mirror_fails)
+    path = tmp_path / "zero_iota.cfk"
+    path.write_text(json.dumps({"format": 2, "id": ["x"], "grw": [0], "grz": [0],
+                                "differential": [[]], "iota": [[]]}))
+    code, out, err = run_cli(["report", "--expr", f"@{path}"], capsys)
+    assert (code, out, len(calls)) == (3, "", 1)
+    assert "iota fails the involutive cone" in err
+
+
+def test_knot_is_released_before_its_mirror_is_built(monkeypatch, capsys):
+    # The report ends its pass on the knot, memos and all, before it builds
+    # the mirror; a read after `release` rebuilds what it needs.
+    from knotfloer.complexes import BigradedComplex
+    from knotfloer.expressions import parse_knot_expr
+    from knotfloer.invariants import compute_invariant_table, release
+    from knotfloer.involutive import realize_with_iota, v0_bar_under
+
+    expr, keys = "T(2,3)#T(2,5)", ("_quotients", "_splits", "_glue", "_levels")
+    real, held = BigradedComplex.dual, []
+
+    def recording(self):
+        held.append([key for key in keys if key in self.__dict__])
+        return real(self)
+
+    monkeypatch.setattr(BigradedComplex, "dual", recording)
+    code, _out, err = run_cli(["report", "--expr", expr, "--involutive", "on", "--format", "json"], capsys)
+    assert (code, held) == (0, [[]]), err
+    c, iota = realize_with_iota(parse_knot_expr(expr))
+    before = compute_invariant_table(c, range(4), range(4)), v0_bar_under(c, iota)
+    release(c)
+    assert [key for key in keys if key in c.__dict__] == []
+    assert (compute_invariant_table(c, range(4), range(4)), v0_bar_under(c, iota)) == before
+
+
+def test_unknown_named_complex_is_invalid_input(capsys):
+    from knotfloer.builders import named_complex
+
+    message = "unknown named complex 'Foo'; available: ['HW']"
+    with pytest.raises(ValidationError) as exc:
+        named_complex("Foo")
+    assert str(exc.value) == message
+    code, out, err = run_cli(["report", "--expr", "Foo#T(2,3)"], capsys)
+    assert (code, out, err) == (3, "", f"invalid input: {message}\n")
+
+
 def test_validate_ok(tmp_path, capsys):
     target = tmp_path / "hw.cfk"
     shutil.copy(os.path.join(DATA, "hw.cfk"), target)
