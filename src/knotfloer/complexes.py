@@ -26,18 +26,17 @@ Homogeneity is one rule, applied entry by entry: an entry is legal when
 both of its doubled exponents are nonnegative and even. Where it is
 checked:
 
-* monomial terms from outside enter through `from_terms`, which checks
-  every term against the gradings;
-* every other complex and map, those read from a file included, is
-  checked by `illegal_terms` and `verify_chain_map` over the map's target
-  lists (`ChainMap.illegal_entries`). A format-1 file entry is first
-  checked against its stated exponents, and only the entries that agree
-  reach those lists.
+* a format-1 file entry states its exponents, and the format-1 front
+  end of `fileio` checks them against the gradings; only the entries
+  that agree reach the target lists;
+* every complex and map, those read from a file included, is checked by
+  `illegal_terms` and `verify_chain_map` over the map's target lists
+  (`ChainMap.illegal_entries`).
 
 `ChainMap.targets` walks the bits of a map's columns through
 `linalg.iter_bits`, the one walk over a mask's bits: it lists each
 column's target indices once, and the d^2 check, the d f = f d check
-(`chain_violation`), `terms` and the file writer all read those lists,
+(`chain_violation`) and the file writer all read those lists,
 and so do the homogeneity rule and `reduce_complex`.
 The file reader stores the lists it has read, from a file of either
 format, as the `targets` of the differential and of iota, so the bits of
@@ -48,14 +47,11 @@ from __future__ import annotations
 
 import functools
 import itertools
-from typing import Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import ValidationError
 from .fu import FUComplex
 from .linalg import flag_mask, iter_bits, spread, transpose
-
-# (source label, target label, u, v): one monomial term U^u V^v target.
-Term = Tuple[str, str, int, int]
 
 
 class Generator(NamedTuple):
@@ -85,20 +81,6 @@ class BigradedComplex:
         if not len(self.labels) == len(self.grw) == len(self.grz) == len(self.cols):
             raise ValidationError("grading and column lists differ in length")
 
-    @classmethod
-    def from_terms(cls, gens: Sequence[Tuple[str, int, int]], terms: Iterable[Term]) -> "BigradedComplex":
-        """Complex from (name, grw, grz) generator rows and monomial terms of d.
-
-        Every term must carry the exponents its gradings imply; the
-        inhomogeneous ones are reported together.
-        """
-        labels, grw, grz = [g[0] for g in gens], [g[1] for g in gens], [g[2] for g in gens]
-        shape = cls(labels, grw, grz, [0] * len(gens))
-        dup = shape.repeated_label()
-        if dup is not None:
-            raise ValidationError(f"duplicate generator id {dup!r}")
-        return cls(labels, grw, grz, _columns_from_terms(shape.d, terms))
-
     # -- basic access --------------------------------------------------
 
     @functools.cached_property
@@ -124,12 +106,6 @@ class BigradedComplex:
 
     def __len__(self) -> int:
         return len(self.cols)
-
-    def gen(self, name: str) -> Generator:
-        return self.gens[self.index[name]]
-
-    def terms(self) -> List[Term]:
-        return self.d.terms()
 
     def repeated_label(self) -> Optional[str]:
         """The first label that occurs twice, if any (tensor labels may collide)."""
@@ -264,11 +240,6 @@ class ChainMap:
         self.cols: Tuple[int, ...] = tuple(cols)
         self.bidegree = tuple(bidegree)
 
-    @classmethod
-    def from_terms(cls, source, target, terms: Iterable[Term], bidegree) -> "ChainMap":
-        cols = _columns_from_terms(cls(source, target, (), bidegree), terms)
-        return cls(source, target, cols, bidegree)
-
     @functools.cached_property
     def bases(self) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
         """Per source generator, the target (grw, grz) of an exponent-0 entry."""
@@ -278,11 +249,6 @@ class ChainMap:
             tuple(z + dz for z in self.source.grz),
         )
 
-    def exponents(self, i: int, j: int) -> Tuple[int, int]:
-        """(u, v) of the entry from source i to target j."""
-        bw, bz = self.bases
-        return (self.target.grw[j] - bw[i]) // 2, (self.target.grz[j] - bz[i]) // 2
-
     @functools.cached_property
     def targets(self) -> Tuple[List[int], ...]:
         """Per source generator, the indices of its targets in ascending order (`iter_bits`).
@@ -291,15 +257,6 @@ class ChainMap:
         the lists.
         """
         return tuple(map(iter_bits, self.cols))
-
-    def terms(self) -> List[Term]:
-        """Every entry as (source label, target label, u, v), in index order."""
-        src, tgt = self.source.labels, self.target.labels
-        return [
-            (src[i], tgt[j], *self.exponents(i, j))
-            for i, row in enumerate(self.targets)
-            for j in row
-        ]
 
     @functools.cached_property
     def violation(self) -> Optional[str]:
@@ -361,10 +318,6 @@ class SkewMap(ChainMap):
     def __init__(self, complex_: BigradedComplex, cols: Sequence[int]):
         super().__init__(complex_, complex_, cols, (0, 0))
 
-    @classmethod
-    def from_terms(cls, complex_, terms: Iterable[Term]) -> "SkewMap":
-        return cls(complex_, _columns_from_terms(cls(complex_, ()), terms))
-
     @functools.cached_property
     def bases(self):
         return self.source.grz, self.source.grw
@@ -374,25 +327,6 @@ class SkewMap(ChainMap):
             f"skew map does not swap gradings on term {self._term(j, u, v)} "
             f"of image of {self.source.labels[i]}"
         )
-
-
-def _columns_from_terms(f: ChainMap, terms: Iterable[Term]) -> Tuple[int, ...]:
-    """Columns of f from monomial terms; raises on every inhomogeneous one."""
-    src_index, tgt_index = f.source.index, f.target.index
-    bw, bz = f.bases
-    cols = [0] * len(f.source)
-    bad = []
-    for src, tgt, u, v in terms:
-        try:
-            i, j = src_index[src], tgt_index[tgt]
-        except KeyError as missing:
-            raise ValidationError(f"term {src} -> {tgt}: {missing} is not a generator") from None
-        if (f.target.grw[j] - bw[i], f.target.grz[j] - bz[i]) != (2 * u, 2 * v):
-            bad.append(f.problem(i, j, u, v))
-        cols[i] ^= 1 << j
-    if bad:
-        raise ValidationError(bad)
-    return tuple(cols)
 
 
 def chain_violation(f: ChainMap) -> Optional[str]:

@@ -1,0 +1,154 @@
+"""Mutation check: each mutant of `src/` in MUTANTS must fail the tests named for it.
+
+    python tests/mutants.py
+
+Each row names a file under src/knotfloer, an exact text in it, the text
+that replaces it, and the tests that must fail once it is replaced. For
+each row the runner copies src/ to a temporary directory, applies the
+one mutant to the copy, checks that `knotfloer` imports from the copy,
+and runs only the row's tests, with pytest, against it. The run fails
+when a mutant survives (its tests pass), or when a row's old text does
+not occur exactly once in its file: a change to the code a row names
+must re-aim the row.
+
+Two checks keep the run from passing vacuously. The named tests must
+pass on an unmutated copy, so a mutant is killed only by a failure it
+causes. And the self-test plants BENIGN, a mutant that changes no
+behaviour: the runner must report it as surviving.
+
+The runner uses the standard library and pytest only. Its rows take a
+pytest run each, so it stays out of the tier-1 suite.
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from typing import NamedTuple, Tuple
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str  # relative to src/knotfloer
+    old: str
+    new: str
+    tests: Tuple[str, ...]
+
+
+MUTANTS = (
+    Mutant(
+        "the format-1 front end compares only the U exponent",
+        "fileio.py",
+        "if tw[j] - bw[i] == 2 * u and tz[j] - bz[i] == 2 * v:",
+        "if tw[j] - bw[i] == 2 * u:",
+        ("tests/test_fileio.py::test_late_fault_is_named[differential-210-edit-inhomogeneous term]",),
+    ),
+    Mutant(
+        "reversal_symmetric without its grading comparison",
+        "complexes.py",
+        "        if self.grw != self.grz[::-1]:\n            return False\n",
+        "",
+        ("tests/test_quotients.py::test_reversal_asymmetric_inputs",),
+    ),
+    Mutant(
+        "fu.cone adds an arrow at the source block's offset",
+        "fu.py",
+        "cols[offsets[a] + m] ^= mask << offsets[b]",
+        "cols[offsets[a] + m] ^= mask << offsets[a]",
+        ("tests/test_acceptance.py::test_criterion_1_example_knot",),
+    ),
+    Mutant(
+        "level complexes without the label tie order",
+        "invariants.py",
+        "return FUComplex(gradings, c.cols, ties=c.label_order)",
+        "return FUComplex(gradings, c.cols)",
+        ("tests/test_digests.py::test_corpus_report_digest[J]",),
+    ),
+    Mutant(
+        "every Upsilon breakpoint of a torus knot moved",
+        "bounds.py",
+        "start = Fraction(intercept - w, -s[i] - slope)",
+        "start = Fraction(intercept - w + 1, -s[i] - slope)",
+        ("tests/test_closed_forms.py::test_upsilon_matches_the_torus_closed_form",),
+    ),
+)
+
+# The two halves of the exponent comparison, swapped: the same test must pass.
+BENIGN = Mutant(
+    "the format-1 exponent comparison with its halves swapped",
+    "fileio.py",
+    "if tw[j] - bw[i] == 2 * u and tz[j] - bz[i] == 2 * v:",
+    "if tz[j] - bz[i] == 2 * v and tw[j] - bw[i] == 2 * u:",
+    MUTANTS[0].tests,
+)
+
+
+def _copy_src(root: str) -> str:
+    src = os.path.join(root, "src")
+    shutil.copytree(os.path.join(REPO, "src"), src, ignore=shutil.ignore_patterns("__pycache__"))
+    return src
+
+
+def _apply(src: str, mutant: Mutant) -> bool:
+    """Replace the mutant's old text in the copy; False when it does not occur exactly once."""
+    path = os.path.join(src, "knotfloer", mutant.path)
+    with open(path, encoding="utf-8") as handle:
+        text = handle.read()
+    if text.count(mutant.old) != 1:
+        return False
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(text.replace(mutant.old, mutant.new))
+    return True
+
+
+def _run_tests(src: str, tests) -> subprocess.CompletedProcess:
+    """Run the tests against the knotfloer package in src, after checking that it is the one imported."""
+    env = dict(os.environ, PYTHONPATH=src)
+    found = subprocess.run(
+        [sys.executable, "-c", "import knotfloer; print(knotfloer.__file__)"],
+        cwd=REPO, env=env, capture_output=True, text=True, check=True,
+    ).stdout.strip()
+    if not found.startswith(src + os.sep):
+        raise SystemExit(f"knotfloer imports from {found}, not from the copy in {src}")
+    return subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests],
+        cwd=REPO, env=env, capture_output=True, text=True,
+    )
+
+
+def outcome(mutant: Mutant) -> str:
+    """'killed', 'survived' or 'stale' (its old text does not occur exactly once)."""
+    with tempfile.TemporaryDirectory() as root:
+        src = _copy_src(root)
+        if not _apply(src, mutant):
+            return "stale"
+        return "survived" if _run_tests(src, mutant.tests).returncode == 0 else "killed"
+
+
+def main() -> int:
+    tests = sorted({test for mutant in (*MUTANTS, BENIGN) for test in mutant.tests})
+    with tempfile.TemporaryDirectory() as root:
+        baseline = _run_tests(_copy_src(root), tests)
+    if baseline.returncode != 0:
+        print(baseline.stdout + baseline.stderr)
+        print("FAIL: the named tests do not pass on the unmutated source")
+        return 1
+    failed = False
+    benign = outcome(BENIGN)
+    print(f"self-test: {benign}: {BENIGN.name}")
+    if benign != "survived":
+        print("FAIL: the benign mutant must survive")
+        failed = True
+    for mutant in MUTANTS:
+        result = outcome(mutant)
+        print(f"{result}: {mutant.name} ({mutant.path})")
+        failed |= result != "killed"
+    print("FAIL" if failed else f"ok: {len(MUTANTS)} mutants killed, the benign one survived")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

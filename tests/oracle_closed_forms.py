@@ -12,7 +12,10 @@ genus:
   V_s(K1 # K2) = min over a + b = s of V_a(K1) + V_b(K2);
 * the involutive pair (V_0 bar, V_0 under) of T(p, q) is (V_0, V_0), and
   that of its mirror is (-V_0, 0) (Hendricks-Manolescu, *Involutive
-  Heegaard Floer homology*, 2017).
+  Heegaard Floer homology*, 2017);
+* Upsilon of T(p, q) at t in [0, 2] is the maximum over m in 0..2g of
+  -2 #(S n [0, m)) - t (g - m) (Borodzik-Hedden, *The Upsilon function
+  of L-space knots is a Legendre transform*, 2018).
 
 This module imports only the standard library: it reads no complex, so a
 misreading of the complexes that every other oracle shares cannot pass
@@ -59,6 +62,25 @@ def _sum_v(terms: Tuple[Tuple[int, int], ...], s: int) -> int:
 def sum_v(terms: Sequence[Tuple[int, int]], s: int) -> int:
     """V_s of the sum of the positive torus knots T(p, q) of terms."""
     return _sum_v(tuple(terms), s)
+
+
+@functools.lru_cache(maxsize=None)
+def semigroup_counts(p: int, q: int) -> Tuple[int, ...]:
+    """#(S n [0, m)) for m in 0..2g, S = <p, q>."""
+    missing = set(gaps(p, q))
+    counts = [0]
+    for n in range(2 * genus(p, q)):
+        counts.append(counts[-1] + (n not in missing))
+    return tuple(counts)
+
+
+def torus_upsilon(p: int, q: int, t):
+    """Upsilon of T(p, q) at an exact t (an int or a Fraction) in [0, 2]."""
+    g, counts = genus(p, q), semigroup_counts(p, q)
+    # The best m, compared in integers: scaled by the denominator of t.
+    num, den = t.numerator, t.denominator
+    m = max(range(2 * g + 1), key=lambda m: -2 * counts[m] * den - num * (g - m))
+    return -2 * counts[m] - t * (g - m)
 
 
 def torus_pair(p: int, q: int, mirrored: bool = False) -> Tuple[int, int]:

@@ -3,9 +3,10 @@
 `load_complex_checked` reads a format-1 file the slow way: it checks
 every generator entry, then turns every term entry into a checked
 (from, to, u, v) quadruple, and only then builds the complex with
-`from_terms`, which names a repeated id before any inhomogeneous term.
-The program's loader must give the same complex or the same error in
-one pass over each list.
+`oracle_terms.from_terms`, which names a repeated id before any
+inhomogeneous term. The program's loader, whose format-1 front end
+codes the stated-exponent check itself, must give the same complex or
+the same error in one pass over each list.
 
 `load_columns_checked` reads a format-2 file by translating it into a
 format-1 object, each target given the exponents its gradings imply
@@ -16,14 +17,16 @@ translation is, and give the same complex.
 `save_complex_json` writes format 1 with `json.dump(indent=1,
 sort_keys=True)`; the program no longer writes format 1, and the tests
 use these files to drive its format-1 reader. `save_complex_columns`
-writes format 2 from `terms()`; the program builds the same bytes
+writes format 2 from `oracle_terms.terms`; the program builds the same bytes
 straight from its columns.
 """
 
 import json
 
-from knotfloer.complexes import BigradedComplex, SkewMap, verify_chain_map
+from knotfloer.complexes import verify_chain_map
 from knotfloer.errors import FileFormatError, ValidationError
+
+from oracle_terms import from_terms, skew_from_terms, terms
 
 
 def _field(entry, ctx, key, kind):
@@ -111,13 +114,13 @@ def _load_entries(data):
     names = {row[0] for row in gens}
     try:
         terms = parse_entries_checked(data.get("differential", []), "differential", names)
-        complex_ = BigradedComplex.from_terms(gens, terms).require_valid()
+        complex_ = from_terms(gens, terms).require_valid()
     except ValidationError as exc:
         raise FileFormatError(f"complex fails validation: {'; '.join(exc.violations)}") from None
     iota = None
     if "iota" in data:
         try:
-            iota = SkewMap.from_terms(complex_, parse_entries_checked(data["iota"], "iota", names))
+            iota = skew_from_terms(complex_, parse_entries_checked(data["iota"], "iota", names))
         except ValidationError as exc:
             raise FileFormatError(f"iota rejected: {'; '.join(exc.violations)}") from None
         violation = verify_chain_map(iota)
@@ -186,10 +189,10 @@ def save_complex_json(complex_, path, name="", iota=None):
     data = {
         "name": name,
         "generators": [{"id": g.name, "grw": g.grw, "grz": g.grz} for g in complex_.gens],
-        "differential": entry_list(complex_.terms()),
+        "differential": entry_list(terms(complex_)),
     }
     if iota is not None:
-        data["iota"] = entry_list(iota.terms())
+        data["iota"] = entry_list(terms(iota))
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(data, handle, indent=1, sort_keys=True)
         handle.write("\n")
@@ -213,9 +216,9 @@ def save_complex_columns(complex_, path, name="", iota=None):
         "id": [g.name for g in complex_.gens],
         "grw": [g.grw for g in complex_.gens],
         "grz": [g.grz for g in complex_.gens],
-        "differential": target_lists(complex_.terms()),
+        "differential": target_lists(terms(complex_)),
     }
     if iota is not None:
-        data["iota"] = target_lists(iota.terms())
+        data["iota"] = target_lists(terms(iota))
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(json.dumps(data, sort_keys=True) + "\n")

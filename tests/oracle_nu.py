@@ -12,16 +12,17 @@ from knotfloer.errors import ConsistencyError, ValidationError
 from knotfloer.linalg import LinearSystem
 
 from echelon import ColumnSolver, Echelon
+from oracle_terms import terms
 
 
 def nu_hat_scan(c: BigradedComplex) -> int:
     n = len(c.gens)
-    # The monomials are written out (from `terms()`), not filtered by masks
+    # The monomials are written out (by `oracle_terms.terms`), not filtered by masks
     # as the program does: the hat entries are the pure ones, and the V = 1
     # differential keeps those without U.
     hat = [[] for _ in range(n)]
     d1 = [0] * n
-    for src, tgt, u, v in c.terms():
+    for src, tgt, u, v in terms(c):
         i, j = c.index[src], c.index[tgt]
         if u == 0 or v == 0:
             hat[i].append((j, u, v))

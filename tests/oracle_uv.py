@@ -4,7 +4,7 @@ The program stores each matrix entry of a complex or map as one bit and
 lets the gradings imply its monomial. This module redoes the algebra with
 the monomials written out: a polynomial is a frozenset of (u, v) exponent
 pairs (addition is symmetric difference), and a matrix is a dict
-{source label: {target label: polynomial}} built from `terms()`. Tests
+{source label: {target label: polynomial}} built from `oracle_terms.terms`. Tests
 compare the two routes.
 """
 

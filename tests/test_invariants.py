@@ -32,6 +32,7 @@ from conftest import UNKNOT, level_monomials, random_torus_sum, scramble
 from oracle_nu import nu_hat_scan
 from oracle_omega import omega_feasible
 from oracle_tau import tau_scan
+from oracle_terms import exponents, from_terms
 
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 HW_FILE = os.path.join(DATA, "hw.cfk")
@@ -56,12 +57,12 @@ def test_is_knotlike():
     assert is_knotlike(staircase(2))
     assert is_knotlike(named_complex("HW"))
     assert is_knotlike(staircase(1).tensor(staircase_dual(2)))
-    two_dots = BigradedComplex.from_terms([Generator("a", 0, 0), Generator("b", 0, 0)], [])
+    two_dots = from_terms([Generator("a", 0, 0), Generator("b", 0, 0)], [])
     assert not is_knotlike(two_dots)
 
 
 def test_level_complex_rejects_non_knotlike():
-    two_dots = BigradedComplex.from_terms([Generator("a", 0, 0), Generator("b", 0, 0)], [])
+    two_dots = from_terms([Generator("a", 0, 0), Generator("b", 0, 0)], [])
     with pytest.raises(ValidationError):
         a_level_complex(two_dots, 0)
     with pytest.raises(ValidationError, match="^tau undefined: complex is not knot-like$"):
@@ -504,7 +505,7 @@ def test_invalid_complex_is_rejected_once_naming_the_entry(monkeypatch, capsys):
     from knotfloer.complexes import Differential
 
     # g0 -> g2 of T(2,3) has an odd grw gap; g0 -> g3 of T(2,5) is U^-1 V^2 g3.
-    assert _with_entry(torus_knot_complex(2, 5), "g0", "g3").d.exponents(0, 3) == (-1, 2)
+    assert exponents(_with_entry(torus_knot_complex(2, 5), "g0", "g3").d, 0, 3) == (-1, 2)
     cases = [(torus_knot_complex(2, 3), "g0", "g2"), (torus_knot_complex(2, 5), "g0", "g3")]
     calls = [lambda c: a_level_complex(c, 0), lambda c: v_invariant(c, 0), nu_hat, omega_hat]
     for knot, source, target in cases:
