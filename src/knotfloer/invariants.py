@@ -27,15 +27,15 @@ reversal when that is a skew chain automorphism of the complex, as it
 is on every torus sum and on HW: the reversal swaps U with V and grw
 with grz, so it carries one quotient onto the other. It keeps the
 split of every level it builds (`level_split`), so a level is built
-and reduced once for V_s, Y_n, nu and omega, the glue between
-neighbouring models, and one visit per level (s, n) of C tensor St*_n,
+and reduced once for V_s, Y_n, nu and omega, the glue into each odd
+block of a Y_n cone, and one visit per level (s, n) of C tensor St*_n,
 `_level`: the tower top of its model cone and, at the
 levels nu and omega test, the end parities of its hat homology. The
-glue is built when the second of two neighbouring levels is split, and
-a level then drops its basis once both its neighbours are split: it
-keeps its towers, model and iota. Level 0 keeps its basis for the
-involution, and the ends of each run of split levels for the glue to
-the next level out. All four memos last until `release`.
+first cone to read the glue into a level builds it (`_cone`) and drops
+that level's basis, keeping its towers, model and iota; level 0 keeps
+its basis for the involution. The Y ladder runs first, so each level
+the V ladder reads was split in a cone before, and dropped there unless
+it is 0 or ends the ladder. All four memos last until `release`.
 """
 
 from __future__ import annotations
@@ -81,25 +81,13 @@ def level_split(c: BigradedComplex, s: int) -> Reduction:
     """The split of level s into towers and pairs (`fu.Reduction`), built once per complex.
 
     Its tower gives V_s and the level-0 tower cycle; its model M_s,
-    iota_s and pi_s give nu and the cones of Y_n and omega.
-
-    pi_s is read only for the glue between neighbouring models and, at
-    level 0, for the involution (`involutive.ai0_cone`). So the glue
-    between s and each neighbour s +- 1 already split is built here, both
-    ways, and a level other than 0 whose two neighbours are split drops
-    its basis (`Reduction.drop_basis`), keeping its towers, tower cycles,
-    model and iota.
+    iota_s and pi_s give nu and the cones of Y_n and omega. pi_s is read
+    only by the glue into s (`_cone`, which then drops the basis) and, at
+    level 0, by the involution (`involutive.ai0_cone`).
     """
     memo = c.__dict__.setdefault("_splits", {})
     if s not in memo:
-        split = memo[s] = tower_reduce(a_level_complex(c, s))
-        glue = c.__dict__.setdefault("_glue", {})
-        for t in (s - 1, s + 1):
-            if t in memo:
-                glue[s, t], glue[t, s] = transfer(split, memo[t]), transfer(memo[t], split)
-        for t in (s - 1, s, s + 1):
-            if t and {t - 1, t, t + 1} <= memo.keys() and memo[t].vectors is not None:
-                memo[t].drop_basis()
+        memo[s] = tower_reduce(a_level_complex(c, s))
     return memo[s]
 
 
@@ -118,13 +106,25 @@ def _cone(c: BigradedComplex, s: int, n: int) -> Tuple[FUComplex, List[int]]:
     even blocks to its odd ones. f, U or V on every generator, is the
     identity on C's indices, with natural T-powers implied by the gradings.
     The model cone (`fu.cone`) has M_(s+n-k) for block k, glued by
-    pi f iota, which `level_split` builds. For n = 0 it is M_s.
+    pi f iota. For n = 0 it is M_s.
+
+    The levels are split in block order. Once the block after odd block
+    b is split, the glue into b from its two neighbours is built, if no
+    earlier cone built it, and b's level, unless it is 0, drops its basis
+    (`Reduction.drop_basis`): only that glue and level 0's involution
+    project onto a level.
     """
     levels = [s + n - k for k in range(2 * n + 1)]
-    blocks = [(level_split(c, t).model, k) for k, t in enumerate(levels)]
-    glue = c.__dict__["_glue"]
+    glue, splits = c.__dict__.setdefault("_glue", {}), [level_split(c, levels[0])]
+    for b in range(1, 2 * n, 2):
+        splits += [level_split(c, levels[b]), level_split(c, levels[b + 1])]
+        for a in (b - 1, b + 1):
+            if (levels[a], levels[b]) not in glue:
+                glue[levels[a], levels[b]] = transfer(splits[a], splits[b])
+        if levels[b]:
+            splits[b].drop_basis()
     arrows = [(k, b, glue[levels[k], levels[b]]) for b in range(1, 2 * n, 2) for k in (b - 1, b + 1)]
-    return cone(blocks, arrows)
+    return cone([(split.model, k) for k, split in enumerate(splits)], arrows)
 
 
 # --- knot-likeness ----------------------------------------------------------
@@ -443,8 +443,8 @@ def compute_invariant_table(c: BigradedComplex, v_indices: Sequence[int] = (), y
     not built: V_s >= V_(s+1) >= 0 makes V_s <= V_(nu+) = 0, and
     Y_n >= Y_(n+1) with Y_n >= V_n gives 0 <= Y_n <= Y_(omega+) = 0.
     """
-    nu_p = nu_plus(c)
     omega_p = omega_plus(c)
+    nu_p = nu_plus(c)
     v = {s: v_invariant(c, s) if s < nu_p else 0 for s in sorted(set(range(nu_p + 1)) | set(v_indices))}
     y = {n: y_invariant(c, n) if n < omega_p else 0 for n in sorted(set(range(omega_p + 1)) | set(y_indices))}
     table = InvariantTable(v, y, nu_p, omega_p, tau_invariant(c), nu_hat(c), omega_hat(c))

@@ -74,6 +74,48 @@ MUTANTS = (
         "start = Fraction(intercept - w + 1, -s[i] - slope)",
         ("tests/test_closed_forms.py::test_upsilon_matches_the_torus_closed_form",),
     ),
+    Mutant(
+        "a Y_n cone drops the basis of level 0 too",
+        "invariants.py",
+        "        if levels[b]:\n            splits[b].drop_basis()\n",
+        "        splits[b].drop_basis()\n",
+        ("tests/test_digests.py::test_corpus_report_digest[J]",),
+    ),
+    Mutant(
+        "the glue into an odd block built in the opposite direction",
+        "invariants.py",
+        "transfer(splits[a], splits[b])",
+        "transfer(splits[b], splits[a])",
+        ("tests/test_digests.py::test_corpus_report_digest[J]",),
+    ),
+    Mutant(
+        "the table climbs the V ladder before the Y ladder",
+        "invariants.py",
+        "    omega_p = omega_plus(c)\n    nu_p = nu_plus(c)\n",
+        "    nu_p = nu_plus(c)\n    omega_p = omega_plus(c)\n",
+        ("tests/test_invariants.py::test_the_table_holds_few_level_bases_at_each_reduction",),
+    ),
+    Mutant(
+        "the transported V = 0 tower index without the index reversal",
+        "invariants.py",
+        "(n - 1 - quotient[0],",
+        "(quotient[0],",
+        ("tests/test_quotients.py::test_transported_v0_quotient_matches_the_direct_reduction[0]",),
+    ),
+    Mutant(
+        "the transported V = 0 cocycle without its bit reversal",
+        "invariants.py",
+        'format(quotient[1], f"0{n}b")[::-1]',
+        'format(quotient[1], f"0{n}b")',
+        ("tests/test_quotients.py::test_transported_v0_quotient_matches_the_direct_reduction[0]",),
+    ),
+    Mutant(
+        "flag_mask reads its flags from the top bit down",
+        "linalg.py",
+        'for f in flags])[::-1] or "0"',
+        'for f in flags]) or "0"',
+        ("tests/test_linalg.py::test_flag_mask_matches_the_sum_of_bits",),
+    ),
 )
 
 # The two halves of the exponent comparison, swapped: the same test must pass.

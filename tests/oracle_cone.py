@@ -4,9 +4,9 @@
 `involutive_cone` the cone of 1 + pi_0 iota iota_0 on M_0, each laid out
 block by block and arrow by arrow, with its own shifts and projections,
 as `invariants._cone` and `involutive.ai0_cone` built them before both
-went through `fu`. Both read the splits and the glue that
-`invariants.level_split` keeps on the complex, so call them after the
-program has built the same cone.
+went through `fu`. Both read the splits that `invariants.level_split`
+keeps on the complex, and `model_cone` the glue that `invariants._cone`
+builds there, so call them after the program has built the same cone.
 """
 
 from __future__ import annotations

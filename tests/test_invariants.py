@@ -529,19 +529,21 @@ def test_invalid_complex_is_rejected_once_naming_the_entry(monkeypatch, capsys):
 
 
 def _check_glue_and_dropped_bases(c):
-    """The table's glue is pi_t iota_s of full reductions, and only the inner levels but 0 drop their basis."""
+    """The table's glue is pi_t iota_s of full reductions into the odd blocks of its cones, whose levels but 0 drop their basis."""
     compute_invariant_table(c)
     splits, glue = c._splits, c._glue
-    adjacent = {(s, t) for s in splits for t in (s - 1, s + 1) if t in splits}
-    assert set(glue) == adjacent
+    cones = [[s + n - k for k in range(2 * n + 1)] for s, n in c._levels if n > 0]
+    pairs = {(levels[a], levels[b]) for levels in cones for b in range(1, len(levels), 2) for a in (b - 1, b + 1)}
+    assert set(glue) == pairs
+    odd = {t for _source, t in pairs}
     full = {s: tower_reduce(a_level_complex(c, s)) for s in splits}
-    for s, t in adjacent:
+    for s, t in pairs:
         assert glue[s, t] == [full[t].project(v) for v in full[s].inc], (s, t)
     for s, split in splits.items():
         assert split.inc == full[s].inc and split.reps == full[s].reps
         model, again = split.model, full[s].model
         assert (model.gradings, model.cols) == (again.gradings, again.cols)
-        dropped = s != 0 and s - 1 in splits and s + 1 in splits
+        dropped = s != 0 and s in odd
         assert (split.vectors is None) == dropped, s
         if dropped:
             with pytest.raises(ConsistencyError):
@@ -549,7 +551,8 @@ def _check_glue_and_dropped_bases(c):
 
 
 def test_levels_that_drop_their_basis_drop_their_complex():
-    # J drops the basis of its inner levels; its mirror splits too few levels to drop any.
+    # J's Y_n cones drop the bases of their odd blocks but level 0; its mirror builds no
+    # cone with n > 0, so it builds no glue and drops no basis.
     j = realize_expr(parse_knot_expr("T(2,11)#T(4,7)#-T(5,6)"))
     for c in (j, j.dual()):
         compute_invariant_table(c)
@@ -566,6 +569,26 @@ def test_levels_drop_their_basis_once_their_glue_is_built():
     for c in [known["K"], known["K1"], known["HW"]] + [realize_expr(parse_knot_expr(e)) for e in exprs]:
         for complex_ in (c, c.dual()):
             _check_glue_and_dropped_bases(complex_)
+
+
+def test_the_table_holds_few_level_bases_at_each_reduction(monkeypatch):
+    # The Y ladder runs first, so the V ladder reads levels that a cone split and, but for
+    # level 0 and the ladder's two ends, dropped: J holds at most 3 bases at a reduction.
+    # Climbing the V ladder first split levels outside any cone, and held 7 at J's peak.
+    real, under, held = invariants.tower_reduce, [], []
+
+    def counting(fu):
+        held.append(sum(split.vectors is not None for split in under[-1].__dict__.get("_splits", {}).values()))
+        return real(fu)
+
+    monkeypatch.setattr(invariants, "tower_reduce", counting)
+    j = realize_expr(parse_knot_expr("T(2,11)#T(4,7)#-T(5,6)"))
+    for c in (j, j.dual()):
+        under.append(c)
+        held.clear()
+        compute_invariant_table(c)
+        assert 0 < max(held) <= 4
+    assert c._glue == {}  # the mirror's table builds no cone with n > 0
 
 
 def test_table_reads_indices_past_the_ladder_as_zero():
