@@ -15,7 +15,7 @@ from .complexes import (
     reduce_complex,
     verify_chain_map,
 )
-from .expressions import expr_to_string, parse_knot_expr, realize_expr
+from .expressions import expr_to_string, parse_knot_expr
 from .fileio import load_complex, save_complex
 from .invariants import (
     a_level_complex,
@@ -35,6 +35,7 @@ from .involutive import (
     connected_sum_iota,
     involutive_d_pair,
     mirror_iota,
+    realize_expr,
     realize_with_iota,
     staircase_iota,
     v0_bar_under,

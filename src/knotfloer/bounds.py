@@ -27,7 +27,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from .builders import alexander_exponents
 from .errors import UnsupportedInputError, ValidationError
-from .expressions import KnotExpr, torus_terms
+from .expressions import KnotExpr, TorusKnot, torus_terms
 from .invariants import InvariantTable
 
 
@@ -155,6 +155,9 @@ class StepFunction:
 
 
 def lt_signature_torus(p: int, q: int) -> StepFunction:
+    problem = TorusKnot(p, q).problem
+    if problem:
+        raise ValidationError(problem)
     levels = sorted(
         Fraction(a, p) + Fraction(b, q)
         for a in range(1, p)
@@ -162,12 +165,11 @@ def lt_signature_torus(p: int, q: int) -> StepFunction:
     )
     jumps: Dict[Fraction, int] = {}
     for s in levels:
+        # s = 1 would need p | a q with 0 < a < p: coprime p, q exclude it.
         if s < 1:
             jumps[s] = jumps.get(s, 0) + 2
-        elif s > 1:
-            jumps[s - 1] = jumps.get(s - 1, 0) - 2
         else:
-            raise AssertionError("coprime parameters cannot give s = 1")
+            jumps[s - 1] = jumps.get(s - 1, 0) - 2
     return StepFunction(tuple((x, jumps[x]) for x in sorted(jumps)))
 
 

@@ -16,11 +16,11 @@ result is odd in length, strictly decreasing and symmetric.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 from typing import Tuple
 
 from .complexes import BigradedComplex
 from .errors import ValidationError
+from .expressions import TorusKnot
 
 
 @dataclass(frozen=True)
@@ -49,10 +49,9 @@ def alexander_exponents(p: int, q: int) -> StepSequence:
     g = (p-1)(q-1)/2, so the flips lie in 0..2g; returns g - k for each
     flip k, in decreasing order.
     """
-    if p < 2 or q < 2:
-        raise ValidationError(f"torus parameters must be >= 2, got ({p},{q})")
-    if gcd(p, q) != 1:
-        raise ValidationError(f"torus parameters ({p},{q}) are not coprime")
+    problem = TorusKnot(p, q).problem
+    if problem:
+        raise ValidationError(problem)
     top = (p - 1) * (q - 1)
     # member[k + 1] is 1 when k is in S; member[0] stands for k = -1.
     member = bytearray(top + 2)

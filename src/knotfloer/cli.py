@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import re
 import sys
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
@@ -46,32 +45,6 @@ from .involutive import mirror_iota, realize_with_iota, v0_bar_under
 CYCLE_CERTIFICATE_LIMIT = 2000
 
 
-def _integer(text: str) -> int:
-    """An integer in ASCII digits, with an optional minus sign.
-
-    int() alone also takes spaces, '_' separators and the digits of other
-    scripts.
-    """
-    if re.fullmatch("-?[0-9]+", text) is None:
-        raise argparse.ArgumentTypeError(f"expected an integer in ASCII digits, got {text!r}")
-    return int(text)
-
-
-def _parse_range(text: Optional[str], flag: str) -> Tuple[int, ...]:
-    if text is None:
-        return ()
-    try:
-        lo, hi = text.split("..")
-        lo_i, hi_i = _integer(lo), _integer(hi)
-    except (ValueError, argparse.ArgumentTypeError):
-        raise argparse.ArgumentTypeError(
-            f"{flag}: range must look like A..B, got {text!r}"
-        ) from None
-    if lo_i < 0 or hi_i < lo_i:
-        raise argparse.ArgumentTypeError(f"{flag}: bad range {text!r}")
-    return tuple(range(lo_i, hi_i + 1))
-
-
 def _table_payload(table) -> Dict:
     return {
         "V": {str(s): v for s, v in sorted(table.v.items())},
@@ -95,12 +68,12 @@ def _tower_certificate(c) -> Optional[List[Dict]]:
     return [{"gen": labels[i], "u": max(alex[i], 0) + t, "v": max(-alex[i], 0) + t} for i, t in terms]
 
 
-def _side(c, iota, name: str, v_idx, y_idx):
+def _side(c, iota, name: str):
     """The table, involutive pair and level-0 certificate of c; then c's memos are released.
 
     A rejected iota is named by its input and the flag that skips it.
     """
-    table = compute_invariant_table(c, v_idx, y_idx)
+    table = compute_invariant_table(c)
     try:
         pair = None if iota is None else v0_bar_under(c, iota)
     except ValidationError as exc:
@@ -119,17 +92,14 @@ def _build_report(args) -> Dict:
     if args.involutive == "off":
         iota = None
 
-    v_idx = _parse_range(args.v, "--v")
-    y_idx = _parse_range(args.y, "--y")
-
     name = expr_to_string(expr)
-    table, involutive, certificate = _side(complex_, iota, name, v_idx, y_idx)
+    table, involutive, certificate = _side(complex_, iota, name)
     # The knot is done before its mirror is built: only its size is read again.
     mirror = complex_.dual()
     mirror_io = None if iota is None else mirror_iota(iota, mirror)
     generator_count = len(complex_)
     del complex_, iota
-    mtable, m_involutive, m_certificate = _side(mirror, mirror_io, f"mirror of {name}", v_idx, y_idx)
+    mtable, m_involutive, m_certificate = _side(mirror, mirror_io, f"mirror of {name}")
     upsilon = None
     signature = None
     if torus_terms(expr) is not None:
@@ -308,8 +278,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     rep = sub.add_parser("report", help="invariant tables and bound reports")
     rep.add_argument("--expr", required=True, help="knot expression or '@file'")
-    rep.add_argument("--v", default=None, help="V-index range A..B")
-    rep.add_argument("--y", default=None, help="Y-index range A..B")
     rep.add_argument("--involutive", choices=["on", "off", "auto"], default="auto")
     rep.add_argument("--format", choices=["human", "json", "csv"], default="human")
     rep.set_defaults(func=_cmd_report)
@@ -357,9 +325,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = _parser().parse_args(_attach_expr_values(list(argv)))
     try:
         return args.func(args)
-    except argparse.ArgumentTypeError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
     except ParseError as exc:
         print(f"syntax error: {exc}", file=sys.stderr)
         return 2

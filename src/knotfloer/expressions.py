@@ -1,4 +1,4 @@
-"""Knot expressions: parsing, printing, and realization as complexes.
+"""Knot expressions: parsing and printing.
 
 Grammar (whitespace ignored):
 
@@ -7,8 +7,8 @@ Grammar (whitespace ignored):
     atom := 'T(' int ',' int ')' | name | '@' path
     int  := ASCII digits 0-9, one or more
 
-'-' mirrors a single atom. Connected sum realizes as the tensor product,
-mirroring as the dual complex.
+'-' mirrors a single atom. `involutive.realize_with_iota` realizes
+connected sum as the tensor product, mirroring as the dual complex.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from math import gcd
 from typing import List, Optional, Tuple, Union
 
-from .complexes import BigradedComplex
 from .errors import ParseError
 
 
@@ -25,6 +24,15 @@ from .errors import ParseError
 class TorusKnot:
     p: int
     q: int
+
+    @property
+    def problem(self) -> Optional[str]:
+        """Why (p, q) names no torus knot here, or None: p, q >= 2 and coprime."""
+        if self.p < 2 or self.q < 2:
+            return f"torus parameters must be >= 2, got ({self.p},{self.q})"
+        if gcd(self.p, self.q) != 1:
+            return f"torus parameters ({self.p},{self.q}) are not coprime"
+        return None
 
 
 @dataclass(frozen=True)
@@ -112,13 +120,11 @@ class _Parser:
             q = self.parse_int()
             close_at = self.pos
             self.expect(")")
-            if p < 2 or q < 2:
+            knot = TorusKnot(p, q)
+            if knot.problem:
                 self.pos = close_at
-                raise self.error(f"torus parameters must be >= 2, got ({p},{q})")
-            if gcd(p, q) != 1:
-                self.pos = close_at
-                raise self.error(f"torus parameters ({p},{q}) are not coprime")
-            return TorusKnot(p, q)
+                raise self.error(knot.problem)
+            return knot
         if ch.isalpha() or ch == "_":
             start = self.pos
             while self.pos < len(self.text) and (
@@ -156,17 +162,6 @@ class _Parser:
 
 def parse_knot_expr(text: str) -> KnotExpr:
     return _Parser(text).parse_expr()
-
-
-def realize_expr(e: KnotExpr) -> BigradedComplex:
-    """The complex of an expression, built by `involutive.realize_with_iota`.
-
-    The involution built with it is dropped unchecked: it is checked only
-    where a number is read from it (`involutive.ai0_cone`).
-    """
-    from .involutive import realize_with_iota
-
-    return realize_with_iota(e)[0]
 
 
 def torus_terms(e: KnotExpr) -> Optional[List[Tuple[int, int, int]]]:

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from .complexes import BigradedComplex, reduce_complex
 from .errors import ConsistencyError, ValidationError
@@ -229,8 +229,9 @@ def _level(c: BigradedComplex, s: int, n: int) -> Tuple[int, Optional[FrozenSet[
     """
     memo = c.__dict__.setdefault("_levels", {})
     if (s, n) not in memo:
-        nus, omegas = _candidates(c)
+        # The cone first, so a complex that is not knot-like fails the level's own check, not tau's.
         cone, offsets = _cone(c, s, n)
+        nus, omegas = _candidates(c)
         split = tower_reduce(cone)
         tested = (n == 0 and s in nus) or (s == 0 and n in omegas)
         memo[s, n] = split.top_grading(), _hat_ends(c, split, offsets, s, n) if tested else None
@@ -436,17 +437,17 @@ class InvariantTable:
         return out
 
 
-def compute_invariant_table(c: BigradedComplex, v_indices: Sequence[int] = (), y_indices: Sequence[int] = ()) -> InvariantTable:
+def compute_invariant_table(c: BigradedComplex) -> InvariantTable:
     """All integer invariants of one complex; raises on self-inconsistency.
 
-    V_s for s >= nu+ and Y_n for n >= omega+ are 0 and read off the ladder,
-    not built: V_s >= V_(s+1) >= 0 makes V_s <= V_(nu+) = 0, and
-    Y_n >= Y_(n+1) with Y_n >= V_n gives 0 <= Y_n <= Y_(omega+) = 0.
+    The tables end at V_(nu+) and Y_(omega+), read from the scans' memo;
+    past them both are 0: V_s >= V_(s+1) >= 0 makes V_s <= V_(nu+) = 0,
+    and Y_n >= Y_(n+1) with Y_n >= V_n gives 0 <= Y_n <= Y_(omega+) = 0.
     """
     omega_p = omega_plus(c)
     nu_p = nu_plus(c)
-    v = {s: v_invariant(c, s) if s < nu_p else 0 for s in sorted(set(range(nu_p + 1)) | set(v_indices))}
-    y = {n: y_invariant(c, n) if n < omega_p else 0 for n in sorted(set(range(omega_p + 1)) | set(y_indices))}
+    v = {s: v_invariant(c, s) for s in range(nu_p + 1)}
+    y = {n: y_invariant(c, n) for n in range(omega_p + 1)}
     table = InvariantTable(v, y, nu_p, omega_p, tau_invariant(c), nu_hat(c), omega_hat(c))
     problems = table.consistency_violations()
     if problems:

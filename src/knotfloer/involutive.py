@@ -32,8 +32,11 @@ from __future__ import annotations
 
 from typing import Tuple
 
+from .builders import named_complex, torus_knot_complex
 from .complexes import BigradedComplex, ChainMap, SkewMap, basepoint_map, verify_chain_map
 from .errors import ConsistencyError, ValidationError
+from .expressions import FileRef, KnotExpr, Mirror, Named, Sum, TorusKnot
+from .fileio import load_complex
 from .fu import FUComplex, cone, tower_reduce, transfer
 from .invariants import level_split, v_invariant
 from .linalg import image, kron, transpose
@@ -101,9 +104,6 @@ def realize_with_iota(expr):
     `ai0_cone` guards the construction itself; `tests/test_involutive.py`
     checks every map the fold builds against `verify_chain_map`.
     """
-    from .expressions import FileRef, Mirror, Named, Sum, TorusKnot
-    from .builders import torus_knot_complex, named_complex
-
     if isinstance(expr, TorusKnot):
         c = torus_knot_complex(expr.p, expr.q)
         return c, staircase_iota(c)
@@ -126,10 +126,17 @@ def realize_with_iota(expr):
     if isinstance(expr, Named):
         return named_complex(expr.name), None
     if isinstance(expr, FileRef):
-        from .fileio import load_complex
-
         return load_complex(expr.path)
     raise TypeError(f"not a knot expression: {expr!r}")
+
+
+def realize_expr(e: KnotExpr) -> BigradedComplex:
+    """The complex of an expression, built by `realize_with_iota`.
+
+    The involution built with it is dropped unchecked: it is checked only
+    where a number is read from it (`ai0_cone`).
+    """
+    return realize_with_iota(e)[0]
 
 
 # --- the mapping cone -------------------------------------------------------

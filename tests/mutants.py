@@ -116,6 +116,27 @@ MUTANTS = (
         'for f in flags]) or "0"',
         ("tests/test_linalg.py::test_flag_mask_matches_the_sum_of_bits",),
     ),
+    Mutant(
+        "the V table stops before nu+",
+        "invariants.py",
+        "range(nu_p + 1)",
+        "range(nu_p)",
+        ("tests/test_digests.py::test_corpus_report_digest[J]",),
+    ),
+    Mutant(
+        "TorusKnot.problem without its coprimality test",
+        "expressions.py",
+        "        if gcd(self.p, self.q) != 1:\n",
+        "        if False:\n",
+        ("tests/test_expressions.py::test_parse_rejects_non_coprime",),
+    ),
+    Mutant(
+        "a level visit reads tau before it builds the level",
+        "invariants.py",
+        "        cone, offsets = _cone(c, s, n)\n        nus, omegas = _candidates(c)\n",
+        "        nus, omegas = _candidates(c)\n        cone, offsets = _cone(c, s, n)\n",
+        ("tests/test_invariants.py::test_level_complex_rejects_non_knotlike",),
+    ),
 )
 
 # The two halves of the exponent comparison, swapped: the same test must pass.

@@ -17,7 +17,7 @@ from knotfloer.bounds import (
 )
 from knotfloer.builders import named_complex, staircase, staircase_dual, torus_knot_complex
 from knotfloer.cli import main
-from knotfloer.expressions import parse_knot_expr, realize_expr
+from knotfloer.expressions import parse_knot_expr
 from knotfloer.fu import tower_reduce
 from knotfloer.invariants import (
     compute_invariant_table,
@@ -27,7 +27,7 @@ from knotfloer.invariants import (
     v_invariant,
     y_invariant,
 )
-from knotfloer.involutive import realize_with_iota, v0_bar_under
+from knotfloer.involutive import realize_expr, realize_with_iota, v0_bar_under
 
 from conftest import random_fu_complex
 from oracle_snf import oracle_rank_and_top
@@ -56,7 +56,7 @@ def test_criterion_1_example_knot():
 
 def test_criterion_2_bigger_knot():
     j = realize_expr(parse_knot_expr(J_EXPR))
-    table = compute_invariant_table(j, v_indices=range(6), y_indices=range(7))
+    table = compute_invariant_table(j)
     assert [table.v[s] for s in range(6)] == [3, 2, 2, 1, 1, 0]
     assert [table.y[n] for n in range(7)] == [3, 2, 2, 1, 1, 1, 0]
     report = genus_bounds(table, None)
@@ -193,7 +193,7 @@ def test_criterion_8_property_suites():
 
 
 def test_criterion_9_determinism(capsys):
-    args = ["report", "--expr", K_EXPR, "--v", "0..3", "--y", "0..3", "--format", "json"]
+    args = ["report", "--expr", K_EXPR, "--format", "json"]
     assert main(args) == 0
     first, _ = capsys.readouterr()
     assert main(args) == 0

@@ -23,7 +23,7 @@ from knotfloer.builders import staircase, torus_knot_complex
 from knotfloer.errors import UnsupportedInputError, ValidationError
 from knotfloer.expressions import Mirror, Sum, TorusKnot, parse_knot_expr
 from knotfloer.invariants import InvariantTable, tau_invariant
-from knotfloer.expressions import realize_expr
+from knotfloer.involutive import realize_expr
 
 import oracle_bounds
 from conftest import random_torus_sum
@@ -169,6 +169,16 @@ def test_signature_trefoil():
 def test_signature_t34():
     sig = lt_signature_torus(3, 4)
     assert step_value(sig, Fraction(1, 2)) == -6
+
+
+@pytest.mark.parametrize(
+    "p,q,message",
+    [(2, 4, "torus parameters (2,4) are not coprime"), (1, 4, "torus parameters must be >= 2, got (1,4)")],
+)
+def test_signature_rejects_what_names_no_torus_knot(p, q, message):
+    with pytest.raises(ValidationError) as exc:
+        lt_signature_torus(p, q)
+    assert str(exc.value) == message
 
 
 def test_signature_symmetry_and_mirror():

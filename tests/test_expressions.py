@@ -12,9 +12,9 @@ from knotfloer.expressions import (
     TorusKnot,
     expr_to_string,
     parse_knot_expr,
-    realize_expr,
     torus_terms,
 )
+from knotfloer.involutive import realize_expr
 
 
 def test_parse_triple_sum():

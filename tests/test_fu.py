@@ -6,11 +6,11 @@ import pytest
 from knotfloer.builders import staircase, staircase_dual, torus_knot_complex
 from knotfloer.complexes import reduce_complex
 from knotfloer.errors import FileFormatError, ValidationError
-from knotfloer.expressions import parse_knot_expr, realize_expr
+from knotfloer.expressions import parse_knot_expr
 from knotfloer.fileio import load_complex
 from knotfloer.fu import FUComplex, tower_reduce
 from knotfloer.invariants import a_level_complex
-from knotfloer.involutive import realize_with_iota
+from knotfloer.involutive import realize_expr, realize_with_iota
 from knotfloer.linalg import image, iter_bits
 
 from conftest import UNKNOT, level_monomials, random_fu_complex, random_torus_sum, scramble

@@ -8,10 +8,10 @@ from knotfloer import invariants
 from knotfloer.builders import named_complex, staircase, staircase_dual, torus_knot_complex
 from knotfloer.complexes import BigradedComplex, Generator
 from knotfloer.errors import ConsistencyError, ValidationError
-from knotfloer.expressions import parse_knot_expr, realize_expr
+from knotfloer.expressions import parse_knot_expr
 from knotfloer.fileio import load_complex
 from knotfloer.fu import tower_reduce
-from knotfloer.involutive import realize_with_iota
+from knotfloer.involutive import realize_expr, realize_with_iota
 from knotfloer.linalg import iter_bits
 from knotfloer.invariants import (
     InvariantTable,
@@ -63,8 +63,14 @@ def test_is_knotlike():
 
 def test_level_complex_rejects_non_knotlike():
     two_dots = from_terms([Generator("a", 0, 0), Generator("b", 0, 0)], [])
-    with pytest.raises(ValidationError):
+    message = r"^complex is not knot-like \(localized tower rank != 1\)$"
+    with pytest.raises(ValidationError, match=message):
         a_level_complex(two_dots, 0)
+    # V and Y build their level before they read tau, so they name the fault as the level does.
+    with pytest.raises(ValidationError, match=message):
+        v_invariant(two_dots, 0)
+    with pytest.raises(ValidationError, match=message):
+        y_invariant(two_dots, 1)
     with pytest.raises(ValidationError, match="^tau undefined: complex is not knot-like$"):
         tau_invariant(two_dots)
     with pytest.raises(ValidationError, match="^nu undefined: complex is not knot-like$"):
@@ -592,19 +598,19 @@ def test_the_table_holds_few_level_bases_at_each_reduction(monkeypatch):
 
 
 def test_table_reads_indices_past_the_ladder_as_zero():
-    """V_s past nu+ and Y_n past omega+ are filled with 0 unbuilt, and match a direct build."""
+    """The tables end at V_(nu+) = 0 and Y_(omega+) = 0, and the values past them, built directly, are 0."""
     rng = random.Random(20261019)
     cases = [load_complex(HW_FILE)[0]]
     for _ in range(4):
         c = realize_expr(parse_knot_expr(random_torus_sum(rng, 3, 150)))
         cases += [c, c.dual()]
     for c in cases:
-        nu_p, omega_p = nu_plus(c), omega_plus(c)
-        table = compute_invariant_table(c, range(nu_p + 4), range(omega_p + 4))
-        built = c.__dict__["_levels"].keys()
-        assert (nu_p + 3, 0) not in built and (0, omega_p + 3) not in built
-        assert table.v == {s: v_invariant(c, s) for s in range(nu_p + 4)}
-        assert table.y == {n: y_invariant(c, n) for n in range(omega_p + 4)}
+        table = compute_invariant_table(c)
+        nu_p, omega_p = table.nu_plus, table.omega_plus
+        assert list(table.v) == list(range(nu_p + 1)) and list(table.y) == list(range(omega_p + 1))
+        assert table.v[nu_p] == table.y[omega_p] == 0
+        assert [v_invariant(c, nu_p + k) for k in (1, 2, 3)] == [0, 0, 0]
+        assert [y_invariant(c, omega_p + k) for k in (1, 2, 3)] == [0, 0, 0]
 
 
 # --- the internal-consistency net -------------------------------------------

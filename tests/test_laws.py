@@ -57,7 +57,7 @@ def knots(tmp_path_factory):
 def test_slice_law(knots):
     for text in knots:
         c, iota = _realize(text + "#" + _mirror_text(text))
-        table = compute_invariant_table(c, range(3), range(3))
+        table = compute_invariant_table(c)
         assert set(table.v.values()) == set(table.y.values()) == {0}, text
         assert (table.nu_plus, table.omega_plus, table.tau, table.nu_hat, table.omega_hat) == (0,) * 5, text
         if text != HW:

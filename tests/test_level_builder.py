@@ -17,10 +17,10 @@ from oracle_homogeneity import fu_illegal_entries
 from test_invariants import corpus
 
 from knotfloer.builders import staircase_dual
-from knotfloer.expressions import parse_knot_expr, realize_expr
+from knotfloer.expressions import parse_knot_expr
 from knotfloer.fu import FUComplex, tower_reduce
 from knotfloer.invariants import a_level_complex, omega_plus, y_invariant
-from knotfloer.involutive import realize_with_iota
+from knotfloer.involutive import realize_expr, realize_with_iota
 from knotfloer.linalg import spread
 
 
