@@ -21,6 +21,7 @@ is bookkeeping over `fractions.Fraction`; no floats anywhere.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Tuple
@@ -49,14 +50,11 @@ class PLFunction:
 
     def __call__(self, t) -> Fraction:
         t = Fraction(t)
-        xs, ys = self.breakpoints, self.values
         if not 0 <= t <= 2:
             raise ValueError("argument outside [0, 2]")
-        for i in range(len(xs) - 1):
-            if xs[i] <= t <= xs[i + 1]:
-                span = xs[i + 1] - xs[i]
-                return ys[i] + (ys[i + 1] - ys[i]) * (t - xs[i]) / span
-        raise AssertionError
+        xs, ys = self.breakpoints, self.values
+        i = bisect_left(xs, t, 1)
+        return ys[i - 1] + (ys[i] - ys[i - 1]) * (t - xs[i - 1]) / (xs[i] - xs[i - 1])
 
     def initial_slope(self) -> Fraction:
         return (self.values[1] - self.values[0]) / (self.breakpoints[1] - self.breakpoints[0])
@@ -128,9 +126,7 @@ def upsilon_ratio_bound(f: PLFunction) -> Fraction:
     if f.values[0] != 0:
         raise ValueError("ratio bound needs f(0) = 0")
     candidates = [f.initial_slope(), f(1)]
-    for t in f.breakpoints:
-        if 0 < t < 1:
-            candidates.append(f(t) / t)
+    candidates += [y / t for t, y in zip(f.breakpoints, f.values) if 0 < t < 1]
     return max(candidates) - min(candidates)
 
 
@@ -300,6 +296,6 @@ def format_exact(x: Fraction) -> str:
 
 
 def plot_rows(f: PLFunction, upto: Fraction = Fraction(1)) -> List[Tuple[Fraction, Fraction]]:
-    """Breakpoint table of (t, f(t)) on [0, upto], endpoints included."""
-    xs = sorted({Fraction(0), upto} | {x for x in f.breakpoints if 0 < x < upto})
-    return [(x, f(x)) for x in xs]
+    """Breakpoint table of (t, f(t)) on [0, upto]: the stored pairs below upto, then upto."""
+    rows = [(x, y) for x, y in zip(f.breakpoints, f.values) if x < upto]
+    return [*rows, (upto, f(upto))]

@@ -115,8 +115,12 @@ def _build_report(args) -> Dict:
             f"initial slope {upsilon.initial_slope()} != -tau = {-table.tau}"
         )
     if upsilon is not None:
-        for t in upsilon.breakpoints:
-            if upsilon(t) != upsilon(2 - t):
+        # _signed_merge drops zero slope changes, so every interior breakpoint
+        # is a kink, and f(t) = f(2 - t) holds exactly when the kinks and
+        # their values are symmetric: the table is checked against its mirror.
+        points = dict(zip(upsilon.breakpoints, upsilon.values))
+        for t, y in points.items():
+            if points.get(2 - t) != y:
                 problems.append(f"concordance function asymmetric at t = {t}")
                 break
     if problems:

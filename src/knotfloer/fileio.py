@@ -197,20 +197,16 @@ def _entry_targets(raw, kind: str, f: ChainMap) -> List[List[int]]:
 # --- loading and saving -------------------------------------------------------
 
 
-def _target_lists(data: dict, key: str, f: ChainMap, columnar: bool):
-    """The raw target lists of f: the file's own in format 2, read off its entries in format 1."""
-    return data.get(key) if columnar else _entry_targets(data.get(key, []), key, f)
-
-
 def _file_complex(data: dict, columnar: bool) -> BigradedComplex:
     """The complex of a file of either format, before `require_valid`."""
     if columnar:
         labels = _ids(data)
         grw, grz = _gradings(data, "grw", labels), _gradings(data, "grz", labels)
+        raw = data.get("differential")
     else:
         labels, grw, grz = zip(*_parse_generators(data.get("generators")))
-    shape = BigradedComplex(labels, grw, grz, [0] * len(labels))
-    raw = _target_lists(data, "differential", shape.d, columnar)
+        shape = BigradedComplex(labels, grw, grz, [0] * len(labels))
+        raw = _entry_targets(data.get("differential", []), "differential", shape.d)
     cols, targets = _read_targets(raw, "differential", labels)
     complex_ = BigradedComplex(labels, grw, grz, cols)
     complex_.d.targets = targets
@@ -246,7 +242,7 @@ def load_complex(path: str) -> Tuple[BigradedComplex, Optional[SkewMap]]:
         iota = None
         if "iota" in data:
             try:
-                raw = _target_lists(data, "iota", SkewMap(complex_, ()), columnar)
+                raw = data["iota"] if columnar else _entry_targets(data["iota"], "iota", SkewMap(complex_, ()))
             except ValidationError as exc:
                 raise FileFormatError(f"iota rejected: {'; '.join(exc.violations)}") from None
             cols, targets = _read_targets(raw, "iota", complex_.labels)

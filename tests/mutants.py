@@ -137,6 +137,57 @@ MUTANTS = (
         "        nus, omegas = _candidates(c)\n        cone, offsets = _cone(c, s, n)\n",
         ("tests/test_invariants.py::test_level_complex_rejects_non_knotlike",),
     ),
+    Mutant(
+        "any character before a pair opens a torus knot",
+        "expressions.py",
+        'if ch == "T" and self._lookahead_torus():',
+        'if ch == "T" or self._lookahead_torus():',
+        ("tests/test_expressions.py::test_only_T_opens_a_torus_knot",),
+    ),
+    Mutant(
+        "the V ladder may drop by 2",
+        "invariants.py",
+        "nxt = self.v.get(s + 1)\n            if nxt is not None and not (nxt <= val <= nxt + 1):",
+        "nxt = self.v.get(s + 1)\n            if nxt is not None and not (nxt <= val <= nxt + 2):",
+        ("tests/test_invariants.py::test_each_broken_law_is_named[V drops by 2]",),
+    ),
+    Mutant(
+        "the Y ladder may drop by 2",
+        "invariants.py",
+        "nxt = self.y.get(n + 1)\n            if nxt is not None and not (nxt <= val <= nxt + 1):",
+        "nxt = self.y.get(n + 1)\n            if nxt is not None and not (nxt <= val <= nxt + 2):",
+        ("tests/test_invariants.py::test_each_broken_law_is_named[Y drops by 2]",),
+    ),
+    Mutant(
+        "format-1 generators refused only when empty and not a list",
+        "fileio.py",
+        "if not isinstance(raw, list) or not raw:",
+        "if not isinstance(raw, list) and not raw:",
+        ("tests/test_fileio.py::test_format_1_generators_must_be_a_nonempty_list",),
+    ),
+    Mutant(
+        "the symmetry check passes a breakpoint whose mirror is not one",
+        "cli.py",
+        "if points.get(2 - t) != y:",
+        "if points.get(2 - t, y) != y:",
+        ("tests/test_cli.py::test_consistency_failure_exits_4_with_one_line[asymmetric kink]",),
+    ),
+    Mutant(
+        "plot_rows drops its end point",
+        "bounds.py",
+        "return [*rows, (upto, f(upto))]",
+        "return rows",
+        ("tests/test_cli.py::test_plotdata_locally_trivial_sum_is_zero",),
+    ),
+    # bisect_right agrees with bisect_left at every t but 2, where it passes
+    # the last breakpoint: the closed-form test evaluates every f at t = 2.
+    Mutant(
+        "PLFunction finds its segment with bisect_right",
+        "bounds.py",
+        "from bisect import bisect_left\n",
+        "from bisect import bisect_right as bisect_left\n",
+        ("tests/test_closed_forms.py::test_upsilon_matches_the_torus_closed_form",),
+    ),
 )
 
 # The two halves of the exponent comparison, swapped: the same test must pass.

@@ -183,6 +183,10 @@ CONSISTENCY_FAULTS = [
     ("asymmetric concordance function", "cli", "upsilon_of_expr",
      lambda real: lambda expr: PLFunction(tuple(map(Fraction, (0, 1, 2))), tuple(map(Fraction, (0, -1, -1)))),
      "concordance function asymmetric at t = 0"),
+    # f(0) = f(2), but the kink at 1/2 has no mirror kink at 3/2.
+    ("asymmetric kink", "cli", "upsilon_of_expr",
+     lambda real: lambda expr: PLFunction(tuple(map(Fraction, ("0", "1/2", "2"))), tuple(map(Fraction, ("0", "-1/2", "0")))),
+     "concordance function asymmetric at t = 1/2"),
 ]
 
 

@@ -72,6 +72,22 @@ def test_upsilon_matches_the_torus_closed_form():
             assert ups(t) == sum(sign * torus_upsilon(p, q, t) for sign, p, q in _factors(expr)), (expr, t)
 
 
+def test_slice_sum_reports_zero_everywhere(capsys):
+    # K # -K is slice, so every concordance invariant of it, and every lower
+    # bound on its genus and clasp number, is 0. Here K = T(2,11)#T(4,7).
+    expr = "T(2,11)#T(4,7)#-T(2,11)#-T(4,7)"
+    assert main(["report", "--expr", expr, "--involutive", "on", "--format", "json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["generator_count"] == 14641
+    for side in ("invariants", "mirror_invariants"):
+        table = report[side]
+        scalars = [table[key] for key in ("tau", "nu", "omega", "nu_plus", "omega_plus")]
+        assert {*table["V"].values(), *table["Y"].values(), *scalars} == {0}, (side, table)
+    for side in ("involutive", "mirror_involutive"):
+        assert report[side] == {"v0_bar": 0, "v0_under": 0}, side
+    assert report["bounds"]["genus"]["max"] == report["bounds"]["clasp"]["max"] == 0
+
+
 def test_genus_bounds_lie_below_the_summed_genera(capsys):
     # A sum of torus knots bounds a surface of genus the sum of theirs, so no
     # genus source may exceed it; on a positive sum tau reaches it, and

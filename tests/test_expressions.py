@@ -45,6 +45,21 @@ def test_parse_errors_have_positions():
             parse_knot_expr(text)
 
 
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("W(2,3)", "unexpected trailing input (at position 1)"),
+        ("x(2,3)", "unexpected trailing input (at position 1)"),
+        ("#(2,3)", "expected a torus knot, a name, or '@path' (at position 0)"),
+    ],
+)
+def test_only_T_opens_a_torus_knot(text, message):
+    # Another letter before a pair is a name followed by junk; a '#' starts no term.
+    with pytest.raises(ParseError) as err:
+        parse_knot_expr(text)
+    assert str(err.value) == message
+
+
 @pytest.mark.parametrize("text", ["T(\u00b2,3)", "T(\u0662,3)", "T(2,\uff13)"])
 def test_parse_reads_only_ascii_digits(text):
     # A superscript two, an Arabic-Indic two and a fullwidth three.

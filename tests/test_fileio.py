@@ -220,6 +220,20 @@ def test_fields_must_be_exact_types(tmp_path, capsys, where, field, value):
     assert out == "" and entry in err_text
 
 
+@pytest.mark.parametrize("generators", [[], "x"], ids=["empty", "string"])
+def test_format_1_generators_must_be_a_nonempty_list(tmp_path, capsys, generators):
+    data = _one_arrow_file()
+    data["generators"] = generators
+    path = tmp_path / "bad.cfk"
+    path.write_text(json.dumps(data))
+    message = f"{path}: 'generators' must be a nonempty list"
+    with pytest.raises(FileFormatError) as err:
+        load_complex(str(path))
+    assert str(err.value) == message
+    assert main(["validate", f"--expr=@{path}"]) == 3
+    assert capsys.readouterr() == ("", f"invalid input: {message}\n")
+
+
 def _colliding_sum():
     """A valid tensor product in which the label 'a|b|c' occurs twice."""
     left = from_terms(

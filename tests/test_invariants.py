@@ -623,6 +623,8 @@ BROKEN_LAWS = [
     ("negative V", dict(v={0: 1, 1: 0, 2: -1}), "V_2 = -1 < 0"),
     ("V not monotone", dict(v={0: 1, 1: 0, 2: 1}), "V_1=0, V_2=1 breaks monotonicity"),
     ("Y not monotone", dict(y={0: 1, 1: 0, 2: 1}), "Y_1=0, Y_2=1 breaks monotonicity"),
+    ("V drops by 2", dict(v={0: 3, 1: 1}, y={0: 3, 1: 2}), "V_0=3, V_1=1 breaks monotonicity"),
+    ("Y drops by 2", dict(v={0: 3}, y={0: 3, 1: 1}), "Y_0=3, Y_1=1 breaks monotonicity"),
     ("V above Y", dict(v={0: 1, 1: 1}), "V_1=1 > Y_1=0"),
     ("Y_0 is not V_0", dict(y={0: 2, 1: 1}), "Y_0=2 != V_0=1"),
     ("nu off tau", dict(nu_hat=0), "nu=0 outside {tau, tau+1}, tau=1"),
