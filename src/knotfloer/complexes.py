@@ -40,7 +40,8 @@ column's target indices once, and the d^2 check, the d f = f d check
 and so do the homogeneity rule and `reduce_complex`.
 The file reader stores the lists it has read, from a file of either
 format, as the `targets` of the differential and of iota, so the bits of
-a loaded complex are never walked.
+a loaded complex are never walked; `dual` and `involutive.mirror_iota`
+keep the transposed lists the same way.
 """
 
 from __future__ import annotations
@@ -202,14 +203,13 @@ class BigradedComplex:
         """Dual complex: gradings negate, differential transposes.
 
         Computes the mirror: the complex of the mirror knot is the dual of
-        the complex of the knot.
+        the complex of the knot. The transpose is read off the target
+        lists of d and kept as the dual's, so no bit of either is walked.
         """
-        return BigradedComplex(
-            [name + "*" for name in self.labels],
-            [-w for w in self.grw],
-            [-z for z in self.grz],
-            transpose(self.cols, len(self)),
-        )
+        cols, targets = transpose(self.d.targets, len(self))
+        dual = BigradedComplex([name + "*" for name in self.labels], [-w for w in self.grw], [-z for z in self.grz], cols)
+        dual.d.targets = targets
+        return dual
 
     def relabel(self, mapping) -> "BigradedComplex":
         labels = [mapping.get(name, name) for name in self.labels]
@@ -388,7 +388,7 @@ def basepoint_map(c: BigradedComplex, variable: str) -> ChainMap:
 
 
 def reduce_complex(c: BigradedComplex, mode: str) -> FUComplex:
-    """Quotient reductions of the coefficient ring, as filters of the columns.
+    """Quotient reductions of the coefficient ring, as filters of the target lists.
 
     mode "U0" -> free GF(2)[V]-complex (a FUComplex graded by grz) on the
                  entries without U; its columns are also those of the
@@ -398,19 +398,21 @@ def reduce_complex(c: BigradedComplex, mode: str) -> FUComplex:
     The kept entries are those whose exponent of the killed variable is 0:
     they lower the dropped grading (grw for "U0", grz for "V0") by exactly
     one, so it is a homological degree of the quotient. The result
-    carries it as its `degrees`, by which `tower_reduce` clears, and
-    c's `label_order` as its ties. The pure-monomial entries (the UV = 0
-    quotient) are the union of the two modes' columns.
+    carries it as its `degrees`, by which `tower_reduce` clears, c's
+    `label_order` as its ties, and the filtered lists as its targets.
+    The pure-monomial entries (the UV = 0 quotient) are the union of the
+    two modes' columns.
     """
     if mode not in ("U0", "V0"):
         raise ValueError(f"unknown reduction mode {mode!r}")
     drop, keep = (c.grw, c.grz) if mode == "U0" else (c.grz, c.grw)
-    cols = []
+    # An explicit loop: on Python 3.11 it filters faster than a comprehension per list.
+    targets = []
     for row, g in zip(c.d.targets, drop):
         g -= 1
-        col = 0
+        kept = []
         for j in row:
             if drop[j] == g:
-                col |= 1 << j
-        cols.append(col)
-    return FUComplex(keep, cols, drop, ties=c.label_order)
+                kept.append(j)
+        targets.append(kept)
+    return FUComplex(keep, degrees=drop, ties=c.label_order, targets=targets)

@@ -267,9 +267,8 @@ def save_complex(
     Nothing is written, and a file already at `path` is left as it was,
     when the complex or the name cannot be saved.
     """
-    dup = complex_.repeated_label()
-    if dup is not None:
-        raise ValidationError(f"cannot save: generator label {dup!r} is repeated")
+    if len(set(complex_.labels)) < len(complex_):
+        raise ValidationError(f"cannot save: generator label {complex_.repeated_label()!r} is repeated")
     if not isinstance(name, str):
         raise ValidationError(f"cannot save: name must be a string, got {name!r}")
     if iota is not None and iota.source.labels != complex_.labels:

@@ -22,7 +22,12 @@ along the grading filtration, one stable sort of the tie order, with
 clearing (Chen and Kerber, Persistent homology computation with a
 twist, 2011): when a reduced column has its pivot in row i, column i
 reduces to zero, so it is skipped. A column is moved into filtration
-order, one set bit at a time, only when the reduction reaches it.
+order from its target list (`FUComplex.targets`), only when the
+reduction reaches it, with no walk over its bits: on a full-size level
+that move, not the XORs, takes the time (as in Bauer, Kerber,
+Reininghaus and Wagner, Phat, 2017). A level shares its complex's lists
+(`ChainMap.targets`), a quotient keeps those it filters, and a model or
+a cone walks its small masks once.
 Unpaired basis elements are the free homology generators; their
 gradings give the tower tops. The same loop gives a basis in which the
 complex splits into towers and pairs. The `Reduction` keeps it and
@@ -73,22 +78,45 @@ class FUComplex:
     lowers by exactly one, as the dropped grading of a one-variable
     quotient is (`complexes.reduce_complex`); `tower_reduce` clears by it.
     ties, when given, lists the indices in the order that breaks grading ties.
+    targets lists the row indices of each column, which `tower_reduce`
+    reads. A builder gives the columns, the lists or both, and the other
+    form is built when first read: a model or a cone walks each column's
+    bits once (`iter_bits`), and only a test reads the columns of a
+    quotient, which `complexes.reduce_complex` builds as lists.
     """
 
     def __init__(
         self,
         gradings: Sequence[int],
-        cols: Sequence[int],
+        cols: Optional[Sequence[int]] = None,
         degrees: Optional[Sequence[int]] = None,
         ties: Optional[Sequence[int]] = None,
+        targets: Optional[Sequence[Sequence[int]]] = None,
     ):
         self.gradings: Tuple[int, ...] = tuple(gradings)
-        self.cols: Tuple[int, ...] = tuple(cols)
+        if cols is not None:
+            self.cols = tuple(cols)
         self.degrees: Optional[Tuple[int, ...]] = None if degrees is None else tuple(degrees)
         self.ties = ties
+        if targets is not None:
+            self.targets = targets
+
+    @functools.cached_property
+    def cols(self) -> Tuple[int, ...]:
+        out = []
+        for row in self.targets:
+            col = 0
+            for j in row:
+                col |= 1 << j
+            out.append(col)
+        return tuple(out)
+
+    @functools.cached_property
+    def targets(self) -> Sequence[Sequence[int]]:
+        return tuple(map(iter_bits, self.cols))
 
     def __len__(self) -> int:
-        return len(self.cols)
+        return len(self.gradings)
 
 
 def _moved(mask: int, table: Sequence[int]) -> int:
@@ -171,6 +199,28 @@ class Reduction:
         self.__dict__.pop("_kept", None)
         self.__dict__.pop("_coord", None)
 
+    def reflected(self, fu: FUComplex, shift: int) -> "Reduction":
+        """The split of fu, when fu is the split complex under i -> n - 1 - i, ties included, with gradings raised by shift.
+
+        Then fu has the same columns at the same positions, so
+        `tower_reduce(fu)` finds the same pairs, basis vectors and model
+        positions, which the two splits share, at the reflected indices,
+        with every tower raised by shift.
+        """
+        n = len(self.order)
+        out = Reduction(
+            fu,
+            [g + shift for g in self.unpaired],
+            [n - 1 - i for i in self.indices],
+            [[(n - 1 - q, k) for q, k in reversed(rep)] for rep in self.reps],
+            [n - 1 - i for i in self.order],
+            self.pos[::-1],
+            self.vectors,
+            self.pairs,
+        )
+        out._kept, out._coord = self._kept, self._coord
+        return out
+
     def cocycle(self) -> int:
         """The coordinate functional of the first tower vector at T = 1, as an index mask.
 
@@ -239,8 +289,8 @@ class Reduction:
 
 
 def tower_reduce(fu: FUComplex) -> Reduction:
-    gradings, cols = fu.gradings, fu.cols
-    n = len(cols)
+    gradings, targets = fu.gradings, fu.targets
+    n = len(gradings)
     # Position p holds basis index order[p]: one stable sort of the tie order by descending grading.
     order = sorted(range(n) if fu.ties is None else fu.ties, key=gradings.__getitem__, reverse=True)
     pos = [0] * n
@@ -261,11 +311,9 @@ def tower_reduce(fu: FUComplex) -> Reduction:
             # Clearing: the column of a paired row reduces to zero, so it
             # is never moved into position space.
             continue
-        mask, vec, combo = cols[idx], 0, 1 << p  # vec: the column moved into position space
-        while mask:
-            top = mask.bit_length() - 1
-            vec |= 1 << pos[top]
-            mask ^= 1 << top
+        vec, combo = 0, 1 << p  # vec: the column moved into position space
+        for row in targets[idx]:
+            vec |= 1 << pos[row]
         while vec:
             low = vec.bit_length() - 1
             col = pairs.get(low)

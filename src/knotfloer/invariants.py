@@ -36,6 +36,16 @@ that level's basis, keeping its towers, model and iota; level 0 keeps
 its basis for the involution. The Y ladder runs first, so each level
 the V ladder reads was split in a cone before, and dropped there unless
 it is 0 or ends the ladder. All four memos last until `release`.
+
+The same reversal sigma halves the level splits. It swaps grw with grz
+and so negates A: level -s is level s under sigma with every grading
+lowered by 2s. So when sigma is a skew chain automorphism of c, the
+split of level s > 0 also gives that of -s, with the same pairs and
+basis at reflected indices and its towers lowered by 2s (`_reflected`),
+and a negative level is never reduced. The glue between two negative
+levels is their positive twins' (`_cone`). Level 0, and every level of
+any other complex, is reduced directly; that route is the oracle the
+tests hold the sigma route to.
 """
 
 from __future__ import annotations
@@ -74,7 +84,7 @@ def a_level_complex(c: BigradedComplex, s: int) -> FUComplex:
     if not is_knotlike(c):
         raise ValidationError("complex is not knot-like (localized tower rank != 1)")
     gradings = [w - 2 * (a - s) if a > s else w for w, a in zip(c.grw, c.alexander)]
-    return FUComplex(gradings, c.cols, ties=c.label_order)
+    return FUComplex(gradings, c.cols, ties=c.label_order, targets=c.d.targets)
 
 
 def level_split(c: BigradedComplex, s: int) -> Reduction:
@@ -84,11 +94,35 @@ def level_split(c: BigradedComplex, s: int) -> Reduction:
     iota_s and pi_s give nu and the cones of Y_n and omega. pi_s is read
     only by the glue into s (`_cone`, which then drops the basis) and, at
     level 0, by the involution (`involutive.ai0_cone`).
+
+    When c is reversal-symmetric, level -s is stored with level s > 0
+    (`_reflected`) and never reduced; level 0, and every level of any
+    other complex, is reduced directly.
     """
     memo = c.__dict__.setdefault("_splits", {})
     if s not in memo:
-        memo[s] = tower_reduce(a_level_complex(c, s))
+        if s < 0 and c.reversal_symmetric:
+            level_split(c, -s)
+        else:
+            memo[s] = tower_reduce(a_level_complex(c, s))
+            if s > 0 and c.reversal_symmetric:
+                memo[-s] = _reflected(c, memo[s], s)
     return memo[s]
+
+
+def _reflected(c: BigradedComplex, split: Reduction, s: int) -> Reduction:
+    """The split of level -s of a reversal-symmetric c, read off the split of level s through sigma.
+
+    sigma: i -> n - 1 - i swaps grw with grz, so it negates A, and a
+    level's grading min(grw, grz + 2s) becomes min(grz, grw - 2s) = that
+    of level s lowered by 2s. It maps each target list of d onto that of
+    its image. So level -s is level s under sigma with every grading
+    lowered by 2s. With ties broken in the reflected label order, its
+    split is read off that of s by `Reduction.reflected`.
+    """
+    level, last = a_level_complex(c, -s), len(c) - 1
+    ties = [last - i for i in c.label_order]
+    return split.reflected(FUComplex(level.gradings, level.cols, ties=ties, targets=level.targets), -2 * s)
 
 
 def release(c: BigradedComplex) -> None:
@@ -113,14 +147,22 @@ def _cone(c: BigradedComplex, s: int, n: int) -> Tuple[FUComplex, List[int]]:
     earlier cone built it, and b's level, unless it is 0, drops its basis
     (`Reduction.drop_basis`): only that glue and level 0's involution
     project onto a level.
+
+    On a reversal-symmetric c the glue between two negative levels is
+    that of their positive twins, when a cone built it: the two splits
+    are the twins' at reflected indices (`_reflected`), so both models
+    have the same generators, and pi_t iota_s reads the same positions.
+    At s = 0 the twins are the mirror blocks, which come first.
     """
     levels = [s + n - k for k in range(2 * n + 1)]
     glue, splits = c.__dict__.setdefault("_glue", {}), [level_split(c, levels[0])]
     for b in range(1, 2 * n, 2):
         splits += [level_split(c, levels[b]), level_split(c, levels[b + 1])]
         for a in (b - 1, b + 1):
-            if (levels[a], levels[b]) not in glue:
-                glue[levels[a], levels[b]] = transfer(splits[a], splits[b])
+            key, twin = (levels[a], levels[b]), (-levels[a], -levels[b])
+            if key not in glue:
+                aliased = max(key) < 0 and twin in glue and c.reversal_symmetric
+                glue[key] = glue[twin] if aliased else transfer(splits[a], splits[b])
         if levels[b]:
             splits[b].drop_basis()
     arrows = [(k, b, glue[levels[k], levels[b]]) for b in range(1, 2 * n, 2) for k in (b - 1, b + 1)]

@@ -49,11 +49,14 @@ def staircase_iota(c: BigradedComplex) -> SkewMap:
 
 
 def mirror_iota(iota: SkewMap, dual_c: BigradedComplex) -> SkewMap:
-    """Involution of the dual complex: the transpose, still skew.
+    """Involution of the dual complex: the transpose, still skew, with its target lists kept.
 
     Its implied exponents are those of iota, swapped.
     """
-    return SkewMap(dual_c, transpose(iota.cols, len(dual_c)))
+    cols, targets = transpose(iota.targets, len(dual_c))
+    mirror = SkewMap(dual_c, cols)
+    mirror.targets = targets
+    return mirror
 
 
 def connected_sum_iota(

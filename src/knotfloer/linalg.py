@@ -67,14 +67,19 @@ def kron(left: Sequence[int], right: Sequence[int]) -> List[int]:
     return [rcol * s for s in spreads for rcol in right]
 
 
-def transpose(cols: Sequence[int], nrows: int) -> List[int]:
-    """Columns of the transpose of an nrows x len(cols) bitmask matrix."""
-    out = [0] * nrows
-    for j, col in enumerate(cols):
+def transpose(targets: Sequence[Sequence[int]], nrows: int) -> Tuple[List[int], List[List[int]]]:
+    """(columns, target lists) of the transpose of an nrows-row matrix given by its target lists.
+
+    Reads each list once and walks no bits; the lists of the transpose
+    come out in ascending order.
+    """
+    cols, lists = [0] * nrows, [[] for _ in range(nrows)]
+    for j, row in enumerate(targets):
         bit = 1 << j
-        for i in iter_bits(col):
-            out[i] |= bit
-    return out
+        for i in row:
+            cols[i] |= bit
+            lists[i].append(j)
+    return cols, lists
 
 
 class LinearSystem:

@@ -63,8 +63,8 @@ MUTANTS = (
     Mutant(
         "level complexes without the label tie order",
         "invariants.py",
-        "return FUComplex(gradings, c.cols, ties=c.label_order)",
-        "return FUComplex(gradings, c.cols)",
+        "return FUComplex(gradings, c.cols, ties=c.label_order, targets=c.d.targets)",
+        "return FUComplex(gradings, c.cols, targets=c.d.targets)",
         ("tests/test_digests.py::test_corpus_report_digest[J]",),
     ),
     Mutant(
@@ -187,6 +187,29 @@ MUTANTS = (
         "from bisect import bisect_left\n",
         "from bisect import bisect_right as bisect_left\n",
         ("tests/test_closed_forms.py::test_upsilon_matches_the_torus_closed_form",),
+    ),
+    # No command reads the towers of a negative level's split, so only the
+    # field-by-field check of every stored split kills the first of these.
+    Mutant(
+        "the split of level -s without its -2s shift",
+        "fu.py",
+        "[g + shift for g in self.unpaired],",
+        "list(self.unpaired),",
+        ("tests/test_level_reflection.py::test_every_stored_split_is_the_reduction_of_its_level[0]",),
+    ),
+    Mutant(
+        "glue aliased when only one of the two levels is negative",
+        "invariants.py",
+        "aliased = max(key) < 0 and",
+        "aliased = min(key) < 0 and",
+        ("tests/test_invariants.py::test_levels_drop_their_basis_once_their_glue_is_built",),
+    ),
+    Mutant(
+        "the split of level -s without its positions reflected",
+        "fu.py",
+        "self.pos[::-1],",
+        "self.pos,",
+        ("tests/test_level_reflection.py::test_every_stored_split_is_the_reduction_of_its_level[0]",),
     ),
 )
 

@@ -18,6 +18,11 @@ from knotfloer.linalg import LinearSystem, transpose
 from echelon import ColumnSolver, Echelon, set_bits
 
 
+def _rows(cols: List[int], nrows: int) -> List[int]:
+    """The rows of an nrows-row bitmask matrix: the columns of its transpose."""
+    return transpose([set_bits(col) for col in cols], nrows)[0]
+
+
 class HatSlices:
     """Bigrading slices of the UV = 0 reduction.
 
@@ -113,7 +118,7 @@ class HatSlices:
         bits = rep
         for p in phi:
             bits |= p
-        phi_rows = transpose(phi, bits.bit_length())
+        phi_rows = _rows(phi, bits.bit_length())
         return keys, [(phi_rows[bit], (rep >> bit) & 1) for bit in set_bits(bits)]
 
 
@@ -141,7 +146,7 @@ def omega_feasible(c: BigradedComplex, n: int) -> bool:
     # cycle conditions
     for i in range(-n, n + 1, 2):
         below = slices.slice(-n + i - 1, -n - i - 1)
-        for row in transpose(slices.boundary_cols(zkeys[i], below), len(below)):
+        for row in _rows(slices.boundary_cols(zkeys[i], below), len(below)):
             if row:
                 system.add_equation(row << zstart[i], 0)
     # staircase relations: U z_i + V z_(i-2) must bound
@@ -149,9 +154,9 @@ def omega_feasible(c: BigradedComplex, n: int) -> bool:
         tgt = slices.slice(-n + i - 2, -n - i)
         wkeys = slices.slice(-n + i - 1, -n - i + 1)
         wstart = system.new_vars(len(wkeys)).start
-        brows = transpose(slices.boundary_cols(wkeys, tgt), len(tgt))
-        urows = transpose(slices.shift_cols(zkeys[i], tgt, 1, 0), len(tgt))
-        vrows = transpose(slices.shift_cols(zkeys[i - 2], tgt, 0, 1), len(tgt))
+        brows = _rows(slices.boundary_cols(wkeys, tgt), len(tgt))
+        urows = _rows(slices.shift_cols(zkeys[i], tgt, 1, 0), len(tgt))
+        vrows = _rows(slices.shift_cols(zkeys[i - 2], tgt, 0, 1), len(tgt))
         for b, u, v in zip(brows, urows, vrows):
             mask = (b << wstart) | (u << zstart[i]) | (v << zstart[i - 2])
             if mask:

@@ -10,7 +10,7 @@ from knotfloer.complexes import BigradedComplex, Generator
 from knotfloer.errors import ConsistencyError, ValidationError
 from knotfloer.expressions import parse_knot_expr
 from knotfloer.fileio import load_complex
-from knotfloer.fu import tower_reduce
+from knotfloer.fu import FUComplex, tower_reduce
 from knotfloer.involutive import realize_expr, realize_with_iota
 from knotfloer.linalg import iter_bits
 from knotfloer.invariants import (
@@ -535,16 +535,29 @@ def test_invalid_complex_is_rejected_once_naming_the_entry(monkeypatch, capsys):
 
 
 def _check_glue_and_dropped_bases(c):
-    """The table's glue is pi_t iota_s of full reductions into the odd blocks of its cones, whose levels but 0 drop their basis."""
+    """The table's glue is pi_t iota_s of full reductions into the odd blocks of its cones, whose levels but 0 drop their basis.
+
+    Each full reduction is `tower_reduce` of the level with that split's
+    own tie order, read off the split of a fresh copy of c, which no cone
+    has dropped: a negative level of a reversal-symmetric complex breaks
+    ties in the reflected label order (`invariants._reflected`).
+    """
     compute_invariant_table(c)
     splits, glue = c._splits, c._glue
     cones = [[s + n - k for k in range(2 * n + 1)] for s, n in c._levels if n > 0]
     pairs = {(levels[a], levels[b]) for levels in cones for b in range(1, len(levels), 2) for a in (b - 1, b + 1)}
     assert set(glue) == pairs
     odd = {t for _source, t in pairs}
-    full = {s: tower_reduce(a_level_complex(c, s)) for s in splits}
+    fresh = BigradedComplex(c.labels, c.grw, c.grz, c.cols)
+    full = {}
+    for s in splits:
+        ties = invariants.level_split(fresh, s).fu.ties
+        full[s] = tower_reduce(FUComplex(a_level_complex(c, s).gradings, c.cols, ties=ties))
     for s, t in pairs:
         assert glue[s, t] == [full[t].project(v) for v in full[s].inc], (s, t)
+    # Between two negative levels of a reversal-symmetric complex, the glue is its twin's.
+    aliased = [(s, t) for s, t in pairs if max(s, t) < 0]
+    assert all((glue[s, t] is glue[-s, -t]) == c.reversal_symmetric for s, t in aliased)
     for s, split in splits.items():
         assert split.inc == full[s].inc and split.reps == full[s].reps
         model, again = split.model, full[s].model
@@ -581,10 +594,13 @@ def test_the_table_holds_few_level_bases_at_each_reduction(monkeypatch):
     # The Y ladder runs first, so the V ladder reads levels that a cone split and, but for
     # level 0 and the ladder's two ends, dropped: J holds at most 3 bases at a reduction.
     # Climbing the V ladder first split levels outside any cone, and held 7 at J's peak.
+    # Levels s and -s of a reversal-symmetric complex share one basis list, which is
+    # freed when both drop it, so the distinct lists are counted.
     real, under, held = invariants.tower_reduce, [], []
 
     def counting(fu):
-        held.append(sum(split.vectors is not None for split in under[-1].__dict__.get("_splits", {}).values()))
+        splits = under[-1].__dict__.get("_splits", {}).values()
+        held.append(len({id(split.vectors) for split in splits if split.vectors is not None}))
         return real(fu)
 
     monkeypatch.setattr(invariants, "tower_reduce", counting)
