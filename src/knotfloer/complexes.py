@@ -207,7 +207,8 @@ class BigradedComplex:
         lists of d and kept as the dual's, so no bit of either is walked.
         """
         cols, targets = transpose(self.d.targets, len(self))
-        dual = BigradedComplex([name + "*" for name in self.labels], [-w for w in self.grw], [-z for z in self.grz], cols)
+        labels = [name + "*" for name in self.labels]
+        dual = BigradedComplex(labels, [-w for w in self.grw], [-z for z in self.grz], cols)
         dual.d.targets = targets
         return dual
 

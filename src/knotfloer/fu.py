@@ -200,7 +200,7 @@ class Reduction:
         self.__dict__.pop("_coord", None)
 
     def reflected(self, fu: FUComplex, shift: int) -> "Reduction":
-        """The split of fu, when fu is the split complex under i -> n - 1 - i, ties included, with gradings raised by shift.
+        """The split of fu, when fu is this split's complex under i -> n - 1 - i, ties too, raised by shift.
 
         Then fu has the same columns at the same positions, so
         `tower_reduce(fu)` finds the same pairs, basis vectors and model
