@@ -33,15 +33,16 @@ checked:
   `illegal_terms` and `verify_chain_map` over the map's target lists
   (`ChainMap.illegal_entries`).
 
-`ChainMap.targets` walks the bits of a map's columns through
-`linalg.iter_bits`, the one walk over a mask's bits: it lists each
-column's target indices once, and the d^2 check, the d f = f d check
-(`chain_violation`) and the file writer all read those lists,
-and so do the homogeneity rule and `reduce_complex`.
-The file reader stores the lists it has read, from a file of either
-format, as the `targets` of the differential and of iota, so the bits of
-a loaded complex are never walked; `dual` and `involutive.mirror_iota`
-keep the transposed lists the same way.
+`BigradedComplex.targets` lists the targets of each generator's d, and
+`ChainMap.targets` those of any other map: each walks a column's bits
+once, through `linalg.iter_bits`, the one walk over a mask's bits. The
+d^2 check, the d f = f d check (`chain_violation`), the file writer,
+the homogeneity rule, the levels and `reduce_complex` read those lists.
+The file reader keeps the lists it has read, from a file of either
+format, as the `targets` of the complex and of iota, so the bits of a
+loaded complex are never walked; `dual` and `involutive.mirror_iota`
+keep the transposed lists the same way. `d` is a view built on each
+read, so a complex keeps nothing that points back at it.
 """
 
 from __future__ import annotations
@@ -102,6 +103,11 @@ class BigradedComplex:
         return tuple((w - z) // 2 for w, z in zip(self.grw, self.grz))
 
     @functools.cached_property
+    def targets(self) -> Tuple[List[int], ...]:
+        """Per generator, the targets of its d, ascending: walked once (`iter_bits`), or kept from a file or `dual`."""
+        return tuple(map(iter_bits, self.cols))
+
+    @property
     def d(self) -> "Differential":
         return Differential(self)
 
@@ -125,13 +131,13 @@ class BigradedComplex:
         of d it matches, carry the implied exponents with U and V traded.
         It holds on every torus-sum complex the program builds or saves
         (the staircase reflection, kept by tensor products and duals) and
-        on HW. Checked in C-level passes over `d.targets`: the list lengths
+        on HW. Checked in C-level passes over `targets`: the list lengths
         read the same backwards, and then the flattened lists equal their
         own reversal mapped through sigma.
         """
         if self.grw != self.grz[::-1]:
             return False
-        targets = self.d.targets
+        targets = self.targets
         lengths = list(map(len, targets))
         if lengths != lengths[::-1]:
             return False
@@ -158,7 +164,7 @@ class BigradedComplex:
             if (w - z) % 2
         ]
         out.extend(self.illegal_terms)
-        for i, targets in enumerate(self.d.targets):
+        for i, targets in enumerate(self.targets):
             square = 0
             for j in targets:
                 square ^= cols[j]
@@ -206,10 +212,10 @@ class BigradedComplex:
         the complex of the knot. The transpose is read off the target
         lists of d and kept as the dual's, so no bit of either is walked.
         """
-        cols, targets = transpose(self.d.targets, len(self))
+        cols, targets = transpose(self.targets, len(self))
         labels = [name + "*" for name in self.labels]
         dual = BigradedComplex(labels, [-w for w in self.grw], [-z for z in self.grz], cols)
-        dual.d.targets = targets
+        dual.targets = targets
         return dual
 
     def relabel(self, mapping) -> "BigradedComplex":
@@ -292,10 +298,11 @@ class ChainMap:
 
 
 class Differential(ChainMap):
-    """The differential of a complex, as a map of bidegree (-1, -1)."""
+    """The differential of a complex, as a map of bidegree (-1, -1): a view over the complex's target lists."""
 
     def __init__(self, c: BigradedComplex):
         super().__init__(c, c, c.cols, (-1, -1))
+        self.targets = c.targets
 
     def problem(self, i, j, u=None, v=None) -> str:
         c = self.source
@@ -338,7 +345,7 @@ def chain_violation(f: ChainMap) -> Optional[str]:
     over the target lists of f and of the source's d.
     """
     fcols, dtgt = f.cols, f.target.cols
-    for i, (ftargets, dtargets) in enumerate(zip(f.targets, f.source.d.targets)):
+    for i, (ftargets, dtargets) in enumerate(zip(f.targets, f.source.targets)):
         acc = 0
         for j in ftargets:
             acc ^= dtgt[j]
@@ -409,11 +416,11 @@ def reduce_complex(c: BigradedComplex, mode: str) -> FUComplex:
     drop, keep = (c.grw, c.grz) if mode == "U0" else (c.grz, c.grw)
     # An explicit loop: on Python 3.11 it filters faster than a comprehension per list.
     targets = []
-    for row, g in zip(c.d.targets, drop):
+    for row, g in zip(c.targets, drop):
         g -= 1
         kept = []
         for j in row:
             if drop[j] == g:
                 kept.append(j)
         targets.append(kept)
-    return FUComplex(keep, degrees=drop, ties=c.label_order, targets=targets)
+    return FUComplex(keep, targets, degrees=drop, ties=c.label_order)

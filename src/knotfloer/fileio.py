@@ -13,11 +13,11 @@ U^u V^v y in d(x) has 2u = grw(y) - grw(x) + 1 and
 each list, the exact type of each element (a bool or a float is not an
 integer), the index ranges, repeated targets and repeated ids, and names
 the first fault by path, field and generator. It sorts each target list in
-place and keeps the lists as the `targets` of the differential and of
-iota (`ChainMap.targets`), so no later check walks the bits of the
-columns. Then `require_valid` checks the complex and `verify_chain_map`
-checks iota, both over those lists, by the one homogeneity rule of
-`ChainMap.illegal_entries`. Any other `format` value is an error.
+place and keeps the lists as the `targets` of the complex and of iota
+(`BigradedComplex.targets`, `ChainMap.targets`), so no later check
+walks the bits of the columns. Then `require_valid` checks the complex
+and `verify_chain_map` checks iota, both over those lists, by the one
+homogeneity rule of `ChainMap.illegal_entries`. Any other `format` value is an error.
 
 Format 1 is every file without a `format` field. It is still read,
 never written. `generators` is a list of {id, grw, grz} and
@@ -35,9 +35,9 @@ of either format.
 
 Saving writes exactly the bytes of `json.dumps(obj, sort_keys=True)`
 plus a newline: one line, ASCII with `\\u` escapes, and the target lists
-of `ChainMap.targets`, in ascending index order, so save(load(f)) is
-byte-stable even when the file's lists are not sorted. Without
-`indent`, `json` runs its C encoder.
+of `BigradedComplex.targets` and `ChainMap.targets`, in ascending index
+order, so save(load(f)) is byte-stable even when the file's lists are
+not sorted. Without `indent`, `json` runs its C encoder.
 """
 
 from __future__ import annotations
@@ -209,7 +209,7 @@ def _file_complex(data: dict, columnar: bool) -> BigradedComplex:
         raw = _entry_targets(data.get("differential", []), "differential", shape.d)
     cols, targets = _read_targets(raw, "differential", labels)
     complex_ = BigradedComplex(labels, grw, grz, cols)
-    complex_.d.targets = targets
+    complex_.targets = targets
     return complex_
 
 
@@ -279,7 +279,7 @@ def save_complex(
         "id": complex_.labels,
         "grw": complex_.grw,
         "grz": complex_.grz,
-        "differential": complex_.d.targets,
+        "differential": complex_.targets,
     }
     if iota is not None:
         data["iota"] = iota.targets

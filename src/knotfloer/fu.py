@@ -4,10 +4,10 @@ A `FUComplex` is a finitely generated free graded GF(2)[T]-module
 (T homogeneous of degree -2) with a differential dropping the grading
 by one. Homogeneity pins the T-power of every matrix entry: an entry
 from basis element j into basis element i must be T^k with
-k = (r_i - r_j + 1) / 2, so the differential is stored as one bitmask
-of row indices per column and all T-powers are implied: gradings and
-columns, no labels. A `FUComplex` is a plain value and checks nothing:
-every one the program builds is valid by construction (see
+k = (r_i - r_j + 1) / 2, so the differential is stored as one list of
+row indices per column and all T-powers are implied: gradings and
+target lists, no labels. A `FUComplex` is a plain value and checks
+nothing: every one the program builds is valid by construction (see
 `a_level_complex`, `reduce_complex`, the minimal model of a `Reduction`,
 and `cone`).
 
@@ -26,8 +26,8 @@ order from its target list (`FUComplex.targets`), only when the
 reduction reaches it, with no walk over its bits: on a full-size level
 that move, not the XORs, takes the time (as in Bauer, Kerber,
 Reininghaus and Wagner, Phat, 2017). A level shares its complex's lists
-(`ChainMap.targets`), a quotient keeps those it filters, and a model or
-a cone walks its small masks once.
+(`BigradedComplex.targets`), a quotient keeps those it filters, and a
+model or a cone builds its own.
 Unpaired basis elements are the free homology generators; their
 gradings give the tower tops. The same loop gives a basis in which the
 complex splits into towers and pairs. The `Reduction` keeps it and
@@ -72,37 +72,31 @@ from .linalg import image, iter_bits
 
 
 class FUComplex:
-    """Free graded GF(2)[T]-complex with implied-power differential: gradings and columns.
+    """Free graded GF(2)[T]-complex with implied-power differential: gradings and target lists.
 
+    targets[j] lists the row indices of column j, in any order; they are
+    the one stored form of the differential, which `tower_reduce` reads.
     degrees, when given, is a homological degree per basis element that d
     lowers by exactly one, as the dropped grading of a one-variable
     quotient is (`complexes.reduce_complex`); `tower_reduce` clears by it.
     ties, when given, lists the indices in the order that breaks grading ties.
-    targets lists the row indices of each column, which `tower_reduce`
-    reads. A builder gives the columns, the lists or both, and the other
-    form is built when first read: a model or a cone walks each column's
-    bits once (`iter_bits`), and only a test reads the columns of a
-    quotient, which `complexes.reduce_complex` builds as lists.
     """
 
     def __init__(
         self,
         gradings: Sequence[int],
-        cols: Optional[Sequence[int]] = None,
+        targets: Sequence[Sequence[int]],
         degrees: Optional[Sequence[int]] = None,
         ties: Optional[Sequence[int]] = None,
-        targets: Optional[Sequence[Sequence[int]]] = None,
     ):
         self.gradings: Tuple[int, ...] = tuple(gradings)
-        if cols is not None:
-            self.cols = tuple(cols)
+        self.targets = targets
         self.degrees: Optional[Tuple[int, ...]] = None if degrees is None else tuple(degrees)
         self.ties = ties
-        if targets is not None:
-            self.targets = targets
 
-    @functools.cached_property
+    @property
     def cols(self) -> Tuple[int, ...]:
+        """The columns as bitmasks of row indices, built from the lists on each read; the program reads none."""
         out = []
         for row in self.targets:
             col = 0
@@ -110,10 +104,6 @@ class FUComplex:
                 col |= 1 << j
             out.append(col)
         return tuple(out)
-
-    @functools.cached_property
-    def targets(self) -> Sequence[Sequence[int]]:
-        return tuple(map(iter_bits, self.cols))
 
     def __len__(self) -> int:
         return len(self.gradings)
@@ -261,11 +251,11 @@ class Reduction:
     @functools.cached_property
     def model(self) -> FUComplex:
         gradings, order, kept, coord = self.fu.gradings, self.order, self._kept, self._coord
-        cols = [0] * len(kept)
+        targets = [[] for _ in kept]
         for row, col in self.pairs.items():
             if coord[row] >= 0:
-                cols[coord[col]] = 1 << coord[row]
-        return FUComplex([gradings[order[p]] for p in kept], cols)
+                targets[coord[col]].append(coord[row])
+        return FUComplex([gradings[order[p]] for p in kept], targets)
 
     @functools.cached_property
     def inc(self) -> List[int]:
@@ -351,14 +341,17 @@ def cone(
     """(complex, block offsets then size) of (block, grading shift) pairs side by side, ties by index.
 
     An arrow (a, b, masks) adds masks[m], a mask of block b, to the column
-    of generator m of block a.
+    of generator m of block a, appended to its list: a sum, since no
+    target is listed twice when a != b and each (a, b) pair occurs once,
+    as in both callers (a Y_n cone and the involutive cone).
     """
-    offsets, gradings, cols = [0], [], []
+    offsets, gradings, targets = [0], [], []
     for fu, shift in blocks:
+        offset = offsets[-1]
         gradings.extend(r + shift for r in fu.gradings)
-        cols.extend(col << offsets[-1] for col in fu.cols)
-        offsets.append(len(cols))
+        targets.extend([j + offset for j in row] for row in fu.targets)
+        offsets.append(len(targets))
     for a, b, masks in arrows:
         for m, mask in enumerate(masks):
-            cols[offsets[a] + m] ^= mask << offsets[b]
-    return FUComplex(gradings, cols), offsets
+            targets[offsets[a] + m].extend(j + offsets[b] for j in iter_bits(mask))
+    return FUComplex(gradings, targets), offsets

@@ -69,8 +69,8 @@ def a_level_complex(c: BigradedComplex, s: int) -> FUComplex:
     Basis element for generator x: U^(A-s) x when A(x) >= s, else
     V^(s-A) x, graded by the grw of that monomial. Every entry x -> y of d
     is T^k times the basis element of y, with k = (g(y) - g(x) + 1) / 2
-    implied by the level gradings g, so a level shares C's own columns,
-    and its `label_order` as ties. Rejects complexes without rank-one
+    implied by the level gradings g, so a level shares C's own target
+    lists (`BigradedComplex.targets`), and its `label_order` as ties. Rejects complexes without rank-one
     localized towers.
 
     Every k is a natural number, so a level is not checked itself. Take
@@ -84,7 +84,7 @@ def a_level_complex(c: BigradedComplex, s: int) -> FUComplex:
     if not is_knotlike(c):
         raise ValidationError("complex is not knot-like (localized tower rank != 1)")
     gradings = [w - 2 * (a - s) if a > s else w for w, a in zip(c.grw, c.alexander)]
-    return FUComplex(gradings, c.cols, ties=c.label_order, targets=c.d.targets)
+    return FUComplex(gradings, c.targets, ties=c.label_order)
 
 
 def level_split(c: BigradedComplex, s: int) -> Reduction:
@@ -122,11 +122,11 @@ def _reflected(c: BigradedComplex, split: Reduction, s: int) -> Reduction:
     """
     level, last = a_level_complex(c, -s), len(c) - 1
     ties = [last - i for i in c.label_order]
-    return split.reflected(FUComplex(level.gradings, level.cols, ties=ties, targets=level.targets), -2 * s)
+    return split.reflected(FUComplex(level.gradings, level.targets, ties=ties), -2 * s)
 
 
 def release(c: BigradedComplex) -> None:
-    """Drop the memos this module keeps on c (quotients, splits, glue, level visits); a later read rebuilds them."""
+    """Drop c's memos (quotients, splits, glue, visits), rebuilt on a later read; c is freed at its last reference."""
     for key in ("_quotients", "_splits", "_glue", "_levels"):
         c.__dict__.pop(key, None)
 

@@ -5,7 +5,7 @@ import pytest
 from knotfloer.builders import torus_knot_complex
 from knotfloer.complexes import BigradedComplex, SkewMap
 from knotfloer.fu import FUComplex
-from knotfloer.linalg import image
+from knotfloer.linalg import image, iter_bits
 
 from echelon import ColumnSolver
 from oracle_homogeneity import fu_validate_messages
@@ -64,7 +64,7 @@ def random_fu_complex(rng: random.Random, max_size: int = 8) -> FUComplex:
                     rest ^= low
                 cols[j] = mask
         assigned.append(j)
-    fu = FUComplex(tuple(gradings), tuple(cols))
+    fu = FUComplex(tuple(gradings), list(map(iter_bits, cols)))
     assert not fu_validate_messages(fu)
     return fu
 

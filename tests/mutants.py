@@ -56,15 +56,15 @@ MUTANTS = (
     Mutant(
         "fu.cone adds an arrow at the source block's offset",
         "fu.py",
-        "cols[offsets[a] + m] ^= mask << offsets[b]",
-        "cols[offsets[a] + m] ^= mask << offsets[a]",
+        "targets[offsets[a] + m].extend(j + offsets[b] for j in iter_bits(mask))",
+        "targets[offsets[a] + m].extend(j + offsets[a] for j in iter_bits(mask))",
         ("tests/test_acceptance.py::test_criterion_1_example_knot",),
     ),
     Mutant(
         "level complexes without the label tie order",
         "invariants.py",
-        "return FUComplex(gradings, c.cols, ties=c.label_order, targets=c.d.targets)",
-        "return FUComplex(gradings, c.cols, targets=c.d.targets)",
+        "return FUComplex(gradings, c.targets, ties=c.label_order)",
+        "return FUComplex(gradings, c.targets)",
         ("tests/test_digests.py::test_corpus_report_digest[J]",),
     ),
     Mutant(
@@ -210,6 +210,22 @@ MUTANTS = (
         "self.pos[::-1],",
         "self.pos,",
         ("tests/test_level_reflection.py::test_every_stored_split_is_the_reduction_of_its_level[0]",),
+    ),
+    # A cached differential points back at its complex, so the complex outlives its
+    # last reference until the cyclic collector runs.
+    Mutant(
+        "the differential cached on its complex",
+        "complexes.py",
+        '    @property\n    def d(self) -> "Differential":',
+        '    @functools.cached_property\n    def d(self) -> "Differential":',
+        ("tests/test_invariants.py::test_a_released_complex_is_freed_at_del[hw.cfk]",),
+    ),
+    Mutant(
+        "a model lists each kept pair's entry transposed",
+        "fu.py",
+        "targets[coord[col]].append(coord[row])",
+        "targets[coord[row]].append(coord[col])",
+        ("tests/test_fu.py::test_split_matches_smith_form_on_random_complexes",),
     ),
 )
 

@@ -17,7 +17,7 @@ from knotfloer.complexes import BigradedComplex, SkewMap, verify_chain_map
 from knotfloer.errors import ValidationError
 from knotfloer.fu import FUComplex
 from knotfloer.invariants import level_split
-from knotfloer.linalg import image
+from knotfloer.linalg import image, iter_bits
 
 
 def model_cone(c: BigradedComplex, s: int, n: int) -> Tuple[FUComplex, List[int]]:
@@ -37,7 +37,7 @@ def model_cone(c: BigradedComplex, s: int, n: int) -> Tuple[FUComplex, List[int]
                 base, shift = offsets[k], offsets[b]
                 for m, col in enumerate(glue[s + n - k, s + n - b]):
                     cols[base + m] |= col << shift
-    return FUComplex(gradings, cols), offsets
+    return FUComplex(gradings, list(map(iter_bits, cols))), offsets
 
 
 def involutive_cone(c: BigradedComplex, iota: SkewMap) -> FUComplex:
@@ -50,4 +50,4 @@ def involutive_cone(c: BigradedComplex, iota: SkewMap) -> FUComplex:
     one_plus = [split.project(image(iota.cols, inc)) ^ (1 << m) for m, inc in enumerate(split.inc)]
     cols = [col | (op << n) for col, op in zip(model.cols, one_plus)]
     cols += [col << n for col in model.cols]
-    return FUComplex(model.gradings + tuple(r - 1 for r in model.gradings), cols)
+    return FUComplex(model.gradings + tuple(r - 1 for r in model.gradings), list(map(iter_bits, cols)))

@@ -94,5 +94,6 @@ def fu_validate_messages(fu: FUComplex) -> List[str]:
         f"entry #{j} -> #{i}: grading gap {r[j]} -> {r[i]} admits no T-power"
         for j, i in fu_illegal_entries(fu)
     ]
-    out += [f"d^2 != 0 on basis element #{j}" for j, col in enumerate(fu.cols) if _square(fu.cols, col)]
+    cols = fu.cols
+    out += [f"d^2 != 0 on basis element #{j}" for j, col in enumerate(cols) if _square(cols, col)]
     return out

@@ -24,6 +24,7 @@ from typing import List, Tuple
 from knotfloer.errors import ConsistencyError, ValidationError
 from knotfloer.fu import FUComplex, tower_reduce
 from knotfloer.invariants import a_level_complex
+from knotfloer.linalg import iter_bits
 
 from echelon import ColumnSolver, Echelon, set_bits
 
@@ -50,11 +51,11 @@ def slice_basis(fu: FUComplex, rho: int) -> List[Tuple[int, int]]:
 
 def boundary_columns(fu: FUComplex, src_slice, tgt_slice) -> List[int]:
     """Boundary matrix between adjacent slices, columns as bitmasks."""
-    pos = {pair: n for n, pair in enumerate(tgt_slice)}
+    pos, fu_cols = {pair: n for n, pair in enumerate(tgt_slice)}, fu.cols
     cols = []
     for i, k in src_slice:
         mask = 0
-        for m in set_bits(fu.cols[i]):
+        for m in set_bits(fu_cols[i]):
             mask |= 1 << pos[(m, k + power(fu, m, i))]
         cols.append(mask)
     return cols
@@ -100,7 +101,7 @@ def level_cone(level_fu: FUComplex, one_plus) -> FUComplex:
     gradings = list(level_fu.gradings) + [r - 1 for r in level_fu.gradings]
     cols = [col | (op << n) for col, op in zip(level_fu.cols, one_plus)]
     cols += [col << n for col in level_fu.cols]
-    return FUComplex(gradings, cols)
+    return FUComplex(gradings, list(map(iter_bits, cols)))
 
 
 def oracle_d_pair(c, iota) -> Tuple[int, int]:

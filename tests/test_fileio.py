@@ -37,7 +37,7 @@ def test_differential_is_cached_with_final_columns():
     hw = named_complex("HW")
     loaded, _ = load_complex(os.path.join(DATA, "hw.cfk"))
     for c in (from_terms(hw.gens, terms(hw)), loaded):
-        assert c.d is c.d
+        assert c.targets is c.targets
         assert c.d.cols == c.cols == hw.cols
 
 

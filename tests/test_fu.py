@@ -76,9 +76,9 @@ def is_homogeneous_cycle(fu, rep, grading) -> bool:
     """rep is a cycle of fu, and each term sits in the given grading."""
     if any(fu.gradings[i] - 2 * k != grading for i, k in rep):
         return False
-    acc = {}
+    acc, cols = {}, fu.cols
     for i, k in rep:
-        rest = fu.cols[i]
+        rest = cols[i]
         while rest:
             low = rest & -rest
             m = low.bit_length() - 1
@@ -176,12 +176,12 @@ def test_degree_order_reduces_quotients_as_position_order():
         for mode, drop in (("U0", c.grw), ("V0", c.grz)):
             fu = reduce_complex(c, mode)
             assert fu.degrees == drop
-            by_position = FUComplex(fu.gradings, fu.cols, ties=fu.ties)
+            by_position = FUComplex(fu.gradings, fu.targets, ties=fu.ties)
             assert _as_reduced(tower_reduce(fu)) == _as_reduced(tower_reduce(by_position)), (c.labels[:3], mode)
 
 
 def test_rank_errors():
-    two_towers = FUComplex((0, 0), (0, 0))
+    two_towers = FUComplex((0, 0), ([], []))
     with pytest.raises(ValidationError):
         tower_reduce(two_towers).top_grading()
 

@@ -1,5 +1,7 @@
+import gc
 import os
 import random
+import weakref
 from collections import Counter
 
 import pytest
@@ -22,6 +24,7 @@ from knotfloer.invariants import (
     nu_plus,
     omega_hat,
     omega_plus,
+    release,
     require_knot_complex,
     tau_invariant,
     v_invariant,
@@ -552,7 +555,7 @@ def _check_glue_and_dropped_bases(c):
     full = {}
     for s in splits:
         ties = invariants.level_split(fresh, s).fu.ties
-        full[s] = tower_reduce(FUComplex(a_level_complex(c, s).gradings, c.cols, ties=ties))
+        full[s] = tower_reduce(FUComplex(a_level_complex(c, s).gradings, list(map(iter_bits, c.cols)), ties=ties))
     for s, t in pairs:
         assert glue[s, t] == [full[t].project(v) for v in full[s].inc], (s, t)
     # Between two negative levels of a reversal-symmetric complex, the glue is its twin's.
@@ -578,6 +581,31 @@ def test_levels_that_drop_their_basis_drop_their_complex():
         for s, split in c.__dict__["_splits"].items():
             assert (split.fu is None) == (split.vectors is None), s
     assert any(split.fu is None for split in j.__dict__["_splits"].values())
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: realize_expr(parse_knot_expr("T(2,11)#T(4,7)#-T(5,6)")),
+        lambda: load_complex(HW_FILE)[0],
+        lambda: realize_expr(parse_knot_expr("T(2,3)#T(4,7)#-T(5,6)")).dual(),
+    ],
+    ids=["J", "hw.cfk", "dual of K"],
+)
+def test_a_released_complex_is_freed_at_del(build):
+    # With the cyclic collector off, a complex outlives its last reference only when
+    # something it keeps points back at it, as a cached differential did.
+    gc.disable()
+    try:
+        c = build()
+        c.targets, c.d.targets
+        compute_invariant_table(c)
+        release(c)
+        ref = weakref.ref(c)
+        del c
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_levels_drop_their_basis_once_their_glue_is_built():

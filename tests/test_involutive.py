@@ -280,9 +280,9 @@ def test_cone_has_two_towers():
 
 
 def test_pair_needs_towers_of_both_parities():
-    assert involutive_d_pair(FUComplex((0, -3), (0, 0))) == (-2, 0)
+    assert involutive_d_pair(FUComplex((0, -3), ([], []))) == (-2, 0)
     with pytest.raises(ConsistencyError):
-        involutive_d_pair(FUComplex((0, 2), (0, 0)))
+        involutive_d_pair(FUComplex((0, 2), ([], [])))
 
 
 def test_acceptance_pin_doubled_trefoil():

@@ -21,7 +21,7 @@ from knotfloer.expressions import parse_knot_expr
 from knotfloer.fu import FUComplex, tower_reduce
 from knotfloer.invariants import a_level_complex, omega_plus, y_invariant
 from knotfloer.involutive import realize_expr, realize_with_iota
-from knotfloer.linalg import spread
+from knotfloer.linalg import iter_bits, spread
 
 
 def block_level(c, s, n):
@@ -45,7 +45,7 @@ def block_level(c, s, n):
     for j, col in enumerate(c.cols):
         left, base = spread(col, m), j * m
         cols.extend((left << k) ^ (glue[k] << base) for k in blocks)
-    return FUComplex(gradings, cols)
+    return FUComplex(gradings, list(map(iter_bits, cols)))
 
 
 def tensor_y(c, n):
