@@ -189,17 +189,23 @@ class Reduction:
         self.__dict__.pop("_kept", None)
         self.__dict__.pop("_coord", None)
 
-    def reflected(self, fu: FUComplex, shift: int) -> "Reduction":
-        """The split of fu, when fu is this split's complex under i -> n - 1 - i, ties too, raised by shift.
+    def reflected(self, shift: int) -> "Reduction":
+        """The split of `fu` under sigma: i -> n - 1 - i, ties too, raised by shift.
 
-        Then fu has the same columns at the same positions, so
-        `tower_reduce(fu)` finds the same pairs, basis vectors and model
-        positions, which the two splits share, at the reflected indices,
-        with every tower raised by shift.
+        Precondition: sigma maps fu's target lists onto themselves, as it
+        does on a level of a reversal-symmetric complex, whose lists are
+        the complex's. Then the reflected complex has the same columns at
+        the same positions, so `tower_reduce` of it finds the same pairs,
+        basis vectors and model positions, which the two splits share, at
+        the reflected indices, with every tower raised by shift.
         """
-        n = len(self.order)
+        fu = self.fu
+        n = len(fu)
+        reflected = FUComplex(
+            [g + shift for g in reversed(fu.gradings)], fu.targets, ties=[n - 1 - i for i in fu.ties]
+        )
         out = Reduction(
-            fu,
+            reflected,
             [g + shift for g in self.unpaired],
             [n - 1 - i for i in self.indices],
             [[(n - 1 - q, k) for q, k in reversed(rep)] for rep in self.reps],
@@ -335,10 +341,8 @@ def transfer(source: Reduction, target: Reduction, cols: Optional[Sequence[int]]
     return [target.project(inc if cols is None else image(cols, inc)) for inc in source.inc]
 
 
-def cone(
-    blocks: Sequence[Tuple[FUComplex, int]], arrows: Sequence[Tuple[int, int, Sequence[int]]]
-) -> Tuple[FUComplex, List[int]]:
-    """(complex, block offsets then size) of (block, grading shift) pairs side by side, ties by index.
+def cone(blocks: Sequence[Tuple[FUComplex, int]], arrows: Sequence[Tuple[int, int, Sequence[int]]]) -> FUComplex:
+    """The complex of (block, grading shift) pairs side by side, ties by index.
 
     An arrow (a, b, masks) adds masks[m], a mask of block b, to the column
     of generator m of block a, appended to its list: a sum, since no
@@ -354,4 +358,4 @@ def cone(
     for a, b, masks in arrows:
         for m, mask in enumerate(masks):
             targets[offsets[a] + m].extend(j + offsets[b] for j in iter_bits(mask))
-    return FUComplex(gradings, targets), offsets
+    return FUComplex(gradings, targets)

@@ -41,11 +41,11 @@ The same reversal sigma halves the level splits. It swaps grw with grz
 and so negates A: level -s is level s under sigma with every grading
 lowered by 2s. So when sigma is a skew chain automorphism of c, the
 split of level s > 0 also gives that of -s, with the same pairs and
-basis at reflected indices and its towers lowered by 2s (`_reflected`),
-and a negative level is never reduced. The glue between two negative
-levels is their positive twins' (`_cone`). Level 0, and every level of
-any other complex, is reduced directly; that route is the oracle the
-tests hold the sigma route to.
+basis at reflected indices and its towers lowered by 2s
+(`Reduction.reflected`), and a negative level is never built or
+reduced. The glue between two negative levels is their positive twins'
+(`_cone`). Level 0, and every level of any other complex, is reduced
+directly; that route is the oracle the tests hold the sigma route to.
 """
 
 from __future__ import annotations
@@ -96,8 +96,8 @@ def level_split(c: BigradedComplex, s: int) -> Reduction:
     level 0, by the involution (`involutive.ai0_cone`).
 
     When c is reversal-symmetric, level -s is stored with level s > 0
-    (`_reflected`) and never reduced; level 0, and every level of any
-    other complex, is reduced directly.
+    (`Reduction.reflected`) and never built; level 0, and every level of
+    any other complex, is reduced directly.
     """
     memo = c.__dict__.setdefault("_splits", {})
     if s not in memo:
@@ -106,23 +106,8 @@ def level_split(c: BigradedComplex, s: int) -> Reduction:
         else:
             memo[s] = tower_reduce(a_level_complex(c, s))
             if s > 0 and c.reversal_symmetric:
-                memo[-s] = _reflected(c, memo[s], s)
+                memo[-s] = memo[s].reflected(-2 * s)
     return memo[s]
-
-
-def _reflected(c: BigradedComplex, split: Reduction, s: int) -> Reduction:
-    """The split of level -s of a reversal-symmetric c, read off the split of level s through sigma.
-
-    sigma: i -> n - 1 - i swaps grw with grz, so it negates A, and a
-    level's grading min(grw, grz + 2s) becomes min(grz, grw - 2s) = that
-    of level s lowered by 2s. It maps each target list of d onto that of
-    its image. So level -s is level s under sigma with every grading
-    lowered by 2s. With ties broken in the reflected label order, its
-    split is read off that of s by `Reduction.reflected`.
-    """
-    level, last = a_level_complex(c, -s), len(c) - 1
-    ties = [last - i for i in c.label_order]
-    return split.reflected(FUComplex(level.gradings, level.targets, ties=ties), -2 * s)
 
 
 def release(c: BigradedComplex) -> None:
@@ -131,8 +116,8 @@ def release(c: BigradedComplex) -> None:
         c.__dict__.pop(key, None)
 
 
-def _cone(c: BigradedComplex, s: int, n: int) -> Tuple[FUComplex, List[int]]:
-    """A model of level s of C tensor St*_n, and where its blocks start (then its size).
+def _cone(c: BigradedComplex, s: int, n: int) -> FUComplex:
+    """A model of level s of C tensor St*_n.
 
     x(k - n) sits at bigrading (k, 2n - k), so block k = 0..2n of the level
     is A_(s+n-k)(C) raised by k, and generator k of St*_n maps by V to k - 1
@@ -150,9 +135,9 @@ def _cone(c: BigradedComplex, s: int, n: int) -> Tuple[FUComplex, List[int]]:
 
     On a reversal-symmetric c the glue between two negative levels is
     that of their positive twins, when a cone built it: the two splits
-    are the twins' at reflected indices (`_reflected`), so both models
-    have the same generators, and pi_t iota_s reads the same positions.
-    At s = 0 the twins are the mirror blocks, which come first.
+    are the twins' at reflected indices (`Reduction.reflected`), so both
+    models have the same generators, and pi_t iota_s reads the same
+    positions. At s = 0 the twins are the mirror blocks, which come first.
     """
     levels = [s + n - k for k in range(2 * n + 1)]
     glue, splits = c.__dict__.setdefault("_glue", {}), [level_split(c, levels[0])]
@@ -272,15 +257,15 @@ def _level(c: BigradedComplex, s: int, n: int) -> Tuple[int, Optional[FrozenSet[
     memo = c.__dict__.setdefault("_levels", {})
     if (s, n) not in memo:
         # The cone first, so a complex that is not knot-like fails the level's own check, not tau's.
-        cone, offsets = _cone(c, s, n)
+        cone = _cone(c, s, n)
         nus, omegas = _candidates(c)
         split = tower_reduce(cone)
         tested = (n == 0 and s in nus) or (s == 0 and n in omegas)
-        memo[s, n] = split.top_grading(), _hat_ends(c, split, offsets, s, n) if tested else None
+        memo[s, n] = split.top_grading(), _hat_ends(c, split, s, n) if tested else None
     return memo[s, n]
 
 
-def _hat_ends(c: BigradedComplex, split: Reduction, offsets: List[int], s: int, n: int) -> FrozenSet[Tuple[int, int]]:
+def _hat_ends(c: BigradedComplex, split: Reduction, s: int, n: int) -> FrozenSet[Tuple[int, int]]:
     """End parities (v1, u1) of a basis of grading-g hat homology of a model cone (`_cone`), given its split.
 
     The hat complex is the T^0 entries, g the grw of the U = 0 tower
@@ -322,7 +307,9 @@ def _hat_ends(c: BigradedComplex, split: Reduction, offsets: List[int], s: int, 
     first, last = level_split(c, s + n), level_split(c, s - n)
     v1_probe = phi_u & flag_mask(a <= s + n for a in c.alexander)
     u1_probe = phi_v & flag_mask(a >= s - n for a in c.alexander)
-    gradings, end = split.fu.gradings, offsets[-2]
+    # Block 2n, the model of level s - n, ends the cone.
+    gradings = split.fu.gradings
+    end = len(gradings) - len(last.inc)
     # The cone generators of grading g read in the V = 1 and U = 1 complexes.
     v1_end = flag_mask(h == g and (inc & v1_probe).bit_count() & 1 for h, inc in zip(gradings, first.inc))
     u1_end = flag_mask(h == g and (inc & u1_probe).bit_count() & 1 for h, inc in zip(gradings[end:], last.inc)) << end

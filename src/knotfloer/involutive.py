@@ -33,7 +33,7 @@ from __future__ import annotations
 from typing import Tuple
 
 from .builders import named_complex, torus_knot_complex
-from .complexes import BigradedComplex, ChainMap, SkewMap, basepoint_map, verify_chain_map
+from .complexes import BigradedComplex, SkewMap, basepoint_map, verify_chain_map
 from .errors import ConsistencyError, ValidationError
 from .expressions import FileRef, KnotExpr, Mirror, Named, Sum, TorusKnot
 from .fileio import load_complex
@@ -59,19 +59,15 @@ def mirror_iota(iota: SkewMap, dual_c: BigradedComplex) -> SkewMap:
     return mirror
 
 
-def connected_sum_iota(
-    tensor_c: BigradedComplex,
-    iota1: SkewMap,
-    iota2: SkewMap,
-    phi1: ChainMap,
-    psi2: ChainMap,
-) -> SkewMap:
-    """Involution of a tensor product: (iota1 x iota2) after (1 + phi1 x psi2).
+def connected_sum_iota(tensor_c: BigradedComplex, iota1: SkewMap, iota2: SkewMap) -> SkewMap:
+    """Involution of a tensor product: (iota1 x iota2) after (1 + Phi1 x Psi2).
 
+    Phi1 and Psi2 are the basepoint maps of the factors (`basepoint_map`).
     Composition multiplies column matrices (exponents along a path depend
     only on its end points), so the columns are, by the mixed-product
-    rule, iota1 (x) iota2 + (iota1 phi1) (x) (iota2 psi2).
+    rule, iota1 (x) iota2 + (iota1 Phi1) (x) (iota2 Psi2).
     """
+    phi1, psi2 = basepoint_map(iota1.source, "U"), basepoint_map(iota2.source, "V")
     twisted1 = [image(iota1.cols, col) for col in phi1.cols]
     twisted2 = [image(iota2.cols, col) for col in psi2.cols]
     return SkewMap(tensor_c, map(int.__xor__, kron(iota1.cols, iota2.cols), kron(twisted1, twisted2)))
@@ -119,11 +115,7 @@ def realize_with_iota(expr):
         for part in expr.children[1:]:
             nxt, nxt_iota = realize_with_iota(part)
             tensor_c = acc.tensor(nxt)
-            if acc_iota is not None and nxt_iota is not None:
-                phi1, psi2 = basepoint_map(acc, "U"), basepoint_map(nxt, "V")
-                acc_iota = connected_sum_iota(tensor_c, acc_iota, nxt_iota, phi1, psi2)
-            else:
-                acc_iota = None
+            acc_iota = connected_sum_iota(tensor_c, acc_iota, nxt_iota) if acc_iota and nxt_iota else None
             acc = tensor_c
         return acc, acc_iota
     if isinstance(expr, Named):
@@ -159,14 +151,18 @@ def ai0_cone(c: BigradedComplex, iota: SkewMap) -> FUComplex:
     min(a_y, b_y) = 0 makes b_x + u or a_x + v, as for d in
     `a_level_complex`. So the cone is valid once iota passes
     `verify_chain_map`, the one check of a built involution
-    (`realize_with_iota`).
+    (`realize_with_iota`), and is a map on c: c itself, or a complex with
+    c's labels, gradings and differential.
     """
+    source = iota.source
+    if source is not c and (source.labels, source.grw, source.grz, source.cols) != (c.labels, c.grw, c.grz, c.cols):
+        raise ValidationError("involution is a map on another complex")
     violation = verify_chain_map(iota)
     if violation is not None:
         raise ValidationError(f"involution fails verification: {violation}")
     split = level_split(c, 0)
     one_plus = [col ^ (1 << m) for m, col in enumerate(transfer(split, split, iota.cols))]
-    return cone([(split.model, 0), (split.model, -1)], [(0, 1, one_plus)])[0]
+    return cone([(split.model, 0), (split.model, -1)], [(0, 1, one_plus)])
 
 
 def involutive_d_pair(cone: FUComplex) -> Tuple[int, int]:

@@ -133,8 +133,8 @@ MUTANTS = (
     Mutant(
         "a level visit reads tau before it builds the level",
         "invariants.py",
-        "        cone, offsets = _cone(c, s, n)\n        nus, omegas = _candidates(c)\n",
-        "        nus, omegas = _candidates(c)\n        cone, offsets = _cone(c, s, n)\n",
+        "        cone = _cone(c, s, n)\n        nus, omegas = _candidates(c)\n",
+        "        nus, omegas = _candidates(c)\n        cone = _cone(c, s, n)\n",
         ("tests/test_invariants.py::test_level_complex_rejects_non_knotlike",),
     ),
     Mutant(
@@ -226,6 +226,43 @@ MUTANTS = (
         "targets[coord[col]].append(coord[row])",
         "targets[coord[row]].append(coord[col])",
         ("tests/test_fu.py::test_split_matches_smith_form_on_random_complexes",),
+    ),
+    Mutant(
+        "the split of level -s without its gradings reversed",
+        "fu.py",
+        "[g + shift for g in reversed(fu.gradings)]",
+        "[g + shift for g in fu.gradings]",
+        ("tests/test_level_reflection.py::test_every_stored_split_is_the_reduction_of_its_level[0]",),
+    ),
+    Mutant(
+        "the split of level -s without its ties reflected",
+        "fu.py",
+        "ties=[n - 1 - i for i in fu.ties]",
+        "ties=fu.ties",
+        ("tests/test_level_reflection.py::test_every_stored_split_is_the_reduction_of_its_level[0]",),
+    ),
+    # At s = 0 the two end blocks have equal sizes on any complex with the
+    # knot symmetry, so only the asymmetric sums tell them apart.
+    Mutant(
+        "the hat ends take the last block's start from the first block's size",
+        "invariants.py",
+        "end = len(gradings) - len(last.inc)",
+        "end = len(gradings) - len(first.inc)",
+        ("tests/test_invariants.py::test_omega_hat_needs_both_ends_on_asymmetric_complexes",),
+    ),
+    Mutant(
+        "the sum involution takes Psi2 from the first factor",
+        "involutive.py",
+        'basepoint_map(iota2.source, "V")',
+        'basepoint_map(iota1.source, "V")',
+        ("tests/test_involutive.py::test_connected_sum_matches_explicit_polynomials",),
+    ),
+    Mutant(
+        "the involutive cone reads an involution of another complex",
+        "involutive.py",
+        '        raise ValidationError("involution is a map on another complex")\n',
+        "        pass\n",
+        ("tests/test_involutive.py::test_cone_rejects_an_involution_of_another_complex",),
     ),
 )
 

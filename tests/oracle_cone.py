@@ -11,7 +11,7 @@ builds there, so call them after the program has built the same cone.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List
 
 from knotfloer.complexes import BigradedComplex, SkewMap, verify_chain_map
 from knotfloer.errors import ValidationError
@@ -20,8 +20,8 @@ from knotfloer.invariants import level_split
 from knotfloer.linalg import image, iter_bits
 
 
-def model_cone(c: BigradedComplex, s: int, n: int) -> Tuple[FUComplex, List[int]]:
-    """A model of level s of C tensor St*_n, and where its blocks start (then its size)."""
+def model_cone(c: BigradedComplex, s: int, n: int) -> FUComplex:
+    """A model of level s of C tensor St*_n."""
     models = [level_split(c, s + n - k).model for k in range(2 * n + 1)]
     glue = c.__dict__["_glue"]
     offsets = [0]
@@ -37,7 +37,7 @@ def model_cone(c: BigradedComplex, s: int, n: int) -> Tuple[FUComplex, List[int]
                 base, shift = offsets[k], offsets[b]
                 for m, col in enumerate(glue[s + n - k, s + n - b]):
                     cols[base + m] |= col << shift
-    return FUComplex(gradings, list(map(iter_bits, cols))), offsets
+    return FUComplex(gradings, list(map(iter_bits, cols)))
 
 
 def involutive_cone(c: BigradedComplex, iota: SkewMap) -> FUComplex:

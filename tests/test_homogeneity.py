@@ -111,7 +111,7 @@ def test_validate_matches_oracle(seed):
 def test_fu_checks_match_oracle(seed):
     rng, c, _iota = _sum(seed)
     s, n = rng.randint(-2, 2), rng.randint(0, 2)
-    fus = [reduce_complex(c, "U0"), reduce_complex(c, "V0"), a_level_complex(c, s), invariants._cone(c, s, n)[0]]
+    fus = [reduce_complex(c, "U0"), reduce_complex(c, "V0"), a_level_complex(c, s), invariants._cone(c, s, n)]
     # FUComplex checks nothing itself: the reductions, levels and model cones are valid by construction.
     for fu in fus:
         assert fu_illegal_entries(fu) == fu_validate_messages(fu) == []
@@ -127,7 +127,7 @@ def test_report_cones_pass_the_scan(monkeypatch, capsys):
 
     def keeping(c, s, n):
         cone = real(c, s, n)
-        built.append((s, n, cone[0]))
+        built.append((s, n, cone))
         return cone
 
     def keeping_pair(c, iota):

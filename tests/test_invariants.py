@@ -349,8 +349,7 @@ def test_nu_matches_full_scan_oracle():
 
 def model_ends(c: BigradedComplex, n: int):
     """The hat ends of level 0 of C tensor St*_n, on a model cone built here: the report reads only the candidate n."""
-    cone, offsets = invariants._cone(c, 0, n)
-    return invariants._hat_ends(c, tower_reduce(cone), offsets, 0, n)
+    return invariants._hat_ends(c, tower_reduce(invariants._cone(c, 0, n)), 0, n)
 
 
 def staircase_map(c: BigradedComplex, n: int) -> bool:
@@ -543,7 +542,7 @@ def _check_glue_and_dropped_bases(c):
     Each full reduction is `tower_reduce` of the level with that split's
     own tie order, read off the split of a fresh copy of c, which no cone
     has dropped: a negative level of a reversal-symmetric complex breaks
-    ties in the reflected label order (`invariants._reflected`).
+    ties in the reflected label order (`fu.Reduction.reflected`).
     """
     compute_invariant_table(c)
     splits, glue = c._splits, c._glue

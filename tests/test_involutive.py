@@ -5,6 +5,7 @@ import pytest
 
 from knotfloer.builders import named_complex, staircase, torus_knot_complex
 from knotfloer.complexes import (
+    BigradedComplex,
     Generator,
     SkewMap,
     basepoint_map,
@@ -86,13 +87,7 @@ def test_connected_sum_with_unknot_is_plain_product():
     s1 = staircase(1)
     unknot = staircase(0)
     tensor = s1.tensor(unknot)
-    iota = connected_sum_iota(
-        tensor,
-        staircase_iota(s1),
-        staircase_iota(unknot),
-        basepoint_map(s1, "U"),
-        basepoint_map(unknot, "V"),
-    )
+    iota = connected_sum_iota(tensor, staircase_iota(s1), staircase_iota(unknot))
     # the basepoint correction vanishes on the unknot side
     assert terms(iota) == [
         ("y-1|y0", "y1|y0", 0, 0),
@@ -156,7 +151,7 @@ def test_realized_involutions_satisfy_sarkar_law(tmp_path):
 def test_sarkar_law_needs_the_basepoint_term(monkeypatch):
     # iota1 (x) iota2 without the (iota1 Phi1) (x) (iota2 Psi2) term fails the law on every sum.
     monkeypatch.setattr(involutive, "connected_sum_iota",
-                        lambda tensor_c, iota1, iota2, phi1, psi2: SkewMap(tensor_c, kron(iota1.cols, iota2.cols)))
+                        lambda tensor_c, iota1, iota2: SkewMap(tensor_c, kron(iota1.cols, iota2.cols)))
     for expr in SARKAR_SUMS:
         assert sarkar_violation(*realize_with_iota(parse_knot_expr(expr))) is not None, expr
 
@@ -261,6 +256,21 @@ def test_cone_rejects_rank_one():
     bad = SkewMap(s1, [0b100, 0, 0b001])
     with pytest.raises(ValidationError):
         ai0_cone(s1, bad)
+
+
+def test_cone_rejects_an_involution_of_another_complex():
+    # The cone reads iota's columns as a map on c. The involution of another
+    # 27-generator sum gave a wrong pair, and that of a 15-generator sum an
+    # IndexError; a map on an equal copy of c is a map on c.
+    c, io = realize_with_iota(parse_knot_expr("T(2,3)#T(2,3)#T(2,3)"))
+    assert v0_bar_under(c, io) == (1, 2)
+    for expr in ["-T(2,3)#-T(2,9)", "T(2,3)#T(3,4)"]:
+        other, other_io = realize_with_iota(parse_knot_expr(expr))
+        assert verify_chain_map(other_io) is None, expr
+        with pytest.raises(ValidationError, match="involution is a map on another complex"):
+            v0_bar_under(c, other_io)
+    copy = BigradedComplex(c.labels, c.grw, c.grz, c.cols)
+    assert v0_bar_under(c, SkewMap(copy, io.cols)) == (1, 2)
 
 
 def test_cone_lives_on_the_level_zero_model():

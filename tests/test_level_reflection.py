@@ -12,6 +12,9 @@ independent checks:
   which is locally equivalent but not reversal-symmetric, so each of its
   levels is reduced directly.
 
+And a table and an involutive pair build no negative level of a
+reversal-symmetric complex, while those of a scrambled copy do.
+
 Inputs: seeded sums of torus knots, their mirrors, and HW with the index
 reflection as its involution.
 """
@@ -20,11 +23,13 @@ import random
 
 import pytest
 
+from knotfloer import invariants
 from knotfloer.builders import named_complex
 from knotfloer.expressions import parse_knot_expr
 from knotfloer.fu import tower_reduce
 from knotfloer.invariants import (
     a_level_complex,
+    compute_invariant_table,
     level_split,
     nu_hat,
     omega_hat,
@@ -115,3 +120,30 @@ def test_invariants_match_the_scrambled_copy(seed):
         assert v0_bar_under(c, iota) == v0_bar_under(dense, dense_iota), name
         # Both routes ran: sigma on c, the direct reduction on its copy.
         assert any(s < 0 for s in c._splits) and any(s < 0 for s in dense._splits)
+
+
+def test_a_symmetric_complex_builds_no_negative_level(monkeypatch):
+    # J's mirror has tau < 0, so its nu candidates are negative levels; every
+    # one is read off its positive twin. The scrambled copies build their own.
+    built = []
+    real = invariants.a_level_complex
+
+    def recording(c, s):
+        built.append(s)
+        return real(c, s)
+
+    monkeypatch.setattr(invariants, "a_level_complex", recording)
+    j, j_iota = realize_with_iota(parse_knot_expr("T(2,11)#T(4,7)#-T(5,6)"))
+    mirror, hw = j.dual(), named_complex("HW")
+    inputs = [("J", j, j_iota), ("-J", mirror, mirror_iota(j_iota, mirror)), ("HW", hw, staircase_iota(hw))]
+    rng = random.Random(3000)
+    for name, c, iota in inputs:
+        built.clear()
+        compute_invariant_table(c)
+        v0_bar_under(c, iota)
+        assert built and min(built) >= 0, name
+        built.clear()
+        dense, dense_iota = _scrambled(c, iota, rng)
+        compute_invariant_table(dense)
+        v0_bar_under(dense, dense_iota)
+        assert min(built) < 0, name
