@@ -13,7 +13,7 @@ jumps, with mirrored summands counted with sign -1:
 * the Levine-Tristram signature step function on (0, 1): for T(p, q)
   the lattice set {a/p + b/q} contributes a -2 jump at s - 1 when s > 1
   and a +2 jump at s when s < 1; the sum's jumps are the signed merge
-  of the terms'.
+  of the terms', on integer numerators over one common denominator.
 
 Everything downstream (ratio bound, signature extrema, report assembly)
 is bookkeeping over `fractions.Fraction`; no floats anywhere.
@@ -24,6 +24,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from .builders import alexander_exponents
@@ -150,23 +151,39 @@ class StepFunction:
         return hi, lo
 
 
+def _lt_signature(terms: List[Tuple[int, int, int]]) -> StepFunction:
+    """The Levine-Tristram signature of the sum of sign * T(p, q) over the terms, each a (sign, p, q).
+
+    For T(p, q) each a/p + b/q = (a q + b p) / pq with 0 < a < p and
+    0 < b < q jumps by +2 there when it is below 1 and by -2 at one less
+    when it is above; 1 itself would need p | a q, which coprime p and q
+    exclude. Every jump is scaled to the common denominator D, the lcm
+    of the terms' pq, and merged as an integer numerator
+    (`_signed_merge`); only the merged jumps become `Fraction`s.
+    """
+    for _sign, p, q in terms:
+        problem = TorusKnot(p, q).problem
+        if problem:
+            raise ValidationError(problem)
+    denominator = lcm(*(p * q for _sign, p, q in terms))
+    per_term = []
+    for sign, p, q in terms:
+        scale = denominator // (p * q)
+        step_a, step_b = q * scale, p * scale
+        jumps: Dict[int, int] = {}
+        for base in range(step_a, p * step_a, step_a):
+            for x in range(base + step_b, base + q * step_b, step_b):
+                if x < denominator:
+                    jumps[x] = 2
+                else:
+                    jumps[x - denominator] = -2
+        per_term.append((sign, jumps))
+    return StepFunction(tuple((Fraction(x, denominator), size) for x, size in _signed_merge(per_term).items()))
+
+
 def lt_signature_torus(p: int, q: int) -> StepFunction:
-    problem = TorusKnot(p, q).problem
-    if problem:
-        raise ValidationError(problem)
-    levels = sorted(
-        Fraction(a, p) + Fraction(b, q)
-        for a in range(1, p)
-        for b in range(1, q)
-    )
-    jumps: Dict[Fraction, int] = {}
-    for s in levels:
-        # s = 1 would need p | a q with 0 < a < p: coprime p, q exclude it.
-        if s < 1:
-            jumps[s] = jumps.get(s, 0) + 2
-        else:
-            jumps[s - 1] = jumps.get(s - 1, 0) - 2
-    return StepFunction(tuple((x, jumps[x]) for x in sorted(jumps)))
+    """The Levine-Tristram signature of T(p, q), the one-term case of `lt_signature_of_expr`."""
+    return _lt_signature([(1, p, q)])
 
 
 def lt_signature_of_expr(e: KnotExpr) -> StepFunction:
@@ -175,8 +192,7 @@ def lt_signature_of_expr(e: KnotExpr) -> StepFunction:
         raise UnsupportedInputError(
             "the signature function is only computed for torus-knot sums"
         )
-    jumps = _signed_merge((sign, dict(lt_signature_torus(p, q).jumps)) for sign, p, q in terms)
-    return StepFunction(tuple(jumps.items()))
+    return _lt_signature(terms)
 
 
 def signature_clasp_bound(sig: StepFunction) -> Tuple[int, int, int]:

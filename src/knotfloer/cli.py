@@ -39,7 +39,7 @@ from .errors import (
 )
 from .expressions import FileRef, expr_to_string, parse_knot_expr, torus_terms
 from .fileio import load_complex
-from .invariants import compute_invariant_table, level_split, release, require_knot_complex
+from .invariants import compute_invariant_table, level_split, release_to_dual, require_knot_complex
 from .involutive import mirror_iota, realize_with_iota, v0_bar_under
 
 CYCLE_CERTIFICATE_LIMIT = 2000
@@ -69,7 +69,7 @@ def _tower_certificate(c) -> Optional[List[Dict]]:
 
 
 def _side(c, iota, name: str):
-    """The table, involutive pair and level-0 certificate of c; then c's memos are released.
+    """The table, involutive pair and level-0 certificate of c.
 
     A rejected iota is named by its input and the flag that skips it.
     """
@@ -78,9 +78,7 @@ def _side(c, iota, name: str):
         pair = None if iota is None else v0_bar_under(c, iota)
     except ValidationError as exc:
         raise ValidationError(f"{name}: {exc} (--involutive off skips the involutive pair)") from None
-    certificate = _tower_certificate(c)
-    release(c)
-    return table, pair, certificate
+    return table, pair, _tower_certificate(c)
 
 
 def _build_report(args) -> Dict:
@@ -94,19 +92,24 @@ def _build_report(args) -> Dict:
 
     name = expr_to_string(expr)
     table, involutive, certificate = _side(complex_, iota, name)
-    # The knot is done before its mirror is built: only its size is read again.
-    mirror = complex_.dual()
+    # The knot's memos are released before its mirror is built, which reads
+    # its quotients off the knot's: only the knot's size is read again.
+    mirror = release_to_dual(complex_)
     mirror_io = None if iota is None else mirror_iota(iota, mirror)
     generator_count = len(complex_)
     del complex_, iota
     mtable, m_involutive, m_certificate = _side(mirror, mirror_io, f"mirror of {name}")
+    del mirror, mirror_io
     upsilon = None
     signature = None
     if torus_terms(expr) is not None:
         upsilon = upsilon_of_expr(expr)
         signature = lt_signature_of_expr(expr)
 
-    # Cross-checks between independently computed quantities.
+    # Cross-checks between independently computed quantities. The mirror's
+    # tau is read off the knot's quotients (`release_to_dual`), so its check
+    # guards that wiring; its V, Y, nu and omega come from its own levels,
+    # and `consistency_violations` held them to that tau.
     problems: List[str] = []
     if table.tau != -mtable.tau:
         problems.append(f"tau mirror asymmetry: {table.tau} vs {mtable.tau}")

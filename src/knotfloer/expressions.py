@@ -19,6 +19,9 @@ from typing import List, Optional, Tuple, Union
 
 from .errors import ParseError
 
+# The largest (p - 1)(q - 1) of a torus knot the program builds (`TorusKnot.problem`).
+MAX_TORUS_DEGREE = 30_000
+
 
 @dataclass(frozen=True)
 class TorusKnot:
@@ -27,11 +30,22 @@ class TorusKnot:
 
     @property
     def problem(self) -> Optional[str]:
-        """Why (p, q) names no torus knot here, or None: p, q >= 2 and coprime."""
+        """Why (p, q) names no torus knot here, or None: p, q >= 2, coprime, and not too large.
+
+        (p - 1)(q - 1) is the degree of the Alexander polynomial, and the
+        staircase has at most one generator more. The exponent table, the
+        signature lattice and the hull pass are linear in it, and the
+        staircase's column masks take about n^2 / 16 bytes for n
+        generators. So the degree may be at most `MAX_TORUS_DEGREE`, where
+        the masks take about 56 MB, and it is checked here, from p and q
+        alone, before anything is allocated.
+        """
         if self.p < 2 or self.q < 2:
             return f"torus parameters must be >= 2, got ({self.p},{self.q})"
         if gcd(self.p, self.q) != 1:
             return f"torus parameters ({self.p},{self.q}) are not coprime"
+        if (self.p - 1) * (self.q - 1) > MAX_TORUS_DEGREE:
+            return f"torus parameters ({self.p},{self.q}) are too large: (p-1)(q-1) must be at most {MAX_TORUS_DEGREE}"
         return None
 
 
@@ -100,7 +114,10 @@ class _Parser:
             self.pos += 1
         if self.pos == start:
             raise self.error("expected an integer")
-        return int(self.text[start : self.pos])
+        try:
+            return int(self.text[start : self.pos])
+        except ValueError:  # more digits than int() converts (sys.get_int_max_str_digits)
+            raise self.error("integer too long") from None
 
     def parse_atom(self) -> KnotExpr:
         ch = self.peek()

@@ -226,6 +226,8 @@ def load_complex(path: str) -> Tuple[BigradedComplex, Optional[SkewMap]]:
         raise FileFormatError(f"{path} is not UTF-8 text: {exc}") from None
     except RecursionError:
         raise FileFormatError(f"{path} nests arrays or objects too deeply to read") from None
+    except ValueError as exc:  # after its subclasses above: a path with a null byte, or an integer too long to convert
+        raise FileFormatError(f"{path!r}: cannot read: {exc}") from None
     try:
         if not isinstance(data, dict):
             raise FileFormatError("top level must be an object")

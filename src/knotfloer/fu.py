@@ -32,8 +32,8 @@ Unpaired basis elements are the free homology generators; their
 gradings give the tower tops. The same loop gives a basis in which the
 complex splits into towers and pairs. The `Reduction` keeps it and
 reads off it, on demand, the minimal model with its inclusion and
-projection, and the cocycle that detects the tower, which the test
-suite checks against a Smith-normal-form oracle.
+projection, and the tower cycle and the cocycle that detects it, which
+the test suite checks against a Smith-normal-form oracle.
 
 Clearing skips only the rows that are pivots before the loop reaches
 them. In filtration order that happens in a level, at the rows of its
@@ -154,7 +154,7 @@ class Reduction:
 
     `drop_basis` keeps only the towers (unpaired, indices, reps), the
     model and iota, and drops the basis, n vectors of up to n bits and
-    the bulk of a reduction; `project` and `cocycle` raise
+    the bulk of a reduction; `project`, `cocycle` and `cycle` raise
     `ConsistencyError` from then on.
     """
 
@@ -235,6 +235,10 @@ class Reduction:
             if (phi & vectors[q]).bit_count() & 1:
                 phi |= 1 << q
         return _moved(phi, self.order)
+
+    def cycle(self) -> int:
+        """The first tower vector at T = 1, as an index mask: a cycle, on which `cocycle` is odd."""
+        return _moved(self._basis()[self.pos[self.indices[0]]], self.order)
 
     @functools.cached_property
     def _kept(self) -> List[int]:

@@ -21,11 +21,16 @@ Everything here reduces to exact linear algebra over GF(2):
   too), read through iota. One cocycle per quotient answers that by a
   parity: the tower's coordinate functional, with T = 1.
 
-Each complex keeps the tower index and cocycle of each quotient
-(`_quotient`), the V = 0 one read off the U = 0 one through index
-reversal when that is a skew chain automorphism of the complex, as it
-is on every torus sum and on HW: the reversal swaps U with V and grw
-with grz, so it carries one quotient onto the other. It keeps the
+Each complex keeps the tower index, cocycle and tower cycle of each
+quotient (`_quotient`), and a report reduces few of them at full size:
+a connected sum derives both from its summands' (Kunneth), the report's
+mirror from the knot's (universal coefficients, `release_to_dual`), and
+the V = 0 quotient of any other complex is read off the U = 0 one
+through index reversal when that is a skew chain automorphism of the
+complex, as it is on every torus sum and on HW: the reversal swaps U
+with V and grw with grz, so it carries one quotient onto the other.
+What is left to reduce is a summand's, a file's or an asymmetric
+complex's. It keeps the
 split of every level it builds (`level_split`), so a level is built
 and reduced once for V_s, Y_n, nu and omega, the glue into each odd
 block of a Y_n cone, and one visit per level (s, n) of C tensor St*_n,
@@ -57,7 +62,9 @@ from typing import Dict, FrozenSet, List, Optional, Tuple
 from .complexes import BigradedComplex, reduce_complex
 from .errors import ConsistencyError, ValidationError
 from .fu import FUComplex, Reduction, cone, tower_reduce, transfer
-from .linalg import flag_mask
+from .linalg import flag_mask, spread
+
+MODES = ("U0", "V0")
 
 
 # --- level subcomplexes over GF(2)[T] --------------------------------------
@@ -111,8 +118,8 @@ def level_split(c: BigradedComplex, s: int) -> Reduction:
 
 
 def release(c: BigradedComplex) -> None:
-    """Drop c's memos (quotients, splits, glue, visits), rebuilt on a later read; c is freed at its last reference."""
-    for key in ("_quotients", "_splits", "_glue", "_levels"):
+    """Drop c's memos (summands, quotients, splits, glue, visits), rebuilt on a later read; c is freed at its last reference."""
+    for key in ("_summands", "_quotients", "_splits", "_glue", "_levels"):
         c.__dict__.pop(key, None)
 
 
@@ -157,45 +164,128 @@ def _cone(c: BigradedComplex, s: int, n: int) -> FUComplex:
 # --- knot-likeness ----------------------------------------------------------
 
 
-def _quotient(c: BigradedComplex, mode: str) -> Optional[Tuple[int, int]]:
-    """(tower index, cocycle) of `reduce_complex(c, mode)`, or None unless it has one tower.
+def _quotient(c: BigradedComplex, mode: str) -> Optional[Tuple[int, int, int]]:
+    """(tower index, cocycle, tower cycle) of `reduce_complex(c, mode)`, or None unless it has one tower.
 
-    Mode "U0" gives the V = 1 complex, "V0" the U = 1 complex. The
-    cocycle, a bitmask of generators, is `Reduction.cocycle`. Setting
-    T = 1 kills the torsion of a free GF(2)[T]-complex and leaves one GF(2)
-    of the tower, so a cycle z of that complex represents its generator
-    exactly when z & cocycle has odd weight. The basis is not kept.
-    Built once per complex and mode, by one reduction, or by none:
+    Mode "U0" gives the V = 1 complex, "V0" the U = 1 complex; the
+    dropped grading (grw for "U0", grz for "V0") is the quotient's degree.
+    The cocycle and the cycle are bitmasks of generators. Setting T = 1
+    kills the torsion of a free GF(2)[T]-complex and leaves one GF(2) of
+    the tower, so a cycle z of that complex represents its generator
+    exactly when z & cocycle has odd weight, and any two cocycles odd on
+    one nonzero cycle are cohomologous and pair alike with every cycle.
+    The readers take the index's gradings only, and the cocycle only as
+    that parity, sliced by degree (`_hat_ends`). So an entry serves when
+    its index has the gradings of the tower generator, its cocycle and
+    cycle are a cocycle and a cycle at T = 1 in the tower's degree, and
+    they pair to 1. Every route below gives such an entry, built once per
+    complex and mode; the index may differ from the direct route's,
+    which breaks grading ties by label.
 
-    when index reversal sigma is a skew chain automorphism of c
-    (`BigradedComplex.reversal_symmetric`, true of every torus sum and
-    of HW), the V = 0 quotient is read off the U = 0 one and not reduced.
-    sigma swaps grw with grz and U with V, so it maps the U = 0 quotient
-    onto the V = 0 quotient, gradings and degrees included: it takes the
-    tower generator i to n - 1 - i, at the same grading, and the cocycle
-    to its bit reversal, a cocycle odd on that tower. With T = 1 the
-    quotient's homology is one GF(2), so any two such cocycles are
-    cohomologous and pair alike with every cycle. The index may differ
-    from the direct route's, which breaks grading ties by label, but
-    every reader takes its grading only.
+    Direct: `tower_reduce` of the quotient, with `Reduction.cocycle` and
+    `Reduction.cycle`. Every basis vector of that reduction lies in one
+    degree, since its columns drop the degree by one and the reduction
+    adds only columns that share a pivot row, and `Reduction.cocycle`
+    adds a position only where it meets a basis vector, so it never
+    leaves the tower's degree.
+
+    Kunneth, for a sum C tensor S that `connected_sum` built, with m = |S|
+    and generator (i, j) at index i * m + j. An entry of the sum keeps
+    its killed variable's exponent from its factor, so each quotient of
+    the sum is the tensor of the summands' over the other variable's
+    ring, a PID. There H(C tensor S) is H(C) tensor H(S) plus a Tor term
+    that is torsion, so modulo torsion it is the tensor of the two
+    towers: one tower exactly when each summand has one, and the entry is
+    None exactly when a summand's is. Its generator is the tensor of
+    theirs, at the summed gradings, so index i * m + j serves. At T = 1 the
+    quotient is the tensor over GF(2) of the summands', where the tensor
+    of two cocycles is a cocycle (delta(phi x psi) = delta phi x psi +
+    phi x delta psi), that of two cycles a cycle, and they pair to 1 x 1.
+    Both lie in the sum of the summands' degrees. Each is a mask Kronecker
+    product, `spread(x, m) * y`, whose shifted copies of y fill disjoint
+    blocks of bits. The summands' entries come by the same routes, so a
+    nested sum recurses down to its atoms, which are small.
+
+    Index reversal, for the V = 0 quotient when index reversal sigma is a
+    skew chain automorphism of c (`BigradedComplex.reversal_symmetric`,
+    true of every torus sum and of HW). sigma swaps grw with grz and U
+    with V, so it maps the U = 0 quotient onto the V = 0 quotient,
+    gradings and degrees included: it takes the tower generator i to
+    n - 1 - i, at the same grading, and the cocycle and the cycle to
+    their bit reversals.
+
+    Universal coefficients, for the dual (`release_to_dual`).
     """
     memo = c.__dict__.setdefault("_quotients", {})
     if mode not in memo:
-        if mode == "V0" and c.reversal_symmetric:
-            quotient, n = _quotient(c, "U0"), len(c)
-            memo[mode] = quotient and (n - 1 - quotient[0], int(format(quotient[1], f"0{n}b")[::-1], 2))
+        summands = c.__dict__.pop("_summands", None)
+        if summands is not None:
+            memo.update(_kunneth(*summands))
+        elif mode == "V0" and c.reversal_symmetric:
+            n, quotient = len(c), _quotient(c, "U0")
+            memo[mode] = quotient and (n - 1 - quotient[0], *(_reversed(mask, n) for mask in quotient[1:]))
         else:
             red = tower_reduce(reduce_complex(c, mode))
-            memo[mode] = (red.indices[0], red.cocycle()) if red.rank == 1 else None
+            memo[mode] = (red.indices[0], red.cocycle(), red.cycle()) if red.rank == 1 else None
     return memo[mode]
+
+
+def _reversed(mask: int, n: int) -> int:
+    """mask with bit i moved to bit n - 1 - i."""
+    return int(format(mask, f"0{n}b")[::-1], 2)
+
+
+def _kunneth(left: BigradedComplex, right: BigradedComplex) -> Dict[str, Optional[Tuple[int, int, int]]]:
+    """The quotient entries of left tensor right, from the summands' (`_quotient`)."""
+    m, out = len(right), {}
+    for mode in MODES:
+        a, b = _quotient(left, mode), _quotient(right, mode)
+        if a and b:
+            (i, phi, z), (j, psi, w) = a, b
+            out[mode] = (i * m + j, spread(phi, m) * psi, spread(z, m) * w)
+        else:
+            out[mode] = None
+    return out
+
+
+def connected_sum(left: BigradedComplex, right: BigradedComplex) -> BigradedComplex:
+    """left.tensor(right), holding both summands until its quotients are first read (`_quotient`).
+
+    Only a read derives them, so a sum that is saved and never reduced
+    costs nothing more; `release` drops the summands too.
+    """
+    c = left.tensor(right)
+    c.__dict__["_summands"] = left, right
+    return c
+
+
+def release_to_dual(c: BigradedComplex) -> BigradedComplex:
+    """c.dual(), with its quotients read off c's; c's memos are released before the dual is built.
+
+    Universal coefficients: each quotient of the dual C* is the transpose
+    of C's, with negated gradings, over the same ring. Its homology is
+    Hom(H(C)) plus an Ext term that is torsion, so C* has one tower
+    exactly when C has, topped at minus C's top: C's index serves. At
+    T = 1 the transpose's cycles are C's cocycles and its cocycles C's
+    cycles, so the dual's entry is C's with cocycle and cycle swapped.
+    They stay in one degree, negated, and still pair to 1.
+    """
+    quotients = {}
+    for mode in MODES:
+        entry = _quotient(c, mode)
+        quotients[mode] = entry and (entry[0], entry[2], entry[1])
+    release(c)
+    dual = c.dual()
+    dual.__dict__["_quotients"] = quotients
+    return dual
 
 
 def is_knotlike(c: BigradedComplex) -> bool:
     """True when both one-variable reductions have rank-one towers.
 
-    `_quotient` keeps the tower index and cocycle of each: the U = 0
-    tower gives tau, `require_knot_complex` reads the gradings of both,
-    and nu and omega pair with the cocycles. First checks the premise of
+    `_quotient` keeps the tower index, cocycle and cycle of each: the
+    U = 0 tower gives tau, `require_knot_complex` reads the gradings of
+    both, and nu and omega pair with the cocycles. First checks the premise of
     every reduction and level complex here, that each entry of d has
     natural exponents, and raises `ValidationError` naming each entry
     that does not.
@@ -291,18 +381,17 @@ def _hat_ends(c: BigradedComplex, split: Reduction, s: int, n: int) -> FrozenSet
 
     Each probe is a cocycle cut to its block's Alexander range, and needs
     no level grading. phi_U lies at grw = g, the level grading of every
-    V^(s+n-A) x of block 0 that it meets. Every basis vector of the U = 0
-    reduction lies in one grw, since its columns drop grw by one and the
-    reduction adds only columns that share a pivot row. So
-    `Reduction.cocycle`, which adds a position only where phi_U meets its
-    basis vector, never leaves the grw g of the tower where it starts.
+    V^(s+n-A) x of block 0 that it meets: every route of `_quotient`
+    keeps a cocycle in its tower's degree, grw for the U = 0 quotient,
+    whether reduced, a tensor of the summands' cocycles, the knot's tower
+    cycle of a mirror or read off through index reversal.
     Likewise phi_V lies at the grz of the V = 0 tower, and U^(A-s+n) x
     of block 2n has level grading grz + 2(s - n), raised by 2n in the
     cone. So u1 pairs grading-g generators with phi_V when that tower is
     at grz = g - 2s: u1 is read only by `omega_hat`, at s = 0 once both
     towers are checked to be at 0.
     """
-    (u0_tower, phi_u), phi_v = _quotient(c, "U0"), _quotient(c, "V0")[1]
+    (u0_tower, phi_u, _), phi_v = _quotient(c, "U0"), _quotient(c, "V0")[1]
     g = c.grw[u0_tower]
     first, last = level_split(c, s + n), level_split(c, s - n)
     v1_probe = phi_u & flag_mask(a <= s + n for a in c.alexander)

@@ -38,7 +38,7 @@ from .errors import ConsistencyError, ValidationError
 from .expressions import FileRef, KnotExpr, Mirror, Named, Sum, TorusKnot
 from .fileio import load_complex
 from .fu import FUComplex, cone, tower_reduce, transfer
-from .invariants import level_split, v_invariant
+from .invariants import connected_sum, level_split, v_invariant
 from .linalg import image, kron, transpose
 
 
@@ -79,7 +79,8 @@ def realize_with_iota(expr):
     Torus knots get the reflection, mirrors the transposed involution,
     sums the connected-sum composition. Named complexes carry no
     canonical involution; files may supply one, which `load_complex`
-    has checked.
+    has checked. A sum holds its two summands until its quotients are
+    first read, which derive from theirs (`invariants.connected_sum`).
 
     Nothing here checks a map: the involution is checked where a number
     is read from it, by `ai0_cone`. No map built on the way needs a check
@@ -114,7 +115,7 @@ def realize_with_iota(expr):
         acc, acc_iota = realize_with_iota(expr.children[0])
         for part in expr.children[1:]:
             nxt, nxt_iota = realize_with_iota(part)
-            tensor_c = acc.tensor(nxt)
+            tensor_c = connected_sum(acc, nxt)
             acc_iota = connected_sum_iota(tensor_c, acc_iota, nxt_iota) if acc_iota and nxt_iota else None
             acc = tensor_c
         return acc, acc_iota

@@ -103,10 +103,10 @@ MUTANTS = (
         ("tests/test_quotients.py::test_transported_v0_quotient_matches_the_direct_reduction[0]",),
     ),
     Mutant(
-        "the transported V = 0 cocycle without its bit reversal",
+        "the transported V = 0 cocycle and cycle without their bit reversal",
         "invariants.py",
-        'format(quotient[1], f"0{n}b")[::-1]',
-        'format(quotient[1], f"0{n}b")',
+        'format(mask, f"0{n}b")[::-1]',
+        'format(mask, f"0{n}b")',
         ("tests/test_quotients.py::test_transported_v0_quotient_matches_the_direct_reduction[0]",),
     ),
     Mutant(
@@ -256,6 +256,52 @@ MUTANTS = (
         'basepoint_map(iota2.source, "V")',
         'basepoint_map(iota1.source, "V")',
         ("tests/test_involutive.py::test_connected_sum_matches_explicit_polynomials",),
+    ),
+    # The next three leave every report of the corpus unchanged: only the
+    # structural check of each derived entry against the direct route kills them.
+    # On a torus sum the tower cycle and cocycle of each quotient are one
+    # generator, so only a sum with a scrambled summand tells them apart.
+    Mutant(
+        "the Kunneth cocycle with phi_S replaced by the all-ones mask",
+        "invariants.py",
+        "spread(phi, m) * psi",
+        "spread(phi, m) * ((1 << m) - 1)",
+        ("tests/test_quotients.py::test_derived_quotients_match_the_direct_reduction[0]",),
+    ),
+    Mutant(
+        "the Kunneth cocycle with phi_S replaced by e_0",
+        "invariants.py",
+        "spread(phi, m) * psi",
+        "spread(phi, m) * 1",
+        ("tests/test_quotients.py::test_derived_quotients_match_the_direct_reduction[0]",),
+    ),
+    Mutant(
+        "the mirror keeps the knot's cocycle instead of its tower cycle",
+        "invariants.py",
+        "(entry[0], entry[2], entry[1])",
+        "(entry[0], entry[1], entry[2])",
+        ("tests/test_quotients.py::test_derived_quotients_of_nested_sums_and_of_sums_with_files",),
+    ),
+    Mutant(
+        "a sum given an entry when a summand's entry is None",
+        "invariants.py",
+        "        if a and b:\n",
+        "        if a or b:\n",
+        ("tests/test_quotients.py::test_a_sum_with_a_summand_without_one_tower_has_no_entry",),
+    ),
+    Mutant(
+        "the signature jumps merged without their scaling to the common denominator",
+        "bounds.py",
+        "scale = denominator // (p * q)",
+        "scale = 1",
+        ("tests/test_bounds.py::test_upsilon_and_signature_match_the_envelope_oracle",),
+    ),
+    Mutant(
+        "TorusKnot.problem without its size ceiling",
+        "expressions.py",
+        "        if (self.p - 1) * (self.q - 1) > MAX_TORUS_DEGREE:\n",
+        "        if False:\n",
+        ("tests/test_expressions.py::test_parse_rejects_torus_parameters_past_the_ceiling",),
     ),
     Mutant(
         "the involutive cone reads an involution of another complex",

@@ -8,7 +8,7 @@ every pair of lines and maximizing over all lines at each crossing, then
 combines the terms with the PL arithmetic below (mirror: negate; sum:
 evaluate both at every breakpoint and add; then drop breakpoints where
 the slope does not change). The signature fold does the same for step
-functions. It imports nothing from `knotfloer.builders`, whose exponents
+functions, from each torus knot's lattice jumps summed as `Fraction`s. It imports nothing from `knotfloer.builders`, whose exponents
 and staircases it checks.
 """
 
@@ -17,7 +17,7 @@ from typing import Dict, List, Sequence, Tuple
 
 from conftest import ipoly_divexact
 
-from knotfloer.bounds import PLFunction, StepFunction, lt_signature_torus
+from knotfloer.bounds import PLFunction, StepFunction
 from knotfloer.complexes import BigradedComplex
 from knotfloer.errors import UnsupportedInputError
 from knotfloer.expressions import KnotExpr, Mirror, Sum, TorusKnot
@@ -155,10 +155,21 @@ def step_value(f: StepFunction, t) -> int:
     return sum(size for x, size in f.jumps if x < t)
 
 
+def signature_torus_reference(p: int, q: int) -> StepFunction:
+    """Levine-Tristram signature of T(p, q): +2 at each a/p + b/q below 1, -2 at one less above it, in `Fraction`s."""
+    jumps: Dict[Fraction, int] = {}
+    for a in range(1, p):
+        for b in range(1, q):
+            s = Fraction(a, p) + Fraction(b, q)
+            x, size = (s, 2) if s < 1 else (s - 1, -2)
+            jumps[x] = jumps.get(x, 0) + size
+    return StepFunction(tuple(sorted(jumps.items())))
+
+
 def signature_reference(e: KnotExpr) -> StepFunction:
-    """Levine-Tristram signature of a torus-knot sum by the same fold."""
+    """Levine-Tristram signature of a torus-knot sum by the same fold, on `Fraction` locations throughout."""
     if isinstance(e, TorusKnot):
-        return lt_signature_torus(e.p, e.q)
+        return signature_torus_reference(e.p, e.q)
     if isinstance(e, Mirror):
         return step_negate(signature_reference(e.child))
     if isinstance(e, Sum):

@@ -124,6 +124,10 @@ def test_upsilon_and_signature_match_the_envelope_oracle():
     # Nested sums and a mirrored sum, which the API builds and the parser does not.
     cases.append(Mirror(Sum((TorusKnot(2, 3), Mirror(TorusKnot(3, 4))))))
     cases.append(Sum((Sum((TorusKnot(2, 5), TorusKnot(3, 4))), Mirror(TorusKnot(2, 5)))))
+    # Seeded sums of up to six terms: jumps of many denominators merged at once.
+    rng = random.Random(20261020)
+    cases += [parse_knot_expr(random_torus_sum(rng, 6, 10**9)) for _ in range(20)]
+    cases += [Sum(tuple(Mirror(k) if rng.random() < 0.5 else k for k in rng.sample(SMALL_TORUS, 6))) for _ in range(5)]
     for e in cases:
         got, want = upsilon_of_expr(e), upsilon_reference(e)
         assert got.breakpoints == want.breakpoints, e

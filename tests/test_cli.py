@@ -631,6 +631,14 @@ INPUT_FAULTS = [
     ("bare @", ["report", "--expr", "@"], None, 2, "syntax error: expected a file path after '@' (at position 1)"),
     ("missing comma", ["report", "--expr", "T(2 3)"], None, 2, "syntax error: expected ',' (at position 4)"),
     ("unclosed parenthesis", ["report", "--expr", "T(2,3"], None, 2, "syntax error: expected ')' (at position 5)"),
+    # Rejected at parse time, before the exponent table is allocated.
+    ("torus parameter past 2^63", ["report", "--expr", "T(99999999999999999999,2)"], None, 2,
+     "syntax error: torus parameters (99999999999999999999,2) are too large: (p-1)(q-1) must be at most 30000"
+     " (at position 24)"),
+    ("torus degree past the ceiling", ["plotdata", "--expr", "-T(2,30003)#T(2,3)"], None, 2,
+     "syntax error: torus parameters (2,30003) are too large: (p-1)(q-1) must be at most 30000 (at position 10)"),
+    ("path with a null byte", ["validate", "--expr", "@{tmp}/nope\x00.cfk"], None, 3,
+     "invalid input: '{tmp}/nope\\x00.cfk': cannot read: embedded null byte"),
 ]
 
 

@@ -2,9 +2,11 @@ import random
 
 import pytest
 
-from knotfloer.builders import staircase
-from knotfloer.errors import ParseError
+from knotfloer.bounds import lt_signature_torus
+from knotfloer.builders import alexander_exponents, staircase
+from knotfloer.errors import ParseError, ValidationError
 from knotfloer.expressions import (
+    MAX_TORUS_DEGREE,
     FileRef,
     Mirror,
     Named,
@@ -32,6 +34,23 @@ def test_parse_rejects_non_coprime():
         parse_knot_expr("T(2,2)")
     assert "coprime" in str(err.value)
     assert err.value.position > 0
+
+
+def test_parse_rejects_torus_parameters_past_the_ceiling():
+    # (p - 1)(q - 1) is checked from p and q alone, so nothing here is built.
+    assert MAX_TORUS_DEGREE == 30000
+    assert parse_knot_expr("T(2,30001)") == TorusKnot(2, 30001)
+    assert TorusKnot(2, 30001).problem is None
+    for text, term in (("T(99999999999999999999,2)", "(99999999999999999999,2)"), ("T(2,3)#-T(30003,2)", "(30003,2)")):
+        with pytest.raises(ParseError) as err:
+            parse_knot_expr(text)
+        assert str(err.value).startswith(f"torus parameters {term} are too large"), text
+    for build in (alexander_exponents, lt_signature_torus):
+        with pytest.raises(ValidationError, match="too large"):
+            build(2**64 + 1, 2)
+    # More digits than int() converts, on Pythons that cap them, is a syntax error too.
+    with pytest.raises(ParseError):
+        parse_knot_expr("T(" + "9" * 5000 + ",2)")
 
 
 def test_parse_whitespace_and_files():

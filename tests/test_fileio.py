@@ -893,3 +893,14 @@ def test_unit_entry_is_in_both_quotients(tmp_path):
         a, b = c.index["a"], c.index["b"]
         for mode in ("U0", "V0"):
             assert reduce_complex(c, mode).cols[a] == 1 << b, (source, mode)
+
+
+def test_a_path_that_open_rejects_is_named(tmp_path, capsys):
+    # open refuses a null byte with ValueError; only an in-process caller can pass one.
+    path = f"{tmp_path}/nope\x00.cfk"
+    message = f"{path!r}: cannot read: embedded null byte"
+    with pytest.raises(FileFormatError) as exc:
+        load_complex(path)
+    assert str(exc.value) == message
+    assert main(["validate", "--expr", f"@{path}"]) == 3
+    assert capsys.readouterr() == ("", f"invalid input: {message}\n")

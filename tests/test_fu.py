@@ -9,7 +9,7 @@ from knotfloer.errors import FileFormatError, ValidationError
 from knotfloer.expressions import parse_knot_expr
 from knotfloer.fileio import load_complex
 from knotfloer.fu import FUComplex, tower_reduce
-from knotfloer.invariants import a_level_complex
+from knotfloer.invariants import _quotient, a_level_complex, release_to_dual
 from knotfloer.involutive import realize_expr, realize_with_iota
 from knotfloer.linalg import image, iter_bits
 
@@ -142,6 +142,13 @@ def test_cocycle_of_the_corpus_quotients_lies_in_one_grading():
         for complex_ in (c, c.dual()):
             check_cocycle(reduce_complex(complex_, "U0"), complex_.grw)
             check_cocycle(reduce_complex(complex_, "V0"), complex_.grz)
+    # The cocycles a sum reads off its summands', and its report mirror off the sum's.
+    for _ in range(8):
+        c = realize_expr(parse_knot_expr(random_torus_sum(rng, 4, 400)))
+        for complex_ in (c, release_to_dual(c)):
+            for mode, grading in (("U0", complex_.grw), ("V0", complex_.grz)):
+                index, cocycle, _cycle = _quotient(complex_, mode)
+                assert {grading[i] for i in iter_bits(cocycle)} == {grading[index]}
 
 
 def _as_reduced(red):

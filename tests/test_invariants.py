@@ -206,23 +206,28 @@ def test_tau_runs_no_reduction_after_knotlike(monkeypatch):
     monkeypatch.setattr(invariants, "tower_reduce", counted)
     c, iota = realize_with_iota(parse_knot_expr("T(2,5)#-T(3,4)"))
     assert is_knotlike(c)
-    # The U = 0 reduction only: index reversal is a skew automorphism of a
-    # torus sum, so the V = 0 quotient is read off the U = 0 one.
-    assert len(calls) == 1
+    # A sum reads its quotients off its summands' (Kunneth): the U = 0
+    # quotient of each 5-generator summand is reduced, and none of the sum's
+    # 25 generators. Index reversal is a skew automorphism of a torus knot
+    # and of its mirror, so each V = 0 quotient is read off the U = 0 one.
+    assert calls == [5, 5]
     assert tau_invariant(c) == -1
     require_knot_complex(c)  # the U = 0 and V = 0 tower gradings
-    # nu and omega pair with these cocycles: the same reduction gives them.
+    # nu and omega pair with these cocycles: the same derivation gives them.
     assert all(invariants._quotient(c, mode)[1] for mode in ("U0", "V0"))
-    assert len(calls) == 1
-    assert tau_invariant(c.dual()) == 1  # a fresh complex: its knot-likeness only
-    assert len(calls) == 2
+    assert calls == [5, 5]
+    assert tau_invariant(c.dual()) == 1  # a fresh complex: its U = 0 quotient, at full size
+    assert calls == [5, 5, 25]
+    # The report's mirror reads both quotients off the knot's: no reduction.
+    assert tau_invariant(invariants.release_to_dual(c)) == 1
+    assert calls == [5, 5, 25]
     # A scrambled copy has no such symmetry: both quotients are reduced, once each.
     dense = scramble(c, iota, random.Random(20261019))[0]
     assert not dense.reversal_symmetric
     assert tau_invariant(dense) == -1
     require_knot_complex(dense)
     assert all(invariants._quotient(dense, mode)[1] for mode in ("U0", "V0"))
-    assert len(calls) == 4
+    assert len(calls) == 5
 
 
 def test_tau_of_positive_torus_knots_is_genus():

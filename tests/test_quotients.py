@@ -3,11 +3,15 @@
 Cases: seeded sums of torus knots, their mirrors, scrambled copies saved
 and read back in both file formats, and every file in `tests/data`.
 
-Then the V = 0 quotient that `invariants._quotient` reads off the U = 0
-one through index reversal (`BigradedComplex.reversal_symmetric`),
-against the direct reduction `tower_reduce(reduce_complex(c, "V0"))`.
+Then the quotient entries that `invariants._quotient` derives instead of
+reducing, against the direct reduction `tower_reduce(reduce_complex(c, mode))`
+(`oracle_quotient.entry_violations`): the V = 0 one read off the U = 0 one
+through index reversal (`BigradedComplex.reversal_symmetric`), those of a
+connected sum read off its summands' (Kunneth), and those of a report's
+mirror read off the knot's (universal coefficients).
 """
 
+import json
 import os
 import random
 
@@ -15,11 +19,11 @@ import pytest
 
 from conftest import random_torus_sum, scramble
 from oracle_io import save_complex_json
-from oracle_quotient import mask_quotient
+from oracle_quotient import entry_violations, mask_quotient
 
 from knotfloer import invariants
 from knotfloer.complexes import BigradedComplex, reduce_complex, verify_chain_map
-from knotfloer.expressions import parse_knot_expr
+from knotfloer.expressions import Mirror, Sum, TorusKnot, parse_knot_expr
 from knotfloer.fileio import load_complex, save_complex
 from knotfloer.fu import tower_reduce
 from knotfloer.involutive import mirror_iota, realize_with_iota, staircase_iota
@@ -71,6 +75,11 @@ def _reversal_is_skew_automorphism(c):
     return verify_chain_map(staircase_iota(c)) is None
 
 
+def _plain(c):
+    """A copy of c without its summands, which `invariants._quotient` would read its quotients off."""
+    return BigradedComplex(c.labels, c.grw, c.grz, c.cols)
+
+
 def _symmetric_cases(seed):
     """A seeded torus sum and its mirror, each with its involution."""
     rng = random.Random(seed)
@@ -119,7 +128,7 @@ def test_reversal_asymmetric_inputs():
 
 def _direct_twin(c):
     """A copy of c that reduces its V = 0 quotient directly."""
-    twin = BigradedComplex(c.labels, c.grw, c.grz, c.cols)
+    twin = _plain(c)
     twin.reversal_symmetric = False  # shadows the cached property of the copy only
     return twin
 
@@ -130,11 +139,15 @@ def test_transported_v0_quotient_matches_the_direct_reduction(seed):
     if seed == 0:
         cases.append(("hw.cfk", *load_complex(os.path.join(DATA, "hw.cfk"))))
     for where, c, _iota in cases:
+        # A plain copy: a sum would read its quotients off its summands'.
+        c = _plain(c)
         assert c.reversal_symmetric, where
         twin = _direct_twin(c)
-        index, cocycle = invariants._quotient(c, "V0")
+        index, cocycle, _cycle = entry = invariants._quotient(c, "V0")
+        assert entry_violations(c, "V0", entry) == [], where
         direct = tower_reduce(reduce_complex(c, "V0"))
-        assert direct.rank == 1 and invariants._quotient(twin, "V0") == (direct.indices[0], direct.cocycle())
+        assert direct.rank == 1
+        assert invariants._quotient(twin, "V0") == (direct.indices[0], direct.cocycle(), direct.cycle())
         assert c.grw[index] == direct.top_grading() and c.grz[index] == c.grz[direct.indices[0]], where
         # With T = 1 the transported cocycle vanishes on every boundary of
         # the V = 0 quotient and is odd on the direct route's tower cycle.
@@ -144,3 +157,61 @@ def test_transported_v0_quotient_matches_the_direct_reduction(seed):
         assert read[0] == read[1], where
         # The end sets of every level nu and omega tested (`_hat_ends`).
         assert c.__dict__["_levels"] == twin.__dict__["_levels"], where
+
+
+# --- quotients derived from the summands' and from the knot's ------------------
+
+
+def _check_derived(c, where):
+    """Both quotient entries of a sum, read off its summands' once, against the direct route; then its report mirror's."""
+    assert "_summands" in c.__dict__, where
+    entries = {mode: invariants._quotient(c, mode) for mode in invariants.MODES}
+    assert "_summands" not in c.__dict__, where
+    for mode, entry in entries.items():
+        assert entry_violations(c, mode, entry) == [], (where, mode)
+    mirror = invariants.release_to_dual(c)
+    for mode in invariants.MODES:
+        assert entry_violations(mirror, mode, invariants._quotient(mirror, mode)) == [], ("-" + where, mode)
+    return entries
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_derived_quotients_match_the_direct_reduction(seed):
+    rng = random.Random(seed)
+    for _ in range(3):
+        expr = random_torus_sum(rng, 4, 400)
+        c = realize_with_iota(parse_knot_expr(expr))[0]
+        if "#" in expr:
+            _check_derived(c, expr)
+
+
+def test_derived_quotients_of_nested_sums_and_of_sums_with_files(tmp_path):
+    """Nested sums, which the API builds and the parser does not, and sums with HW or a saved file as a summand."""
+    t23, t25, t34 = TorusKnot(2, 3), TorusKnot(2, 5), TorusKnot(3, 4)
+    exprs = [
+        Sum((Sum((t23, Mirror(t34))), t25)),
+        Sum((Mirror(t25), Sum((t23, Mirror(t23))))),
+        Sum((Mirror(Sum((t23, t25))), t34)),
+        parse_knot_expr("HW#T(2,3)"),
+        parse_knot_expr("-T(3,4)#HW#-T(2,5)"),
+    ]
+    c, iota = realize_with_iota(parse_knot_expr("T(2,5)#-T(3,4)"))
+    for name, (complex_, involution) in (("sum", (c, iota)), ("scrambled", scramble(c, iota, random.Random(3)))):
+        path = tmp_path / f"{name}.cfk"
+        save_complex(complex_, str(path), name, involution)
+        exprs += [parse_knot_expr(f"@{path}#T(2,3)"), parse_knot_expr(f"-T(2,3)#@{path}#HW")]
+    for expr in exprs:
+        _check_derived(realize_with_iota(expr)[0], expr)
+
+
+def test_a_sum_with_a_summand_without_one_tower_has_no_entry(tmp_path):
+    """Free ranks multiply: a summand with two towers, or none, leaves the sum without one."""
+    two = tmp_path / "two.cfk"
+    two.write_text(json.dumps({"format": 2, "id": ["a", "b"], "grw": [0, 0], "grz": [0, 0], "differential": [[], []]}))
+    # d(b) = a with exponents 0 and 0: the U = 0 and V = 0 quotients are acyclic.
+    none = tmp_path / "none.cfk"
+    none.write_text(json.dumps({"format": 2, "id": ["a", "b"], "grw": [0, 1], "grz": [0, 1], "differential": [[], [0]]}))
+    for expr in (f"T(2,3)#@{two}", f"@{two}#-T(2,5)", f"T(3,4)#@{none}", f"@{two}#@{two}"):
+        c = realize_with_iota(parse_knot_expr(expr))[0]
+        assert _check_derived(c, expr) == {"U0": None, "V0": None}, expr
+        assert not invariants.is_knotlike(realize_with_iota(parse_knot_expr(expr))[0]), expr
