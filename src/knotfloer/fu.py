@@ -31,9 +31,10 @@ model or a cone builds its own.
 Unpaired basis elements are the free homology generators; their
 gradings give the tower tops. The same loop gives a basis in which the
 complex splits into towers and pairs. The `Reduction` keeps it and
-reads off it, on demand, the minimal model with its inclusion and
-projection, and the tower cycle and the cocycle that detects it, which
-the test suite checks against a Smith-normal-form oracle.
+reads off it, on demand, the minimal model, built from the pairs it
+keeps, with its inclusion and projection, and the tower cycle and the
+cocycle that detects it, which the test suite checks against a
+Smith-normal-form oracle.
 
 Clearing skips only the rows that are pivots before the loop reaches
 them. In filtration order that happens in a level, at the rows of its
@@ -144,7 +145,9 @@ class Reduction:
     (Zomorodian-Carlsson, Computing persistent homology, 2005). The
     minimal model M keeps the towers and the pairs with k > 0: its
     differential is one entry T^k per kept pair, so M has the towers and
-    the torsion of L, and its T = 0 differential vanishes.
+    the torsion of L, and its T = 0 differential vanishes. M is built
+    from the kept pairs alone, its generators at their positions and the
+    towers', in position order.
 
     `inc` is the inclusion iota: M -> L, one index mask of L per generator
     of M; `project` is the projection pi: L -> M along the contractible
@@ -186,8 +189,8 @@ class Reduction:
         """Build the model and iota, then drop `fu`, the basis and the tables read off it."""
         self.model, self.inc  # both cached on first read
         self.fu = self.order = self.pos = self.vectors = self.pairs = None
-        self.__dict__.pop("_kept", None)
-        self.__dict__.pop("_coord", None)
+        for key in ("_torsion", "_kept", "_coord"):
+            self.__dict__.pop(key, None)
 
     def reflected(self, shift: int) -> "Reduction":
         """The split of `fu` under sigma: i -> n - 1 - i, ties too, raised by shift.
@@ -214,7 +217,7 @@ class Reduction:
             self.vectors,
             self.pairs,
         )
-        out._kept, out._coord = self._kept, self._coord
+        out._torsion, out._kept, out._coord = self._torsion, self._kept, self._coord
         return out
 
     def cocycle(self) -> int:
@@ -241,14 +244,15 @@ class Reduction:
         return _moved(self._basis()[self.pos[self.indices[0]]], self.order)
 
     @functools.cached_property
-    def _kept(self) -> List[int]:
-        """The positions of M: all but those of the contractible pairs (k = 0)."""
+    def _torsion(self) -> List[Tuple[int, int]]:
+        """The (row, column) positions of the pairs M keeps, those with k > 0."""
         order, gradings = self.order, self.fu.gradings
-        contractible = set()
-        for row, col in self.pairs.items():
-            if gradings[order[row]] == gradings[order[col]] - 1:
-                contractible.update((row, col))
-        return [p for p in range(len(order)) if p not in contractible]
+        return [(row, col) for row, col in self.pairs.items() if gradings[order[row]] != gradings[order[col]] - 1]
+
+    @functools.cached_property
+    def _kept(self) -> List[int]:
+        """The positions of M, ascending: the towers' and those of the kept pairs."""
+        return sorted([self.pos[i] for i in self.indices] + [p for pair in self._torsion for p in pair])
 
     @functools.cached_property
     def _coord(self) -> List[int]:
@@ -262,9 +266,8 @@ class Reduction:
     def model(self) -> FUComplex:
         gradings, order, kept, coord = self.fu.gradings, self.order, self._kept, self._coord
         targets = [[] for _ in kept]
-        for row, col in self.pairs.items():
-            if coord[row] >= 0:
-                targets[coord[col]].append(coord[row])
+        for row, col in self._torsion:
+            targets[coord[col]].append(coord[row])
         return FUComplex([gradings[order[p]] for p in kept], targets)
 
     @functools.cached_property

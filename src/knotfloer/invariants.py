@@ -29,6 +29,10 @@ the V = 0 quotient of any other complex is read off the U = 0 one
 through index reversal when that is a skew chain automorphism of the
 complex, as it is on every torus sum and on HW: the reversal swaps U
 with V and grw with grz, so it carries one quotient onto the other.
+A sum whose summands both have that symmetry, and the report's mirror
+of a complex that has it, inherit it at the first read of their
+quotients, where the summands or the knot are read anyway, instead of
+walking their own target lists (proofs in `_quotient` and `release_to_dual`).
 What is left to reduce is a summand's, a file's or an asymmetric
 complex's. It keeps the
 split of every level it builds (`level_split`), so a level is built
@@ -62,7 +66,7 @@ from typing import Dict, FrozenSet, List, Optional, Tuple
 from .complexes import BigradedComplex, reduce_complex
 from .errors import ConsistencyError, ValidationError
 from .fu import FUComplex, Reduction, cone, tower_reduce, transfer
-from .linalg import flag_mask, spread
+from .linalg import flag_mask, iter_bits, spread
 
 MODES = ("U0", "V0")
 
@@ -204,7 +208,10 @@ def _quotient(c: BigradedComplex, mode: str) -> Optional[Tuple[int, int, int]]:
     Both lie in the sum of the summands' degrees. Each is a mask Kronecker
     product, `spread(x, m) * y`, whose shifted copies of y fill disjoint
     blocks of bits. The summands' entries come by the same routes, so a
-    nested sum recurses down to its atoms, which are small.
+    nested sum recurses down to its atoms, which are small. The sum is
+    reversal-symmetric when both summands are: sigma_N(i * m + j) =
+    sigma_C(i) * m + sigma_S(j), which swaps grw and grz factor by factor,
+    and sigma_C x sigma_S commutes with d x 1 + 1 x d.
 
     Index reversal, for the V = 0 quotient when index reversal sigma is a
     skew chain automorphism of c (`BigradedComplex.reversal_symmetric`,
@@ -221,6 +228,8 @@ def _quotient(c: BigradedComplex, mode: str) -> Optional[Tuple[int, int, int]]:
         summands = c.__dict__.pop("_summands", None)
         if summands is not None:
             memo.update(_kunneth(*summands))
+            if all(part.reversal_symmetric for part in summands):
+                c.__dict__.setdefault("reversal_symmetric", True)
         elif mode == "V0" and c.reversal_symmetric:
             n, quotient = len(c), _quotient(c, "U0")
             memo[mode] = quotient and (n - 1 - quotient[0], *(_reversed(mask, n) for mask in quotient[1:]))
@@ -268,7 +277,10 @@ def release_to_dual(c: BigradedComplex) -> BigradedComplex:
     exactly when C has, topped at minus C's top: C's index serves. At
     T = 1 the transpose's cycles are C's cocycles and its cocycles C's
     cycles, so the dual's entry is C's with cocycle and cycle swapped.
-    They stay in one degree, negated, and still pair to 1.
+    They stay in one degree, negated, and still pair to 1. The dual of a
+    reversal-symmetric c is reversal-symmetric: sigma swaps the negated
+    gradings, and the transpose of a matrix that commutes with the
+    permutation sigma commutes with it.
     """
     quotients = {}
     for mode in MODES:
@@ -277,6 +289,8 @@ def release_to_dual(c: BigradedComplex) -> BigradedComplex:
     release(c)
     dual = c.dual()
     dual.__dict__["_quotients"] = quotients
+    if c.reversal_symmetric:
+        dual.__dict__["reversal_symmetric"] = True
     return dual
 
 
@@ -394,8 +408,14 @@ def _hat_ends(c: BigradedComplex, split: Reduction, s: int, n: int) -> FrozenSet
     (u0_tower, phi_u, _), phi_v = _quotient(c, "U0"), _quotient(c, "V0")[1]
     g = c.grw[u0_tower]
     first, last = level_split(c, s + n), level_split(c, s - n)
-    v1_probe = phi_u & flag_mask(a <= s + n for a in c.alexander)
-    u1_probe = phi_v & flag_mask(a >= s - n for a in c.alexander)
+    # Cut by walking the cocycle's own bits, which cost its weight, not a pass over every generator.
+    alexander, v1_probe, u1_probe = c.alexander, phi_u, phi_v
+    for i in iter_bits(phi_u):
+        if alexander[i] > s + n:
+            v1_probe ^= 1 << i
+    for i in iter_bits(phi_v):
+        if alexander[i] < s - n:
+            u1_probe ^= 1 << i
     # Block 2n, the model of level s - n, ends the cone.
     gradings = split.fu.gradings
     end = len(gradings) - len(last.inc)

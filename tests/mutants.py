@@ -304,6 +304,34 @@ MUTANTS = (
         ("tests/test_expressions.py::test_parse_rejects_torus_parameters_past_the_ceiling",),
     ),
     Mutant(
+        "a model keeps the contractible pairs instead of those with k > 0",
+        "fu.py",
+        "if gradings[order[row]] != gradings[order[col]] - 1]",
+        "if gradings[order[row]] == gradings[order[col]] - 1]",
+        ("tests/test_fullwidth.py::test_model_of_random_complexes_matches_the_full_scan",),
+    ),
+    Mutant(
+        "the v1 probe cleared at A = s + n too",
+        "invariants.py",
+        "if alexander[i] > s + n:",
+        "if alexander[i] >= s + n:",
+        ("tests/test_fullwidth.py::test_hat_ends_of_multi_bit_cocycles_match_the_full_width_probe",),
+    ),
+    Mutant(
+        "a sum marked reversal-symmetric when one summand is",
+        "invariants.py",
+        "if all(part.reversal_symmetric for part in summands):",
+        "if any(part.reversal_symmetric for part in summands):",
+        ("tests/test_quotients.py::test_sums_and_mirrors_inherit_reversal_symmetry_only_when_it_holds",),
+    ),
+    Mutant(
+        "the report's mirror marked reversal-symmetric unconditionally",
+        "invariants.py",
+        "    if c.reversal_symmetric:\n        dual.__dict__",
+        "    if True:\n        dual.__dict__",
+        ("tests/test_quotients.py::test_sums_and_mirrors_inherit_reversal_symmetry_only_when_it_holds",),
+    ),
+    Mutant(
         "the involutive cone reads an involution of another complex",
         "involutive.py",
         '        raise ValidationError("involution is a map on another complex")\n',

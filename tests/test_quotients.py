@@ -23,7 +23,7 @@ from oracle_quotient import entry_violations, mask_quotient
 
 from knotfloer import invariants
 from knotfloer.complexes import BigradedComplex, reduce_complex, verify_chain_map
-from knotfloer.expressions import Mirror, Sum, TorusKnot, parse_knot_expr
+from knotfloer.expressions import FileRef, Mirror, Sum, TorusKnot, parse_knot_expr
 from knotfloer.fileio import load_complex, save_complex
 from knotfloer.fu import tower_reduce
 from knotfloer.involutive import mirror_iota, realize_with_iota, staircase_iota
@@ -215,3 +215,54 @@ def test_a_sum_with_a_summand_without_one_tower_has_no_entry(tmp_path):
         c = realize_with_iota(parse_knot_expr(expr))[0]
         assert _check_derived(c, expr) == {"U0": None, "V0": None}, expr
         assert not invariants.is_knotlike(realize_with_iota(parse_knot_expr(expr))[0]), expr
+
+
+# --- reversal symmetry inherited by sums and by the report's mirror ------------
+
+
+def _symmetry_cases(tmp_path):
+    """Seeded sums of 2-4 terms, nested sums, and sums with HW, a saved sum or a saved scrambled copy as a summand.
+
+    HW and a saved torus sum are reversal-symmetric, so their sums inherit
+    the flag; a scrambled summand is not, so its sums compute it.
+    """
+    rng = random.Random(4747)
+    exprs = []
+    while len(exprs) < 8:
+        expr = random_torus_sum(rng, 4, 400)
+        if "#" in expr:
+            exprs.append(parse_knot_expr(expr))
+    t23, t25, t34 = TorusKnot(2, 3), TorusKnot(2, 5), TorusKnot(3, 4)
+    exprs += [
+        Sum((Sum((t23, Mirror(t34))), t25)),
+        Sum((Mirror(t25), Sum((t23, Mirror(t23))))),
+        Sum((Sum((t34, t23)), Sum((Mirror(t25), t23)))),
+        parse_knot_expr("HW#T(2,3)"),
+        parse_knot_expr("-T(3,4)#HW#-T(2,5)"),
+    ]
+    c, iota = realize_with_iota(parse_knot_expr("T(2,5)#-T(3,4)"))
+    copy = next(x for x in (scramble(c, iota, random.Random(seed)) for seed in range(20)) if not x[0].reversal_symmetric)
+    for name, (complex_, involution) in (("sum", (c, iota)), ("scrambled", copy)):
+        path = tmp_path / f"{name}.cfk"
+        save_complex(complex_, str(path), name, involution)
+        exprs += [parse_knot_expr(f"@{path}#T(2,3)"), parse_knot_expr(f"-T(2,3)#@{path}#HW")]
+    exprs.append(Sum((Sum((t23, FileRef(str(tmp_path / "scrambled.cfk")))), t25)))
+    return exprs
+
+
+def test_sums_and_mirrors_inherit_reversal_symmetry_only_when_it_holds(tmp_path):
+    flags = []
+    for expr in _symmetry_cases(tmp_path):
+        c = realize_with_iota(expr)[0]
+        assert "reversal_symmetric" not in c.__dict__, expr  # lazy: nothing is read until the quotients are
+        assert invariants.is_knotlike(c), expr
+        inherited = "reversal_symmetric" in c.__dict__
+        flag = c.reversal_symmetric
+        assert flag == _reversal_is_skew_automorphism(c) == _plain(c).reversal_symmetric, expr
+        assert inherited == flag, expr
+        mirror = invariants.release_to_dual(c)
+        assert ("reversal_symmetric" in mirror.__dict__) == flag, expr
+        assert mirror.reversal_symmetric == _reversal_is_skew_automorphism(mirror) == _plain(mirror).reversal_symmetric
+        assert mirror.reversal_symmetric == flag, expr
+        flags.append(flag)
+    assert set(flags) == {True, False}
