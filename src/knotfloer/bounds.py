@@ -181,11 +181,6 @@ def _lt_signature(terms: List[Tuple[int, int, int]]) -> StepFunction:
     return StepFunction(tuple((Fraction(x, denominator), size) for x, size in _signed_merge(per_term).items()))
 
 
-def lt_signature_torus(p: int, q: int) -> StepFunction:
-    """The Levine-Tristram signature of T(p, q), the one-term case of `lt_signature_of_expr`."""
-    return _lt_signature([(1, p, q)])
-
-
 def lt_signature_of_expr(e: KnotExpr) -> StepFunction:
     terms = torus_terms(e)
     if terms is None:

@@ -41,6 +41,7 @@ from .expressions import FileRef, expr_to_string, parse_knot_expr, torus_terms
 from .fileio import load_complex
 from .invariants import compute_invariant_table, level_split, release_to_dual, require_knot_complex
 from .involutive import mirror_iota, realize_with_iota, v0_bar_under
+from .linalg import iter_bits
 
 CYCLE_CERTIFICATE_LIMIT = 2000
 
@@ -60,12 +61,13 @@ def _table_payload(table) -> Dict:
 def _tower_certificate(c) -> Optional[List[Dict]]:
     if len(c) > CYCLE_CERTIFICATE_LIMIT:
         return None
-    labels, alex = c.labels, c.alexander
     # Level 0 has one tower: the table read V_0 off its model M_0, which has the same towers.
-    cycle = level_split(c, 0).reps[0]
-    terms = sorted(cycle, key=lambda t: (labels[t[0]], t[1]))
-    # Basis element i of the level-0 complex is U^A x_i, or V^-A x_i when A < 0.
-    return [{"gen": labels[i], "u": max(alex[i], 0) + t, "v": max(-alex[i], 0) + t} for i, t in terms]
+    # Its cycle sits at bigrading (top, top), which fixes the monomial of each term;
+    # terms sort by label, then by T-power, which grows with the level grading.
+    split = level_split(c, 0)
+    labels, gradings, top = c.labels, split.fu.gradings, split.top_grading()
+    terms = sorted(iter_bits(split.cycle()), key=lambda i: (labels[i], gradings[i]))
+    return [{"gen": labels[i], "u": (c.grw[i] - top) // 2, "v": (c.grz[i] - top) // 2} for i in terms]
 
 
 def _side(c, iota, name: str):

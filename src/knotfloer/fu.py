@@ -34,7 +34,9 @@ complex splits into towers and pairs. The `Reduction` keeps it and
 reads off it, on demand, the minimal model, built from the pairs it
 keeps, with its inclusion and projection, and the tower cycle and the
 cocycle that detects it, which the test suite checks against a
-Smith-normal-form oracle.
+Smith-normal-form oracle. Both are index masks: the cycle is homogeneous
+at its tower's top, so its T-powers, like the differential's, are implied
+by the gradings.
 
 Clearing skips only the rows that are pivots before the loop reaches
 them. In filtration order that happens in a level, at the rows of its
@@ -95,17 +97,6 @@ class FUComplex:
         self.degrees: Optional[Tuple[int, ...]] = None if degrees is None else tuple(degrees)
         self.ties = ties
 
-    @property
-    def cols(self) -> Tuple[int, ...]:
-        """The columns as bitmasks of row indices, built from the lists on each read; the program reads none."""
-        out = []
-        for row in self.targets:
-            col = 0
-            for j in row:
-                col |= 1 << j
-            out.append(col)
-        return tuple(out)
-
     def __len__(self) -> int:
         return len(self.gradings)
 
@@ -126,9 +117,8 @@ class Reduction:
     """Result of the filtration reduction: the towers, and the split of `fu` into towers and pairs.
 
     unpaired: the tower tops, the gradings of the free homology
-    generators, descending; indices: the basis index of each; reps: for
-    each, a homogeneous cycle in the original basis as a list of (basis
-    index, T-power) pairs.
+    generators, descending; indices: the basis index of each, whose basis
+    vector is a homogeneous cycle at that grading.
 
     order[p] is the basis index at position p, by descending grading and
     then the tie order of `fu`, and pos its inverse, and
@@ -155,8 +145,8 @@ class Reduction:
     1. Both are homogeneous, so their T-powers stay implied by the
     gradings. The model and iota are built on first read.
 
-    `drop_basis` keeps only the towers (unpaired, indices, reps), the
-    model and iota, and drops the basis, n vectors of up to n bits and
+    `drop_basis` keeps only the towers (unpaired, indices), the model
+    and iota, and drops the basis, n vectors of up to n bits and
     the bulk of a reduction; `project`, `cocycle` and `cycle` raise
     `ConsistencyError` from then on.
     """
@@ -164,7 +154,6 @@ class Reduction:
     fu: Optional[FUComplex]
     unpaired: List[int]
     indices: List[int]
-    reps: List[List[Tuple[int, int]]]
     order: List[int]
     pos: List[int]
     vectors: List[int]
@@ -211,7 +200,6 @@ class Reduction:
             reflected,
             [g + shift for g in self.unpaired],
             [n - 1 - i for i in self.indices],
-            [[(n - 1 - q, k) for q, k in reversed(rep)] for rep in self.reps],
             [n - 1 - i for i in self.order],
             self.pos[::-1],
             self.vectors,
@@ -229,7 +217,7 @@ class Reduction:
         and for each later position q add q when the functional so far is
         odd on vectors[q]. The image of d lies in the span of the z_i,
         none of them the tower vector, so with T = 1 it is a cocycle:
-        even against every column, odd against reps[0].
+        even against every column, odd on the tower vector (`cycle`).
         """
         vectors = self._basis()
         t = self.pos[self.indices[0]]
@@ -240,7 +228,7 @@ class Reduction:
         return _moved(phi, self.order)
 
     def cycle(self) -> int:
-        """The first tower vector at T = 1, as an index mask: a cycle, on which `cocycle` is odd."""
+        """The first tower vector at T = 1, as an index mask: a cycle at its tower's top, on which `cocycle` is odd."""
         return _moved(self._basis()[self.pos[self.indices[0]]], self.order)
 
     @functools.cached_property
@@ -333,11 +321,7 @@ def tower_reduce(fu: FUComplex) -> Reduction:
     free = sorted(p for p in cycles if p not in pairs)
     indices = [order[p] for p in free]
     unpaired = [gradings[idx] for idx in indices]
-    reps = [
-        sorted((order[q], (gradings[order[q]] - gradings[order[p]]) // 2) for q in iter_bits(vectors[p]))
-        for p in free
-    ]
-    return Reduction(fu, unpaired, indices, reps, order, pos, vectors, pairs)
+    return Reduction(fu, unpaired, indices, order, pos, vectors, pairs)
 
 
 # --- cones of models ---------------------------------------------------------

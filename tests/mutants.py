@@ -338,6 +338,28 @@ MUTANTS = (
         "        pass\n",
         ("tests/test_involutive.py::test_cone_rejects_an_involution_of_another_complex",),
     ),
+    Mutant(
+        "the certificate's u and v read from swapped gradings",
+        "cli.py",
+        '"u": (c.grw[i] - top) // 2, "v": (c.grz[i] - top) // 2',
+        '"u": (c.grz[i] - top) // 2, "v": (c.grw[i] - top) // 2',
+        ("tests/test_cli.py::test_certificates_block",),
+    ),
+    Mutant(
+        "the certificate reads the tower cocycle instead of the tower cycle",
+        "cli.py",
+        "iter_bits(split.cycle())",
+        "iter_bits(split.cocycle())",
+        ("tests/test_certificate.py::test_certificate_of_seeded_sums_mirrors_and_scrambles",),
+    ),
+    # Only labels that repeat, as a sum's can when file ids contain "|", reach the T-power.
+    Mutant(
+        "the certificate's tie key without its T-power",
+        "cli.py",
+        "key=lambda i: (labels[i], gradings[i])",
+        "key=lambda i: labels[i]",
+        ("tests/test_certificate.py::test_colliding_labels_keep_their_tie_order",),
+    ),
 )
 
 # The two halves of the exponent comparison, swapped: the same test must pass.

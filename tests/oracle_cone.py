@@ -19,6 +19,8 @@ from knotfloer.fu import FUComplex
 from knotfloer.invariants import level_split
 from knotfloer.linalg import image, iter_bits
 
+from fu_views import fu_cols
+
 
 def model_cone(c: BigradedComplex, s: int, n: int) -> FUComplex:
     """A model of level s of C tensor St*_n."""
@@ -29,7 +31,7 @@ def model_cone(c: BigradedComplex, s: int, n: int) -> FUComplex:
     cols: List[int] = []
     for k, model in enumerate(models):
         gradings.extend(r + k for r in model.gradings)
-        cols.extend(col << offsets[k] for col in model.cols)
+        cols.extend(col << offsets[k] for col in fu_cols(model))
         offsets.append(len(cols))
     for k in range(0, 2 * n + 1, 2):
         for b in (k - 1, k + 1):
@@ -48,6 +50,7 @@ def involutive_cone(c: BigradedComplex, iota: SkewMap) -> FUComplex:
     split = level_split(c, 0)
     model, n = split.model, len(split.model)
     one_plus = [split.project(image(iota.cols, inc)) ^ (1 << m) for m, inc in enumerate(split.inc)]
-    cols = [col | (op << n) for col, op in zip(model.cols, one_plus)]
-    cols += [col << n for col in model.cols]
+    model_cols = fu_cols(model)
+    cols = [col | (op << n) for col, op in zip(model_cols, one_plus)]
+    cols += [col << n for col in model_cols]
     return FUComplex(model.gradings + tuple(r - 1 for r in model.gradings), list(map(iter_bits, cols)))

@@ -16,6 +16,8 @@ from typing import List, Tuple
 from knotfloer.complexes import BigradedComplex, ChainMap, SkewMap
 from knotfloer.fu import FUComplex
 
+from fu_views import fu_cols
+
 
 def _bits(mask: int) -> List[int]:
     out = []
@@ -53,7 +55,7 @@ def fu_illegal_entries(fu: FUComplex) -> List[Tuple[int, int]]:
     r = fu.gradings
     return [
         (j, i)
-        for j, col in enumerate(fu.cols)
+        for j, col in enumerate(fu_cols(fu))
         for i in _bits(col)
         if r[i] - r[j] + 1 < 0 or (r[i] - r[j] + 1) % 2
     ]
@@ -94,6 +96,6 @@ def fu_validate_messages(fu: FUComplex) -> List[str]:
         f"entry #{j} -> #{i}: grading gap {r[j]} -> {r[i]} admits no T-power"
         for j, i in fu_illegal_entries(fu)
     ]
-    cols = fu.cols
+    cols = fu_cols(fu)
     out += [f"d^2 != 0 on basis element #{j}" for j, col in enumerate(cols) if _square(cols, col)]
     return out

@@ -27,6 +27,7 @@ from knotfloer.invariants import a_level_complex
 from knotfloer.linalg import iter_bits
 
 from echelon import ColumnSolver, Echelon, set_bits
+from fu_views import fu_cols
 
 
 def power(fu: FUComplex, row: int, col: int) -> int:
@@ -51,11 +52,11 @@ def slice_basis(fu: FUComplex, rho: int) -> List[Tuple[int, int]]:
 
 def boundary_columns(fu: FUComplex, src_slice, tgt_slice) -> List[int]:
     """Boundary matrix between adjacent slices, columns as bitmasks."""
-    pos, fu_cols = {pair: n for n, pair in enumerate(tgt_slice)}, fu.cols
+    pos, columns = {pair: n for n, pair in enumerate(tgt_slice)}, fu_cols(fu)
     cols = []
     for i, k in src_slice:
         mask = 0
-        for m in set_bits(fu_cols[i]):
+        for m in set_bits(columns[i]):
             mask |= 1 << pos[(m, k + power(fu, m, i))]
         cols.append(mask)
     return cols
@@ -99,8 +100,9 @@ def level_cone(level_fu: FUComplex, one_plus) -> FUComplex:
     """Cone of one_plus on the level, Q of degree -1: Q x is index n + x."""
     n = len(level_fu)
     gradings = list(level_fu.gradings) + [r - 1 for r in level_fu.gradings]
-    cols = [col | (op << n) for col, op in zip(level_fu.cols, one_plus)]
-    cols += [col << n for col in level_fu.cols]
+    level_cols = fu_cols(level_fu)
+    cols = [col | (op << n) for col, op in zip(level_cols, one_plus)]
+    cols += [col << n for col in level_cols]
     return FUComplex(gradings, list(map(iter_bits, cols)))
 
 

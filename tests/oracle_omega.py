@@ -16,6 +16,7 @@ from knotfloer.complexes import BigradedComplex, reduce_complex
 from knotfloer.linalg import LinearSystem, transpose
 
 from echelon import ColumnSolver, Echelon, set_bits
+from fu_views import fu_cols
 
 
 def _rows(cols: List[int], nrows: int) -> List[int]:
@@ -33,8 +34,8 @@ class HatSlices:
 
     def __init__(self, c: BigradedComplex):
         self.grw, self.grz = c.grw, c.grz
-        self.no_u = reduce_complex(c, "U0").cols
-        self.no_v = reduce_complex(c, "V0").cols
+        self.no_u = fu_cols(reduce_complex(c, "U0"))
+        self.no_v = fu_cols(reduce_complex(c, "V0"))
         self._cache: Dict[Tuple[int, int], List[Tuple[int, int, int]]] = {}
 
     def slice(self, w: int, z: int) -> List[Tuple[int, int, int]]:

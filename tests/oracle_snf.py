@@ -24,6 +24,7 @@ from typing import Dict, List, Optional, Tuple
 from knotfloer.errors import ConsistencyError
 from knotfloer.fu import FUComplex
 from echelon import set_bits
+from fu_views import fu_cols
 from oracle_involutive import power
 
 TMatrix = List[List[int]]
@@ -263,7 +264,7 @@ def solve_in_column_span(mat: TMatrix, target: List[int]):
 def _t_matrix(fu: FUComplex) -> TMatrix:
     n = len(fu)
     mat = [[0] * n for _ in range(n)]
-    for j, col in enumerate(fu.cols):
+    for j, col in enumerate(fu_cols(fu)):
         for i in set_bits(col):
             mat[i][j] = 1 << power(fu, i, j)
     return mat

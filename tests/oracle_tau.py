@@ -15,10 +15,11 @@ from knotfloer.complexes import BigradedComplex, reduce_complex
 from knotfloer.errors import ConsistencyError
 
 from echelon import ColumnSolver, Echelon, set_bits
+from fu_views import fu_cols
 
 
 def tau_scan(c: BigradedComplex) -> int:
-    cols = reduce_complex(c, "U0").cols
+    cols = fu_cols(reduce_complex(c, "U0"))
     full = Echelon(cols)
     levels = sorted(set(c.alexander))
     by_level: Dict[int, List[int]] = {}

@@ -13,7 +13,6 @@ from knotfloer.bounds import (
     format_exact,
     genus_bounds,
     lt_signature_of_expr,
-    lt_signature_torus,
     plot_rows,
     signature_clasp_bound,
     upsilon_of_expr,
@@ -164,14 +163,14 @@ def test_upsilon_staircase_accepts_long_steps():
 
 
 def test_signature_trefoil():
-    sig = lt_signature_torus(2, 3)
+    sig = lt_signature_of_expr(TorusKnot(2, 3))
     assert sig.jumps == ((Fraction(1, 6), -2), (Fraction(5, 6), 2))
     assert step_value(sig, Fraction(1, 2)) == -2
     assert step_value(sig, Fraction(1, 10)) == 0
 
 
 def test_signature_t34():
-    sig = lt_signature_torus(3, 4)
+    sig = lt_signature_of_expr(TorusKnot(3, 4))
     assert step_value(sig, Fraction(1, 2)) == -6
 
 
@@ -181,13 +180,13 @@ def test_signature_t34():
 )
 def test_signature_rejects_what_names_no_torus_knot(p, q, message):
     with pytest.raises(ValidationError) as exc:
-        lt_signature_torus(p, q)
+        lt_signature_of_expr(TorusKnot(p, q))
     assert str(exc.value) == message
 
 
 def test_signature_symmetry_and_mirror():
     for p, q in [(2, 3), (2, 5), (3, 4), (4, 5)]:
-        sig = lt_signature_torus(p, q)
+        sig = lt_signature_of_expr(TorusKnot(p, q))
         assert all(s in (-2, 2) for _, s in sig.jumps)
         xs = [x for x, _ in sig.jumps]
         assert len(set(xs)) == len(xs)

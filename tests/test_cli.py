@@ -6,6 +6,7 @@ import os
 import shutil
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -13,8 +14,10 @@ import pytest
 from knotfloer.bounds import PLFunction
 from knotfloer.cli import main
 from knotfloer.errors import ValidationError
+from knotfloer.expressions import parse_knot_expr
+from knotfloer.involutive import realize_expr
 
-from oracle_terms import gen
+from oracle_terms import gen, terms
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -136,19 +139,33 @@ def test_plotdata_locally_trivial_sum_is_zero(capsys):
 
 
 def test_certificates_block(capsys):
-    code, out, _ = run_cli(["report", "--expr", "T(2,3)", "--format", "json"], capsys)
-    assert code == 0
-    cert = json.loads(out)["certificates"]["v0_tower_cycle"]
-    assert isinstance(cert, list) and cert
-    assert set(cert[0]) == {"gen", "u", "v"}
-    # the certified cycle really is the level-0 tower representative: each
-    # monomial has Alexander level 0
-    from knotfloer.builders import torus_knot_complex
-
-    trefoil = torus_knot_complex(2, 3)
-    for term in cert:
-        g = gen(trefoil, term["gen"])
-        assert g.alexander - term["u"] + term["v"] == 0
+    # The certified cycle really is the level-0 tower representative, of the
+    # knot and of its mirror: each monomial lies at bigrading (top, top),
+    # top = -2 V_0, so at Alexander level 0, and together they form a cycle of C.
+    for expr in ("T(2,3)", "T(2,11)#-T(4,5)", f"@{DATA}/hw.cfk"):
+        code, out, _ = run_cli(["report", "--expr", expr, "--format", "json"], capsys)
+        assert code == 0
+        report = json.loads(out)
+        c = realize_expr(parse_knot_expr(expr))
+        for key, side, complex_ in (
+            ("v0_tower_cycle", "invariants", c),
+            ("v0_tower_cycle_mirror", "mirror_invariants", c.dual()),
+        ):
+            cert = report["certificates"][key]
+            assert isinstance(cert, list) and cert
+            assert all(set(term) == {"gen", "u", "v"} for term in cert)
+            top = -2 * report[side]["V"]["0"]
+            for term in cert:
+                g = gen(complex_, term["gen"])
+                assert (g.grw - 2 * term["u"], g.grz - 2 * term["v"]) == (top, top), (expr, key, term)
+                assert g.alexander - term["u"] + term["v"] == 0
+            entries = {}
+            for src, tgt, u, v in terms(complex_):
+                entries.setdefault(src, []).append((tgt, u, v))
+            boundary = Counter(
+                (tgt, term["u"] + u, term["v"] + v) for term in cert for tgt, u, v in entries.get(term["gen"], ())
+            )
+            assert all(count % 2 == 0 for count in boundary.values()), (expr, key)
 
 
 def test_cap_overflow_is_internal_error(monkeypatch, capsys):

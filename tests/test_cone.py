@@ -14,12 +14,13 @@ from knotfloer.invariants import compute_invariant_table
 from knotfloer.involutive import mirror_iota, realize_with_iota, v0_bar_under
 
 from conftest import random_torus_sum, scramble
+from fu_views import fu_cols
 from oracle_cone import involutive_cone, model_cone
 from test_invariants import corpus
 
 
 def _layout(fu):
-    return fu.gradings, fu.cols, fu.ties, fu.degrees
+    return fu.gradings, fu_cols(fu), fu.ties, fu.degrees
 
 
 def _cases():

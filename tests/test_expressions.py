@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from knotfloer.bounds import lt_signature_torus
+from knotfloer.bounds import lt_signature_of_expr
 from knotfloer.builders import alexander_exponents, staircase
 from knotfloer.errors import ParseError, ValidationError
 from knotfloer.expressions import (
@@ -45,7 +45,7 @@ def test_parse_rejects_torus_parameters_past_the_ceiling():
         with pytest.raises(ParseError) as err:
             parse_knot_expr(text)
         assert str(err.value).startswith(f"torus parameters {term} are too large"), text
-    for build in (alexander_exponents, lt_signature_torus):
+    for build in (alexander_exponents, lambda p, q: lt_signature_of_expr(TorusKnot(p, q))):
         with pytest.raises(ValidationError, match="too large"):
             build(2**64 + 1, 2)
     # More digits than int() converts, on Pythons that cap them, is a syntax error too.

@@ -32,6 +32,7 @@ from knotfloer.invariants import (
 )
 
 from conftest import UNKNOT, level_monomials, random_torus_sum, scramble
+from fu_views import fu_cols, tower_terms
 from oracle_nu import nu_hat_scan
 from oracle_omega import omega_feasible
 from oracle_tau import tau_scan
@@ -566,14 +567,16 @@ def _check_glue_and_dropped_bases(c):
     aliased = [(s, t) for s, t in pairs if max(s, t) < 0]
     assert all((glue[s, t] is glue[-s, -t]) == c.reversal_symmetric for s, t in aliased)
     for s, split in splits.items():
-        assert split.inc == full[s].inc and split.reps == full[s].reps
+        assert (split.inc, split.unpaired, split.indices) == (full[s].inc, full[s].unpaired, full[s].indices)
         model, again = split.model, full[s].model
-        assert (model.gradings, model.cols) == (again.gradings, again.cols)
+        assert (model.gradings, fu_cols(model)) == (again.gradings, fu_cols(again))
         dropped = s != 0 and s in odd
         assert (split.vectors is None) == dropped, s
         if dropped:
             with pytest.raises(ConsistencyError):
                 split.project(1)
+        else:
+            assert [tower_terms(split, t) for t in range(split.rank)] == [tower_terms(full[s], t) for t in range(split.rank)]
 
 
 def test_levels_that_drop_their_basis_drop_their_complex():

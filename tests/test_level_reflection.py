@@ -40,6 +40,7 @@ from knotfloer.invariants import (
 from knotfloer.involutive import mirror_iota, realize_with_iota, staircase_iota, v0_bar_under
 
 from conftest import random_torus_sum, scramble
+from fu_views import fu_cols
 
 SEEDS = range(6)
 
@@ -76,8 +77,7 @@ def _fields(split):
         "vectors": split.vectors,
         "unpaired": split.unpaired,
         "indices": split.indices,
-        "reps": split.reps,
-        "model": (model.gradings, model.cols),
+        "model": (model.gradings, fu_cols(model)),
         "inc": split.inc,
     }
 
@@ -93,7 +93,7 @@ def test_every_stored_split_is_the_reduction_of_its_level(seed):
                 split = level_split(complex_, s)
                 level = a_level_complex(complex_, s)
                 # The split's complex is level s, with a tie order of its own.
-                assert (split.fu.gradings, split.fu.cols, split.fu.targets) == (level.gradings, level.cols, level.targets)
+                assert (split.fu.gradings, fu_cols(split.fu), split.fu.targets) == (level.gradings, fu_cols(level), level.targets)
                 assert sorted(split.fu.ties) == list(range(len(complex_)))
                 again = tower_reduce(split.fu)
                 mine, want = _fields(split), _fields(again)

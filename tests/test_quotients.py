@@ -18,6 +18,7 @@ import random
 import pytest
 
 from conftest import random_torus_sum, scramble
+from fu_views import fu_cols, tower_terms
 from oracle_io import save_complex_json
 from oracle_quotient import entry_violations, mask_quotient
 
@@ -34,7 +35,7 @@ DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 def _assert_quotients_match(c, where):
     for mode in ("U0", "V0"):
         quotient = reduce_complex(c, mode)
-        assert (quotient.cols, quotient.degrees) == mask_quotient(c, mode), (where, mode)
+        assert (fu_cols(quotient), quotient.degrees) == mask_quotient(c, mode), (where, mode)
         assert quotient.gradings == (c.grz if mode == "U0" else c.grw), (where, mode)
 
 
@@ -151,8 +152,8 @@ def test_transported_v0_quotient_matches_the_direct_reduction(seed):
         assert c.grw[index] == direct.top_grading() and c.grz[index] == c.grz[direct.indices[0]], where
         # With T = 1 the transported cocycle vanishes on every boundary of
         # the V = 0 quotient and is odd on the direct route's tower cycle.
-        assert all((col & cocycle).bit_count() % 2 == 0 for col in reduce_complex(c, "V0").cols), where
-        assert sum(cocycle >> i & 1 for i, _power in direct.reps[0]) % 2 == 1, where
+        assert all((col & cocycle).bit_count() % 2 == 0 for col in fu_cols(reduce_complex(c, "V0"))), where
+        assert sum(cocycle >> i & 1 for i, _power in tower_terms(direct)) % 2 == 1, where
         read = [(invariants.tau_invariant(x), invariants.nu_hat(x), invariants.omega_hat(x)) for x in (c, twin)]
         assert read[0] == read[1], where
         # The end sets of every level nu and omega tested (`_hat_ends`).
