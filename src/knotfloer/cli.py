@@ -48,8 +48,8 @@ CYCLE_CERTIFICATE_LIMIT = 2000
 
 def _table_payload(table) -> Dict:
     return {
-        "V": {str(s): v for s, v in sorted(table.v.items())},
-        "Y": {str(n): y for n, y in sorted(table.y.items())},
+        "V": {str(s): v for s, v in table.v.items()},
+        "Y": {str(n): y for n, y in table.y.items()},
         "nu_plus": table.nu_plus,
         "omega_plus": table.omega_plus,
         "tau": table.tau,
@@ -58,15 +58,18 @@ def _table_payload(table) -> Dict:
     }
 
 
+def _pair_payload(pair) -> Optional[Dict]:
+    return None if pair is None else {"v0_bar": pair[0], "v0_under": pair[1]}
+
+
 def _tower_certificate(c) -> Optional[List[Dict]]:
     if len(c) > CYCLE_CERTIFICATE_LIMIT:
         return None
     # Level 0 has one tower: the table read V_0 off its model M_0, which has the same towers.
-    # Its cycle sits at bigrading (top, top), which fixes the monomial of each term;
-    # terms sort by label, then by T-power, which grows with the level grading.
+    # Its cycle sits at bigrading (top, top), which fixes the monomial of each term.
     split = level_split(c, 0)
-    labels, gradings, top = c.labels, split.fu.gradings, split.top_grading()
-    terms = sorted(iter_bits(split.cycle()), key=lambda i: (labels[i], gradings[i]))
+    labels, top = c.labels, split.top_grading()
+    terms = sorted(iter_bits(split.cycle()), key=labels.__getitem__)
     return [{"gen": labels[i], "u": (c.grw[i] - top) // 2, "v": (c.grz[i] - top) // 2} for i in terms]
 
 
@@ -86,6 +89,9 @@ def _side(c, iota, name: str):
 def _build_report(args) -> Dict:
     expr = parse_knot_expr(args.expr)
     complex_, iota = realize_with_iota(expr)
+    # A sum joins its summands' ids with "|", so ids that contain "|" can collide.
+    if len(set(complex_.labels)) < len(complex_):
+        raise ValidationError(f"generator label {complex_.repeated_label()!r} is repeated in the sum")
     require_knot_complex(complex_)
     if args.involutive == "on" and iota is None:
         raise ValidationError("--involutive on: no involution available for this input")
@@ -102,11 +108,6 @@ def _build_report(args) -> Dict:
     del complex_, iota
     mtable, m_involutive, m_certificate = _side(mirror, mirror_io, f"mirror of {name}")
     del mirror, mirror_io
-    upsilon = None
-    signature = None
-    if torus_terms(expr) is not None:
-        upsilon = upsilon_of_expr(expr)
-        signature = lt_signature_of_expr(expr)
 
     # Cross-checks between independently computed quantities. The mirror's
     # tau is read off the knot's quotients (`release_to_dual`), so its check
@@ -115,11 +116,14 @@ def _build_report(args) -> Dict:
     problems: List[str] = []
     if table.tau != -mtable.tau:
         problems.append(f"tau mirror asymmetry: {table.tau} vs {mtable.tau}")
-    if upsilon is not None and upsilon.initial_slope() != -table.tau:
-        problems.append(
-            f"initial slope {upsilon.initial_slope()} != -tau = {-table.tau}"
-        )
-    if upsilon is not None:
+    ratio = signature = upsilon_payload = signature_payload = None
+    if torus_terms(expr) is not None:
+        upsilon = upsilon_of_expr(expr)
+        signature = lt_signature_of_expr(expr)
+        ratio = upsilon_ratio_bound(upsilon)
+        slope = upsilon.initial_slope()
+        if slope != -table.tau:
+            problems.append(f"initial slope {slope} != -tau = {-table.tau}")
         # _signed_merge drops zero slope changes, so every interior breakpoint
         # is a kink, and f(t) = f(2 - t) holds exactly when the kinks and
         # their values are symmetric: the table is checked against its mirror.
@@ -128,24 +132,12 @@ def _build_report(args) -> Dict:
             if points.get(2 - t) != y:
                 problems.append(f"concordance function asymmetric at t = {t}")
                 break
-    if problems:
-        raise ConsistencyError("; ".join(problems))
-
-    upsilon_payload = None
-    ratio = None
-    if upsilon is not None:
-        ratio = upsilon_ratio_bound(upsilon)
         upsilon_payload = {
-            "points": [
-                [format_exact(t), format_exact(v)]
-                for t, v in zip(upsilon.breakpoints, upsilon.values)
-            ],
+            "points": [[format_exact(t), format_exact(y)] for t, y in points.items()],
             "value_at_1": format_exact(upsilon(1)),
-            "initial_slope": format_exact(upsilon.initial_slope()),
+            "initial_slope": format_exact(slope),
             "ratio_clasp_bound": format_exact(ratio),
         }
-    signature_payload = None
-    if signature is not None:
         hi, lo, bound = signature_clasp_bound(signature)
         signature_payload = {
             "jumps": [[format_exact(x), s] for x, s in signature.jumps],
@@ -153,24 +145,22 @@ def _build_report(args) -> Dict:
             "min": lo,
             "clasp_bound": bound,
         }
-
-    genus = genus_bounds(table, involutive)
-    clasp = clasp_bounds(table, mtable, ratio, signature, involutive)
+    if problems:
+        raise ConsistencyError("; ".join(problems))
 
     return {
         "expression": name,
         "generator_count": generator_count,
         "invariants": _table_payload(table),
         "mirror_invariants": _table_payload(mtable),
-        "involutive": None
-        if involutive is None
-        else {"v0_bar": involutive[0], "v0_under": involutive[1]},
-        "mirror_involutive": None
-        if m_involutive is None
-        else {"v0_bar": m_involutive[0], "v0_under": m_involutive[1]},
+        "involutive": _pair_payload(involutive),
+        "mirror_involutive": _pair_payload(m_involutive),
         "upsilon": upsilon_payload,
         "signature": signature_payload,
-        "bounds": {"genus": genus, "clasp": clasp},
+        "bounds": {
+            "genus": genus_bounds(table, involutive),
+            "clasp": clasp_bounds(table, mtable, ratio, signature, involutive),
+        },
         "certificates": {"v0_tower_cycle": certificate, "v0_tower_cycle_mirror": m_certificate},
     }
 
@@ -202,14 +192,14 @@ def _emit_report(report: Dict, fmt: str) -> None:
         f"tau = {inv['tau']}   nu = {inv['nu']}   omega = {inv['omega']}   "
         f"nu+ = {inv['nu_plus']}   omega+ = {inv['omega_plus']}"
     )
-    print("V:", " ".join(f"{s}:{v}" for s, v in sorted(inv["V"].items(), key=lambda kv: int(kv[0]))))
-    print("Y:", " ".join(f"{n}:{y}" for n, y in sorted(inv["Y"].items(), key=lambda kv: int(kv[0]))))
+    print("V:", " ".join(f"{s}:{v}" for s, v in inv["V"].items()))
+    print("Y:", " ".join(f"{n}:{y}" for n, y in inv["Y"].items()))
     print(
         f"mirror: tau = {minv['tau']}   nu+ = {minv['nu_plus']}   "
         f"omega+ = {minv['omega_plus']}"
     )
-    print("mirror V:", " ".join(f"{s}:{v}" for s, v in sorted(minv["V"].items(), key=lambda kv: int(kv[0]))))
-    print("mirror Y:", " ".join(f"{n}:{y}" for n, y in sorted(minv["Y"].items(), key=lambda kv: int(kv[0]))))
+    print("mirror V:", " ".join(f"{s}:{v}" for s, v in minv["V"].items()))
+    print("mirror Y:", " ".join(f"{n}:{y}" for n, y in minv["Y"].items()))
     if report["involutive"]:
         print(
             f"involutive: v0_bar = {report['involutive']['v0_bar']}   "

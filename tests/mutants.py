@@ -173,6 +173,48 @@ MUTANTS = (
         ("tests/test_cli.py::test_consistency_failure_exits_4_with_one_line[asymmetric kink]",),
     ),
     Mutant(
+        "the symmetry check names every asymmetric t",
+        "cli.py",
+        "                problems.append(f\"concordance function asymmetric at t = {t}\")\n                break\n",
+        "                problems.append(f\"concordance function asymmetric at t = {t}\")\n",
+        ("tests/test_cli.py::test_consistency_failure_exits_4_with_one_line[asymmetric concordance function]",),
+    ),
+    Mutant(
+        "the initial-slope check reads the mirror's tau",
+        "cli.py",
+        "if slope != -table.tau:",
+        "if slope != mtable.tau:",
+        ("tests/test_cli.py::test_consistency_failure_exits_4_with_one_line[tau mirror asymmetry]",),
+    ),
+    Mutant(
+        "the joined problems in reverse order",
+        "cli.py",
+        'raise ConsistencyError("; ".join(problems))',
+        'raise ConsistencyError("; ".join(reversed(problems)))',
+        ("tests/test_cli.py::test_consistency_failure_exits_4_with_one_line[two cross-check faults]",),
+    ),
+    Mutant(
+        "the clasp bounds without the ratio bound",
+        "cli.py",
+        "clasp_bounds(table, mtable, ratio, signature, involutive)",
+        "clasp_bounds(table, mtable, None, signature, involutive)",
+        ("tests/test_digests.py::test_corpus_report_digest[J]",),
+    ),
+    Mutant(
+        "the mirror's involutive record built from the knot's pair",
+        "cli.py",
+        '"mirror_involutive": _pair_payload(m_involutive),',
+        '"mirror_involutive": _pair_payload(involutive),',
+        ("tests/test_digests.py::test_corpus_report_digest[J]",),
+    ),
+    Mutant(
+        "the human V ladder printed in string order",
+        "cli.py",
+        'print("V:", " ".join(f"{s}:{v}" for s, v in inv["V"].items()))',
+        'print("V:", " ".join(f"{s}:{v}" for s, v in sorted(inv["V"].items())))',
+        ("tests/test_cli.py::test_human_ladders_print_in_numeric_order",),
+    ),
+    Mutant(
         "plot_rows drops its end point",
         "bounds.py",
         "return [*rows, (upto, f(upto))]",
@@ -352,13 +394,12 @@ MUTANTS = (
         "iter_bits(split.cocycle())",
         ("tests/test_certificate.py::test_certificate_of_seeded_sums_mirrors_and_scrambles",),
     ),
-    # Only labels that repeat, as a sum's can when file ids contain "|", reach the T-power.
     Mutant(
-        "the certificate's tie key without its T-power",
+        "a report of a sum whose generator labels repeat",
         "cli.py",
-        "key=lambda i: (labels[i], gradings[i])",
-        "key=lambda i: labels[i]",
-        ("tests/test_certificate.py::test_colliding_labels_keep_their_tie_order",),
+        "    if len(set(complex_.labels)) < len(complex_):\n",
+        "    if False:\n",
+        ("tests/test_cli.py::test_sum_of_files_with_colliding_labels",),
     ),
 )
 

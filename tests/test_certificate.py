@@ -1,10 +1,9 @@
 """The report's level-0 certificate against its first definition (`oracle_certificate`)."""
 
-import json
 import os
 import random
 
-from knotfloer.cli import _tower_certificate, main
+from knotfloer.cli import _tower_certificate
 from knotfloer.errors import FileFormatError, ValidationError
 from knotfloer.expressions import parse_knot_expr
 from knotfloer.fileio import load_complex, save_complex
@@ -61,22 +60,3 @@ def test_certificate_of_a_saved_sum(tmp_path):
     path = str(tmp_path / "sum.cfk")
     save_complex(c, path, expr, iota)
     check_with_mirror(load_complex(path)[0], path)
-
-
-def test_colliding_labels_keep_their_tie_order(tmp_path, capsys):
-    # Sum labels join the summands' ids by "|", so "a" with "b|c" and "a|b"
-    # with "c" are both "a|b|c". In this sum both lie on the level-0 cycle,
-    # and the later index carries the lower T-power: only the T-power in
-    # the sort key puts the two terms in order.
-    left = {"format": 2, "id": ["l0", "l1", "a|b", "l3", "a"], "grw": [0, 1, 2, 3, 4], "grz": [4, 3, 2, 1, 0],
-            "differential": [[1], [], [1, 3], [], [3]]}
-    right = {"format": 2, "id": ["c", "r1", "b|c"], "grw": [0, 1, 2], "grz": [2, 1, 0], "differential": [[1], [], [1]]}
-    for name, content in (("left.cfk", left), ("right.cfk", right)):
-        (tmp_path / name).write_text(json.dumps(content), encoding="utf-8")
-    expr = f"@{tmp_path / 'left.cfk'}#@{tmp_path / 'right.cfk'}"
-    c = realize_with_iota(parse_knot_expr(expr))[0]
-    check(c, expr)
-    assert main(["report", "--expr", expr, "--format", "json"]) == 0
-    cycle = json.loads(capsys.readouterr().out)["certificates"]["v0_tower_cycle"]
-    same = [(term["u"], term["v"]) for term in cycle if term["gen"] == "a|b|c"]
-    assert same == [(3, 0), (1, 2)]

@@ -35,6 +35,14 @@ def test_report_human(capsys):
     assert "0:1 1:0" in out
 
 
+def test_human_ladders_print_in_numeric_order(capsys):
+    # Past index 9, string order would print 10 before 2.
+    code, out, _ = run_cli(["report", "--expr", "T(2,21)"], capsys)
+    assert code == 0
+    ladder = "0:5 1:5 2:4 3:4 4:3 5:3 6:2 7:2 8:1 9:1 10:0"
+    assert out.splitlines()[2:4] == [f"V: {ladder}", f"Y: {ladder}"]
+
+
 def test_report_json_deterministic(capsys):
     args = ["report", "--expr", "T(2,3)#-T(2,3)", "--format", "json"]
     code1, out1, _ = run_cli(args, capsys)
@@ -197,6 +205,8 @@ CONSISTENCY_FAULTS = [
      "involutive pair (1, 1) does not bracket V_0 = 7"),
     ("tau mirror asymmetry", "cli", "compute_invariant_table", _tables_with_tau(1), "tau mirror asymmetry: 1 vs 1"),
     ("initial slope", "cli", "compute_invariant_table", _tables_with_tau(0), "initial slope -1 != -tau = 0"),
+    ("two cross-check faults", "cli", "compute_invariant_table", _tables_with_tau(2),
+     "tau mirror asymmetry: 2 vs 2; initial slope -1 != -tau = -2"),
     ("asymmetric concordance function", "cli", "upsilon_of_expr",
      lambda real: lambda expr: PLFunction(tuple(map(Fraction, (0, 1, 2))), tuple(map(Fraction, (0, -1, -1)))),
      "concordance function asymmetric at t = 0"),
@@ -607,8 +617,8 @@ def test_entry_point_runs():
 
 
 def test_sum_of_files_with_colliding_labels(tmp_path, capsys):
-    # "a" x "b|c" and "a|b" x "c" are both labelled "a|b|c"; the tensor
-    # product indexes generators, so the sum is still a valid input.
+    # "a" x "b|c" and "a|b" x "c" are both labelled "a|b|c": a certificate
+    # term could not name its generator, so the sum is refused.
     def write(name, ids, arrow):
         gens = [{"id": ids[0], "grw": 0, "grz": 0}, {"id": ids[1], "grw": 1, "grz": 1},
                 {"id": ids[2], "grw": 0, "grz": 0}]
@@ -623,9 +633,8 @@ def test_sum_of_files_with_colliding_labels(tmp_path, capsys):
     b = write("b.cfk", ["c", "b|c", "w"], ("b|c", "w"))
     for path in (a, b):
         assert run_cli(["report", "--expr", f"@{path}", "--format", "json"], capsys)[0] == 0
-    code, out, err = run_cli(["report", "--expr", f"@{a}#@{b}", "--format", "json"], capsys)
-    assert code == 0, err
-    assert json.loads(out)["generator_count"] == 9
+    assert run_cli(["report", "--expr", f"@{a}#@{b}", "--format", "json"], capsys) == (
+        3, "", "invalid input: generator label 'a|b|c' is repeated in the sum\n")
 
 
 INPUT_FAULTS = [
