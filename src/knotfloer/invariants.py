@@ -22,20 +22,15 @@ Everything here reduces to exact linear algebra over GF(2):
   parity: the tower's coordinate functional, with T = 1.
 
 Each complex keeps the tower index, cocycle and tower cycle of each
-quotient (`_quotient`), and a report reduces few of them at full size:
-a connected sum derives both from its summands' (Kunneth), the report's
-mirror from the knot's (universal coefficients, `release_to_dual`), and
-the V = 0 quotient of any other complex is read off the U = 0 one
-through index reversal when that is a skew chain automorphism of the
-complex, as it is on every torus sum and on HW: the reversal swaps U
-with V and grw with grz, so it carries one quotient onto the other.
-A sum whose summands both have that symmetry, and the report's mirror
-of a complex that has it, inherit it at the first read of their
-quotients, where the summands or the knot are read anyway, instead of
-walking their own target lists (proofs in `_quotient` and `release_to_dual`).
-What is left to reduce is a summand's, a file's or an asymmetric
-complex's. It keeps the
-split of every level it builds (`level_split`), so a level is built
+quotient (`_quotient`), and only an atom (a torus knot, HW or a file)
+reduces them: a sum gets both from its summands' when it is built
+(Kunneth, `connected_sum`), and a mirror from its child's (universal
+coefficients, `release_to_dual`); each inherits its parts' reversal symmetry.
+An atom's V = 0 quotient is read off its U = 0 one through index
+reversal when that is a skew chain automorphism, as on every torus
+knot and on HW: it swaps U with V and grw with grz, so it carries one
+quotient onto the other. Each complex also keeps the split of every
+level it builds (`level_split`), so a level is built
 and reduced once for V_s, Y_n, nu and omega, the glue into each odd
 block of a Y_n cone, and one visit per level (s, n) of C tensor St*_n,
 `_level`: the tower top of its model cone and, at the
@@ -122,8 +117,8 @@ def level_split(c: BigradedComplex, s: int) -> Reduction:
 
 
 def release(c: BigradedComplex) -> None:
-    """Drop c's memos (summands, quotients, splits, glue, visits), rebuilt on a later read; c is freed at its last reference."""
-    for key in ("_summands", "_quotients", "_splits", "_glue", "_levels"):
+    """Drop c's memos (quotients, splits, glue, visits), rebuilt on a later read; c is freed at its last reference."""
+    for key in ("_quotients", "_splits", "_glue", "_levels"):
         c.__dict__.pop(key, None)
 
 
@@ -182,9 +177,11 @@ def _quotient(c: BigradedComplex, mode: str) -> Optional[Tuple[int, int, int]]:
     that parity, sliced by degree (`_hat_ends`). So an entry serves when
     its index has the gradings of the tower generator, its cocycle and
     cycle are a cocycle and a cycle at T = 1 in the tower's degree, and
-    they pair to 1. Every route below gives such an entry, built once per
-    complex and mode; the index may differ from the direct route's,
-    which breaks grading ties by label.
+    they pair to 1. A sum built by `connected_sum` and a dual built by
+    `release_to_dual` get theirs when built; any other complex gets each
+    entry from one of the two routes below, once per mode. A derived
+    index may differ from the direct route's, which breaks grading ties
+    by label.
 
     Direct: `tower_reduce` of the quotient, with `Reduction.cocycle` and
     `Reduction.cycle`. Every basis vector of that reduction lies in one
@@ -193,44 +190,17 @@ def _quotient(c: BigradedComplex, mode: str) -> Optional[Tuple[int, int, int]]:
     adds a position only where it meets a basis vector, so it never
     leaves the tower's degree.
 
-    Kunneth, for a sum C tensor S that `connected_sum` built, with m = |S|
-    and generator (i, j) at index i * m + j. An entry of the sum keeps
-    its killed variable's exponent from its factor, so each quotient of
-    the sum is the tensor of the summands' over the other variable's
-    ring, a PID. There H(C tensor S) is H(C) tensor H(S) plus a Tor term
-    that is torsion, so modulo torsion it is the tensor of the two
-    towers: one tower exactly when each summand has one, and the entry is
-    None exactly when a summand's is. Its generator is the tensor of
-    theirs, at the summed gradings, so index i * m + j serves. At T = 1 the
-    quotient is the tensor over GF(2) of the summands', where the tensor
-    of two cocycles is a cocycle (delta(phi x psi) = delta phi x psi +
-    phi x delta psi), that of two cycles a cycle, and they pair to 1 x 1.
-    Both lie in the sum of the summands' degrees. Each is a mask Kronecker
-    product, `spread(x, m) * y`, whose shifted copies of y fill disjoint
-    blocks of bits. The summands' entries come by the same routes, so a
-    nested sum recurses down to its atoms, which are small. The sum is
-    reversal-symmetric when both summands are: sigma_N(i * m + j) =
-    sigma_C(i) * m + sigma_S(j), which swaps grw and grz factor by factor,
-    and sigma_C x sigma_S commutes with d x 1 + 1 x d.
-
     Index reversal, for the V = 0 quotient when index reversal sigma is a
     skew chain automorphism of c (`BigradedComplex.reversal_symmetric`,
-    true of every torus sum and of HW). sigma swaps grw with grz and U
+    true of every torus knot and of HW). sigma swaps grw with grz and U
     with V, so it maps the U = 0 quotient onto the V = 0 quotient,
     gradings and degrees included: it takes the tower generator i to
     n - 1 - i, at the same grading, and the cocycle and the cycle to
     their bit reversals.
-
-    Universal coefficients, for the dual (`release_to_dual`).
     """
     memo = c.__dict__.setdefault("_quotients", {})
     if mode not in memo:
-        summands = c.__dict__.pop("_summands", None)
-        if summands is not None:
-            memo.update(_kunneth(*summands))
-            if all(part.reversal_symmetric for part in summands):
-                c.__dict__.setdefault("reversal_symmetric", True)
-        elif mode == "V0" and c.reversal_symmetric:
+        if mode == "V0" and c.reversal_symmetric:
             n, quotient = len(c), _quotient(c, "U0")
             memo[mode] = quotient and (n - 1 - quotient[0], *(_reversed(mask, n) for mask in quotient[1:]))
         else:
@@ -244,27 +214,41 @@ def _reversed(mask: int, n: int) -> int:
     return int(format(mask, f"0{n}b")[::-1], 2)
 
 
-def _kunneth(left: BigradedComplex, right: BigradedComplex) -> Dict[str, Optional[Tuple[int, int, int]]]:
-    """The quotient entries of left tensor right, from the summands' (`_quotient`)."""
-    m, out = len(right), {}
+def connected_sum(left: BigradedComplex, right: BigradedComplex) -> BigradedComplex:
+    """left.tensor(right), with both quotient entries read off the summands' (Kunneth, `_quotient`).
+
+    With m = |right|, generator (i, j) is at index i * m + j. An entry
+    of the sum keeps its killed variable's exponent from its factor, so
+    each quotient of the sum is the tensor of the summands' over the
+    other variable's ring, a PID. There H(C tensor S) is H(C) tensor
+    H(S) plus a Tor term that is torsion, so modulo torsion it is the
+    tensor of the two towers: one tower exactly when each summand has
+    one, and the entry is None exactly when a summand's is. Its
+    generator is the tensor of theirs, at the summed gradings, so index
+    i * m + j serves. At T = 1 the quotient is the tensor over GF(2) of
+    the summands', where the tensor of two cocycles is a cocycle
+    (delta(phi x psi) = delta phi x psi + phi x delta psi), that of two
+    cycles a cycle, and they pair to 1 x 1, all in the sum of the
+    summands' degrees. Each is a mask Kronecker product, `spread(x, m) * y`,
+    whose shifted copies of y fill disjoint blocks of bits. A nested sum
+    reads the entries its inner sums got when built, so only atoms are reduced.
+
+    The sum is reversal-symmetric when both summands are: sigma_N(i * m
+    + j) = sigma_C(i) * m + sigma_S(j) swaps grw and grz factor by
+    factor, and sigma_C x sigma_S commutes with d x 1 + 1 x d.
+    """
+    m, quotients = len(right), {}
     for mode in MODES:
         a, b = _quotient(left, mode), _quotient(right, mode)
         if a and b:
             (i, phi, z), (j, psi, w) = a, b
-            out[mode] = (i * m + j, spread(phi, m) * psi, spread(z, m) * w)
+            quotients[mode] = (i * m + j, spread(phi, m) * psi, spread(z, m) * w)
         else:
-            out[mode] = None
-    return out
-
-
-def connected_sum(left: BigradedComplex, right: BigradedComplex) -> BigradedComplex:
-    """left.tensor(right), holding both summands until its quotients are first read (`_quotient`).
-
-    Only a read derives them, so a sum that is saved and never reduced
-    costs nothing more; `release` drops the summands too.
-    """
+            quotients[mode] = None
     c = left.tensor(right)
-    c.__dict__["_summands"] = left, right
+    c.__dict__["_quotients"] = quotients
+    if left.reversal_symmetric and right.reversal_symmetric:
+        c.__dict__["reversal_symmetric"] = True
     return c
 
 
@@ -280,7 +264,8 @@ def release_to_dual(c: BigradedComplex) -> BigradedComplex:
     They stay in one degree, negated, and still pair to 1. The dual of a
     reversal-symmetric c is reversal-symmetric: sigma swaps the negated
     gradings, and the transpose of a matrix that commutes with the
-    permutation sigma commutes with it.
+    permutation sigma commutes with it. Every mirror the program builds,
+    a mirrored summand or the report's, comes from here.
     """
     quotients = {}
     for mode in MODES:

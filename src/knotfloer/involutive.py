@@ -38,7 +38,7 @@ from .errors import ConsistencyError, ValidationError
 from .expressions import FileRef, KnotExpr, Mirror, Named, Sum, TorusKnot
 from .fileio import load_complex
 from .fu import FUComplex, cone, tower_reduce, transfer
-from .invariants import connected_sum, level_split, v_invariant
+from .invariants import connected_sum, level_split, release_to_dual, v_invariant
 from .linalg import image, kron, transpose
 
 
@@ -79,8 +79,8 @@ def realize_with_iota(expr):
     Torus knots get the reflection, mirrors the transposed involution,
     sums the connected-sum composition. Named complexes carry no
     canonical involution; files may supply one, which `load_complex`
-    has checked. A sum holds its two summands until its quotients are
-    first read, which derive from theirs (`invariants.connected_sum`).
+    has checked. A sum and a mirror get their quotient entries as they are
+    built (`invariants.connected_sum`, `invariants.release_to_dual`).
 
     Nothing here checks a map: the involution is checked where a number
     is read from it, by `ai0_cone`. No map built on the way needs a check
@@ -109,7 +109,7 @@ def realize_with_iota(expr):
         return c, staircase_iota(c)
     if isinstance(expr, Mirror):
         child, child_iota = realize_with_iota(expr.child)
-        c = child.dual()
+        c = release_to_dual(child)
         return c, (mirror_iota(child_iota, c) if child_iota else None)
     if isinstance(expr, Sum):
         acc, acc_iota = realize_with_iota(expr.children[0])

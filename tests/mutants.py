@@ -331,6 +331,22 @@ MUTANTS = (
         "        if a or b:\n",
         ("tests/test_quotients.py::test_a_sum_with_a_summand_without_one_tower_has_no_entry",),
     ),
+    # The two orders agree when both factors' towers sit at their first index, or
+    # both at their last, as on torus sums and HW: only a summand with a tower inside tells them apart.
+    Mutant(
+        "the Kunneth index with its factors swapped",
+        "invariants.py",
+        "(i * m + j, spread",
+        "(j * len(left) + i, spread",
+        ("tests/test_quotients.py::test_derived_quotients_of_nested_sums_and_of_sums_with_files",),
+    ),
+    Mutant(
+        "realize's mirror built by dualizing the child, without its entries",
+        "involutive.py",
+        "c = release_to_dual(child)",
+        "c = child.dual()",
+        ("tests/test_quotients.py::test_a_report_reduces_the_quotients_of_atoms_only",),
+    ),
     Mutant(
         "the signature jumps merged without their scaling to the common denominator",
         "bounds.py",
@@ -362,12 +378,12 @@ MUTANTS = (
     Mutant(
         "a sum marked reversal-symmetric when one summand is",
         "invariants.py",
-        "if all(part.reversal_symmetric for part in summands):",
-        "if any(part.reversal_symmetric for part in summands):",
+        "if left.reversal_symmetric and right.reversal_symmetric:",
+        "if left.reversal_symmetric or right.reversal_symmetric:",
         ("tests/test_quotients.py::test_sums_and_mirrors_inherit_reversal_symmetry_only_when_it_holds",),
     ),
     Mutant(
-        "the report's mirror marked reversal-symmetric unconditionally",
+        "a mirror marked reversal-symmetric unconditionally",
         "invariants.py",
         "    if c.reversal_symmetric:\n        dual.__dict__",
         "    if True:\n        dual.__dict__",

@@ -3,12 +3,13 @@
 Cases: seeded sums of torus knots, their mirrors, scrambled copies saved
 and read back in both file formats, and every file in `tests/data`.
 
-Then the quotient entries that `invariants._quotient` derives instead of
-reducing, against the direct reduction `tower_reduce(reduce_complex(c, mode))`
+Then the quotient entries that are derived instead of reduced, against
+the direct reduction `tower_reduce(reduce_complex(c, mode))`
 (`oracle_quotient.entry_violations`): the V = 0 one read off the U = 0 one
-through index reversal (`BigradedComplex.reversal_symmetric`), those of a
-connected sum read off its summands' (Kunneth), and those of a report's
-mirror read off the knot's (universal coefficients).
+through index reversal (`BigradedComplex.reversal_symmetric`), those a
+connected sum gets from its summands' when built (Kunneth), and those a
+mirror gets from its child's (universal coefficients). A report reduces
+the quotients of its atoms only.
 """
 
 import json
@@ -23,6 +24,7 @@ from oracle_io import save_complex_json
 from oracle_quotient import entry_violations, mask_quotient
 
 from knotfloer import invariants
+from knotfloer.cli import main
 from knotfloer.complexes import BigradedComplex, reduce_complex, verify_chain_map
 from knotfloer.expressions import FileRef, Mirror, Sum, TorusKnot, parse_knot_expr
 from knotfloer.fileio import load_complex, save_complex
@@ -77,7 +79,7 @@ def _reversal_is_skew_automorphism(c):
 
 
 def _plain(c):
-    """A copy of c without its summands, which `invariants._quotient` would read its quotients off."""
+    """A copy of c without the quotient entries and the reversal flag it got when built."""
     return BigradedComplex(c.labels, c.grw, c.grz, c.cols)
 
 
@@ -140,7 +142,7 @@ def test_transported_v0_quotient_matches_the_direct_reduction(seed):
     if seed == 0:
         cases.append(("hw.cfk", *load_complex(os.path.join(DATA, "hw.cfk"))))
     for where, c, _iota in cases:
-        # A plain copy: a sum would read its quotients off its summands'.
+        # A plain copy: a sum holds the entries it got from its summands'.
         c = _plain(c)
         assert c.reversal_symmetric, where
         twin = _direct_twin(c)
@@ -160,14 +162,13 @@ def test_transported_v0_quotient_matches_the_direct_reduction(seed):
         assert c.__dict__["_levels"] == twin.__dict__["_levels"], where
 
 
-# --- quotients derived from the summands' and from the knot's ------------------
+# --- quotients derived from the summands' and from the child's -----------------
 
 
 def _check_derived(c, where):
-    """Both quotient entries of a sum, read off its summands' once, against the direct route; then its report mirror's."""
-    assert "_summands" in c.__dict__, where
-    entries = {mode: invariants._quotient(c, mode) for mode in invariants.MODES}
-    assert "_summands" not in c.__dict__, where
+    """The quotient entries a sum got from its summands' when built, against the direct route; then its mirror's."""
+    entries = c.__dict__["_quotients"]
+    assert sorted(entries) == sorted(invariants.MODES), where
     for mode, entry in entries.items():
         assert entry_violations(c, mode, entry) == [], (where, mode)
     mirror = invariants.release_to_dual(c)
@@ -197,10 +198,15 @@ def test_derived_quotients_of_nested_sums_and_of_sums_with_files(tmp_path):
         parse_knot_expr("-T(3,4)#HW#-T(2,5)"),
     ]
     c, iota = realize_with_iota(parse_knot_expr("T(2,5)#-T(3,4)"))
-    for name, (complex_, involution) in (("sum", (c, iota)), ("scrambled", scramble(c, iota, random.Random(3)))):
+    # A torus sum has its U = 0 and V = 0 towers at its first and last index, and so
+    # does the seed-3 scramble; the seed-0 one, with acyclic boxes, has them inside.
+    copies = [("scrambled", scramble(c, iota, random.Random(3))), ("boxed", scramble(c, iota, random.Random(0)))]
+    for name, (complex_, involution) in [("sum", (c, iota))] + copies:
         path = tmp_path / f"{name}.cfk"
         save_complex(complex_, str(path), name, involution)
         exprs += [parse_knot_expr(f"@{path}#T(2,3)"), parse_knot_expr(f"-T(2,3)#@{path}#HW")]
+    boxed = load_complex(str(tmp_path / "boxed.cfk"))[0]
+    assert 0 < invariants._quotient(boxed, "U0")[0] and invariants._quotient(boxed, "V0")[0] < len(boxed) - 1
     for expr in exprs:
         _check_derived(realize_with_iota(expr)[0], expr)
 
@@ -218,7 +224,25 @@ def test_a_sum_with_a_summand_without_one_tower_has_no_entry(tmp_path):
         assert not invariants.is_knotlike(realize_with_iota(parse_knot_expr(expr))[0]), expr
 
 
-# --- reversal symmetry inherited by sums and by the report's mirror ------------
+def test_a_report_reduces_the_quotients_of_atoms_only(monkeypatch, capsys):
+    """A report reduces no dual (a label ending in "*") and no sum (a label with "|"): each gets its entries when built."""
+    real, reduced = invariants.reduce_complex, []
+
+    def recording(c, mode):
+        reduced.append(c.labels)
+        return real(c, mode)
+
+    monkeypatch.setattr(invariants, "reduce_complex", recording)
+    for expr in ("T(2,11)#T(4,7)#-T(5,6)", "-T(3,4)#T(2,5)#HW", "-T(2,3)"):
+        reduced.clear()
+        assert main(["report", "--expr", expr, "--format", "json"]) == 0, expr
+        capsys.readouterr()
+        assert reduced, expr
+        for labels in reduced:
+            assert not any(label.endswith("*") or "|" in label for label in labels), (expr, labels[:3])
+
+
+# --- reversal symmetry inherited by sums and by mirrors -----------------------
 
 
 def _symmetry_cases(tmp_path):
@@ -255,9 +279,8 @@ def test_sums_and_mirrors_inherit_reversal_symmetry_only_when_it_holds(tmp_path)
     flags = []
     for expr in _symmetry_cases(tmp_path):
         c = realize_with_iota(expr)[0]
-        assert "reversal_symmetric" not in c.__dict__, expr  # lazy: nothing is read until the quotients are
-        assert invariants.is_knotlike(c), expr
         inherited = "reversal_symmetric" in c.__dict__
+        assert invariants.is_knotlike(c), expr
         flag = c.reversal_symmetric
         assert flag == _reversal_is_skew_automorphism(c) == _plain(c).reversal_symmetric, expr
         assert inherited == flag, expr
