@@ -299,16 +299,11 @@ def _attach_expr_values(argv: List[str]) -> List[str]:
     summand is a value, not a flag.
     """
     out: List[str] = []
-    i = 0
-    while i < len(argv):
-        tok = argv[i]
-        nxt = argv[i + 1] if i + 1 < len(argv) else ""
-        if tok == "--expr" and nxt.startswith("-") and not nxt.startswith("--"):
-            out.append(f"--expr={nxt}")
-            i += 2
+    for tok in argv:
+        if out and out[-1] == "--expr" and tok.startswith("-") and not tok.startswith("--"):
+            out[-1] = f"--expr={tok}"
         else:
             out.append(tok)
-            i += 1
     return out
 
 

@@ -330,6 +330,11 @@ class SkewMap(ChainMap):
     def bases(self):
         return self.source.grz, self.source.grw
 
+    def is_on(self, c: BigradedComplex) -> bool:
+        """Is this a map on c: c itself, or a complex with c's labels, gradings and differential?"""
+        s = self.source
+        return s is c or (s.labels, s.grw, s.grz, s.cols) == (c.labels, c.grw, c.grz, c.cols)
+
     def problem(self, i, j, u=None, v=None) -> str:
         return (
             f"skew map does not swap gradings on term {self._term(j, u, v)} "

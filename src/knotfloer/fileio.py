@@ -267,13 +267,14 @@ def save_complex(
     """Write a complex (and iota) in format 2; labels must be distinct.
 
     Nothing is written, and a file already at `path` is left as it was,
-    when the complex or the name cannot be saved.
+    when the complex or the name cannot be saved, or iota is not a map on
+    the complex (`SkewMap.is_on`), as the loader requires.
     """
     if len(set(complex_.labels)) < len(complex_):
         raise ValidationError(f"cannot save: generator label {complex_.repeated_label()!r} is repeated")
     if not isinstance(name, str):
         raise ValidationError(f"cannot save: name must be a string, got {name!r}")
-    if iota is not None and iota.source.labels != complex_.labels:
+    if iota is not None and not iota.is_on(complex_):
         raise ValidationError("cannot save: iota is a map on another complex")
     data = {
         "format": FORMAT,

@@ -29,17 +29,21 @@ coefficients, `release_to_dual`); each inherits its parts' reversal symmetry.
 An atom's V = 0 quotient is read off its U = 0 one through index
 reversal when that is a skew chain automorphism, as on every torus
 knot and on HW: it swaps U with V and grw with grz, so it carries one
-quotient onto the other. Each complex also keeps the split of every
-level it builds (`level_split`), so a level is built
-and reduced once for V_s, Y_n, nu and omega, the glue into each odd
-block of a Y_n cone, and one visit per level (s, n) of C tensor St*_n,
-`_level`: the tower top of its model cone and, at the
-levels nu and omega test, the end parities of its hat homology. The
-first cone to read the glue into a level builds it (`_cone`) and drops
-that level's basis, keeping its towers, model and iota; level 0 keeps
-its basis for the involution. The Y ladder runs first, so each level
-the V ladder reads was split in a cone before, and dropped there unless
-it is 0 or ends the ladder. All four memos last until `release`.
+quotient onto the other.
+
+The readers split along two axes. V_s and nu read the split of level s
+(`level_split`): its tower top, and its model's hat ends through iota_s
+(`_end`); they build no cone. Y_n and omega read level 0 of C tensor
+St*_n, one visit per n (`_level`): the tower top of its model cone and,
+at the n omega tests, the end parities of its hat homology. Each
+complex keeps the split of every level it builds, so a level is built
+and reduced once for V_s, Y_n, nu and omega, and the glue into each odd
+block of a Y_n cone. The first cone to read the glue into a level
+builds it (`_cone`) and drops that level's basis, keeping its towers,
+model and iota; level 0 keeps its basis for the involution. The Y
+ladder runs first, so each level the V ladder reads was split in a cone
+before, and dropped there unless it is 0 or ends the ladder. All four
+memos last until `release`.
 
 The same reversal sigma halves the level splits. It swaps grw with grz
 and so negates A: level -s is level s under sigma with every grading
@@ -96,8 +100,8 @@ def a_level_complex(c: BigradedComplex, s: int) -> FUComplex:
 def level_split(c: BigradedComplex, s: int) -> Reduction:
     """The split of level s into towers and pairs (`fu.Reduction`), built once per complex.
 
-    Its tower gives V_s and the level-0 tower cycle; its model M_s,
-    iota_s and pi_s give nu and the cones of Y_n and omega. pi_s is read
+    Its tower gives V_s and the level-0 tower cycle; its model M_s and
+    iota_s give nu (`_end`), and with pi_s the cones of Y_n and omega. pi_s is read
     only by the glue into s (`_cone`, which then drops the basis) and, at
     level 0, by the involution (`involutive.ai0_cone`).
 
@@ -122,16 +126,17 @@ def release(c: BigradedComplex) -> None:
         c.__dict__.pop(key, None)
 
 
-def _cone(c: BigradedComplex, s: int, n: int) -> FUComplex:
-    """A model of level s of C tensor St*_n.
+def _cone(c: BigradedComplex, n: int) -> FUComplex:
+    """A model of level 0 of C tensor St*_n, read by Y_n and omega.
 
     x(k - n) sits at bigrading (k, 2n - k), so block k = 0..2n of the level
-    is A_(s+n-k)(C) raised by k, and generator k of St*_n maps by V to k - 1
+    is A_(n-k)(C) raised by k, and generator k of St*_n maps by V to k - 1
     and by U to k + 1 when k is even: the level is the cone of f from its
     even blocks to its odd ones. f, U or V on every generator, is the
     identity on C's indices, with natural T-powers implied by the gradings.
-    The model cone (`fu.cone`) has M_(s+n-k) for block k, glued by
-    pi f iota. For n = 0 it is M_s.
+    The model cone (`fu.cone`) has M_(n-k) for block k, glued by
+    pi f iota. For n = 0 it is M_0, in a cone of its own, so Y_0 = V_0
+    compares two reductions.
 
     The levels are split in block order. Once the block after odd block
     b is split, the glue into b from its two neighbours is built, if no
@@ -140,20 +145,21 @@ def _cone(c: BigradedComplex, s: int, n: int) -> FUComplex:
     project onto a level.
 
     On a reversal-symmetric c the glue between two negative levels is
-    that of their positive twins, when a cone built it: the two splits
-    are the twins' at reflected indices (`Reduction.reflected`), so both
-    models have the same generators, and pi_t iota_s reads the same
-    positions. At s = 0 the twins are the mirror blocks, which come first.
+    that of their positive twins: the two splits are the twins' at
+    reflected indices (`Reduction.reflected`), so both models have the
+    same generators, and pi_t iota_s reads the same positions. The twins
+    are the mirror blocks, split earlier in the same cone, so their glue
+    is built.
     """
-    levels = [s + n - k for k in range(2 * n + 1)]
-    glue, splits = c.__dict__.setdefault("_glue", {}), [level_split(c, levels[0])]
+    levels = [n - k for k in range(2 * n + 1)]
+    glue, splits = c.__dict__.setdefault("_glue", {}), [level_split(c, n)]
     for b in range(1, 2 * n, 2):
         splits += [level_split(c, levels[b]), level_split(c, levels[b + 1])]
         for a in (b - 1, b + 1):
-            key, twin = (levels[a], levels[b]), (-levels[a], -levels[b])
+            key = levels[a], levels[b]
             if key not in glue:
-                aliased = max(key) < 0 and twin in glue and c.reversal_symmetric
-                glue[key] = glue[twin] if aliased else transfer(splits[a], splits[b])
+                aliased = max(key) < 0 and c.reversal_symmetric
+                glue[key] = glue[-key[0], -key[1]] if aliased else transfer(splits[a], splits[b])
         if levels[b]:
             splits[b].drop_basis()
     arrows = [(k, b, glue[levels[k], levels[b]]) for b in range(1, 2 * n, 2) for k in (b - 1, b + 1)]
@@ -327,86 +333,72 @@ def require_knot_complex(c: BigradedComplex) -> None:
 # --- the level visit --------------------------------------------------------
 
 
-def _candidates(c: BigradedComplex) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
-    """The levels nu and omega test (Hom-Wu): s at n = 0, and n at s = 0.
-
-    nu is tau or tau + 1, so nu tests s = tau - 1 (which must miss), tau
-    and tau + 1. omega is tau or tau + 1 when tau >= 0, and 0 below.
-    """
+def _candidates(c: BigradedComplex) -> Tuple[int, ...]:
+    """The staircase sizes omega tests at level 0 (Hom-Wu): tau and tau + 1 when tau >= 0, and 0 below."""
     tau = tau_invariant(c)
-    return (tau - 1, tau, tau + 1), tuple(n for n in (tau, tau + 1) if n >= 0) or (0,)
+    return tuple(n for n in (tau, tau + 1) if n >= 0) or (0,)
 
 
-def _level(c: BigradedComplex, s: int, n: int) -> Tuple[int, Optional[FrozenSet[Tuple[int, int]]]]:
-    """(tower top d, hat ends or None) of level s of C tensor St*_n, read once per complex.
+def _level(c: BigradedComplex, n: int) -> Tuple[int, Optional[FrozenSet[Tuple[int, int]]]]:
+    """(tower top d, hat ends or None) of level 0 of C tensor St*_n, read once per complex.
 
-    Both are read off the split of the model cone (M_s at n = 0); the hat
-    ends only at the levels nu and omega test.
+    Both are read off the split of the model cone (`_cone`): d by Y_n, and
+    the hat ends, only at the n omega tests, by omega.
     """
     memo = c.__dict__.setdefault("_levels", {})
-    if (s, n) not in memo:
+    if n not in memo:
         # The cone first, so a complex that is not knot-like fails the level's own check, not tau's.
-        cone = _cone(c, s, n)
-        nus, omegas = _candidates(c)
-        split = tower_reduce(cone)
-        tested = (n == 0 and s in nus) or (s == 0 and n in omegas)
-        memo[s, n] = split.top_grading(), _hat_ends(c, split, s, n) if tested else None
-    return memo[s, n]
+        split = tower_reduce(_cone(c, n))
+        memo[n] = split.top_grading(), _hat_ends(c, split, n) if n in _candidates(c) else None
+    return memo[n]
 
 
-def _hat_ends(c: BigradedComplex, split: Reduction, s: int, n: int) -> FrozenSet[Tuple[int, int]]:
-    """End parities (v1, u1) of a basis of grading-g hat homology of a model cone (`_cone`), given its split.
+def _end(c: BigradedComplex, mode: str, s: int, g: int) -> int:
+    """The grading-g generators of M_s whose image under iota_s hits the `mode` quotient's generator, as a mask.
 
-    The hat complex is the T^0 entries, g the grw of the U = 0 tower
-    generator. The split's model has no T^0 entries, and its inclusion
-    stays a homotopy equivalence at T = 0, so its grading-g generators,
-    read through that inclusion, are a basis of hat homology. Block k
-    of level s of C tensor St*_n pairs generators of C with x(k - n), and
-    carries U^a or V^-a with a = A + k - n - s. At s = 0 and g = 0 a hat
-    cycle of the level is a degree-0 chain map St_n -> C/(UV), whose ends
-    y(-n), y(n) are its blocks 0 and 2n. v1 is its parity against the
-    U = 0 cocycle phi_U on block 0 where A <= s + n (V = 1 drops the
-    U-powers), u1 that against phi_V on block 2n where A >= s - n (U = 1
-    drops the V-powers): 1 when the cycle hits the generator of the
-    V = 1 (U = 1) complex.
+    The probe is that quotient's cocycle (`_quotient`) cut to level s's
+    Alexander range: A <= s for "U0", read in the V = 1 complex, which
+    drops the U-powers of V^(s-A) x, and A >= s for "V0", in the U = 1
+    complex, on U^(A-s) x. It needs no level grading: every route of
+    `_quotient` keeps phi_U at the grw of its tower, the level grading of
+    V^(s-A) x, and phi_V at the grz of its tower, U^(A-s) x being at grz + 2s.
 
-    Each end is read through iota. Blocks 0 and 2n are even, in E, where
-    the homotopy equivalence from the model cone to the level (`fu`) is
-    iota_E, also at T = 0. Each end functional, the projection onto the
-    quotient E paired with a cocycle, vanishes on boundaries: so a basis
-    of the cone's hat homology spans the level's end pairs, all that
-    `_admits_map` and nu read. The T^0 part of iota(m), for m of grading
-    h in block k, is its indices of level grading h - k.
-
-    Each probe is a cocycle cut to its block's Alexander range, and needs
-    no level grading. phi_U lies at grw = g, the level grading of every
-    V^(s+n-A) x of block 0 that it meets: every route of `_quotient`
-    keeps a cocycle in its tower's degree, grw for the U = 0 quotient,
-    whether reduced, a tensor of the summands' cocycles, the knot's tower
-    cycle of a mirror or read off through index reversal.
-    Likewise phi_V lies at the grz of the V = 0 tower, and U^(A-s+n) x
-    of block 2n has level grading grz + 2(s - n), raised by 2n in the
-    cone. So u1 pairs grading-g generators with phi_V when that tower is
-    at grz = g - 2s: u1 is read only by `omega_hat`, at s = 0 once both
-    towers are checked to be at 0.
+    M_s has no T^0 entries and iota_s stays a homotopy equivalence at
+    T = 0, so the grading-g generators, read through iota_s, are a basis
+    of grading-g hat homology of A_s, and the probe's functional vanishes
+    on boundaries. At "U0" and g the grw of the U = 0 tower, the mask is
+    nonzero exactly when a hat cycle of A_s hits the V = 1 generator (`nu_hat`).
     """
-    (u0_tower, phi_u, _), phi_v = _quotient(c, "U0"), _quotient(c, "V0")[1]
-    g = c.grw[u0_tower]
-    first, last = level_split(c, s + n), level_split(c, s - n)
+    phi = probe = _quotient(c, mode)[1]
+    alexander = c.alexander
     # Cut by walking the cocycle's own bits, which cost its weight, not a pass over every generator.
-    alexander, v1_probe, u1_probe = c.alexander, phi_u, phi_v
-    for i in iter_bits(phi_u):
-        if alexander[i] > s + n:
-            v1_probe ^= 1 << i
-    for i in iter_bits(phi_v):
-        if alexander[i] < s - n:
-            u1_probe ^= 1 << i
-    # Block 2n, the model of level s - n, ends the cone.
-    gradings = split.fu.gradings
-    end = len(gradings) - len(last.inc)
-    # The cone generators of grading g read in the V = 1 and U = 1 complexes.
-    v1_end = flag_mask(h == g and (inc & v1_probe).bit_count() & 1 for h, inc in zip(gradings, first.inc))
-    u1_end = flag_mask(h == g and (inc & u1_probe).bit_count() & 1 for h, inc in zip(gradings[end:], last.inc)) << end
+    for i in iter_bits(phi):
+        if (alexander[i] > s) if mode == "U0" else (alexander[i] < s):
+            probe ^= 1 << i
+    split = level_split(c, s)
+    return flag_mask(h == g and (inc & probe).bit_count() & 1 for h, inc in zip(split.model.gradings, split.inc))
+
+
+def _hat_ends(c: BigradedComplex, split: Reduction, n: int) -> FrozenSet[Tuple[int, int]]:
+    """End parities (v1, u1) of a basis of grading-g hat homology of the model cone of St*_n (`_cone`), given its split.
+
+    g is the grw of the U = 0 tower generator. As on M_s (`_end`), the
+    split's grading-g model generators, read through its inclusion, are a
+    basis of hat homology. At g = 0 a hat cycle of level 0 of C tensor
+    St*_n is a degree-0 chain map St_n -> C/(UV) whose ends y(-n), y(n)
+    are its blocks 0 and 2n, M_n and M_-n raised by 2n: v1 is 1 when
+    block 0 hits the V = 1 generator, and u1 when block 2n hits the U = 1
+    generator, read on M_-n at grading g - 2n, which meets phi_V when the
+    V = 0 tower is at grz = g: u1 is read only by `omega_hat`, once both
+    towers are at 0. Blocks 0 and 2n are even, in E, where the homotopy
+    equivalence from the model cone to the level (`fu`) is iota_E, also
+    at T = 0: so a basis of the cone's hat homology spans the level's end
+    pairs, all that `_admits_map` reads.
+    """
+    g = c.grw[_quotient(c, "U0")[0]]
+    # Block 2n, the model of level -n, ends the cone.
+    end = len(split.fu) - len(level_split(c, -n).model)
+    v1_end, u1_end = _end(c, "U0", n, g), _end(c, "V0", -n, g - 2 * n) << end
     basis = (inc for inc, h in zip(split.inc, split.model.gradings) if h == g)
     return frozenset(((z & v1_end).bit_count() & 1, (z & u1_end).bit_count() & 1) for z in basis)
 
@@ -419,24 +411,23 @@ def _admits_map(ends: FrozenSet[Tuple[int, int]]) -> bool:
 # --- correction terms -------------------------------------------------------
 
 
-def _correction(c: BigradedComplex, s: int, n: int) -> int:
-    """-d/2 of level s of C tensor St*_n; d must be even."""
-    d = _level(c, s, n)[0]
+def _correction(d: int, s: int, n: int) -> int:
+    """-d/2 for the tower top d of level s of C tensor St*_n; d must be even."""
     if d % 2:
         raise ConsistencyError(f"tower grading {d} at level {s} of C tensor St*_{n} is odd")
     return -d // 2
 
 
 def v_invariant(c: BigradedComplex, s: int) -> int:
-    """Correction term of the level-s subcomplex: -d/2."""
-    return _correction(c, s, 0)
+    """Correction term of the level-s subcomplex: -d/2, read off its split."""
+    return _correction(level_split(c, s).top_grading(), s, 0)
 
 
 def y_invariant(c: BigradedComplex, n: int) -> int:
     """V_0 of C tensor the n-step dual staircase; Y_0 = V_0."""
     if n < 0:
         raise ValidationError("index must be nonnegative")
-    return _correction(c, 0, n)
+    return _correction(_level(c, n)[0], 0, n)
 
 
 def _default_cap(c: BigradedComplex) -> int:
@@ -486,17 +477,19 @@ def tau_invariant(c: BigradedComplex) -> int:
 def nu_hat(c: BigradedComplex) -> int:
     """Least level whose hat cycles hit the generator of the V = 1 complex.
 
-    Only the candidate levels are tested: tau - 1 must miss, and the first
-    of tau, tau + 1 to hit is nu. Any other outcome is a consistency
-    failure, so the shortcut stays certified.
+    Each level is read off its own split, at the grw of the U = 0 tower
+    generator (`_end`), with no cone. Only the candidate levels are
+    tested: tau - 1 must miss, and the first of tau, tau + 1 to hit is nu.
+    Any other outcome is a consistency failure, so the shortcut stays
+    certified.
     """
     if not is_knotlike(c):
         raise ValidationError("nu undefined: complex is not knot-like")
-    below, tau, above = _candidates(c)[0]
-    for s in (below, tau, above):
-        if any(v1 for v1, _u1 in _level(c, s, 0)[1]):
-            if s == below:
-                raise ConsistencyError(f"level {below} hits the V = 1 class below tau = {tau}")
+    tau, g = tau_invariant(c), c.grw[_quotient(c, "U0")[0]]
+    for s in (tau - 1, tau, tau + 1):
+        if _end(c, "U0", s, g):
+            if s < tau:
+                raise ConsistencyError(f"level {s} hits the V = 1 class below tau = {tau}")
             return s
     raise ConsistencyError(f"nu outside {{tau, tau+1}}, tau={tau}")
 
@@ -510,9 +503,9 @@ def omega_hat(c: BigradedComplex) -> int:
     admit a map is omega, and a failure of all is a consistency failure.
     """
     _require_tower_at_zero(c)
-    candidates = _candidates(c)[1]
+    candidates = _candidates(c)
     for n in candidates:
-        if _admits_map(_level(c, 0, n)[1]):
+        if _admits_map(_level(c, n)[1]):
             return n
     raise ConsistencyError(f"omega dichotomy failed: no staircase map at n in {list(candidates)}")
 

@@ -152,11 +152,9 @@ def ai0_cone(c: BigradedComplex, iota: SkewMap) -> FUComplex:
     min(a_y, b_y) = 0 makes b_x + u or a_x + v, as for d in
     `a_level_complex`. So the cone is valid once iota passes
     `verify_chain_map`, the one check of a built involution
-    (`realize_with_iota`), and is a map on c: c itself, or a complex with
-    c's labels, gradings and differential.
+    (`realize_with_iota`), and is a map on c (`SkewMap.is_on`).
     """
-    source = iota.source
-    if source is not c and (source.labels, source.grw, source.grz, source.cols) != (c.labels, c.grw, c.grz, c.cols):
+    if not iota.is_on(c):
         raise ValidationError("involution is a map on another complex")
     violation = verify_chain_map(iota)
     if violation is not None:

@@ -133,8 +133,8 @@ MUTANTS = (
     Mutant(
         "a level visit reads tau before it builds the level",
         "invariants.py",
-        "        cone = _cone(c, s, n)\n        nus, omegas = _candidates(c)\n",
-        "        nus, omegas = _candidates(c)\n        cone = _cone(c, s, n)\n",
+        "        split = tower_reduce(_cone(c, n))\n",
+        "        _candidates(c)\n        split = tower_reduce(_cone(c, n))\n",
         ("tests/test_invariants.py::test_level_complex_rejects_non_knotlike",),
     ),
     Mutant(
@@ -288,8 +288,8 @@ MUTANTS = (
     Mutant(
         "the hat ends take the last block's start from the first block's size",
         "invariants.py",
-        "end = len(gradings) - len(last.inc)",
-        "end = len(gradings) - len(first.inc)",
+        "end = len(split.fu) - len(level_split(c, -n).model)",
+        "end = len(split.fu) - len(level_split(c, n).model)",
         ("tests/test_invariants.py::test_omega_hat_needs_both_ends_on_asymmetric_complexes",),
     ),
     Mutant(
@@ -369,11 +369,39 @@ MUTANTS = (
         ("tests/test_fullwidth.py::test_model_of_random_complexes_matches_the_full_scan",),
     ),
     Mutant(
-        "the v1 probe cleared at A = s + n too",
+        "the v1 probe cleared at A = s too",
         "invariants.py",
-        "if alexander[i] > s + n:",
-        "if alexander[i] >= s + n:",
+        "if (alexander[i] > s) if",
+        "if (alexander[i] >= s) if",
         ("tests/test_fullwidth.py::test_hat_ends_of_multi_bit_cocycles_match_the_full_width_probe",),
+    ),
+    Mutant(
+        "nu's probe cut at A < s",
+        "invariants.py",
+        "if (alexander[i] > s) if",
+        "if (alexander[i] < s) if",
+        ("tests/test_invariants.py::test_nu_matches_full_scan_oracle",),
+    ),
+    Mutant(
+        "nu reading grading g + 2",
+        "invariants.py",
+        'if _end(c, "U0", s, g):',
+        'if _end(c, "U0", s, g + 2):',
+        ("tests/test_invariants.py::test_nu_matches_full_scan_oracle",),
+    ),
+    Mutant(
+        "V_s read from level s + 1's split",
+        "invariants.py",
+        "_correction(level_split(c, s).top_grading(), s, 0)",
+        "_correction(level_split(c, s + 1).top_grading(), s, 0)",
+        ("tests/test_closed_forms.py::test_closed_forms_match_the_program",),
+    ),
+    Mutant(
+        "save_complex compares only the labels of iota's source",
+        "fileio.py",
+        "if iota is not None and not iota.is_on(complex_):",
+        "if iota is not None and iota.source.labels != complex_.labels:",
+        ("tests/test_fileio.py::test_failed_save_keeps_existing_file[iota of a same-labelled copy]",),
     ),
     Mutant(
         "a sum marked reversal-symmetric when one summand is",

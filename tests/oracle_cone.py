@@ -1,9 +1,10 @@
 """Cones assembled by hand: the reference for `fu.cone` and `fu.transfer`.
 
-`model_cone` is the model of level s of C tensor St*_n and
-`involutive_cone` the cone of 1 + pi_0 iota iota_0 on M_0, each laid out
-block by block and arrow by arrow, with its own shifts and projections,
-as `invariants._cone` and `involutive.ai0_cone` built them before both
+`model_cone` is the model of level s of C tensor St*_n (the program
+builds level 0 only) and `involutive_cone` the cone of
+1 + pi_0 iota iota_0 on M_0, each laid out block by block and arrow by
+arrow, with its own shifts and projections, as `invariants._cone` and
+`involutive.ai0_cone` built them before both
 went through `fu`. Both read the splits that `invariants.level_split`
 keeps on the complex, and `model_cone` the glue that `invariants._cone`
 builds there, so call them after the program has built the same cone.

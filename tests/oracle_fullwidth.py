@@ -1,7 +1,7 @@
 """The full-width passes that a split's model and the hat ends no longer make: oracles of `fu` and `invariants`.
 
 `fu.Reduction` builds its minimal model from the pairs it keeps, and
-`invariants._hat_ends` cuts each probe by walking its cocycle's own set
+`invariants._end` cuts each probe by walking its cocycle's own set
 bits. These are the definitions they replaced, each a pass over every
 position or generator:
 

@@ -34,7 +34,7 @@ def entry_violations(c: BigradedComplex, mode: str, entry) -> List[str]:
     same verdict (an entry exactly when the quotient has one tower), an
     index at the gradings of the direct tower generator, and, with T = 1,
     a cocycle that vanishes on every boundary and a cycle, each in the
-    degree of the tower (the dropped grading, where `invariants._hat_ends`
+    degree of the tower (the dropped grading, where `invariants._end`
     slices), each pairing to 1 with the direct route's cycle or cocycle.
     Parities are read off the target lists, so no column mask is built.
     """

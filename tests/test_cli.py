@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 from knotfloer.bounds import PLFunction
-from knotfloer.cli import main
+from knotfloer.cli import _attach_expr_values, main
 from knotfloer.errors import ValidationError
 from knotfloer.expressions import parse_knot_expr
 from knotfloer.involutive import realize_expr
@@ -62,6 +62,21 @@ def test_expr_value_may_start_with_dash(capsys):
     assert joined[0] == split[0] == 0
     assert joined[1] == split[1]
     assert json.loads(split[1])["invariants"]["tau"] == -1
+
+
+@pytest.mark.parametrize(
+    "argv,joined",
+    [
+        (["report", "--expr", "-T(2,3)"], ["report", "--expr=-T(2,3)"]),
+        (["report", "--expr", "--expr", "-T(2,3)"], ["report", "--expr", "--expr=-T(2,3)"]),
+        (["report", "--expr", "-"], ["report", "--expr=-"]),
+        (["report", "--expr"], ["report", "--expr"]),
+        (["report", "--expr=-T(2,3)"], ["report", "--expr=-T(2,3)"]),
+    ],
+    ids=["dash value", "repeated flag", "lone dash", "trailing flag", "joined already"],
+)
+def test_expr_values_are_joined_onto_their_flag(argv, joined):
+    assert _attach_expr_values(argv) == joined
 
 
 def test_report_csv(capsys):
@@ -194,11 +209,11 @@ def _tables_with_tau(tau):
 CONSISTENCY_FAULTS = [
     # (id, module, name, replacement given the real value, stderr line after
     # "internal consistency failure: "), each on the report of T(2,3).
-    ("odd tower grading", "invariants", "_level", lambda real: lambda c, s, n: (1, None),
+    ("odd tower grading", "invariants", "_level", lambda real: lambda c, n: (1, None),
      "tower grading 1 at level 0 of C tensor St*_0 is odd"),
-    ("nu below tau", "invariants", "_hat_ends", lambda real: lambda *args: frozenset({(1, 1)}),
+    ("nu below tau", "invariants", "_end", lambda real: lambda *args: 1,
      "level 0 hits the V = 1 class below tau = 1"),
-    ("nu above tau + 1", "invariants", "_hat_ends", lambda real: lambda *args: frozenset(),
+    ("nu above tau + 1", "invariants", "_end", lambda real: lambda *args: 0,
      "nu outside {tau, tau+1}, tau=1"),
     ("table violation", "invariants", "omega_hat", lambda real: lambda c: 5, "omega=5 outside {tau, tau+1}, tau=1"),
     ("pair outside V_0", "involutive", "v_invariant", lambda real: lambda c, s: 7,

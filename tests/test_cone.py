@@ -39,9 +39,9 @@ def test_cones_match_the_hand_assembly(monkeypatch):
     built, pairs = [], []
     real_cone, real_pair = invariants._cone, involutive.ai0_cone
 
-    def checked_cone(c, s, n):
-        cone = real_cone(c, s, n)
-        assert _layout(cone) == _layout(model_cone(c, s, n)), (s, n)
+    def checked_cone(c, n):
+        cone = real_cone(c, n)
+        assert _layout(cone) == _layout(model_cone(c, 0, n)), n
         built.append(n)
         return cone
 

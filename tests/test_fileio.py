@@ -360,6 +360,19 @@ def test_writer_matches_json_dump_on_random_sums(tmp_path, parts, with_iota):
     _assert_matches_oracle(tmp_path, c, expr, iota if with_iota else None)
 
 
+def _iota_of_a_same_labelled_copy():
+    """T(2,5), and its reflection on g0, g2 and g4 as a skew map on a copy with T(2,5)'s labels and gradings and d = 0.
+
+    The map verifies on the copy, but d f != f d on T(2,5)'s g1, so a file
+    saved with both would fail its own loader.
+    """
+    c, iota = realize_with_iota(parse_knot_expr("T(2,5)"))
+    flat = BigradedComplex(c.labels, c.grw, c.grz, [0] * len(c))
+    skew = SkewMap(flat, [col if i % 2 == 0 else 0 for i, col in enumerate(iota.cols)])
+    assert verify_chain_map(skew) is None and verify_chain_map(SkewMap(c, skew.cols)) is not None
+    return c, {"iota": skew}
+
+
 @pytest.mark.parametrize(
     "complex_,kwargs",
     [
@@ -367,8 +380,9 @@ def test_writer_matches_json_dump_on_random_sums(tmp_path, parts, with_iota):
         (staircase(1), {"name": object()}),
         (staircase(1), {"name": 5}),
         (staircase(1), {"iota": staircase_iota(staircase(2))}),
+        _iota_of_a_same_labelled_copy(),
     ],
-    ids=["repeated label", "name object", "name int", "iota of another complex"],
+    ids=["repeated label", "name object", "name int", "iota of another complex", "iota of a same-labelled copy"],
 )
 def test_failed_save_keeps_existing_file(tmp_path, complex_, kwargs):
     path = tmp_path / "keep.cfk"

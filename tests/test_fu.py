@@ -112,7 +112,7 @@ def check_cocycle(fu, grading=None):
     """The cocycle of fu's reduction: even against every column, odd against the tower cycle.
 
     Given the gradings of a knot complex, it also lies in one of their
-    classes, where the grading slice of `invariants._hat_ends` looks.
+    classes, where the grading slice of `invariants._end` looks.
     """
     red = tower_reduce(fu)
     phi = red.cocycle()

@@ -5,10 +5,13 @@ keeps; the oracle scans every position. Cases: seeded random complexes,
 every stored split of J, HW and scrambled copies, the sigma-reflected
 ones included, and the splits of J's Y_n cones.
 
-`invariants._hat_ends` cuts each probe by walking its cocycle's own set
-bits; the oracle ANDs the cocycle with a mask over every generator. The
-cocycles of a torus sum have one bit each, so the cases are those whose
-cocycles have several: scrambled copies and the saved scrambled files.
+`invariants._end` cuts each probe by walking its cocycle's own set bits;
+the oracle ANDs the cocycle with a mask over every generator. nu reads
+`_end` off each level's split, and omega reads `_hat_ends` off the model
+cone of level 0 of C tensor St*_n; the oracle reads both off a model
+cone, that of M_s alone for nu. The cocycles of a torus sum have one bit
+each, so the cases are those whose cocycles have several: scrambled
+copies and the saved scrambled files.
 """
 
 import os
@@ -22,7 +25,7 @@ from knotfloer import invariants
 from knotfloer.builders import named_complex
 from knotfloer.expressions import parse_knot_expr
 from knotfloer.fileio import load_complex, save_complex
-from knotfloer.fu import tower_reduce
+from knotfloer.fu import cone, tower_reduce
 from knotfloer.involutive import realize_with_iota
 
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
@@ -56,7 +59,7 @@ def test_model_of_every_stored_split_and_of_the_y_cones_matches_the_full_scan():
         assert bool(reflected) == c.reversal_symmetric, name
     # Every cone of J's Y ladder, which its report prints up to omega+ = 6.
     for n in range(invariants.omega_plus(j) + 1):
-        _check_model(tower_reduce(invariants._cone(j, 0, n)), ("J cone", n))
+        _check_model(tower_reduce(invariants._cone(j, n)), ("J cone", n))
 
 
 def _weights(c):
@@ -86,8 +89,14 @@ def _dense_cases(tmp_path):
 def test_hat_ends_of_multi_bit_cocycles_match_the_full_width_probe(tmp_path):
     for name, c in _dense_cases(tmp_path):
         assert max(_weights(c)) > 1, name
+        g = c.grw[invariants._quotient(c, "U0")[0]]
+        # nu's split read at every level, against the hat ends of M_s in a cone of its own.
+        for s in _levels(c):
+            split = tower_reduce(cone([(invariants.level_split(c, s).model, 0)], []))
+            v1, u1 = invariants._end(c, "U0", s, g), invariants._end(c, "V0", s, g)
+            basis = [z for z, h in zip(split.inc, split.model.gradings) if h == g]
+            got = frozenset(((z & v1).bit_count() & 1, (z & u1).bit_count() & 1) for z in basis)
+            assert got == reference_hat_ends(c, split, s, 0), (name, s)
         for n in range(3):
-            for s in _levels(c):
-                split = tower_reduce(invariants._cone(c, s, n))
-                want = reference_hat_ends(c, split, s, n)
-                assert invariants._hat_ends(c, split, s, n) == want, (name, s, n)
+            split = tower_reduce(invariants._cone(c, n))
+            assert invariants._hat_ends(c, split, n) == reference_hat_ends(c, split, 0, n), (name, n)

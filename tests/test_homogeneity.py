@@ -111,7 +111,7 @@ def test_validate_matches_oracle(seed):
 def test_fu_checks_match_oracle(seed):
     rng, c, _iota = _sum(seed)
     s, n = rng.randint(-2, 2), rng.randint(0, 2)
-    fus = [reduce_complex(c, "U0"), reduce_complex(c, "V0"), a_level_complex(c, s), invariants._cone(c, s, n)]
+    fus = [reduce_complex(c, "U0"), reduce_complex(c, "V0"), a_level_complex(c, s), invariants._cone(c, n)]
     # FUComplex checks nothing itself: the reductions, levels and model cones are valid by construction.
     for fu in fus:
         assert fu_illegal_entries(fu) == fu_validate_messages(fu) == []
@@ -125,9 +125,9 @@ def test_report_cones_pass_the_scan(monkeypatch, capsys):
     built, pairs = [], []
     real, real_pair = invariants._cone, involutive.ai0_cone
 
-    def keeping(c, s, n):
-        cone = real(c, s, n)
-        built.append((s, n, cone))
+    def keeping(c, n):
+        cone = real(c, n)
+        built.append((n, cone))
         return cone
 
     def keeping_pair(c, iota):
@@ -143,8 +143,8 @@ def test_report_cones_pass_the_scan(monkeypatch, capsys):
         pairs.clear()
         assert main(["report", "--expr", expr, "--format", "json"]) == 0, expr
         capsys.readouterr()
-        assert any(n for _s, n, _cone in built), expr
+        assert any(n for n, _cone in built), expr
         # hw.cfk carries no involution; the others give one for C and one for its mirror.
         assert len(pairs) == (0 if expr.endswith("hw.cfk") else 2), expr
-        for s, n, cone in built + [("ai0", 0, cone) for cone in pairs]:
-            assert fu_illegal_entries(cone) == fu_validate_messages(cone) == [], (expr, s, n)
+        for n, cone in built + [("ai0", cone) for cone in pairs]:
+            assert fu_illegal_entries(cone) == fu_validate_messages(cone) == [], (expr, n)

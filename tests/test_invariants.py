@@ -355,7 +355,7 @@ def test_nu_matches_full_scan_oracle():
 
 def model_ends(c: BigradedComplex, n: int):
     """The hat ends of level 0 of C tensor St*_n, on a model cone built here: the report reads only the candidate n."""
-    return invariants._hat_ends(c, tower_reduce(invariants._cone(c, 0, n)), 0, n)
+    return invariants._hat_ends(c, tower_reduce(invariants._cone(c, n)), n)
 
 
 def staircase_map(c: BigradedComplex, n: int) -> bool:
@@ -552,7 +552,7 @@ def _check_glue_and_dropped_bases(c):
     """
     compute_invariant_table(c)
     splits, glue = c._splits, c._glue
-    cones = [[s + n - k for k in range(2 * n + 1)] for s, n in c._levels if n > 0]
+    cones = [[n - k for k in range(2 * n + 1)] for n in c._levels if n > 0]
     pairs = {(levels[a], levels[b]) for levels in cones for b in range(1, len(levels), 2) for a in (b - 1, b + 1)}
     assert set(glue) == pairs
     odd = {t for _source, t in pairs}
@@ -623,6 +623,40 @@ def test_levels_drop_their_basis_once_their_glue_is_built():
     for c in [known["K"], known["K1"], known["HW"]] + [realize_expr(parse_knot_expr(e)) for e in exprs]:
         for complex_ in (c, c.dual()):
             _check_glue_and_dropped_bases(complex_)
+
+
+def test_a_table_builds_cones_only_for_y_visits(monkeypatch):
+    # V_s and nu read level s's own split. Only a visit of level 0 of C tensor
+    # St*_n, made by Y_n or by omega at a size it tests, builds a model cone.
+    reading, calls = [], []
+    real_cone = invariants._cone
+
+    def recording(c, *args):
+        calls.append((reading[-1], args))
+        return real_cone(c, *args)
+
+    def marked(name, real):
+        def read(c, *args):
+            reading.append(name)
+            try:
+                return real(c, *args)
+            finally:
+                reading.pop()
+        return read
+
+    monkeypatch.setattr(invariants, "_cone", recording)
+    for name in ("v_invariant", "y_invariant", "nu_hat", "omega_hat"):
+        monkeypatch.setattr(invariants, name, marked(name, getattr(invariants, name)))
+    rng = random.Random(20261022)
+    known = corpus()
+    sums = [realize_expr(parse_knot_expr(random_torus_sum(rng, 3, 300))) for _ in range(3)]
+    for c in [known["K"], known["K1"], known["HW"]] + sums:
+        for complex_ in (c, c.dual()):
+            calls.clear()
+            table = compute_invariant_table(complex_)
+            assert {name for name, _args in calls} <= {"y_invariant", "omega_hat"}
+            assert sorted(args for _name, args in calls) == [(n,) for n in sorted(complex_._levels)]
+            assert set(table.y) <= set(complex_._levels)
 
 
 def test_the_table_holds_few_level_bases_at_each_reduction(monkeypatch):

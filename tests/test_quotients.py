@@ -158,7 +158,7 @@ def test_transported_v0_quotient_matches_the_direct_reduction(seed):
         assert sum(cocycle >> i & 1 for i, _power in tower_terms(direct)) % 2 == 1, where
         read = [(invariants.tau_invariant(x), invariants.nu_hat(x), invariants.omega_hat(x)) for x in (c, twin)]
         assert read[0] == read[1], where
-        # The end sets of every level nu and omega tested (`_hat_ends`).
+        # The end sets of every staircase size omega tested (`_hat_ends`); nu reads the U = 0 cocycle only.
         assert c.__dict__["_levels"] == twin.__dict__["_levels"], where
 
 
