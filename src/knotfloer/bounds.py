@@ -48,6 +48,8 @@ class PLFunction:
             raise ValidationError(f"breakpoints must increase strictly, got {xs}")
         if len(self.values) != len(xs):
             raise ValidationError("breakpoints and values differ in length")
+        if self.values[0] != 0:
+            raise ValidationError(f"value at 0 must be 0, got {self.values[0]}")
 
     def __call__(self, t) -> Fraction:
         t = Fraction(t)
@@ -124,8 +126,6 @@ def upsilon_ratio_bound(f: PLFunction) -> Fraction:
     The ratio is monotone between breakpoints, so its extrema sit at
     breakpoints, at t = 1, or at the initial slope.
     """
-    if f.values[0] != 0:
-        raise ValueError("ratio bound needs f(0) = 0")
     candidates = [f.initial_slope(), f(1)]
     candidates += [y / t for t, y in zip(f.breakpoints, f.values) if 0 < t < 1]
     return max(candidates) - min(candidates)

@@ -80,7 +80,7 @@ def _side(c, iota, name: str):
     """
     table = compute_invariant_table(c)
     try:
-        pair = None if iota is None else v0_bar_under(c, iota)
+        pair = None if iota is None else v0_bar_under(iota)
     except ValidationError as exc:
         raise ValidationError(f"{name}: {exc} (--involutive off skips the involutive pair)") from None
     return table, pair, _tower_certificate(c)

@@ -38,11 +38,11 @@ checked:
 once, through `linalg.iter_bits`, the one walk over a mask's bits. The
 d^2 check, the d f = f d check (`chain_violation`), the file writer,
 the homogeneity rule, the levels and `reduce_complex` read those lists.
-The file reader keeps the lists it has read, from a file of either
-format, as the `targets` of the complex and of iota, so the bits of a
-loaded complex are never walked; `dual` and `involutive.mirror_iota`
-keep the transposed lists the same way. `d` is a view built on each
-read, so a complex keeps nothing that points back at it.
+A builder that holds the lists already passes them at construction: the
+file reader those it has read, for the complex and for iota, and `dual`
+and `involutive.mirror_iota` the transposed lists, so their bits are
+never walked; other lists are walked on first read. `d` is a view built
+on each read, so a complex keeps nothing that points back at it.
 """
 
 from __future__ import annotations
@@ -75,13 +75,17 @@ class BigradedComplex:
     raises on the first dirty input.
     """
 
-    def __init__(self, labels: Sequence[str], grw: Sequence[int], grz: Sequence[int], cols: Sequence[int]):
+    def __init__(
+        self, labels: Sequence[str], grw: Sequence[int], grz: Sequence[int], cols: Sequence[int], targets=None
+    ):
         self.labels: Tuple[str, ...] = tuple(labels)
         self.grw: Tuple[int, ...] = tuple(grw)
         self.grz: Tuple[int, ...] = tuple(grz)
         self.cols: Tuple[int, ...] = tuple(cols)
         if not len(self.labels) == len(self.grw) == len(self.grz) == len(self.cols):
             raise ValidationError("grading and column lists differ in length")
+        if targets is not None:
+            self.targets = targets
 
     # -- basic access --------------------------------------------------
 
@@ -104,7 +108,7 @@ class BigradedComplex:
 
     @functools.cached_property
     def targets(self) -> Tuple[List[int], ...]:
-        """Per generator, the targets of its d, ascending: walked once (`iter_bits`), or kept from a file or `dual`."""
+        """Per generator, the targets of its d, ascending: given at construction, or walked once (`iter_bits`)."""
         return tuple(map(iter_bits, self.cols))
 
     @property
@@ -209,14 +213,12 @@ class BigradedComplex:
         """Dual complex: gradings negate, differential transposes.
 
         Computes the mirror: the complex of the mirror knot is the dual of
-        the complex of the knot. The transpose is read off the target
-        lists of d and kept as the dual's, so no bit of either is walked.
+        the complex of the knot. It is built with the transposed target
+        lists of d, so no bit of either is walked.
         """
         cols, targets = transpose(self.targets, len(self))
         labels = [name + "*" for name in self.labels]
-        dual = BigradedComplex(labels, [-w for w in self.grw], [-z for z in self.grz], cols)
-        dual.targets = targets
-        return dual
+        return BigradedComplex(labels, [-w for w in self.grw], [-z for z in self.grz], cols, targets)
 
     def relabel(self, mapping) -> "BigradedComplex":
         labels = [mapping.get(name, name) for name in self.labels]
@@ -241,11 +243,14 @@ class ChainMap:
         target: BigradedComplex,
         cols: Sequence[int],
         bidegree: Tuple[int, int],
+        targets=None,
     ):
         self.source = source
         self.target = target
         self.cols: Tuple[int, ...] = tuple(cols)
         self.bidegree = tuple(bidegree)
+        if targets is not None:
+            self.targets = targets
 
     @functools.cached_property
     def bases(self) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
@@ -258,10 +263,10 @@ class ChainMap:
 
     @functools.cached_property
     def targets(self) -> Tuple[List[int], ...]:
-        """Per source generator, the indices of its targets in ascending order (`iter_bits`).
+        """Per source generator, the indices of its targets in ascending order.
 
-        Each column is walked once, and every reader of the entries shares
-        the lists.
+        Given at construction, or each column walked once (`iter_bits`);
+        every reader of the entries shares the lists.
         """
         return tuple(map(iter_bits, self.cols))
 
@@ -301,8 +306,7 @@ class Differential(ChainMap):
     """The differential of a complex, as a map of bidegree (-1, -1): a view over the complex's target lists."""
 
     def __init__(self, c: BigradedComplex):
-        super().__init__(c, c, c.cols, (-1, -1))
-        self.targets = c.targets
+        super().__init__(c, c, c.cols, (-1, -1), c.targets)
 
     def problem(self, i, j, u=None, v=None) -> str:
         c = self.source
@@ -323,8 +327,8 @@ class SkewMap(ChainMap):
     U^u V^v y of f(x) has 2u = grw(y) - grz(x) and 2v = grz(y) - grw(x).
     """
 
-    def __init__(self, complex_: BigradedComplex, cols: Sequence[int]):
-        super().__init__(complex_, complex_, cols, (0, 0))
+    def __init__(self, complex_: BigradedComplex, cols: Sequence[int], targets=None):
+        super().__init__(complex_, complex_, cols, (0, 0), targets)
 
     @functools.cached_property
     def bases(self):

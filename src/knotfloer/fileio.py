@@ -13,7 +13,7 @@ U^u V^v y in d(x) has 2u = grw(y) - grw(x) + 1 and
 each list, the exact type of each element (a bool or a float is not an
 integer), the index ranges, repeated targets and repeated ids, and names
 the first fault by path, field and generator. It sorts each target list in
-place and keeps the lists as the `targets` of the complex and of iota
+place and builds the complex and iota with those lists as their `targets`
 (`BigradedComplex.targets`, `ChainMap.targets`), so no later check
 walks the bits of the columns. Then `require_valid` checks the complex
 and `verify_chain_map` checks iota, both over those lists, by the one
@@ -207,10 +207,7 @@ def _file_complex(data: dict, columnar: bool) -> BigradedComplex:
         labels, grw, grz = zip(*_parse_generators(data.get("generators")))
         shape = BigradedComplex(labels, grw, grz, [0] * len(labels))
         raw = _entry_targets(data.get("differential", []), "differential", shape.d)
-    cols, targets = _read_targets(raw, "differential", labels)
-    complex_ = BigradedComplex(labels, grw, grz, cols)
-    complex_.targets = targets
-    return complex_
+    return BigradedComplex(labels, grw, grz, *_read_targets(raw, "differential", labels))
 
 
 def load_complex(path: str) -> Tuple[BigradedComplex, Optional[SkewMap]]:
@@ -247,9 +244,7 @@ def load_complex(path: str) -> Tuple[BigradedComplex, Optional[SkewMap]]:
                 raw = data["iota"] if columnar else _entry_targets(data["iota"], "iota", SkewMap(complex_, ()))
             except ValidationError as exc:
                 raise FileFormatError(f"iota rejected: {'; '.join(exc.violations)}") from None
-            cols, targets = _read_targets(raw, "iota", complex_.labels)
-            iota = SkewMap(complex_, cols)
-            iota.targets = targets
+            iota = SkewMap(complex_, *_read_targets(raw, "iota", complex_.labels))
             violation = verify_chain_map(iota)
             if violation is not None:
                 raise FileFormatError(f"iota rejected: {violation}")

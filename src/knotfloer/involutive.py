@@ -12,9 +12,9 @@ valid (the proof is in `realize_with_iota`). An involution is checked
 where a number is read from it, once, by `ai0_cone`; a file's is checked
 as `load_complex` reads it, and the cone reuses that check.
 
-The involutive corrections come from the cone of (1 + iota) on the
-level-0 subcomplex, built on its model M_0 (`ai0_cone`), with the cone
-variable Q of degree -1:
+The involutive corrections are a function of iota alone: they come from
+the cone of (1 + iota) on level 0 of iota's complex, `iota.source`, built
+on its model M_0 (`ai0_cone`), with the cone variable Q of degree -1:
 
     lower d = max grading of a homogeneous class that stays T-non-torsion
               and outside the image of Q forever;
@@ -49,14 +49,11 @@ def staircase_iota(c: BigradedComplex) -> SkewMap:
 
 
 def mirror_iota(iota: SkewMap, dual_c: BigradedComplex) -> SkewMap:
-    """Involution of the dual complex: the transpose, still skew, with its target lists kept.
+    """Involution of the dual complex: the transpose, still skew, built with its columns and target lists.
 
     Its implied exponents are those of iota, swapped.
     """
-    cols, targets = transpose(iota.targets, len(dual_c))
-    mirror = SkewMap(dual_c, cols)
-    mirror.targets = targets
-    return mirror
+    return SkewMap(dual_c, *transpose(iota.targets, len(dual_c)))
 
 
 def connected_sum_iota(tensor_c: BigradedComplex, iota1: SkewMap, iota2: SkewMap) -> SkewMap:
@@ -138,8 +135,8 @@ def realize_expr(e: KnotExpr) -> BigradedComplex:
 # --- the mapping cone -------------------------------------------------------
 
 
-def ai0_cone(c: BigradedComplex, iota: SkewMap) -> FUComplex:
-    """Cone of 1 + pi_0 iota iota_0 on the level-0 model M_0, Q of degree -1.
+def ai0_cone(iota: SkewMap) -> FUComplex:
+    """Cone of 1 + pi_0 iota iota_0 on the level-0 model M_0 of iota's complex, Q of degree -1.
 
     The model cone (`fu`) of 1 + iota on level 0: pi_0 (1 + iota) iota_0
     is 1 + pi_0 iota iota_0, since pi_0 iota_0 = 1 (`level_split`).
@@ -152,14 +149,12 @@ def ai0_cone(c: BigradedComplex, iota: SkewMap) -> FUComplex:
     min(a_y, b_y) = 0 makes b_x + u or a_x + v, as for d in
     `a_level_complex`. So the cone is valid once iota passes
     `verify_chain_map`, the one check of a built involution
-    (`realize_with_iota`), and is a map on c (`SkewMap.is_on`).
+    (`realize_with_iota`).
     """
-    if not iota.is_on(c):
-        raise ValidationError("involution is a map on another complex")
     violation = verify_chain_map(iota)
     if violation is not None:
         raise ValidationError(f"involution fails verification: {violation}")
-    split = level_split(c, 0)
+    split = level_split(iota.source, 0)
     one_plus = [col ^ (1 << m) for m, col in enumerate(transfer(split, split, iota.cols))]
     return cone([(split.model, 0), (split.model, -1)], [(0, 1, one_plus)])
 
@@ -190,11 +185,11 @@ def involutive_d_pair(cone: FUComplex) -> Tuple[int, int]:
     return odd + 1, even
 
 
-def v0_bar_under(c: BigradedComplex, iota: SkewMap) -> Tuple[int, int]:
-    """(upper, lower) involutive correction terms bracketing V_0."""
-    d_bar, d_under = involutive_d_pair(ai0_cone(c, iota))
+def v0_bar_under(iota: SkewMap) -> Tuple[int, int]:
+    """(upper, lower) involutive correction terms bracketing V_0 of iota's complex, `iota.source`."""
+    d_bar, d_under = involutive_d_pair(ai0_cone(iota))
     v_bar, v_under = -d_bar // 2, -d_under // 2
-    v0 = v_invariant(c, 0)
+    v0 = v_invariant(iota.source, 0)
     if not v_bar <= v0 <= v_under:
         raise ConsistencyError(
             f"involutive pair ({v_bar}, {v_under}) does not bracket V_0 = {v0}"

@@ -418,11 +418,25 @@ MUTANTS = (
         ("tests/test_quotients.py::test_sums_and_mirrors_inherit_reversal_symmetry_only_when_it_holds",),
     ),
     Mutant(
-        "the involutive cone reads an involution of another complex",
-        "involutive.py",
-        '        raise ValidationError("involution is a map on another complex")\n',
-        "        pass\n",
-        ("tests/test_involutive.py::test_cone_rejects_an_involution_of_another_complex",),
+        "a concordance function accepted with a nonzero value at 0",
+        "bounds.py",
+        "        if self.values[0] != 0:\n",
+        "        if False:\n",
+        ("tests/test_bounds.py::test_pl_function_rejects_a_nonzero_start",),
+    ),
+    Mutant(
+        "the dual built without its lists",
+        "complexes.py",
+        "[-z for z in self.grz], cols, targets)",
+        "[-z for z in self.grz], cols)",
+        ("tests/test_fileio.py::test_built_target_lists_are_the_builders_own",),
+    ),
+    Mutant(
+        "a loaded iota built without its lists",
+        "fileio.py",
+        'iota = SkewMap(complex_, *_read_targets(raw, "iota", complex_.labels))',
+        'iota = SkewMap(complex_, _read_targets(raw, "iota", complex_.labels)[0])',
+        ("tests/test_fileio.py::test_built_target_lists_are_the_builders_own",),
     ),
     Mutant(
         "the certificate's u and v read from swapped gradings",

@@ -79,13 +79,13 @@ def test_criterion_3_model_complex_from_file(capsys):
 
 def test_criterion_4_involutive():
     granny, granny_iota = realize_with_iota(parse_knot_expr("T(2,3)#T(2,3)"))
-    assert v0_bar_under(granny, granny_iota)[1] == 2
+    assert v0_bar_under(granny_iota)[1] == 2
     k, k_iota = realize_with_iota(parse_knot_expr(K_EXPR))
-    assert v0_bar_under(k, k_iota) == (1, 2)
+    assert v0_bar_under(k_iota) == (1, 2)
     unknot = staircase(0)
     from knotfloer.involutive import staircase_iota
 
-    assert v0_bar_under(unknot, staircase_iota(unknot)) == (0, 0)
+    assert v0_bar_under(staircase_iota(unknot)) == (0, 0)
     _passed(4, "involutive corrections: doubled trefoil, example knot, unknot")
 
 
@@ -165,7 +165,7 @@ def test_criterion_8_property_suites():
 
     for expr in ["T(2,3)", "T(2,5)", "T(3,4)", "T(4,5)", K_EXPR, K1_EXPR]:
         c, iota = realize_with_iota(parse_knot_expr(expr))
-        v_bar, v_under = v0_bar_under(c, iota)
+        v_bar, v_under = v0_bar_under(iota)
         assert v_bar <= v_invariant(c, 0) <= v_under, expr
 
     for text in ["T(2,3)", "T(3,4)", K1_EXPR]:

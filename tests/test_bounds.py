@@ -60,6 +60,20 @@ def test_pl_function_rejects_bad_breakpoints():
         PLFunction((zero, Fraction(2)), (zero,))
 
 
+def test_pl_function_rejects_a_nonzero_start():
+    zero = Fraction(0)
+    with pytest.raises(ValidationError, match="value at 0 must be 0"):
+        PLFunction((zero, Fraction(2)), (Fraction(1), zero))
+
+
+def test_pl_function_is_defined_on_zero_to_two_only():
+    f = PLFunction((Fraction(0), Fraction(2)), (Fraction(0), Fraction(-2)))
+    assert f(0) == 0 and f(2) == -2
+    for t in (Fraction(-1, 3), Fraction(7, 3)):
+        with pytest.raises(ValueError, match=r"argument outside \[0, 2\]"):
+            f(t)
+
+
 def test_upsilon_family_knot():
     ups = upsilon_of_expr(parse_knot_expr(K1))
     assert ups(1) == -1

@@ -371,10 +371,10 @@ def test_knot_is_released_before_its_mirror_is_built(monkeypatch, capsys):
     code, _out, err = run_cli(["report", "--expr", expr, "--involutive", "on", "--format", "json"], capsys)
     assert (code, held) == (0, [[]]), err
     c, iota = realize_with_iota(parse_knot_expr(expr))
-    before = compute_invariant_table(c), v0_bar_under(c, iota)
+    before = compute_invariant_table(c), v0_bar_under(iota)
     release(c)
     assert [key for key in keys if key in c.__dict__] == []
-    assert (compute_invariant_table(c), v0_bar_under(c, iota)) == before
+    assert (compute_invariant_table(c), v0_bar_under(iota)) == before
 
 
 def test_unknown_named_complex_is_invalid_input(capsys):

@@ -45,10 +45,10 @@ def test_cones_match_the_hand_assembly(monkeypatch):
         built.append(n)
         return cone
 
-    def checked_pair(c, iota):
-        cone = real_pair(c, iota)
-        assert _layout(cone) == _layout(involutive_cone(c, iota))
-        pairs.append(c)
+    def checked_pair(iota):
+        cone = real_pair(iota)
+        assert _layout(cone) == _layout(involutive_cone(iota.source, iota))
+        pairs.append(iota.source)
         return cone
 
     monkeypatch.setattr(invariants, "_cone", checked_cone)
@@ -59,7 +59,7 @@ def test_cones_match_the_hand_assembly(monkeypatch):
         for complex_, io in ((c, iota), (mirror, iota and mirror_iota(iota, mirror))):
             compute_invariant_table(complex_)
             if io is not None:
-                v0_bar_under(complex_, io)
+                v0_bar_under(io)
                 with_iota += 1
     # Cones with n > 0, and one involutive cone per complex with an involution.
     assert sum(n > 0 for n in built) >= 30

@@ -42,6 +42,43 @@ def test_differential_is_cached_with_final_columns():
         assert c.d.cols == c.cols == hw.cols
 
 
+@pytest.mark.parametrize("name", ["scrambled_k1.cfk", "scrambled_k1_v2.cfk"])
+def test_built_target_lists_are_the_builders_own(monkeypatch, name):
+    # A file load, dual and mirror_iota pass the lists they hold at
+    # construction: reading their targets walks no bits, and each is the
+    # very list its builder returned. (The format-1 front end walks the
+    # empty columns of the shape it reads entries against, so the count
+    # starts after the load.)
+    from knotfloer import complexes, fileio, involutive
+
+    walks, returned = [], []
+
+    def counting(mask):
+        walks.append(mask)
+        return real_walk(mask)
+
+    def keeping(real):
+        def wrapped(*args):
+            out = real(*args)
+            returned.append(out[1])
+            return out
+        return wrapped
+
+    real_walk = complexes.iter_bits
+    monkeypatch.setattr(complexes, "iter_bits", counting)
+    monkeypatch.setattr(fileio, "_read_targets", keeping(fileio._read_targets))
+    monkeypatch.setattr(complexes, "transpose", keeping(complexes.transpose))
+    monkeypatch.setattr(involutive, "transpose", keeping(involutive.transpose))
+    c, iota = load_complex(os.path.join(DATA, name))
+    walks.clear()
+    dual = c.dual()
+    built = [c, iota, dual, involutive.mirror_iota(iota, dual)]
+    assert len(returned) == len(built)
+    for thing, lists in zip(built, returned):
+        assert thing.targets is lists
+    assert walks == []
+
+
 def test_save_load_round_trip(tmp_path):
     path = tmp_path / "s2.cfk"
     save_complex(staircase(2), str(path), name="s2")

@@ -130,8 +130,8 @@ def test_report_cones_pass_the_scan(monkeypatch, capsys):
         built.append((n, cone))
         return cone
 
-    def keeping_pair(c, iota):
-        cone = real_pair(c, iota)
+    def keeping_pair(iota):
+        cone = real_pair(iota)
         pairs.append(cone)
         return cone
 

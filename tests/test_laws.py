@@ -61,7 +61,7 @@ def test_slice_law(knots):
         assert set(table.v.values()) == set(table.y.values()) == {0}, text
         assert (table.nu_plus, table.omega_plus, table.tau, table.nu_hat, table.omega_hat) == (0,) * 5, text
         if text != HW:
-            assert v0_bar_under(c, iota) == (0, 0), text
+            assert v0_bar_under(iota) == (0, 0), text
 
 
 def test_hom_wu_symmetry(knots):

@@ -30,7 +30,7 @@ from knotfloer.involutive import realize_with_iota, v0_bar_under
 
 
 def _invariants(c, iota):
-    return v_invariant(c, 0), tau_invariant(c), v0_bar_under(c, iota)
+    return v_invariant(c, 0), tau_invariant(c), v0_bar_under(iota)
 
 
 @settings(max_examples=30, **PROPERTY)
